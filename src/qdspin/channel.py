@@ -30,6 +30,20 @@ leaving the slow difference terms whose phase is exactly resolved at
 every time.  This keeps the channel accurate over the whole validity
 window with node counts linear in t_max; the handoff error is the tiny
 remnant above, far below every tolerance used downstream.
+
+Evaluation: expanding the amplitude products leaves, per node, three
+frequency families with real amplitudes (p from 2w_ket, c from the slow
+w_ket - w_bra and the fast w_ket + w_bra), so each channel component is
+a non-uniform Fourier sum over the nodes (type 3 in Greengard & Lee,
+SIAM Rev. 46, 2004).  The time grid splits into maximal uniform runs
+(the dense prefix and the coarse tail of `build_time_grid`).  On a run,
+t = T_j + tau_k with T_j every K-th grid time and tau_k = k*step,
+K ~ sqrt(run length), so cos/sin(w t) factor into a (J x nodes) table
+at the grid's own T_j and a (nodes x K) table at tau_k: a family costs
+nodes*(J+K) trig calls and one GEMM instead of 4*nodes*times.  Nodes
+are taken in fixed-size blocks, accumulated in node order, which keeps
+every table at a few MB on the longest grids and the summation order
+fixed.
 """
 from __future__ import annotations
 
@@ -300,19 +314,100 @@ def _node_tables(dot: DotParameters, quad: BathQuadrature):
     return w2d, s_ket, s_bra, v_frac, w_ket, w_bra, w_diff, t_fast_ok
 
 
+_NODE_BLOCK = 2048       # nodes per phase table: a table stays at a few MB
+_SPACING_ULPS = 4.0      # rounding a generated grid time may carry off its line
+
+
+def _uniform_runs(times: np.ndarray) -> list[tuple[int, int, float]]:
+    """Split `times` into maximal runs of equally spaced values.
+
+    Returns (start, stop, step) per run.  A time joins the run while it
+    lies within a few ulps of the run's line times[start] + k*step, the
+    rounding a generated grid carries; a lone time is a run of length 1.
+    """
+    runs = []
+    start = 0
+    while start < times.size:
+        rest = times[start:]
+        step = float(rest[1] - rest[0]) if rest.size > 1 else 0.0
+        line = rest[0] + step * np.arange(rest.size)
+        tol = _SPACING_ULPS * np.finfo(float).eps * np.maximum(np.abs(rest), np.abs(line))
+        off = np.flatnonzero(np.abs(rest - line) > tol)
+        stop = start + (int(off[0]) if off.size else rest.size)
+        runs.append((start, stop, step))
+        start = stop
+    return runs
+
+
+def _phase_sums(
+    times: np.ndarray,
+    omega: np.ndarray,
+    vers_amp: np.ndarray,
+    sin_amp: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Node sums of vers_amp*(1 - cos(omega*t)) and sin_amp*sin(omega*t).
+
+    Each uniform run is a (J x K) array of times T_j + tau_k (module
+    docstring); the [cos, sin](omega*T_j) table times the amplitude-
+    weighted table at tau_k is one real GEMM per node block, the real
+    and imaginary parts of e^{i omega T_j} e^{i omega tau_k}.  The
+    versine form makes t = 0 exact: every term vanishes there.
+    """
+    n_cols = 1 if sin_amp is None else 2
+    vers_out = np.empty(times.size)
+    sin_out = None if sin_amp is None else np.empty(times.size)
+    for start, stop, step in _uniform_runs(times):
+        n = stop - start
+        k_len = math.isqrt(n - 1) + 1
+        anchors = times[start:stop:k_len]
+        taus = step * np.arange(k_len)
+        acc = np.zeros((anchors.size, n_cols * k_len))
+        vers_anchor = np.zeros(anchors.size)
+        for lo in range(0, omega.size, _NODE_BLOCK):
+            w = omega[lo : lo + _NODE_BLOCK]
+            nb = w.size
+            left = np.empty((anchors.size, 2 * nb))
+            phase = np.multiply.outer(anchors, w)
+            np.cos(phase, out=left[:, :nb])
+            np.sin(phase, out=left[:, nb:])
+            phase = np.multiply.outer(w, taus)
+            cos_k, sin_k = np.cos(phase), np.sin(phase)
+            right = np.empty((2 * nb, n_cols * k_len))
+            a = vers_amp[lo : lo + _NODE_BLOCK, None]
+            # 1 - cos(T + tau) = (1 - cos T) + cos T (1 - cos tau) + sin T sin tau
+            np.multiply(a, 1.0 - cos_k, out=right[:nb, :k_len])
+            np.multiply(a, sin_k, out=right[nb:, :k_len])
+            if sin_amp is not None:
+                # sin(T + tau) = cos T sin tau + sin T cos tau
+                b = sin_amp[lo : lo + _NODE_BLOCK, None]
+                np.multiply(b, sin_k, out=right[:nb, k_len:])
+                np.multiply(b, cos_k, out=right[nb:, k_len:])
+            acc += left @ right
+            vers_anchor += (1.0 - left[:, :nb]) @ a[:, 0]
+        acc[:, :k_len] += vers_anchor[:, None]
+        vers_out[start:stop] = acc[:, :k_len].ravel()[:n]
+        if sin_out is not None:
+            sin_out[start:stop] = acc[:, k_len:].ravel()[:n]
+    return vers_out, sin_out
+
+
 def compute_channel(
     dot: DotParameters,
     times: np.ndarray,
     quad: BathQuadrature | None = None,
-    fast_term_cutoff: float | None = None,
-    time_chunk: int | None = None,
 ) -> ChannelTrajectory:
     """Bath-averaged channel {p(t), c(t)} on the given time grid.
 
     p(t) = E[f_prob] over ket-side blocks; c(t) = E[a_amp * conj(d_amp)]
     with the bra-side block at polarization m-1 in the same multiplet.
-    Summation order over nodes is fixed, so results are independent of
-    any worker or thread count.
+    Expanding the products leaves three real-amplitude frequency families
+    per node: p from 2*w_ket, c from the slow difference w_ket - w_bra and
+    from the fast sum w_ket + w_bra.  Past the fast-term cutoff only the
+    difference family remains and p is its long-time mean.  Each family is
+    a phase sum evaluated by `_phase_sums` (factored tables and GEMMs on
+    the uniform runs of the grid, over fixed node blocks).  Summation
+    order over nodes is fixed, so results are independent of the worker
+    count; only the BLAS thread count can move the last bits (<1e-15).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
@@ -326,50 +421,41 @@ def compute_channel(
         )
 
     w2d, s_ket, s_bra, v_frac, w_ket, w_bra, w_diff, t_fast_ok = _node_tables(dot, quad)
-    cutoff = 0.8 * t_fast_ok if fast_term_cutoff is None else float(fast_term_cutoff)
+    cutoff = 0.8 * t_fast_ok
     needs_slow = times.size and t_max > cutoff
     if needs_slow and cutoff < 5.0 * dot.dephasing_time_ns:
         raise QuadratureResolutionError(
             f"fast-term window {cutoff:.1f} ns does not cover the interference decay "
             f"(~5 dephasing times = {5.0 * dot.dephasing_time_ns:.1f} ns); raise the node counts"
         )
+    # a*conj(d') expanded: both amplitudes carry the same dropped mean phase
     ss = s_ket * s_bra
-    slow_re_coef = 0.5 * (1.0 - ss)
-    slow_im_coef = 0.5 * (s_bra - s_ket)
-    p_slow = float(np.sum(w2d * 0.5 * v_frac))
-
-    n_nodes = w2d.size
-    if time_chunk is None:
-        time_chunk = max(1, min(256, int(1e6 / max(1, n_nodes))))
+    diff_re = (w2d * 0.5 * (1.0 - ss)).ravel()
+    diff_im = (w2d * 0.5 * (s_bra - s_ket)).ravel()
+    sum_re = (w2d * 0.5 * (1.0 + ss)).ravel()
+    sum_im = (w2d * -0.5 * (s_ket + s_bra)).ravel()
+    p_amp = (w2d * 0.5 * v_frac).ravel()
 
     p_out = np.empty(times.size)
     c_out = np.empty(times.size, dtype=complex)
+    fast = times <= cutoff
+    slow = ~fast
 
-    fast_mask = times <= cutoff
-    fast_idx = np.nonzero(fast_mask)[0]
-    slow_idx = np.nonzero(~fast_mask)[0]
-
-    for start in range(0, fast_idx.size, time_chunk):
-        idx = fast_idx[start : start + time_chunk]
-        t = times[idx][:, None, None]
-        th_k = w_ket[None, :, :] * t
-        th_b = w_bra[None, :, :] * t
-        cos_k, sin_k = np.cos(th_k), np.sin(th_k)
-        cos_b, sin_b = np.cos(th_b), np.sin(th_b)
-        # a * conj(d'): both amplitudes carry the same dropped mean phase
-        re = cos_k * cos_b - (s_ket * s_bra)[None, :, :] * sin_k * sin_b
-        im = -(s_ket[None, :, :] * sin_k * cos_b + s_bra[None, :, :] * cos_k * sin_b)
-        p_out[idx] = np.sum(w2d[None, :, :] * v_frac[None, :, :] * sin_k * sin_k, axis=(1, 2))
-        c_out[idx] = np.sum(w2d[None, :, :] * (re + 1j * im), axis=(1, 2))
-
-    for start in range(0, slow_idx.size, time_chunk):
-        idx = slow_idx[start : start + time_chunk]
-        t = times[idx][:, None, None]
-        phase = w_diff[None, :, :] * t
-        re = slow_re_coef[None, :, :] * np.cos(phase)
-        im = slow_im_coef[None, :, :] * np.sin(phase)
-        p_out[idx] = p_slow
-        c_out[idx] = np.sum(w2d[None, :, :] * (re + 1j * im), axis=(1, 2))
+    if fast.any():
+        t = times[fast]
+        p_out[fast] = _phase_sums(t, 2.0 * w_ket.ravel(), p_amp)[0]
+        vers, sin = _phase_sums(
+            t,
+            np.concatenate([w_diff.ravel(), (w_ket + w_bra).ravel()]),
+            np.concatenate([diff_re, sum_re]),
+            np.concatenate([diff_im, sum_im]),
+        )
+        # the two real amplitudes of a node add up to its weight: c(0) = sum(w)
+        c_out[fast] = (np.sum(w2d) - vers) + 1j * sin
+    if slow.any():
+        vers, sin = _phase_sums(times[slow], w_diff.ravel(), diff_re, diff_im)
+        p_out[slow] = np.sum(p_amp)
+        c_out[slow] = (np.sum(diff_re) - vers) + 1j * sin
 
     traj = ChannelTrajectory(
         times=times,

@@ -184,6 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         t_max=config.t_max,
         dt=config.dt,
         dt_long=config.dt_long,
+        dense_prefix=config.dense_prefix,
         metrics=_METRIC_SETS[config.metric],
         m_window=tuple(config.m_window),
         longtime_window=tuple(config.longtime_window),

@@ -404,12 +404,18 @@ def build_time_grid(
     dense_prefix: float = 50.0,
     long_threshold: float = 100.0,
 ) -> np.ndarray:
-    """Default grids: uniform dt up to `long_threshold`, else a dense prefix plus coarse tail."""
+    """Default grids: uniform dt up to `long_threshold`, else a dense prefix plus coarse tail.
+
+    A dense prefix longer than t_max is cut at t_max.
+    """
     if t_max <= 0.0:
         raise InvalidParameterError(f"t_max must be positive, got {t_max}")
+    if not dense_prefix >= 0.0:
+        raise InvalidParameterError(f"dense_prefix must be non-negative, got {dense_prefix}")
     if t_max <= long_threshold:
         n = int(round(t_max / dt))
         return np.linspace(0.0, n * dt, n + 1)
+    dense_prefix = min(dense_prefix, t_max)
     n_dense = int(round(dense_prefix / dt))
     dense = np.linspace(0.0, n_dense * dt, n_dense + 1)
     n_coarse = int(math.ceil((t_max - dense_prefix) / dt_long))

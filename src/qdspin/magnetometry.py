@@ -133,6 +133,7 @@ class SweepRequest:
     t_max: float = 20.0
     dt: float = 0.02
     dt_long: float = 2.0
+    dense_prefix: float = 50.0
     metrics: tuple[str, ...] = ("M", "g-extrema", "esd", "kinks")
     m_window: tuple[float, float] = DEFAULT_M_WINDOW
     longtime_window: tuple[float, float] = DEFAULT_LONGTIME_WINDOW
@@ -144,8 +145,10 @@ class SweepRequest:
     def __post_init__(self) -> None:
         if len(self.b_fields) == 0:
             raise InvalidParameterError("sweep needs at least one field value")
-        if list(self.b_fields) != sorted(self.b_fields):
+        if any(b1 >= b2 for b1, b2 in zip(self.b_fields, self.b_fields[1:])):
             raise InvalidParameterError("b_fields must be strictly increasing")
+        if not self.dense_prefix >= 0.0:
+            raise InvalidParameterError(f"dense_prefix must be non-negative, got {self.dense_prefix}")
         known = {"M", "g-extrema", "esd", "kinks", "longtime"}
         unknown = set(self.metrics) - known
         if unknown:
@@ -205,7 +208,9 @@ def trajectory_for_field(request: SweepRequest, b_field: float) -> CorrelationTr
     t_max = request.t_max
     if "longtime" in request.metrics:
         t_max = max(t_max, request.longtime_window[1])
-    times = build_time_grid(t_max, dt=request.dt, dt_long=request.dt_long)
+    times = build_time_grid(
+        t_max, dt=request.dt, dt_long=request.dt_long, dense_prefix=request.dense_prefix
+    )
     quad = build_quadrature(dot, t_max, m_count=request.m_nodes, q_count=request.q_nodes)
     chan = compute_channel(dot, times, quad)
     state0 = make_state(request.state_spec)
@@ -232,13 +237,19 @@ def _sweep_row(args: tuple[SweepRequest, float]) -> SweepRow:
 
 
 def worker_count(explicit: int | None = None) -> int:
+    """Worker processes for a sweep: the explicit value, else QDSPIN_WORKERS, else 1."""
     if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = None
+    if count is None or count < 1:
+        raise InvalidParameterError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return count
 
 
 def run_sweep(request: SweepRequest, workers: int | None = None) -> SweepTable:

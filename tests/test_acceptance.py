@@ -9,6 +9,8 @@ import pytest
 
 from qdspin.acceptance import run_checks
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="session")
 def acceptance_results():

@@ -6,10 +6,12 @@ import qdspin as q
 from qdspin.channel import (
     CP_MARGIN_SOFT,
     QuadratureResolutionError,
+    _node_tables,
     block_amplitudes,
     node_count_rule,
 )
 from qdspin.constants import ValidityWindowError
+from qdspin.evolution import build_time_grid
 
 HBAR = 0.6582119569
 
@@ -228,3 +230,64 @@ def test_channel_csv_export(tmp_path, channel_b0):
     assert len(lines) == 2 + channel_b0.times.size
     first = lines[2].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# factored phase sum against the direct per-time sum
+# ---------------------------------------------------------------------------
+
+
+def direct_channel(dot, times, quad):
+    """Reference channel: four trig calls per node and time, summed per time."""
+    w2d, s_ket, s_bra, v_frac, w_ket, w_bra, w_diff, t_fast_ok = _node_tables(dot, quad)
+    cutoff = 0.8 * t_fast_ok
+    p = np.empty(times.size)
+    c = np.empty(times.size, dtype=complex)
+    for i, t in enumerate(times):
+        if t <= cutoff:
+            cos_k, sin_k = np.cos(w_ket * t), np.sin(w_ket * t)
+            cos_b, sin_b = np.cos(w_bra * t), np.sin(w_bra * t)
+            re = cos_k * cos_b - s_ket * s_bra * sin_k * sin_b
+            im = -(s_ket * sin_k * cos_b + s_bra * cos_k * sin_b)
+            p[i] = np.sum(w2d * v_frac * sin_k * sin_k)
+        else:
+            re = 0.5 * (1.0 - s_ket * s_bra) * np.cos(w_diff * t)
+            im = 0.5 * (s_bra - s_ket) * np.sin(w_diff * t)
+            p[i] = np.sum(w2d * 0.5 * v_frac)
+        c[i] = np.sum(w2d * (re + 1j * im))
+    return p, c
+
+
+@pytest.mark.parametrize(
+    "b_field, times",
+    [
+        (0.0, build_time_grid(20.0)),
+        (0.011, build_time_grid(20.0)),
+        (1.0, build_time_grid(20.0)),
+        (0.001, build_time_grid(200.0)),   # dense prefix + coarse tail across the cutoff
+        (0.05, np.array([0.0, 0.3, 0.31, 1.7, 2.2, 2.7, 3.2, 9.9, 4.0, 15.25])),
+        (0.2, np.array([7.3])),
+    ],
+    ids=["20ns-0T", "20ns-11mT", "20ns-1T", "200ns-1mT", "nonuniform", "single"],
+)
+def test_channel_matches_direct_sum(b_field, times):
+    dot = q.DotParameters(b_field=b_field)
+    quad = q.build_quadrature(dot, float(times.max()))
+    chan = q.compute_channel(dot, times, quad)
+    p_ref, c_ref = direct_channel(dot, times, quad)
+    if times.max() > 100.0:
+        assert times.min() < chan.fast_term_cutoff_ns < times.max()
+    assert np.abs(chan.p - p_ref).max() <= 1e-13
+    assert np.abs(chan.c - c_ref).max() <= 1e-13
+
+
+def test_channel_single_time_matches_grid():
+    # runs, anchors and node blocks differ between the two calls
+    dot = q.DotParameters(b_field=0.001)
+    times = build_time_grid(200.0)
+    quad = q.build_quadrature(dot, 200.0)
+    grid = q.compute_channel(dot, times, quad)
+    for i in (1, 777, 2501, 2510, times.size - 1):  # dense, coarse fast, slow
+        alone = q.compute_channel(dot, times[i : i + 1], quad)
+        assert abs(alone.p[0] - grid.p[i]) <= 1e-13
+        assert abs(alone.c[0] - grid.c[i]) <= 1e-13

@@ -9,6 +9,7 @@ import qdspin as q
 from qdspin.cli import main
 from qdspin.config import RunConfig, parse_b_values, parse_state_spec
 from qdspin.constants import InvalidParameterError
+from qdspin.magnetometry import WORKERS_ENV, worker_count
 
 
 def test_config_roundtrip_default():
@@ -148,6 +149,75 @@ def test_cli_sweep_empty_b_is_usage_error(capsys):
     err = capsys.readouterr().err
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "InvalidParameterError"
+
+
+def test_cli_sweep_repeated_b_is_usage_error(capsys):
+    code = main(["sweep", "--metric", "M", "--b", "0,0,0.001", "--state", "werner:p=0.33"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "InvalidParameterError"
+    assert "strictly increasing" in record["message"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_cli_sweep_bad_workers_env_is_usage_error(value, monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv(WORKERS_ENV, value)
+    code = main(["sweep", "--metric", "M", "--b", "0.01", "--state", "werner:p=0.33",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "InvalidParameterError"
+    assert WORKERS_ENV in record["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_worker_count_unset_or_empty_env_is_one(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv(WORKERS_ENV, "")
+    assert worker_count() == 1
+
+
+def test_cli_sweep_applies_dense_prefix(tmp_path):
+    # past 100 ns the grid is a dense prefix plus a 2 ns tail; the long-time
+    # window straddles a 110 ns prefix but lies in the tail of the default one
+    def d_longtime(extra: dict) -> tuple[float, str]:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "longtime_window": [100.0, 120.0],
+                                   **extra}))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(cfg), "--metric", "longtime", "--b", "0.001",
+                     "--state", "bell:psi-", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        config_line = next(l for l in lines if l.startswith("# config="))
+        return float(lines[-1].split(",")[-1]), config_line
+
+    default, default_header = d_longtime({})
+    prefixed, prefixed_header = d_longtime({"dense_prefix": 110.0})
+    assert '"dense_prefix": 50.0' in default_header
+    assert '"dense_prefix": 110.0' in prefixed_header
+    assert prefixed != default
+
+
+def test_cli_sweep_negative_dense_prefix_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t_max": 120.0, "dense_prefix": -5.0}))
+    code = main(["sweep", "--config", str(cfg), "--metric", "M", "--b", "0.001",
+                 "--state", "bell:psi-", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "InvalidParameterError"
+    assert "dense_prefix" in record["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_sweep_dense_prefix_past_t_max_runs(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "dense_prefix": 200.0}))
+    code = main(["sweep", "--config", str(cfg), "--metric", "M", "--b", "0.001",
+                 "--state", "bell:psi-", "--out", str(tmp_path / "s.csv")])
+    assert code == 0
 
 
 def test_cli_validity_error_exit_code(tmp_path, capsys):

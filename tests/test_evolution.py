@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qdspin as q
+from qdspin.constants import InvalidParameterError
 from qdspin.evolution import (
     ChannelError,
     ExtremumKind,
@@ -233,3 +234,12 @@ def test_build_time_grid():
     assert steps.min() == pytest.approx(0.02, abs=1e-9)
     assert steps.max() == pytest.approx(2.0, abs=1e-9)
     assert np.all(steps > 0)
+
+
+def test_build_time_grid_dense_prefix_bounds():
+    # a prefix past t_max is cut at t_max, so the grid never outruns its quadrature
+    grid = build_time_grid(120.0, dt=0.1, dense_prefix=200.0)
+    assert grid[-1] == pytest.approx(120.0)
+    assert np.diff(grid).max() == pytest.approx(0.1, abs=1e-9)
+    with pytest.raises(InvalidParameterError):
+        build_time_grid(120.0, dense_prefix=-1.0)

@@ -102,6 +102,8 @@ def test_sweep_rejects_bad_requests():
     with pytest.raises(InvalidParameterError):
         SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.1, 0.0), metrics=("M",))
     with pytest.raises(InvalidParameterError):
+        SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0, 0.0, 0.001), metrics=("M",))
+    with pytest.raises(InvalidParameterError):
         SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0,), metrics=("bogus",))
 
 
