@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .channel import (
     BathQuadrature,
-    BlockAmplitudes,
     ChannelTrajectory,
-    block_amplitudes,
     build_quadrature,
     compute_channel,
     verify_channel_cp,

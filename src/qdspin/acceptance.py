@@ -264,9 +264,7 @@ def check_7_oracle_equivalence() -> CheckResult:
         st = _random_state(rng)
         form = bloch_decompose(st)
         k_x = np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T
-        from .linalg3 import max_eigenpair
-
-        closed = 0.25 * (float(np.trace(k_x)) - max_eigenpair(k_x)[0])
+        closed = 0.25 * (float(np.trace(k_x)) - np.linalg.eigvalsh(k_x)[-1])
         worst = max(worst, abs(oracle_one_sided_discord(st, grid_resolution=18) - closed))
     ok = worst < 1e-6
     return CheckResult(

@@ -61,7 +61,6 @@ from .constants import (
 )
 
 DEGENERATE_BLOCK_E2 = 1e-30      # ueV^2; below this a block acts as identity
-CP_MARGIN_SOFT = 1e-6            # trajectory invariant |c| <= 1 - p + soft margin
 CP_MARGIN_HARD = 1e-4            # beyond this the quadrature is under-resolved
 VALIDITY_GRACE = 1.05            # hbar*N/A is an estimate; allow 5% on top
 MIN_M_NODES = 257
@@ -71,47 +70,6 @@ _MIN_BATH_NUCLEI = 100           # Gaussian bath statistics need a large bath
 
 class QuadratureResolutionError(QdspinError, ArithmeticError):
     """The bath quadrature cannot resolve the requested evolution."""
-
-
-@dataclass(frozen=True)
-class BlockAmplitudes:
-    """Survival amplitudes and flip probability of one 2x2 block."""
-
-    a_amp: complex
-    d_amp: complex
-    f_prob: float
-
-
-def block_amplitudes(
-    delta: float,
-    v_coupling: float,
-    t_ns: float,
-    hbar: float = 0.6582119569,
-    mean_energy: float = 0.0,
-) -> BlockAmplitudes:
-    """Exact evolution of the block Hamiltonian delta*sz + V*sx over time t.
-
-    a_amp = <up,m|U|up,m>, d_amp = <down,m+1|U|down,m+1>, f_prob the
-    in-block flip probability.  The block mean energy (-alpha/4, identical
-    for every block) is dropped by default; pass mean_energy to retain it,
-    which changes no bath-averaged observable.
-    """
-    e2 = delta * delta + v_coupling * v_coupling
-    if e2 < DEGENERATE_BLOCK_E2:
-        return BlockAmplitudes(1.0 + 0.0j, 1.0 + 0.0j, 0.0)
-    e = math.sqrt(e2)
-    omega = e / hbar
-    cos_t = math.cos(omega * t_ns)
-    sin_t = math.sin(omega * t_ns)
-    s = delta / e
-    a_amp = complex(cos_t, -s * sin_t)
-    d_amp = complex(cos_t, +s * sin_t)
-    f_prob = (v_coupling * v_coupling / e2) * sin_t * sin_t
-    if mean_energy != 0.0:
-        phase = complex(math.cos(mean_energy * t_ns / hbar), -math.sin(mean_energy * t_ns / hbar))
-        a_amp *= phase
-        d_amp *= phase
-    return BlockAmplitudes(a_amp, d_amp, f_prob)
 
 
 @dataclass(frozen=True)
@@ -211,22 +169,6 @@ class ChannelTrajectory:
     q_count: int = 0
     fast_term_cutoff_ns: float = math.inf
 
-    def validate_invariants(self, cp_margin: float = CP_MARGIN_SOFT) -> None:
-        if self.times.size and self.times[0] == 0.0:
-            if abs(self.p[0]) > 1e-12 or abs(self.c[0] - 1.0) > 1e-12:
-                raise QuadratureResolutionError(
-                    f"channel must start at (p, c) = (0, 1); got ({self.p[0]}, {self.c[0]})"
-                )
-        if np.any(self.p < -1e-12) or np.any(self.p > 1.0 + 1e-12):
-            raise QuadratureResolutionError("flip probability left [0, 1]")
-        margin = 1.0 - self.p - np.abs(self.c)
-        worst = float(margin.min()) if margin.size else 0.0
-        if worst < -cp_margin:
-            t_bad = float(self.times[int(np.argmin(margin))])
-            raise QuadratureResolutionError(
-                f"complete positivity violated by {-worst:.3e} at t={t_bad:g} ns"
-            )
-
     def to_csv(self, path: str | Path, header_lines: list[str] | None = None) -> None:
         lines = [f"# {h}" for h in (header_lines or [])]
         lines.append("t_ns,p,c_re,c_im")
@@ -237,20 +179,32 @@ class ChannelTrajectory:
 
 @dataclass(frozen=True)
 class CpReport:
-    """Physicality audit of a channel trajectory (report-only)."""
+    """Physicality audit of a channel trajectory: 0 <= p <= 1 and |c| <= 1 - p."""
 
     ok: bool
     worst_margin: float
     worst_time_ns: float
     p_min: float
     p_max: float
+    worst_index: int = 0
+
+    def require(self, margin_tol: float, p_tol: float, error: type[Exception]) -> None:
+        """Raise `error` if p leaves [0, 1] by more than p_tol or the margin drops below -margin_tol."""
+        if not (self.p_min >= -p_tol and self.p_max <= 1.0 + p_tol):
+            raise error(f"flip probability left [0, 1]: min {self.p_min!r}, max {self.p_max!r}")
+        if not self.worst_margin >= -margin_tol:
+            raise error(
+                f"complete positivity |c| <= 1-p violated by {-self.worst_margin:.3e} "
+                f"at time index {self.worst_index} (t={self.worst_time_ns:g} ns)"
+            )
 
 
 def verify_channel_cp(traj: ChannelTrajectory, eps: float = 1e-12) -> CpReport:
     """Per-time check 0 <= p <= 1 and |c| <= 1 - p; returns the worst margin.
 
-    `eps` absorbs float round-off (c(0) carries the weight-normalization
-    epsilon); the raw worst margin is always reported.
+    `ok` applies `eps` to both conditions; callers with their own
+    tolerances use `CpReport.require`.  The raw worst margin is always
+    reported.
     """
     margin = 1.0 - traj.p - np.abs(traj.c)
     idx = int(np.argmin(margin)) if margin.size else 0
@@ -264,6 +218,7 @@ def verify_channel_cp(traj: ChannelTrajectory, eps: float = 1e-12) -> CpReport:
         worst_time_ns=float(traj.times[idx]) if margin.size else 0.0,
         p_min=p_min,
         p_max=p_max,
+        worst_index=idx,
     )
 
 
@@ -457,6 +412,10 @@ def compute_channel(
         p_out[slow] = np.sum(p_amp)
         c_out[slow] = (np.sum(diff_re) - vers) + 1j * sin
 
+    if times.size and times[0] == 0.0 and (abs(p_out[0]) > 1e-12 or abs(c_out[0] - 1.0) > 1e-12):
+        raise QuadratureResolutionError(
+            f"channel must start at (p, c) = (0, 1); got ({p_out[0]}, {c_out[0]})"
+        )
     traj = ChannelTrajectory(
         times=times,
         p=p_out,
@@ -466,5 +425,5 @@ def compute_channel(
         q_count=quad.q_nodes.size,
         fast_term_cutoff_ns=cutoff,
     )
-    traj.validate_invariants(cp_margin=CP_MARGIN_HARD)
+    verify_channel_cp(traj).require(CP_MARGIN_HARD, 1e-12, QuadratureResolutionError)
     return traj

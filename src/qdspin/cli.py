@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -129,10 +130,24 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return config.with_overrides(**overrides)
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse output paths that cannot be written, before any work is done."""
+    for path in paths:
+        if path is None:
+            continue
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise InvalidParameterError(f"output directory {str(target.parent)!r} does not exist")
+        if target.is_dir():
+            raise InvalidParameterError(f"output path {path!r} is a directory")
+
+
 def _cmd_evolve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if len(config.b_fields) != 1:
         raise InvalidParameterError("evolve expects exactly one field value (--b)")
+    out = config.out or "trajectory.csv"
+    _check_outputs(out, getattr(args, "channel_out", None))
     b = config.b_fields[0]
     dot = config.dot(b)
     times = build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
@@ -156,7 +171,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "kink_times_ns": ";".join(f"{e.t_cross_ns:.9g}" for e in kinks) or "none",
     }
     headers = header_lines(config, extra)
-    out = config.out or "trajectory.csv"
     traj.to_csv(out, header_lines=headers, normalize=config.normalize)
     if getattr(args, "channel_out", None):
         chan.to_csv(args.channel_out, header_lines=headers)
@@ -177,6 +191,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.b_fields:
         raise InvalidParameterError("sweep needs a nonempty field list (--b)")
+    out = config.out or "sweep.csv"
+    _check_outputs(out, getattr(args, "calibration_out", None))
     request = SweepRequest(
         state_spec=parse_state_spec(config.state),
         b_fields=tuple(config.b_fields),
@@ -195,7 +211,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     table = run_sweep(request, workers=config.workers)
     headers = header_lines(config, {"metric": config.metric})
-    out = config.out or "sweep.csv"
     table.to_csv(out, header_lines=headers)
     if getattr(args, "calibration_out", None):
         curve = calibration_curve(table, args.calibration_quantity)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -50,8 +51,10 @@ class RunConfig:
             raise InvalidParameterError(f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}")
         if self.upper_pairing not in ("printed", "swapped"):
             raise InvalidParameterError(f"upper_pairing must be 'printed' or 'swapped', got {self.upper_pairing!r}")
-        if self.dt <= 0 or self.t_max <= 0:
-            raise InvalidParameterError("dt and t_max must be positive")
+        for name in ("t_max", "dt", "dt_long"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -69,11 +72,21 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise InvalidParameterError(f"malformed config JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InvalidParameterError(f"config JSON must be an object, got {type(data).__name__}")
+        return cls.from_dict(data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot read config file {str(path)!r}: {exc.strerror}") from exc
+        return cls.from_json(text)
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """Apply non-None flag values over this config (flags win)."""

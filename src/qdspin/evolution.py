@@ -2,53 +2,65 @@
 
 Both dots are identical and uncorrelated, so the two-qubit map is the
 tensor product of two copies of the single-dot channel.  The engine
-applies the channel on a time grid, evaluates every correlation measure
-per time, and detects the decay-regime crossings (g through unity),
+applies the channel on a time grid as one stack of evolved density
+matrices, evaluates every correlation measure on the whole stack, and
+detects the decay-regime crossings (g through unity),
 extrema and entanglement-sudden-death features used downstream.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelTrajectory
+from .channel import ChannelTrajectory, verify_channel_cp
 from .constants import InvalidParameterError
 from .measures import (
     UpperPairing,
-    concurrence,
-    discord_bounds,
-    g_ratio,
+    bounds_stack,
+    concurrence_stack,
+    g_ratio_stack,
+    rescaled_discord,
 )
 from .states import (
-    BellDiagonalParams,
+    TRACE_TOL,
     TwoQubitState,
-    bell_diagonal_params,
+    bell_params_stack,
+    bloch_decompose,
     purity,
-    singlet_triplet_weights,
+    st_weights_stack,
 )
 
 EVOLVED_PSD_TOL = 1e-8  # audit tolerance for evolved states (construction is 1e-10)
+_P_RANGE_TOL = 1e-15    # round-off allowed on p outside [0, 1]
 
 
 class ChannelError(InvalidParameterError):
     """Channel parameters violate complete positivity."""
 
 
-def _single_qubit_map(p: float, c: complex) -> np.ndarray:
-    """Transfer tensor L[out_row, out_col, in_row, in_col] of the dot channel."""
-    l_map = np.zeros((2, 2, 2, 2), dtype=complex)
-    l_map[0, 0, 0, 0] = 1.0 - p
-    l_map[0, 0, 1, 1] = p
-    l_map[1, 1, 0, 0] = p
-    l_map[1, 1, 1, 1] = 1.0 - p
-    l_map[0, 1, 0, 1] = c
-    l_map[1, 0, 1, 0] = np.conj(c)
-    return l_map
+def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory, cp_tol: float = 1e-9) -> np.ndarray:
+    """(n, 4, 4) stack of the product channel applied to rho0 at every time of chan.
+
+    Per qubit, (u, d) -> ((1-p)u + pd, pu + (1-p)d) and the off-diagonal
+    element picks up c (c* for its conjugate).  The pairs (p, c) must be
+    completely positive: 0 <= p <= 1 and |c| <= 1 - p, up to cp_tol.
+    """
+    verify_channel_cp(chan).require(cp_tol, _P_RANGE_TOL, ChannelError)
+    n = chan.times.size
+    # transfer tensor L[n, out_row, out_col, in_row, in_col] of the dot channel
+    l_map = np.zeros((n, 2, 2, 2, 2), dtype=complex)
+    l_map[:, 0, 0, 0, 0] = l_map[:, 1, 1, 1, 1] = 1.0 - chan.p
+    l_map[:, 0, 0, 1, 1] = l_map[:, 1, 1, 0, 0] = chan.p
+    l_map[:, 0, 1, 0, 1] = chan.c
+    l_map[:, 1, 0, 1, 0] = np.conj(chan.c)
+    r = rho0.reshape(2, 2, 2, 2)  # indices (a, b | a', b'), A the left qubit
+    out = np.einsum("nacuw,nbdvx,uvwx->nabcd", l_map, l_map, r).reshape(n, 4, 4)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def apply_channel(
@@ -58,21 +70,27 @@ def apply_channel(
     psd_tol: float = EVOLVED_PSD_TOL,
     cp_tol: float = 1e-9,
 ) -> TwoQubitState:
-    """Apply the product channel: populations mix by p, coherences scale by c.
+    """Apply the product channel for one (p, c) pair: populations mix by p, coherences scale by c.
 
-    Per qubit, (u, d) -> ((1-p)u + pd, pu + (1-p)d) and the off-diagonal
-    element picks up c (c* for its conjugate).  The pair (p, c) must be
-    completely positive: 0 <= p <= 1 and |c| <= 1 - p.
+    The same batched action as `evolve`, on a one-time trajectory.
     """
-    if not -1e-15 <= p <= 1.0 + 1e-15:
-        raise ChannelError(f"flip probability must lie in [0, 1], got {p}")
-    if abs(c) > 1.0 - p + cp_tol:
-        raise ChannelError(f"complete positivity requires |c| <= 1-p; |c|={abs(c)}, 1-p={1.0 - p}")
-    l_map = _single_qubit_map(p, c)
-    r = state.rho.reshape(2, 2, 2, 2)  # indices (a, b | a', b'), A the left qubit
-    out = np.einsum("acuw,bdvx,uvwx->abcd", l_map, l_map, r).reshape(4, 4)
-    out = 0.5 * (out + out.conj().T)
-    return TwoQubitState(out, state.ordering, psd_tol=psd_tol)
+    chan = ChannelTrajectory(times=np.zeros(1), p=np.array([p], dtype=float),
+                             c=np.array([c], dtype=complex), dot=None)
+    return TwoQubitState(_evolved_rho(state.rho, chan, cp_tol)[0], state.ordering, psd_tol=psd_tol)
+
+
+def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Unit trace and positivity (to EVOLVED_PSD_TOL) of every state; returns the minimum eigenvalues."""
+    min_eig = np.linalg.eigvalsh(rho)[:, 0]
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    bad_trace = ~(np.abs(trace - 1.0) <= TRACE_TOL)
+    bad = bad_trace | ~(min_eig >= -EVOLVED_PSD_TOL)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        what = (f"trace must be 1, got {trace[k]:.15g}" if bad_trace[k]
+                else f"matrix not positive semidefinite: min eigenvalue {min_eig[k]:.3e}")
+        raise InvalidParameterError(f"evolved state at time index {k} (t={times[k]:g} ns): {what}")
+    return min_eig
 
 
 @dataclass
@@ -170,47 +188,35 @@ def evolve(
     drop_zeeman_phase: bool = True,
     pairing: UpperPairing = UpperPairing.PRINTED,
 ) -> CorrelationTrajectory:
-    """Apply the product channel along the trajectory and measure everything."""
-    n = traj.times.size
+    """Apply the product channel along the trajectory and measure everything.
+
+    The evolved states form one (n, 4, 4) stack; every measure is
+    evaluated on the whole stack at once.
+    """
     c_eff = effective_coherence(traj, drop_zeeman_phase)
-    out = CorrelationTrajectory(
+    rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
+    min_eig = _audit_evolved(rho, traj.times)
+    ds_lower, ds_upper = bounds_stack(bloch_decompose(rho), pairing)
+    pur = purity(rho)
+    bell_a, bell_b = bell_params_stack(rho, state0.ordering)
+    return CorrelationTrajectory(
         times=traj.times.copy(),
         p=traj.p.copy(),
         c=c_eff,
-        ds_lower=np.empty(n),
-        ds_upper=np.empty(n),
-        d_lower=np.empty(n),
-        d_upper=np.empty(n),
-        purity=np.empty(n),
-        g=np.empty(n),
-        concurrence=np.empty(n),
-        st_weights=np.empty((n, 4)),
-        bell_a=np.full(n, np.nan),
-        bell_b=np.full(n, np.nan, dtype=complex),
-        min_eigenvalue=np.empty(n),
+        ds_lower=ds_lower,
+        ds_upper=ds_upper,
+        d_lower=rescaled_discord(ds_lower, pur),
+        d_upper=rescaled_discord(ds_upper, pur),
+        purity=pur,
+        g=g_ratio_stack(rho),
+        concurrence=concurrence_stack(rho),
+        st_weights=st_weights_stack(rho),
+        bell_a=bell_a,
+        bell_b=bell_b,
+        min_eigenvalue=min_eig,
         state0=state0,
         dot=traj.dot,
     )
-    for k in range(n):
-        try:
-            st = apply_channel(state0, float(traj.p[k]), complex(c_eff[k]))
-        except ChannelError as exc:
-            raise ChannelError(f"at time index {k} (t={traj.times[k]:g} ns): {exc}") from exc
-        bounds = discord_bounds(st, pairing=pairing)
-        out.ds_lower[k] = bounds.ds_lower
-        out.ds_upper[k] = bounds.ds_upper
-        out.d_lower[k] = bounds.rescaled_lower
-        out.d_upper[k] = bounds.rescaled_upper
-        out.purity[k] = purity(st)
-        out.g[k] = g_ratio(st)
-        out.concurrence[k] = concurrence(st)
-        out.st_weights[k] = singlet_triplet_weights(st)
-        out.min_eigenvalue[k] = st.min_eigenvalue
-        params = bell_diagonal_params(st)
-        if params is not None:
-            out.bell_a[k] = params.a
-            out.bell_b[k] = params.b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +414,9 @@ def build_time_grid(
 
     A dense prefix longer than t_max is cut at t_max.
     """
-    if t_max <= 0.0:
-        raise InvalidParameterError(f"t_max must be positive, got {t_max}")
+    for name, value in (("t_max", t_max), ("dt", dt), ("dt_long", dt_long)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
     if not dense_prefix >= 0.0:
         raise InvalidParameterError(f"dense_prefix must be non-negative, got {dense_prefix}")
     if t_max <= long_threshold:

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .constants import InvalidParameterError, NumericalDomainError
-from .linalg3 import max_eigenpair
 from .states import (
     BlochForm,
     PAULI_Y,
@@ -26,6 +25,7 @@ from .states import (
 )
 
 RESCALE_PREFACTOR = 0.5 * (1.0 - math.sqrt(3.0) / 2.0)
+TOP_CLUSTER_GAP = 1e-10  # eigenvalues this close to the top of K count as degenerate with it
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -48,7 +48,6 @@ class DiscordBounds:
     rescaled_lower: float
     rescaled_upper: float
     coincide: bool
-    degenerate: bool = False
 
 
 class Regime(enum.Enum):
@@ -64,56 +63,54 @@ class BellDiagonalDiscord:
     g: float
 
 
-def _k_matrices(form: BlochForm) -> tuple[np.ndarray, np.ndarray]:
-    t = form.t_corr
-    k_x = np.outer(form.x, form.x) + t @ t.T
-    k_y = np.outer(form.y, form.y) + t.T @ t
-    return k_x, k_y
+def bounds_stack(
+    form: BlochForm, pairing: UpperPairing = UpperPairing.PRINTED
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper geometric-discord bounds of a Bloch form (one state or a stack).
+
+    Side A is measured through K_x = x x^T + T T^T, side B through
+    K_y = y y^T + T^T T; the lower bound is max over sides of
+    (Tr K - k_max)/4.  The upper bound adds to each side's term the
+    correction Tr L - l_max of the other side, with L_x = x x^T + T k k^T T^T
+    for k the top eigenvector of K_y (and vice versa).  When the top
+    eigenvalue is (near-)degenerate every eigenvector within
+    TOP_CLUSTER_GAP of it is a candidate and the smallest correction is
+    taken.  The upper bound is never reported below the lower one.
+    """
+    x, y, t = form.x, form.y, form.t_corr
+    t_tr = np.swapaxes(t, -1, -2)
+    bloch = np.stack([x, y])                                           # (2, ..., 3)
+    k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
+    w, v = np.linalg.eigh(k)                                           # ascending
+    a = np.trace(k, axis1=-2, axis2=-1) - w[..., 2]                    # (ax, ay)
+    lower = np.maximum(0.0, 0.25 * np.maximum(a[0], a[1]))
+    # each side's L correction takes its candidate vectors k from the other side's K
+    w_c, v_c = w[::-1], v[::-1]
+    u = np.stack([t @ v_c[0], t_tr @ v_c[1]])                          # column j: T k_j, T^T k_j
+    l_mats = (bloch[..., None, :, None] * bloch[..., None, None, :]
+              + np.einsum("...ij,...kj->...jik", u, u))                # (2, ..., 3 candidates, 3, 3)
+    corr = np.trace(l_mats, axis1=-2, axis2=-1) - np.linalg.eigvalsh(l_mats)[..., 2]
+    in_cluster = w_c[..., 2:] - w_c < TOP_CLUSTER_GAP
+    b = np.min(np.where(in_cluster, corr, np.inf), axis=-1)            # (bx, by)
+    paired = b[::-1] if pairing is UpperPairing.PRINTED else b
+    upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + paired[0], a[1] + paired[1]))
+    return lower, np.maximum(upper, lower)
+
+
+def _bloch(state: TwoQubitState | BlochForm) -> BlochForm:
+    return state if isinstance(state, BlochForm) else bloch_decompose(state)
 
 
 def geometric_discord_lower(state: TwoQubitState | BlochForm) -> float:
     """Closed-form lower bound: max over both measured sides of (Tr K - k_max)/4."""
-    form = state if isinstance(state, BlochForm) else bloch_decompose(state)
-    k_x, k_y = _k_matrices(form)
-    ax = float(np.trace(k_x)) - max_eigenpair(k_x)[0]
-    ay = float(np.trace(k_y)) - max_eigenpair(k_y)[0]
-    return max(0.0, 0.25 * max(ax, ay))
+    return float(bounds_stack(_bloch(state))[0])
 
 
 def geometric_discord_upper(
     state: TwoQubitState | BlochForm, pairing: UpperPairing = UpperPairing.PRINTED
 ) -> float:
-    """Closed-form upper bound; see discord_bounds for the degenerate-top handling."""
-    return _upper_detail(
-        state if isinstance(state, BlochForm) else bloch_decompose(state), pairing
-    )[0]
-
-
-def _correction(vecs: list[np.ndarray], bloch: np.ndarray, mat_for_vec) -> float:
-    """min over candidate top eigenvectors of Tr L - l_max with L = |v><v| + M(k)."""
-    best = math.inf
-    for k_hat in vecs:
-        l_mat = np.outer(bloch, bloch) + mat_for_vec(k_hat)
-        val = float(np.trace(l_mat)) - max_eigenpair(l_mat)[0]
-        best = min(best, val)
-    return best
-
-
-def _upper_detail(form: BlochForm, pairing: UpperPairing) -> tuple[float, bool]:
-    t = form.t_corr
-    k_x, k_y = _k_matrices(form)
-    kx, kx_vecs, deg_x = max_eigenpair(k_x)
-    ky, ky_vecs, deg_y = max_eigenpair(k_y)
-    ax = float(np.trace(k_x)) - kx
-    ay = float(np.trace(k_y)) - ky
-    # L_x uses the top eigenvector of K_y and vice versa
-    bx = _correction(ky_vecs, form.x, lambda k: t @ np.outer(k, k) @ t.T)
-    by = _correction(kx_vecs, form.y, lambda k: t.T @ np.outer(k, k) @ t)
-    if pairing is UpperPairing.PRINTED:
-        value = min(ax + by, ay + bx)
-    else:
-        value = min(ax + bx, ay + by)
-    return max(0.0, 0.25 * value), (deg_x or deg_y)
+    """Closed-form upper bound; see bounds_stack for the degenerate-top handling."""
+    return float(bounds_stack(_bloch(state), pairing)[1])
 
 
 def rescaled_discord(ds: float, purity_value: float) -> float:
@@ -121,19 +118,20 @@ def rescaled_discord(ds: float, purity_value: float) -> float:
 
     p0 = (1 - sqrt(3)/2)/2 is the rescaled value of a pure maximally
     entangled state's distance scale.  Small negative radicands from
-    round-off are clamped; larger ones are a domain error.
+    round-off are clamped; larger ones are a domain error.  Arrays are
+    rescaled element-wise; an error names the first offending pair.
     """
-    if not 0.25 - 1e-9 <= purity_value <= 1.0 + 1e-9:
-        raise InvalidParameterError(f"purity must lie in [1/4, 1], got {purity_value}")
-    if ds < -1e-12:
-        raise InvalidParameterError(f"geometric discord must be nonnegative, got {ds}")
-    radicand = 1.0 - ds / (2.0 * purity_value)
-    if radicand < -1e-9:
-        raise NumericalDomainError(
-            f"rescaling radicand {radicand:.3e} below tolerance; ds={ds}, purity={purity_value}"
-        )
-    radicand = max(0.0, radicand)
-    return RESCALE_PREFACTOR * (1.0 - math.sqrt(radicand))
+    ds, pur = np.broadcast_arrays(np.asarray(ds, dtype=float), np.asarray(purity_value, dtype=float))
+    radicand = 1.0 - ds / (2.0 * pur)
+    for bad, error, what in (
+        (~((pur >= 0.25 - 1e-9) & (pur <= 1.0 + 1e-9)), InvalidParameterError, "purity must lie in [1/4, 1]"),
+        (~(ds >= -1e-12), InvalidParameterError, "geometric discord must be nonnegative"),
+        (radicand < -1e-9, NumericalDomainError, "rescaling radicand below tolerance"),
+    ):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise error(f"{what}: ds={ds.flat[i]}, purity={pur.flat[i]}")
+    return RESCALE_PREFACTOR * (1.0 - np.sqrt(np.maximum(radicand, 0.0)))
 
 
 def discord_bounds(
@@ -142,18 +140,15 @@ def discord_bounds(
     coincide_tol: float = 1e-9,
 ) -> DiscordBounds:
     """Both geometric-discord bounds plus their rescaled versions."""
-    form = bloch_decompose(state)
-    lower = geometric_discord_lower(form)
-    upper, degenerate = _upper_detail(form, pairing)
-    upper = max(upper, lower)  # guard against round-off inversion at coincidence
-    pur = purity(state)
+    ds = np.array(bounds_stack(bloch_decompose(state), pairing))
+    lower, upper = ds.tolist()
+    rescaled_lower, rescaled_upper = rescaled_discord(ds, purity(state)).tolist()
     return DiscordBounds(
         ds_lower=lower,
         ds_upper=upper,
-        rescaled_lower=rescaled_discord(lower, pur),
-        rescaled_upper=rescaled_discord(upper, pur),
+        rescaled_lower=rescaled_lower,
+        rescaled_upper=rescaled_upper,
         coincide=abs(upper - lower) < coincide_tol,
-        degenerate=degenerate,
     )
 
 
@@ -185,6 +180,15 @@ def bell_diagonal_discord(a: float, b: complex) -> BellDiagonalDiscord:
     return BellDiagonalDiscord(ds=ds, regime=regime, g=g)
 
 
+def g_ratio_stack(rho: np.ndarray, zero_tol: float = 1e-14) -> np.ndarray:
+    """g of a (..., 4, 4) stack; see g_ratio."""
+    txx = np.abs(np.real(rho[..., 0, 3] + rho[..., 1, 2] + rho[..., 2, 1] + rho[..., 3, 0]))
+    tzz = np.abs(np.real(rho[..., 0, 0] - rho[..., 1, 1] - rho[..., 2, 2] + rho[..., 3, 3]))
+    zero = tzz < zero_tol
+    ratio = txx / np.where(zero, 1.0, tzz)
+    return np.where(zero, np.where(txx >= zero_tol, np.inf, np.nan), ratio)
+
+
 def g_ratio(state: TwoQubitState, zero_tol: float = 1e-14) -> float:
     """|Tr(sx x sx rho)| / |Tr(sz x sz rho)|.
 
@@ -192,22 +196,19 @@ def g_ratio(state: TwoQubitState, zero_tol: float = 1e-14) -> float:
     states.  Returns +inf for a vanishing denominator with finite
     numerator and nan (undefined) for 0/0.
     """
-    rho = state.rho
-    txx = abs(float(np.real(rho[0, 3] + rho[1, 2] + rho[2, 1] + rho[3, 0])))
-    tzz = abs(float(np.real(rho[0, 0] - rho[1, 1] - rho[2, 2] + rho[3, 3])))
-    if tzz < zero_tol:
-        return math.inf if txx >= zero_tol else math.nan
-    return txx / tzz
+    return float(g_ratio_stack(state.rho, zero_tol))
+
+
+def concurrence_stack(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of a (..., 4, 4) stack."""
+    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
+    lam = np.sort(np.sqrt(np.clip(np.real(np.linalg.eigvals(rho @ rho_tilde)), 0.0, None)), axis=-1)
+    return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
 
 
 def concurrence(state: TwoQubitState) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4)."""
-    rho = state.rho
-    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    vals = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(np.real(vals), 0.0, None))
-    lam[::-1].sort()
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(concurrence_stack(state.rho))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -35,22 +35,22 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-# (sigma_i x 1), (1 x sigma_i) and (sigma_i x sigma_j) cached for fast traces
-_SIG_A = [np.kron(s, IDENTITY_2) for s in PAULIS]
-_SIG_B = [np.kron(IDENTITY_2, s) for s in PAULIS]
-_SIG_AB = [[np.kron(si, sj) for sj in PAULIS] for si in PAULIS]
+# the 15 Pauli products (sigma_i x 1), (1 x sigma_i), (sigma_i x sigma_j), row-major in (i, j)
+_PAULI_PRODUCTS = np.array(
+    [np.kron(s, IDENTITY_2) for s in PAULIS]
+    + [np.kron(IDENTITY_2, s) for s in PAULIS]
+    + [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
+)
 
 
 class Ordering(enum.Enum):
     """Basis arrangement in which a state shows the Bell-diagonal X pattern."""
 
-    COMPUTATIONAL = "computational"  # |uu>, |ud>, |du>, |dd>
-    PSI = "psi"                      # same arrangement; pattern of Psi-type states
-    PHI = "phi"                      # |ud>, |uu>, |dd>, |du>; pattern of Phi-type states
+    PSI = "psi"  # |uu>, |ud>, |du>, |dd>: the computational arrangement, pattern of Psi-type states
+    PHI = "phi"  # |ud>, |uu>, |dd>, |du>; pattern of Phi-type states
 
 
 _ORDERING_PERM = {
-    Ordering.COMPUTATIONAL: (0, 1, 2, 3),
     Ordering.PSI: (0, 1, 2, 3),
     Ordering.PHI: (1, 0, 3, 2),
 }
@@ -78,7 +78,7 @@ class TwoQubitState:
     """Validated 4x4 density matrix plus its Bell-diagonal ordering tag."""
 
     rho: np.ndarray
-    ordering: Ordering = Ordering.COMPUTATIONAL
+    ordering: Ordering = Ordering.PSI
     psd_tol: float = PSD_TOL_CONSTRUCTION
 
     def __post_init__(self) -> None:
@@ -202,10 +202,10 @@ def make_state(spec: StateSpec) -> TwoQubitState:
                 -ra * cmath.exp(1j * (spec.alpha + spec.beta)),
             ]
         )
-        return _ket_state(psi, Ordering.COMPUTATIONAL)
+        return _ket_state(psi, Ordering.PSI)
     if isinstance(spec, PhaseFamily):
         psi = 0.5 * np.array([1.0, 1.0, 1.0, cmath.exp(1j * spec.gamma)])
-        return _ket_state(psi, Ordering.COMPUTATIONAL)
+        return _ket_state(psi, Ordering.PSI)
     if isinstance(spec, BellDiagonal):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = rho[3, 3] = 0.5 - spec.a
@@ -214,7 +214,7 @@ def make_state(spec: StateSpec) -> TwoQubitState:
         rho[2, 1] = np.conj(spec.b)
         return TwoQubitState(rho, Ordering.PSI)
     if isinstance(spec, Raw):
-        return TwoQubitState(np.asarray(spec.matrix, dtype=complex), Ordering.COMPUTATIONAL)
+        return TwoQubitState(np.asarray(spec.matrix, dtype=complex), Ordering.PSI)
     raise InvalidParameterError(f"unknown state specification {spec!r}")
 
 
@@ -232,39 +232,51 @@ class BlochForm:
     t_corr: np.ndarray
 
 
-def _re_trace(rho: np.ndarray, op: np.ndarray) -> float:
-    # Tr[rho op] for Hermitian op; the transpose pairing avoids a matmul
-    return float(np.real(np.sum(rho * op.T)))
+def _rho(state: TwoQubitState | np.ndarray) -> np.ndarray:
+    return state.rho if isinstance(state, TwoQubitState) else np.asarray(state, dtype=complex)
 
 
 def bloch_decompose(state: TwoQubitState | np.ndarray) -> BlochForm:
-    """Return x_i = Tr[rho (s_i x 1)], y_i = Tr[rho (1 x s_i)], T_ij = Tr[rho (s_i x s_j)]."""
-    rho = state.rho if isinstance(state, TwoQubitState) else np.asarray(state, dtype=complex)
-    x = np.array([_re_trace(rho, op) for op in _SIG_A])
-    y = np.array([_re_trace(rho, op) for op in _SIG_B])
-    t_corr = np.array([[_re_trace(rho, _SIG_AB[i][j]) for j in range(3)] for i in range(3)])
-    return BlochForm(x, y, t_corr)
+    """Return x_i = Tr[rho (s_i x 1)], y_i = Tr[rho (1 x s_i)], T_ij = Tr[rho (s_i x s_j)].
+
+    Accepts one state or a (..., 4, 4) stack; the fields then carry the
+    same leading axes.
+    """
+    vals = np.einsum("...ij,kji->...k", _rho(state), _PAULI_PRODUCTS).real
+    return BlochForm(vals[..., 0:3], vals[..., 3:6], vals[..., 6:].reshape(*vals.shape[:-1], 3, 3))
 
 
 def bloch_reconstruct(form: BlochForm) -> np.ndarray:
     """Inverse of bloch_decompose."""
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho += form.x[i] * _SIG_A[i] + form.y[i] * _SIG_B[i]
-        for j in range(3):
-            rho += form.t_corr[i, j] * _SIG_AB[i][j]
-    return rho / 4.0
+    vals = np.concatenate([form.x, form.y, form.t_corr.reshape(*form.t_corr.shape[:-2], 9)], axis=-1)
+    return (np.eye(4) + np.einsum("...k,kij->...ij", vals, _PAULI_PRODUCTS)) / 4.0
 
 
 def purity(state: TwoQubitState | np.ndarray) -> float:
-    """Tr rho^2, in [1/4, 1].  Equals the squared Frobenius norm for Hermitian rho."""
-    rho = state.rho if isinstance(state, TwoQubitState) else np.asarray(state, dtype=complex)
-    return float(np.sum(np.abs(rho) ** 2))
+    """Tr rho^2, in [1/4, 1].  Equals the squared Frobenius norm for Hermitian rho.
+
+    A (..., 4, 4) stack gives an array of purities.
+    """
+    return np.sum(np.abs(_rho(state)) ** 2, axis=(-2, -1))
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _KET_T0 = np.array([0.0, _SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex)
 _KET_S0 = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
+
+
+def _expectation(rho: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    # <ket|rho|ket>; the closing (1x4)(4x1) product per matrix keeps the
+    # rounding of a single-matrix vector product
+    return np.real((ket.conj() @ rho)[..., None, :] @ ket[:, None])[..., 0, 0]
+
+
+def st_weights_stack(rho: np.ndarray) -> np.ndarray:
+    """(..., 4) weights (w_Tm1, w_T0, w_Tp1, w_S0) of a (..., 4, 4) stack."""
+    return np.stack(
+        [rho[..., 3, 3].real, _expectation(rho, _KET_T0), rho[..., 0, 0].real, _expectation(rho, _KET_S0)],
+        axis=-1,
+    )
 
 
 def singlet_triplet_weights(state: TwoQubitState) -> tuple[float, float, float, float]:
@@ -273,18 +285,32 @@ def singlet_triplet_weights(state: TwoQubitState) -> tuple[float, float, float, 
     T+1 = |uu>, T-1 = |dd>, T0/S0 the symmetric/antisymmetric combinations
     of |ud>, |du>.  The four weights always sum to Tr rho = 1.
     """
-    rho = state.rho
-    w_tp1 = float(np.real(rho[0, 0]))
-    w_tm1 = float(np.real(rho[3, 3]))
-    w_t0 = float(np.real(_KET_T0.conj() @ rho @ _KET_T0))
-    w_s0 = float(np.real(_KET_S0.conj() @ rho @ _KET_S0))
-    return (w_tm1, w_t0, w_tp1, w_s0)
+    return tuple(float(w) for w in st_weights_stack(state.rho))
 
 
 @dataclass(frozen=True)
 class BellDiagonalParams:
     a: float
     b: complex
+
+
+def bell_params_stack(
+    rho: np.ndarray, ordering: Ordering, pattern_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of a (..., 4, 4) stack, nan where a state is not of the X pattern."""
+    perm = list(_ORDERING_PERM[ordering])
+    rho = rho[..., perm, :][..., perm]
+    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    a = 0.5 * (diag[..., 1] + diag[..., 2])
+    outer = 0.5 * (diag[..., 0] + diag[..., 3])
+    b = rho[..., 1, 2]
+    pattern = np.zeros(rho.shape, dtype=complex)
+    pattern[..., 0, 0] = pattern[..., 3, 3] = outer
+    pattern[..., 1, 1] = pattern[..., 2, 2] = a
+    pattern[..., 1, 2] = b
+    pattern[..., 2, 1] = np.conj(b)
+    fits = (np.abs(rho - pattern).max(axis=(-2, -1)) <= pattern_tol) & (np.abs(outer - (0.5 - a)) <= pattern_tol)
+    return np.where(fits, a, np.nan), np.where(fits, b, complex(np.nan))
 
 
 def bell_diagonal_params(
@@ -296,22 +322,8 @@ def bell_diagonal_params(
     ordering tag.  Returns None when the state is not of that form
     (not-of-form is a value, not an error).
     """
-    perm = _ORDERING_PERM[state.ordering]
-    rho = state.rho[np.ix_(perm, perm)]
-    diag = np.real(np.diag(rho))
-    a = 0.5 * (diag[1] + diag[2])
-    outer = 0.5 * (diag[0] + diag[3])
-    b = complex(rho[1, 2])
-    pattern = np.zeros((4, 4), dtype=complex)
-    pattern[0, 0] = pattern[3, 3] = outer
-    pattern[1, 1] = pattern[2, 2] = a
-    pattern[1, 2] = b
-    pattern[2, 1] = np.conj(b)
-    if np.abs(rho - pattern).max() > pattern_tol:
-        return None
-    if abs(outer - (0.5 - a)) > pattern_tol:
-        return None
-    return BellDiagonalParams(a=float(a), b=b)
+    a, b = bell_params_stack(state.rho, state.ordering, pattern_tol)
+    return None if np.isnan(a) else BellDiagonalParams(a=float(a), b=complex(b))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,10 @@ def raw_state_from_csv(text: str) -> TwoQubitState:
 
 def load_raw_state(path: str | Path) -> TwoQubitState:
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read raw-state file {str(path)!r}: {exc.strerror}") from exc
     if path.suffix.lower() == ".json":
         return raw_state_from_json(text)
     return raw_state_from_csv(text)

@@ -1,13 +1,16 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import qdspin as q
 from qdspin.channel import (
-    CP_MARGIN_SOFT,
+    CP_MARGIN_HARD,
+    DEGENERATE_BLOCK_E2,
     QuadratureResolutionError,
     _node_tables,
-    block_amplitudes,
     node_count_rule,
 )
 from qdspin.constants import ValidityWindowError
@@ -17,8 +20,43 @@ HBAR = 0.6582119569
 
 
 # ---------------------------------------------------------------------------
-# block amplitudes
+# block amplitudes: the scalar per-block evolution the channel averages
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockAmplitudes:
+    """Survival amplitudes and flip probability of one 2x2 block."""
+
+    a_amp: complex
+    d_amp: complex
+    f_prob: float
+
+
+def block_amplitudes(delta, v_coupling, t_ns, hbar=HBAR, mean_energy=0.0) -> BlockAmplitudes:
+    """Exact evolution of the block Hamiltonian delta*sz + V*sx over time t.
+
+    a_amp = <up,m|U|up,m>, d_amp = <down,m+1|U|down,m+1>, f_prob the
+    in-block flip probability.  The block mean energy (-alpha/4, identical
+    for every block) is dropped by default; pass mean_energy to retain it,
+    which changes no bath-averaged observable.
+    """
+    e2 = delta * delta + v_coupling * v_coupling
+    if e2 < DEGENERATE_BLOCK_E2:
+        return BlockAmplitudes(1.0 + 0.0j, 1.0 + 0.0j, 0.0)
+    e = math.sqrt(e2)
+    omega = e / hbar
+    cos_t = math.cos(omega * t_ns)
+    sin_t = math.sin(omega * t_ns)
+    s = delta / e
+    a_amp = complex(cos_t, -s * sin_t)
+    d_amp = complex(cos_t, +s * sin_t)
+    f_prob = (v_coupling * v_coupling / e2) * sin_t * sin_t
+    if mean_energy != 0.0:
+        phase = complex(math.cos(mean_energy * t_ns / hbar), -math.sin(mean_energy * t_ns / hbar))
+        a_amp *= phase
+        d_amp *= phase
+    return BlockAmplitudes(a_amp, d_amp, f_prob)
 
 
 def block_oracle(delta, v, t, mean_energy=0.0):
@@ -152,8 +190,10 @@ def test_channel_validate_rejects_cp_violation(channel_b0):
         c=np.array([1.0 + 0j, 0.9 + 0j]),
         dot=channel_b0.dot,
     )
-    with pytest.raises(QuadratureResolutionError):
-        broken.validate_invariants(cp_margin=CP_MARGIN_SOFT)
+    report = q.verify_channel_cp(broken)
+    assert not report.ok and report.worst_index == 1 and report.worst_time_ns == 1.0
+    with pytest.raises(QuadratureResolutionError, match=r"time index 1 \(t=1 ns\)"):
+        report.require(CP_MARGIN_HARD, 1e-12, QuadratureResolutionError)
 
 
 def test_channel_b_sign_invariance():

@@ -9,6 +9,7 @@ import qdspin as q
 from qdspin.cli import main
 from qdspin.config import RunConfig, parse_b_values, parse_state_spec
 from qdspin.constants import InvalidParameterError
+from qdspin.evolution import build_time_grid
 from qdspin.magnetometry import WORKERS_ENV, worker_count
 
 
@@ -248,3 +249,60 @@ def test_cli_calibration_out(tmp_path):
     lines = [l for l in calib.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "B_T,M"
     assert len(lines) == 1 + 4
+
+
+def _usage_error(capsys) -> dict:
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "InvalidParameterError"
+    return record
+
+
+@pytest.mark.parametrize("flag,value", [("--tmax", "nan"), ("--tmax", "inf"), ("--dt", "nan")])
+def test_cli_evolve_non_finite_grid_is_usage_error(flag, value, tmp_path, capsys):
+    code = main(["evolve", "--state", "bell:psi-", "--b", "0.01", flag, value,
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "finite and positive" in _usage_error(capsys)["message"]
+
+
+def test_build_time_grid_rejects_non_finite():
+    for kwargs in ({"t_max": float("nan")}, {"t_max": float("inf")}, {"t_max": 20.0, "dt": float("nan")},
+                   {"t_max": 200.0, "dt_long": 0.0}):
+        with pytest.raises(InvalidParameterError):
+            build_time_grid(**kwargs)
+
+
+@pytest.mark.parametrize("flag,value", [("--config", "absent.json"), ("--state", "raw:absent.json")])
+def test_cli_missing_input_file_is_usage_error(flag, value, tmp_path, capsys):
+    value = value.replace("absent.json", str(tmp_path / "absent.json"))
+    code = main(["evolve", flag, value, "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "absent.json" in _usage_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("text", ["{not json", "5"])
+def test_cli_malformed_config_is_usage_error(text, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code = main(["sweep", "--config", str(cfg), "--metric", "M", "--b", "0.01",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    _usage_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("evolve", "--out"), ("evolve", "--channel-out"), ("sweep", "--out"), ("sweep", "--calibration-out")],
+)
+def test_cli_output_into_missing_directory_is_usage_error(command, flag, tmp_path, capsys, monkeypatch):
+    def no_channel_work(*args, **kwargs):
+        raise AssertionError("channel work started before the output check")
+
+    monkeypatch.setattr("qdspin.cli.compute_channel", no_channel_work)
+    monkeypatch.setattr("qdspin.cli.run_sweep", no_channel_work)
+    args = [command, "--state", "bell:psi-", "--b", "0.01", "--tmax", "1",
+            "--out", str(tmp_path / "ok.csv"), flag, str(tmp_path / "missing" / "x.csv")]
+    code = main(args)
+    assert code == 2
+    assert "missing" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "ok.csv").exists()

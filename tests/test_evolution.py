@@ -136,6 +136,51 @@ def test_evolve_drop_zeeman_phase_is_local_unitary():
     assert np.abs(kept.purity - dropped.purity).max() < 1e-12
 
 
+EVOLVE_SHORT_STATES = (q.Bell("psi-"), q.Werner(0.33), q.PhaseFamily(2.35619449), q.BellDiagonal(0.4, 0.4))
+
+
+@pytest.mark.parametrize("b_field", [0.0, 0.011, 1.0])
+def test_evolve_matches_per_time_oracle(b_field):
+    # the stacked trajectory against single-state calls at sampled times
+    chan = q.compute_channel(q.DotParameters(b_field=b_field), build_time_grid(20.0))
+    c_eff = q.evolution.effective_coherence(chan)
+    for spec in EVOLVE_SHORT_STATES:
+        state0 = q.make_state(spec)
+        tr = q.evolve(state0, chan)
+        for k in range(0, chan.times.size, 50):
+            st_k = apply_channel(state0, float(chan.p[k]), complex(c_eff[k]))
+            bounds = q.discord_bounds(st_k)
+            assert abs(tr.ds_lower[k] - bounds.ds_lower) <= 1e-12
+            assert abs(tr.ds_upper[k] - bounds.ds_upper) <= 1e-12
+            assert tr.concurrence[k] == q.concurrence(st_k)
+            assert tr.min_eigenvalue[k] == st_k.min_eigenvalue
+            assert tuple(tr.st_weights[k]) == q.singlet_triplet_weights(st_k)
+            assert tr.g[k] == q.g_ratio(st_k) or np.isnan(tr.g[k]) and np.isnan(q.g_ratio(st_k))
+
+
+def test_evolve_cp_violation_names_time_index():
+    times = np.array([0.0, 1.0, 2.0])
+    chan = q.ChannelTrajectory(times=times, p=np.array([0.0, 0.1, 0.3]),
+                               c=np.array([1.0, 0.9, 0.9], dtype=complex), dot=q.DotParameters())
+    with pytest.raises(ChannelError, match=r"time index 2 \(t=2 ns\)"):
+        q.evolve(q.make_state(q.Bell("psi-")), chan, drop_zeeman_phase=False)
+    # p outside [0, 1] is refused even where the margin holds
+    chan.p[0] = -1e-9
+    with pytest.raises(ChannelError, match="flip probability"):
+        q.evolve(q.make_state(q.Bell("psi-")), chan, drop_zeeman_phase=False)
+
+
+def test_evolve_psd_violation_names_time_index():
+    # full depolarization at the first two times, identity at the third: only
+    # the third state keeps the start state's negative eigenvalue
+    rho = np.diag([0.6, 0.3, 0.2, -0.1]).astype(complex)
+    state0 = q.TwoQubitState(rho, psd_tol=1.0)
+    chan = q.ChannelTrajectory(times=np.array([0.0, 1.0, 2.0]), p=np.array([0.5, 0.5, 0.0]),
+                               c=np.array([0.0, 0.0, 1.0], dtype=complex), dot=q.DotParameters())
+    with pytest.raises(InvalidParameterError, match=r"time index 2 \(t=2 ns\).*positive semidefinite"):
+        q.evolve(state0, chan, drop_zeeman_phase=False)
+
+
 def test_evolve_trajectory_csv(tmp_path, bell_traj_11mt):
     path = tmp_path / "traj.csv"
     bell_traj_11mt.to_csv(path, header_lines=["x=1"])

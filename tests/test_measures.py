@@ -178,10 +178,8 @@ def test_oracle_matches_closed_form(seed):
     rng = np.random.default_rng(seed)
     state = random_density(rng)
     form = q.bloch_decompose(state)
-    from qdspin.linalg3 import max_eigenpair
-
     k_x = np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T
-    closed = 0.25 * (np.trace(k_x) - max_eigenpair(k_x)[0])
+    closed = 0.25 * (np.trace(k_x) - np.linalg.eigvalsh(k_x)[-1])
     assert q.oracle_one_sided_discord(state, grid_resolution=14) == pytest.approx(closed, abs=1e-6)
 
 
@@ -193,3 +191,105 @@ def test_ent_family_anchor(rng):
         # sqrt of near-zero eigenvalues limits concurrence accuracy to ~sqrt(eps)
         assert q.concurrence(state) == pytest.approx(1.0, abs=1e-7)
         assert q.geometric_discord_lower(state) == pytest.approx(0.5, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked core against the single-state calls
+# ---------------------------------------------------------------------------
+
+
+def _bell_mixture(weights):
+    kinds = ("phi+", "phi-", "psi+", "psi-")
+    return sum(w * q.make_state(q.Bell(k)).rho for w, k in zip(weights, kinds))
+
+
+def test_degenerate_top_cluster_bell_mixtures(rng):
+    # two equal weights make two |T| singular values equal; the mixtures kept
+    # are those where that pair is the top of K, so the cluster rule runs
+    kept = 0
+    while kept < 12:
+        w_pair, split = rng.uniform(0.0, 0.5), rng.uniform()
+        rest = 1.0 - 2.0 * w_pair
+        weights = rng.permutation([w_pair, w_pair, rest * split, rest * (1.0 - split)])
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        state = q.TwoQubitState(u @ _bell_mixture(weights) @ u.conj().T)
+        form = q.bloch_decompose(state)
+        k_vals = np.linalg.eigvalsh(np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T)
+        if k_vals[-1] - k_vals[-2] >= 1e-10:
+            continue
+        kept += 1
+        bounds = q.discord_bounds(state)
+        # zero local Bloch vectors: the bounds coincide at (Tr K - k_max)/4,
+        # the one-sided distance the pinching oracle minimizes on side A
+        assert bounds.ds_upper - bounds.ds_lower <= 1e-15
+        assert bounds.ds_lower == pytest.approx(0.25 * (k_vals.sum() - k_vals[-1]), abs=1e-15)
+        assert q.oracle_one_sided_discord(state, grid_resolution=12) == pytest.approx(
+            bounds.ds_lower, abs=1e-6
+        )
+
+
+def _upper_reference(form, pairing=UpperPairing.PRINTED):
+    """The upper bound transcribed per state: loop over the top-cluster eigenvectors."""
+    t = form.t_corr
+    sides = []
+    for bloch, k_mat in ((form.x, np.outer(form.x, form.x) + t @ t.T),
+                         (form.y, np.outer(form.y, form.y) + t.T @ t)):
+        w, v = np.linalg.eigh(k_mat)
+        sides.append((bloch, np.trace(k_mat) - w[2], [v[:, j] for j in range(3) if w[2] - w[j] < 1e-10]))
+    (x, ax, kx_vecs), (y, ay, ky_vecs) = sides
+
+    def correction(bloch, vecs, rotate):
+        return min(np.trace(l) - np.linalg.eigvalsh(l)[-1]
+                   for l in (np.outer(bloch, bloch) + np.outer(rotate @ k, rotate @ k) for k in vecs))
+
+    bx, by = correction(x, ky_vecs, t), correction(y, kx_vecs, t.T)
+    value = min(ax + by, ay + bx) if pairing is UpperPairing.PRINTED else min(ax + bx, ay + by)
+    return max(0.0, 0.25 * value)
+
+
+def test_upper_bound_cluster_rule_on_x_states(rng):
+    # an inner coherence alone gives T = diag(2c, 2c, t3), so K has a
+    # degenerate top pair in part of the samples, while the local z
+    # components keep the L corrections of the candidates apart
+    degenerate = 0
+    for _ in range(200):
+        d = rng.dirichlet(np.ones(4))
+        rho = np.diag(d).astype(complex)
+        rho[1, 2] = rho[2, 1] = rng.uniform() * np.sqrt(d[1] * d[2])
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        state = q.TwoQubitState(u @ rho @ u.conj().T)
+        form = q.bloch_decompose(state)
+        k_x = np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T
+        degenerate += np.diff(np.linalg.eigvalsh(k_x))[-1] < 1e-10
+        for pairing in UpperPairing:
+            assert q.geometric_discord_upper(state, pairing) == pytest.approx(
+                max(_upper_reference(form, pairing), q.geometric_discord_lower(state)), abs=1e-15
+            )
+    assert degenerate >= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+def test_stacked_measures_match_single_state_calls(seed, n):
+    from qdspin.measures import bounds_stack, concurrence_stack, g_ratio_stack
+    from qdspin.states import bell_params_stack, st_weights_stack
+
+    rng = np.random.default_rng(seed)
+    states = [random_density(rng) if k % 3 else q.make_state(q.BellDiagonal(0.3, 0.1 * rng.uniform()))
+              for k in range(n)]
+    rho = np.array([s.rho for s in states])
+    lower, upper = bounds_stack(q.bloch_decompose(rho))
+    conc, g, pur = concurrence_stack(rho), g_ratio_stack(rho), q.purity(rho)
+    weights = st_weights_stack(rho)
+    bell_a, bell_b = bell_params_stack(rho, q.Ordering.PSI)
+    for k, state in enumerate(states):
+        bounds = q.discord_bounds(state)
+        assert (lower[k], upper[k]) == (bounds.ds_lower, bounds.ds_upper)
+        assert conc[k] == q.concurrence(state) and pur[k] == q.purity(state)
+        assert g[k] == q.g_ratio(state)
+        assert tuple(weights[k]) == q.singlet_triplet_weights(state)
+        params = q.bell_diagonal_params(state)
+        if params is None:
+            assert np.isnan(bell_a[k])
+        else:
+            assert (bell_a[k], bell_b[k]) == (params.a, params.b)
