@@ -15,7 +15,7 @@ from scipy.optimize import curve_fit
 
 from .channel import build_quadrature, compute_channel, verify_channel_cp
 from .constants import DotParameters
-from .evolution import build_time_grid, evolve, find_g_crossings
+from .evolution import build_time_grid, evolve, find_g_crossings, refined_g_crossings
 from .magnetometry import (
     SweepRequest,
     esd_time,
@@ -57,11 +57,6 @@ class CheckResult:
 
 _channels: dict = {}
 _trajs: dict = {}
-
-
-def clear_cache() -> None:
-    _channels.clear()
-    _trajs.clear()
 
 
 def channel_for(b_field: float, t_max: float, m_count=None, q_count=None):
@@ -128,15 +123,7 @@ def check_2_kink_position() -> CheckResult:
     spec = BellDiagonal(0.4, 0.4)
     b = 0.1
     tr = traj_for(spec, b, 20.0)
-    dot = DotParameters(b_field=b)
-    quad = build_quadrature(dot, 20.0)
-    state0 = make_state(spec)
-
-    def g_exact(t: float) -> float:
-        ch = compute_channel(dot, np.array([t]), quad)
-        return float(evolve(state0, ch).g[0])
-
-    kinks = find_g_crossings(tr.times, tr.g, refine=g_exact, slope_series=tr.d_lower)
+    kinks = refined_g_crossings(tr, build_quadrature(tr.dot, 20.0))
     analytic = fitted_t2star() * math.sqrt(math.log(4.0 / 3.0) / 2.0)
     ok = len(kinks) == 1 and abs(kinks[0].t_cross_ns - 4.67) <= 0.2
     detail = f"{len(kinks)} crossing(s)"

@@ -54,6 +54,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import roots_hermite, roots_laguerre
 
+from .config import write_csv
 from .constants import (
     DotParameters,
     QdspinError,
@@ -170,11 +171,8 @@ class ChannelTrajectory:
     fast_term_cutoff_ns: float = math.inf
 
     def to_csv(self, path: str | Path, header_lines: list[str] | None = None) -> None:
-        lines = [f"# {h}" for h in (header_lines or [])]
-        lines.append("t_ns,p,c_re,c_im")
-        for t, pv, cv in zip(self.times, self.p, self.c):
-            lines.append(f"{t:.17g},{pv:.17g},{cv.real:.17g},{cv.imag:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, header_lines,
+                  {"t_ns": self.times, "p": self.p, "c_re": self.c.real, "c_im": self.c.imag})
 
 
 @dataclass(frozen=True)

@@ -10,23 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .channel import QuadratureResolutionError, build_quadrature, compute_channel
-from .config import RunConfig, header_lines, parse_b_values, parse_state_spec
-from .constants import (
-    InvalidParameterError,
-    NumericalDomainError,
-    QdspinError,
-    ValidityWindowError,
-)
-from .evolution import build_time_grid, evolve, find_g_crossings
+from .channel import build_quadrature, compute_channel
+from .config import NORMALIZE_MODES, PAIRINGS, RunConfig, header_lines, parse_b_values, parse_state_spec
+from .constants import InvalidParameterError, QdspinError
+from .evolution import build_time_grid, evolve, refined_g_crossings
 from .magnetometry import (
-    MonotonicityError,
-    NormalizationError,
+    CURVE_QUANTITIES,
+    METRIC_SETS,
     SweepRequest,
     calibration_curve,
     run_sweep,
@@ -38,15 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
-
-_USAGE_ERRORS = (InvalidParameterError,)
-_NUMERICAL_ERRORS = (
-    ValidityWindowError,
-    QuadratureResolutionError,
-    NumericalDomainError,
-    NormalizationError,
-    MonotonicityError,
-)
 
 
 def _error_record(exc: Exception) -> str:
@@ -73,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--q-nodes", type=int, dest="q_nodes", help="transverse-invariant quadrature nodes")
     common.add_argument("--tmax", type=float, dest="t_max", help="evolution time, ns")
     common.add_argument("--dt", type=float, help="grid step, ns")
-    common.add_argument("--normalize", choices=("none", "initial", "half"))
-    common.add_argument("--upper-pairing", choices=("printed", "swapped"), dest="upper_pairing")
+    common.add_argument("--normalize", choices=NORMALIZE_MODES)
+    common.add_argument("--upper-pairing", choices=PAIRINGS, dest="upper_pairing")
     common.add_argument("--workers", type=int, help="parallel workers (wall time only)")
     common.add_argument("--out", help="output CSV path")
 
@@ -86,14 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--b", help="fields in Tesla: start:stop:step, comma list, or value")
     p_sweep.add_argument(
         "--metric",
-        choices=("M", "g-extrema", "esd", "longtime", "all"),
+        choices=tuple(METRIC_SETS),
         help="which sensing metrics to extract",
     )
     p_sweep.add_argument("--calibration-out", dest="calibration_out", help="two-column calibration CSV")
     p_sweep.add_argument(
         "--calibration-quantity",
         dest="calibration_quantity",
-        choices=("M", "g_max_value", "g_min_value", "d_longtime"),
+        choices=tuple(CURVE_QUANTITIES),
         default="M",
     )
 
@@ -105,28 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "state",
-            "a_total",
-            "n_nuclei",
-            "i_nuclear",
-            "g_factor",
-            "m_nodes",
-            "q_nodes",
-            "t_max",
-            "dt",
-            "normalize",
-            "upper_pairing",
-            "workers",
-            "out",
-        )
-    }
+    # every flag whose dest names a config field overrides that field
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if getattr(args, "b", None) is not None:
         overrides["b_fields"] = parse_b_values(args.b)
-    if getattr(args, "metric", None) is not None:
-        overrides["metric"] = args.metric
     return config.with_overrides(**overrides)
 
 
@@ -138,8 +105,8 @@ def _check_outputs(*paths: str | None) -> None:
         target = Path(path)
         if not target.parent.is_dir():
             raise InvalidParameterError(f"output directory {str(target.parent)!r} does not exist")
-        if target.is_dir():
-            raise InvalidParameterError(f"output path {path!r} is a directory")
+        if target.exists() and not target.is_file():
+            raise InvalidParameterError(f"output path {path!r} is not a regular file")
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -156,15 +123,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     chan = compute_channel(dot, times, quad)
     state0 = make_state(parse_state_spec(config.state))
     traj = evolve(state0, chan, drop_zeeman_phase=config.drop_zeeman_phase, pairing=config.pairing)
-
-    def g_exact(t: float) -> float:
-        single = compute_channel(dot, np.array([t]), quad)
-        return float(
-            evolve(state0, single, drop_zeeman_phase=config.drop_zeeman_phase,
-                   pairing=config.pairing).g[0]
-        )
-
-    kinks = find_g_crossings(traj.times, traj.g, refine=g_exact, slope_series=traj.d_lower)
+    kinks = refined_g_crossings(traj, quad, drop_zeeman_phase=config.drop_zeeman_phase,
+                                pairing=config.pairing)
     extra = {
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,
@@ -178,21 +138,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_METRIC_SETS = {
-    "M": ("M",),
-    "g-extrema": ("g-extrema",),
-    "esd": ("esd",),
-    "longtime": ("longtime",),
-    "all": ("M", "g-extrema", "esd", "kinks", "longtime"),
-}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.b_fields:
         raise InvalidParameterError("sweep needs a nonempty field list (--b)")
     out = config.out or "sweep.csv"
-    _check_outputs(out, getattr(args, "calibration_out", None))
+    _check_outputs(out, args.calibration_out)
     request = SweepRequest(
         state_spec=parse_state_spec(config.state),
         b_fields=tuple(config.b_fields),
@@ -201,7 +152,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         dt=config.dt,
         dt_long=config.dt_long,
         dense_prefix=config.dense_prefix,
-        metrics=_METRIC_SETS[config.metric],
+        metrics=METRIC_SETS[config.metric],
         m_window=tuple(config.m_window),
         longtime_window=tuple(config.longtime_window),
         m_nodes=config.m_nodes,
@@ -210,21 +161,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         pairing=config.pairing,
     )
     table = run_sweep(request, workers=config.workers)
+    curve = calibration_curve(table, args.calibration_quantity) if args.calibration_out else None
     headers = header_lines(config, {"metric": config.metric})
     table.to_csv(out, header_lines=headers)
-    if getattr(args, "calibration_out", None):
-        curve = calibration_curve(table, args.calibration_quantity)
+    if curve is not None:
         curve.to_csv(args.calibration_out, header_lines=headers)
     print(f"wrote {out} ({len(table.rows)} rows)")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .acceptance import run_checks
+    from .acceptance import CHECKS, run_checks
 
     only = None
     if getattr(args, "only", None):
-        only = [int(x) for x in args.only.split(",") if x.strip()]
+        try:
+            only = [int(x) for x in args.only.split(",") if x.strip()]
+        except ValueError:
+            only = []
+        if not only or not all(1 <= k <= len(CHECKS) for k in only):
+            raise InvalidParameterError(
+                f"--only takes comma-separated check indices in 1-{len(CHECKS)}, got {args.only!r}"
+            )
     results = run_checks(only=only)
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPTANCE
 
@@ -235,15 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"evolve": _cmd_evolve, "sweep": _cmd_sweep, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except _USAGE_ERRORS as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except _NUMERICAL_ERRORS as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_NUMERICAL
     except QdspinError as exc:
         print(_error_record(exc), file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_USAGE if isinstance(exc, InvalidParameterError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

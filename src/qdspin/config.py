@@ -1,10 +1,18 @@
-"""Run configuration: JSON files, flag overrides, and the small spec parsers."""
+"""Run configuration, the small spec parsers and the CSV file format.
+
+Every CSV qdspin writes goes through `write_csv`, so `header_lines` and
+the cell rules below are the whole output format.
+"""
 from __future__ import annotations
 
 import json
-import math
+import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .constants import DotParameters, InvalidParameterError, PhysicalConstants
 from .measures import UpperPairing
@@ -19,6 +27,16 @@ from .states import (
 )
 
 NORMALIZE_MODES = ("none", "initial", "half")
+PAIRINGS = tuple(p.value for p in UpperPairing)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """An int or float inside the finite float range."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -47,14 +65,37 @@ class RunConfig:
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.normalize not in NORMALIZE_MODES:
-            raise InvalidParameterError(f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}")
-        if self.upper_pairing not in ("printed", "swapped"):
-            raise InvalidParameterError(f"upper_pairing must be 'printed' or 'swapped', got {self.upper_pairing!r}")
+        from .magnetometry import METRIC_SETS
+
+        def require(ok: bool, name: str, what: str) -> None:
+            if not ok:
+                raise InvalidParameterError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        for name in ("a_total", "n_nuclei", "i_nuclear", "g_factor"):
+            require(_is_real(getattr(self, name)), name, "a finite number")
         for name in ("t_max", "dt", "dt_long"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
+            require(_is_real(value) and value > 0, name, "finite and positive")
+        require(_is_real(self.dense_prefix) and self.dense_prefix >= 0, "dense_prefix",
+                "finite and non-negative")
+        require(isinstance(self.b_fields, (list, tuple)) and all(map(_is_real, self.b_fields)),
+                "b_fields", "a list of finite numbers")
+        for name in ("m_window", "longtime_window"):
+            value = getattr(self, name)
+            require(isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)),
+                    name, "a [start, stop] pair of finite numbers")
+        for name in ("m_nodes", "q_nodes"):
+            require(getattr(self, name) is None or _is_int(getattr(self, name)), name, "an integer or null")
+        require(self.workers is None or (_is_int(self.workers) and self.workers >= 1),
+                "workers", "a positive integer or null")
+        require(isinstance(self.state, str), "state", "a state spec string")
+        require(self.out is None or isinstance(self.out, str), "out", "a path string or null")
+        require(isinstance(self.drop_zeeman_phase, bool), "drop_zeeman_phase", "true or false")
+        for name, choices in (("normalize", NORMALIZE_MODES), ("upper_pairing", PAIRINGS),
+                              ("metric", tuple(METRIC_SETS))):
+            value = getattr(self, name)
+            require(isinstance(value, str) and value in choices, name, f"one of {choices}")
+        self.dot(0.0)  # the material parameters' own range checks
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -192,3 +233,38 @@ def header_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
     for key, val in (extra or {}).items():
         lines.append(f"{key}={val}")
     return lines
+
+
+def _cells(column: Sequence) -> list[str]:
+    """One column's cells: strings as given, numbers as .17g, NaN and None empty."""
+    if not isinstance(column, np.ndarray) and all(isinstance(v, str) for v in column):
+        return list(column)
+    values = np.asarray(column, dtype=float)
+    cells = list(map("{:.17g}".format, values.tolist()))
+    for k in np.flatnonzero(np.isnan(values)):
+        cells[k] = ""
+    return cells
+
+
+def write_csv(path: str | Path, header_lines: Sequence[str] | None,
+              columns: Mapping[str, Sequence]) -> None:
+    """Write `# ` header lines, the column names and the rows of `columns`.
+
+    The text goes to a temporary file beside `path` that replaces it only
+    once complete, so a failed write leaves any previous file untouched.
+    """
+    lines = [f"# {h}" for h in header_lines or ()]
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*map(_cells, columns.values()))))
+    text = "\n".join(lines) + "\n"
+    target = Path(path)
+    if target.exists() and not target.is_file():  # a directory, pipe or device cannot be swapped in
+        raise InvalidParameterError(f"output path {str(path)!r} is not a regular file")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelTrajectory, verify_channel_cp
+from .channel import BathQuadrature, ChannelTrajectory, compute_channel, verify_channel_cp
+from .config import write_csv
 from .constants import InvalidParameterError
 from .measures import (
     UpperPairing,
@@ -134,38 +135,14 @@ class CorrelationTrajectory:
     def to_csv(self, path: str | Path, header_lines: list[str] | None = None,
                normalize: str = "none") -> None:
         d_lo, d_hi = self.normalized(normalize)
-        lines = [f"# {h}" for h in (header_lines or [])]
-        lines.append(
-            "t_ns,p,c_re,c_im,a,b_re,b_im,purity,ds_lo,ds_hi,d_lo,d_hi,g,concurrence,"
-            "wTm1,wT0,wTp1,wS0"
-        )
-
-        def num(v: float) -> str:
-            return "" if (isinstance(v, float) and math.isnan(v)) else f"{v:.17g}"
-
-        for k in range(self.times.size):
-            row = [
-                f"{self.times[k]:.17g}",
-                f"{self.p[k]:.17g}",
-                f"{self.c[k].real:.17g}",
-                f"{self.c[k].imag:.17g}",
-                num(float(self.bell_a[k])),
-                num(float(np.real(self.bell_b[k]))),
-                num(float(np.imag(self.bell_b[k]))),
-                f"{self.purity[k]:.17g}",
-                f"{self.ds_lower[k]:.17g}",
-                f"{self.ds_upper[k]:.17g}",
-                f"{d_lo[k]:.17g}",
-                f"{d_hi[k]:.17g}",
-                f"{self.g[k]:.17g}",
-                f"{self.concurrence[k]:.17g}",
-                f"{self.st_weights[k, 0]:.17g}",
-                f"{self.st_weights[k, 1]:.17g}",
-                f"{self.st_weights[k, 2]:.17g}",
-                f"{self.st_weights[k, 3]:.17g}",
-            ]
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        w = self.st_weights
+        write_csv(path, header_lines, {
+            "t_ns": self.times, "p": self.p, "c_re": self.c.real, "c_im": self.c.imag,
+            "a": self.bell_a, "b_re": self.bell_b.real, "b_im": self.bell_b.imag,
+            "purity": self.purity, "ds_lo": self.ds_lower, "ds_hi": self.ds_upper,
+            "d_lo": d_lo, "d_hi": d_hi, "g": self.g, "concurrence": self.concurrence,
+            "wTm1": w[:, 0], "wT0": w[:, 1], "wTp1": w[:, 2], "wS0": w[:, 3],
+        })
 
 
 def effective_coherence(traj: ChannelTrajectory, drop_zeeman_phase: bool = True) -> np.ndarray:
@@ -306,6 +283,25 @@ def find_g_crossings(
         last_side = s
         last_idx = i
     return events
+
+
+def refined_g_crossings(
+    traj: CorrelationTrajectory,
+    quad: BathQuadrature,
+    drop_zeeman_phase: bool = True,
+    pairing: UpperPairing = UpperPairing.PRINTED,
+) -> list[KinkEvent]:
+    """g = 1 crossings of `traj`, each bisected on exact single-time evolutions.
+
+    Every bisection step computes the channel of the trajectory's dot at
+    one time on `quad` and evolves the trajectory's start state with it.
+    """
+    def g_exact(t: float) -> float:
+        single = compute_channel(traj.dot, np.array([t]), quad)
+        evolved = evolve(traj.state0, single, drop_zeeman_phase=drop_zeeman_phase, pairing=pairing)
+        return float(evolved.g[0])
+
+    return find_g_crossings(traj.times, traj.g, refine=g_exact, slope_series=traj.d_lower)
 
 
 def _slope_jump(times: np.ndarray, values: np.ndarray, t_cross: float, window: int = 5) -> float:

@@ -14,17 +14,16 @@ monotone calibration curve can be inverted back to a field estimate.
 """
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .channel import build_quadrature, compute_channel
+from .config import write_csv
 from .constants import DotParameters, InvalidParameterError, QdspinError
 from .evolution import (
     CorrelationTrajectory,
@@ -123,6 +122,16 @@ def first_min_then_max(
 # ---------------------------------------------------------------------------
 
 
+# the metric names a sweep accepts; "all" extracts every metric
+METRIC_SETS = {
+    "M": ("M",),
+    "g-extrema": ("g-extrema",),
+    "esd": ("esd",),
+    "longtime": ("longtime",),
+    "all": ("M", "g-extrema", "esd", "kinks", "longtime"),
+}
+
+
 @dataclass(frozen=True)
 class SweepRequest:
     """One full sweep: a state, a field list and the metrics to extract."""
@@ -149,7 +158,7 @@ class SweepRequest:
             raise InvalidParameterError("b_fields must be strictly increasing")
         if not self.dense_prefix >= 0.0:
             raise InvalidParameterError(f"dense_prefix must be non-negative, got {self.dense_prefix}")
-        known = {"M", "g-extrema", "esd", "kinks", "longtime"}
+        known = set().union(*METRIC_SETS.values())
         unknown = set(self.metrics) - known
         if unknown:
             raise InvalidParameterError(f"unknown metrics {sorted(unknown)}; known: {sorted(known)}")
@@ -167,6 +176,20 @@ class SweepRow:
     d_longtime: float | None = None
 
 
+# the sweep CSV's columns, each read off a row; None cells print empty
+SWEEP_COLUMNS = {
+    "B_T": lambda r: r.b_field,
+    "M": lambda r: r.m_lower,
+    "g_min_t": lambda r: r.g_min.t_ns if r.g_min else None,
+    "g_min_val": lambda r: r.g_min.value if r.g_min else None,
+    "g_max_t": lambda r: r.g_max.t_ns if r.g_max else None,
+    "g_max_val": lambda r: r.g_max.value if r.g_max else None,
+    "kink_times": lambda r: ";".join(f"{t:.9g}" for t in r.kink_times),
+    "esd_t": lambda r: r.esd_time_ns,
+    "d_longtime": lambda r: r.d_longtime,
+}
+
+
 @dataclass
 class SweepTable:
     request: SweepRequest
@@ -176,30 +199,8 @@ class SweepTable:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path: str | Path, header_lines: list[str] | None = None) -> None:
-        lines = [f"# {h}" for h in (header_lines or [])]
-        lines.append("B_T,M,g_min_t,g_min_val,g_max_t,g_max_val,kink_times,esd_t,d_longtime")
-
-        def num(v) -> str:
-            return "" if v is None else f"{v:.17g}"
-
-        for r in self.rows:
-            kinks = ";".join(f"{t:.9g}" for t in r.kink_times)
-            lines.append(
-                ",".join(
-                    [
-                        f"{r.b_field:.17g}",
-                        num(r.m_lower),
-                        num(r.g_min.t_ns if r.g_min else None),
-                        num(r.g_min.value if r.g_min else None),
-                        num(r.g_max.t_ns if r.g_max else None),
-                        num(r.g_max.value if r.g_max else None),
-                        kinks,
-                        num(r.esd_time_ns),
-                        num(r.d_longtime),
-                    ]
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        columns = {name: [get(r) for r in self.rows] for name, get in SWEEP_COLUMNS.items()}
+        write_csv(path, header_lines, columns)
 
 
 def trajectory_for_field(request: SweepRequest, b_field: float) -> CorrelationTrajectory:
@@ -268,7 +269,9 @@ def run_sweep(request: SweepRequest, workers: int | None = None) -> SweepTable:
 # calibration curves and inversion
 # ---------------------------------------------------------------------------
 
-_CURVE_QUANTITIES = ("M", "g_max_value", "g_min_value", "d_longtime")
+# calibration quantity -> the sweep column it is read from
+CURVE_QUANTITIES = {"M": "M", "g_max_value": "g_max_val", "g_min_value": "g_min_val",
+                    "d_longtime": "d_longtime"}
 
 
 @dataclass(frozen=True)
@@ -279,11 +282,7 @@ class CalibrationCurve:
     monotone: bool
 
     def to_csv(self, path: str | Path, header_lines: list[str] | None = None) -> None:
-        lines = [f"# {h}" for h in (header_lines or [])]
-        lines.append(f"B_T,{self.quantity}")
-        for b, v in zip(self.b_knots, self.values):
-            lines.append(f"{b:.17g},{v:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, header_lines, {"B_T": self.b_knots, self.quantity: self.values})
 
 
 @dataclass(frozen=True)
@@ -293,21 +292,11 @@ class FieldEstimate:
 
 
 def calibration_curve(table: SweepTable, quantity: str) -> CalibrationCurve:
-    if quantity not in _CURVE_QUANTITIES:
-        raise InvalidParameterError(f"unknown calibration quantity {quantity!r}; known: {_CURVE_QUANTITIES}")
-    pairs: list[tuple[float, float]] = []
-    for r in table.rows:
-        val: float | None
-        if quantity == "M":
-            val = r.m_lower
-        elif quantity == "g_max_value":
-            val = r.g_max.value if r.g_max else None
-        elif quantity == "g_min_value":
-            val = r.g_min.value if r.g_min else None
-        else:
-            val = r.d_longtime
-        if val is not None:
-            pairs.append((r.b_field, val))
+    if quantity not in CURVE_QUANTITIES:
+        known = tuple(CURVE_QUANTITIES)
+        raise InvalidParameterError(f"unknown calibration quantity {quantity!r}; known: {known}")
+    value_of = SWEEP_COLUMNS[CURVE_QUANTITIES[quantity]]
+    pairs = [(r.b_field, v) for r in table.rows if (v := value_of(r)) is not None]
     if len(pairs) < 2:
         raise InvalidParameterError(f"not enough knots with defined {quantity!r} for a curve")
     b = np.array([p[0] for p in pairs])

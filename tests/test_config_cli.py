@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 import qdspin as q
 from qdspin.cli import main
-from qdspin.config import RunConfig, parse_b_values, parse_state_spec
+from qdspin.config import NORMALIZE_MODES, PAIRINGS, RunConfig, parse_b_values, parse_state_spec
 from qdspin.constants import InvalidParameterError
 from qdspin.evolution import build_time_grid
-from qdspin.magnetometry import WORKERS_ENV, worker_count
+from qdspin.magnetometry import METRIC_SETS, WORKERS_ENV, worker_count
 
 
 def test_config_roundtrip_default():
@@ -306,3 +307,112 @@ def test_cli_output_into_missing_directory_is_usage_error(command, flag, tmp_pat
     assert code == 2
     assert "missing" in _usage_error(capsys)["message"]
     assert not (tmp_path / "ok.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_cli_output_not_a_regular_file_is_usage_error(kind, tmp_path, capsys, monkeypatch):
+    def no_channel_work(*args, **kwargs):
+        raise AssertionError("channel work started before the output check")
+
+    monkeypatch.setattr("qdspin.cli.compute_channel", no_channel_work)
+    out = tmp_path / "out.csv"
+    out.mkdir() if kind == "directory" else os.mkfifo(out)
+    code = main(["evolve", "--state", "bell:psi-", "--b", "0.01", "--tmax", "1", "--out", str(out)])
+    assert code == 2
+    assert "not a regular file" in _usage_error(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [("evolve", {"a_total": "x"}, "a_total"), ("sweep", {"m_window": [5]}, "m_window"),
+     ("sweep", {"workers": "two"}, "workers"), ("sweep", {"metric": "bogus"}, "metric"),
+     ("evolve", {"i_nuclear": float("nan")}, "i_nuclear"),
+     ("evolve", {"drop_zeeman_phase": 1}, "drop_zeeman_phase")],
+)
+def test_cli_bad_config_value_is_usage_error(command, config, field, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code = main([command, "--config", str(cfg), "--b", "0.01", "--tmax", "1",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert field in _usage_error(capsys)["message"]
+    assert not (tmp_path / "o.csv").exists()
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.floats(-1.0, 30.0), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_VALID = {
+    "a_total": st.floats(1.0, 200.0),
+    "n_nuclei": st.floats(1e3, 1e7),
+    "i_nuclear": st.sampled_from([0.5, 1.5, 2]),
+    "g_factor": st.floats(0.1, 2.0),
+    "state": st.sampled_from(["bell:psi-", "werner:p=0.33"]),
+    "b_fields": st.lists(st.floats(0.0, 1.0), max_size=3),
+    "t_max": st.floats(0.1, 100.0),
+    "dt": st.floats(0.01, 1.0),
+    "dt_long": st.floats(0.5, 5.0),
+    "dense_prefix": st.floats(0.0, 100.0),
+    "m_nodes": st.none() | st.integers(3, 300),
+    "q_nodes": st.none() | st.integers(3, 100),
+    "normalize": st.sampled_from(NORMALIZE_MODES),
+    "upper_pairing": st.sampled_from(PAIRINGS),
+    "drop_zeeman_phase": st.booleans(),
+    "m_window": st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2),
+    "longtime_window": st.lists(st.floats(0.0, 6000.0), min_size=2, max_size=2),
+    "metric": st.sampled_from(sorted(METRIC_SETS)),
+    "out": st.none() | st.text(min_size=1, max_size=5),
+    "workers": st.none() | st.integers(1, 4),
+}
+
+
+@st.composite
+def config_dicts(draw) -> dict:
+    """Valid values for some fields, then arbitrary JSON values for up to two."""
+    data = draw(st.fixed_dictionaries({}, optional=_VALID))
+    for name in draw(st.lists(st.sampled_from(sorted(_VALID)), max_size=2, unique=True)):
+        data[name] = draw(_JUNK)
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_dicts())
+def test_config_json_rejects_exactly_what_the_dataclass_rejects(data):
+    def build(make):
+        try:
+            return make()
+        except InvalidParameterError:
+            return None
+
+    direct = build(lambda: RunConfig(**data))
+    loaded = build(lambda: RunConfig.from_json(json.dumps(data)))
+    assert (direct is None) == (loaded is None)
+    if direct is not None:
+        assert loaded == direct
+        assert RunConfig.from_json(direct.to_json()) == direct
+        # what the commands derive from an accepted config builds without error
+        for b in direct.b_fields:
+            direct.dot(b)
+        assert len(direct.m_window) == len(direct.longtime_window) == 2
+        assert METRIC_SETS[direct.metric] and worker_count(direct.workers) >= 1
+
+
+@pytest.mark.parametrize("only", ["x", "99", "0", "3,15", ","])
+def test_cli_verify_only_out_of_range_is_usage_error(only, capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("acceptance checks started before --only was validated")
+
+    monkeypatch.setattr("qdspin.acceptance.run_checks", no_checks)
+    assert main(["verify", "--only", only]) == 2
+    assert "1-14" in _usage_error(capsys)["message"]
+
+
+def test_cli_calibration_failure_writes_nothing(tmp_path, capsys):
+    out, calib = tmp_path / "sweep.csv", tmp_path / "cal.csv"
+    code = main(["sweep", "--metric", "M", "--b", "0.01,0.02", "--tmax", "1", "--state", "werner:p=0.33",
+                 "--out", str(out), "--calibration-out", str(calib), "--calibration-quantity", "g_max_value"])
+    assert code == 2
+    assert "g_max_value" in _usage_error(capsys)["message"]
+    assert not out.exists() and not calib.exists()

@@ -10,6 +10,7 @@ from qdspin.evolution import (
     build_time_grid,
     find_extrema,
     find_g_crossings,
+    refined_g_crossings,
 )
 
 from conftest import random_density
@@ -230,6 +231,21 @@ def test_find_g_crossings_bisection_refine():
     assert len(events) == 1
     root = (0.5 / 0.1) ** (1 / 1.3)
     assert events[0].t_cross_ns == pytest.approx(root, abs=1e-6)
+
+
+def test_refined_g_crossings_matches_hand_rolled_bisection():
+    dot = q.DotParameters(b_field=0.1)
+    times = build_time_grid(10.0)
+    quad = q.build_quadrature(dot, 10.0)
+    state0 = q.make_state(q.BellDiagonal(0.4, 0.4))
+    traj = q.evolve(state0, q.compute_channel(dot, times, quad))
+
+    def g_exact(t):
+        return float(q.evolve(state0, q.compute_channel(dot, np.array([t]), quad)).g[0])
+
+    expected = find_g_crossings(traj.times, traj.g, refine=g_exact, slope_series=traj.d_lower)
+    assert len(expected) == 1
+    assert refined_g_crossings(traj, quad) == expected
 
 
 def test_find_extrema_basic():
