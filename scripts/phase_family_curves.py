@@ -31,7 +31,7 @@ def main() -> None:
     times = build_time_grid(args.tmax)
     for b in FIELDS_T:
         dot = DotParameters(b_field=b)
-        chan = compute_channel(dot, times, build_quadrature(dot, args.tmax))
+        chan = compute_channel(dot, times, build_quadrature(dot, float(times.max())))
         for name, gamma in GAMMAS.items():
             traj = evolve(make_state(PhaseFamily(gamma)), chan)
             path = args.outdir / f"phase_{name}_b{1e3 * b:g}mT.csv"

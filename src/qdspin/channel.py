@@ -48,7 +48,7 @@ fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,31 +73,32 @@ class QuadratureResolutionError(QdspinError, ArithmeticError):
     """The bath quadrature cannot resolve the requested evolution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BathQuadrature:
-    """Normalized quadrature over the infinite-temperature bath.
+    """Channel model of one dot: the bath quadrature and its per-node block data.
 
     m_nodes/m_weights sample the Gaussian polarization, q_nodes/q_weights
-    the exponential transverse invariant.  t_resolved_ns is the largest
-    time at which the fastest interference phase is still Nyquist-resolved
-    by the m grid.
+    the exponential transverse invariant.  Per (m, q) node: the weight
+    w2d, the block polarizations s_ket/s_bra (delta/E), the ket flip
+    fraction v_frac (V^2/E^2) and the frequencies w_ket, w_bra and w_diff
+    (their slow difference).  Past fast_term_cutoff_ns the fast terms are
+    dropped (module docstring).
     """
 
+    dot: DotParameters
     m_nodes: np.ndarray
     m_weights: np.ndarray
     q_nodes: np.ndarray
     q_weights: np.ndarray
-    sigma_m: float
     t_max_ns: float
-    t_resolved_ns: float
-
-    def __post_init__(self) -> None:
-        for name in ("m_weights", "q_weights"):
-            w = getattr(self, name)
-            if abs(float(w.sum()) - 1.0) > 1e-9:
-                raise QuadratureResolutionError(f"{name} must sum to 1, got {w.sum()!r}")
-        if np.any(self.q_nodes <= 0.0):
-            raise QuadratureResolutionError("all q_nodes must be positive")
+    w2d: np.ndarray
+    s_ket: np.ndarray
+    s_bra: np.ndarray
+    v_frac: np.ndarray
+    w_ket: np.ndarray
+    w_bra: np.ndarray
+    w_diff: np.ndarray
+    fast_term_cutoff_ns: float
 
 
 def node_count_rule(dot: DotParameters, t_max_ns: float) -> tuple[int, int]:
@@ -113,7 +114,8 @@ def build_quadrature(
     m_count: int | None = None,
     q_count: int | None = None,
 ) -> BathQuadrature:
-    """Gauss-Hermite x Gauss-Laguerre bath quadrature sized for t_max."""
+    """Channel model of `dot`: Gauss-Hermite x Gauss-Laguerre nodes sized for t_max
+    and their block data, computed once for every channel call on the model."""
     if t_max_ns < 0.0:
         raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
     window = VALIDITY_GRACE * dot.validity_window_ns
@@ -139,22 +141,59 @@ def build_quadrature(
     y, wy = roots_laguerre(n_q)           # weight e^{-y}; Q = 2 sigma^2 y
     q_nodes = 2.0 * sigma * sigma * y
     q_weights = wy / wy.sum()
+    for name, w in (("m_weights", m_weights), ("q_weights", q_weights)):
+        if abs(float(w.sum()) - 1.0) > 1e-9:
+            raise QuadratureResolutionError(f"{name} must sum to 1, got {w.sum()!r}")
+    if np.any(q_nodes <= 0.0):
+        raise QuadratureResolutionError("all q_nodes must be positive")
 
-    # largest m spacing inside the Gaussian bulk fixes the resolved window
-    bulk = m_nodes[np.abs(m_nodes) <= 4.0 * sigma]
-    if bulk.size < 2:
-        bulk = m_nodes
-    dm_max = float(np.diff(np.sort(bulk)).max())
-    t_resolved = math.pi * dot.constants.hbar / (dot.alpha * dm_max)
+    alpha = dot.alpha
+    omega_z = dot.zeeman_energy
+    hbar = dot.constants.hbar
+    m = m_nodes[:, None]
+    q = q_nodes[None, :]
+    w2d = m_weights[:, None] * q_weights[None, :]
+
+    delta_ket = 0.5 * (-omega_z + alpha * (m + 0.5))
+    delta_bra = 0.5 * (-omega_z + alpha * (m - 0.5))
+    # both blocks share the multiplet: j(j+1) - m(m+1) = Q -+ m in terms of
+    # the transverse invariant Q, so their frequencies degenerate at B = 0
+    v2 = np.clip(0.25 * alpha * alpha * (q - m), 0.0, None)
+    v2_bra = np.clip(0.25 * alpha * alpha * (q + m), 0.0, None)
+
+    e2_ket = delta_ket * delta_ket + v2
+    e2_bra = delta_bra * delta_bra + v2_bra
+    e_ket = np.sqrt(e2_ket)
+    e_bra = np.sqrt(e2_bra)
+
+    live_ket = e2_ket >= DEGENERATE_BLOCK_E2
+    live_bra = e2_bra >= DEGENERATE_BLOCK_E2
+    s_ket = np.where(live_ket, delta_ket / np.where(live_ket, e_ket, 1.0), 0.0)
+    s_bra = np.where(live_bra, delta_bra / np.where(live_bra, e_bra, 1.0), 0.0)
+    v_frac = np.where(live_ket, v2 / np.where(live_ket, e2_ket, 1.0), 0.0)
+
+    w_ket = e_ket / hbar
+    w_bra = e_bra / hbar
+    # e_ket^2 - e_bra^2 = -Omega*alpha/2 exactly (same-multiplet sharing),
+    # so the slow frequency difference is computed without cancellation
+    esum = e_ket + e_bra
+    w_diff = np.where(esum > 0.0, (-omega_z * alpha / 2.0) / (hbar * esum), 0.0)
+
+    # Nyquist window of the interference phase (w_ket + w_bra) * t on the
+    # actual grid: beyond pi / max-step the fast terms alias on one axis.
+    w_fast = w_ket + w_bra
+    m_bulk = m_weights > 1e-16 * m_weights.max()
+    q_bulk = q_weights > 1e-16 * q_weights.max()
+    sub = w_fast[np.ix_(m_bulk, q_bulk)]
+    steps = [np.abs(np.diff(sub, axis=0)).max() if sub.shape[0] > 1 else 0.0,
+             np.abs(np.diff(sub, axis=1)).max() if sub.shape[1] > 1 else 0.0]
+    max_step = max(steps)
+    t_fast_ok = math.pi / max_step if max_step > 0.0 else math.inf
 
     return BathQuadrature(
-        m_nodes=m_nodes,
-        m_weights=m_weights,
-        q_nodes=q_nodes,
-        q_weights=q_weights,
-        sigma_m=sigma,
-        t_max_ns=float(t_max_ns),
-        t_resolved_ns=t_resolved,
+        dot=dot, m_nodes=m_nodes, m_weights=m_weights, q_nodes=q_nodes, q_weights=q_weights,
+        t_max_ns=float(t_max_ns), w2d=w2d, s_ket=s_ket, s_bra=s_bra, v_frac=v_frac,
+        w_ket=w_ket, w_bra=w_bra, w_diff=w_diff, fast_term_cutoff_ns=0.8 * t_fast_ok,
     )
 
 
@@ -218,53 +257,6 @@ def verify_channel_cp(traj: ChannelTrajectory, eps: float = 1e-12) -> CpReport:
         p_max=p_max,
         worst_index=idx,
     )
-
-
-def _node_tables(dot: DotParameters, quad: BathQuadrature):
-    """Per-node block data shared by every time point."""
-    alpha = dot.alpha
-    omega_z = dot.zeeman_energy
-    hbar = dot.constants.hbar
-    m = quad.m_nodes[:, None]
-    q = quad.q_nodes[None, :]
-    w2d = quad.m_weights[:, None] * quad.q_weights[None, :]
-
-    delta_ket = 0.5 * (-omega_z + alpha * (m + 0.5))
-    delta_bra = 0.5 * (-omega_z + alpha * (m - 0.5))
-    # both blocks share the multiplet: j(j+1) - m(m+1) = Q -+ m in terms of
-    # the transverse invariant Q, so their frequencies degenerate at B = 0
-    v2 = np.clip(0.25 * alpha * alpha * (q - m), 0.0, None)
-    v2_bra = np.clip(0.25 * alpha * alpha * (q + m), 0.0, None)
-
-    e2_ket = delta_ket * delta_ket + v2
-    e2_bra = delta_bra * delta_bra + v2_bra
-    e_ket = np.sqrt(e2_ket)
-    e_bra = np.sqrt(e2_bra)
-
-    live_ket = e2_ket >= DEGENERATE_BLOCK_E2
-    live_bra = e2_bra >= DEGENERATE_BLOCK_E2
-    s_ket = np.where(live_ket, delta_ket / np.where(live_ket, e_ket, 1.0), 0.0)
-    s_bra = np.where(live_bra, delta_bra / np.where(live_bra, e_bra, 1.0), 0.0)
-    v_frac = np.where(live_ket, v2 / np.where(live_ket, e2_ket, 1.0), 0.0)
-
-    w_ket = e_ket / hbar
-    w_bra = e_bra / hbar
-    # e_ket^2 - e_bra^2 = -Omega*alpha/2 exactly (same-multiplet sharing),
-    # so the slow frequency difference is computed without cancellation
-    esum = e_ket + e_bra
-    w_diff = np.where(esum > 0.0, (-omega_z * alpha / 2.0) / (hbar * esum), 0.0)
-
-    # Nyquist window of the interference phase (w_ket + w_bra) * t on the
-    # actual grid: beyond pi / max-step the fast terms alias on one axis.
-    w_fast = w_ket + w_bra
-    m_bulk = quad.m_weights > 1e-16 * quad.m_weights.max()
-    q_bulk = quad.q_weights > 1e-16 * quad.q_weights.max()
-    sub = w_fast[np.ix_(m_bulk, q_bulk)]
-    steps = [np.abs(np.diff(sub, axis=0)).max() if sub.shape[0] > 1 else 0.0,
-             np.abs(np.diff(sub, axis=1)).max() if sub.shape[1] > 1 else 0.0]
-    max_step = max(steps)
-    t_fast_ok = math.pi / max_step if max_step > 0.0 else math.inf
-    return w2d, s_ket, s_bra, v_frac, w_ket, w_bra, w_diff, t_fast_ok
 
 
 _NODE_BLOCK = 2048       # nodes per phase table: a table stays at a few MB
@@ -355,7 +347,8 @@ def compute_channel(
     with the bra-side block at polarization m-1 in the same multiplet.
     Expanding the products leaves three real-amplitude frequency families
     per node: p from 2*w_ket, c from the slow difference w_ket - w_bra and
-    from the fast sum w_ket + w_bra.  Past the fast-term cutoff only the
+    from the fast sum w_ket + w_bra, all read off the model `quad` (built
+    here if not given; a model built for another dot is refused).  Past the fast-term cutoff only the
     difference family remains and p is its long-time mean.  Each family is
     a phase sum evaluated by `_phase_sums` (factored tables and GEMMs on
     the uniform runs of the grid, over fixed node blocks).  Summation
@@ -368,13 +361,16 @@ def compute_channel(
     t_max = float(times.max()) if times.size else 0.0
     if quad is None:
         quad = build_quadrature(dot, t_max)
+    elif quad.dot != dot:
+        raise QuadratureResolutionError(f"quadrature built for {quad.dot}, requested {dot}")
     elif t_max > quad.t_max_ns * (1.0 + 1e-12):
         raise QuadratureResolutionError(
             f"quadrature built for t_max={quad.t_max_ns:g} ns, requested {t_max:g} ns"
         )
 
-    w2d, s_ket, s_bra, v_frac, w_ket, w_bra, w_diff, t_fast_ok = _node_tables(dot, quad)
-    cutoff = 0.8 * t_fast_ok
+    w2d, s_ket, s_bra, v_frac = quad.w2d, quad.s_ket, quad.s_bra, quad.v_frac
+    w_ket, w_bra, w_diff = quad.w_ket, quad.w_bra, quad.w_diff
+    cutoff = quad.fast_term_cutoff_ns
     needs_slow = times.size and t_max > cutoff
     if needs_slow and cutoff < 5.0 * dot.dephasing_time_ns:
         raise QuadratureResolutionError(

@@ -293,8 +293,9 @@ def refined_g_crossings(
 ) -> list[KinkEvent]:
     """g = 1 crossings of `traj`, each bisected on exact single-time evolutions.
 
-    Every bisection step computes the channel of the trajectory's dot at
-    one time on `quad` and evolves the trajectory's start state with it.
+    Every bisection step evaluates the channel model `quad` of the
+    trajectory's dot at one time, reusing its node data, and evolves the
+    trajectory's start state with it.
     """
     def g_exact(t: float) -> float:
         single = compute_channel(traj.dot, np.array([t]), quad)

@@ -212,7 +212,7 @@ def trajectory_for_field(request: SweepRequest, b_field: float) -> CorrelationTr
     times = build_time_grid(
         t_max, dt=request.dt, dt_long=request.dt_long, dense_prefix=request.dense_prefix
     )
-    quad = build_quadrature(dot, t_max, m_count=request.m_nodes, q_count=request.q_nodes)
+    quad = build_quadrature(dot, float(times.max()), m_count=request.m_nodes, q_count=request.q_nodes)
     chan = compute_channel(dot, times, quad)
     state0 = make_state(request.state_spec)
     return evolve(
@@ -239,17 +239,15 @@ def _sweep_row(args: tuple[SweepRequest, float]) -> SweepRow:
 
 def worker_count(explicit: int | None = None) -> int:
     """Worker processes for a sweep: the explicit value, else QDSPIN_WORKERS, else 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(WORKERS_ENV, "")
-    if not env:
-        return 1
+    name, value = "workers", explicit
+    if explicit is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or "1"
     try:
-        count = int(env)
+        count = int(value)
     except ValueError:
-        count = None
-    if count is None or count < 1:
-        raise InvalidParameterError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        count = 0
+    if count < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
     return count
 
 

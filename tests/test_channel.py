@@ -10,7 +10,6 @@ from qdspin.channel import (
     CP_MARGIN_HARD,
     DEGENERATE_BLOCK_E2,
     QuadratureResolutionError,
-    _node_tables,
     node_count_rule,
 )
 from qdspin.constants import ValidityWindowError
@@ -151,6 +150,15 @@ def test_quadrature_refuses_tiny_bath():
         q.build_quadrature(dot, 5.0)
 
 
+def test_channel_refuses_a_model_of_another_dot(default_dot):
+    times = np.linspace(0.0, 10.0, 11)
+    quad = q.build_quadrature(default_dot, 10.0)
+    with pytest.raises(QuadratureResolutionError, match="quadrature built for"):
+        q.compute_channel(q.DotParameters(b_field=0.1), times, quad)
+    with pytest.raises(QuadratureResolutionError):
+        q.compute_channel(q.DotParameters(n_nuclei=1.5e5), times, quad)
+
+
 # ---------------------------------------------------------------------------
 # channel
 # ---------------------------------------------------------------------------
@@ -261,6 +269,34 @@ def test_channel_monte_carlo_oracle():
         assert chan.c[i] == pytest.approx(c_mc, abs=5e-3)
 
 
+def quasi_static_channel(dot, times):
+    """Zero-field frozen-Overhauser-field limit (Merkulov, Efros & Rosen, PRB 65, 205309).
+
+    A spin precessing in a static Gaussian field of per-component spread
+    alpha*sigma_m keeps c = 1/3 + (2/3)(1 - s^2) exp(-s^2/2), s = alpha
+    sigma_m t / hbar, and flips with p = (1 - c)/2.  It shares nothing with
+    the node tables; the box model tends to it for large N.
+    """
+    s2 = (dot.alpha * dot.sigma_m * times / dot.constants.hbar) ** 2
+    c = 1.0 / 3.0 + (2.0 / 3.0) * (1.0 - s2) * np.exp(-0.5 * s2)
+    return 0.5 * (1.0 - c), c
+
+
+def test_channel_matches_the_quasi_static_limit_at_zero_field():
+    times = build_time_grid(20.0)
+    gaps = {}
+    for n_nuclei in (1.5e5, 1.5e6):
+        dot = q.DotParameters(n_nuclei=n_nuclei)
+        chan = q.compute_channel(dot, times)
+        p_qs, c_qs = quasi_static_channel(dot, times)
+        gaps[n_nuclei] = float(np.abs(chan.c - c_qs).max()), float(np.abs(chan.p - p_qs).max())
+        assert np.abs(chan.c.imag).max() <= 1e-14
+    assert gaps[1.5e6][0] <= 1e-7 and gaps[1.5e6][1] <= 5e-8
+    assert gaps[1.5e5][0] <= 1.2e-6
+    # the gap is the finite-N correction, not a quadrature floor: it shrinks with N
+    assert gaps[1.5e5][0] > 5.0 * gaps[1.5e6][0]
+
+
 def test_channel_csv_export(tmp_path, channel_b0):
     path = tmp_path / "chan.csv"
     channel_b0.to_csv(path, header_lines=["demo=1"])
@@ -279,8 +315,8 @@ def test_channel_csv_export(tmp_path, channel_b0):
 
 def direct_channel(dot, times, quad):
     """Reference channel: four trig calls per node and time, summed per time."""
-    w2d, s_ket, s_bra, v_frac, w_ket, w_bra, w_diff, t_fast_ok = _node_tables(dot, quad)
-    cutoff = 0.8 * t_fast_ok
+    w2d, s_ket, s_bra, v_frac = quad.w2d, quad.s_ket, quad.s_bra, quad.v_frac
+    w_ket, w_bra, w_diff, cutoff = quad.w_ket, quad.w_bra, quad.w_diff, quad.fast_term_cutoff_ns
     p = np.empty(times.size)
     c = np.empty(times.size, dtype=complex)
     for i, t in enumerate(times):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdspin as q
+from qdspin import magnetometry
 from qdspin.cli import main
 from qdspin.config import NORMALIZE_MODES, PAIRINGS, RunConfig, parse_b_values, parse_state_spec
 from qdspin.constants import InvalidParameterError
@@ -178,6 +179,32 @@ def test_worker_count_unset_or_empty_env_is_one(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv(WORKERS_ENV, "")
     assert worker_count() == 1
+
+
+@pytest.mark.parametrize("explicit", [0, -3])
+def test_worker_count_rejects_non_positive_explicit_count(explicit):
+    with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
+        worker_count(explicit)
+
+
+def test_cli_sweep_sizes_its_quadrature_from_its_grid(tmp_path, monkeypatch):
+    # t_max / dt = 1000.75 rounds the grid up to 20.02 ns, past --tmax
+    kept = []
+    original = magnetometry.trajectory_for_field
+    monkeypatch.setattr(magnetometry, "trajectory_for_field",
+                        lambda *args: kept.append(original(*args)) or kept[-1])
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    flags = ["--b", "0.01", "--tmax", "20.015", "--state", "werner:p=0.33"]
+    assert main(["sweep", "--metric", "M", *flags, "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["evolve", *flags, "--out", str(tmp_path / "evolve.csv")]) == 0
+    (traj,) = kept
+    assert traj.times[-1] == pytest.approx(20.02)
+    traj.to_csv(tmp_path / "sweep-traj.csv")
+
+    def rows(name):
+        return [l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")]
+
+    assert rows("sweep-traj.csv") == rows("evolve.csv")
 
 
 def test_cli_sweep_applies_dense_prefix(tmp_path):

@@ -117,6 +117,12 @@ def test_sweep_workers_do_not_change_results():
         assert a.m_lower == b.m_lower and a.m_upper == b.m_upper
 
 
+def test_sweep_rejects_non_positive_worker_count():
+    request = SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0,), metrics=("M",))
+    with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
+        run_sweep(request, workers=0)
+
+
 def test_calibration_curve_and_inversion():
     b = np.array([0.0, 1.0, 2.0, 3.0]) * 1e-3
     curve = q.CalibrationCurve(quantity="M", b_knots=b, values=np.array([1.0, 2.0, 4.0, 8.0]),
