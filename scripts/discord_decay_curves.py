@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qdspin import DotParameters, build_quadrature, compute_channel, evolve, make_state
+from qdspin import DotParameters, compute_channel, evolve, make_state
 from qdspin.evolution import build_time_grid
 from qdspin.states import Bell
 
@@ -24,7 +24,7 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
     for b in SHORT_FIELDS_T:
         dot = DotParameters(b_field=b)
         times = build_time_grid(t_short)
-        chan = compute_channel(dot, times, build_quadrature(dot, float(times.max())))
+        chan = compute_channel(dot, times)
         traj = evolve(state, chan)
         path = outdir / f"bell_discord_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])
@@ -34,7 +34,7 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
     for b in LONG_FIELDS_T:
         dot = DotParameters(b_field=b)
         times = build_time_grid(t_long)
-        chan = compute_channel(dot, times, build_quadrature(dot, float(times.max())))
+        chan = compute_channel(dot, times)
         traj = evolve(state, chan)
         path = outdir / f"bell_discord_long_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qdspin import DotParameters, build_quadrature, compute_channel, evolve, make_state
+from qdspin import DotParameters, compute_channel, evolve, make_state
 from qdspin.evolution import build_time_grid
 from qdspin.states import PhaseFamily
 
@@ -31,7 +31,7 @@ def main() -> None:
     times = build_time_grid(args.tmax)
     for b in FIELDS_T:
         dot = DotParameters(b_field=b)
-        chan = compute_channel(dot, times, build_quadrature(dot, float(times.max())))
+        chan = compute_channel(dot, times)
         for name, gamma in GAMMAS.items():
             traj = evolve(make_state(PhaseFamily(gamma)), chan)
             path = args.outdir / f"phase_{name}_b{1e3 * b:g}mT.csv"

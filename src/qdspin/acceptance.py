@@ -1,35 +1,24 @@
 """Acceptance suite: the quantitative exit checks of the artifact.
 
-Each check prints one PASS/FAIL line with the measured values.  Channels
-and trajectories are cached so the physicality audit (check 14) covers
-exactly the runs used by the other checks without recomputing them.
+Each check prints one PASS/FAIL line with the measured values.  One
+`RunCache` per `run_checks` call holds every channel model, channel and
+trajectory the checks compute, so a run is computed once and the
+physicality audit (check 14) covers exactly the runs of that call.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .channel import build_quadrature, compute_channel, verify_channel_cp
+from .channel import BathQuadrature, ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
 from .constants import DotParameters
 from .evolution import build_time_grid, evolve, find_g_crossings, refined_g_crossings
-from .magnetometry import (
-    SweepRequest,
-    esd_time,
-    first_min_then_max,
-    long_time_discord,
-    run_sweep,
-)
-from .measures import (
-    UpperPairing,
-    concurrence,
-    discord_bounds,
-    geometric_discord_lower,
-    oracle_one_sided_discord,
-)
+from .magnetometry import SweepRequest, esd_time, first_min_then_max, run_sweep
+from .measures import concurrence, discord_bounds, geometric_discord_lower, oracle_one_sided_discord
 from .states import (
     Bell,
     BellDiagonal,
@@ -55,25 +44,33 @@ class CheckResult:
     detail: str
 
 
-_channels: dict = {}
-_trajs: dict = {}
+@dataclass
+class RunCache:
+    """Runs of one acceptance call on the default time grid and node rule.
 
+    `models` maps (field, t_max) to the channel model and its channel,
+    `trajs` maps (state, field, t_max) to the evolved trajectory.
+    """
 
-def channel_for(b_field: float, t_max: float, m_count=None, q_count=None):
-    key = (float(b_field), float(t_max), m_count, q_count)
-    if key not in _channels:
-        dot = DotParameters(b_field=b_field)
-        times = build_time_grid(t_max)
-        quad = build_quadrature(dot, t_max, m_count=m_count, q_count=q_count)
-        _channels[key] = compute_channel(dot, times, quad)
-    return _channels[key]
+    models: dict = field(default_factory=dict)
+    trajs: dict = field(default_factory=dict)
 
+    def model(self, b_field: float, t_max: float) -> tuple[BathQuadrature, ChannelTrajectory]:
+        key = (float(b_field), float(t_max))
+        if key not in self.models:
+            dot = DotParameters(b_field=b_field)
+            quad = build_quadrature(dot, t_max)
+            self.models[key] = quad, compute_channel(dot, build_time_grid(t_max), quad)
+        return self.models[key]
 
-def traj_for(spec, b_field: float, t_max: float):
-    key = (repr(spec), float(b_field), float(t_max))
-    if key not in _trajs:
-        _trajs[key] = evolve(make_state(spec), channel_for(b_field, t_max))
-    return _trajs[key]
+    def channel(self, b_field: float, t_max: float) -> ChannelTrajectory:
+        return self.model(b_field, t_max)[1]
+
+    def traj(self, spec, b_field: float, t_max: float):
+        key = (repr(spec), float(b_field), float(t_max))
+        if key not in self.trajs:
+            self.trajs[key] = evolve(make_state(spec), self.channel(b_field, t_max))
+        return self.trajs[key]
 
 
 def _spread(values) -> float:
@@ -98,13 +95,10 @@ def _random_unitary(rng, n=2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_1_t2star() -> CheckResult:
+def check_1_t2star(cache: RunCache) -> CheckResult:
     start = time.monotonic()
-    ch = channel_for(5.0, 25.0)
-    absc = np.abs(ch.c)
-    popt, _ = curve_fit(lambda t, t2: np.exp(-((t / t2) ** 2)), ch.times, absc, p0=[12.0])
-    t2 = float(popt[0])
-    p_max = float(ch.p.max())
+    t2 = fitted_t2star(cache)
+    p_max = float(cache.channel(5.0, 25.0).p.max())
     wall = time.monotonic() - start
     ok = 12.0 <= t2 <= 12.7 and p_max < 1e-4 and wall < 60.0
     return CheckResult(
@@ -113,18 +107,16 @@ def check_1_t2star() -> CheckResult:
     )
 
 
-def fitted_t2star() -> float:
-    ch = channel_for(5.0, 25.0)
+def fitted_t2star(cache: RunCache) -> float:
+    ch = cache.channel(5.0, 25.0)
     popt, _ = curve_fit(lambda t, t2: np.exp(-((t / t2) ** 2)), ch.times, np.abs(ch.c), p0=[12.0])
     return float(popt[0])
 
 
-def check_2_kink_position() -> CheckResult:
-    spec = BellDiagonal(0.4, 0.4)
-    b = 0.1
-    tr = traj_for(spec, b, 20.0)
-    kinks = refined_g_crossings(tr, build_quadrature(tr.dot, 20.0))
-    analytic = fitted_t2star() * math.sqrt(math.log(4.0 / 3.0) / 2.0)
+def check_2_kink_position(cache: RunCache) -> CheckResult:
+    tr = cache.traj(BellDiagonal(0.4, 0.4), 0.1, 20.0)
+    kinks = refined_g_crossings(tr, cache.model(0.1, 20.0)[0])
+    analytic = fitted_t2star(cache) * math.sqrt(math.log(4.0 / 3.0) / 2.0)
     ok = len(kinks) == 1 and abs(kinks[0].t_cross_ns - 4.67) <= 0.2
     detail = f"{len(kinks)} crossing(s)"
     if kinks:
@@ -134,11 +126,11 @@ def check_2_kink_position() -> CheckResult:
     return CheckResult(2, "kink_position", ok, detail)
 
 
-def check_3_bell_no_kinks() -> CheckResult:
+def check_3_bell_no_kinks(cache: RunCache) -> CheckResult:
     worst_g = -math.inf
     n_kinks = 0
     for b in (0.0, 0.011, 0.0165, 1.0):
-        tr = traj_for(Bell("psi-"), b, 20.0)
+        tr = cache.traj(Bell("psi-"), b, 20.0)
         n_kinks += len(find_g_crossings(tr.times, tr.g))
         finite = np.isfinite(tr.g)
         worst_g = max(worst_g, float(tr.g[finite].max()))
@@ -149,8 +141,8 @@ def check_3_bell_no_kinks() -> CheckResult:
     )
 
 
-def check_4_zero_field_werner_law() -> CheckResult:
-    tr = traj_for(Bell("psi-"), 0.0, 50.0)
+def check_4_zero_field_werner_law(cache: RunCache) -> CheckResult:
+    tr = cache.traj(Bell("psi-"), 0.0, 50.0)
     dev_g = float(np.abs(tr.g - 1.0).max())
     w = tr.st_weights
     dev_w = max(
@@ -165,10 +157,10 @@ def check_4_zero_field_werner_law() -> CheckResult:
     )
 
 
-def check_5_positive_field_regime() -> CheckResult:
+def check_5_positive_field_regime(cache: RunCache) -> CheckResult:
     margins = []
     for bmt in (0.5, 1.5, 5.0):
-        tr = traj_for(Bell("psi-"), bmt * 1e-3, 20.0)
+        tr = cache.traj(Bell("psi-"), bmt * 1e-3, 20.0)
         mask = tr.times > 0.1
         margins.append((bmt, float((1.0 - tr.g[mask]).min())))
     ok = all(m > 0.0 for _, m in margins)
@@ -176,7 +168,7 @@ def check_5_positive_field_regime() -> CheckResult:
     return CheckResult(5, "positive_field_regime", ok, f"min (1-g) margins for t>0.1 ns: {txt}")
 
 
-def check_6_discord_anchors() -> CheckResult:
+def check_6_discord_anchors(cache: RunCache) -> CheckResult:
     rng = np.random.default_rng(20140609)
     worst_ent = 0.0
     for _ in range(100):
@@ -244,7 +236,7 @@ def check_6_discord_anchors() -> CheckResult:
     )
 
 
-def check_7_oracle_equivalence() -> CheckResult:
+def check_7_oracle_equivalence(cache: RunCache) -> CheckResult:
     rng = np.random.default_rng(1369)
     worst = 0.0
     for _ in range(100):
@@ -260,8 +252,8 @@ def check_7_oracle_equivalence() -> CheckResult:
     )
 
 
-def check_8_werner_scheme_invariance() -> CheckResult:
-    series = [traj_for(Werner(p), 1.5e-3, 20.0).g for p in (0.1, 1.0 / 3.0, 1.0)]
+def check_8_werner_scheme_invariance(cache: RunCache) -> CheckResult:
+    series = [cache.traj(Werner(p), 1.5e-3, 20.0).g for p in (0.1, 1.0 / 3.0, 1.0)]
     dev = max(
         float(np.abs(series[0] - series[1]).max()),
         float(np.abs(series[1] - series[2]).max()),
@@ -276,7 +268,7 @@ def check_8_werner_scheme_invariance() -> CheckResult:
     )
 
 
-def check_9_m_of_b_monotonic() -> CheckResult:
+def check_9_m_of_b_monotonic(cache: RunCache) -> CheckResult:
     start = time.monotonic()
     request = SweepRequest(
         state_spec=Werner(0.33),
@@ -294,11 +286,11 @@ def check_9_m_of_b_monotonic() -> CheckResult:
     )
 
 
-def check_10_g_extrema_calibration() -> CheckResult:
+def check_10_g_extrema_calibration(cache: RunCache) -> CheckResult:
     b_fields = np.linspace(0.25e-3, 5e-3, 20)
     rows = []
     for b in b_fields:
-        tr = traj_for(Bell("psi-"), float(b), 50.0)
+        tr = cache.traj(Bell("psi-"), float(b), 50.0)
         g_min, g_max = first_min_then_max(tr.times, tr.g)
         rows.append((b, g_min, g_max))
     have_all = all(r[1] is not None and r[2] is not None for r in rows)
@@ -332,23 +324,23 @@ def _revival(tr) -> tuple[bool, str]:
     )
 
 
-def check_11_low_field_revival() -> CheckResult:
+def check_11_low_field_revival(cache: RunCache) -> CheckResult:
     parts = []
     ok = True
     for b in (0.0, 0.003):
-        has, txt = _revival(traj_for(Bell("psi-"), b, 12000.0))
+        has, txt = _revival(cache.traj(Bell("psi-"), b, 12000.0))
         ok = ok and has
         parts.append(f"B={b * 1e3:g} mT: revival={has} ({txt})")
-    has_1t, txt = _revival(traj_for(Bell("psi-"), 1.0, 12000.0))
+    has_1t, txt = _revival(cache.traj(Bell("psi-"), 1.0, 12000.0))
     ok = ok and not has_1t
     parts.append(f"B=1 T: revival={has_1t} (must be False; {txt})")
     return CheckResult(11, "low_field_revival", ok, "; ".join(parts))
 
 
-def check_12_esd_contrast() -> CheckResult:
+def check_12_esd_contrast(cache: RunCache) -> CheckResult:
     t_esd = {}
     for b in (0.011, 0.0165):
-        tr = traj_for(Bell("psi-"), b, 20.0)
+        tr = cache.traj(Bell("psi-"), b, 20.0)
         t_esd[b] = esd_time(tr.times, tr.concurrence)
     finite = all(t is not None and t <= 20.0 for t in t_esd.values())
     if finite:
@@ -368,15 +360,15 @@ def _normalized_ds(tr) -> np.ndarray:
     return 0.5 * tr.ds_lower / tr.ds_lower[0]
 
 
-def check_13_phase_sensitivity() -> CheckResult:
+def check_13_phase_sensitivity(cache: RunCache) -> CheckResult:
     diffs = {}
     for b in (0.0165, 0.0):
-        n_pi = _normalized_ds(traj_for(PhaseFamily(math.pi), b, 20.0))
-        n_half = _normalized_ds(traj_for(PhaseFamily(math.pi / 2.0), b, 20.0))
+        n_pi = _normalized_ds(cache.traj(PhaseFamily(math.pi), b, 20.0))
+        n_half = _normalized_ds(cache.traj(PhaseFamily(math.pi / 2.0), b, 20.0))
         diffs[b] = float(np.abs(n_pi - n_half).max()) / 0.5
 
     def onset(b: float) -> float:
-        tr = traj_for(PhaseFamily(GAMMA_SPLIT), b, 20.0)
+        tr = cache.traj(PhaseFamily(GAMMA_SPLIT), b, 20.0)
         gap = 0.5 * (tr.ds_upper - tr.ds_lower) / tr.ds_lower[0]
         idx = np.nonzero(gap > 0.005)[0]
         return float(tr.times[idx[0]]) if idx.size else math.inf
@@ -395,30 +387,25 @@ def check_13_phase_sensitivity() -> CheckResult:
     )
 
 
-def check_14_physicality_suite() -> CheckResult:
-    # cover the field/grid set of the other checks, then audit everything cached
+def check_14_physicality_suite(cache: RunCache) -> CheckResult:
+    # cover the field/grid set of the other checks, then audit every run of this call
     for b in (0.0, 0.0005, 0.0015, 0.005, 0.011, 0.0165, 0.1, 1.0):
-        channel_for(b, 20.0)
-    worst_cp = math.inf
-    for ch in _channels.values():
-        worst_cp = min(worst_cp, verify_channel_cp(ch).worst_margin)
-    worst_eig = math.inf
-    for tr in _trajs.values():
-        worst_eig = min(worst_eig, float(tr.min_eigenvalue.min()))
+        cache.traj(Bell("psi-"), b, 20.0)
     worst_double = 0.0
-    times = build_time_grid(20.0)
     for b in (0.0, 0.0015, 0.1, 5.0):
-        dot = DotParameters(b_field=b)
-        base = compute_channel(dot, times, build_quadrature(dot, 20.0))
-        dbl = compute_channel(dot, times, build_quadrature(dot, 20.0, m_count=514, q_count=128))
+        base = cache.channel(b, 20.0)
+        doubled = build_quadrature(base.dot, 20.0, m_count=514, q_count=128)
+        dbl = compute_channel(base.dot, base.times, doubled)
         worst_double = max(
             worst_double, float(np.abs(base.p - dbl.p).max()), float(np.abs(base.c - dbl.c).max())
         )
+    worst_cp = min(verify_channel_cp(ch).worst_margin for _, ch in cache.models.values())
+    worst_eig = min(float(tr.min_eigenvalue.min()) for tr in cache.trajs.values())
     ok = worst_cp >= -1e-9 and worst_eig >= -1e-8 and worst_double < 1e-6
     return CheckResult(
         14, "physicality_suite", ok,
-        f"worst CP margin={worst_cp:.1e} (>=-1e-9) over {len(_channels)} channels; "
-        f"min evolved eigenvalue={worst_eig:.1e} (>=-1e-8) over {len(_trajs)} trajectories; "
+        f"worst CP margin={worst_cp:.1e} (>=-1e-9) over {len(cache.models)} channels; "
+        f"min evolved eigenvalue={worst_eig:.1e} (>=-1e-8) over {len(cache.trajs)} trajectories; "
         f"node-doubling sup change={worst_double:.1e} (<1e-6)",
     )
 
@@ -442,11 +429,12 @@ CHECKS = [
 
 
 def run_checks(only: list[int] | None = None, echo: bool = True) -> list[CheckResult]:
+    cache = RunCache()
     results = []
     for idx, fn in enumerate(CHECKS, start=1):
         if only is not None and idx not in only:
             continue
-        result = fn()
+        result = fn(cache)
         results.append(result)
         if echo:
             print(f"{'PASS' if result.passed else 'FAIL'} {idx:2d} {result.name}: {result.detail}")

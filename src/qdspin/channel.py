@@ -75,14 +75,14 @@ class QuadratureResolutionError(QdspinError, ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class BathQuadrature:
-    """Channel model of one dot: the bath quadrature and its per-node block data.
+    """Channel model of one dot: the bath quadrature and its three phase-sum families.
 
     m_nodes/m_weights sample the Gaussian polarization, q_nodes/q_weights
-    the exponential transverse invariant.  Per (m, q) node: the weight
-    w2d, the block polarizations s_ket/s_bra (delta/E), the ket flip
-    fraction v_frac (V^2/E^2) and the frequencies w_ket, w_bra and w_diff
-    (their slow difference).  Past fast_term_cutoff_ns the fast terms are
-    dropped (module docstring).
+    the exponential transverse invariant.  Over the (m, q) nodes (module
+    docstring): p has frequencies p_freq (2 w_ket) and versine amplitudes
+    p_amp; c has frequencies c_freq ([w_diff | w_ket + w_bra]) with
+    versine and sine amplitudes c_vers and c_sin, whose first half is the
+    slow family kept alone past fast_term_cutoff_ns.  weight_sum is c(0).
     """
 
     dot: DotParameters
@@ -91,13 +91,12 @@ class BathQuadrature:
     q_nodes: np.ndarray
     q_weights: np.ndarray
     t_max_ns: float
-    w2d: np.ndarray
-    s_ket: np.ndarray
-    s_bra: np.ndarray
-    v_frac: np.ndarray
-    w_ket: np.ndarray
-    w_bra: np.ndarray
-    w_diff: np.ndarray
+    p_freq: np.ndarray
+    p_amp: np.ndarray
+    c_freq: np.ndarray
+    c_vers: np.ndarray
+    c_sin: np.ndarray
+    weight_sum: float
     fast_term_cutoff_ns: float
 
 
@@ -115,7 +114,7 @@ def build_quadrature(
     q_count: int | None = None,
 ) -> BathQuadrature:
     """Channel model of `dot`: Gauss-Hermite x Gauss-Laguerre nodes sized for t_max
-    and their block data, computed once for every channel call on the model."""
+    and their frequency families, computed once for every channel call on the model."""
     if t_max_ns < 0.0:
         raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
     window = VALIDITY_GRACE * dot.validity_window_ns
@@ -190,10 +189,19 @@ def build_quadrature(
     max_step = max(steps)
     t_fast_ok = math.pi / max_step if max_step > 0.0 else math.inf
 
+    # a*conj(d') expanded: both amplitudes carry the same dropped mean phase
+    ss = s_ket * s_bra
+    diff_re = (w2d * 0.5 * (1.0 - ss)).ravel()
+    diff_im = (w2d * 0.5 * (s_bra - s_ket)).ravel()
+    sum_re = (w2d * 0.5 * (1.0 + ss)).ravel()
+    sum_im = (w2d * -0.5 * (s_ket + s_bra)).ravel()
     return BathQuadrature(
         dot=dot, m_nodes=m_nodes, m_weights=m_weights, q_nodes=q_nodes, q_weights=q_weights,
-        t_max_ns=float(t_max_ns), w2d=w2d, s_ket=s_ket, s_bra=s_bra, v_frac=v_frac,
-        w_ket=w_ket, w_bra=w_bra, w_diff=w_diff, fast_term_cutoff_ns=0.8 * t_fast_ok,
+        t_max_ns=float(t_max_ns),
+        p_freq=2.0 * w_ket.ravel(), p_amp=(w2d * 0.5 * v_frac).ravel(),
+        c_freq=np.concatenate([w_diff.ravel(), w_fast.ravel()]),
+        c_vers=np.concatenate([diff_re, sum_re]), c_sin=np.concatenate([diff_im, sum_im]),
+        weight_sum=float(np.sum(w2d)), fast_term_cutoff_ns=0.8 * t_fast_ok,
     )
 
 
@@ -347,13 +355,14 @@ def compute_channel(
     with the bra-side block at polarization m-1 in the same multiplet.
     Expanding the products leaves three real-amplitude frequency families
     per node: p from 2*w_ket, c from the slow difference w_ket - w_bra and
-    from the fast sum w_ket + w_bra, all read off the model `quad` (built
-    here if not given; a model built for another dot is refused).  Past the fast-term cutoff only the
-    difference family remains and p is its long-time mean.  Each family is
-    a phase sum evaluated by `_phase_sums` (factored tables and GEMMs on
-    the uniform runs of the grid, over fixed node blocks).  Summation
-    order over nodes is fixed, so results are independent of the worker
-    count; only the BLAS thread count can move the last bits (<1e-15).
+    from the fast sum w_ket + w_bra, all stored on the model `quad` (built
+    here if not given; a model built for another dot is refused).  Past the
+    fast-term cutoff only the difference family remains and p is its
+    long-time mean.  Each family is a phase sum evaluated by `_phase_sums`
+    (factored tables and GEMMs on the uniform runs of the grid, over fixed
+    node blocks).  Summation order over nodes is fixed, so results are
+    independent of the worker count; only the BLAS thread count can move
+    the last bits (<1e-15).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
@@ -368,8 +377,6 @@ def compute_channel(
             f"quadrature built for t_max={quad.t_max_ns:g} ns, requested {t_max:g} ns"
         )
 
-    w2d, s_ket, s_bra, v_frac = quad.w2d, quad.s_ket, quad.s_bra, quad.v_frac
-    w_ket, w_bra, w_diff = quad.w_ket, quad.w_bra, quad.w_diff
     cutoff = quad.fast_term_cutoff_ns
     needs_slow = times.size and t_max > cutoff
     if needs_slow and cutoff < 5.0 * dot.dephasing_time_ns:
@@ -377,13 +384,6 @@ def compute_channel(
             f"fast-term window {cutoff:.1f} ns does not cover the interference decay "
             f"(~5 dephasing times = {5.0 * dot.dephasing_time_ns:.1f} ns); raise the node counts"
         )
-    # a*conj(d') expanded: both amplitudes carry the same dropped mean phase
-    ss = s_ket * s_bra
-    diff_re = (w2d * 0.5 * (1.0 - ss)).ravel()
-    diff_im = (w2d * 0.5 * (s_bra - s_ket)).ravel()
-    sum_re = (w2d * 0.5 * (1.0 + ss)).ravel()
-    sum_im = (w2d * -0.5 * (s_ket + s_bra)).ravel()
-    p_amp = (w2d * 0.5 * v_frac).ravel()
 
     p_out = np.empty(times.size)
     c_out = np.empty(times.size, dtype=complex)
@@ -392,19 +392,15 @@ def compute_channel(
 
     if fast.any():
         t = times[fast]
-        p_out[fast] = _phase_sums(t, 2.0 * w_ket.ravel(), p_amp)[0]
-        vers, sin = _phase_sums(
-            t,
-            np.concatenate([w_diff.ravel(), (w_ket + w_bra).ravel()]),
-            np.concatenate([diff_re, sum_re]),
-            np.concatenate([diff_im, sum_im]),
-        )
+        p_out[fast] = _phase_sums(t, quad.p_freq, quad.p_amp)[0]
+        vers, sin = _phase_sums(t, quad.c_freq, quad.c_vers, quad.c_sin)
         # the two real amplitudes of a node add up to its weight: c(0) = sum(w)
-        c_out[fast] = (np.sum(w2d) - vers) + 1j * sin
+        c_out[fast] = (quad.weight_sum - vers) + 1j * sin
     if slow.any():
-        vers, sin = _phase_sums(times[slow], w_diff.ravel(), diff_re, diff_im)
-        p_out[slow] = np.sum(p_amp)
-        c_out[slow] = (np.sum(diff_re) - vers) + 1j * sin
+        n = quad.p_amp.size       # the slow family is the first half of c's
+        vers, sin = _phase_sums(times[slow], quad.c_freq[:n], quad.c_vers[:n], quad.c_sin[:n])
+        p_out[slow] = np.sum(quad.p_amp)
+        c_out[slow] = (np.sum(quad.c_vers[:n]) - vers) + 1j * sin
 
     if times.size and times[0] == 0.0 and (abs(p_out[0]) > 1e-12 or abs(c_out[0] - 1.0) > 1e-12):
         raise QuadratureResolutionError(

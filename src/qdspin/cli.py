@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="M",
     )
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the acceptance checks")
+    p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--only", help="comma-separated criterion indices, e.g. 1,3,6")
 
     return parser
@@ -174,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .acceptance import CHECKS, run_checks
 
     only = None
-    if getattr(args, "only", None):
+    if args.only:
         try:
             only = [int(x) for x in args.only.split(",") if x.strip()]
         except ValueError:

@@ -314,21 +314,37 @@ def test_channel_csv_export(tmp_path, channel_b0):
 
 
 def direct_channel(dot, times, quad):
-    """Reference channel: four trig calls per node and time, summed per time."""
-    w2d, s_ket, s_bra, v_frac = quad.w2d, quad.s_ket, quad.s_bra, quad.v_frac
-    w_ket, w_bra, w_diff, cutoff = quad.w_ket, quad.w_bra, quad.w_diff, quad.fast_term_cutoff_ns
+    """Reference channel: four trig calls per node and time, summed per time.
+
+    The block data are transcribed here from the model's nodes and weights,
+    as in the Monte-Carlo oracle; of the model's evaluation data only the
+    fast-term cutoff is read.
+    """
+    hbar, alpha, omega_z = dot.constants.hbar, dot.alpha, dot.zeeman_energy
+    m, q_perp = quad.m_nodes[:, None], quad.q_nodes[None, :]
+    w2d = quad.m_weights[:, None] * quad.q_weights[None, :]
+    d_ket = 0.5 * (-omega_z + alpha * (m + 0.5))
+    d_bra = 0.5 * (-omega_z + alpha * (m - 0.5))
+    v2_ket = np.clip(0.25 * alpha * alpha * (q_perp - m), 0.0, None)
+    v2_bra = np.clip(0.25 * alpha * alpha * (q_perp + m), 0.0, None)
+    e_ket = np.sqrt(d_ket**2 + v2_ket)
+    e_bra = np.sqrt(d_bra**2 + v2_bra)
+    s_ket, s_bra = d_ket / e_ket, d_bra / e_bra
+    v_frac = v2_ket / e_ket**2
+    w_ket, w_bra = e_ket / hbar, e_bra / hbar
     p = np.empty(times.size)
     c = np.empty(times.size, dtype=complex)
     for i, t in enumerate(times):
-        if t <= cutoff:
+        if t <= quad.fast_term_cutoff_ns:
             cos_k, sin_k = np.cos(w_ket * t), np.sin(w_ket * t)
             cos_b, sin_b = np.cos(w_bra * t), np.sin(w_bra * t)
             re = cos_k * cos_b - s_ket * s_bra * sin_k * sin_b
             im = -(s_ket * sin_k * cos_b + s_bra * cos_k * sin_b)
             p[i] = np.sum(w2d * v_frac * sin_k * sin_k)
         else:
-            re = 0.5 * (1.0 - s_ket * s_bra) * np.cos(w_diff * t)
-            im = 0.5 * (s_bra - s_ket) * np.sin(w_diff * t)
+            # a*conj(d') keeps only its slow e^{-i(w - w')t} terms
+            re = 0.5 * (1.0 - s_ket * s_bra) * np.cos((w_ket - w_bra) * t)
+            im = 0.5 * (s_bra - s_ket) * np.sin((w_ket - w_bra) * t)
             p[i] = np.sum(w2d * 0.5 * v_frac)
         c[i] = np.sum(w2d * (re + 1j * im))
     return p, c

@@ -436,6 +436,17 @@ def test_cli_verify_only_out_of_range_is_usage_error(only, capsys, monkeypatch):
     assert "1-14" in _usage_error(capsys)["message"]
 
 
+@pytest.mark.parametrize("flag", [["--tmax", "5"], ["--workers", "3"], ["--out", "/nonexistent/x.csv"]])
+def test_cli_verify_rejects_every_flag_but_only(flag, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("acceptance checks started despite an unknown flag")
+
+    monkeypatch.setattr("qdspin.acceptance.run_checks", no_checks)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", *flag])
+    assert exit_info.value.code == 2
+
+
 def test_cli_calibration_failure_writes_nothing(tmp_path, capsys):
     out, calib = tmp_path / "sweep.csv", tmp_path / "cal.csv"
     code = main(["sweep", "--metric", "M", "--b", "0.01,0.02", "--tmax", "1", "--state", "werner:p=0.33",
