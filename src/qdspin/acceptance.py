@@ -394,7 +394,7 @@ def check_14_physicality_suite(cache: RunCache) -> CheckResult:
     worst_double = 0.0
     for b in (0.0, 0.0015, 0.1, 5.0):
         base = cache.channel(b, 20.0)
-        doubled = build_quadrature(base.dot, 20.0, m_count=514, q_count=128)
+        doubled = build_quadrature(base.dot, 20.0, m_count=2 * base.m_count, q_count=2 * base.q_count)
         dbl = compute_channel(base.dot, base.times, doubled)
         worst_double = max(
             worst_double, float(np.abs(base.p - dbl.p).max()), float(np.abs(base.c - dbl.c).max())

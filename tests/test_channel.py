@@ -3,12 +3,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 import qdspin as q
 from qdspin.channel import (
     CP_MARGIN_HARD,
     DEGENERATE_BLOCK_E2,
+    MIN_M_NODES,
+    MIN_Q_NODES,
     QuadratureResolutionError,
     node_count_rule,
 )
@@ -124,12 +127,47 @@ def test_block_mean_phase_cancels_in_observables(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_node_count_rule_defaults(default_dot):
-    assert node_count_rule(default_dot, 20.0) == (257, 64)
-    n_long, _ = node_count_rule(default_dot, 1.2e4)
-    assert n_long > 257 and n_long == pytest.approx(
-        8 * default_dot.sigma_m * default_dot.alpha * 1.2e4 / (2 * np.pi * HBAR), abs=1.0
-    )
+RULE_FIELDS = (0.0, 0.0015, 0.011, 0.1, 1.0, 5.0)
+
+
+def phase_term(dot, t_max):
+    # 8 m nodes per 2 pi of the Gauss-Hermite phase range alpha sigma_m t / hbar
+    return math.ceil(8 * dot.sigma_m * dot.alpha * t_max / (2 * np.pi * HBAR))
+
+
+def test_node_count_rule_defaults():
+    # 32 x 32 on the 20 ns grid at every field; long grids keep the old counts
+    times = build_time_grid(20.0)
+    for b_field in RULE_FIELDS:
+        assert node_count_rule(q.DotParameters(b_field=b_field), float(times.max())) == (32, 32)
+    dot = q.DotParameters(b_field=0.001)
+    assert node_count_rule(dot, 2000.0) == (294, 64)
+    n_long, n_q = node_count_rule(dot, 1.2e4)
+    assert n_long == phase_term(dot, 1.2e4) > MIN_M_NODES and n_q == MIN_Q_NODES
+
+
+@pytest.mark.parametrize("b_field", (0.0, 0.001, 0.1, 1.0, 5.0))
+@pytest.mark.parametrize("t_max", (0.0, 5.0, 20.0, 28.0, 30.0, 50.0, 200.0, 2000.0, 1.2e4))
+def test_node_count_rule_is_never_above_the_floor_rule_and_covers_its_window(b_field, t_max):
+    dot = q.DotParameters(b_field=b_field)
+    n_m, n_q = node_count_rule(dot, t_max)
+    # the rule it replaced: floors of 257 x 64, n_m raised to the phase term
+    assert n_m <= max(MIN_M_NODES, phase_term(dot, t_max)) and n_q <= MIN_Q_NODES
+    assert n_m >= phase_term(dot, t_max)
+    cutoff = q.build_quadrature(dot, t_max).fast_term_cutoff_ns
+    # the fast terms are resolved up to t_max, or through their decay where
+    # the slow branch takes over
+    assert cutoff >= t_max or cutoff >= 5.0 * dot.dephasing_time_ns
+
+
+@pytest.mark.parametrize("b_field", RULE_FIELDS)
+def test_node_count_rule_matches_the_257_by_64_channel(b_field):
+    dot = q.DotParameters(b_field=b_field)
+    times = build_time_grid(20.0)
+    chan = q.compute_channel(dot, times)
+    floor = q.compute_channel(dot, times, q.build_quadrature(dot, 20.0, m_count=257, q_count=64))
+    assert np.abs(chan.p - floor.p).max() <= 1e-12
+    assert np.abs(chan.c - floor.c).max() <= 1e-12
 
 
 def test_quadrature_weights_normalized(default_dot):
@@ -173,6 +211,13 @@ def channel_b0(default_dot):
 def test_channel_identity_at_t0(channel_b0):
     assert channel_b0.p[0] == 0.0
     assert channel_b0.c[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_channel_starts_at_exactly_one(default_dot):
+    # the 32 x 32 weights round to a sum of 1 - 2^-53; the exact average is 1
+    times = build_time_grid(20.0)
+    chan = q.compute_channel(default_dot, times, q.build_quadrature(default_dot, 20.0, 32, 32))
+    assert chan.c[0] == 1.0
 
 
 def test_channel_zero_field_identities(channel_b0):
@@ -224,7 +269,8 @@ def test_channel_doubling_convergence(default_dot):
     times = np.linspace(0.0, 20.0, 401)
     base = q.compute_channel(default_dot, times)
     doubled = q.compute_channel(
-        default_dot, times, q.build_quadrature(default_dot, 20.0, m_count=514, q_count=128)
+        default_dot, times,
+        q.build_quadrature(default_dot, 20.0, m_count=2 * base.m_count, q_count=2 * base.q_count),
     )
     assert np.abs(base.p - doubled.p).max() < 1e-6
     assert np.abs(base.c - doubled.c).max() < 1e-6
@@ -295,6 +341,71 @@ def test_channel_matches_the_quasi_static_limit_at_zero_field():
     assert gaps[1.5e5][0] <= 1.2e-6
     # the gap is the finite-N correction, not a quadrature floor: it shrinks with N
     assert gaps[1.5e5][0] > 5.0 * gaps[1.5e6][0]
+
+
+def quasi_static_average(dot, times):
+    """Frozen-Overhauser-field average at any field, by adaptive integration.
+
+    The electron precesses about b = (b_perp, alpha m - Omega) for the whole
+    run: m is Gaussian with spread sigma_m, |b_perp|^2 / alpha^2 = Q is
+    exponential with mean 2 sigma_m^2.  With n_z = b_z / |b| and half-angle
+    theta = |b| t / (2 hbar), p = E[(1 - n_z^2) sin^2 theta] and
+    c = E[(cos theta - i n_z sin theta)^2].  Nested `quad_vec` over
+    z = m / sigma_m and u = Q / (2 sigma_m^2); no Gauss rule is involved.
+    """
+    spread = dot.alpha * dot.sigma_m
+    hbar = dot.constants.hbar
+
+    def over_u(z):
+        b_z = spread * z - dot.zeeman_energy
+
+        def integrand(u):
+            b_perp2 = 2.0 * spread * spread * u
+            b = math.sqrt(b_perp2 + b_z * b_z)
+            theta = 0.5 * b * times / hbar
+            amp = np.cos(theta) - 1j * (b_z / b) * np.sin(theta)
+            flip = (b_perp2 / (b * b)) * np.sin(theta) ** 2
+            return math.exp(-u) * np.concatenate([flip, (amp * amp).real, (amp * amp).imag])
+
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * quad_vec(
+            integrand, 0.0, 45.0, epsabs=1e-14, epsrel=0.0)[0]
+
+    avg = quad_vec(over_u, -9.0, 9.0, epsabs=1e-14, epsrel=0.0, points=(0.0,))[0]
+    n = times.size
+    return avg[:n], avg[n : 2 * n] + 1j * avg[2 * n :]
+
+
+def test_quasi_static_average_reproduces_the_zero_field_closed_form():
+    dot = q.DotParameters()
+    times = build_time_grid(20.0)[::50]
+    p_avg, c_avg = quasi_static_average(dot, times)
+    p_qs, c_qs = quasi_static_channel(dot, times)
+    # measured 1.1e-16 on p and 4.4e-16 on c
+    assert np.abs(p_avg - p_qs).max() <= 2e-15 and np.abs(c_avg - c_qs).max() <= 2e-15
+
+
+# gaps to the quasi-static limit on the 20 ns grid (every 50th time) at
+# N = 1.5e6, measured with 32 x 32, 257 x 64 and 514 x 128 nodes alike
+# (same three digits): p 1.43e-8, 4.38e-11, 4.02e-13 and c 3.97e-8,
+# 3.08e-10, 3.36e-12; at N = 1.5e5 they are 93-1036 times larger.
+@pytest.mark.parametrize(
+    "b_field, p_bound, c_bound",
+    [(0.011, 3e-8, 8e-8), (0.1, 1e-10, 7e-10), (1.0, 1e-12, 7e-12)],
+    ids=["11mT", "0.1T", "1T"],
+)
+def test_channel_matches_the_quasi_static_limit_at_finite_field(b_field, p_bound, c_bound):
+    times = build_time_grid(20.0)
+    gaps = {}
+    for n_nuclei in (1.5e5, 1.5e6):
+        dot = q.DotParameters(b_field=b_field, n_nuclei=n_nuclei)
+        chan = q.compute_channel(dot, times)
+        p_qs, c_qs = quasi_static_average(dot, times[::50])
+        gaps[n_nuclei] = (float(np.abs(chan.p[::50] - p_qs).max()),
+                          float(np.abs(chan.c[::50] - c_qs).max()))
+    assert gaps[1.5e6][0] <= p_bound and gaps[1.5e6][1] <= c_bound
+    # the gap is the finite-N correction, not a quadrature floor: it shrinks with N
+    assert gaps[1.5e5][0] > 50.0 * gaps[1.5e6][0]
+    assert gaps[1.5e5][1] > 50.0 * gaps[1.5e6][1]
 
 
 def test_channel_csv_export(tmp_path, channel_b0):
