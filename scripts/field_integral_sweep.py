@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qdspin import SweepRequest, calibration_curve, invert_field, run_sweep
-from qdspin.states import Werner
+from qdspin import RunConfig, calibration_curve, invert_field, run_sweep
 
 
 def main() -> None:
@@ -24,12 +23,13 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    request = SweepRequest(
-        state_spec=Werner(args.p),
-        b_fields=tuple(np.linspace(0.0, args.b_stop_mt * 1e-3, args.points)),
-        metrics=("M",),
+    config = RunConfig(
+        state=f"werner:p={args.p!r}",
+        b_fields=np.linspace(0.0, args.b_stop_mt * 1e-3, args.points).tolist(),
+        metric="M",
+        workers=args.workers,
     )
-    table = run_sweep(request, workers=args.workers)
+    table = run_sweep(config)
     sweep_path = args.outdir / "m_of_b_sweep.csv"
     table.to_csv(sweep_path)
     print(f"wrote {sweep_path}")

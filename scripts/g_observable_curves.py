@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qdspin import SweepRequest, calibration_curve, run_sweep
+from qdspin import RunConfig, calibration_curve, run_sweep
 from qdspin.magnetometry import trajectory_for_field
-from qdspin.states import Bell
 
 CURVE_FIELDS_T = (0.0, 0.5e-3, 1.5e-3, 5e-3)
 
@@ -28,20 +27,21 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    request = SweepRequest(
-        state_spec=Bell("psi-"),
-        b_fields=tuple(np.linspace(args.b_start_mt * 1e-3, args.b_stop_mt * 1e-3, args.points)),
+    config = RunConfig(
+        state="bell:psi-",
+        b_fields=np.linspace(args.b_start_mt * 1e-3, args.b_stop_mt * 1e-3, args.points).tolist(),
         t_max=50.0,
-        metrics=("g-extrema",),
+        metric="g-extrema",
+        workers=args.workers,
     )
 
     for b in CURVE_FIELDS_T:
-        traj = trajectory_for_field(request, b)
+        traj = trajectory_for_field(config, b)
         path = args.outdir / f"g_curve_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=[f"b_tesla={b}"])
         print(f"wrote {path}")
 
-    table = run_sweep(request, workers=args.workers)
+    table = run_sweep(config)
     sweep_path = args.outdir / "g_extrema_sweep.csv"
     table.to_csv(sweep_path)
     print(f"wrote {sweep_path}")

@@ -15,6 +15,7 @@ from .channel import (
     compute_channel,
     verify_channel_cp,
 )
+from .config import RunConfig
 from .constants import (
     DotParameters,
     InvalidParameterError,
@@ -33,7 +34,6 @@ from .evolution import (
 )
 from .magnetometry import (
     CalibrationCurve,
-    SweepRequest,
     SweepTable,
     calibration_curve,
     esd_time,

@@ -15,9 +15,10 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .channel import BathQuadrature, ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
+from .config import RunConfig
 from .constants import DotParameters
 from .evolution import build_time_grid, evolve, find_g_crossings, refined_g_crossings
-from .magnetometry import SweepRequest, esd_time, first_min_then_max, run_sweep
+from .magnetometry import esd_time, first_min_then_max, run_sweep
 from .measures import concurrence, discord_bounds, geometric_discord_lower, oracle_one_sided_discord
 from .states import (
     Bell,
@@ -270,12 +271,7 @@ def check_8_werner_scheme_invariance(cache: RunCache) -> CheckResult:
 
 def check_9_m_of_b_monotonic(cache: RunCache) -> CheckResult:
     start = time.monotonic()
-    request = SweepRequest(
-        state_spec=Werner(0.33),
-        b_fields=tuple(np.linspace(0.0, 0.1, 21)),
-        metrics=("M",),
-    )
-    table = run_sweep(request)
+    table = run_sweep(RunConfig(state="werner:p=0.33", b_fields=np.linspace(0.0, 0.1, 21).tolist()))
     ms = np.array([r.m_lower for r in table.rows])
     wall = time.monotonic() - start
     increasing = bool(np.all(np.diff(ms) > 0.0))

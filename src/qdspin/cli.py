@@ -15,17 +15,18 @@ from pathlib import Path
 
 from . import __version__
 from .channel import build_quadrature, compute_channel
-from .config import NORMALIZE_MODES, PAIRINGS, RunConfig, header_lines, parse_b_values, parse_state_spec
+from .config import (
+    METRIC_SETS,
+    NORMALIZE_MODES,
+    PAIRINGS,
+    RunConfig,
+    header_lines,
+    parse_b_values,
+    parse_state_spec,
+)
 from .constants import InvalidParameterError, QdspinError
 from .evolution import build_time_grid, evolve, refined_g_crossings
-from .magnetometry import (
-    CURVE_QUANTITIES,
-    METRIC_SETS,
-    SweepRequest,
-    calibration_curve,
-    run_sweep,
-    trajectory_for_field,
-)
+from .magnetometry import CURVE_QUANTITIES, calibration_curve, run_sweep
 from .states import make_state
 
 EXIT_OK = 0
@@ -111,6 +112,7 @@ def _check_outputs(*paths: str | None) -> None:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    state0 = make_state(parse_state_spec(config.state))
     if len(config.b_fields) != 1:
         raise InvalidParameterError("evolve expects exactly one field value (--b)")
     out = config.out or "trajectory.csv"
@@ -121,7 +123,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
                             dense_prefix=config.dense_prefix)
     quad = build_quadrature(dot, float(times.max()), m_count=config.m_nodes, q_count=config.q_nodes)
     chan = compute_channel(dot, times, quad)
-    state0 = make_state(parse_state_spec(config.state))
     traj = evolve(state0, chan, drop_zeeman_phase=config.drop_zeeman_phase, pairing=config.pairing)
     kinks = refined_g_crossings(traj, quad, drop_zeeman_phase=config.drop_zeeman_phase,
                                 pairing=config.pairing)
@@ -140,27 +141,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if not config.b_fields:
-        raise InvalidParameterError("sweep needs a nonempty field list (--b)")
     out = config.out or "sweep.csv"
     _check_outputs(out, args.calibration_out)
-    request = SweepRequest(
-        state_spec=parse_state_spec(config.state),
-        b_fields=tuple(config.b_fields),
-        dot_template=config.dot(0.0),
-        t_max=config.t_max,
-        dt=config.dt,
-        dt_long=config.dt_long,
-        dense_prefix=config.dense_prefix,
-        metrics=METRIC_SETS[config.metric],
-        m_window=tuple(config.m_window),
-        longtime_window=tuple(config.longtime_window),
-        m_nodes=config.m_nodes,
-        q_nodes=config.q_nodes,
-        drop_zeeman_phase=config.drop_zeeman_phase,
-        pairing=config.pairing,
-    )
-    table = run_sweep(request, workers=config.workers)
+    table = run_sweep(config)
     curve = calibration_curve(table, args.calibration_quantity) if args.calibration_out else None
     headers = header_lines(config, {"metric": config.metric})
     table.to_csv(out, header_lines=headers)

@@ -6,6 +6,7 @@ the cell rules below are the whole output format.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -28,6 +29,16 @@ from .states import (
 
 NORMALIZE_MODES = ("none", "initial", "half")
 PAIRINGS = tuple(p.value for p in UpperPairing)
+DEFAULT_M_WINDOW = (0.0, 20.0)
+DEFAULT_LONGTIME_WINDOW = (4000.0, 6000.0)
+# the metric names a sweep accepts; "all" extracts every metric
+METRIC_SETS = {
+    "M": ("M",),
+    "g-extrema": ("g-extrema",),
+    "esd": ("esd",),
+    "longtime": ("longtime",),
+    "all": ("M", "g-extrema", "esd", "kinks", "longtime"),
+}
 
 
 def _is_int(value) -> bool:
@@ -58,15 +69,13 @@ class RunConfig:
     normalize: str = "none"
     upper_pairing: str = "printed"
     drop_zeeman_phase: bool = True
-    m_window: list[float] = field(default_factory=lambda: [0.0, 20.0])
-    longtime_window: list[float] = field(default_factory=lambda: [4000.0, 6000.0])
+    m_window: list[float] = field(default_factory=lambda: list(DEFAULT_M_WINDOW))
+    longtime_window: list[float] = field(default_factory=lambda: list(DEFAULT_LONGTIME_WINDOW))
     metric: str = "M"
     out: str | None = None
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        from .magnetometry import METRIC_SETS
-
         def require(ok: bool, name: str, what: str) -> None:
             if not ok:
                 raise InvalidParameterError(f"{name} must be {what}, got {getattr(self, name)!r}")
@@ -198,11 +207,21 @@ def parse_b_values(text: str) -> list[float]:
     text = text.strip()
     if not text:
         raise InvalidParameterError("empty field specification")
+
+    def number(part: str) -> float:
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"field value {part.strip()!r} in {text!r} is not a finite number")
+        return value
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidParameterError(f"field range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = map(number, parts)
         if step <= 0:
             raise InvalidParameterError(f"field step must be positive, got {step}")
         n = int(round((stop - start) / step))
@@ -212,7 +231,7 @@ def parse_b_values(text: str) -> list[float]:
         if values and values[-1] > stop + 1e-12:
             values.pop()
         return values
-    return [float(p) for p in text.split(",") if p.strip() != ""]
+    return [number(p) for p in text.split(",") if p.strip() != ""]
 
 
 def header_lines(config: RunConfig, extra: dict | None = None) -> list[str]:

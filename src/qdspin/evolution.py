@@ -207,7 +207,6 @@ class KinkEvent:
 
     t_cross_ns: float
     direction: str            # 'down' = above -> below, 'up' = below -> above
-    slope_jump: float
 
 
 class ExtremumKind(enum.Enum):
@@ -228,7 +227,6 @@ def find_g_crossings(
     band: float = 1e-6,
     refine: Callable[[float], float] | None = None,
     t_tol: float = 1e-6,
-    slope_series: np.ndarray | None = None,
 ) -> list[KinkEvent]:
     """Sign-change crossings of g(t) - 1, refined by bisection.
 
@@ -237,8 +235,6 @@ def find_g_crossings(
     versa), so tangential touches and boundary noise are excluded.  When
     `refine` is given (an exact evaluator t -> g(t)), roots are bisected
     to t_tol; otherwise linear interpolation on the grid is used.
-    slope_series, if provided, supplies the series whose slope jump is
-    reported as kink evidence (defaults to g itself).
     """
     times = np.asarray(times, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -272,14 +268,7 @@ def find_g_crossings(
                 g_lo, g_hi = g[last_idx], g[i]
                 frac = (1.0 - g_lo) / (g_hi - g_lo) if g_hi != g_lo else 0.5
                 t_cross = t_lo + frac * (t_hi - t_lo)
-            series = g if slope_series is None else np.asarray(slope_series, dtype=float)
-            events.append(
-                KinkEvent(
-                    t_cross_ns=float(t_cross),
-                    direction="down" if last_side > 0 else "up",
-                    slope_jump=_slope_jump(times, series, float(t_cross)),
-                )
-            )
+            events.append(KinkEvent(t_cross_ns=float(t_cross), direction="down" if last_side > 0 else "up"))
         last_side = s
         last_idx = i
     return events
@@ -302,20 +291,7 @@ def refined_g_crossings(
         evolved = evolve(traj.state0, single, drop_zeeman_phase=drop_zeeman_phase, pairing=pairing)
         return float(evolved.g[0])
 
-    return find_g_crossings(traj.times, traj.g, refine=g_exact, slope_series=traj.d_lower)
-
-
-def _slope_jump(times: np.ndarray, values: np.ndarray, t_cross: float, window: int = 5) -> float:
-    """Finite-difference slope discontinuity estimate around t_cross."""
-    idx = int(np.searchsorted(times, t_cross))
-    lo = slice(max(0, idx - window), max(2, idx))
-    hi = slice(min(idx + 1, times.size - 2), min(idx + 1 + window, times.size))
-    def slope(sl: slice) -> float:
-        t, v = times[sl], values[sl]
-        if t.size < 2 or not np.all(np.isfinite(v)):
-            return math.nan
-        return float(np.polyfit(t, v, 1)[0])
-    return slope(hi) - slope(lo)
+    return find_g_crossings(traj.times, traj.g, refine=g_exact)
 
 
 def find_extrema(

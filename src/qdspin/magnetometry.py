@@ -16,15 +16,22 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .channel import build_quadrature, compute_channel
-from .config import write_csv
-from .constants import DotParameters, InvalidParameterError, QdspinError
+from .config import (
+    DEFAULT_LONGTIME_WINDOW,
+    DEFAULT_M_WINDOW,
+    METRIC_SETS,
+    RunConfig,
+    parse_state_spec,
+    write_csv,
+)
+from .constants import InvalidParameterError, QdspinError
 from .evolution import (
     CorrelationTrajectory,
     Extremum,
@@ -34,12 +41,9 @@ from .evolution import (
     find_extrema,
     find_g_crossings,
 )
-from .measures import UpperPairing
-from .states import StateSpec, make_state
+from .states import make_state
 
 WORKERS_ENV = "QDSPIN_WORKERS"
-DEFAULT_M_WINDOW = (0.0, 20.0)
-DEFAULT_LONGTIME_WINDOW = (4000.0, 6000.0)
 G_EXTREMUM_PROMINENCE = 1e-4
 
 
@@ -122,48 +126,6 @@ def first_min_then_max(
 # ---------------------------------------------------------------------------
 
 
-# the metric names a sweep accepts; "all" extracts every metric
-METRIC_SETS = {
-    "M": ("M",),
-    "g-extrema": ("g-extrema",),
-    "esd": ("esd",),
-    "longtime": ("longtime",),
-    "all": ("M", "g-extrema", "esd", "kinks", "longtime"),
-}
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """One full sweep: a state, a field list and the metrics to extract."""
-
-    state_spec: StateSpec
-    b_fields: tuple[float, ...]
-    dot_template: DotParameters = field(default_factory=DotParameters)
-    t_max: float = 20.0
-    dt: float = 0.02
-    dt_long: float = 2.0
-    dense_prefix: float = 50.0
-    metrics: tuple[str, ...] = ("M", "g-extrema", "esd", "kinks")
-    m_window: tuple[float, float] = DEFAULT_M_WINDOW
-    longtime_window: tuple[float, float] = DEFAULT_LONGTIME_WINDOW
-    m_nodes: int | None = None
-    q_nodes: int | None = None
-    drop_zeeman_phase: bool = True
-    pairing: UpperPairing = UpperPairing.PRINTED
-
-    def __post_init__(self) -> None:
-        if len(self.b_fields) == 0:
-            raise InvalidParameterError("sweep needs at least one field value")
-        if any(b1 >= b2 for b1, b2 in zip(self.b_fields, self.b_fields[1:])):
-            raise InvalidParameterError("b_fields must be strictly increasing")
-        if not self.dense_prefix >= 0.0:
-            raise InvalidParameterError(f"dense_prefix must be non-negative, got {self.dense_prefix}")
-        known = set().union(*METRIC_SETS.values())
-        unknown = set(self.metrics) - known
-        if unknown:
-            raise InvalidParameterError(f"unknown metrics {sorted(unknown)}; known: {sorted(known)}")
-
-
 @dataclass
 class SweepRow:
     b_field: float
@@ -192,7 +154,6 @@ SWEEP_COLUMNS = {
 
 @dataclass
 class SweepTable:
-    request: SweepRequest
     rows: list[SweepRow]
 
     def column(self, name: str) -> list:
@@ -203,37 +164,36 @@ class SweepTable:
         write_csv(path, header_lines, columns)
 
 
-def trajectory_for_field(request: SweepRequest, b_field: float) -> CorrelationTrajectory:
+def trajectory_for_field(config: RunConfig, b_field: float) -> CorrelationTrajectory:
     """Channel + evolution for one field value of a sweep."""
-    dot = replace(request.dot_template, b_field=b_field)
-    t_max = request.t_max
-    if "longtime" in request.metrics:
-        t_max = max(t_max, request.longtime_window[1])
+    state0 = make_state(parse_state_spec(config.state))
+    dot = config.dot(b_field)
+    t_max = config.t_max
+    if "longtime" in METRIC_SETS[config.metric]:
+        t_max = max(t_max, config.longtime_window[1])
     times = build_time_grid(
-        t_max, dt=request.dt, dt_long=request.dt_long, dense_prefix=request.dense_prefix
+        t_max, dt=config.dt, dt_long=config.dt_long, dense_prefix=config.dense_prefix
     )
-    quad = build_quadrature(dot, float(times.max()), m_count=request.m_nodes, q_count=request.q_nodes)
+    quad = build_quadrature(dot, float(times.max()), m_count=config.m_nodes, q_count=config.q_nodes)
     chan = compute_channel(dot, times, quad)
-    state0 = make_state(request.state_spec)
-    return evolve(
-        state0, chan, drop_zeeman_phase=request.drop_zeeman_phase, pairing=request.pairing
-    )
+    return evolve(state0, chan, drop_zeeman_phase=config.drop_zeeman_phase, pairing=config.pairing)
 
 
-def _sweep_row(args: tuple[SweepRequest, float]) -> SweepRow:
-    request, b = args
-    traj = trajectory_for_field(request, b)
+def _sweep_row(args: tuple[RunConfig, float]) -> SweepRow:
+    config, b = args
+    metrics = METRIC_SETS[config.metric]
+    traj = trajectory_for_field(config, b)
     row = SweepRow(b_field=b)
-    if "M" in request.metrics:
-        row.m_lower, row.m_upper = rescaled_integral(traj, request.m_window)
-    if "g-extrema" in request.metrics:
+    if "M" in metrics:
+        row.m_lower, row.m_upper = rescaled_integral(traj, config.m_window)
+    if "g-extrema" in metrics:
         row.g_min, row.g_max = first_min_then_max(traj.times, traj.g)
-    if "kinks" in request.metrics:
+    if "kinks" in metrics:
         row.kink_times = [e.t_cross_ns for e in find_g_crossings(traj.times, traj.g)]
-    if "esd" in request.metrics:
+    if "esd" in metrics:
         row.esd_time_ns = esd_time(traj.times, traj.concurrence)
-    if "longtime" in request.metrics:
-        row.d_longtime = long_time_discord(traj, request.longtime_window)
+    if "longtime" in metrics:
+        row.d_longtime = long_time_discord(traj, config.longtime_window)
     return row
 
 
@@ -251,16 +211,21 @@ def worker_count(explicit: int | None = None) -> int:
     return count
 
 
-def run_sweep(request: SweepRequest, workers: int | None = None) -> SweepTable:
-    """Execute the sweep; rows are keyed by field order, independent of workers."""
-    n_workers = worker_count(workers)
-    jobs = [(request, b) for b in request.b_fields]
+def run_sweep(config: RunConfig) -> SweepTable:
+    """Run `config` over its fields; rows are keyed by field order, independent of workers."""
+    b_fields = config.b_fields
+    if len(b_fields) == 0:
+        raise InvalidParameterError("sweep needs at least one field value")
+    if any(b1 >= b2 for b1, b2 in zip(b_fields, b_fields[1:])):
+        raise InvalidParameterError("b_fields must be strictly increasing")
+    n_workers = worker_count(config.workers)
+    jobs = [(config, b) for b in b_fields]
     if n_workers == 1 or len(jobs) == 1:
         rows = [_sweep_row(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_row, jobs))
-    return SweepTable(request=request, rows=rows)
+    return SweepTable(rows=rows)
 
 
 # ---------------------------------------------------------------------------

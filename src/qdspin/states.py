@@ -57,7 +57,7 @@ _ORDERING_PERM = {
 
 
 def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL_CONSTRUCTION) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return min eigenvalue array-free."""
+    """Check Hermiticity, unit trace and positivity; return the validated matrix as complex."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidParameterError(f"density matrix must be 4x4, got shape {rho.shape}")

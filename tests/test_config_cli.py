@@ -336,6 +336,49 @@ def test_cli_output_into_missing_directory_is_usage_error(command, flag, tmp_pat
     assert not (tmp_path / "ok.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_cli_bad_state_spec_exits_before_channel_work(command, tmp_path, capsys, monkeypatch):
+    def no_channel_work(*args, **kwargs):
+        raise AssertionError("channel work started before the state was made")
+
+    monkeypatch.setattr("qdspin.cli.compute_channel", no_channel_work)
+    monkeypatch.setattr("qdspin.magnetometry.compute_channel", no_channel_work)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    code = main([command, "--state", "bogus:1", "--b", "1", "--tmax", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "bogus" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+@pytest.mark.parametrize("b", ["nan:1:0.1", "1:2:nan", "0:inf:1", "abc", "0.01,x"])
+def test_cli_non_finite_field_is_usage_error(command, b, tmp_path, capsys):
+    code = main([command, "--state", "bell:psi-", "--b", b, "--tmax", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "not a finite number" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_sweep_config_echo_reproduces_the_run(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "dense_prefix": 110.0, "m_window": [0.0, 10.0],
+                               "longtime_window": [100.0, 120.0]}))
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    code = main(["sweep", "--config", str(cfg), "--metric", "all", "--b", "0.001,0.01",
+                 "--state", "werner:p=0.33", "--out", str(first)])
+    assert code == 0
+    echo = next(l for l in first.read_text().splitlines() if l.startswith("# config="))
+    applied = json.loads(echo.removeprefix("# config="))
+    defaults = RunConfig()
+    for name in ("dt", "dense_prefix", "m_window", "longtime_window", "metric"):
+        assert applied[name] != getattr(defaults, name)
+    (tmp_path / "echo.json").write_text(json.dumps(applied))
+    assert main(["sweep", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize("kind", ["directory", "fifo"])
 def test_cli_output_not_a_regular_file_is_usage_error(kind, tmp_path, capsys, monkeypatch):
     def no_channel_work(*args, **kwargs):

@@ -243,7 +243,7 @@ def test_refined_g_crossings_matches_hand_rolled_bisection():
     def g_exact(t):
         return float(q.evolve(state0, q.compute_channel(dot, np.array([t]), quad)).g[0])
 
-    expected = find_g_crossings(traj.times, traj.g, refine=g_exact, slope_series=traj.d_lower)
+    expected = find_g_crossings(traj.times, traj.g, refine=g_exact)
     assert len(expected) == 1
     assert refined_g_crossings(traj, quad) == expected
 

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import qdspin as q
+from qdspin.config import RunConfig
 from qdspin.evolution import build_time_grid
 from qdspin.magnetometry import (
     MonotonicityError,
     NormalizationError,
-    SweepRequest,
     first_min_then_max,
     rescaled_integral,
     run_sweep,
@@ -17,15 +19,12 @@ from qdspin.constants import InvalidParameterError
 
 @pytest.fixture(scope="module")
 def werner_traj_10mt():
-    request = SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.01,), metrics=("M",))
-    return trajectory_for_field(request, 0.01)
+    return trajectory_for_field(RunConfig(state="werner:p=0.33"), 0.01)
 
 
 def test_m_normalization_sanity():
     # constant D(t) = D(0) over the window integrates to the window length
-    tr = trajectory_for_field(
-        SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0,), metrics=("M",)), 0.0
-    )
+    tr = trajectory_for_field(RunConfig(state="werner:p=0.33"), 0.0)
     tr.d_lower = np.full_like(tr.d_lower, tr.d_lower[0])
     tr.d_upper = tr.d_lower.copy()
     m_lo, m_hi = rescaled_integral(tr)
@@ -35,19 +34,17 @@ def test_m_normalization_sanity():
 
 def test_m_requires_initial_discord(werner_traj_10mt):
     tr = werner_traj_10mt
-    tr_zero = trajectory_for_field(
-        SweepRequest(state_spec=q.Werner(0.0), b_fields=(0.01,), metrics=("M",)), 0.01
-    )
+    tr_zero = trajectory_for_field(RunConfig(state="werner:p=0"), 0.01)
     with pytest.raises(NormalizationError):
         rescaled_integral(tr_zero)
     assert rescaled_integral(tr)[0] > 0.0
 
 
 def test_m_integration_step_convergence():
-    request = SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.02,), metrics=("M",), dt=0.02)
-    request_fine = SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.02,), metrics=("M",), dt=0.01)
-    m_coarse = rescaled_integral(trajectory_for_field(request, 0.02))[0]
-    m_fine = rescaled_integral(trajectory_for_field(request_fine, 0.02))[0]
+    config = RunConfig(state="werner:p=0.33", dt=0.02)
+    config_fine = RunConfig(state="werner:p=0.33", dt=0.01)
+    m_coarse = rescaled_integral(trajectory_for_field(config, 0.02))[0]
+    m_fine = rescaled_integral(trajectory_for_field(config_fine, 0.02))[0]
     assert abs(m_coarse - m_fine) < 1e-4 * m_coarse
 
 
@@ -64,28 +61,24 @@ def test_esd_time_rules():
 
 
 def test_esd_separable_werner():
-    tr = trajectory_for_field(
-        SweepRequest(state_spec=q.Werner(0.2), b_fields=(0.011,), metrics=("esd",)), 0.011
-    )
+    tr = trajectory_for_field(RunConfig(state="werner:p=0.2", metric="esd"), 0.011)
     assert q.esd_time(tr.times, tr.concurrence) == 0.0
 
 
 def test_first_min_then_max_b0_returns_none():
-    tr = trajectory_for_field(
-        SweepRequest(state_spec=q.Bell("psi-"), b_fields=(0.0,), metrics=("g-extrema",), t_max=50.0),
-        0.0,
-    )
+    tr = trajectory_for_field(RunConfig(state="bell:psi-", metric="g-extrema", t_max=50.0), 0.0)
     g_min, g_max = first_min_then_max(tr.times, tr.g)
     assert g_min is None and g_max is None
 
 
 def test_sweep_table_and_csv(tmp_path):
-    request = SweepRequest(
-        state_spec=q.Werner(0.33),
-        b_fields=(0.0, 0.02, 0.05),
-        metrics=("M", "esd", "kinks"),
+    config = RunConfig(
+        state="werner:p=0.33",
+        b_fields=[0.0, 0.02, 0.05],
+        metric="all",
+        longtime_window=[15.0, 20.0],
     )
-    table = run_sweep(request)
+    table = run_sweep(config)
     assert [r.b_field for r in table.rows] == [0.0, 0.02, 0.05]
     ms = table.column("m_lower")
     assert ms[0] < ms[1] < ms[2]
@@ -98,29 +91,26 @@ def test_sweep_table_and_csv(tmp_path):
 
 def test_sweep_rejects_bad_requests():
     with pytest.raises(InvalidParameterError):
-        SweepRequest(state_spec=q.Werner(0.33), b_fields=(), metrics=("M",))
+        run_sweep(RunConfig(state="werner:p=0.33", b_fields=[]))
     with pytest.raises(InvalidParameterError):
-        SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.1, 0.0), metrics=("M",))
+        run_sweep(RunConfig(state="werner:p=0.33", b_fields=[0.1, 0.0]))
     with pytest.raises(InvalidParameterError):
-        SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0, 0.0, 0.001), metrics=("M",))
+        run_sweep(RunConfig(state="werner:p=0.33", b_fields=[0.0, 0.0, 0.001]))
     with pytest.raises(InvalidParameterError):
-        SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0,), metrics=("bogus",))
+        RunConfig(state="werner:p=0.33", metric="bogus")
 
 
 def test_sweep_workers_do_not_change_results():
-    request = SweepRequest(
-        state_spec=q.Werner(0.33), b_fields=(0.0, 0.03), metrics=("M",), dt=0.05
-    )
-    serial = run_sweep(request, workers=1)
-    parallel = run_sweep(request, workers=2)
+    config = RunConfig(state="werner:p=0.33", b_fields=[0.0, 0.03], dt=0.05, workers=1)
+    serial = run_sweep(config)
+    parallel = run_sweep(replace(config, workers=2))
     for a, b in zip(serial.rows, parallel.rows):
         assert a.m_lower == b.m_lower and a.m_upper == b.m_upper
 
 
 def test_sweep_rejects_non_positive_worker_count():
-    request = SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0,), metrics=("M",))
     with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
-        run_sweep(request, workers=0)
+        run_sweep(RunConfig(state="werner:p=0.33", workers=0))
 
 
 def test_calibration_curve_and_inversion():
@@ -150,13 +140,13 @@ def test_inversion_refuses_non_monotone():
 
 def test_calibration_from_sweep_g_extrema():
     # the g-minimum depth is non-monotone in field; the g-maximum value is monotone
-    request = SweepRequest(
-        state_spec=q.Bell("psi-"),
-        b_fields=(0.5e-3, 1.5e-3, 3e-3, 5e-3),
-        metrics=("g-extrema",),
+    config = RunConfig(
+        state="bell:psi-",
+        b_fields=[0.5e-3, 1.5e-3, 3e-3, 5e-3],
+        metric="g-extrema",
         t_max=50.0,
     )
-    table = run_sweep(request)
+    table = run_sweep(config)
     max_curve = q.calibration_curve(table, "g_max_value")
     assert max_curve.monotone
     est = q.invert_field(max_curve, float(np.mean(max_curve.values[1:3])))

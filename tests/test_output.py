@@ -111,7 +111,6 @@ def test_trajectory_nan_g_prints_empty(tmp_path, chan_100mt):
 
 
 def test_sweep_csv_matches_oracle(tmp_path):
-    request = q.SweepRequest(state_spec=q.Werner(0.33), b_fields=(0.0, 0.011, 0.02))
     rows = [
         SweepRow(b_field=np.float64(0.0)),
         SweepRow(b_field=0.011, m_lower=5.127690168165193, m_upper=5.2,
@@ -120,7 +119,7 @@ def test_sweep_csv_matches_oracle(tmp_path):
                  kink_times=[4.670152891234, 8.1096538912], esd_time_ns=5.55, d_longtime=3.0045e-05),
         SweepRow(b_field=0.02, m_lower=6.4, kink_times=[1e-7], d_longtime=0.0),
     ]
-    table = q.SweepTable(request=request, rows=rows)
+    table = q.SweepTable(rows=rows)
     path = tmp_path / "sweep.csv"
     table.to_csv(path, header_lines=HEADERS)
     text = path.read_text()
