@@ -50,15 +50,12 @@ from .measures import (
     concurrence,
     discord_bounds,
     g_ratio,
-    geometric_discord_lower,
-    geometric_discord_upper,
     oracle_one_sided_discord,
     rescaled_discord,
 )
 from .states import (
     Bell,
     BellDiagonal,
-    BellDiagonalParams,
     BlochForm,
     EntFamily,
     Ordering,

@@ -19,7 +19,7 @@ from .config import RunConfig
 from .constants import DotParameters
 from .evolution import build_time_grid, evolve, find_g_crossings, refined_g_crossings
 from .magnetometry import esd_time, first_min_then_max, run_sweep
-from .measures import concurrence, discord_bounds, geometric_discord_lower, oracle_one_sided_discord
+from .measures import concurrence, discord_bounds, oracle_one_sided_discord
 from .states import (
     Bell,
     BellDiagonal,
@@ -174,7 +174,7 @@ def check_6_discord_anchors(cache: RunCache) -> CheckResult:
     worst_ent = 0.0
     for _ in range(100):
         spec = EntFamily(a=0.5 * rng.uniform(), alpha=rng.uniform(0, 2 * np.pi), beta=rng.uniform(0, 2 * np.pi))
-        worst_ent = max(worst_ent, abs(geometric_discord_lower(make_state(spec)) - 0.5))
+        worst_ent = max(worst_ent, abs(discord_bounds(make_state(spec)).ds_lower - 0.5))
 
     def coincide_gap(state: TwoQubitState) -> float:
         b = discord_bounds(state)

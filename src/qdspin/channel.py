@@ -69,6 +69,7 @@ from .constants import (
 
 DEGENERATE_BLOCK_E2 = 1e-30      # ueV^2; below this a block acts as identity
 CP_MARGIN_HARD = 1e-4            # beyond this the quadrature is under-resolved
+CP_AUDIT_TOL = 1e-12             # `CpReport.ok` allows this much on |c| <= 1-p and on p
 VALIDITY_GRACE = 1.05            # hbar*N/A is an estimate; allow 5% on top
 FAST_NODES = 32                  # per axis, where their fast-term window covers t_max
 MIN_M_NODES = 257                # otherwise, with the phase term for n_m
@@ -284,10 +285,10 @@ class CpReport:
             )
 
 
-def verify_channel_cp(traj: ChannelTrajectory, eps: float = 1e-12) -> CpReport:
+def verify_channel_cp(traj: ChannelTrajectory) -> CpReport:
     """Per-time check 0 <= p <= 1 and |c| <= 1 - p; returns the worst margin.
 
-    `ok` applies `eps` to both conditions; callers with their own
+    `ok` applies CP_AUDIT_TOL to both conditions; callers with their own
     tolerances use `CpReport.require`.  The raw worst margin is always
     reported.
     """
@@ -296,7 +297,7 @@ def verify_channel_cp(traj: ChannelTrajectory, eps: float = 1e-12) -> CpReport:
     worst = float(margin[idx]) if margin.size else 1.0
     p_min = float(traj.p.min()) if traj.p.size else 0.0
     p_max = float(traj.p.max()) if traj.p.size else 0.0
-    ok = worst >= -eps and p_min >= -eps and p_max <= 1.0 + eps
+    ok = worst >= -CP_AUDIT_TOL and p_min >= -CP_AUDIT_TOL and p_max <= 1.0 + CP_AUDIT_TOL
     return CpReport(
         ok=ok,
         worst_margin=worst,

@@ -124,8 +124,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     quad = build_quadrature(dot, float(times.max()), m_count=config.m_nodes, q_count=config.q_nodes)
     chan = compute_channel(dot, times, quad)
     traj = evolve(state0, chan, drop_zeeman_phase=config.drop_zeeman_phase, pairing=config.pairing)
-    kinks = refined_g_crossings(traj, quad, drop_zeeman_phase=config.drop_zeeman_phase,
-                                pairing=config.pairing)
+    kinks = refined_g_crossings(traj, quad, drop_zeeman_phase=config.drop_zeeman_phase)
     extra = {
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,

@@ -31,6 +31,7 @@ NORMALIZE_MODES = ("none", "initial", "half")
 PAIRINGS = tuple(p.value for p in UpperPairing)
 DEFAULT_M_WINDOW = (0.0, 20.0)
 DEFAULT_LONGTIME_WINDOW = (4000.0, 6000.0)
+MAX_FIELD_POINTS = 100_000  # fields a start:stop:step range may expand to
 # the metric names a sweep accepts; "all" extracts every metric
 METRIC_SETS = {
     "M": ("M",),
@@ -224,7 +225,12 @@ def parse_b_values(text: str) -> list[float]:
         start, stop, step = map(number, parts)
         if step <= 0:
             raise InvalidParameterError(f"field step must be positive, got {step}")
-        n = int(round((stop - start) / step))
+        span = (stop - start) / step
+        if not (math.isfinite(span) and round(span) < MAX_FIELD_POINTS):
+            raise InvalidParameterError(
+                f"field range {text!r} holds more than MAX_FIELD_POINTS = {MAX_FIELD_POINTS} fields"
+            )
+        n = int(round(span))
         if n < 0:
             raise InvalidParameterError(f"field range {text!r} is empty")
         values = [start + k * step for k in range(n + 1)]

@@ -20,38 +20,35 @@ import numpy as np
 from .channel import BathQuadrature, ChannelTrajectory, compute_channel, verify_channel_cp
 from .config import write_csv
 from .constants import InvalidParameterError
-from .measures import (
-    UpperPairing,
-    bounds_stack,
-    concurrence_stack,
-    g_ratio_stack,
-    rescaled_discord,
-)
+from .measures import UpperPairing, concurrence, discord_bounds, g_ratio
 from .states import (
     TRACE_TOL,
     TwoQubitState,
-    bell_params_stack,
-    bloch_decompose,
+    bell_diagonal_params,
     purity,
-    st_weights_stack,
+    singlet_triplet_weights,
 )
 
 EVOLVED_PSD_TOL = 1e-8  # audit tolerance for evolved states (construction is 1e-10)
+CP_TOL = 1e-9           # how far |c| may exceed 1 - p in a channel that is applied
 _P_RANGE_TOL = 1e-15    # round-off allowed on p outside [0, 1]
+G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
+PLATEAU_TOL = 0.0       # neighbouring samples this close form one plateau of find_extrema
+LONG_GRID_THRESHOLD_NS = 100.0  # t_max above this gets a dense prefix plus a coarse tail
 
 
 class ChannelError(InvalidParameterError):
     """Channel parameters violate complete positivity."""
 
 
-def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory, cp_tol: float = 1e-9) -> np.ndarray:
+def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory) -> np.ndarray:
     """(n, 4, 4) stack of the product channel applied to rho0 at every time of chan.
 
     Per qubit, (u, d) -> ((1-p)u + pd, pu + (1-p)d) and the off-diagonal
     element picks up c (c* for its conjugate).  The pairs (p, c) must be
-    completely positive: 0 <= p <= 1 and |c| <= 1 - p, up to cp_tol.
+    completely positive: 0 <= p <= 1 and |c| <= 1 - p, up to CP_TOL.
     """
-    verify_channel_cp(chan).require(cp_tol, _P_RANGE_TOL, ChannelError)
+    verify_channel_cp(chan).require(CP_TOL, _P_RANGE_TOL, ChannelError)
     n = chan.times.size
     # transfer tensor L[n, out_row, out_col, in_row, in_col] of the dot channel
     l_map = np.zeros((n, 2, 2, 2, 2), dtype=complex)
@@ -64,20 +61,14 @@ def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory, cp_tol: float = 1e-9
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
-def apply_channel(
-    state: TwoQubitState,
-    p: float,
-    c: complex,
-    psd_tol: float = EVOLVED_PSD_TOL,
-    cp_tol: float = 1e-9,
-) -> TwoQubitState:
+def apply_channel(state: TwoQubitState, p: float, c: complex) -> TwoQubitState:
     """Apply the product channel for one (p, c) pair: populations mix by p, coherences scale by c.
 
     The same batched action as `evolve`, on a one-time trajectory.
     """
     chan = ChannelTrajectory(times=np.zeros(1), p=np.array([p], dtype=float),
                              c=np.array([c], dtype=complex), dot=None)
-    return TwoQubitState(_evolved_rho(state.rho, chan, cp_tol)[0], state.ordering, psd_tol=psd_tol)
+    return TwoQubitState(_evolved_rho(state.rho, chan)[0], state.ordering, psd_tol=EVOLVED_PSD_TOL)
 
 
 def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -173,21 +164,20 @@ def evolve(
     c_eff = effective_coherence(traj, drop_zeeman_phase)
     rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
     min_eig = _audit_evolved(rho, traj.times)
-    ds_lower, ds_upper = bounds_stack(bloch_decompose(rho), pairing)
-    pur = purity(rho)
-    bell_a, bell_b = bell_params_stack(rho, state0.ordering)
+    bounds = discord_bounds(rho, pairing)
+    bell_a, bell_b = bell_diagonal_params(rho, state0.ordering)
     return CorrelationTrajectory(
         times=traj.times.copy(),
         p=traj.p.copy(),
         c=c_eff,
-        ds_lower=ds_lower,
-        ds_upper=ds_upper,
-        d_lower=rescaled_discord(ds_lower, pur),
-        d_upper=rescaled_discord(ds_upper, pur),
-        purity=pur,
-        g=g_ratio_stack(rho),
-        concurrence=concurrence_stack(rho),
-        st_weights=st_weights_stack(rho),
+        ds_lower=bounds.ds_lower,
+        ds_upper=bounds.ds_upper,
+        d_lower=bounds.rescaled_lower,
+        d_upper=bounds.rescaled_upper,
+        purity=purity(rho),
+        g=g_ratio(rho),
+        concurrence=concurrence(rho),
+        st_weights=singlet_triplet_weights(rho),
         bell_a=bell_a,
         bell_b=bell_b,
         min_eigenvalue=min_eig,
@@ -224,13 +214,12 @@ class Extremum:
 def find_g_crossings(
     times: np.ndarray,
     g: np.ndarray,
-    band: float = 1e-6,
     refine: Callable[[float], float] | None = None,
     t_tol: float = 1e-6,
 ) -> list[KinkEvent]:
     """Sign-change crossings of g(t) - 1, refined by bisection.
 
-    Samples with |g - 1| <= band count as on the boundary; a crossing
+    Samples with |g - 1| <= G_BAND count as on the boundary; a crossing
     requires passing from strictly above to strictly below (or vice
     versa), so tangential touches and boundary noise are excluded.  When
     `refine` is given (an exact evaluator t -> g(t)), roots are bisected
@@ -240,8 +229,8 @@ def find_g_crossings(
     g = np.asarray(g, dtype=float)
     finite = np.isfinite(g)
     side = np.zeros(times.size, dtype=int)
-    side[finite & (g > 1.0 + band)] = 1
-    side[finite & (g < 1.0 - band)] = -1
+    side[finite & (g > 1.0 + G_BAND)] = 1
+    side[finite & (g < 1.0 - G_BAND)] = -1
 
     events: list[KinkEvent] = []
     last_side = 0
@@ -278,17 +267,17 @@ def refined_g_crossings(
     traj: CorrelationTrajectory,
     quad: BathQuadrature,
     drop_zeeman_phase: bool = True,
-    pairing: UpperPairing = UpperPairing.PRINTED,
 ) -> list[KinkEvent]:
     """g = 1 crossings of `traj`, each bisected on exact single-time evolutions.
 
     Every bisection step evaluates the channel model `quad` of the
     trajectory's dot at one time, reusing its node data, and evolves the
-    trajectory's start state with it.
+    trajectory's start state with it.  g does not depend on the discord
+    bounds' pairing, so the steps evolve on the default one.
     """
     def g_exact(t: float) -> float:
         single = compute_channel(traj.dot, np.array([t]), quad)
-        evolved = evolve(traj.state0, single, drop_zeeman_phase=drop_zeeman_phase, pairing=pairing)
+        evolved = evolve(traj.state0, single, drop_zeeman_phase=drop_zeeman_phase)
         return float(evolved.g[0])
 
     return find_g_crossings(traj.times, traj.g, refine=g_exact)
@@ -298,11 +287,10 @@ def find_extrema(
     times: np.ndarray,
     values: np.ndarray,
     min_prominence: float = 0.0,
-    plateau_tol: float = 0.0,
 ) -> list[Extremum]:
     """Interior local extrema by discrete comparison with parabolic refinement.
 
-    Runs of samples equal to within plateau_tol collapse to one event at
+    Runs of samples equal to within PLATEAU_TOL collapse to one event at
     the plateau center.  min_prominence filters noise: a peak must rise at
     least that far above the lower of the valleys separating it from
     higher terrain on each side (symmetrically for minima).
@@ -315,7 +303,7 @@ def find_extrema(
     # collapse plateaus to representative samples (center index of each run)
     reps = [0]
     for i in range(1, times.size):
-        if abs(values[i] - values[reps[-1]]) <= plateau_tol:
+        if abs(values[i] - values[reps[-1]]) <= PLATEAU_TOL:
             continue
         reps.append(i)
     run_centers: list[int] = []
@@ -381,9 +369,8 @@ def build_time_grid(
     dt: float = 0.02,
     dt_long: float = 2.0,
     dense_prefix: float = 50.0,
-    long_threshold: float = 100.0,
 ) -> np.ndarray:
-    """Default grids: uniform dt up to `long_threshold`, else a dense prefix plus coarse tail.
+    """Default grids: uniform dt up to LONG_GRID_THRESHOLD_NS, else a dense prefix plus coarse tail.
 
     A dense prefix longer than t_max is cut at t_max.
     """
@@ -392,7 +379,7 @@ def build_time_grid(
             raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
     if not dense_prefix >= 0.0:
         raise InvalidParameterError(f"dense_prefix must be non-negative, got {dense_prefix}")
-    if t_max <= long_threshold:
+    if t_max <= LONG_GRID_THRESHOLD_NS:
         n = int(round(t_max / dt))
         return np.linspace(0.0, n * dt, n + 1)
     dense_prefix = min(dense_prefix, t_max)

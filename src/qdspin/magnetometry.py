@@ -45,6 +45,8 @@ from .states import make_state
 
 WORKERS_ENV = "QDSPIN_WORKERS"
 G_EXTREMUM_PROMINENCE = 1e-4
+ESD_MIN_RUN = 5          # samples the concurrence must stay dead to mark sudden death
+ESD_ZERO_TOL = 1e-12     # concurrence at or below this counts as dead
 
 
 class NormalizationError(QdspinError, ZeroDivisionError):
@@ -77,9 +79,9 @@ def rescaled_integral(
     return m_lower, m_upper
 
 
-def esd_time(times: np.ndarray, conc: np.ndarray, min_run: int = 5, zero_tol: float = 1e-12) -> float | None:
-    """First time the concurrence reaches zero and stays there >= min_run samples."""
-    dead = np.asarray(conc) <= zero_tol
+def esd_time(times: np.ndarray, conc: np.ndarray) -> float | None:
+    """First time the concurrence reaches zero and stays there >= ESD_MIN_RUN samples."""
+    dead = np.asarray(conc) <= ESD_ZERO_TOL
     n = dead.size
     i = 0
     while i < n:
@@ -89,7 +91,7 @@ def esd_time(times: np.ndarray, conc: np.ndarray, min_run: int = 5, zero_tol: fl
         j = i
         while j < n and dead[j]:
             j += 1
-        if (j - i) >= min_run:
+        if (j - i) >= ESD_MIN_RUN:
             return float(times[i])
         i = j
     return None
@@ -106,12 +108,10 @@ def long_time_discord(
     return float(np.mean(traj.d_lower[mask]))
 
 
-def first_min_then_max(
-    times: np.ndarray, g: np.ndarray, min_prominence: float = G_EXTREMUM_PROMINENCE
-) -> tuple[Extremum | None, Extremum | None]:
+def first_min_then_max(times: np.ndarray, g: np.ndarray) -> tuple[Extremum | None, Extremum | None]:
     """First local minimum of g(t) and the first local maximum after it."""
     finite = np.isfinite(g)
-    events = find_extrema(times[finite], g[finite], min_prominence=min_prominence)
+    events = find_extrema(times[finite], g[finite], min_prominence=G_EXTREMUM_PROMINENCE)
     g_min = next((e for e in events if e.kind is ExtremumKind.MINIMUM), None)
     if g_min is None:
         return None, None

@@ -20,12 +20,15 @@ from .states import (
     BlochForm,
     PAULI_Y,
     TwoQubitState,
+    _rho,
     bloch_decompose,
     purity,
 )
 
 RESCALE_PREFACTOR = 0.5 * (1.0 - math.sqrt(3.0) / 2.0)
 TOP_CLUSTER_GAP = 1e-10  # eigenvalues this close to the top of K count as degenerate with it
+COINCIDE_TOL = 1e-9      # bounds closer than this count as coinciding
+G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denominator of g
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -43,11 +46,17 @@ class UpperPairing(enum.Enum):
 
 @dataclass(frozen=True)
 class DiscordBounds:
-    ds_lower: float
-    ds_upper: float
-    rescaled_lower: float
-    rescaled_upper: float
-    coincide: bool
+    """Geometric-discord bounds and their rescaled versions.
+
+    Each field is a numpy scalar for one state and an array over the
+    leading axes for a stack.
+    """
+
+    ds_lower: np.ndarray
+    ds_upper: np.ndarray
+    rescaled_lower: np.ndarray
+    rescaled_upper: np.ndarray
+    coincide: np.ndarray
 
 
 class Regime(enum.Enum):
@@ -63,9 +72,7 @@ class BellDiagonalDiscord:
     g: float
 
 
-def bounds_stack(
-    form: BlochForm, pairing: UpperPairing = UpperPairing.PRINTED
-) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(form: BlochForm, pairing: UpperPairing) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper geometric-discord bounds of a Bloch form (one state or a stack).
 
     Side A is measured through K_x = x x^T + T T^T, side B through
@@ -97,22 +104,6 @@ def bounds_stack(
     return lower, np.maximum(upper, lower)
 
 
-def _bloch(state: TwoQubitState | BlochForm) -> BlochForm:
-    return state if isinstance(state, BlochForm) else bloch_decompose(state)
-
-
-def geometric_discord_lower(state: TwoQubitState | BlochForm) -> float:
-    """Closed-form lower bound: max over both measured sides of (Tr K - k_max)/4."""
-    return float(bounds_stack(_bloch(state))[0])
-
-
-def geometric_discord_upper(
-    state: TwoQubitState | BlochForm, pairing: UpperPairing = UpperPairing.PRINTED
-) -> float:
-    """Closed-form upper bound; see bounds_stack for the degenerate-top handling."""
-    return float(bounds_stack(_bloch(state), pairing)[1])
-
-
 def rescaled_discord(ds: float, purity_value: float) -> float:
     """Purity-rescaled discord: p0 * (1 - sqrt(1 - ds / (2 purity))).
 
@@ -135,20 +126,22 @@ def rescaled_discord(ds: float, purity_value: float) -> float:
 
 
 def discord_bounds(
-    state: TwoQubitState,
-    pairing: UpperPairing = UpperPairing.PRINTED,
-    coincide_tol: float = 1e-9,
+    state: TwoQubitState | np.ndarray, pairing: UpperPairing = UpperPairing.PRINTED
 ) -> DiscordBounds:
-    """Both geometric-discord bounds plus their rescaled versions."""
-    ds = np.array(bounds_stack(bloch_decompose(state), pairing))
-    lower, upper = ds.tolist()
-    rescaled_lower, rescaled_upper = rescaled_discord(ds, purity(state)).tolist()
+    """Both geometric-discord bounds plus their rescaled versions.
+
+    Takes one state, a 4x4 matrix or a (..., 4, 4) stack; see _bounds for
+    the closed forms and the degenerate-top handling.
+    """
+    rho = _rho(state)
+    lower, upper = _bounds(bloch_decompose(rho), pairing)
+    rescaled_lower, rescaled_upper = rescaled_discord(np.array([lower, upper]), purity(rho))
     return DiscordBounds(
         ds_lower=lower,
         ds_upper=upper,
         rescaled_lower=rescaled_lower,
         rescaled_upper=rescaled_upper,
-        coincide=abs(upper - lower) < coincide_tol,
+        coincide=abs(upper - lower) < COINCIDE_TOL,
     )
 
 
@@ -180,35 +173,27 @@ def bell_diagonal_discord(a: float, b: complex) -> BellDiagonalDiscord:
     return BellDiagonalDiscord(ds=ds, regime=regime, g=g)
 
 
-def g_ratio_stack(rho: np.ndarray, zero_tol: float = 1e-14) -> np.ndarray:
-    """g of a (..., 4, 4) stack; see g_ratio."""
-    txx = np.abs(np.real(rho[..., 0, 3] + rho[..., 1, 2] + rho[..., 2, 1] + rho[..., 3, 0]))
-    tzz = np.abs(np.real(rho[..., 0, 0] - rho[..., 1, 1] - rho[..., 2, 2] + rho[..., 3, 3]))
-    zero = tzz < zero_tol
-    ratio = txx / np.where(zero, 1.0, tzz)
-    return np.where(zero, np.where(txx >= zero_tol, np.inf, np.nan), ratio)
-
-
-def g_ratio(state: TwoQubitState, zero_tol: float = 1e-14) -> float:
-    """|Tr(sx x sx rho)| / |Tr(sz x sz rho)|.
+def g_ratio(state: TwoQubitState | np.ndarray) -> np.ndarray:
+    """|Tr(sx x sx rho)| / |Tr(sz x sz rho)| of one state or a (..., 4, 4) stack.
 
     Absolute values make the ratio coincide with 2|b|/|1-4a| on X-pattern
     states.  Returns +inf for a vanishing denominator with finite
     numerator and nan (undefined) for 0/0.
     """
-    return float(g_ratio_stack(state.rho, zero_tol))
+    rho = _rho(state)
+    txx = np.abs(np.real(rho[..., 0, 3] + rho[..., 1, 2] + rho[..., 2, 1] + rho[..., 3, 0]))
+    tzz = np.abs(np.real(rho[..., 0, 0] - rho[..., 1, 1] - rho[..., 2, 2] + rho[..., 3, 3]))
+    zero = tzz < G_ZERO_TOL
+    ratio = txx / np.where(zero, 1.0, tzz)
+    return np.where(zero, np.where(txx >= G_ZERO_TOL, np.inf, np.nan), ratio)[()]
 
 
-def concurrence_stack(rho: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of a (..., 4, 4) stack."""
+def concurrence(state: TwoQubitState | np.ndarray) -> np.ndarray:
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of one state or a (..., 4, 4) stack."""
+    rho = _rho(state)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
     lam = np.sort(np.sqrt(np.clip(np.real(np.linalg.eigvals(rho @ rho_tilde)), 0.0, None)), axis=-1)
     return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
-
-
-def concurrence(state: TwoQubitState) -> float:
-    """Wootters concurrence max(0, l1 - l2 - l3 - l4)."""
-    return float(concurrence_stack(state.rho))
 
 
 # ---------------------------------------------------------------------------

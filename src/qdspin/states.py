@@ -28,6 +28,7 @@ from .constants import InvalidParameterError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL_CONSTRUCTION = 1e-10
+PATTERN_TOL = 1e-10  # largest entry deviation from the Bell-diagonal X pattern still of that form
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -57,18 +58,22 @@ _ORDERING_PERM = {
 
 
 def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL_CONSTRUCTION) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the validated matrix as complex."""
+    """Check finiteness, Hermiticity, unit trace and positivity; return the validated matrix as complex."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidParameterError(f"density matrix must be 4x4, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        i, j = np.argwhere(~np.isfinite(rho))[0]
+        raise InvalidParameterError(f"density matrix entry ({i}, {j}) is not finite: {rho[i, j]}")
+    # each test is written so that a NaN fails it
     herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > HERMITICITY_TOL:
+    if not herm <= HERMITICITY_TOL:
         raise InvalidParameterError(f"matrix not Hermitian: max asymmetry {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidParameterError(f"trace must be 1, got {tr:.15g}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < -psd_tol:
+    if not min_eig >= -psd_tol:
         raise InvalidParameterError(f"matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
     return rho
 
@@ -271,35 +276,34 @@ def _expectation(rho: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return np.real((ket.conj() @ rho)[..., None, :] @ ket[:, None])[..., 0, 0]
 
 
-def st_weights_stack(rho: np.ndarray) -> np.ndarray:
-    """(..., 4) weights (w_Tm1, w_T0, w_Tp1, w_S0) of a (..., 4, 4) stack."""
+def singlet_triplet_weights(state: TwoQubitState | np.ndarray) -> np.ndarray:
+    """Projector weights (..., 4) = (w_Tm1, w_T0, w_Tp1, w_S0) in the total-spin basis.
+
+    T+1 = |uu>, T-1 = |dd>, T0/S0 the symmetric/antisymmetric combinations
+    of |ud>, |du>.  The four weights always sum to Tr rho = 1.  Takes one
+    state, a 4x4 matrix or a (..., 4, 4) stack.
+    """
+    rho = _rho(state)
     return np.stack(
         [rho[..., 3, 3].real, _expectation(rho, _KET_T0), rho[..., 0, 0].real, _expectation(rho, _KET_S0)],
         axis=-1,
     )
 
 
-def singlet_triplet_weights(state: TwoQubitState) -> tuple[float, float, float, float]:
-    """Projector weights (w_Tm1, w_T0, w_Tp1, w_S0) in the total-spin basis.
-
-    T+1 = |uu>, T-1 = |dd>, T0/S0 the symmetric/antisymmetric combinations
-    of |ud>, |du>.  The four weights always sum to Tr rho = 1.
-    """
-    return tuple(float(w) for w in st_weights_stack(state.rho))
-
-
-@dataclass(frozen=True)
-class BellDiagonalParams:
-    a: float
-    b: complex
-
-
-def bell_params_stack(
-    rho: np.ndarray, ordering: Ordering, pattern_tol: float = 1e-10
+def bell_diagonal_params(
+    state: TwoQubitState | np.ndarray, ordering: Ordering | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of a (..., 4, 4) stack, nan where a state is not of the X pattern."""
+    """(a, b) of the Bell-diagonal X pattern, nan where a state is not of that form.
+
+    The pattern is checked in the basis arrangement `ordering`, by default
+    the state's tag (PSI for a bare matrix or stack).  Not-of-form is a
+    value, not an error.  One state gives numpy scalars, a (..., 4, 4)
+    stack arrays over its leading axes.
+    """
+    if ordering is None:
+        ordering = state.ordering if isinstance(state, TwoQubitState) else Ordering.PSI
     perm = list(_ORDERING_PERM[ordering])
-    rho = rho[..., perm, :][..., perm]
+    rho = _rho(state)[..., perm, :][..., perm]
     diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
     a = 0.5 * (diag[..., 1] + diag[..., 2])
     outer = 0.5 * (diag[..., 0] + diag[..., 3])
@@ -309,21 +313,8 @@ def bell_params_stack(
     pattern[..., 1, 1] = pattern[..., 2, 2] = a
     pattern[..., 1, 2] = b
     pattern[..., 2, 1] = np.conj(b)
-    fits = (np.abs(rho - pattern).max(axis=(-2, -1)) <= pattern_tol) & (np.abs(outer - (0.5 - a)) <= pattern_tol)
-    return np.where(fits, a, np.nan), np.where(fits, b, complex(np.nan))
-
-
-def bell_diagonal_params(
-    state: TwoQubitState, pattern_tol: float = 1e-10
-) -> BellDiagonalParams | None:
-    """Extract (a, b) if the state matches the Bell-diagonal X pattern.
-
-    The pattern is checked in the basis arrangement named by the state's
-    ordering tag.  Returns None when the state is not of that form
-    (not-of-form is a value, not an error).
-    """
-    a, b = bell_params_stack(state.rho, state.ordering, pattern_tol)
-    return None if np.isnan(a) else BellDiagonalParams(a=float(a), b=complex(b))
+    fits = (np.abs(rho - pattern).max(axis=(-2, -1)) <= PATTERN_TOL) & (np.abs(outer - (0.5 - a)) <= PATTERN_TOL)
+    return np.where(fits, a, np.nan)[()], np.where(fits, b, complex(np.nan))[()]
 
 
 # ---------------------------------------------------------------------------

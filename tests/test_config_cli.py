@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 import qdspin as q
 from qdspin import magnetometry
 from qdspin.cli import main
-from qdspin.config import NORMALIZE_MODES, PAIRINGS, RunConfig, parse_b_values, parse_state_spec
+from qdspin.config import (
+    MAX_FIELD_POINTS,
+    NORMALIZE_MODES,
+    PAIRINGS,
+    RunConfig,
+    parse_b_values,
+    parse_state_spec,
+)
 from qdspin.constants import InvalidParameterError
 from qdspin.evolution import build_time_grid
 from qdspin.magnetometry import METRIC_SETS, WORKERS_ENV, worker_count
@@ -358,6 +365,38 @@ def test_cli_non_finite_field_is_usage_error(command, b, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "not a finite number" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_parse_b_values_bounds_the_point_count():
+    assert len(parse_b_values(f"0:{MAX_FIELD_POINTS - 1}:1")) == MAX_FIELD_POINTS
+    # one field more, a count beyond memory, and a count that overflows a float
+    for text in (f"0:{MAX_FIELD_POINTS}:1", "0:1:1e-12", "0:1e308:1e-308"):
+        with pytest.raises(InvalidParameterError, match="MAX_FIELD_POINTS"):
+            parse_b_values(text)
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_cli_field_range_past_the_point_bound_is_usage_error(command, tmp_path, capsys):
+    code = main([command, "--state", "bell:psi-", "--b", "0:1e308:1e-308", "--tmax", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "MAX_FIELD_POINTS" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["belldiag:a=0.4,b=nan", "phase:gamma=nan", "entfam:a=nan",
+                                  "entfam:a=0.25,alpha=inf", "raw"])
+def test_cli_non_finite_state_is_usage_error(spec, tmp_path, capsys):
+    if spec == "raw":
+        rho = np.eye(4) / 4.0
+        rho[1, 1] = np.nan
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(f"{x},0" for x in rho.ravel().tolist()) + "\n")
+        spec = f"raw:{path}"
+    code = main(["evolve", "--state", spec, "--b", "0.1", "--tmax", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "not finite" in _usage_error(capsys)["message"]
     assert not (tmp_path / "x.csv").exists()
 
 

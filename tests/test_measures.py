@@ -13,21 +13,21 @@ MIXED = q.TwoQubitState(np.eye(4, dtype=complex) / 4.0)
 
 
 def test_maximally_mixed_has_zero_discord():
-    assert q.geometric_discord_lower(MIXED) == pytest.approx(0.0, abs=1e-14)
-    assert q.geometric_discord_upper(MIXED) == pytest.approx(0.0, abs=1e-14)
+    assert q.discord_bounds(MIXED).ds_lower == pytest.approx(0.0, abs=1e-14)
+    assert q.discord_bounds(MIXED).ds_upper == pytest.approx(0.0, abs=1e-14)
     assert q.oracle_one_sided_discord(MIXED, grid_resolution=8) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bell_state_discord_half():
     for kind in ("phi+", "psi-"):
         state = q.make_state(q.Bell(kind))
-        assert q.geometric_discord_lower(state) == pytest.approx(0.5, abs=1e-12)
-        assert q.geometric_discord_upper(state) == pytest.approx(0.5, abs=1e-12)
+        assert q.discord_bounds(state).ds_lower == pytest.approx(0.5, abs=1e-12)
+        assert q.discord_bounds(state).ds_upper == pytest.approx(0.5, abs=1e-12)
 
 
 def test_werner_third_discord():
     state = q.make_state(q.Werner(1.0 / 3.0))
-    assert q.geometric_discord_lower(state) == pytest.approx(1.0 / 18.0, abs=1e-12)
+    assert q.discord_bounds(state).ds_lower == pytest.approx(1.0 / 18.0, abs=1e-12)
 
 
 def test_rescaled_discord_values():
@@ -79,7 +79,7 @@ def test_bell_diagonal_matches_general_formula(rng):
         a = rng.uniform(0.0, 0.5)
         b = a * rng.uniform(-1.0, 1.0)
         state = q.make_state(q.BellDiagonal(a, b))
-        assert q.geometric_discord_lower(state) == pytest.approx(
+        assert q.discord_bounds(state).ds_lower == pytest.approx(
             q.bell_diagonal_discord(a, b).ds, abs=1e-12
         )
 
@@ -190,7 +190,7 @@ def test_ent_family_anchor(rng):
         state = q.make_state(spec)
         # sqrt of near-zero eigenvalues limits concurrence accuracy to ~sqrt(eps)
         assert q.concurrence(state) == pytest.approx(1.0, abs=1e-7)
-        assert q.geometric_discord_lower(state) == pytest.approx(0.5, abs=1e-10)
+        assert q.discord_bounds(state).ds_lower == pytest.approx(0.5, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +262,8 @@ def test_upper_bound_cluster_rule_on_x_states(rng):
         k_x = np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T
         degenerate += np.diff(np.linalg.eigvalsh(k_x))[-1] < 1e-10
         for pairing in UpperPairing:
-            assert q.geometric_discord_upper(state, pairing) == pytest.approx(
-                max(_upper_reference(form, pairing), q.geometric_discord_lower(state)), abs=1e-15
+            assert q.discord_bounds(state, pairing).ds_upper == pytest.approx(
+                max(_upper_reference(form, pairing), q.discord_bounds(state).ds_lower), abs=1e-15
             )
     assert degenerate >= 10
 
@@ -271,25 +271,22 @@ def test_upper_bound_cluster_rule_on_x_states(rng):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
 def test_stacked_measures_match_single_state_calls(seed, n):
-    from qdspin.measures import bounds_stack, concurrence_stack, g_ratio_stack
-    from qdspin.states import bell_params_stack, st_weights_stack
-
+    # one function per measure: a stack gives, state by state, the bits of a one-state call
     rng = np.random.default_rng(seed)
     states = [random_density(rng) if k % 3 else q.make_state(q.BellDiagonal(0.3, 0.1 * rng.uniform()))
               for k in range(n)]
     rho = np.array([s.rho for s in states])
-    lower, upper = bounds_stack(q.bloch_decompose(rho))
-    conc, g, pur = concurrence_stack(rho), g_ratio_stack(rho), q.purity(rho)
-    weights = st_weights_stack(rho)
-    bell_a, bell_b = bell_params_stack(rho, q.Ordering.PSI)
+    stacked = q.discord_bounds(rho)
+    conc, g, pur = q.concurrence(rho), q.g_ratio(rho), q.purity(rho)
+    weights = q.singlet_triplet_weights(rho)
+    params = {o: q.bell_diagonal_params(rho, o) for o in q.Ordering}
     for k, state in enumerate(states):
         bounds = q.discord_bounds(state)
-        assert (lower[k], upper[k]) == (bounds.ds_lower, bounds.ds_upper)
+        for name in ("ds_lower", "ds_upper", "rescaled_lower", "rescaled_upper", "coincide"):
+            assert getattr(stacked, name)[k] == getattr(bounds, name)
         assert conc[k] == q.concurrence(state) and pur[k] == q.purity(state)
         assert g[k] == q.g_ratio(state)
-        assert tuple(weights[k]) == q.singlet_triplet_weights(state)
-        params = q.bell_diagonal_params(state)
-        if params is None:
-            assert np.isnan(bell_a[k])
-        else:
-            assert (bell_a[k], bell_b[k]) == (params.a, params.b)
+        assert np.array_equal(weights[k], q.singlet_triplet_weights(state))
+        for ordering, (bell_a, bell_b) in params.items():
+            a, b = q.bell_diagonal_params(state, ordering)
+            assert np.array_equal([bell_a[k], bell_b[k]], [a, b], equal_nan=True)
