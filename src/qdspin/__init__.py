@@ -26,7 +26,6 @@ from .constants import (
 from .evolution import (
     CorrelationTrajectory,
     KinkEvent,
-    apply_channel,
     build_time_grid,
     evolve,
     find_extrema,
@@ -45,7 +44,6 @@ from .magnetometry import (
 from .measures import (
     BellDiagonalDiscord,
     DiscordBounds,
-    UpperPairing,
     bell_diagonal_discord,
     concurrence,
     discord_bounds,

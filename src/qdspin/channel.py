@@ -31,11 +31,14 @@ reaches t_max (about 29 ns at defaults: every 20 ns grid), where they
 agree with 514 x 128 to 1.7e-14 up to 1 T (1.6e-13 at 5 T).  Longer
 grids take 257 x 64 nodes, or more m nodes where the e^{-i alpha m t /
 hbar} phase needs them (294 at 2000 ns, 1759 at 12 000 ns).  There the
-interference terms, which decay on the dephasing scale (a ~2e-5 remnant
-from near-frozen low-frequency blocks persists, measured directly), are
-dropped past the cutoff, leaving the slow difference terms whose phase
-is exactly resolved at every time; the handoff error is the tiny
-remnant above, far below every tolerance used downstream.
+interference terms, which decay on the dephasing scale, are dropped past
+the cutoff, leaving the slow difference terms whose phase is exactly
+resolved at every time.  Near-frozen low-frequency blocks keep part of
+the interference alive, so at low field the handoff leaves a step: on
+the default 12 000 ns model (1759 x 64 nodes, cutoff 73.09 ns) p jumps
+across the cutoff by 1.76e-4 at 0 mT and 1.18e-4 at 3 mT, and by less
+than 1e-18 at 1 T (cutoff 290 ns).  Converging that long-time level is
+open item 2 of ROADMAP.md.
 
 Evaluation: expanding the amplitude products leaves, per node, three
 frequency families with real amplitudes (p from 2w_ket, c from the slow
@@ -69,7 +72,6 @@ from .constants import (
 
 DEGENERATE_BLOCK_E2 = 1e-30      # ueV^2; below this a block acts as identity
 CP_MARGIN_HARD = 1e-4            # beyond this the quadrature is under-resolved
-CP_AUDIT_TOL = 1e-12             # `CpReport.ok` allows this much on |c| <= 1-p and on p
 VALIDITY_GRACE = 1.05            # hbar*N/A is an estimate; allow 5% on top
 FAST_NODES = 32                  # per axis, where their fast-term window covers t_max
 MIN_M_NODES = 257                # otherwise, with the phase term for n_m
@@ -142,11 +144,12 @@ def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple[np.ndarray, ...
     sigma = dot.sigma_m
     x, wx = roots_hermite(n_m)            # weight e^{-x^2}; m = sqrt(2) sigma x
     m_weights = wx / wx.sum()
-    y, wy = roots_laguerre(n_q)           # weight e^{-y}; Q = 2 sigma^2 y
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused below
+        y, wy = roots_laguerre(n_q)       # weight e^{-y}; Q = 2 sigma^2 y
     q_weights = wy / wy.sum()
     for name, w in (("m_weights", m_weights), ("q_weights", q_weights)):
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise QuadratureResolutionError(f"{name} must sum to 1, got {w.sum()!r}")
+        if not abs(float(w.sum()) - 1.0) <= 1e-9:  # NaN weights (too many nodes for scipy) fail too
+            raise QuadratureResolutionError(f"{name} of {w.size} nodes must sum to 1, got {float(w.sum())!r}")
     q_nodes = 2.0 * sigma * sigma * y
     if np.any(q_nodes <= 0.0):
         raise QuadratureResolutionError("all q_nodes must be positive")
@@ -267,7 +270,6 @@ class ChannelTrajectory:
 class CpReport:
     """Physicality audit of a channel trajectory: 0 <= p <= 1 and |c| <= 1 - p."""
 
-    ok: bool
     worst_margin: float
     worst_time_ns: float
     p_min: float
@@ -288,18 +290,14 @@ class CpReport:
 def verify_channel_cp(traj: ChannelTrajectory) -> CpReport:
     """Per-time check 0 <= p <= 1 and |c| <= 1 - p; returns the worst margin.
 
-    `ok` applies CP_AUDIT_TOL to both conditions; callers with their own
-    tolerances use `CpReport.require`.  The raw worst margin is always
-    reported.
+    Callers apply their own tolerances with `CpReport.require`.
     """
     margin = 1.0 - traj.p - np.abs(traj.c)
     idx = int(np.argmin(margin)) if margin.size else 0
     worst = float(margin[idx]) if margin.size else 1.0
     p_min = float(traj.p.min()) if traj.p.size else 0.0
     p_max = float(traj.p.max()) if traj.p.size else 0.0
-    ok = worst >= -CP_AUDIT_TOL and p_min >= -CP_AUDIT_TOL and p_max <= 1.0 + CP_AUDIT_TOL
     return CpReport(
-        ok=ok,
         worst_margin=worst,
         worst_time_ns=float(traj.times[idx]) if margin.size else 0.0,
         p_min=p_min,

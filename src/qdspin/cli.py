@@ -18,7 +18,6 @@ from .channel import build_quadrature, compute_channel
 from .config import (
     METRIC_SETS,
     NORMALIZE_MODES,
-    PAIRINGS,
     RunConfig,
     header_lines,
     parse_b_values,
@@ -60,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tmax", type=float, dest="t_max", help="evolution time, ns")
     common.add_argument("--dt", type=float, help="grid step, ns")
     common.add_argument("--normalize", choices=NORMALIZE_MODES)
-    common.add_argument("--upper-pairing", choices=PAIRINGS, dest="upper_pairing")
     common.add_argument("--workers", type=int, help="parallel workers (wall time only)")
     common.add_argument("--out", help="output CSV path")
 
@@ -123,8 +121,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
                             dense_prefix=config.dense_prefix)
     quad = build_quadrature(dot, float(times.max()), m_count=config.m_nodes, q_count=config.q_nodes)
     chan = compute_channel(dot, times, quad)
-    traj = evolve(state0, chan, drop_zeeman_phase=config.drop_zeeman_phase, pairing=config.pairing)
-    kinks = refined_g_crossings(traj, quad, drop_zeeman_phase=config.drop_zeeman_phase)
+    traj = evolve(state0, chan)
+    kinks = refined_g_crossings(traj, quad)
     extra = {
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constants import DotParameters, InvalidParameterError, PhysicalConstants
-from .measures import UpperPairing
 from .states import (
     Bell,
     BellDiagonal,
@@ -28,7 +27,6 @@ from .states import (
 )
 
 NORMALIZE_MODES = ("none", "initial", "half")
-PAIRINGS = tuple(p.value for p in UpperPairing)
 DEFAULT_M_WINDOW = (0.0, 20.0)
 DEFAULT_LONGTIME_WINDOW = (4000.0, 6000.0)
 MAX_FIELD_POINTS = 100_000  # fields a start:stop:step range may expand to
@@ -68,8 +66,6 @@ class RunConfig:
     m_nodes: int | None = None
     q_nodes: int | None = None
     normalize: str = "none"
-    upper_pairing: str = "printed"
-    drop_zeeman_phase: bool = True
     m_window: list[float] = field(default_factory=lambda: list(DEFAULT_M_WINDOW))
     longtime_window: list[float] = field(default_factory=lambda: list(DEFAULT_LONGTIME_WINDOW))
     metric: str = "M"
@@ -100,9 +96,7 @@ class RunConfig:
                 "workers", "a positive integer or null")
         require(isinstance(self.state, str), "state", "a state spec string")
         require(self.out is None or isinstance(self.out, str), "out", "a path string or null")
-        require(isinstance(self.drop_zeeman_phase, bool), "drop_zeeman_phase", "true or false")
-        for name, choices in (("normalize", NORMALIZE_MODES), ("upper_pairing", PAIRINGS),
-                              ("metric", tuple(METRIC_SETS))):
+        for name, choices in (("normalize", NORMALIZE_MODES), ("metric", tuple(METRIC_SETS))):
             value = getattr(self, name)
             require(isinstance(value, str) and value in choices, name, f"one of {choices}")
         self.dot(0.0)  # the material parameters' own range checks
@@ -152,10 +146,6 @@ class RunConfig:
             b_field=b_field,
             constants=PhysicalConstants(g_factor=self.g_factor),
         )
-
-    @property
-    def pairing(self) -> UpperPairing:
-        return UpperPairing(self.upper_pairing)
 
 
 def parse_state_spec(text: str) -> StateSpec:

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import BathQuadrature, ChannelTrajectory, compute_channel, verify_channel_cp
 from .config import write_csv
 from .constants import InvalidParameterError
-from .measures import UpperPairing, concurrence, discord_bounds, g_ratio
+from .measures import concurrence, discord_bounds, g_ratio
 from .states import (
     TRACE_TOL,
     TwoQubitState,
@@ -33,6 +33,7 @@ EVOLVED_PSD_TOL = 1e-8  # audit tolerance for evolved states (construction is 1e
 CP_TOL = 1e-9           # how far |c| may exceed 1 - p in a channel that is applied
 _P_RANGE_TOL = 1e-15    # round-off allowed on p outside [0, 1]
 G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
+KINK_T_TOL = 1e-6       # ns; bisection stops once the crossing is bracketed this tightly
 PLATEAU_TOL = 0.0       # neighbouring samples this close form one plateau of find_extrema
 LONG_GRID_THRESHOLD_NS = 100.0  # t_max above this gets a dense prefix plus a coarse tail
 
@@ -59,16 +60,6 @@ def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory) -> np.ndarray:
     r = rho0.reshape(2, 2, 2, 2)  # indices (a, b | a', b'), A the left qubit
     out = np.einsum("nacuw,nbdvx,uvwx->nabcd", l_map, l_map, r).reshape(n, 4, 4)
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
-
-
-def apply_channel(state: TwoQubitState, p: float, c: complex) -> TwoQubitState:
-    """Apply the product channel for one (p, c) pair: populations mix by p, coherences scale by c.
-
-    The same batched action as `evolve`, on a one-time trajectory.
-    """
-    chan = ChannelTrajectory(times=np.zeros(1), p=np.array([p], dtype=float),
-                             c=np.array([c], dtype=complex), dot=None)
-    return TwoQubitState(_evolved_rho(state.rho, chan)[0], state.ordering, psd_tol=EVOLVED_PSD_TOL)
 
 
 def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -136,35 +127,29 @@ class CorrelationTrajectory:
         })
 
 
-def effective_coherence(traj: ChannelTrajectory, drop_zeeman_phase: bool = True) -> np.ndarray:
+def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     """Coherence multipliers with the deterministic Zeeman rotation removed.
 
     Removing e^{i Omega t / hbar} is a local z rotation (co-rotating
     frame); it changes no correlation measure and keeps Phi-type
     coherences slowly varying.
     """
-    if not drop_zeeman_phase:
-        return traj.c.copy()
     omega_z = traj.dot.zeeman_energy
     hbar = traj.dot.constants.hbar
     return traj.c * np.exp(-1j * omega_z * traj.times / hbar)
 
 
-def evolve(
-    state0: TwoQubitState,
-    traj: ChannelTrajectory,
-    drop_zeeman_phase: bool = True,
-    pairing: UpperPairing = UpperPairing.PRINTED,
-) -> CorrelationTrajectory:
+def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTrajectory:
     """Apply the product channel along the trajectory and measure everything.
 
+    The channel acts in the co-rotating frame (`effective_coherence`).
     The evolved states form one (n, 4, 4) stack; every measure is
     evaluated on the whole stack at once.
     """
-    c_eff = effective_coherence(traj, drop_zeeman_phase)
+    c_eff = effective_coherence(traj)
     rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
     min_eig = _audit_evolved(rho, traj.times)
-    bounds = discord_bounds(rho, pairing)
+    bounds = discord_bounds(rho)
     bell_a, bell_b = bell_diagonal_params(rho, state0.ordering)
     return CorrelationTrajectory(
         times=traj.times.copy(),
@@ -215,7 +200,6 @@ def find_g_crossings(
     times: np.ndarray,
     g: np.ndarray,
     refine: Callable[[float], float] | None = None,
-    t_tol: float = 1e-6,
 ) -> list[KinkEvent]:
     """Sign-change crossings of g(t) - 1, refined by bisection.
 
@@ -223,7 +207,7 @@ def find_g_crossings(
     requires passing from strictly above to strictly below (or vice
     versa), so tangential touches and boundary noise are excluded.  When
     `refine` is given (an exact evaluator t -> g(t)), roots are bisected
-    to t_tol; otherwise linear interpolation on the grid is used.
+    to KINK_T_TOL; otherwise linear interpolation on the grid is used.
     """
     times = np.asarray(times, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -244,7 +228,7 @@ def find_g_crossings(
             if refine is not None:
                 f_lo = refine(t_lo) - 1.0
                 for _ in range(200):
-                    if t_hi - t_lo <= t_tol:
+                    if t_hi - t_lo <= KINK_T_TOL:
                         break
                     t_mid = 0.5 * (t_lo + t_hi)
                     f_mid = refine(t_mid) - 1.0
@@ -263,22 +247,16 @@ def find_g_crossings(
     return events
 
 
-def refined_g_crossings(
-    traj: CorrelationTrajectory,
-    quad: BathQuadrature,
-    drop_zeeman_phase: bool = True,
-) -> list[KinkEvent]:
+def refined_g_crossings(traj: CorrelationTrajectory, quad: BathQuadrature) -> list[KinkEvent]:
     """g = 1 crossings of `traj`, each bisected on exact single-time evolutions.
 
     Every bisection step evaluates the channel model `quad` of the
     trajectory's dot at one time, reusing its node data, and evolves the
-    trajectory's start state with it.  g does not depend on the discord
-    bounds' pairing, so the steps evolve on the default one.
+    trajectory's start state with it.
     """
     def g_exact(t: float) -> float:
         single = compute_channel(traj.dot, np.array([t]), quad)
-        evolved = evolve(traj.state0, single, drop_zeeman_phase=drop_zeeman_phase)
-        return float(evolved.g[0])
+        return float(evolve(traj.state0, single).g[0])
 
     return find_g_crossings(traj.times, traj.g, refine=g_exact)
 

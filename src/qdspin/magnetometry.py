@@ -176,7 +176,7 @@ def trajectory_for_field(config: RunConfig, b_field: float) -> CorrelationTrajec
     )
     quad = build_quadrature(dot, float(times.max()), m_count=config.m_nodes, q_count=config.q_nodes)
     chan = compute_channel(dot, times, quad)
-    return evolve(state0, chan, drop_zeeman_phase=config.drop_zeeman_phase, pairing=config.pairing)
+    return evolve(state0, chan)
 
 
 def _sweep_row(args: tuple[RunConfig, float]) -> SweepRow:

@@ -19,6 +19,7 @@ from .constants import InvalidParameterError, NumericalDomainError
 from .states import (
     BlochForm,
     PAULI_Y,
+    PAULIS,
     TwoQubitState,
     _rho,
     bloch_decompose,
@@ -27,21 +28,9 @@ from .states import (
 
 RESCALE_PREFACTOR = 0.5 * (1.0 - math.sqrt(3.0) / 2.0)
 TOP_CLUSTER_GAP = 1e-10  # eigenvalues this close to the top of K count as degenerate with it
-COINCIDE_TOL = 1e-9      # bounds closer than this count as coinciding
 G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denominator of g
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
-
-
-class UpperPairing(enum.Enum):
-    """Which K matrix each L correction is paired with in the upper bound.
-
-    PRINTED is the cross pairing (K_x with L_y); SWAPPED pairs each side
-    with itself and exists for sensitivity analysis only.
-    """
-
-    PRINTED = "printed"
-    SWAPPED = "swapped"
 
 
 @dataclass(frozen=True)
@@ -56,7 +45,6 @@ class DiscordBounds:
     ds_upper: np.ndarray
     rescaled_lower: np.ndarray
     rescaled_upper: np.ndarray
-    coincide: np.ndarray
 
 
 class Regime(enum.Enum):
@@ -72,7 +60,7 @@ class BellDiagonalDiscord:
     g: float
 
 
-def _bounds(form: BlochForm, pairing: UpperPairing) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(form: BlochForm) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper geometric-discord bounds of a Bloch form (one state or a stack).
 
     Side A is measured through K_x = x x^T + T T^T, side B through
@@ -99,8 +87,7 @@ def _bounds(form: BlochForm, pairing: UpperPairing) -> tuple[np.ndarray, np.ndar
     corr = np.trace(l_mats, axis1=-2, axis2=-1) - np.linalg.eigvalsh(l_mats)[..., 2]
     in_cluster = w_c[..., 2:] - w_c < TOP_CLUSTER_GAP
     b = np.min(np.where(in_cluster, corr, np.inf), axis=-1)            # (bx, by)
-    paired = b[::-1] if pairing is UpperPairing.PRINTED else b
-    upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + paired[0], a[1] + paired[1]))
+    upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + b[1], a[1] + b[0]))
     return lower, np.maximum(upper, lower)
 
 
@@ -125,23 +112,20 @@ def rescaled_discord(ds: float, purity_value: float) -> float:
     return RESCALE_PREFACTOR * (1.0 - np.sqrt(np.maximum(radicand, 0.0)))
 
 
-def discord_bounds(
-    state: TwoQubitState | np.ndarray, pairing: UpperPairing = UpperPairing.PRINTED
-) -> DiscordBounds:
+def discord_bounds(state: TwoQubitState | np.ndarray) -> DiscordBounds:
     """Both geometric-discord bounds plus their rescaled versions.
 
     Takes one state, a 4x4 matrix or a (..., 4, 4) stack; see _bounds for
     the closed forms and the degenerate-top handling.
     """
     rho = _rho(state)
-    lower, upper = _bounds(bloch_decompose(rho), pairing)
+    lower, upper = _bounds(bloch_decompose(rho))
     rescaled_lower, rescaled_upper = rescaled_discord(np.array([lower, upper]), purity(rho))
     return DiscordBounds(
         ds_lower=lower,
         ds_upper=upper,
         rescaled_lower=rescaled_lower,
         rescaled_upper=rescaled_upper,
-        coincide=abs(upper - lower) < COINCIDE_TOL,
     )
 
 
@@ -201,53 +185,38 @@ def concurrence(state: TwoQubitState | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pinch_first_qubit(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    """Dephase qubit A in the basis of the Bloch direction (theta, phi)."""
-    n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-    n_sigma = n[0] * np.array([[0, 1], [1, 0]]) + n[1] * np.array([[0, -1j], [1j, 0]]) + n[2] * np.array(
-        [[1, 0], [0, -1]]
-    )
-    p_plus = 0.5 * (np.eye(2) + n_sigma)
-    p_minus = 0.5 * (np.eye(2) - n_sigma)
-    out = np.zeros_like(rho)
-    for proj in (p_plus, p_minus):
-        big = np.kron(proj, np.eye(2))
-        out += big @ rho @ big
-    return out
+def _pinching_distances(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Squared Hilbert-Schmidt distances from rho to its qubit-A pinchings.
+
+    Qubit A is dephased in the basis of each Bloch direction (thetas[k],
+    phis[k]): with the projector pair P+- = (1 +- n.sigma)/2, the pinching
+    is sum_+- (P x 1) rho (P x 1), one einsum over all directions.
+    """
+    n = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=-1)
+    n_sigma = np.einsum("gk,kij->gij", n, np.array(PAULIS))
+    proj = 0.5 * (np.eye(2) + np.array([1.0, -1.0])[:, None, None, None] * n_sigma)   # (2, g, 2, 2)
+    r = rho.reshape(2, 2, 2, 2)                                                     # (a, b | a', b')
+    chi = np.einsum("sgac,cbdx,sgde->gabex", proj, r, proj)
+    return np.sum(np.abs(r - chi) ** 2, axis=(1, 2, 3, 4))
 
 
-def oracle_one_sided_discord(
-    state: TwoQubitState, grid_resolution: int = 24, refine: bool = True
-) -> float:
+def oracle_one_sided_discord(state: TwoQubitState, grid_resolution: int = 24) -> float:
     """Minimum squared Hilbert-Schmidt distance to a qubit-A pinching.
 
-    Brute force: coarse (theta, phi) grid followed by a simplex refinement
-    of the best point.  Serves as the independent check of the closed-form
+    Brute force: coarse (theta, phi) grid followed by a simplex polish of
+    the best point.  Serves as the independent check of the closed-form
     lower bound on the A side.
     """
     rho = state.rho
-
-    def distance_sq(angles: np.ndarray) -> float:
-        chi = pinch_first_qubit(rho, angles[0], angles[1])
-        diff = rho - chi
-        return float(np.sum(np.abs(diff) ** 2))
-
-    thetas = np.linspace(0.0, math.pi, grid_resolution)
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid_resolution, endpoint=False)
-    best_val = math.inf
-    best = (0.0, 0.0)
-    for th in thetas:
-        for ph in phis:
-            val = distance_sq(np.array([th, ph]))
-            if val < best_val:
-                best_val = val
-                best = (th, ph)
-    if refine:
-        res = minimize(
-            distance_sq,
-            np.array(best),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-        )
-        best_val = min(best_val, float(res.fun))
-    return best_val
+    thetas, phis = np.meshgrid(np.linspace(0.0, math.pi, grid_resolution),
+                               np.linspace(0.0, 2.0 * math.pi, 2 * grid_resolution, endpoint=False),
+                               indexing="ij")
+    coarse = _pinching_distances(rho, thetas.ravel(), phis.ravel())
+    k = int(np.argmin(coarse))
+    res = minimize(
+        lambda angles: float(_pinching_distances(rho, angles[:1], angles[1:])[0]),
+        np.array([thetas.flat[k], phis.flat[k]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
+    )
+    return min(float(coarse[k]), float(res.fun))

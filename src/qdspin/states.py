@@ -57,7 +57,7 @@ _ORDERING_PERM = {
 }
 
 
-def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL_CONSTRUCTION) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace and positivity; return the validated matrix as complex."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -73,7 +73,7 @@ def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL_CONSTRUCTI
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidParameterError(f"trace must be 1, got {tr:.15g}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if not min_eig >= -psd_tol:
+    if not min_eig >= -PSD_TOL_CONSTRUCTION:
         raise InvalidParameterError(f"matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
     return rho
 
@@ -84,10 +84,9 @@ class TwoQubitState:
 
     rho: np.ndarray
     ordering: Ordering = Ordering.PSI
-    psd_tol: float = PSD_TOL_CONSTRUCTION
 
     def __post_init__(self) -> None:
-        rho = validate_density_matrix(self.rho, psd_tol=self.psd_tol)
+        rho = validate_density_matrix(self.rho)
         rho = np.array(rho, dtype=complex, order="C")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
@@ -324,9 +323,9 @@ def bell_diagonal_params(
 
 def raw_state_from_json(text: str) -> TwoQubitState:
     """Parse a JSON 4x4 array of [re, im] pairs."""
-    data = json.loads(text)
     rho = np.empty((4, 4), dtype=complex)
     try:
+        data = json.loads(text)
         for i in range(4):
             for j in range(4):
                 re, im = data[i][j]
@@ -339,8 +338,11 @@ def raw_state_from_json(text: str) -> TwoQubitState:
 def raw_state_from_csv(text: str) -> TwoQubitState:
     """Parse CSV (re, im) pairs, 16 entries row-major (any row grouping)."""
     values: list[float] = []
-    for row in csv.reader(io.StringIO(text)):
-        values.extend(float(cell) for cell in row if cell.strip() != "")
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            values.extend(float(cell) for cell in row if cell.strip() != "")
+    except ValueError as exc:
+        raise InvalidParameterError(f"malformed raw-state CSV: {exc}") from exc
     if len(values) != 32:
         raise InvalidParameterError(f"raw-state CSV must hold 32 numbers (16 re/im pairs), got {len(values)}")
     flat = np.asarray(values).reshape(16, 2)

@@ -227,13 +227,12 @@ def test_channel_zero_field_identities(channel_b0):
 
 def test_channel_cp_report(channel_b0):
     report = q.verify_channel_cp(channel_b0)
-    assert report.ok
-    assert report.worst_margin > -1e-9
+    assert report.worst_margin >= -1e-12
+    assert -1e-12 <= report.p_min <= report.p_max <= 1.0 + 1e-12
     bad = q.ChannelTrajectory(
         times=np.array([1.0]), p=np.array([0.3]), c=np.array([0.8 + 0j]), dot=channel_b0.dot
     )
-    bad_report = q.verify_channel_cp(bad)
-    assert not bad_report.ok and bad_report.worst_margin == pytest.approx(-0.1)
+    assert q.verify_channel_cp(bad).worst_margin == pytest.approx(-0.1)
 
 
 def test_channel_validate_rejects_cp_violation(channel_b0):
@@ -244,7 +243,7 @@ def test_channel_validate_rejects_cp_violation(channel_b0):
         dot=channel_b0.dot,
     )
     report = q.verify_channel_cp(broken)
-    assert not report.ok and report.worst_index == 1 and report.worst_time_ns == 1.0
+    assert report.worst_index == 1 and report.worst_time_ns == 1.0
     with pytest.raises(QuadratureResolutionError, match=r"time index 1 \(t=1 ns\)"):
         report.require(CP_MARGIN_HARD, 1e-12, QuadratureResolutionError)
 

@@ -12,7 +12,6 @@ from qdspin.cli import main
 from qdspin.config import (
     MAX_FIELD_POINTS,
     NORMALIZE_MODES,
-    PAIRINGS,
     RunConfig,
     parse_b_values,
     parse_state_spec,
@@ -264,6 +263,35 @@ def test_cli_validity_error_exit_code(tmp_path, capsys):
     assert record["error"] == "ValidityWindowError"
 
 
+def test_cli_quadrature_past_scipy_node_limit_is_numerical_error(tmp_path, capsys):
+    # roots_laguerre returns NaN weights at this count; the weight-sum check catches them
+    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--q-nodes", "400",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "QuadratureResolutionError"
+    assert "q_weights of 400 nodes" in record["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("name,value", [("upper_pairing", "printed"), ("drop_zeeman_phase", True)])
+def test_cli_removed_run_option_in_config_is_usage_error(name, value, tmp_path, capsys):
+    # config echoes of older versions carry these keys; every run now uses the
+    # printed cross pairing and the co-rotating frame
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({name: value}))
+    code = main(["evolve", "--config", str(cfg), "--b", "0.01", "--tmax", "1", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert _usage_error(capsys)["message"] == f"unknown config keys ['{name}']"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_upper_pairing_flag_is_unknown(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evolve", "--upper-pairing", "printed", "--b", "0.01", "--out", str(tmp_path / "o.csv")])
+    assert exit_info.value.code == 2
+
+
 def test_cli_config_file_plus_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(RunConfig(state="werner:p=0.33", t_max=5.0, b_fields=[0.0]).to_dict()))
@@ -313,6 +341,16 @@ def test_cli_missing_input_file_is_usage_error(flag, value, tmp_path, capsys):
     code = main(["evolve", flag, value, "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "absent.json" in _usage_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("name,text", [("junk.csv", "abc,0\n"), ("junk.json", "not json")])
+def test_cli_malformed_raw_state_is_usage_error(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["evolve", "--state", f"raw:{path}", "--b", "0.1", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "malformed raw-state" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("text", ["{not json", "5"])
@@ -435,8 +473,7 @@ def test_cli_output_not_a_regular_file_is_usage_error(kind, tmp_path, capsys, mo
     "command,config,field",
     [("evolve", {"a_total": "x"}, "a_total"), ("sweep", {"m_window": [5]}, "m_window"),
      ("sweep", {"workers": "two"}, "workers"), ("sweep", {"metric": "bogus"}, "metric"),
-     ("evolve", {"i_nuclear": float("nan")}, "i_nuclear"),
-     ("evolve", {"drop_zeeman_phase": 1}, "drop_zeeman_phase")],
+     ("evolve", {"i_nuclear": float("nan")}, "i_nuclear")],
 )
 def test_cli_bad_config_value_is_usage_error(command, config, field, tmp_path, capsys):
     cfg = tmp_path / "run.json"
@@ -467,8 +504,6 @@ _VALID = {
     "m_nodes": st.none() | st.integers(3, 300),
     "q_nodes": st.none() | st.integers(3, 100),
     "normalize": st.sampled_from(NORMALIZE_MODES),
-    "upper_pairing": st.sampled_from(PAIRINGS),
-    "drop_zeeman_phase": st.booleans(),
     "m_window": st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2),
     "longtime_window": st.lists(st.floats(0.0, 6000.0), min_size=2, max_size=2),
     "metric": st.sampled_from(sorted(METRIC_SETS)),

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import qdspin as q
+from qdspin import evolution
 from qdspin.constants import InvalidParameterError
 from qdspin.evolution import (
     ChannelError,
     ExtremumKind,
-    apply_channel,
     build_time_grid,
     find_extrema,
     find_g_crossings,
@@ -17,7 +19,7 @@ from conftest import random_density
 
 
 # ---------------------------------------------------------------------------
-# apply_channel
+# the product channel, one (p, c) step
 # ---------------------------------------------------------------------------
 
 
@@ -38,52 +40,68 @@ def superop_oracle(rho, p, c):
     return out
 
 
-def test_apply_identity():
+def one_step(state0, p, c):
+    """`evolve` on a one-time channel at t = 0, where the Zeeman factor is exactly 1.
+
+    Returns the evolved matrix that `evolve` measures and its trajectory.
+    """
+    chan = q.ChannelTrajectory(times=np.zeros(1), p=np.array([p], dtype=float),
+                               c=np.array([c], dtype=complex), dot=q.DotParameters(b_field=0.1))
+    seen = []
+    audit = evolution._audit_evolved
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_audit_evolved", lambda rho, times: seen.append(rho) or audit(rho, times))
+        traj = q.evolve(state0, chan)
+    return seen[0][0], traj
+
+
+def random_cp_pair(rng):
+    p = rng.uniform(0.0, 1.0)
+    return p, (1.0 - p) * rng.uniform() * np.exp(1j * rng.uniform(0, 2 * np.pi))
+
+
+def test_one_step_identity():
     state = q.make_state(q.PhaseFamily(0.7))
-    out = apply_channel(state, 0.0, 1.0)
-    assert np.abs(out.rho - state.rho).max() < 1e-15
+    rho, _ = one_step(state, 0.0, 1.0)
+    assert np.abs(rho - state.rho).max() < 1e-15
 
 
-def test_apply_full_depolarization():
+def test_one_step_full_depolarization():
     for spec in (q.Bell("psi-"), q.PhaseFamily(1.1), q.Werner(0.7)):
-        out = apply_channel(q.make_state(spec), 0.5, 0.0)
-        assert np.abs(out.rho - np.eye(4) / 4.0).max() < 1e-14
+        rho, _ = one_step(q.make_state(spec), 0.5, 0.0)
+        assert np.abs(rho - np.eye(4) / 4.0).max() < 1e-14
 
 
-def test_apply_matches_superoperator_oracle(rng):
+def test_one_step_matches_superoperator_oracle(rng):
     for _ in range(100):
-        p = rng.uniform(0.0, 1.0)
-        c = (1.0 - p) * rng.uniform() * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        p, c = random_cp_pair(rng)
         state = random_density(rng)
-        mine = apply_channel(state, p, c).rho
-        ref = superop_oracle(state.rho, p, c)
-        assert np.abs(mine - ref).max() < 1e-12
+        rho, _ = one_step(state, p, c)
+        assert np.abs(rho - superop_oracle(state.rho, p, c)).max() < 1e-12
 
 
-def test_apply_preserves_physicality(rng):
+def test_one_step_preserves_physicality(rng):
     for _ in range(300):
-        p = rng.uniform(0.0, 1.0)
-        c = (1.0 - p) * rng.uniform() * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        out = apply_channel(random_density(rng), p, c)
-        assert abs(np.trace(out.rho) - 1.0) < 1e-12
-        assert out.min_eigenvalue > -1e-12
+        p, c = random_cp_pair(rng)
+        rho, traj = one_step(random_density(rng), p, c)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert traj.min_eigenvalue[0] > -1e-12
 
 
-def test_apply_singlet_composition(rng):
+def test_one_step_singlet_composition(rng):
     # hand-composed product channel on the singlet: a = (1-2p+2p^2)/2, b = -|c|^2/2
     for _ in range(50):
-        p = rng.uniform(0.0, 1.0)
-        c = (1.0 - p) * rng.uniform() * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        out = apply_channel(q.make_state(q.Bell("psi-")), p, c)
-        a, b = q.bell_diagonal_params(out)
+        p, c = random_cp_pair(rng)
+        _, traj = one_step(q.make_state(q.Bell("psi-")), p, c)
+        a, b = traj.bell_a[0], traj.bell_b[0]
         assert not np.isnan(a)
         assert a == pytest.approx(0.5 * (1 - 2 * p + 2 * p * p), abs=1e-12)
         assert b == pytest.approx(-0.5 * abs(c) ** 2, abs=1e-12)
 
 
-def test_apply_rejects_cp_violation():
+def test_one_step_rejects_cp_violation():
     with pytest.raises(ChannelError):
-        apply_channel(q.make_state(q.Bell("psi-")), 0.3, 0.9)
+        one_step(q.make_state(q.Bell("psi-")), 0.3, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +144,14 @@ def test_evolve_normalization_keeps_feature_times(bell_traj_11mt):
     assert len(crossings_raw) == 0  # Bell states never cross unity
 
 
-def test_evolve_drop_zeeman_phase_is_local_unitary():
+def test_evolve_zeeman_frame_is_local_unitary():
+    # evolving on c e^{i omega t} gives the lab-frame states: a local z rotation away
     dot = q.DotParameters(b_field=0.1)
     chan = q.compute_channel(dot, np.linspace(0.0, 10.0, 11))
     state = q.make_state(q.PhaseFamily(0.9))
-    kept = q.evolve(state, chan, drop_zeeman_phase=False)
-    dropped = q.evolve(state, chan, drop_zeeman_phase=True)
+    lab = replace(chan, c=chan.c * np.exp(1j * dot.zeeman_energy * chan.times / dot.constants.hbar))
+    kept = q.evolve(state, lab)
+    dropped = q.evolve(state, chan)
     assert np.abs(kept.ds_lower - dropped.ds_lower).max() < 1e-10
     assert np.abs(kept.concurrence - dropped.concurrence).max() < 1e-10
     assert np.abs(kept.purity - dropped.purity).max() < 1e-12
@@ -149,14 +169,14 @@ def test_evolve_matches_per_time_oracle(b_field):
         state0 = q.make_state(spec)
         tr = q.evolve(state0, chan)
         for k in range(0, chan.times.size, 50):
-            st_k = apply_channel(state0, float(chan.p[k]), complex(c_eff[k]))
-            bounds = q.discord_bounds(st_k)
+            rho_k, _ = one_step(state0, float(chan.p[k]), complex(c_eff[k]))
+            bounds = q.discord_bounds(rho_k)
             assert abs(tr.ds_lower[k] - bounds.ds_lower) <= 1e-12
             assert abs(tr.ds_upper[k] - bounds.ds_upper) <= 1e-12
-            assert tr.concurrence[k] == q.concurrence(st_k)
-            assert tr.min_eigenvalue[k] == st_k.min_eigenvalue
-            assert np.array_equal(tr.st_weights[k], q.singlet_triplet_weights(st_k))
-            assert tr.g[k] == q.g_ratio(st_k) or np.isnan(tr.g[k]) and np.isnan(q.g_ratio(st_k))
+            assert tr.concurrence[k] == q.concurrence(rho_k)
+            assert tr.min_eigenvalue[k] == np.linalg.eigvalsh(rho_k)[0]
+            assert np.array_equal(tr.st_weights[k], q.singlet_triplet_weights(rho_k))
+            assert tr.g[k] == q.g_ratio(rho_k) or np.isnan(tr.g[k]) and np.isnan(q.g_ratio(rho_k))
 
 
 def test_evolve_cp_violation_names_time_index():
@@ -164,22 +184,18 @@ def test_evolve_cp_violation_names_time_index():
     chan = q.ChannelTrajectory(times=times, p=np.array([0.0, 0.1, 0.3]),
                                c=np.array([1.0, 0.9, 0.9], dtype=complex), dot=q.DotParameters())
     with pytest.raises(ChannelError, match=r"time index 2 \(t=2 ns\)"):
-        q.evolve(q.make_state(q.Bell("psi-")), chan, drop_zeeman_phase=False)
+        q.evolve(q.make_state(q.Bell("psi-")), chan)
     # p outside [0, 1] is refused even where the margin holds
     chan.p[0] = -1e-9
     with pytest.raises(ChannelError, match="flip probability"):
-        q.evolve(q.make_state(q.Bell("psi-")), chan, drop_zeeman_phase=False)
+        q.evolve(q.make_state(q.Bell("psi-")), chan)
 
 
 def test_evolve_psd_violation_names_time_index():
-    # full depolarization at the first two times, identity at the third: only
-    # the third state keeps the start state's negative eigenvalue
-    rho = np.diag([0.6, 0.3, 0.2, -0.1]).astype(complex)
-    state0 = q.TwoQubitState(rho, psd_tol=1.0)
-    chan = q.ChannelTrajectory(times=np.array([0.0, 1.0, 2.0]), p=np.array([0.5, 0.5, 0.0]),
-                               c=np.array([0.0, 0.0, 1.0], dtype=complex), dot=q.DotParameters())
+    # two maximally mixed states, then one with a negative eigenvalue
+    stack = np.array([np.eye(4) / 4.0, np.eye(4) / 4.0, np.diag([0.6, 0.3, 0.2, -0.1])], dtype=complex)
     with pytest.raises(InvalidParameterError, match=r"time index 2 \(t=2 ns\).*positive semidefinite"):
-        q.evolve(state0, chan, drop_zeeman_phase=False)
+        evolution._audit_evolved(stack, np.array([0.0, 1.0, 2.0]))
 
 
 def test_evolve_trajectory_csv(tmp_path, bell_traj_11mt):
@@ -227,7 +243,7 @@ def test_find_g_crossings_ignores_boundary_noise():
 def test_find_g_crossings_bisection_refine():
     t = np.linspace(0.0, 10.0, 11)  # coarse grid
     f = lambda x: 1.5 - 0.1 * x**1.3
-    events = find_g_crossings(t, f(t), refine=f, t_tol=1e-8)
+    events = find_g_crossings(t, f(t), refine=f)
     assert len(events) == 1
     root = (0.5 / 0.1) ** (1 / 1.3)
     assert events[0].t_cross_ns == pytest.approx(root, abs=1e-6)

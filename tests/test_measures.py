@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qdspin as q
 from qdspin.constants import InvalidParameterError, NumericalDomainError
-from qdspin.measures import RESCALE_PREFACTOR, Regime, UpperPairing
+from qdspin.measures import RESCALE_PREFACTOR, Regime
 
 from conftest import random_density, random_unitary
 
@@ -118,7 +118,7 @@ def test_bounds_coincide_for_pure_states(rng):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         bounds = q.discord_bounds(q.TwoQubitState(np.outer(psi, psi.conj())))
-        assert bounds.coincide
+        assert abs(bounds.ds_upper - bounds.ds_lower) < 1e-9
 
 
 def _random_x_state(rng, zero_y_bloch):
@@ -162,14 +162,6 @@ def test_local_unitary_invariance(rng):
         assert b0.ds_lower == pytest.approx(b1.ds_lower, abs=1e-10)
         assert b0.ds_upper == pytest.approx(b1.ds_upper, abs=1e-10)
         assert q.concurrence(state) == pytest.approx(q.concurrence(rotated), abs=1e-10)
-
-
-def test_upper_pairing_flag_runs(rng):
-    state = random_density(rng)
-    printed = q.discord_bounds(state, pairing=UpperPairing.PRINTED)
-    swapped = q.discord_bounds(state, pairing=UpperPairing.SWAPPED)
-    for bounds in (printed, swapped):
-        assert bounds.ds_upper >= bounds.ds_lower - 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,7 +220,7 @@ def test_degenerate_top_cluster_bell_mixtures(rng):
         )
 
 
-def _upper_reference(form, pairing=UpperPairing.PRINTED):
+def _upper_reference(form):
     """The upper bound transcribed per state: loop over the top-cluster eigenvectors."""
     t = form.t_corr
     sides = []
@@ -243,8 +235,7 @@ def _upper_reference(form, pairing=UpperPairing.PRINTED):
                    for l in (np.outer(bloch, bloch) + np.outer(rotate @ k, rotate @ k) for k in vecs))
 
     bx, by = correction(x, ky_vecs, t), correction(y, kx_vecs, t.T)
-    value = min(ax + by, ay + bx) if pairing is UpperPairing.PRINTED else min(ax + bx, ay + by)
-    return max(0.0, 0.25 * value)
+    return max(0.0, 0.25 * min(ax + by, ay + bx))
 
 
 def test_upper_bound_cluster_rule_on_x_states(rng):
@@ -261,10 +252,8 @@ def test_upper_bound_cluster_rule_on_x_states(rng):
         form = q.bloch_decompose(state)
         k_x = np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T
         degenerate += np.diff(np.linalg.eigvalsh(k_x))[-1] < 1e-10
-        for pairing in UpperPairing:
-            assert q.discord_bounds(state, pairing).ds_upper == pytest.approx(
-                max(_upper_reference(form, pairing), q.discord_bounds(state).ds_lower), abs=1e-15
-            )
+        bounds = q.discord_bounds(state)
+        assert bounds.ds_upper == pytest.approx(max(_upper_reference(form), bounds.ds_lower), abs=1e-15)
     assert degenerate >= 10
 
 
@@ -282,7 +271,7 @@ def test_stacked_measures_match_single_state_calls(seed, n):
     params = {o: q.bell_diagonal_params(rho, o) for o in q.Ordering}
     for k, state in enumerate(states):
         bounds = q.discord_bounds(state)
-        for name in ("ds_lower", "ds_upper", "rescaled_lower", "rescaled_upper", "coincide"):
+        for name in ("ds_lower", "ds_upper", "rescaled_lower", "rescaled_upper"):
             assert getattr(stacked, name)[k] == getattr(bounds, name)
         assert conc[k] == q.concurrence(state) and pur[k] == q.purity(state)
         assert g[k] == q.g_ratio(state)

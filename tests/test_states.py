@@ -159,6 +159,13 @@ def test_raw_state_io(tmp_path):
     assert np.abs(q.load_raw_state(path).rho - rho).max() < 1e-15
 
 
+@pytest.mark.parametrize("reader,text", [(raw_state_from_csv, "abc,0\n"), (raw_state_from_json, "not json"),
+                                         (raw_state_from_json, "[[1, 2]]")])
+def test_raw_state_malformed_text_is_invalid_parameter(reader, text):
+    with pytest.raises(InvalidParameterError, match="malformed raw-state"):
+        reader(text)
+
+
 def test_raw_state_rejects_invalid():
     bad = np.eye(4, dtype=complex)  # trace 4
     with pytest.raises(InvalidParameterError):
