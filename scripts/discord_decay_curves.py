@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qdspin import DotParameters, compute_channel, evolve, make_state
-from qdspin.evolution import build_time_grid
+from qdspin import RunConfig, channel_for_field, evolve, make_state
 from qdspin.states import Bell
 
 SHORT_FIELDS_T = [0.0, 0.011, 0.0165, 1.0]
@@ -22,27 +21,21 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
     state = make_state(Bell("psi-"))
 
     for b in SHORT_FIELDS_T:
-        dot = DotParameters(b_field=b)
-        times = build_time_grid(t_short)
-        chan = compute_channel(dot, times)
-        traj = evolve(state, chan)
+        traj = evolve(state, channel_for_field(RunConfig(), b, t_short)[1])
         path = outdir / f"bell_discord_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])
         print(f"wrote {path}")
 
     print("\nlong-time tail (dense prefix + coarse grid):")
     for b in LONG_FIELDS_T:
-        dot = DotParameters(b_field=b)
-        times = build_time_grid(t_long)
-        chan = compute_channel(dot, times)
-        traj = evolve(state, chan)
+        traj = evolve(state, channel_for_field(RunConfig(), b, t_long)[1])
         path = outdir / f"bell_discord_long_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])
-        early = (times > 0.5) & (times < 100.0)
+        early = (traj.times > 0.5) & (traj.times < 100.0)
         i_min = int(np.argmin(traj.d_lower[early])) + int(np.nonzero(early)[0][0])
         recovered = float(traj.d_lower[i_min:].max())
         print(
-            f"  B={1e3 * b:g} mT: D_min={traj.d_lower[i_min]:.3e} at {times[i_min]:.1f} ns, "
+            f"  B={1e3 * b:g} mT: D_min={traj.d_lower[i_min]:.3e} at {traj.times[i_min]:.1f} ns, "
             f"recovers to {recovered:.3e}; wrote {path}"
         )
 

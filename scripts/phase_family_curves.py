@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qdspin import DotParameters, compute_channel, evolve, make_state
-from qdspin.evolution import build_time_grid
+from qdspin import RunConfig, channel_for_field, evolve, make_state
 from qdspin.states import PhaseFamily
 
 FIELDS_T = (0.0, 0.011, 0.0165, 1.0)
@@ -28,10 +27,8 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    times = build_time_grid(args.tmax)
     for b in FIELDS_T:
-        dot = DotParameters(b_field=b)
-        chan = compute_channel(dot, times)
+        _, chan = channel_for_field(RunConfig(), b, args.tmax)
         for name, gamma in GAMMAS.items():
             traj = evolve(make_state(PhaseFamily(gamma)), chan)
             path = args.outdir / f"phase_{name}_b{1e3 * b:g}mT.csv"
@@ -40,7 +37,7 @@ def main() -> None:
             onset = None
             split = np.nonzero(gap > 0.005 * traj.ds_lower[0] / 0.5)[0]
             if split.size:
-                onset = float(times[split[0]])
+                onset = float(traj.times[split[0]])
             print(f"B={1e3 * b:7g} mT gamma={name:11s}: bound-separation onset = {onset}")
 
 

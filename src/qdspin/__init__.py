@@ -19,7 +19,6 @@ from .config import RunConfig
 from .constants import (
     DotParameters,
     InvalidParameterError,
-    PhysicalConstants,
     QdspinError,
     ValidityWindowError,
 )
@@ -35,6 +34,7 @@ from .magnetometry import (
     CalibrationCurve,
     SweepTable,
     calibration_curve,
+    channel_for_field,
     esd_time,
     invert_field,
     long_time_discord,

@@ -16,9 +16,8 @@ from scipy.optimize import curve_fit
 
 from .channel import BathQuadrature, ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
 from .config import RunConfig
-from .constants import DotParameters
-from .evolution import build_time_grid, evolve, find_g_crossings, refined_g_crossings
-from .magnetometry import esd_time, first_min_then_max, run_sweep
+from .evolution import evolve, find_g_crossings, refined_g_crossings
+from .magnetometry import channel_for_field, esd_time, first_min_then_max, run_sweep
 from .measures import concurrence, discord_bounds, oracle_one_sided_discord
 from .states import (
     Bell,
@@ -34,7 +33,6 @@ from .states import (
 # the paper-typo resolution for the imaginary-phase family: the quoted
 # amplitude (-1+i)/sqrt(2) fixes gamma = 3*pi/4 (see decisions ledger)
 GAMMA_SPLIT = 0.75 * math.pi
-GAMMA_SPLIT_LITERAL = 1.5 * math.pi
 
 
 @dataclass
@@ -47,7 +45,7 @@ class CheckResult:
 
 @dataclass
 class RunCache:
-    """Runs of one acceptance call on the default time grid and node rule.
+    """Runs of one acceptance call on `RunConfig()`'s dot, time grid and node rule.
 
     `models` maps (field, t_max) to the channel model and its channel,
     `trajs` maps (state, field, t_max) to the evolved trajectory.
@@ -59,9 +57,7 @@ class RunCache:
     def model(self, b_field: float, t_max: float) -> tuple[BathQuadrature, ChannelTrajectory]:
         key = (float(b_field), float(t_max))
         if key not in self.models:
-            dot = DotParameters(b_field=b_field)
-            quad = build_quadrature(dot, t_max)
-            self.models[key] = quad, compute_channel(dot, build_time_grid(t_max), quad)
+            self.models[key] = channel_for_field(RunConfig(), b_field, t_max)
         return self.models[key]
 
     def channel(self, b_field: float, t_max: float) -> ChannelTrajectory:
@@ -393,7 +389,7 @@ def check_14_physicality_suite(cache: RunCache) -> CheckResult:
     for b in (0.0, 0.0015, 0.1, 5.0):
         base = cache.channel(b, 20.0)
         doubled = build_quadrature(base.dot, 20.0, m_count=2 * base.m_count, q_count=2 * base.q_count)
-        dbl = compute_channel(base.dot, base.times, doubled)
+        dbl = compute_channel(doubled, base.times)
         worst_double = max(
             worst_double, float(np.abs(base.p - dbl.p).max()), float(np.abs(base.c - dbl.c).max())
         )

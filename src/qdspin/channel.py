@@ -64,11 +64,7 @@ import numpy as np
 from scipy.special import roots_hermite, roots_laguerre
 
 from .config import write_csv
-from .constants import (
-    DotParameters,
-    QdspinError,
-    ValidityWindowError,
-)
+from .constants import HBAR_UEV_NS, DotParameters, QdspinError, ValidityWindowError
 
 DEGENERATE_BLOCK_E2 = 1e-30      # ueV^2; below this a block acts as identity
 CP_MARGIN_HARD = 1e-4            # beyond this the quadrature is under-resolved
@@ -125,12 +121,11 @@ def node_count_rule(dot: DotParameters, t_max_ns: float) -> tuple[int, int]:
     covers the interference decay.  Only the candidate's nodes and fast
     frequencies are computed here, never a model.
     """
-    hbar = dot.constants.hbar
-    n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * hbar))
+    n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
     n_m = max(FAST_NODES, n_phase)
     m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, n_m, FAST_NODES)
     (_, _, e2_ket), (_, _, e2_bra) = _blocks(dot, m_nodes[:, None], q_nodes[None, :])
-    w_fast = np.sqrt(e2_ket) / hbar + np.sqrt(e2_bra) / hbar
+    w_fast = np.sqrt(e2_ket) / HBAR_UEV_NS + np.sqrt(e2_bra) / HBAR_UEV_NS
     if _fast_term_cutoff(w_fast, m_weights, q_weights) >= t_max_ns:
         return n_m, FAST_NODES
     return max(MIN_M_NODES, n_phase), MIN_Q_NODES
@@ -211,7 +206,6 @@ def build_quadrature(
         n_q = rule_q if n_q is None else n_q
     m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, int(n_m), int(n_q))
 
-    hbar = dot.constants.hbar
     m = m_nodes[:, None]
     q = q_nodes[None, :]
     w2d = m_weights[:, None] * q_weights[None, :]
@@ -225,12 +219,12 @@ def build_quadrature(
     s_bra = np.where(live_bra, delta_bra / np.where(live_bra, e_bra, 1.0), 0.0)
     v_frac = np.where(live_ket, v2 / np.where(live_ket, e2_ket, 1.0), 0.0)
 
-    w_ket = e_ket / hbar
-    w_bra = e_bra / hbar
+    w_ket = e_ket / HBAR_UEV_NS
+    w_bra = e_bra / HBAR_UEV_NS
     # e_ket^2 - e_bra^2 = -Omega*alpha/2 exactly (same-multiplet sharing),
     # so the slow frequency difference is computed without cancellation
     esum = e_ket + e_bra
-    w_diff = np.where(esum > 0.0, (-dot.zeeman_energy * dot.alpha / 2.0) / (hbar * esum), 0.0)
+    w_diff = np.where(esum > 0.0, (-dot.zeeman_energy * dot.alpha / 2.0) / (HBAR_UEV_NS * esum), 0.0)
     w_fast = w_ket + w_bra
 
     # a*conj(d') expanded: both amplitudes carry the same dropped mean phase
@@ -383,20 +377,15 @@ def _phase_sums(
     return vers_out, sin_out
 
 
-def compute_channel(
-    dot: DotParameters,
-    times: np.ndarray,
-    quad: BathQuadrature | None = None,
-) -> ChannelTrajectory:
-    """Bath-averaged channel {p(t), c(t)} on the given time grid.
+def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajectory:
+    """Bath-averaged channel {p(t), c(t)} of the model's dot on the given time grid.
 
     p(t) = E[f_prob] over ket-side blocks; c(t) = E[a_amp * conj(d_amp)]
     with the bra-side block at polarization m-1 in the same multiplet.
     Expanding the products leaves three real-amplitude frequency families
     per node: p from 2*w_ket, c from the slow difference w_ket - w_bra and
-    from the fast sum w_ket + w_bra, all stored on the model `quad` (built
-    here if not given; a model built for another dot is refused).  Past the
-    fast-term cutoff only the difference family remains and p is its
+    from the fast sum w_ket + w_bra, all stored on the model `quad`.  Past
+    the fast-term cutoff only the difference family remains and p is its
     long-time mean.  Each family is a phase sum evaluated by `_phase_sums`
     (factored tables and GEMMs on the uniform runs of the grid, over fixed
     node blocks).  Summation order over nodes is fixed, so results are
@@ -407,15 +396,12 @@ def compute_channel(
     if np.any(times < 0.0):
         raise ValidityWindowError("times must be nonnegative")
     t_max = float(times.max()) if times.size else 0.0
-    if quad is None:
-        quad = build_quadrature(dot, t_max)
-    elif quad.dot != dot:
-        raise QuadratureResolutionError(f"quadrature built for {quad.dot}, requested {dot}")
-    elif t_max > quad.t_max_ns * (1.0 + 1e-12):
+    if t_max > quad.t_max_ns * (1.0 + 1e-12):
         raise QuadratureResolutionError(
-            f"quadrature built for t_max={quad.t_max_ns:g} ns, requested {t_max:g} ns"
+            f"channel model sized for t_max={quad.t_max_ns:g} ns, requested {t_max:g} ns"
         )
 
+    dot = quad.dot
     cutoff = quad.fast_term_cutoff_ns
     needs_slow = times.size and t_max > cutoff
     if needs_slow and cutoff < 5.0 * dot.dephasing_time_ns:

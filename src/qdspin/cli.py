@@ -14,7 +14,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .channel import build_quadrature, compute_channel
 from .config import (
     METRIC_SETS,
     NORMALIZE_MODES,
@@ -24,8 +23,8 @@ from .config import (
     parse_state_spec,
 )
 from .constants import InvalidParameterError, QdspinError
-from .evolution import build_time_grid, evolve, refined_g_crossings
-from .magnetometry import CURVE_QUANTITIES, calibration_curve, run_sweep
+from .evolution import evolve, refined_g_crossings
+from .magnetometry import CURVE_QUANTITIES, calibration_curve, channel_for_field, run_sweep
 from .states import make_state
 
 EXIT_OK = 0
@@ -115,12 +114,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise InvalidParameterError("evolve expects exactly one field value (--b)")
     out = config.out or "trajectory.csv"
     _check_outputs(out, getattr(args, "channel_out", None))
-    b = config.b_fields[0]
-    dot = config.dot(b)
-    times = build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
-                            dense_prefix=config.dense_prefix)
-    quad = build_quadrature(dot, float(times.max()), m_count=config.m_nodes, q_count=config.q_nodes)
-    chan = compute_channel(dot, times, quad)
+    quad, chan = channel_for_field(config, config.b_fields[0], config.t_max)
     traj = evolve(state0, chan)
     kinks = refined_g_crossings(traj, quad)
     extra = {

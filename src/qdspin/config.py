@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .constants import DotParameters, InvalidParameterError, PhysicalConstants
+from .constants import DotParameters, InvalidParameterError
 from .states import (
     Bell,
     BellDiagonal,
@@ -144,7 +144,7 @@ class RunConfig:
             n_nuclei=self.n_nuclei,
             i_nuclear=self.i_nuclear,
             b_field=b_field,
-            constants=PhysicalConstants(g_factor=self.g_factor),
+            g_factor=self.g_factor,
         )
 
 

@@ -7,7 +7,7 @@ as (energy / hbar) * time with hbar in ueV*ns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HBAR_UEV_NS = 0.6582119569       # reduced Planck constant, ueV * ns
 MU_B_UEV_PER_T = 57.883818       # Bohr magneton, ueV / T
@@ -31,24 +31,6 @@ class NumericalDomainError(QdspinError, ArithmeticError):
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants entering the spin Hamiltonian.
-
-    g_factor is stored as a magnitude: only |g| enters bath-averaged
-    observables because the polarization distribution is symmetric.
-    """
-
-    hbar: float = HBAR_UEV_NS
-    mu_b: float = MU_B_UEV_PER_T
-    g_factor: float = G_FACTOR_GAAS
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "mu_b", "g_factor"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class DotParameters:
     """Uniform-coupling (box model) parameters of a single dot plus applied field.
 
@@ -56,6 +38,8 @@ class DotParameters:
     n_nuclei  number of nuclei coupled to the electron
     i_nuclear nuclear spin quantum number (3/2 for all GaAs isotopes)
     b_field   magnetic field along z, Tesla
+    g_factor  |g| of the electron: only the magnitude enters bath-averaged
+              observables, because the polarization distribution is symmetric
 
     The per-nucleus coupling is alpha = A / N.  The bath polarization at
     infinite temperature has variance sigma_m^2 = N * I(I+1) / 3.
@@ -65,7 +49,7 @@ class DotParameters:
     n_nuclei: float = 1.5e6
     i_nuclear: float = 1.5
     b_field: float = 0.0
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    g_factor: float = G_FACTOR_GAAS
 
     def __post_init__(self) -> None:
         if not self.a_total > 0.0:
@@ -79,6 +63,8 @@ class DotParameters:
             )
         if not math.isfinite(self.b_field):
             raise InvalidParameterError(f"b_field must be finite, got {self.b_field}")
+        if not self.g_factor > 0.0:
+            raise InvalidParameterError(f"g_factor must be positive, got {self.g_factor}")
 
     @property
     def alpha(self) -> float:
@@ -93,7 +79,7 @@ class DotParameters:
     @property
     def zeeman_energy(self) -> float:
         """Electron Zeeman splitting |g| mu_B B, ueV (sign follows b_field)."""
-        return self.constants.g_factor * self.constants.mu_b * self.b_field
+        return self.g_factor * MU_B_UEV_PER_T * self.b_field
 
     @property
     def validity_window_ns(self) -> float:
@@ -102,10 +88,10 @@ class DotParameters:
         This is an order-of-magnitude bound; callers allow a small grace
         factor on top of it.
         """
-        return self.constants.hbar * self.n_nuclei / self.a_total
+        return HBAR_UEV_NS * self.n_nuclei / self.a_total
 
     @property
     def dephasing_time_ns(self) -> float:
         """Gaussian free-induction dephasing time sqrt(6/(I(I+1))) sqrt(N) hbar / A."""
         ii1 = self.i_nuclear * (self.i_nuclear + 1.0)
-        return math.sqrt(6.0 / ii1) * math.sqrt(self.n_nuclei) * self.constants.hbar / self.a_total
+        return math.sqrt(6.0 / ii1) * math.sqrt(self.n_nuclei) * HBAR_UEV_NS / self.a_total

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import BathQuadrature, ChannelTrajectory, compute_channel, verify_channel_cp
 from .config import write_csv
-from .constants import InvalidParameterError
+from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError
 from .measures import concurrence, discord_bounds, g_ratio
 from .states import (
     TRACE_TOL,
@@ -36,6 +36,7 @@ G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 bounda
 KINK_T_TOL = 1e-6       # ns; bisection stops once the crossing is bracketed this tightly
 PLATEAU_TOL = 0.0       # neighbouring samples this close form one plateau of find_extrema
 LONG_GRID_THRESHOLD_NS = 100.0  # t_max above this gets a dense prefix plus a coarse tail
+MAX_GRID_POINTS = 1_000_000     # times a grid may hold; the default 12 000 ns grid has 8476
 
 
 class ChannelError(InvalidParameterError):
@@ -95,7 +96,7 @@ class CorrelationTrajectory:
     bell_b: np.ndarray                 # complex; nan where not of form
     min_eigenvalue: np.ndarray
     state0: TwoQubitState
-    dot: object = None
+    dot: DotParameters
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -134,9 +135,7 @@ def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     frame); it changes no correlation measure and keeps Phi-type
     coherences slowly varying.
     """
-    omega_z = traj.dot.zeeman_energy
-    hbar = traj.dot.constants.hbar
-    return traj.c * np.exp(-1j * omega_z * traj.times / hbar)
+    return traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
 
 
 def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTrajectory:
@@ -255,7 +254,7 @@ def refined_g_crossings(traj: CorrelationTrajectory, quad: BathQuadrature) -> li
     trajectory's start state with it.
     """
     def g_exact(t: float) -> float:
-        single = compute_channel(traj.dot, np.array([t]), quad)
+        single = compute_channel(quad, np.array([t]))
         return float(evolve(traj.state0, single).g[0])
 
     return find_g_crossings(traj.times, traj.g, refine=g_exact)
@@ -350,20 +349,22 @@ def build_time_grid(
 ) -> np.ndarray:
     """Default grids: uniform dt up to LONG_GRID_THRESHOLD_NS, else a dense prefix plus coarse tail.
 
-    A dense prefix longer than t_max is cut at t_max.
+    A dense prefix longer than t_max is cut at t_max.  A grid of more than
+    MAX_GRID_POINTS times is refused before it is allocated.
     """
     for name, value in (("t_max", t_max), ("dt", dt), ("dt_long", dt_long)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
     if not dense_prefix >= 0.0:
         raise InvalidParameterError(f"dense_prefix must be non-negative, got {dense_prefix}")
-    if t_max <= LONG_GRID_THRESHOLD_NS:
-        n = int(round(t_max / dt))
-        return np.linspace(0.0, n * dt, n + 1)
-    dense_prefix = min(dense_prefix, t_max)
-    n_dense = int(round(dense_prefix / dt))
-    dense = np.linspace(0.0, n_dense * dt, n_dense + 1)
-    n_coarse = int(math.ceil((t_max - dense_prefix) / dt_long))
-    coarse = dense_prefix + dt_long * np.arange(1, n_coarse + 1)
-    coarse = coarse[coarse <= t_max + 1e-9]
-    return np.concatenate([dense, coarse])
+    prefix = t_max if t_max <= LONG_GRID_THRESHOLD_NS else min(dense_prefix, t_max)
+    n_dense, n_coarse = np.rint(prefix / dt), np.ceil((t_max - prefix) / dt_long)
+    # counted before anything is allocated; an overflowing or NaN count fails too
+    if not n_dense + n_coarse + 1.0 <= MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"a time grid to t_max={t_max:g} ns at dt={dt:g} ns, dt_long={dt_long:g} ns holds "
+            f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS} times"
+        )
+    dense = np.linspace(0.0, n_dense * dt, int(n_dense) + 1)
+    coarse = prefix + dt_long * np.arange(1, int(n_coarse) + 1)
+    return np.concatenate([dense, coarse[coarse <= t_max + 1e-9]])

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import simpson
 
-from .channel import build_quadrature, compute_channel
+from .channel import BathQuadrature, ChannelTrajectory, build_quadrature, compute_channel
 from .config import (
     DEFAULT_LONGTIME_WINDOW,
     DEFAULT_M_WINDOW,
@@ -59,12 +59,10 @@ class MonotonicityError(QdspinError, ValueError):
 
 def rescaled_integral(
     traj: CorrelationTrajectory, window: tuple[float, float] = DEFAULT_M_WINDOW
-) -> tuple[float, float]:
-    """Windowed integral of the rescaled discord, normalized by its t=0 value.
+) -> float:
+    """Windowed integral of the rescaled discord (lower bound), normalized by its t=0 value.
 
-    Composite Simpson on the trajectory grid.  Computed from the lower
-    bound; the upper-bound integral is returned alongside (the two
-    coincide for every Bell-diagonal input).
+    Composite Simpson on the trajectory grid.
     """
     d0 = traj.d_lower[0]
     if d0 <= 1e-15:
@@ -73,10 +71,7 @@ def rescaled_integral(
     mask = (traj.times >= lo - 1e-12) & (traj.times <= hi + 1e-12)
     if mask.sum() < 3:
         raise InvalidParameterError(f"window {window} contains fewer than 3 samples")
-    t = traj.times[mask]
-    m_lower = float(simpson(traj.d_lower[mask], x=t)) / d0
-    m_upper = float(simpson(traj.d_upper[mask], x=t)) / d0
-    return m_lower, m_upper
+    return float(simpson(traj.d_lower[mask], x=traj.times[mask])) / d0
 
 
 def esd_time(times: np.ndarray, conc: np.ndarray) -> float | None:
@@ -130,7 +125,6 @@ def first_min_then_max(times: np.ndarray, g: np.ndarray) -> tuple[Extremum | Non
 class SweepRow:
     b_field: float
     m_lower: float | None = None
-    m_upper: float | None = None
     g_min: Extremum | None = None
     g_max: Extremum | None = None
     kink_times: list[float] = field(default_factory=list)
@@ -164,19 +158,28 @@ class SweepTable:
         write_csv(path, header_lines, columns)
 
 
+def channel_for_field(
+    config: RunConfig, b_field: float, t_max: float
+) -> tuple[BathQuadrature, ChannelTrajectory]:
+    """Channel model and channel of `config`'s dot at `b_field` on its grid up to `t_max`.
+
+    The model is sized from the grid's last time, which can lie a step
+    past t_max; `evolve`, `sweep`, `verify` and the scripts all take this
+    one road from a run description to a channel.
+    """
+    times = build_time_grid(t_max, dt=config.dt, dt_long=config.dt_long, dense_prefix=config.dense_prefix)
+    quad = build_quadrature(config.dot(b_field), float(times.max()),
+                            m_count=config.m_nodes, q_count=config.q_nodes)
+    return quad, compute_channel(quad, times)
+
+
 def trajectory_for_field(config: RunConfig, b_field: float) -> CorrelationTrajectory:
     """Channel + evolution for one field value of a sweep."""
     state0 = make_state(parse_state_spec(config.state))
-    dot = config.dot(b_field)
     t_max = config.t_max
     if "longtime" in METRIC_SETS[config.metric]:
         t_max = max(t_max, config.longtime_window[1])
-    times = build_time_grid(
-        t_max, dt=config.dt, dt_long=config.dt_long, dense_prefix=config.dense_prefix
-    )
-    quad = build_quadrature(dot, float(times.max()), m_count=config.m_nodes, q_count=config.q_nodes)
-    chan = compute_channel(dot, times, quad)
-    return evolve(state0, chan)
+    return evolve(state0, channel_for_field(config, b_field, t_max)[1])
 
 
 def _sweep_row(args: tuple[RunConfig, float]) -> SweepRow:
@@ -185,7 +188,7 @@ def _sweep_row(args: tuple[RunConfig, float]) -> SweepRow:
     traj = trajectory_for_field(config, b)
     row = SweepRow(b_field=b)
     if "M" in metrics:
-        row.m_lower, row.m_upper = rescaled_integral(traj, config.m_window)
+        row.m_lower = rescaled_integral(traj, config.m_window)
     if "g-extrema" in metrics:
         row.g_min, row.g_max = first_min_then_max(traj.times, traj.g)
     if "kinks" in metrics:

@@ -91,10 +91,6 @@ class TwoQubitState:
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho).min())
-
 
 # ---------------------------------------------------------------------------
 # state specifications

@@ -15,8 +15,10 @@ from qdspin.channel import (
     QuadratureResolutionError,
     node_count_rule,
 )
-from qdspin.constants import ValidityWindowError
+from qdspin.constants import HBAR_UEV_NS, ValidityWindowError
 from qdspin.evolution import build_time_grid
+
+from conftest import channel_of
 
 HBAR = 0.6582119569
 
@@ -164,8 +166,8 @@ def test_node_count_rule_is_never_above_the_floor_rule_and_covers_its_window(b_f
 def test_node_count_rule_matches_the_257_by_64_channel(b_field):
     dot = q.DotParameters(b_field=b_field)
     times = build_time_grid(20.0)
-    chan = q.compute_channel(dot, times)
-    floor = q.compute_channel(dot, times, q.build_quadrature(dot, 20.0, m_count=257, q_count=64))
+    chan = channel_of(dot, times)
+    floor = q.compute_channel(q.build_quadrature(dot, 20.0, m_count=257, q_count=64), times)
     assert np.abs(chan.p - floor.p).max() <= 1e-12
     assert np.abs(chan.c - floor.c).max() <= 1e-12
 
@@ -188,13 +190,10 @@ def test_quadrature_refuses_tiny_bath():
         q.build_quadrature(dot, 5.0)
 
 
-def test_channel_refuses_a_model_of_another_dot(default_dot):
-    times = np.linspace(0.0, 10.0, 11)
+def test_channel_refuses_times_past_its_model(default_dot):
     quad = q.build_quadrature(default_dot, 10.0)
-    with pytest.raises(QuadratureResolutionError, match="quadrature built for"):
-        q.compute_channel(q.DotParameters(b_field=0.1), times, quad)
-    with pytest.raises(QuadratureResolutionError):
-        q.compute_channel(q.DotParameters(n_nuclei=1.5e5), times, quad)
+    with pytest.raises(QuadratureResolutionError, match="sized for t_max=10 ns, requested 20 ns"):
+        q.compute_channel(quad, np.linspace(0.0, 20.0, 21))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +204,7 @@ def test_channel_refuses_a_model_of_another_dot(default_dot):
 @pytest.fixture(scope="module")
 def channel_b0(default_dot):
     times = np.linspace(0.0, 20.0, 1001)
-    return q.compute_channel(default_dot, times)
+    return channel_of(default_dot, times)
 
 
 def test_channel_identity_at_t0(channel_b0):
@@ -216,7 +215,7 @@ def test_channel_identity_at_t0(channel_b0):
 def test_channel_starts_at_exactly_one(default_dot):
     # the 32 x 32 weights round to a sum of 1 - 2^-53; the exact average is 1
     times = build_time_grid(20.0)
-    chan = q.compute_channel(default_dot, times, q.build_quadrature(default_dot, 20.0, 32, 32))
+    chan = q.compute_channel(q.build_quadrature(default_dot, 20.0, 32, 32), times)
     assert chan.c[0] == 1.0
 
 
@@ -250,8 +249,8 @@ def test_channel_validate_rejects_cp_violation(channel_b0):
 
 def test_channel_b_sign_invariance():
     times = np.linspace(0.0, 20.0, 201)
-    plus = q.compute_channel(q.DotParameters(b_field=1.0), times)
-    minus = q.compute_channel(q.DotParameters(b_field=-1.0), times)
+    plus = channel_of(q.DotParameters(b_field=1.0), times)
+    minus = channel_of(q.DotParameters(b_field=-1.0), times)
     assert np.abs(plus.p - minus.p).max() < 1e-7
     assert np.abs(np.abs(plus.c) - np.abs(minus.c)).max() < 1e-7
 
@@ -259,17 +258,16 @@ def test_channel_b_sign_invariance():
 def test_channel_identical_dots_give_identical_channels(default_dot):
     times = np.linspace(0.0, 10.0, 101)
     other = q.DotParameters()
-    a = q.compute_channel(default_dot, times)
-    b = q.compute_channel(other, times)
+    a = channel_of(default_dot, times)
+    b = channel_of(other, times)
     assert np.array_equal(a.p, b.p) and np.array_equal(a.c, b.c)
 
 
 def test_channel_doubling_convergence(default_dot):
     times = np.linspace(0.0, 20.0, 401)
-    base = q.compute_channel(default_dot, times)
+    base = channel_of(default_dot, times)
     doubled = q.compute_channel(
-        default_dot, times,
-        q.build_quadrature(default_dot, 20.0, m_count=2 * base.m_count, q_count=2 * base.q_count),
+        q.build_quadrature(default_dot, 20.0, m_count=2 * base.m_count, q_count=2 * base.q_count), times
     )
     assert np.abs(base.p - doubled.p).max() < 1e-6
     assert np.abs(base.c - doubled.c).max() < 1e-6
@@ -277,8 +275,8 @@ def test_channel_doubling_convergence(default_dot):
 
 def test_channel_deterministic(default_dot):
     times = np.linspace(0.0, 20.0, 201)
-    a = q.compute_channel(default_dot, times)
-    b = q.compute_channel(default_dot, times)
+    a = channel_of(default_dot, times)
+    b = channel_of(default_dot, times)
     assert np.array_equal(a.p, b.p) and np.array_equal(a.c, b.c)
 
 
@@ -300,7 +298,7 @@ def test_channel_monte_carlo_oracle():
     v_frac = v2_ket / e_ket**2
 
     times = np.array([2.0, 8.0, 14.0])
-    chan = q.compute_channel(dot, times)
+    chan = channel_of(dot, times)
     for i, t in enumerate(times):
         th_k, th_b = e_ket * t / HBAR, e_bra * t / HBAR
         p_mc = float(np.mean(v_frac * np.sin(th_k) ** 2))
@@ -322,7 +320,7 @@ def quasi_static_channel(dot, times):
     sigma_m t / hbar, and flips with p = (1 - c)/2.  It shares nothing with
     the node tables; the box model tends to it for large N.
     """
-    s2 = (dot.alpha * dot.sigma_m * times / dot.constants.hbar) ** 2
+    s2 = (dot.alpha * dot.sigma_m * times / HBAR_UEV_NS) ** 2
     c = 1.0 / 3.0 + (2.0 / 3.0) * (1.0 - s2) * np.exp(-0.5 * s2)
     return 0.5 * (1.0 - c), c
 
@@ -332,7 +330,7 @@ def test_channel_matches_the_quasi_static_limit_at_zero_field():
     gaps = {}
     for n_nuclei in (1.5e5, 1.5e6):
         dot = q.DotParameters(n_nuclei=n_nuclei)
-        chan = q.compute_channel(dot, times)
+        chan = channel_of(dot, times)
         p_qs, c_qs = quasi_static_channel(dot, times)
         gaps[n_nuclei] = float(np.abs(chan.c - c_qs).max()), float(np.abs(chan.p - p_qs).max())
         assert np.abs(chan.c.imag).max() <= 1e-14
@@ -353,7 +351,7 @@ def quasi_static_average(dot, times):
     z = m / sigma_m and u = Q / (2 sigma_m^2); no Gauss rule is involved.
     """
     spread = dot.alpha * dot.sigma_m
-    hbar = dot.constants.hbar
+    hbar = HBAR_UEV_NS
 
     def over_u(z):
         b_z = spread * z - dot.zeeman_energy
@@ -397,7 +395,7 @@ def test_channel_matches_the_quasi_static_limit_at_finite_field(b_field, p_bound
     gaps = {}
     for n_nuclei in (1.5e5, 1.5e6):
         dot = q.DotParameters(b_field=b_field, n_nuclei=n_nuclei)
-        chan = q.compute_channel(dot, times)
+        chan = channel_of(dot, times)
         p_qs, c_qs = quasi_static_average(dot, times[::50])
         gaps[n_nuclei] = (float(np.abs(chan.p[::50] - p_qs).max()),
                           float(np.abs(chan.c[::50] - c_qs).max()))
@@ -430,7 +428,7 @@ def direct_channel(dot, times, quad):
     as in the Monte-Carlo oracle; of the model's evaluation data only the
     fast-term cutoff is read.
     """
-    hbar, alpha, omega_z = dot.constants.hbar, dot.alpha, dot.zeeman_energy
+    hbar, alpha, omega_z = HBAR_UEV_NS, dot.alpha, dot.zeeman_energy
     m, q_perp = quad.m_nodes[:, None], quad.q_nodes[None, :]
     w2d = quad.m_weights[:, None] * quad.q_weights[None, :]
     d_ket = 0.5 * (-omega_z + alpha * (m + 0.5))
@@ -475,7 +473,7 @@ def direct_channel(dot, times, quad):
 def test_channel_matches_direct_sum(b_field, times):
     dot = q.DotParameters(b_field=b_field)
     quad = q.build_quadrature(dot, float(times.max()))
-    chan = q.compute_channel(dot, times, quad)
+    chan = q.compute_channel(quad, times)
     p_ref, c_ref = direct_channel(dot, times, quad)
     if times.max() > 100.0:
         assert times.min() < chan.fast_term_cutoff_ns < times.max()
@@ -488,8 +486,8 @@ def test_channel_single_time_matches_grid():
     dot = q.DotParameters(b_field=0.001)
     times = build_time_grid(200.0)
     quad = q.build_quadrature(dot, 200.0)
-    grid = q.compute_channel(dot, times, quad)
+    grid = q.compute_channel(quad, times)
     for i in (1, 777, 2501, 2510, times.size - 1):  # dense, coarse fast, slow
-        alone = q.compute_channel(dot, times[i : i + 1], quad)
+        alone = q.compute_channel(quad, times[i : i + 1])
         assert abs(alone.p[0] - grid.p[i]) <= 1e-13
         assert abs(alone.c[0] - grid.c[i]) <= 1e-13

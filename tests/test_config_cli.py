@@ -45,7 +45,7 @@ def test_config_defaults_reproduce_material_parameters():
     assert dot.a_total == 83.0
     assert dot.n_nuclei == 1.5e6
     assert dot.i_nuclear == 1.5
-    assert dot.constants.g_factor == 0.44
+    assert dot.g_factor == 0.44
 
 
 def test_config_rejects_unknown_keys():
@@ -371,7 +371,7 @@ def test_cli_output_into_missing_directory_is_usage_error(command, flag, tmp_pat
     def no_channel_work(*args, **kwargs):
         raise AssertionError("channel work started before the output check")
 
-    monkeypatch.setattr("qdspin.cli.compute_channel", no_channel_work)
+    monkeypatch.setattr("qdspin.cli.channel_for_field", no_channel_work)
     monkeypatch.setattr("qdspin.cli.run_sweep", no_channel_work)
     args = [command, "--state", "bell:psi-", "--b", "0.01", "--tmax", "1",
             "--out", str(tmp_path / "ok.csv"), flag, str(tmp_path / "missing" / "x.csv")]
@@ -386,8 +386,8 @@ def test_cli_bad_state_spec_exits_before_channel_work(command, tmp_path, capsys,
     def no_channel_work(*args, **kwargs):
         raise AssertionError("channel work started before the state was made")
 
-    monkeypatch.setattr("qdspin.cli.compute_channel", no_channel_work)
-    monkeypatch.setattr("qdspin.magnetometry.compute_channel", no_channel_work)
+    monkeypatch.setattr("qdspin.cli.channel_for_field", no_channel_work)
+    monkeypatch.setattr("qdspin.magnetometry.channel_for_field", no_channel_work)
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     code = main([command, "--state", "bogus:1", "--b", "1", "--tmax", "1",
                  "--out", str(tmp_path / "x.csv")])
@@ -404,6 +404,30 @@ def test_cli_non_finite_field_is_usage_error(command, b, tmp_path, capsys):
     assert code == 2
     assert "not a finite number" in _usage_error(capsys)["message"]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+@pytest.mark.parametrize("flag,value", [("--dt", "1e-300"), ("--tmax", "1e300")])
+def test_cli_grid_past_the_point_bound_is_usage_error(command, flag, value, tmp_path, capsys):
+    code = main([command, "--state", "bell:psi-", "--b", "0.1", flag, value,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "MAX_GRID_POINTS" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+@pytest.mark.parametrize("value", ["0", "-0.44"])
+def test_cli_non_positive_g_factor_is_usage_error(command, value, tmp_path, capsys):
+    code = main([command, "--b", "0.1", "--g-factor", value, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "g_factor must be positive" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_dot_parameters_reject_a_non_positive_g_factor():
+    with pytest.raises(InvalidParameterError, match="g_factor must be positive"):
+        q.DotParameters(g_factor=0.0)
 
 
 def test_parse_b_values_bounds_the_point_count():
@@ -461,7 +485,7 @@ def test_cli_output_not_a_regular_file_is_usage_error(kind, tmp_path, capsys, mo
     def no_channel_work(*args, **kwargs):
         raise AssertionError("channel work started before the output check")
 
-    monkeypatch.setattr("qdspin.cli.compute_channel", no_channel_work)
+    monkeypatch.setattr("qdspin.cli.channel_for_field", no_channel_work)
     out = tmp_path / "out.csv"
     out.mkdir() if kind == "directory" else os.mkfifo(out)
     code = main(["evolve", "--state", "bell:psi-", "--b", "0.01", "--tmax", "1", "--out", str(out)])

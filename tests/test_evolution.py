@@ -5,9 +5,10 @@ import pytest
 
 import qdspin as q
 from qdspin import evolution
-from qdspin.constants import InvalidParameterError
+from qdspin.constants import HBAR_UEV_NS, InvalidParameterError
 from qdspin.evolution import (
     ChannelError,
+    MAX_GRID_POINTS,
     ExtremumKind,
     build_time_grid,
     find_extrema,
@@ -15,7 +16,7 @@ from qdspin.evolution import (
     refined_g_crossings,
 )
 
-from conftest import random_density
+from conftest import channel_of, random_density
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def test_one_step_rejects_cp_violation():
 @pytest.fixture(scope="module")
 def bell_traj_11mt():
     dot = q.DotParameters(b_field=0.011)
-    chan = q.compute_channel(dot, build_time_grid(20.0))
+    chan = channel_of(dot, build_time_grid(20.0))
     return q.evolve(q.make_state(q.Bell("psi-")), chan)
 
 
@@ -147,9 +148,9 @@ def test_evolve_normalization_keeps_feature_times(bell_traj_11mt):
 def test_evolve_zeeman_frame_is_local_unitary():
     # evolving on c e^{i omega t} gives the lab-frame states: a local z rotation away
     dot = q.DotParameters(b_field=0.1)
-    chan = q.compute_channel(dot, np.linspace(0.0, 10.0, 11))
+    chan = channel_of(dot, np.linspace(0.0, 10.0, 11))
     state = q.make_state(q.PhaseFamily(0.9))
-    lab = replace(chan, c=chan.c * np.exp(1j * dot.zeeman_energy * chan.times / dot.constants.hbar))
+    lab = replace(chan, c=chan.c * np.exp(1j * dot.zeeman_energy * chan.times / HBAR_UEV_NS))
     kept = q.evolve(state, lab)
     dropped = q.evolve(state, chan)
     assert np.abs(kept.ds_lower - dropped.ds_lower).max() < 1e-10
@@ -163,7 +164,7 @@ EVOLVE_SHORT_STATES = (q.Bell("psi-"), q.Werner(0.33), q.PhaseFamily(2.35619449)
 @pytest.mark.parametrize("b_field", [0.0, 0.011, 1.0])
 def test_evolve_matches_per_time_oracle(b_field):
     # the stacked trajectory against single-state calls at sampled times
-    chan = q.compute_channel(q.DotParameters(b_field=b_field), build_time_grid(20.0))
+    chan = channel_of(q.DotParameters(b_field=b_field), build_time_grid(20.0))
     c_eff = q.evolution.effective_coherence(chan)
     for spec in EVOLVE_SHORT_STATES:
         state0 = q.make_state(spec)
@@ -254,10 +255,10 @@ def test_refined_g_crossings_matches_hand_rolled_bisection():
     times = build_time_grid(10.0)
     quad = q.build_quadrature(dot, 10.0)
     state0 = q.make_state(q.BellDiagonal(0.4, 0.4))
-    traj = q.evolve(state0, q.compute_channel(dot, times, quad))
+    traj = q.evolve(state0, q.compute_channel(quad, times))
 
     def g_exact(t):
-        return float(q.evolve(state0, q.compute_channel(dot, np.array([t]), quad)).g[0])
+        return float(q.evolve(state0, q.compute_channel(quad, np.array([t]))).g[0])
 
     expected = find_g_crossings(traj.times, traj.g, refine=g_exact)
     assert len(expected) == 1
@@ -311,6 +312,15 @@ def test_build_time_grid():
     assert steps.min() == pytest.approx(0.02, abs=1e-9)
     assert steps.max() == pytest.approx(2.0, abs=1e-9)
     assert np.all(steps > 0)
+
+
+def test_build_time_grid_bounds_its_point_count():
+    assert build_time_grid(99.9999, dt=1e-4).size == MAX_GRID_POINTS
+    # one time more, counts past memory on either part of a long grid, and counts that overflow a float
+    for kwargs in ({"t_max": 100.0, "dt": 1e-4}, {"t_max": 200.0, "dt": 1e-4, "dense_prefix": 150.0},
+                   {"t_max": 2000.0, "dt_long": 1e-3}, {"t_max": 20.0, "dt": 1e-300}, {"t_max": 1e300}):
+        with pytest.raises(InvalidParameterError, match="MAX_GRID_POINTS"):
+            build_time_grid(**kwargs)
 
 
 def test_build_time_grid_dense_prefix_bounds():

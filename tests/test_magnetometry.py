@@ -9,6 +9,7 @@ from qdspin.evolution import build_time_grid
 from qdspin.magnetometry import (
     MonotonicityError,
     NormalizationError,
+    channel_for_field,
     first_min_then_max,
     rescaled_integral,
     run_sweep,
@@ -22,14 +23,20 @@ def werner_traj_10mt():
     return trajectory_for_field(RunConfig(state="werner:p=0.33"), 0.01)
 
 
+def test_channel_for_field_applies_the_run_description():
+    # t_max / dt = 1000.75 rounds the grid up to 20.02 ns; the model is sized from that last time
+    config = RunConfig(g_factor=0.5, t_max=20.015, m_nodes=40, q_nodes=36)
+    quad, chan = channel_for_field(config, 0.01, config.t_max)
+    assert chan.times[-1] == pytest.approx(20.02) and quad.t_max_ns == chan.times[-1]
+    assert quad.dot == chan.dot == config.dot(0.01)
+    assert (chan.m_count, chan.q_count) == (40, 36)
+
+
 def test_m_normalization_sanity():
     # constant D(t) = D(0) over the window integrates to the window length
     tr = trajectory_for_field(RunConfig(state="werner:p=0.33"), 0.0)
     tr.d_lower = np.full_like(tr.d_lower, tr.d_lower[0])
-    tr.d_upper = tr.d_lower.copy()
-    m_lo, m_hi = rescaled_integral(tr)
-    assert m_lo == pytest.approx(20.0, rel=1e-12)
-    assert m_hi == pytest.approx(20.0, rel=1e-12)
+    assert rescaled_integral(tr) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_m_requires_initial_discord(werner_traj_10mt):
@@ -37,14 +44,14 @@ def test_m_requires_initial_discord(werner_traj_10mt):
     tr_zero = trajectory_for_field(RunConfig(state="werner:p=0"), 0.01)
     with pytest.raises(NormalizationError):
         rescaled_integral(tr_zero)
-    assert rescaled_integral(tr)[0] > 0.0
+    assert rescaled_integral(tr) > 0.0
 
 
 def test_m_integration_step_convergence():
     config = RunConfig(state="werner:p=0.33", dt=0.02)
     config_fine = RunConfig(state="werner:p=0.33", dt=0.01)
-    m_coarse = rescaled_integral(trajectory_for_field(config, 0.02))[0]
-    m_fine = rescaled_integral(trajectory_for_field(config_fine, 0.02))[0]
+    m_coarse = rescaled_integral(trajectory_for_field(config, 0.02))
+    m_fine = rescaled_integral(trajectory_for_field(config_fine, 0.02))
     assert abs(m_coarse - m_fine) < 1e-4 * m_coarse
 
 
@@ -105,7 +112,7 @@ def test_sweep_workers_do_not_change_results():
     serial = run_sweep(config)
     parallel = run_sweep(replace(config, workers=2))
     for a, b in zip(serial.rows, parallel.rows):
-        assert a.m_lower == b.m_lower and a.m_upper == b.m_upper
+        assert a.m_lower == b.m_lower
 
 
 def test_sweep_rejects_non_positive_worker_count():

@@ -76,7 +76,7 @@ def calibration_oracle(curve, headers) -> str:
 @pytest.fixture(scope="module")
 def chan_100mt():
     dot = q.DotParameters(b_field=0.1)
-    return q.compute_channel(dot, build_time_grid(5.0), q.build_quadrature(dot, 5.0))
+    return q.compute_channel(q.build_quadrature(dot, 5.0), build_time_grid(5.0))
 
 
 def test_channel_csv_matches_oracle(tmp_path, chan_100mt):
@@ -113,7 +113,7 @@ def test_trajectory_nan_g_prints_empty(tmp_path, chan_100mt):
 def test_sweep_csv_matches_oracle(tmp_path):
     rows = [
         SweepRow(b_field=np.float64(0.0)),
-        SweepRow(b_field=0.011, m_lower=5.127690168165193, m_upper=5.2,
+        SweepRow(b_field=0.011, m_lower=5.127690168165193,
                  g_min=Extremum(14.3186450231, 0.2294690237, ExtremumKind.MINIMUM),
                  g_max=Extremum(18.590230045, 0.263463913958, ExtremumKind.MAXIMUM),
                  kink_times=[4.670152891234, 8.1096538912], esd_time_ns=5.55, d_longtime=3.0045e-05),
