@@ -42,9 +42,7 @@ from .magnetometry import (
     run_sweep,
 )
 from .measures import (
-    BellDiagonalDiscord,
     DiscordBounds,
-    bell_diagonal_discord,
     concurrence,
     discord_bounds,
     g_ratio,
@@ -63,7 +61,6 @@ from .states import (
     Werner,
     bell_diagonal_params,
     bloch_decompose,
-    bloch_reconstruct,
     load_raw_state,
     make_state,
     purity,

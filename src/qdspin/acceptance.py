@@ -171,16 +171,11 @@ def check_5_positive_field_regime(cache: RunCache) -> CheckResult:
 
 def check_6_discord_anchors(cache: RunCache) -> CheckResult:
     rng = np.random.default_rng(20140609)
-    worst_ent = 0.0
-    for _ in range(100):
-        spec = EntFamily(a=0.5 * rng.uniform(), alpha=rng.uniform(0, 2 * np.pi), beta=rng.uniform(0, 2 * np.pi))
-        worst_ent = max(worst_ent, abs(discord_bounds(make_state(spec)).ds_lower - 0.5))
+    ent = [make_state(EntFamily(a=0.5 * rng.uniform(), alpha=rng.uniform(0, 2 * np.pi),
+                                beta=rng.uniform(0, 2 * np.pi))).rho for _ in range(100)]
+    worst_ent = float(np.max(np.abs(discord_bounds(np.array(ent)).ds_lower - 0.5)))
 
-    def coincide_gap(state: TwoQubitState) -> float:
-        b = discord_bounds(state)
-        return b.ds_upper - b.ds_lower
-
-    def random_x(force_zero_bloch: bool) -> TwoQubitState:
+    def random_x(force_zero_bloch: bool) -> np.ndarray:
         if force_zero_bloch:
             # the coincidence claim needs a vanishing local z component on
             # one side: d0 + d2 = d1 + d3 zeroes the second qubit's
@@ -193,34 +188,42 @@ def check_6_discord_anchors(cache: RunCache) -> CheckResult:
         x_state = np.diag(d).astype(complex)
         x_state[1, 2], x_state[2, 1] = inner, np.conj(inner)
         x_state[0, 3], x_state[3, 0] = outer, np.conj(outer)
-        return TwoQubitState(x_state)
+        return TwoQubitState(x_state).rho
 
-    worst_gap = 0.0
-    worst_x_excess = 0.0
+    # four coincidence classes and the general X states, drawn in the same
+    # interleaved rng order per iteration, each then bounded as one stack
+    classes = {"pure": [], "x_zero_bloch": [], "bell_diagonal": [], "rotated_bell_mix": []}
+    general = []
     for _ in range(200):
         # pure states
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        worst_gap = max(worst_gap, coincide_gap(TwoQubitState(np.outer(psi, psi.conj()))))
+        classes["pure"].append(TwoQubitState(np.outer(psi, psi.conj())).rho)
         # X states with a vanishing local Bloch component (the coincidence
         # class; with both z components finite the two-sided distance
         # exceeds the one-sided one by exactly min(x3^2, y3^2)/4, so no
         # bound pair can close there - see the decisions notes)
-        worst_gap = max(worst_gap, coincide_gap(random_x(force_zero_bloch=True)))
+        classes["x_zero_bloch"].append(random_x(force_zero_bloch=True))
         # general X states: the gap never exceeds that intrinsic ceiling
-        general_x = random_x(force_zero_bloch=False)
-        form = bloch_decompose(general_x)
-        ceiling = 0.25 * min(form.x[2] ** 2, form.y[2] ** 2)
-        worst_x_excess = max(worst_x_excess, coincide_gap(general_x) - ceiling)
+        general.append(random_x(force_zero_bloch=False))
         # Bell-diagonal states
         a = rng.uniform(0, 0.5)
         b = a * rng.uniform(-1, 1)
-        worst_gap = max(worst_gap, coincide_gap(make_state(BellDiagonal(a, b))))
+        classes["bell_diagonal"].append(make_state(BellDiagonal(a, b)).rho)
         # zero-local-Bloch states: Bell mixtures rotated by local unitaries
         w = rng.dirichlet(np.ones(4))
         mix = sum(wk * make_state(Bell(k)).rho for wk, k in zip(w, ("phi+", "phi-", "psi+", "psi-")))
         u = np.kron(_random_unitary(rng), _random_unitary(rng))
-        worst_gap = max(worst_gap, coincide_gap(TwoQubitState(u @ mix @ u.conj().T)))
+        classes["rotated_bell_mix"].append(TwoQubitState(u @ mix @ u.conj().T).rho)
+
+    def gaps(rhos: list[np.ndarray]) -> np.ndarray:
+        b = discord_bounds(np.array(rhos))
+        return b.ds_upper - b.ds_lower
+
+    worst_gap = max(0.0, *(float(np.max(gaps(rhos))) for rhos in classes.values()))
+    form = bloch_decompose(np.array(general))
+    ceiling = 0.25 * np.minimum(form.x[:, 2] ** 2, form.y[:, 2] ** 2)
+    worst_x_excess = max(0.0, float(np.max(gaps(general) - ceiling)))
 
     bnds = discord_bounds(np.array([_random_rho(rng) for _ in range(10_000)]))
     worst_order = max(0.0, float(np.max(bnds.ds_lower - bnds.ds_upper)))

@@ -61,10 +61,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import roots_hermite, roots_laguerre
 
 from .config import write_csv
-from .constants import HBAR_UEV_NS, DotParameters, QdspinError, ValidityWindowError
+from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError, QdspinError, ValidityWindowError
 
 DEGENERATE_BLOCK_E2 = 1e-30      # ueV^2; below this a block acts as identity
 CP_MARGIN_HARD = 1e-4            # beyond this the quadrature is under-resolved
@@ -72,6 +71,7 @@ VALIDITY_GRACE = 1.05            # hbar*N/A is an estimate; allow 5% on top
 FAST_NODES = 32                  # per axis, where their fast-term window covers t_max
 MIN_M_NODES = 257                # otherwise, with the phase term for n_m
 MIN_Q_NODES = 64
+MAX_QUADRATURE_NODES = 1_000_000  # n_m x n_q; ~0.2 KB of peak memory each, the 12 000 ns rule takes 112 576
 _MIN_BATH_NUCLEI = 100           # Gaussian bath statistics need a large bath
 
 
@@ -123,6 +123,8 @@ def node_count_rule(dot: DotParameters, t_max_ns: float) -> tuple[int, int]:
     """
     n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
     n_m = max(FAST_NODES, n_phase)
+    if n_m * FAST_NODES > MAX_QUADRATURE_NODES:  # past the cap either way: no candidate is built
+        return max(MIN_M_NODES, n_phase), MIN_Q_NODES
     m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, n_m, FAST_NODES)
     (_, _, e2_ket), (_, _, e2_bra) = _blocks(dot, m_nodes[:, None], q_nodes[None, :])
     w_fast = np.sqrt(e2_ket) / HBAR_UEV_NS + np.sqrt(e2_bra) / HBAR_UEV_NS
@@ -134,6 +136,8 @@ def node_count_rule(dot: DotParameters, t_max_ns: float) -> tuple[int, int]:
 def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple[np.ndarray, ...]:
     """Normalised Gauss-Hermite polarization nodes m and Gauss-Laguerre
     transverse-invariant nodes Q, with their weights."""
+    from scipy.special import roots_hermite, roots_laguerre  # on first use: `import qdspin` stays scipy-free
+
     if n_m < 3 or n_q < 3:
         raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
     sigma = dot.sigma_m
@@ -186,7 +190,8 @@ def build_quadrature(
 ) -> BathQuadrature:
     """Channel model of `dot`: Gauss-Hermite x Gauss-Laguerre nodes sized for t_max
     (`node_count_rule` unless given) and their frequency families, computed
-    once for every channel call on the model."""
+    once for every channel call on the model.  More than
+    MAX_QUADRATURE_NODES nodes are refused before any is computed."""
     if t_max_ns < 0.0:
         raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
     window = VALIDITY_GRACE * dot.validity_window_ns
@@ -204,6 +209,11 @@ def build_quadrature(
         rule_m, rule_q = node_count_rule(dot, t_max_ns)
         n_m = rule_m if n_m is None else n_m
         n_q = rule_q if n_q is None else n_q
+    if n_m * n_q > MAX_QUADRATURE_NODES:
+        raise InvalidParameterError(
+            f"a quadrature of {n_m} x {n_q} nodes holds more than "
+            f"MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES} nodes"
+        )
     m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, int(n_m), int(n_q))
 
     m = m_nodes[:, None]

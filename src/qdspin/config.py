@@ -91,7 +91,8 @@ class RunConfig:
             require(isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)),
                     name, "a [start, stop] pair of finite numbers")
         for name in ("m_nodes", "q_nodes"):
-            require(getattr(self, name) is None or _is_int(getattr(self, name)), name, "an integer or null")
+            value = getattr(self, name)
+            require(value is None or (_is_int(value) and value >= 3), name, "an integer of at least 3, or null")
         require(self.workers is None or (_is_int(self.workers) and self.workers >= 1),
                 "workers", "a positive integer or null")
         require(isinstance(self.state, str), "state", "a state spec string")

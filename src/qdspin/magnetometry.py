@@ -15,12 +15,10 @@ monotone calibration curve can be inverted back to a field estimate.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .channel import BathQuadrature, ChannelTrajectory, build_quadrature, compute_channel
 from .config import (
@@ -64,6 +62,8 @@ def rescaled_integral(
 
     Composite Simpson on the trajectory grid.
     """
+    from scipy.integrate import simpson  # on first use: only the M metric integrates
+
     d0 = traj.d_lower[0]
     if d0 <= 1e-15:
         raise NormalizationError("initial rescaled discord is zero; M(B) undefined")
@@ -226,6 +226,8 @@ def run_sweep(config: RunConfig) -> SweepTable:
     if n_workers == 1 or len(jobs) == 1:
         rows = [_sweep_row(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     return SweepTable(rows=rows)

@@ -2,18 +2,16 @@
 
 Provides the closed-form lower and upper bounds on the geometric discord
 (squared Hilbert-Schmidt distance to the nearest zero-discord state), the
-purity-rescaled discord derived from it, the Bell-diagonal analytic
-formulas, the measurable ratio g, Wootters concurrence, and a brute-force
-measurement-minimization oracle used to guard the closed forms.
+purity-rescaled discord derived from it, the measurable ratio g, Wootters
+concurrence, and a brute-force measurement-minimization oracle used to
+guard the closed forms.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constants import InvalidParameterError, NumericalDomainError
 from .states import (
@@ -45,19 +43,6 @@ class DiscordBounds:
     ds_upper: np.ndarray
     rescaled_lower: np.ndarray
     rescaled_upper: np.ndarray
-
-
-class Regime(enum.Enum):
-    G_LE_1 = "g_le_1"
-    G_GE_1 = "g_ge_1"
-    BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class BellDiagonalDiscord:
-    ds: float
-    regime: Regime
-    g: float
 
 
 def _bounds(form: BlochForm) -> tuple[np.ndarray, np.ndarray]:
@@ -129,34 +114,6 @@ def discord_bounds(state: TwoQubitState | np.ndarray) -> DiscordBounds:
     )
 
 
-def bell_diagonal_discord(a: float, b: complex) -> BellDiagonalDiscord:
-    """Analytic geometric discord of the X-pattern state diag(1/2-a, a, a, 1/2-a), coherence b.
-
-    ds = 2|b|^2 in the g <= 1 regime and (1/2 - 2a)^2 + |b|^2 in the
-    g >= 1 regime, with g = 2|b| / |1 - 4a|.
-    """
-    if not -1e-12 <= a <= 0.5 + 1e-12:
-        raise InvalidParameterError(f"a must lie in [0, 1/2], got {a}")
-    babs = abs(b)
-    if babs > a + 1e-12:
-        raise InvalidParameterError(f"positivity requires |b| <= a, got |b|={babs}, a={a}")
-    denom = abs(1.0 - 4.0 * a)
-    if denom < 1e-300:
-        g = math.inf if babs > 0.0 else 0.0
-    else:
-        g = 2.0 * babs / denom
-    if abs(g - 1.0) < 1e-12:
-        regime = Regime.BOUNDARY
-        ds = 2.0 * babs * babs
-    elif g < 1.0:
-        regime = Regime.G_LE_1
-        ds = 2.0 * babs * babs
-    else:
-        regime = Regime.G_GE_1
-        ds = (0.5 - 2.0 * a) ** 2 + babs * babs
-    return BellDiagonalDiscord(ds=ds, regime=regime, g=g)
-
-
 def g_ratio(state: TwoQubitState | np.ndarray) -> np.ndarray:
     """|Tr(sx x sx rho)| / |Tr(sz x sz rho)| of one state or a (..., 4, 4) stack.
 
@@ -207,6 +164,8 @@ def oracle_one_sided_discord(state: TwoQubitState, grid_resolution: int = 24) ->
     the best point.  Serves as the independent check of the closed-form
     lower bound on the A side.
     """
+    from scipy.optimize import minimize  # on first use: only `verify` runs the oracle
+
     rho = state.rho
     thetas, phis = np.meshgrid(np.linspace(0.0, math.pi, grid_resolution),
                                np.linspace(0.0, 2.0 * math.pi, 2 * grid_resolution, endpoint=False),

@@ -246,12 +246,6 @@ def bloch_decompose(state: TwoQubitState | np.ndarray) -> BlochForm:
     return BlochForm(vals[..., 0:3], vals[..., 3:6], vals[..., 6:].reshape(*vals.shape[:-1], 3, 3))
 
 
-def bloch_reconstruct(form: BlochForm) -> np.ndarray:
-    """Inverse of bloch_decompose."""
-    vals = np.concatenate([form.x, form.y, form.t_corr.reshape(*form.t_corr.shape[:-2], 9)], axis=-1)
-    return (np.eye(4) + np.einsum("...k,kij->...ij", vals, _PAULI_PRODUCTS)) / 4.0
-
-
 def purity(state: TwoQubitState | np.ndarray) -> float:
     """Tr rho^2, in [1/4, 1].  Equals the squared Frobenius norm for Hermitian rho.
 

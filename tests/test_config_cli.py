@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdspin as q
-from qdspin import magnetometry
+from qdspin import channel, magnetometry
+from qdspin.channel import MAX_QUADRATURE_NODES, build_quadrature
 from qdspin.cli import main
 from qdspin.config import (
     MAX_FIELD_POINTS,
@@ -16,7 +17,7 @@ from qdspin.config import (
     parse_b_values,
     parse_state_spec,
 )
-from qdspin.constants import InvalidParameterError
+from qdspin.constants import DotParameters, InvalidParameterError
 from qdspin.evolution import build_time_grid
 from qdspin.magnetometry import METRIC_SETS, WORKERS_ENV, worker_count
 
@@ -272,6 +273,39 @@ def test_cli_quadrature_past_scipy_node_limit_is_numerical_error(tmp_path, capsy
     assert record["error"] == "QuadratureResolutionError"
     assert "q_weights of 400 nodes" in record["message"]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--m-nodes", "0"), ("--m-nodes", "2"), ("--q-nodes", "-5")])
+def test_cli_node_count_below_three_is_usage_error(flag, value, tmp_path, capsys):
+    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", flag, value,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"{flag[2]}_nodes must be an integer of at least 3" in _usage_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("flags", [["--m-nodes", "1000000"], ["--m-nodes", "20000", "--q-nodes", "64"]])
+def test_cli_quadrature_past_node_cap_is_usage_error(flags, tmp_path, capsys, monkeypatch):
+    def bounded_nodes(dot, n_m, n_q):
+        assert n_m * n_q <= MAX_QUADRATURE_NODES, "nodes computed before the node count was bounded"
+        return real_nodes(dot, n_m, n_q)
+
+    real_nodes = channel._bath_nodes
+    monkeypatch.setattr(channel, "_bath_nodes", bounded_nodes)
+    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", *flags,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES}" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_node_rule_past_the_cap_builds_no_candidate(monkeypatch):
+    # a huge bath on a long grid needs ~180 000 m nodes for its phase term alone
+    def no_nodes(*args):
+        raise AssertionError("candidate nodes computed past MAX_QUADRATURE_NODES")
+
+    monkeypatch.setattr(channel, "_bath_nodes", no_nodes)
+    with pytest.raises(InvalidParameterError, match="MAX_QUADRATURE_NODES"):
+        build_quadrature(DotParameters(n_nuclei=1e12), 1e9)
 
 
 @pytest.mark.parametrize("name,value", [("upper_pairing", "printed"), ("drop_zeeman_phase", True)])

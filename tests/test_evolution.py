@@ -16,7 +16,7 @@ from qdspin.evolution import (
     refined_g_crossings,
 )
 
-from conftest import channel_of, random_density
+from conftest import bell_diagonal_discord, channel_of, random_density
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_evolve_g_matches_channel_prediction(bell_traj_11mt):
 def test_evolve_bell_diagonal_discord_consistency(bell_traj_11mt):
     tr = bell_traj_11mt
     for k in range(0, tr.times.size, 97):
-        ds = q.bell_diagonal_discord(tr.bell_a[k], tr.bell_b[k]).ds
+        ds = bell_diagonal_discord(tr.bell_a[k], tr.bell_b[k]).ds
         assert tr.ds_lower[k] == pytest.approx(ds, abs=1e-12)
         assert tr.ds_upper[k] == pytest.approx(ds, abs=1e-9)
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import qdspin as q
 from qdspin.constants import InvalidParameterError, NumericalDomainError
-from qdspin.measures import RESCALE_PREFACTOR, Regime
+from qdspin.measures import RESCALE_PREFACTOR
 
-from conftest import random_density, random_unitary
+from conftest import Regime, bell_diagonal_discord, random_density, random_unitary
 
 MIXED = q.TwoQubitState(np.eye(4, dtype=complex) / 4.0)
 
@@ -58,20 +58,20 @@ def test_rescaled_discord_domain():
     ],
 )
 def test_bell_diagonal_discord_branches(a, b, ds, regime):
-    result = q.bell_diagonal_discord(a, b)
+    result = bell_diagonal_discord(a, b)
     assert result.ds == pytest.approx(ds, abs=1e-12)
     assert result.regime is regime
 
 
 def test_bell_diagonal_discord_infinite_g():
-    result = q.bell_diagonal_discord(0.25, 0.2)
+    result = bell_diagonal_discord(0.25, 0.2)
     assert result.g == np.inf
     assert result.ds == pytest.approx(0.04, abs=1e-12)
 
 
 def test_bell_diagonal_discord_rejects_nonpositive():
     with pytest.raises(InvalidParameterError):
-        q.bell_diagonal_discord(0.2, 0.4)
+        bell_diagonal_discord(0.2, 0.4)
 
 
 def test_bell_diagonal_matches_general_formula(rng):
@@ -80,7 +80,7 @@ def test_bell_diagonal_matches_general_formula(rng):
         b = a * rng.uniform(-1.0, 1.0)
         state = q.make_state(q.BellDiagonal(a, b))
         assert q.discord_bounds(state).ds_lower == pytest.approx(
-            q.bell_diagonal_discord(a, b).ds, abs=1e-12
+            bell_diagonal_discord(a, b).ds, abs=1e-12
         )
 
 

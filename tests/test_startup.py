@@ -1,0 +1,76 @@
+"""Import graph of a fresh interpreter: scipy and the process pool load only
+with the calls that use them.
+
+Each test runs its code in a new interpreter, because this one already
+holds scipy.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qdspin
+
+SRC = str(Path(qdspin.__file__).resolve().parents[1])
+
+# prints the deferred modules a fresh interpreter holds at that point
+LOADED = """
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process")))
+"""
+
+
+def _fresh(code: str) -> list[list[str]]:
+    """Run `code` in a new interpreter; one list of deferred modules per LOADED it runs."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+
+
+def test_cli_import_version_and_usage_error_load_no_scipy_and_no_pool():
+    snapshots = _fresh(f"""
+import contextlib, io
+import qdspin.cli
+{LOADED}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        qdspin.cli.main(["--version"])
+    except SystemExit:
+        pass
+{LOADED}
+with contextlib.redirect_stderr(io.StringIO()):
+    assert qdspin.cli.main(["evolve", "--state", "nope", "--b", "0.1"]) == 2
+{LOADED}
+""")
+    assert snapshots == [[], [], []]
+
+
+def test_evolve_loads_scipy_special_only(tmp_path):
+    out = tmp_path / "t.csv"
+    (loaded,) = _fresh(f"""
+import contextlib, io
+from qdspin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--out", {str(out)!r}]) == 0
+{LOADED}
+""")
+    assert "scipy.special" in loaded
+    assert "scipy.optimize" not in loaded
+    assert "concurrent.futures.process" not in loaded
+    assert out.exists()
+
+
+def test_deferred_oracle_and_worker_pool_run_in_a_fresh_interpreter():
+    _fresh("""
+from qdspin import Bell, RunConfig, make_state, oracle_one_sided_discord, run_sweep
+assert abs(oracle_one_sided_discord(make_state(Bell("psi-")), grid_resolution=8) - 0.5) < 1e-12
+config = RunConfig(b_fields=[0.0, 0.01], t_max=1.0, m_window=[0.0, 1.0], metric="M", workers=2)
+pooled = run_sweep(config).column("m_lower")
+assert "concurrent.futures.process" in sys.modules
+config.workers = 1
+assert pooled == run_sweep(config).column("m_lower"), pooled
+""")

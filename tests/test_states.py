@@ -7,7 +7,7 @@ import qdspin as q
 from qdspin.constants import InvalidParameterError
 from qdspin.states import raw_state_from_csv, raw_state_from_json
 
-from conftest import random_density
+from conftest import bloch_reconstruct, random_density
 
 
 def test_bell_states_pure_and_ordered():
@@ -76,7 +76,7 @@ def test_bloch_roundtrip_random(rng):
     for _ in range(200):
         state = random_density(rng)
         form = q.bloch_decompose(state)
-        assert np.abs(q.bloch_reconstruct(form) - state.rho).max() < 1e-12
+        assert np.abs(bloch_reconstruct(form) - state.rho).max() < 1e-12
 
 
 def test_bloch_known_values():
