@@ -57,7 +57,7 @@ class RunCache:
     def model(self, b_field: float, t_max: float) -> tuple[BathQuadrature, ChannelTrajectory]:
         key = (float(b_field), float(t_max))
         if key not in self.models:
-            self.models[key] = channel_for_field(RunConfig(), b_field, t_max)
+            self.models[key] = channel_for_field(RunConfig(t_max=t_max), b_field)
         return self.models[key]
 
     def channel(self, b_field: float, t_max: float) -> ChannelTrajectory:
@@ -273,7 +273,7 @@ def check_8_werner_scheme_invariance(cache: RunCache) -> CheckResult:
 def check_9_m_of_b_monotonic(cache: RunCache) -> CheckResult:
     start = time.monotonic()
     table = run_sweep(RunConfig(state="werner:p=0.33", b_fields=np.linspace(0.0, 0.1, 21).tolist()))
-    ms = np.array([r.m_lower for r in table.rows])
+    ms = np.array([r["M"] for r in table.rows])
     wall = time.monotonic() - start
     increasing = bool(np.all(np.diff(ms) > 0.0))
     ok = increasing and wall < 600.0

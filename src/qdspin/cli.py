@@ -114,7 +114,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise InvalidParameterError("evolve expects exactly one field value (--b)")
     out = config.out or "trajectory.csv"
     _check_outputs(out, getattr(args, "channel_out", None))
-    quad, chan = channel_for_field(config, config.b_fields[0], config.t_max)
+    quad, chan = channel_for_field(config, config.b_fields[0])
     traj = evolve(state0, chan)
     kinks = refined_g_crossings(traj, quad)
     extra = {
@@ -134,9 +134,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = config.out or "sweep.csv"
     _check_outputs(out, args.calibration_out)
+    quantity = args.calibration_quantity
+    needs = CURVE_QUANTITIES[quantity][0]
+    if args.calibration_out and needs not in METRIC_SETS[config.metric]:
+        raise InvalidParameterError(
+            f"--metric {config.metric} does not compute the calibration quantity {quantity!r}; "
+            f"use --metric {needs} or all"
+        )
     table = run_sweep(config)
-    curve = calibration_curve(table, args.calibration_quantity) if args.calibration_out else None
-    headers = header_lines(config, {"metric": config.metric})
+    curve = calibration_curve(table, quantity) if args.calibration_out else None
+    headers = header_lines(table.config, {"metric": config.metric})
     table.to_csv(out, header_lines=headers)
     if curve is not None:
         curve.to_csv(args.calibration_out, header_lines=headers)

@@ -88,8 +88,9 @@ class RunConfig:
                 "b_fields", "a list of finite numbers")
         for name in ("m_window", "longtime_window"):
             value = getattr(self, name)
-            require(isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)),
-                    name, "a [start, stop] pair of finite numbers")
+            require(isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
+                    and 0 <= value[0] < value[1],
+                    name, "a [start, stop] pair of finite numbers with 0 <= start < stop")
         for name in ("m_nodes", "q_nodes"):
             value = getattr(self, name)
             require(value is None or (_is_int(value) and value >= 3), name, "an integer of at least 3, or null")

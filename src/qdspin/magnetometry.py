@@ -15,7 +15,7 @@ monotone calibration curve can be inverted back to a field estimate.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,53 +121,31 @@ def first_min_then_max(times: np.ndarray, g: np.ndarray) -> tuple[Extremum | Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepRow:
-    b_field: float
-    m_lower: float | None = None
-    g_min: Extremum | None = None
-    g_max: Extremum | None = None
-    kink_times: list[float] = field(default_factory=list)
-    esd_time_ns: float | None = None
-    d_longtime: float | None = None
-
-
-# the sweep CSV's columns, each read off a row; None cells print empty
-SWEEP_COLUMNS = {
-    "B_T": lambda r: r.b_field,
-    "M": lambda r: r.m_lower,
-    "g_min_t": lambda r: r.g_min.t_ns if r.g_min else None,
-    "g_min_val": lambda r: r.g_min.value if r.g_min else None,
-    "g_max_t": lambda r: r.g_max.t_ns if r.g_max else None,
-    "g_max_val": lambda r: r.g_max.value if r.g_max else None,
-    "kink_times": lambda r: ";".join(f"{t:.9g}" for t in r.kink_times),
-    "esd_t": lambda r: r.esd_time_ns,
-    "d_longtime": lambda r: r.d_longtime,
-}
+# the sweep CSV's columns; each row maps every name to its cell, and None prints empty
+SWEEP_COLUMNS = ("B_T", "M", "g_min_t", "g_min_val", "g_max_t", "g_max_val", "kink_times", "esd_t",
+                 "d_longtime")
 
 
 @dataclass
 class SweepTable:
-    rows: list[SweepRow]
+    """The rows of a sweep, in field order, and the configuration they were computed on."""
 
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.rows]
+    config: RunConfig
+    rows: list[dict]
 
     def to_csv(self, path: str | Path, header_lines: list[str] | None = None) -> None:
-        columns = {name: [get(r) for r in self.rows] for name, get in SWEEP_COLUMNS.items()}
-        write_csv(path, header_lines, columns)
+        write_csv(path, header_lines, {name: [r[name] for r in self.rows] for name in SWEEP_COLUMNS})
 
 
-def channel_for_field(
-    config: RunConfig, b_field: float, t_max: float
-) -> tuple[BathQuadrature, ChannelTrajectory]:
-    """Channel model and channel of `config`'s dot at `b_field` on its grid up to `t_max`.
+def channel_for_field(config: RunConfig, b_field: float) -> tuple[BathQuadrature, ChannelTrajectory]:
+    """Channel model and channel of `config`'s dot at `b_field` on its grid up to `config.t_max`.
 
     The model is sized from the grid's last time, which can lie a step
     past t_max; `evolve`, `sweep`, `verify` and the scripts all take this
     one road from a run description to a channel.
     """
-    times = build_time_grid(t_max, dt=config.dt, dt_long=config.dt_long, dense_prefix=config.dense_prefix)
+    times = build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
+                            dense_prefix=config.dense_prefix)
     quad = build_quadrature(config.dot(b_field), float(times.max()),
                             m_count=config.m_nodes, q_count=config.q_nodes)
     return quad, compute_channel(quad, times)
@@ -176,27 +154,30 @@ def channel_for_field(
 def trajectory_for_field(config: RunConfig, b_field: float) -> CorrelationTrajectory:
     """Channel + evolution for one field value of a sweep."""
     state0 = make_state(parse_state_spec(config.state))
-    t_max = config.t_max
-    if "longtime" in METRIC_SETS[config.metric]:
-        t_max = max(t_max, config.longtime_window[1])
-    return evolve(state0, channel_for_field(config, b_field, t_max)[1])
+    return evolve(state0, channel_for_field(config, b_field)[1])
 
 
-def _sweep_row(args: tuple[RunConfig, float]) -> SweepRow:
+def _sweep_row(args: tuple[RunConfig, float]) -> dict:
     config, b = args
     metrics = METRIC_SETS[config.metric]
     traj = trajectory_for_field(config, b)
-    row = SweepRow(b_field=b)
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update(B_T=b, kink_times="")
     if "M" in metrics:
-        row.m_lower = rescaled_integral(traj, config.m_window)
+        row["M"] = rescaled_integral(traj, config.m_window)
     if "g-extrema" in metrics:
-        row.g_min, row.g_max = first_min_then_max(traj.times, traj.g)
+        g_min, g_max = first_min_then_max(traj.times, traj.g)
+        if g_min is not None:
+            row.update(g_min_t=g_min.t_ns, g_min_val=g_min.value)
+        if g_max is not None:
+            row.update(g_max_t=g_max.t_ns, g_max_val=g_max.value)
     if "kinks" in metrics:
-        row.kink_times = [e.t_cross_ns for e in find_g_crossings(traj.times, traj.g)]
+        crossings = find_g_crossings(traj.times, traj.g)
+        row["kink_times"] = ";".join(f"{e.t_cross_ns:.9g}" for e in crossings)
     if "esd" in metrics:
-        row.esd_time_ns = esd_time(traj.times, traj.concurrence)
+        row["esd_t"] = esd_time(traj.times, traj.concurrence)
     if "longtime" in metrics:
-        row.d_longtime = long_time_discord(traj, config.longtime_window)
+        row["d_longtime"] = long_time_discord(traj, config.longtime_window)
     return row
 
 
@@ -215,7 +196,13 @@ def worker_count(explicit: int | None = None) -> int:
 
 
 def run_sweep(config: RunConfig) -> SweepTable:
-    """Run `config` over its fields; rows are keyed by field order, independent of workers."""
+    """Run `config` over its fields; rows are in field order, independent of workers.
+
+    A long-time metric runs the grid to the end of its window, so the
+    table's config, which the CSV header echoes, carries that t_max.
+    """
+    if "longtime" in METRIC_SETS[config.metric]:
+        config = replace(config, t_max=float(max(config.t_max, config.longtime_window[1])))
     b_fields = config.b_fields
     if len(b_fields) == 0:
         raise InvalidParameterError("sweep needs at least one field value")
@@ -230,16 +217,16 @@ def run_sweep(config: RunConfig) -> SweepTable:
 
         with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_row, jobs))
-    return SweepTable(rows=rows)
+    return SweepTable(config=config, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # calibration curves and inversion
 # ---------------------------------------------------------------------------
 
-# calibration quantity -> the sweep column it is read from
-CURVE_QUANTITIES = {"M": "M", "g_max_value": "g_max_val", "g_min_value": "g_min_val",
-                    "d_longtime": "d_longtime"}
+# calibration quantity -> the metric that computes it and the sweep column it is read from
+CURVE_QUANTITIES = {"M": ("M", "M"), "g_max_value": ("g-extrema", "g_max_val"),
+                    "g_min_value": ("g-extrema", "g_min_val"), "d_longtime": ("longtime", "d_longtime")}
 
 
 @dataclass(frozen=True)
@@ -263,8 +250,8 @@ def calibration_curve(table: SweepTable, quantity: str) -> CalibrationCurve:
     if quantity not in CURVE_QUANTITIES:
         known = tuple(CURVE_QUANTITIES)
         raise InvalidParameterError(f"unknown calibration quantity {quantity!r}; known: {known}")
-    value_of = SWEEP_COLUMNS[CURVE_QUANTITIES[quantity]]
-    pairs = [(r.b_field, v) for r in table.rows if (v := value_of(r)) is not None]
+    column = CURVE_QUANTITIES[quantity][1]
+    pairs = [(r["B_T"], r[column]) for r in table.rows if r[column] is not None]
     if len(pairs) < 2:
         raise InvalidParameterError(f"not enough knots with defined {quantity!r} for a curve")
     b = np.array([p[0] for p in pairs])

@@ -562,8 +562,8 @@ _VALID = {
     "m_nodes": st.none() | st.integers(3, 300),
     "q_nodes": st.none() | st.integers(3, 100),
     "normalize": st.sampled_from(NORMALIZE_MODES),
-    "m_window": st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2),
-    "longtime_window": st.lists(st.floats(0.0, 6000.0), min_size=2, max_size=2),
+    "m_window": st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2, unique=True).map(sorted),
+    "longtime_window": st.lists(st.floats(0.0, 6000.0), min_size=2, max_size=2, unique=True).map(sorted),
     "metric": st.sampled_from(sorted(METRIC_SETS)),
     "out": st.none() | st.text(min_size=1, max_size=5),
     "workers": st.none() | st.integers(1, 4),
@@ -629,3 +629,61 @@ def test_cli_calibration_failure_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert "g_max_value" in _usage_error(capsys)["message"]
     assert not out.exists() and not calib.exists()
+
+
+def test_cli_g_extrema_calibration_without_enough_knots_writes_nothing(tmp_path, capsys):
+    # g(t) has no minimum at B = 0, so one of the two fields gives a knot
+    out, calib = tmp_path / "sweep.csv", tmp_path / "cal.csv"
+    code = main(["sweep", "--metric", "g-extrema", "--b", "0,0.0005", "--tmax", "50", "--state", "bell:psi-",
+                 "--out", str(out), "--calibration-out", str(calib), "--calibration-quantity", "g_max_value"])
+    assert code == 2
+    assert "not enough knots" in _usage_error(capsys)["message"]
+    assert not out.exists() and not calib.exists()
+
+
+def _forbid_channel_work(monkeypatch, what: str) -> None:
+    def no_channel_work(*args, **kwargs):
+        raise AssertionError(f"channel work started before {what}")
+
+    monkeypatch.setattr("qdspin.magnetometry.channel_for_field", no_channel_work)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+
+
+@pytest.mark.parametrize("metric,quantity", [("M", "g_max_value"), ("g-extrema", "M"),
+                                             ("esd", "d_longtime"), ("longtime", "g_min_value")])
+def test_cli_calibration_quantity_the_metric_never_computes_exits_before_channel_work(
+        metric, quantity, tmp_path, capsys, monkeypatch):
+    _forbid_channel_work(monkeypatch, "the calibration quantity was checked")
+    out, calib = tmp_path / "sweep.csv", tmp_path / "cal.csv"
+    code = main(["sweep", "--metric", metric, "--b", "0.001,0.002,0.003,0.004", "--state", "werner:p=0.33",
+                 "--out", str(out), "--calibration-out", str(calib), "--calibration-quantity", quantity])
+    assert code == 2
+    assert quantity in _usage_error(capsys)["message"]
+    assert not out.exists() and not calib.exists()
+
+
+@pytest.mark.parametrize("name", ["m_window", "longtime_window"])
+@pytest.mark.parametrize("window", [[200.0, 100.0], [20.0, 0.0], [-50.0, -10.0], [10.0, 10.0]])
+def test_cli_window_not_ordered_from_zero_exits_before_channel_work(name, window, tmp_path, capsys, monkeypatch):
+    _forbid_channel_work(monkeypatch, "the windows were checked")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({name: window}))
+    code = main(["sweep", "--config", str(cfg), "--metric", "all", "--b", "0.001", "--tmax", "1",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert name in _usage_error(capsys)["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_longtime_sweep_echoes_the_t_max_it_ran_to(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"longtime_window": [100.0, 120.0]}))
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    code = main(["sweep", "--config", str(cfg), "--metric", "longtime", "--tmax", "20", "--b", "0.001",
+                 "--state", "bell:psi-", "--out", str(first)])
+    assert code == 0
+    echo = next(l for l in first.read_text().splitlines() if l.startswith("# config="))
+    assert '"t_max": 120.0' in echo
+    (tmp_path / "echo.json").write_text(echo.removeprefix("# config="))
+    assert main(["sweep", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()

@@ -5,7 +5,7 @@ import pytest
 
 import qdspin as q
 from qdspin.config import RunConfig
-from qdspin.evolution import build_time_grid
+from qdspin.evolution import build_time_grid, find_g_crossings, refined_g_crossings
 from qdspin.magnetometry import (
     MonotonicityError,
     NormalizationError,
@@ -26,7 +26,7 @@ def werner_traj_10mt():
 def test_channel_for_field_applies_the_run_description():
     # t_max / dt = 1000.75 rounds the grid up to 20.02 ns; the model is sized from that last time
     config = RunConfig(g_factor=0.5, t_max=20.015, m_nodes=40, q_nodes=36)
-    quad, chan = channel_for_field(config, 0.01, config.t_max)
+    quad, chan = channel_for_field(config, 0.01)
     assert chan.times[-1] == pytest.approx(20.02) and quad.t_max_ns == chan.times[-1]
     assert quad.dot == chan.dot == config.dot(0.01)
     assert (chan.m_count, chan.q_count) == (40, 36)
@@ -86,14 +86,26 @@ def test_sweep_table_and_csv(tmp_path):
         longtime_window=[15.0, 20.0],
     )
     table = run_sweep(config)
-    assert [r.b_field for r in table.rows] == [0.0, 0.02, 0.05]
-    ms = table.column("m_lower")
+    assert [r["B_T"] for r in table.rows] == [0.0, 0.02, 0.05]
+    ms = [r["M"] for r in table.rows]
     assert ms[0] < ms[1] < ms[2]
     path = tmp_path / "sweep.csv"
     table.to_csv(path, header_lines=["h=1"])
     lines = path.read_text().splitlines()
     assert lines[1].startswith("B_T,M,g_min_t,")
     assert len(lines) == 2 + 3
+
+
+def test_sweep_kink_cell_lists_the_grid_crossings():
+    # the sweep interpolates kink times on the grid; evolve's header bisects them on the exact channel
+    config = RunConfig(state="belldiag:a=0.4,b=0.4", b_fields=[0.1], metric="all", longtime_window=[15.0, 20.0])
+    (row,) = run_sweep(config).rows
+    quad, chan = channel_for_field(config, 0.1)
+    traj = q.evolve(q.make_state(q.BellDiagonal(a=0.4, b=0.4)), chan)
+    on_grid = [e.t_cross_ns for e in find_g_crossings(traj.times, traj.g)]
+    bisected = [e.t_cross_ns for e in refined_g_crossings(traj, quad)]
+    assert on_grid and row["kink_times"] == ";".join(f"{t:.9g}" for t in on_grid)
+    assert np.abs(np.subtract(on_grid, bisected)).max() < 1e-4
 
 
 def test_sweep_rejects_bad_requests():
@@ -112,7 +124,7 @@ def test_sweep_workers_do_not_change_results():
     serial = run_sweep(config)
     parallel = run_sweep(replace(config, workers=2))
     for a, b in zip(serial.rows, parallel.rows):
-        assert a.m_lower == b.m_lower
+        assert a["M"] == b["M"]
 
 
 def test_sweep_rejects_non_positive_worker_count():

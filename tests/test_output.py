@@ -9,8 +9,8 @@ import pytest
 import qdspin as q
 from qdspin.config import write_csv
 from qdspin.constants import InvalidParameterError
-from qdspin.evolution import Extremum, ExtremumKind, build_time_grid
-from qdspin.magnetometry import SweepRow
+from qdspin.evolution import build_time_grid
+from qdspin.magnetometry import SWEEP_COLUMNS
 
 HEADERS = ["qdspin_version=0.1.0", 'config={"t_max": 5.0}', "kink_times_ns=none"]
 
@@ -57,10 +57,10 @@ def sweep_oracle(table, headers) -> str:
     rows = []
     for r in table.rows:
         rows.append(",".join([
-            f"{r.b_field:.17g}", num(r.m_lower),
-            num(r.g_min.t_ns if r.g_min else None), num(r.g_min.value if r.g_min else None),
-            num(r.g_max.t_ns if r.g_max else None), num(r.g_max.value if r.g_max else None),
-            ";".join(f"{t:.9g}" for t in r.kink_times), num(r.esd_time_ns), num(r.d_longtime),
+            f"{r['B_T']:.17g}", num(r["M"]),
+            num(r["g_min_t"]), num(r["g_min_val"]),
+            num(r["g_max_t"]), num(r["g_max_val"]),
+            r["kink_times"], num(r["esd_t"]), num(r["d_longtime"]),
         ]))
     return _text(headers, "B_T,M,g_min_t,g_min_val,g_max_t,g_max_val,kink_times,esd_t,d_longtime", rows)
 
@@ -111,15 +111,17 @@ def test_trajectory_nan_g_prints_empty(tmp_path, chan_100mt):
 
 
 def test_sweep_csv_matches_oracle(tmp_path):
+    def row(**cells):
+        return {**dict.fromkeys(SWEEP_COLUMNS), "kink_times": "", **cells}
+
     rows = [
-        SweepRow(b_field=np.float64(0.0)),
-        SweepRow(b_field=0.011, m_lower=5.127690168165193,
-                 g_min=Extremum(14.3186450231, 0.2294690237, ExtremumKind.MINIMUM),
-                 g_max=Extremum(18.590230045, 0.263463913958, ExtremumKind.MAXIMUM),
-                 kink_times=[4.670152891234, 8.1096538912], esd_time_ns=5.55, d_longtime=3.0045e-05),
-        SweepRow(b_field=0.02, m_lower=6.4, kink_times=[1e-7], d_longtime=0.0),
+        row(B_T=np.float64(0.0)),
+        row(B_T=0.011, M=5.127690168165193, g_min_t=14.3186450231, g_min_val=0.2294690237,
+            g_max_t=18.590230045, g_max_val=0.263463913958, kink_times="4.67015289;8.10965389",
+            esd_t=5.55, d_longtime=3.0045e-05),
+        row(B_T=0.02, M=6.4, kink_times="1e-07", d_longtime=0.0),
     ]
-    table = q.SweepTable(rows=rows)
+    table = q.SweepTable(config=q.RunConfig(), rows=rows)
     path = tmp_path / "sweep.csv"
     table.to_csv(path, header_lines=HEADERS)
     text = path.read_text()

@@ -69,8 +69,8 @@ def test_deferred_oracle_and_worker_pool_run_in_a_fresh_interpreter():
 from qdspin import Bell, RunConfig, make_state, oracle_one_sided_discord, run_sweep
 assert abs(oracle_one_sided_discord(make_state(Bell("psi-")), grid_resolution=8) - 0.5) < 1e-12
 config = RunConfig(b_fields=[0.0, 0.01], t_max=1.0, m_window=[0.0, 1.0], metric="M", workers=2)
-pooled = run_sweep(config).column("m_lower")
+pooled = [r["M"] for r in run_sweep(config).rows]
 assert "concurrent.futures.process" in sys.modules
 config.workers = 1
-assert pooled == run_sweep(config).column("m_lower"), pooled
+assert pooled == [r["M"] for r in run_sweep(config).rows], pooled
 """)
