@@ -21,14 +21,14 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
     state = make_state(Bell("psi-"))
 
     for b in SHORT_FIELDS_T:
-        traj = evolve(state, channel_for_field(RunConfig(t_max=t_short), b)[1])
+        traj = evolve(state, channel_for_field(RunConfig(t_max=t_short), b))
         path = outdir / f"bell_discord_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])
         print(f"wrote {path}")
 
     print("\nlong-time tail (dense prefix + coarse grid):")
     for b in LONG_FIELDS_T:
-        traj = evolve(state, channel_for_field(RunConfig(t_max=t_long), b)[1])
+        traj = evolve(state, channel_for_field(RunConfig(t_max=t_long), b))
         path = outdir / f"bell_discord_long_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])
         early = (traj.times > 0.5) & (traj.times < 100.0)

@@ -28,7 +28,7 @@ def main() -> None:
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     for b in FIELDS_T:
-        _, chan = channel_for_field(RunConfig(t_max=args.tmax), b)
+        chan = channel_for_field(RunConfig(t_max=args.tmax), b)
         for name, gamma in GAMMAS.items():
             traj = evolve(make_state(PhaseFamily(gamma)), chan)
             path = args.outdir / f"phase_{name}_b{1e3 * b:g}mT.csv"

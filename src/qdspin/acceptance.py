@@ -1,8 +1,8 @@
 """Acceptance suite: the quantitative exit checks of the artifact.
 
 Each check prints one PASS/FAIL line with the measured values.  One
-`RunCache` per `run_checks` call holds every channel model, channel and
-trajectory the checks compute, so a run is computed once and the
+`RunCache` per `run_checks` call holds every channel (with its model)
+and trajectory the checks compute, so a run is computed once and the
 physicality audit (check 14) covers exactly the runs of that call.
 """
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .channel import BathQuadrature, ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
+from .channel import ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
 from .config import RunConfig
-from .evolution import evolve, find_g_crossings, refined_g_crossings
+from .evolution import evolve, find_g_crossings
 from .magnetometry import channel_for_field, esd_time, first_min_then_max, run_sweep
 from .measures import concurrence, discord_bounds, oracle_one_sided_discord
 from .states import (
@@ -47,21 +47,18 @@ class CheckResult:
 class RunCache:
     """Runs of one acceptance call on `RunConfig()`'s dot, time grid and node rule.
 
-    `models` maps (field, t_max) to the channel model and its channel,
-    `trajs` maps (state, field, t_max) to the evolved trajectory.
+    `channels` maps (field, t_max) to the channel, which carries its
+    model; `trajs` maps (state, field, t_max) to the evolved trajectory.
     """
 
-    models: dict = field(default_factory=dict)
+    channels: dict = field(default_factory=dict)
     trajs: dict = field(default_factory=dict)
 
-    def model(self, b_field: float, t_max: float) -> tuple[BathQuadrature, ChannelTrajectory]:
-        key = (float(b_field), float(t_max))
-        if key not in self.models:
-            self.models[key] = channel_for_field(RunConfig(t_max=t_max), b_field)
-        return self.models[key]
-
     def channel(self, b_field: float, t_max: float) -> ChannelTrajectory:
-        return self.model(b_field, t_max)[1]
+        key = (float(b_field), float(t_max))
+        if key not in self.channels:
+            self.channels[key] = channel_for_field(RunConfig(t_max=t_max), b_field)
+        return self.channels[key]
 
     def traj(self, spec, b_field: float, t_max: float):
         key = (repr(spec), float(b_field), float(t_max))
@@ -116,7 +113,7 @@ def fitted_t2star(cache: RunCache) -> float:
 
 def check_2_kink_position(cache: RunCache) -> CheckResult:
     tr = cache.traj(BellDiagonal(0.4, 0.4), 0.1, 20.0)
-    kinks = refined_g_crossings(tr, cache.model(0.1, 20.0)[0])
+    kinks = find_g_crossings(tr.times, tr.g, tr.g_at)
     analytic = fitted_t2star(cache) * math.sqrt(math.log(4.0 / 3.0) / 2.0)
     ok = len(kinks) == 1 and abs(kinks[0].t_cross_ns - 4.67) <= 0.2
     detail = f"{len(kinks)} crossing(s)"
@@ -132,7 +129,7 @@ def check_3_bell_no_kinks(cache: RunCache) -> CheckResult:
     n_kinks = 0
     for b in (0.0, 0.011, 0.0165, 1.0):
         tr = cache.traj(Bell("psi-"), b, 20.0)
-        n_kinks += len(find_g_crossings(tr.times, tr.g))
+        n_kinks += len(find_g_crossings(tr.times, tr.g, tr.g_at))
         finite = np.isfinite(tr.g)
         worst_g = max(worst_g, float(tr.g[finite].max()))
     ok = n_kinks == 0 and worst_g <= 1.0 + 1e-6
@@ -396,12 +393,12 @@ def check_14_physicality_suite(cache: RunCache) -> CheckResult:
         worst_double = max(
             worst_double, float(np.abs(base.p - dbl.p).max()), float(np.abs(base.c - dbl.c).max())
         )
-    worst_cp = min(verify_channel_cp(ch).worst_margin for _, ch in cache.models.values())
+    worst_cp = min(verify_channel_cp(ch).worst_margin for ch in cache.channels.values())
     worst_eig = min(float(tr.min_eigenvalue.min()) for tr in cache.trajs.values())
     ok = worst_cp >= -1e-9 and worst_eig >= -1e-8 and worst_double < 1e-6
     return CheckResult(
         14, "physicality_suite", ok,
-        f"worst CP margin={worst_cp:.1e} (>=-1e-9) over {len(cache.models)} channels; "
+        f"worst CP margin={worst_cp:.1e} (>=-1e-9) over {len(cache.channels)} channels; "
         f"min evolved eigenvalue={worst_eig:.1e} (>=-1e-8) over {len(cache.trajs)} trajectories; "
         f"node-doubling sup change={worst_double:.1e} (<1e-6)",
     )

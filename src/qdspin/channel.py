@@ -57,7 +57,7 @@ fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +255,7 @@ def build_quadrature(
 
 @dataclass
 class ChannelTrajectory:
-    """Time series of the single-dot channel pair {p(t), c(t)}."""
+    """Time series of the single-dot channel pair {p(t), c(t)}, with the model it was computed on."""
 
     times: np.ndarray
     p: np.ndarray
@@ -264,6 +264,7 @@ class ChannelTrajectory:
     m_count: int = 0
     q_count: int = 0
     fast_term_cutoff_ns: float = math.inf
+    model: BathQuadrature | None = field(default=None, repr=False)
 
     def to_csv(self, path: str | Path, header_lines: list[str] | None = None) -> None:
         write_csv(path, header_lines,
@@ -450,6 +451,7 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
         m_count=quad.m_nodes.size,
         q_count=quad.q_nodes.size,
         fast_term_cutoff_ns=cutoff,
+        model=quad,
     )
     verify_channel_cp(traj).require(CP_MARGIN_HARD, 1e-12, QuadratureResolutionError)
     return traj

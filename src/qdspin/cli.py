@@ -23,7 +23,7 @@ from .config import (
     parse_state_spec,
 )
 from .constants import InvalidParameterError, QdspinError
-from .evolution import evolve, refined_g_crossings
+from .evolution import evolve, find_g_crossings
 from .magnetometry import CURVE_QUANTITIES, calibration_curve, channel_for_field, run_sweep
 from .states import make_state
 
@@ -96,7 +96,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_outputs(*paths: str | None) -> None:
-    """Refuse output paths that cannot be written, before any work is done."""
+    """Refuse output paths that cannot be written, or that name one file twice, before any work is done."""
+    seen: dict[Path, str] = {}
     for path in paths:
         if path is None:
             continue
@@ -105,6 +106,11 @@ def _check_outputs(*paths: str | None) -> None:
             raise InvalidParameterError(f"output directory {str(target.parent)!r} does not exist")
         if target.exists() and not target.is_file():
             raise InvalidParameterError(f"output path {path!r} is not a regular file")
+        # the writer replaces a path's directory entry, never a link's target: compare entries
+        entry = target.parent.resolve() / target.name
+        if entry in seen:
+            raise InvalidParameterError(f"output paths {seen[entry]!r} and {path!r} are the same file")
+        seen[entry] = path
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -114,9 +120,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise InvalidParameterError("evolve expects exactly one field value (--b)")
     out = config.out or "trajectory.csv"
     _check_outputs(out, getattr(args, "channel_out", None))
-    quad, chan = channel_for_field(config, config.b_fields[0])
+    chan = channel_for_field(config, config.b_fields[0])
     traj = evolve(state0, chan)
-    kinks = refined_g_crossings(traj, quad)
+    kinks = find_g_crossings(traj.times, traj.g, traj.g_at)
     extra = {
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -79,7 +79,7 @@ def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CorrelationTrajectory:
-    """Per-time correlation report along a channel trajectory."""
+    """Per-time correlation report along a channel trajectory, with the channel's model."""
 
     times: np.ndarray
     p: np.ndarray
@@ -97,6 +97,13 @@ class CorrelationTrajectory:
     min_eigenvalue: np.ndarray
     state0: TwoQubitState
     dot: DotParameters
+    model: BathQuadrature | None = field(default=None, repr=False)
+
+    def g_at(self, t: float) -> float:
+        """g at time t: the start state evolved on the model's channel at that one time."""
+        if self.model is None:
+            raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
+        return float(evolve(self.state0, compute_channel(self.model, np.array([t]))).g[0])
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -167,6 +174,7 @@ def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTraject
         min_eigenvalue=min_eig,
         state0=state0,
         dot=traj.dot,
+        model=traj.model,
     )
 
 
@@ -198,15 +206,15 @@ class Extremum:
 def find_g_crossings(
     times: np.ndarray,
     g: np.ndarray,
-    refine: Callable[[float], float] | None = None,
+    g_at: Callable[[float], float],
 ) -> list[KinkEvent]:
-    """Sign-change crossings of g(t) - 1, refined by bisection.
+    """Sign-change crossings of g(t) - 1, each bisected on the evaluator g_at.
 
     Samples with |g - 1| <= G_BAND count as on the boundary; a crossing
     requires passing from strictly above to strictly below (or vice
-    versa), so tangential touches and boundary noise are excluded.  When
-    `refine` is given (an exact evaluator t -> g(t)), roots are bisected
-    to KINK_T_TOL; otherwise linear interpolation on the grid is used.
+    versa), so tangential touches and boundary noise are excluded.  Each
+    bracketing pair of grid times is bisected with g_at (t -> g(t)) to
+    KINK_T_TOL or an exact root; g_at is never called if g does not cross.
     """
     times = np.asarray(times, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -224,40 +232,23 @@ def find_g_crossings(
             continue
         if last_side != 0 and s != last_side:
             t_lo, t_hi = times[last_idx], times[i]
-            if refine is not None:
-                f_lo = refine(t_lo) - 1.0
-                for _ in range(200):
-                    if t_hi - t_lo <= KINK_T_TOL:
-                        break
-                    t_mid = 0.5 * (t_lo + t_hi)
-                    f_mid = refine(t_mid) - 1.0
-                    if (f_mid > 0.0) == (f_lo > 0.0):
-                        t_lo, f_lo = t_mid, f_mid
-                    else:
-                        t_hi = t_mid
-                t_cross = 0.5 * (t_lo + t_hi)
-            else:
-                g_lo, g_hi = g[last_idx], g[i]
-                frac = (1.0 - g_lo) / (g_hi - g_lo) if g_hi != g_lo else 0.5
-                t_cross = t_lo + frac * (t_hi - t_lo)
+            f_lo = g_at(t_lo) - 1.0
+            for _ in range(200):
+                if t_hi - t_lo <= KINK_T_TOL:
+                    break
+                t_mid = 0.5 * (t_lo + t_hi)
+                f_mid = g_at(t_mid) - 1.0
+                if f_mid == 0.0:  # an exact root ends the bisection there
+                    t_lo = t_hi = t_mid
+                elif (f_mid > 0.0) == (f_lo > 0.0):
+                    t_lo, f_lo = t_mid, f_mid
+                else:
+                    t_hi = t_mid
+            t_cross = 0.5 * (t_lo + t_hi)
             events.append(KinkEvent(t_cross_ns=float(t_cross), direction="down" if last_side > 0 else "up"))
         last_side = s
         last_idx = i
     return events
-
-
-def refined_g_crossings(traj: CorrelationTrajectory, quad: BathQuadrature) -> list[KinkEvent]:
-    """g = 1 crossings of `traj`, each bisected on exact single-time evolutions.
-
-    Every bisection step evaluates the channel model `quad` of the
-    trajectory's dot at one time, reusing its node data, and evolves the
-    trajectory's start state with it.
-    """
-    def g_exact(t: float) -> float:
-        single = compute_channel(quad, np.array([t]))
-        return float(evolve(traj.state0, single).g[0])
-
-    return find_g_crossings(traj.times, traj.g, refine=g_exact)
 
 
 def find_extrema(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import BathQuadrature, ChannelTrajectory, build_quadrature, compute_channel
+from .channel import ChannelTrajectory, build_quadrature, compute_channel
 from .config import (
     DEFAULT_LONGTIME_WINDOW,
     DEFAULT_M_WINDOW,
@@ -137,24 +137,23 @@ class SweepTable:
         write_csv(path, header_lines, {name: [r[name] for r in self.rows] for name in SWEEP_COLUMNS})
 
 
-def channel_for_field(config: RunConfig, b_field: float) -> tuple[BathQuadrature, ChannelTrajectory]:
-    """Channel model and channel of `config`'s dot at `b_field` on its grid up to `config.t_max`.
+def channel_for_field(config: RunConfig, b_field: float) -> ChannelTrajectory:
+    """Channel of `config`'s dot at `b_field` on its grid up to `config.t_max`.
 
-    The model is sized from the grid's last time, which can lie a step
-    past t_max; `evolve`, `sweep`, `verify` and the scripts all take this
-    one road from a run description to a channel.
+    The channel carries its model, sized from the grid's last time, which
+    can lie a step past t_max; `evolve`, `sweep`, `verify` and the scripts
+    all take this one road from a run description to a channel.
     """
     times = build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
                             dense_prefix=config.dense_prefix)
     quad = build_quadrature(config.dot(b_field), float(times.max()),
                             m_count=config.m_nodes, q_count=config.q_nodes)
-    return quad, compute_channel(quad, times)
+    return compute_channel(quad, times)
 
 
 def trajectory_for_field(config: RunConfig, b_field: float) -> CorrelationTrajectory:
     """Channel + evolution for one field value of a sweep."""
-    state0 = make_state(parse_state_spec(config.state))
-    return evolve(state0, channel_for_field(config, b_field)[1])
+    return evolve(make_state(parse_state_spec(config.state)), channel_for_field(config, b_field))
 
 
 def _sweep_row(args: tuple[RunConfig, float]) -> dict:
@@ -172,7 +171,7 @@ def _sweep_row(args: tuple[RunConfig, float]) -> dict:
         if g_max is not None:
             row.update(g_max_t=g_max.t_ns, g_max_val=g_max.value)
     if "kinks" in metrics:
-        crossings = find_g_crossings(traj.times, traj.g)
+        crossings = find_g_crossings(traj.times, traj.g, traj.g_at)
         row["kink_times"] = ";".join(f"{e.t_cross_ns:.9g}" for e in crossings)
     if "esd" in metrics:
         row["esd_t"] = esd_time(traj.times, traj.concurrence)

@@ -10,7 +10,9 @@ import re
 
 import pytest
 
-from qdspin.acceptance import run_checks
+from qdspin.acceptance import RunCache, run_checks
+from qdspin.evolution import find_g_crossings
+from qdspin.states import Bell
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +65,14 @@ def test_physicality_audit_covers_its_own_runs():
     assert found, alone.detail
     assert math.isfinite(float(found[1])) and int(found[2]) >= 8
     assert alone.passed and again == alone
+
+
+def test_check_3_trajectories_never_evaluate_g_off_the_grid():
+    # no g = 1 crossing, no bisection: check 3 and kink-free sweeps pay nothing for it
+    def forbidden(t):
+        raise AssertionError(f"g evaluated at t={t} ns on a trajectory without a crossing")
+
+    cache = RunCache()
+    for b in (0.0, 0.011, 0.0165, 1.0):
+        tr = cache.traj(Bell("psi-"), b, 20.0)
+        assert find_g_crossings(tr.times, tr.g, forbidden) == []

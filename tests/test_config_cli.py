@@ -415,6 +415,22 @@ def test_cli_output_into_missing_directory_is_usage_error(command, flag, tmp_pat
     assert not (tmp_path / "ok.csv").exists()
 
 
+@pytest.mark.parametrize("command,flag", [("evolve", "--channel-out"), ("sweep", "--calibration-out")])
+def test_cli_two_outputs_to_one_file_is_usage_error(command, flag, tmp_path, capsys, monkeypatch):
+    def no_channel_work(*args, **kwargs):
+        raise AssertionError("channel work started before the output check")
+
+    monkeypatch.setattr("qdspin.cli.channel_for_field", no_channel_work)
+    monkeypatch.setattr("qdspin.cli.run_sweep", no_channel_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.csv").write_text("earlier\n")
+    code = main([command, "--state", "bell:psi-", "--b", "0.01", "--tmax", "1",
+                 "--out", "same.csv", flag, "./same.csv"])
+    assert code == 2
+    assert "same file" in _usage_error(capsys)["message"]
+    assert (tmp_path / "same.csv").read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize("command", ["evolve", "sweep"])
 def test_cli_bad_state_spec_exits_before_channel_work(command, tmp_path, capsys, monkeypatch):
     def no_channel_work(*args, **kwargs):

@@ -13,7 +13,6 @@ from qdspin.evolution import (
     build_time_grid,
     find_extrema,
     find_g_crossings,
-    refined_g_crossings,
 )
 
 from conftest import bell_diagonal_discord, channel_of, random_density
@@ -141,7 +140,7 @@ def test_evolve_normalization_keeps_feature_times(bell_traj_11mt):
     raw_lo, _ = tr.normalized("none")
     half_lo, _ = tr.normalized("half")
     assert np.argmin(raw_lo) == np.argmin(half_lo)
-    crossings_raw = find_g_crossings(tr.times, tr.g)
+    crossings_raw = find_g_crossings(tr.times, tr.g, tr.g_at)
     assert len(crossings_raw) == 0  # Bell states never cross unity
 
 
@@ -219,8 +218,8 @@ def test_evolve_trajectory_csv(tmp_path, bell_traj_11mt):
 
 def test_find_g_crossings_synthetic():
     t = np.linspace(0.0, 10.0, 101)
-    g = 1.5 - 0.1 * t  # crosses unity at t = 5
-    events = find_g_crossings(t, g)
+    f = lambda x: 1.5 - 0.1 * x  # crosses unity at t = 5
+    events = find_g_crossings(t, f(t), f)
     assert len(events) == 1
     assert events[0].t_cross_ns == pytest.approx(5.0, abs=1e-9)
     assert events[0].direction == "down"
@@ -228,41 +227,51 @@ def test_find_g_crossings_synthetic():
 
 def test_find_g_crossings_ignores_touch():
     t = np.linspace(0.0, 10.0, 101)
-    assert find_g_crossings(t, np.ones_like(t)) == []
+    assert find_g_crossings(t, np.ones_like(t), lambda x: 1.0) == []
     # tangential touch without sign change
-    g = 1.0 + 0.1 * (t - 5.0) ** 2
-    assert find_g_crossings(t, g) == []
+    f = lambda x: 1.0 + 0.1 * (x - 5.0) ** 2
+    assert find_g_crossings(t, f(t), f) == []
 
 
 def test_find_g_crossings_ignores_boundary_noise():
     t = np.linspace(0.0, 10.0, 101)
     rng = np.random.default_rng(5)
     g = 1.0 + 1e-9 * rng.normal(size=t.size)
-    assert find_g_crossings(t, g) == []
+    assert find_g_crossings(t, g, lambda x: 1.0) == []
 
 
 def test_find_g_crossings_bisection_refine():
     t = np.linspace(0.0, 10.0, 11)  # coarse grid
     f = lambda x: 1.5 - 0.1 * x**1.3
-    events = find_g_crossings(t, f(t), refine=f)
+    events = find_g_crossings(t, f(t), f)
     assert len(events) == 1
     root = (0.5 / 0.1) ** (1 / 1.3)
     assert events[0].t_cross_ns == pytest.approx(root, abs=1e-6)
 
 
-def test_refined_g_crossings_matches_hand_rolled_bisection():
+def test_g_at_is_a_single_time_evolution_on_the_trajectory_model():
     dot = q.DotParameters(b_field=0.1)
     times = build_time_grid(10.0)
     quad = q.build_quadrature(dot, 10.0)
     state0 = q.make_state(q.BellDiagonal(0.4, 0.4))
-    traj = q.evolve(state0, q.compute_channel(quad, times))
+    chan = q.compute_channel(quad, times)
+    traj = q.evolve(state0, chan)
+    assert chan.model is quad and traj.model is quad
 
     def g_exact(t):
         return float(q.evolve(state0, q.compute_channel(quad, np.array([t]))).g[0])
 
-    expected = find_g_crossings(traj.times, traj.g, refine=g_exact)
+    assert traj.g_at(4.67) == g_exact(4.67)
+    expected = find_g_crossings(traj.times, traj.g, g_exact)
     assert len(expected) == 1
-    assert refined_g_crossings(traj, quad) == expected
+    assert find_g_crossings(traj.times, traj.g, traj.g_at) == expected
+
+
+def test_g_at_needs_a_model():
+    chan = channel_of(q.DotParameters(b_field=0.1), np.linspace(0.0, 5.0, 6))
+    traj = q.evolve(q.make_state(q.BellDiagonal(0.4, 0.4)), replace(chan, model=None))
+    with pytest.raises(InvalidParameterError, match="no model"):
+        traj.g_at(1.0)
 
 
 def test_find_extrema_basic():

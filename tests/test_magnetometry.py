@@ -5,7 +5,7 @@ import pytest
 
 import qdspin as q
 from qdspin.config import RunConfig
-from qdspin.evolution import build_time_grid, find_g_crossings, refined_g_crossings
+from qdspin.cli import main
 from qdspin.magnetometry import (
     MonotonicityError,
     NormalizationError,
@@ -26,9 +26,9 @@ def werner_traj_10mt():
 def test_channel_for_field_applies_the_run_description():
     # t_max / dt = 1000.75 rounds the grid up to 20.02 ns; the model is sized from that last time
     config = RunConfig(g_factor=0.5, t_max=20.015, m_nodes=40, q_nodes=36)
-    quad, chan = channel_for_field(config, 0.01)
-    assert chan.times[-1] == pytest.approx(20.02) and quad.t_max_ns == chan.times[-1]
-    assert quad.dot == chan.dot == config.dot(0.01)
+    chan = channel_for_field(config, 0.01)
+    assert chan.times[-1] == pytest.approx(20.02) and chan.model.t_max_ns == chan.times[-1]
+    assert chan.model.dot == chan.dot == config.dot(0.01)
     assert (chan.m_count, chan.q_count) == (40, 36)
 
 
@@ -96,16 +96,17 @@ def test_sweep_table_and_csv(tmp_path):
     assert len(lines) == 2 + 3
 
 
-def test_sweep_kink_cell_lists_the_grid_crossings():
-    # the sweep interpolates kink times on the grid; evolve's header bisects them on the exact channel
-    config = RunConfig(state="belldiag:a=0.4,b=0.4", b_fields=[0.1], metric="all", longtime_window=[15.0, 20.0])
+def test_sweep_kink_cell_is_the_evolve_kink_header(tmp_path):
+    # one bisection on the channel model answers both commands, crossing for crossing;
+    # the window's end stretches the sweep to the 30 ns grid that holds all three crossings
+    state, b = "belldiag:a=0.3,b=0.25", 0.003
+    config = RunConfig(state=state, b_fields=[b], metric="all", longtime_window=[15.0, 30.0])
     (row,) = run_sweep(config).rows
-    quad, chan = channel_for_field(config, 0.1)
-    traj = q.evolve(q.make_state(q.BellDiagonal(a=0.4, b=0.4)), chan)
-    on_grid = [e.t_cross_ns for e in find_g_crossings(traj.times, traj.g)]
-    bisected = [e.t_cross_ns for e in refined_g_crossings(traj, quad)]
-    assert on_grid and row["kink_times"] == ";".join(f"{t:.9g}" for t in on_grid)
-    assert np.abs(np.subtract(on_grid, bisected)).max() < 1e-4
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--state", state, "--b", repr(b), "--tmax", "30", "--out", str(out)]) == 0
+    header = next(l for l in out.read_text().splitlines() if "kink_times_ns=" in l)
+    assert len(row["kink_times"].split(";")) == 3
+    assert row["kink_times"] == header.split("kink_times_ns=")[1]
 
 
 def test_sweep_rejects_bad_requests():
