@@ -57,7 +57,8 @@ class DotParameters:
         if not self.n_nuclei >= 1.0:
             raise InvalidParameterError(f"n_nuclei must be >= 1, got {self.n_nuclei}")
         two_i = 2.0 * self.i_nuclear
-        if self.i_nuclear <= 0.0 or abs(two_i - round(two_i)) > 1e-9:
+        # NaN, inf and an I whose 2I overflows fail before `round`, which cannot take them
+        if not (self.i_nuclear > 0.0 and math.isfinite(two_i)) or abs(two_i - round(two_i)) > 1e-9:
             raise InvalidParameterError(
                 f"i_nuclear must be a positive half-integer, got {self.i_nuclear}"
             )

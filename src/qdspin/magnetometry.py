@@ -47,12 +47,35 @@ ESD_MIN_RUN = 5          # samples the concurrence must stay dead to mark sudden
 ESD_ZERO_TOL = 1e-12     # concurrence at or below this counts as dead
 
 
-class NormalizationError(QdspinError, ZeroDivisionError):
-    """The normalizing initial discord vanishes."""
+class NormalizationError(InvalidParameterError, ZeroDivisionError):
+    """The normalizing initial discord vanishes: the state has none to integrate (exit 2)."""
 
 
 class MonotonicityError(QdspinError, ValueError):
     """A calibration curve is not monotone and cannot be inverted."""
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y at strictly increasing x (at least 3).
+
+    The non-uniform three-point rule over pairs of intervals; for an even
+    count, Cartwright's correction closes the last interval.  The operations
+    and their order are those of `scipy.integrate.simpson(y, x=x)`, so the
+    result is the same to the bit.
+    """
+    n = y.size
+    m = n - 1 if n % 2 else n - 2  # the last sample the pairs of intervals reach
+    h = np.diff(x)
+    h0, h1 = h[0:m - 1:2], h[1:m:2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:m - 1:2] * (2.0 - 1.0 / ratio) + y[1:m:2] * (hsum * (hsum / hprod))
+                                 + y[2:m + 1:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        # 0-d arrays, so that b**3 is numpy's power ufunc (as in scipy), not the scalar libm pow
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        total += ((2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[-1] + (b**2 + 3.0 * a * b) / (6 * a) * y[-2]
+                  - b**3 / (6 * a * (a + b)) * y[-3])
+    return float(total)
 
 
 def rescaled_integral(
@@ -60,10 +83,10 @@ def rescaled_integral(
 ) -> float:
     """Windowed integral of the rescaled discord (lower bound), normalized by its t=0 value.
 
-    Composite Simpson on the trajectory grid.
+    Composite Simpson's rule on the window's grid samples: the three-point
+    rule for non-uniform spacing over pairs of intervals and, for an even
+    sample count, Cartwright's correction on the last interval (`_simpson`).
     """
-    from scipy.integrate import simpson  # on first use: only the M metric integrates
-
     d0 = traj.d_lower[0]
     if d0 <= 1e-15:
         raise NormalizationError("initial rescaled discord is zero; M(B) undefined")
@@ -71,7 +94,7 @@ def rescaled_integral(
     mask = (traj.times >= lo - 1e-12) & (traj.times <= hi + 1e-12)
     if mask.sum() < 3:
         raise InvalidParameterError(f"window {window} contains fewer than 3 samples")
-    return float(simpson(traj.d_lower[mask], x=traj.times[mask])) / d0
+    return _simpson(traj.d_lower[mask], traj.times[mask]) / d0
 
 
 def esd_time(times: np.ndarray, conc: np.ndarray) -> float | None:

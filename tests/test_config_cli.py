@@ -248,6 +248,17 @@ def test_cli_sweep_negative_dense_prefix_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_cli_sweep_m_of_a_state_without_discord_is_usage_error(tmp_path, capsys):
+    # werner:p=0 is the maximally mixed state: M(B) has no initial discord to normalize by
+    code = main(["sweep", "--metric", "M", "--state", "werner:p=0", "--b", "0.01", "--tmax", "2",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "NormalizationError",
+                      "message": "initial rescaled discord is zero; M(B) undefined"}
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_cli_sweep_dense_prefix_past_t_max_runs(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "dense_prefix": 200.0}))
@@ -547,7 +558,7 @@ def test_cli_output_not_a_regular_file_is_usage_error(kind, tmp_path, capsys, mo
     "command,config,field",
     [("evolve", {"a_total": "x"}, "a_total"), ("sweep", {"m_window": [5]}, "m_window"),
      ("sweep", {"workers": "two"}, "workers"), ("sweep", {"metric": "bogus"}, "metric"),
-     ("evolve", {"i_nuclear": float("nan")}, "i_nuclear")],
+     ("evolve", {"i_nuclear": float("nan")}, "i_nuclear"), ("evolve", {"i_nuclear": 9e307}, "i_nuclear")],
 )
 def test_cli_bad_config_value_is_usage_error(command, config, field, tmp_path, capsys):
     cfg = tmp_path / "run.json"

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import qdspin as q
 from qdspin.config import RunConfig
@@ -9,6 +10,7 @@ from qdspin.cli import main
 from qdspin.magnetometry import (
     MonotonicityError,
     NormalizationError,
+    _simpson,
     channel_for_field,
     first_min_then_max,
     rescaled_integral,
@@ -42,9 +44,27 @@ def test_m_normalization_sanity():
 def test_m_requires_initial_discord(werner_traj_10mt):
     tr = werner_traj_10mt
     tr_zero = trajectory_for_field(RunConfig(state="werner:p=0"), 0.01)
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError) as err:
         rescaled_integral(tr_zero)
+    assert isinstance(err.value, InvalidParameterError)
     assert rescaled_integral(tr) > 0.0
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 1001, 1002])
+def test_simpson_is_scipy_to_the_bit(n):
+    # scipy is the reference: the same arithmetic in the same order gives the same float
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    uniform = np.linspace(rng.uniform(-5, 5), rng.uniform(6, 30), n)
+    spread = rng.uniform(-5, 5) + np.cumsum(rng.uniform(1e-3, 2.0, n))
+    for x in (uniform, spread):
+        assert _simpson(y, x) == float(simpson(y, x=x))
+
+
+def test_m_is_scipy_simpson_over_d0(werner_traj_10mt):
+    tr = werner_traj_10mt
+    mask = tr.times <= 20.0 + 1e-12
+    assert rescaled_integral(tr) == float(simpson(tr.d_lower[mask], x=tr.times[mask])) / tr.d_lower[0]
 
 
 def test_m_integration_step_convergence():

@@ -49,6 +49,22 @@ with contextlib.redirect_stderr(io.StringIO()):
     assert snapshots == [[], [], []]
 
 
+def test_sweep_of_every_metric_loads_scipy_special_only(tmp_path):
+    out, cfg = tmp_path / "s.csv", tmp_path / "run.json"
+    cfg.write_text(json.dumps({"m_window": [0.0, 1.0], "longtime_window": [0.5, 1.0]}))
+    (loaded,) = _fresh(f"""
+import contextlib, io
+from qdspin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["sweep", "--config", {str(cfg)!r}, "--metric", "all", "--state", "werner:p=0.33",
+                 "--b", "0.01", "--tmax", "1", "--out", {str(out)!r}]) == 0
+{LOADED}
+""")
+    assert "scipy.special" in loaded
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse"} & set(loaded)
+    assert out.exists()
+
+
 def test_evolve_loads_scipy_special_only(tmp_path):
     out = tmp_path / "t.csv"
     (loaded,) = _fresh(f"""
