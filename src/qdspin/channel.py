@@ -40,6 +40,15 @@ across the cutoff by 1.76e-4 at 0 mT and 1.18e-4 at 3 mT, and by less
 than 1e-18 at 1 T (cutoff 290 ns).  Converging that long-time level is
 open item 2 of ROADMAP.md.
 
+Light nodes: most Gauss-Hermite x Gauss-Laguerre nodes of a long grid sit
+in tails that weigh nothing in double precision.  The lightest nodes,
+taken while their weights sum to at most NEGLIGIBLE_WEIGHT = 1e-20, are
+left out of the phase-sum families (the nodes, weights, node counts and
+the fast-term cutoff keep the full grid).  Every amplitude of a node is
+bounded by its weight, so this moves p by at most the dropped mass and c
+by at most 3x it.  The families keep 590 of 32 x 32 nodes on the 20 ns
+grid, 2844 of 294 x 64 at 2000 ns and 7007 of 1759 x 64 at 12 000 ns.
+
 Evaluation: expanding the amplitude products leaves, per node, three
 frequency families with real amplitudes (p from 2w_ket, c from the slow
 w_ket - w_bra and the fast w_ket + w_bra), so each channel component is
@@ -71,6 +80,7 @@ VALIDITY_GRACE = 1.05            # hbar*N/A is an estimate; allow 5% on top
 FAST_NODES = 32                  # per axis, where their fast-term window covers t_max
 MIN_M_NODES = 257                # otherwise, with the phase term for n_m
 MIN_Q_NODES = 64
+NEGLIGIBLE_WEIGHT = 1e-20         # the lightest nodes summing to at most this leave the phase sums
 MAX_QUADRATURE_NODES = 1_000_000  # n_m x n_q; ~0.2 KB of peak memory each, the 12 000 ns rule takes 112 576
 _MIN_BATH_NUCLEI = 100           # Gaussian bath statistics need a large bath
 
@@ -84,13 +94,14 @@ class BathQuadrature:
     """Channel model of one dot: the bath quadrature and its three phase-sum families.
 
     m_nodes/m_weights sample the Gaussian polarization, q_nodes/q_weights
-    the exponential transverse invariant.  Over the (m, q) nodes (module
-    docstring): p has frequencies p_freq (2 w_ket) and versine amplitudes
-    p_amp; c has frequencies c_freq ([w_diff | w_ket + w_bra]) with
-    versine and sine amplitudes c_vers and c_sin, whose first half is the
-    slow family kept alone past fast_term_cutoff_ns.  The weights are
-    normalised, so every node's two c amplitudes sum to its weight and
-    c(0) is 1 exactly.
+    the exponential transverse invariant.  The families hold the kept
+    (m, q) nodes only, those left after the lightest ones summing to at
+    most NEGLIGIBLE_WEIGHT (module docstring), in raveled (m, q) order:
+    p has frequencies p_freq (2 w_ket) and versine amplitudes p_amp; c
+    has frequencies c_freq ([w_diff | w_ket + w_bra]) with versine and
+    sine amplitudes c_vers and c_sin, whose first half is the slow family
+    kept alone past fast_term_cutoff_ns.  Every node's two c amplitudes
+    sum to its weight, and c(0) is 1 exactly.
     """
 
     dot: DotParameters
@@ -125,10 +136,7 @@ def node_count_rule(dot: DotParameters, t_max_ns: float) -> tuple[int, int]:
     n_m = max(FAST_NODES, n_phase)
     if n_m * FAST_NODES > MAX_QUADRATURE_NODES:  # past the cap either way: no candidate is built
         return max(MIN_M_NODES, n_phase), MIN_Q_NODES
-    m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, n_m, FAST_NODES)
-    (_, _, e2_ket), (_, _, e2_bra) = _blocks(dot, m_nodes[:, None], q_nodes[None, :])
-    w_fast = np.sqrt(e2_ket) / HBAR_UEV_NS + np.sqrt(e2_bra) / HBAR_UEV_NS
-    if _fast_term_cutoff(w_fast, m_weights, q_weights) >= t_max_ns:
+    if _fast_term_cutoff(dot, *_bath_nodes(dot, n_m, FAST_NODES)) >= t_max_ns:
         return n_m, FAST_NODES
     return max(MIN_M_NODES, n_phase), MIN_Q_NODES
 
@@ -170,12 +178,14 @@ def _blocks(dot: DotParameters, m: np.ndarray, q: np.ndarray) -> tuple[tuple[np.
             (delta_bra, v2_bra, delta_bra * delta_bra + v2_bra))
 
 
-def _fast_term_cutoff(w_fast: np.ndarray, m_weights: np.ndarray, q_weights: np.ndarray) -> float:
+def _fast_term_cutoff(dot: DotParameters, m_nodes: np.ndarray, m_weights: np.ndarray,
+                      q_nodes: np.ndarray, q_weights: np.ndarray) -> float:
     """0.8x the Nyquist window of the interference phase (w_ket + w_bra) * t
-    on the actual grid: beyond pi / max-step the fast terms alias on one axis."""
+    on the full node grid: beyond pi / max-step the fast terms alias on one axis."""
     m_bulk = m_weights > 1e-16 * m_weights.max()
     q_bulk = q_weights > 1e-16 * q_weights.max()
-    sub = w_fast[np.ix_(m_bulk, q_bulk)]
+    (_, _, e2_ket), (_, _, e2_bra) = _blocks(dot, m_nodes[m_bulk, None], q_nodes[None, q_bulk])
+    sub = np.sqrt(e2_ket) / HBAR_UEV_NS + np.sqrt(e2_bra) / HBAR_UEV_NS
     steps = [np.abs(np.diff(sub, axis=0)).max() if sub.shape[0] > 1 else 0.0,
              np.abs(np.diff(sub, axis=1)).max() if sub.shape[1] > 1 else 0.0]
     max_step = max(steps)
@@ -216,10 +226,16 @@ def build_quadrature(
         )
     m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, int(n_m), int(n_q))
 
-    m = m_nodes[:, None]
-    q = q_nodes[None, :]
-    w2d = m_weights[:, None] * q_weights[None, :]
-    (delta_ket, v2, e2_ket), (delta_bra, _, e2_bra) = _blocks(dot, m, q)
+    # the lightest nodes, while their weights sum to at most NEGLIGIBLE_WEIGHT,
+    # leave the families (every amplitude is bounded by its weight); the rest
+    # stay in raveled (m, q) order, so the summation order stays fixed
+    w2d = (m_weights[:, None] * q_weights[None, :]).ravel()
+    light = np.argsort(w2d, kind="stable")
+    n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
+    keep = np.sort(light[n_light:])
+    w2d = w2d[keep]
+    i_m, i_q = np.divmod(keep, q_nodes.size)
+    (delta_ket, v2, e2_ket), (delta_bra, _, e2_bra) = _blocks(dot, m_nodes[i_m], q_nodes[i_q])
     e_ket = np.sqrt(e2_ket)
     e_bra = np.sqrt(e2_bra)
 
@@ -235,21 +251,18 @@ def build_quadrature(
     # so the slow frequency difference is computed without cancellation
     esum = e_ket + e_bra
     w_diff = np.where(esum > 0.0, (-dot.zeeman_energy * dot.alpha / 2.0) / (HBAR_UEV_NS * esum), 0.0)
-    w_fast = w_ket + w_bra
 
     # a*conj(d') expanded: both amplitudes carry the same dropped mean phase
+    half = 0.5 * w2d
     ss = s_ket * s_bra
-    diff_re = (w2d * 0.5 * (1.0 - ss)).ravel()
-    diff_im = (w2d * 0.5 * (s_bra - s_ket)).ravel()
-    sum_re = (w2d * 0.5 * (1.0 + ss)).ravel()
-    sum_im = (w2d * -0.5 * (s_ket + s_bra)).ravel()
     return BathQuadrature(
         dot=dot, m_nodes=m_nodes, m_weights=m_weights, q_nodes=q_nodes, q_weights=q_weights,
         t_max_ns=float(t_max_ns),
-        p_freq=2.0 * w_ket.ravel(), p_amp=(w2d * 0.5 * v_frac).ravel(),
-        c_freq=np.concatenate([w_diff.ravel(), w_fast.ravel()]),
-        c_vers=np.concatenate([diff_re, sum_re]), c_sin=np.concatenate([diff_im, sum_im]),
-        fast_term_cutoff_ns=_fast_term_cutoff(w_fast, m_weights, q_weights),
+        p_freq=2.0 * w_ket, p_amp=half * v_frac,
+        c_freq=np.concatenate([w_diff, w_ket + w_bra]),
+        c_vers=np.concatenate([half * (1.0 - ss), half * (1.0 + ss)]),
+        c_sin=np.concatenate([half * (s_bra - s_ket), -half * (s_ket + s_bra)]),
+        fast_term_cutoff_ns=_fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights),
     )
 
 
@@ -431,7 +444,8 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
         p_out[fast] = _phase_sums(t, quad.p_freq, quad.p_amp)[0]
         vers, sin = _phase_sums(t, quad.c_freq, quad.c_vers, quad.c_sin)
         # the two real amplitudes of a node add up to its weight, and the
-        # weights to 1: the exact bath average, not their rounded sum
+        # kept weights to 1 within NEGLIGIBLE_WEIGHT: the exact bath average,
+        # not their rounded sum
         c_out[fast] = (1.0 - vers) + 1j * sin
     if slow.any():
         n = quad.p_amp.size       # the slow family is the first half of c's

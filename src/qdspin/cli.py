@@ -126,6 +126,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     extra = {
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,
+        "quadrature_nodes_summed": chan.model.p_freq.size,
         "kink_times_ns": ";".join(f"{e.t_cross_ns:.9g}" for e in kinks) or "none",
     }
     headers = header_lines(config, extra)

@@ -101,7 +101,8 @@ class RunConfig:
         for name, choices in (("normalize", NORMALIZE_MODES), ("metric", tuple(METRIC_SETS))):
             value = getattr(self, name)
             require(isinstance(value, str) and value in choices, name, f"one of {choices}")
-        self.dot(0.0)  # the material parameters' own range checks
+        # the material parameters' own range checks, at the strongest field
+        self.dot(max(self.b_fields, key=abs, default=0.0))
 
     def to_dict(self) -> dict:
         return asdict(self)

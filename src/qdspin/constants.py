@@ -66,6 +66,12 @@ class DotParameters:
             raise InvalidParameterError(f"b_field must be finite, got {self.b_field}")
         if not self.g_factor > 0.0:
             raise InvalidParameterError(f"g_factor must be positive, got {self.g_factor}")
+        half_splitting = 0.5 * self.zeeman_energy
+        if not math.isfinite(half_splitting * half_splitting):  # the block energies square it
+            raise InvalidParameterError(
+                f"b_field={self.b_field} T gives a Zeeman half-splitting whose square overflows "
+                f"(g_factor={self.g_factor})"
+            )
 
     @property
     def alpha(self) -> float:

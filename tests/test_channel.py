@@ -12,6 +12,7 @@ from qdspin.channel import (
     DEGENERATE_BLOCK_E2,
     MIN_M_NODES,
     MIN_Q_NODES,
+    NEGLIGIBLE_WEIGHT,
     QuadratureResolutionError,
     node_count_rule,
 )
@@ -465,10 +466,11 @@ def direct_channel(dot, times, quad):
         (0.011, build_time_grid(20.0)),
         (1.0, build_time_grid(20.0)),
         (0.001, build_time_grid(200.0)),   # dense prefix + coarse tail across the cutoff
+        (0.001, build_time_grid(2000.0)[::25]),   # 294 x 64 nodes, most of them light; slow branch
         (0.05, np.array([0.0, 0.3, 0.31, 1.7, 2.2, 2.7, 3.2, 9.9, 4.0, 15.25])),
         (0.2, np.array([7.3])),
     ],
-    ids=["20ns-0T", "20ns-11mT", "20ns-1T", "200ns-1mT", "nonuniform", "single"],
+    ids=["20ns-0T", "20ns-11mT", "20ns-1T", "200ns-1mT", "2000ns-1mT", "nonuniform", "single"],
 )
 def test_channel_matches_direct_sum(b_field, times):
     dot = q.DotParameters(b_field=b_field)
@@ -479,6 +481,29 @@ def test_channel_matches_direct_sum(b_field, times):
         assert times.min() < chan.fast_term_cutoff_ns < times.max()
     assert np.abs(chan.p - p_ref).max() <= 1e-13
     assert np.abs(chan.c - c_ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("t_max", (20.0, 2000.0, 1.2e4))
+def test_light_nodes_leave_the_families(t_max, monkeypatch):
+    dot = q.DotParameters(b_field=0.001)
+    quad = q.build_quadrature(dot, t_max)
+    monkeypatch.setattr("qdspin.channel.NEGLIGIBLE_WEIGHT", -1.0)  # keep every node
+    full = q.build_quadrature(dot, t_max)
+    w2d = np.outer(quad.m_weights, quad.q_weights).ravel()
+    light = np.argsort(w2d, kind="stable")
+    n_light = w2d.size - quad.p_freq.size
+    assert w2d[light[:n_light]].sum() <= NEGLIGIBLE_WEIGHT
+    # dropping the next-lightest node too would pass the bound
+    assert w2d[light[: n_light + 1]].sum() > NEGLIGIBLE_WEIGHT
+    keep = np.sort(light[n_light:])
+    assert full.p_freq.size == w2d.size
+    for name in ("p_freq", "p_amp"):
+        assert np.array_equal(getattr(quad, name), getattr(full, name)[keep])
+    for name in ("c_freq", "c_vers", "c_sin"):  # slow half, then fast half
+        assert np.array_equal(getattr(quad, name), getattr(full, name)[np.concatenate([keep, keep + w2d.size])])
+    assert quad.fast_term_cutoff_ns == full.fast_term_cutoff_ns
+    if t_max > 1000.0:
+        assert 5 * quad.p_freq.size < w2d.size
 
 
 def test_channel_single_time_matches_grid():

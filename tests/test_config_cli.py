@@ -96,6 +96,9 @@ def test_cli_evolve_row_count_and_header(tmp_path):
     assert "qdspin_version=" in joined
     assert "b_mt=11" in joined
     assert "kink_times_ns=none" in joined
+    # the channel sums 590 of its 32 x 32 nodes; the rest weigh below 1e-20 together
+    i = headers.index("# quadrature_m_nodes=32")
+    assert headers[i + 1 : i + 3] == ["# quadrature_q_nodes=32", "# quadrature_nodes_summed=590"]
 
 
 def test_cli_evolve_kink_header(tmp_path):
@@ -484,6 +487,24 @@ def test_cli_non_positive_g_factor_is_usage_error(command, value, tmp_path, caps
     assert code == 2
     assert "g_factor must be positive" in _usage_error(capsys)["message"]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,b", [("evolve", "1e200"), ("evolve", "1e300"), ("sweep", "1e200"),
+                                       ("sweep", "1e300"), ("sweep", "0.1,1e300")])
+def test_cli_field_whose_block_energies_overflow_is_usage_error(command, b, tmp_path, capsys):
+    code = main([command, "--b", b, "--tmax", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "b_field" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_dot_parameters_reject_a_field_whose_splitting_squared_overflows():
+    DotParameters(b_field=-1e150)
+    for b_field in (1e160, -1e160):
+        with pytest.raises(InvalidParameterError, match="b_field"):
+            DotParameters(b_field=b_field)
+    with pytest.raises(InvalidParameterError, match="b_field"):
+        RunConfig(b_fields=[0.0, 1e160])
 
 
 def test_dot_parameters_reject_a_non_positive_g_factor():
