@@ -220,8 +220,10 @@ def build_quadrature(
         n_m = rule_m if n_m is None else n_m
         n_q = rule_q if n_q is None else n_q
     if n_m * n_q > MAX_QUADRATURE_NODES:
+        def count(n: int) -> str:
+            return f"{n:.3g}" if n > MAX_QUADRATURE_NODES else str(n)
         raise InvalidParameterError(
-            f"a quadrature of {n_m} x {n_q} nodes holds more than "
+            f"a quadrature of {count(n_m)} x {count(n_q)} nodes holds more than "
             f"MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES} nodes"
         )
     m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, int(n_m), int(n_q))

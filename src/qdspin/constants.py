@@ -62,6 +62,9 @@ class DotParameters:
             raise InvalidParameterError(
                 f"i_nuclear must be a positive half-integer, got {self.i_nuclear}"
             )
+        if not math.isfinite(self.n_nuclei * self.i_nuclear * (self.i_nuclear + 1.0) / 3.0):
+            raise InvalidParameterError(f"n_nuclei={self.n_nuclei:g} and i_nuclear={self.i_nuclear:g} give "
+                                        "a bath polarization variance N*I(I+1)/3 that overflows")
         if not math.isfinite(self.b_field):
             raise InvalidParameterError(f"b_field must be finite, got {self.b_field}")
         if not self.g_factor > 0.0:

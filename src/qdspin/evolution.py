@@ -34,7 +34,6 @@ CP_TOL = 1e-9           # how far |c| may exceed 1 - p in a channel that is appl
 _P_RANGE_TOL = 1e-15    # round-off allowed on p outside [0, 1]
 G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
 KINK_T_TOL = 1e-6       # ns; bisection stops once the crossing is bracketed this tightly
-PLATEAU_TOL = 0.0       # neighbouring samples this close form one plateau of find_extrema
 LONG_GRID_THRESHOLD_NS = 100.0  # t_max above this gets a dense prefix plus a coarse tail
 MAX_GRID_POINTS = 1_000_000     # times a grid may hold; the default 12 000 ns grid has 8476
 
@@ -100,10 +99,11 @@ class CorrelationTrajectory:
     model: BathQuadrature | None = field(default=None, repr=False)
 
     def g_at(self, t: float) -> float:
-        """g at time t: the start state evolved on the model's channel at that one time."""
+        """g alone at time t: the start state evolved and audited as in `evolve`, on the model at t."""
         if self.model is None:
             raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
-        return float(evolve(self.state0, compute_channel(self.model, np.array([t]))).g[0])
+        _, rho, _ = _evolved_states(self.state0, compute_channel(self.model, np.array([t])))
+        return float(g_ratio(rho)[0])
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -145,6 +145,13 @@ def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     return traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
 
 
+def _evolved_states(state0: TwoQubitState, traj: ChannelTrajectory) -> tuple[np.ndarray, ...]:
+    """Co-rotating coherences, the (n, 4, 4) stack of evolved states and its audited minimum eigenvalues."""
+    c_eff = effective_coherence(traj)
+    rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
+    return c_eff, rho, _audit_evolved(rho, traj.times)
+
+
 def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTrajectory:
     """Apply the product channel along the trajectory and measure everything.
 
@@ -152,9 +159,7 @@ def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTraject
     The evolved states form one (n, 4, 4) stack; every measure is
     evaluated on the whole stack at once.
     """
-    c_eff = effective_coherence(traj)
-    rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
-    min_eig = _audit_evolved(rho, traj.times)
+    c_eff, rho, min_eig = _evolved_states(state0, traj)
     bounds = discord_bounds(rho)
     bell_a, bell_b = bell_diagonal_params(rho, state0.ordering)
     return CorrelationTrajectory(
@@ -210,44 +215,35 @@ def find_g_crossings(
 ) -> list[KinkEvent]:
     """Sign-change crossings of g(t) - 1, each bisected on the evaluator g_at.
 
-    Samples with |g - 1| <= G_BAND count as on the boundary; a crossing
-    requires passing from strictly above to strictly below (or vice
-    versa), so tangential touches and boundary noise are excluded.  Each
-    bracketing pair of grid times is bisected with g_at (t -> g(t)) to
-    KINK_T_TOL or an exact root; g_at is never called if g does not cross.
+    Samples with |g - 1| <= G_BAND, and non-finite ones, count as on the
+    boundary (side 0); a crossing is a pair of neighbouring off-boundary
+    samples on opposite sides, so tangential touches and boundary noise
+    are excluded.  Each bracketing pair of grid times is bisected with
+    g_at (t -> g(t)) to KINK_T_TOL or an exact root; g_at is never called
+    if g does not cross.
     """
     times = np.asarray(times, dtype=float)
     g = np.asarray(g, dtype=float)
-    finite = np.isfinite(g)
-    side = np.zeros(times.size, dtype=int)
-    side[finite & (g > 1.0 + G_BAND)] = 1
-    side[finite & (g < 1.0 - G_BAND)] = -1
+    side = np.where(np.isfinite(g), (g > 1.0 + G_BAND).astype(int) - (g < 1.0 - G_BAND), 0)
+    off = np.flatnonzero(side)
+    flips = np.flatnonzero(side[off[1:]] != side[off[:-1]])
 
     events: list[KinkEvent] = []
-    last_side = 0
-    last_idx = -1
-    for i in range(times.size):
-        s = side[i]
-        if s == 0:
-            continue
-        if last_side != 0 and s != last_side:
-            t_lo, t_hi = times[last_idx], times[i]
-            f_lo = g_at(t_lo) - 1.0
-            for _ in range(200):
-                if t_hi - t_lo <= KINK_T_TOL:
-                    break
-                t_mid = 0.5 * (t_lo + t_hi)
-                f_mid = g_at(t_mid) - 1.0
-                if f_mid == 0.0:  # an exact root ends the bisection there
-                    t_lo = t_hi = t_mid
-                elif (f_mid > 0.0) == (f_lo > 0.0):
-                    t_lo, f_lo = t_mid, f_mid
-                else:
-                    t_hi = t_mid
-            t_cross = 0.5 * (t_lo + t_hi)
-            events.append(KinkEvent(t_cross_ns=float(t_cross), direction="down" if last_side > 0 else "up"))
-        last_side = s
-        last_idx = i
+    for lo, hi in zip(off[flips], off[flips + 1]):
+        t_lo, t_hi = times[lo], times[hi]
+        f_lo = g_at(t_lo) - 1.0
+        for _ in range(200):
+            if t_hi - t_lo <= KINK_T_TOL:
+                break
+            t_mid = 0.5 * (t_lo + t_hi)
+            f_mid = g_at(t_mid) - 1.0
+            if f_mid == 0.0:  # an exact root ends the bisection there
+                t_lo = t_hi = t_mid
+            elif (f_mid > 0.0) == (f_lo > 0.0):
+                t_lo, f_lo = t_mid, f_mid
+            else:
+                t_hi = t_mid
+        events.append(KinkEvent(t_cross_ns=float(0.5 * (t_lo + t_hi)), direction="down" if side[lo] > 0 else "up"))
     return events
 
 
@@ -258,8 +254,10 @@ def find_extrema(
 ) -> list[Extremum]:
     """Interior local extrema by discrete comparison with parabolic refinement.
 
-    Runs of samples equal to within PLATEAU_TOL collapse to one event at
-    the plateau center.  min_prominence filters noise: a peak must rise at
+    Runs of exactly equal neighbouring samples collapse to one event at
+    the run's center (infinities never form a run).  A run is an extremum
+    if it lies strictly above (or below) both neighbouring runs and all
+    three are finite.  min_prominence filters noise: a peak must rise at
     least that far above the lower of the valleys separating it from
     higher terrain on each side (symmetrically for minima).
     """
@@ -268,31 +266,21 @@ def find_extrema(
     if times.size < 3:
         return []
 
-    # collapse plateaus to representative samples (center index of each run)
-    reps = [0]
-    for i in range(1, times.size):
-        if abs(values[i] - values[reps[-1]]) <= PLATEAU_TOL:
-            continue
-        reps.append(i)
-    run_centers: list[int] = []
-    for r in range(len(reps)):
-        lo = reps[r]
-        hi = reps[r + 1] - 1 if r + 1 < len(reps) else times.size - 1
-        run_centers.append((lo + hi) // 2)
-    rt = times[run_centers]
-    rv = values[run_centers]
+    # collapse plateaus to the center index of each run
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan: a run of its own
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(values) != 0.0)))
+    centers = (starts + np.append(starts[1:] - 1, times.size - 1)) // 2
+    rt = times[centers]
+    rv = values[centers]
 
+    mid, prev_v, next_v = rv[1:-1], rv[:-2], rv[2:]
+    finite = np.isfinite(rv)
+    ok = finite[:-2] & finite[1:-1] & finite[2:]
+    is_max = ok & (mid > prev_v) & (mid > next_v)
+    is_min = ok & (mid < prev_v) & (mid < next_v)
     events: list[Extremum] = []
-    for j in range(1, len(run_centers) - 1):
-        prev_v, this_v, next_v = rv[j - 1], rv[j], rv[j + 1]
-        if not (np.isfinite(prev_v) and np.isfinite(this_v) and np.isfinite(next_v)):
-            continue
-        if this_v > prev_v and this_v > next_v:
-            kind = ExtremumKind.MAXIMUM
-        elif this_v < prev_v and this_v < next_v:
-            kind = ExtremumKind.MINIMUM
-        else:
-            continue
+    for j in np.flatnonzero(is_max | is_min) + 1:
+        kind = ExtremumKind.MAXIMUM if is_max[j - 1] else ExtremumKind.MINIMUM
         if min_prominence > 0.0 and _prominence(rv, j, kind) < min_prominence:
             continue
         t_ref, v_ref = _parabolic_refine(rt, rv, j)
@@ -301,20 +289,19 @@ def find_extrema(
 
 
 def _prominence(values: np.ndarray, j: int, kind: ExtremumKind) -> float:
-    """Topographic prominence of the extremum at index j in the sample series."""
+    """Topographic prominence of the extremum at index j in the sample series.
+
+    Each side's base is the lowest sample (nan ignored) between the peak
+    and the first strictly higher sample on that side, or the series' end.
+    """
     v = values if kind is ExtremumKind.MAXIMUM else -values
     peak = v[j]
-    def side_base(indices) -> float:
-        base = peak
-        lowest = peak
-        for i in indices:
-            if v[i] > peak:
-                return lowest
-            lowest = min(lowest, v[i])
-        return lowest
-    left = side_base(range(j - 1, -1, -1))
-    right = side_base(range(j + 1, len(v)))
-    return peak - max(left, right)
+
+    def side_base(side: np.ndarray) -> float:
+        higher = np.flatnonzero(side > peak)
+        return np.fmin.reduce(side[:higher[0] if higher.size else side.size], initial=peak)
+
+    return peak - max(side_base(v[j - 1::-1]), side_base(v[j + 1:]))
 
 
 def _parabolic_refine(times: np.ndarray, values: np.ndarray, j: int) -> tuple[float, float]:

@@ -98,21 +98,15 @@ def rescaled_integral(
 
 
 def esd_time(times: np.ndarray, conc: np.ndarray) -> float | None:
-    """First time the concurrence reaches zero and stays there >= ESD_MIN_RUN samples."""
-    dead = np.asarray(conc) <= ESD_ZERO_TOL
-    n = dead.size
-    i = 0
-    while i < n:
-        if not dead[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and dead[j]:
-            j += 1
-        if (j - i) >= ESD_MIN_RUN:
-            return float(times[i])
-        i = j
-    return None
+    """First time the concurrence reaches zero and stays there >= ESD_MIN_RUN samples.
+
+    Dead runs (concurrence <= ESD_ZERO_TOL) start and end at the edges of
+    the dead mask padded with a live sample on each side.
+    """
+    dead = np.concatenate(([False], np.asarray(conc) <= ESD_ZERO_TOL, [False]))
+    starts, ends = np.flatnonzero(dead[1:] != dead[:-1]).reshape(-1, 2).T
+    long_runs = np.flatnonzero(ends - starts >= ESD_MIN_RUN)
+    return float(times[starts[long_runs[0]]]) if long_runs.size else None
 
 
 def long_time_discord(

@@ -27,6 +27,7 @@ from .states import (
 RESCALE_PREFACTOR = 0.5 * (1.0 - math.sqrt(3.0) / 2.0)
 TOP_CLUSTER_GAP = 1e-10  # eigenvalues this close to the top of K count as degenerate with it
 G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denominator of g
+ORACLE_POLISH_RESTARTS = 4  # times an unconverged simplex polish of the oracle is continued
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -161,8 +162,10 @@ def oracle_one_sided_discord(state: TwoQubitState, grid_resolution: int = 24) ->
     """Minimum squared Hilbert-Schmidt distance to a qubit-A pinching.
 
     Brute force: coarse (theta, phi) grid followed by a simplex polish of
-    the best point.  Serves as the independent check of the closed-form
-    lower bound on the A side.
+    the best point.  A polish that runs out of iterations is continued from
+    its last point, at most ORACLE_POLISH_RESTARTS times, until it
+    converges.  Serves as the independent check of the closed-form lower
+    bound on the A side.
     """
     from scipy.optimize import minimize  # on first use: only `verify` runs the oracle
 
@@ -172,10 +175,11 @@ def oracle_one_sided_discord(state: TwoQubitState, grid_resolution: int = 24) ->
                                indexing="ij")
     coarse = _pinching_distances(rho, thetas.ravel(), phis.ravel())
     k = int(np.argmin(coarse))
-    res = minimize(
-        lambda angles: float(_pinching_distances(rho, angles[:1], angles[1:])[0]),
-        np.array([thetas.flat[k], phis.flat[k]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-    )
-    return min(float(coarse[k]), float(res.fun))
+    best, start = float(coarse[k]), np.array([thetas.flat[k], phis.flat[k]])
+    for _ in range(1 + ORACLE_POLISH_RESTARTS):
+        res = minimize(lambda angles: float(_pinching_distances(rho, angles[:1], angles[1:])[0]), start,
+                       method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
+        best, start = min(best, float(res.fun)), res.x
+        if res.success:
+            break
+    return best

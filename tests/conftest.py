@@ -90,3 +90,123 @@ def bell_diagonal_discord(a: float, b: complex) -> BellDiagonalDiscord:
         regime = Regime.G_GE_1
         ds = (0.5 - 2.0 * a) ** 2 + babs * babs
     return BellDiagonalDiscord(ds=ds, regime=regime, g=g)
+
+
+# ---------------------------------------------------------------------------
+# per-sample loop oracles of the feature scanners
+# ---------------------------------------------------------------------------
+
+
+def loop_find_g_crossings(times, g, g_at) -> list:
+    """`evolution.find_g_crossings` as a per-sample state machine over the side of each sample."""
+    from qdspin.evolution import G_BAND, KINK_T_TOL, KinkEvent
+
+    times = np.asarray(times, dtype=float)
+    g = np.asarray(g, dtype=float)
+    finite = np.isfinite(g)
+    side = np.zeros(times.size, dtype=int)
+    side[finite & (g > 1.0 + G_BAND)] = 1
+    side[finite & (g < 1.0 - G_BAND)] = -1
+    events = []
+    last_side = 0
+    last_idx = -1
+    for i in range(times.size):
+        s = side[i]
+        if s == 0:
+            continue
+        if last_side != 0 and s != last_side:
+            t_lo, t_hi = times[last_idx], times[i]
+            f_lo = g_at(t_lo) - 1.0
+            for _ in range(200):
+                if t_hi - t_lo <= KINK_T_TOL:
+                    break
+                t_mid = 0.5 * (t_lo + t_hi)
+                f_mid = g_at(t_mid) - 1.0
+                if f_mid == 0.0:
+                    t_lo = t_hi = t_mid
+                elif (f_mid > 0.0) == (f_lo > 0.0):
+                    t_lo, f_lo = t_mid, f_mid
+                else:
+                    t_hi = t_mid
+            events.append(KinkEvent(t_cross_ns=float(0.5 * (t_lo + t_hi)),
+                                    direction="down" if last_side > 0 else "up"))
+        last_side = s
+        last_idx = i
+    return events
+
+
+def loop_find_extrema(times, values, min_prominence: float = 0.0) -> list:
+    """`evolution.find_extrema` with plateaus, candidates and prominence found sample by sample."""
+    from qdspin.evolution import Extremum, ExtremumKind, _parabolic_refine
+
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.size < 3:
+        return []
+    reps = [0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, times.size):
+            if abs(values[i] - values[reps[-1]]) <= 0.0:
+                continue
+            reps.append(i)
+    run_centers = []
+    for r in range(len(reps)):
+        lo = reps[r]
+        hi = reps[r + 1] - 1 if r + 1 < len(reps) else times.size - 1
+        run_centers.append((lo + hi) // 2)
+    rt = times[run_centers]
+    rv = values[run_centers]
+    events = []
+    for j in range(1, len(run_centers) - 1):
+        prev_v, this_v, next_v = rv[j - 1], rv[j], rv[j + 1]
+        if not (np.isfinite(prev_v) and np.isfinite(this_v) and np.isfinite(next_v)):
+            continue
+        if this_v > prev_v and this_v > next_v:
+            kind = ExtremumKind.MAXIMUM
+        elif this_v < prev_v and this_v < next_v:
+            kind = ExtremumKind.MINIMUM
+        else:
+            continue
+        if min_prominence > 0.0 and loop_prominence(rv, j, kind) < min_prominence:
+            continue
+        t_ref, v_ref = _parabolic_refine(rt, rv, j)
+        events.append(Extremum(t_ns=t_ref, value=v_ref, kind=kind))
+    return events
+
+
+def loop_prominence(values, j: int, kind) -> float:
+    """`evolution._prominence` walking out from j to the first strictly higher sample on each side."""
+    from qdspin.evolution import ExtremumKind
+
+    v = values if kind is ExtremumKind.MAXIMUM else -values
+    peak = v[j]
+
+    def side_base(indices) -> float:
+        lowest = peak
+        for i in indices:
+            if v[i] > peak:
+                return lowest
+            lowest = min(lowest, v[i])
+        return lowest
+
+    return peak - max(side_base(range(j - 1, -1, -1)), side_base(range(j + 1, len(v))))
+
+
+def loop_esd_time(times, conc):
+    """`magnetometry.esd_time` as a scan over the dead runs of the concurrence."""
+    from qdspin.magnetometry import ESD_MIN_RUN, ESD_ZERO_TOL
+
+    dead = np.asarray(conc) <= ESD_ZERO_TOL
+    n = dead.size
+    i = 0
+    while i < n:
+        if not dead[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and dead[j]:
+            j += 1
+        if (j - i) >= ESD_MIN_RUN:
+            return float(times[i])
+        i = j
+    return None

@@ -312,6 +312,31 @@ def test_cli_quadrature_past_node_cap_is_usage_error(flags, tmp_path, capsys, mo
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("evolve", ["--i-nuclear", "1e160"]), ("evolve", ["--i-nuclear", "1e200"]),
+    ("evolve", ["--n-nuclei", "1e308"]), ("sweep", ["--i-nuclear", "1e200", "--metric", "all"]),
+])
+def test_cli_overflowing_bath_variance_is_usage_error(command, flags, tmp_path, capsys, monkeypatch):
+    def no_channel_work(*args, **kwargs):
+        raise AssertionError("channel work started before the bath variance was checked")
+
+    monkeypatch.setattr(magnetometry, "build_quadrature", no_channel_work)
+    code = main([command, "--state", "bell:psi-", "--b", "0,0.1" if command == "sweep" else "0.1",
+                 "--tmax", "1", *flags, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    message = _usage_error(capsys)["message"]
+    assert "n_nuclei" in message and "i_nuclear" in message and "overflows" in message
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_node_count_past_the_cap_prints_short(tmp_path, capsys):
+    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--i-nuclear", "1e150",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    message = _usage_error(capsys)["message"]
+    assert message.startswith("a quadrature of 7.57e+148 x 64 nodes holds more than MAX_QUADRATURE_NODES")
+
+
 def test_node_rule_past_the_cap_builds_no_candidate(monkeypatch):
     # a huge bath on a long grid needs ~180 000 m nodes for its phase term alone
     def no_nodes(*args):

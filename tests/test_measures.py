@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdspin as q
@@ -166,6 +166,7 @@ def test_local_unitary_invariance(rng):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(29396)  # a simplex polish that stops at its iteration limit unconverged, 1.1e-5 off
 def test_oracle_matches_closed_form(seed):
     rng = np.random.default_rng(seed)
     state = random_density(rng)
