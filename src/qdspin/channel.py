@@ -157,6 +157,12 @@ def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple[np.ndarray, ...
     for name, w in (("m_weights", m_weights), ("q_weights", q_weights)):
         if not abs(float(w.sum()) - 1.0) <= 1e-9:  # NaN weights (too many nodes for scipy) fail too
             raise QuadratureResolutionError(f"{name} of {w.size} nodes must sum to 1, got {float(w.sum())!r}")
+    # the largest node's product in Python floats, where an overflow is a quiet inf
+    if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
+        raise InvalidParameterError(
+            f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
+            f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
+        )
     q_nodes = 2.0 * sigma * sigma * y
     if np.any(q_nodes <= 0.0):
         raise QuadratureResolutionError("all q_nodes must be positive")

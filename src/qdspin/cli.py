@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 2 usage, 3 numerical or validity error, 4 acceptance
 failure.  Errors print a machine-readable JSON record to stderr.  All
-outputs are deterministic for a fixed configuration; the QDSPIN_WORKERS
-environment variable changes wall time only, never results.
+outputs are deterministic for a fixed configuration; the worker count
+(`--workers` or the config file's "workers") changes wall time only,
+never results.
 """
 from __future__ import annotations
 

@@ -51,12 +51,16 @@ def _is_real(value) -> bool:
 
 @dataclass
 class RunConfig:
-    """Everything a reproducible run needs; defaults reproduce the GaAs setup."""
+    """Everything a reproducible run needs; defaults reproduce the GaAs setup.
 
-    a_total: float = 83.0
-    n_nuclei: float = 1.5e6
-    i_nuclear: float = 1.5
-    g_factor: float = 0.44
+    The material defaults are `DotParameters`' own, and `build_time_grid`
+    takes its grid defaults from here, so each is written once.
+    """
+
+    a_total: float = DotParameters.a_total
+    n_nuclei: float = DotParameters.n_nuclei
+    i_nuclear: float = DotParameters.i_nuclear
+    g_factor: float = DotParameters.g_factor
     state: str = "bell:psi-"
     b_fields: list[float] = field(default_factory=lambda: [0.0])
     t_max: float = 20.0

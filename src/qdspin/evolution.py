@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import BathQuadrature, ChannelTrajectory, compute_channel, verify_channel_cp
-from .config import write_csv
+from .config import RunConfig, write_csv
 from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError
 from .measures import concurrence, discord_bounds, g_ratio
 from .states import (
@@ -321,9 +321,9 @@ def _parabolic_refine(times: np.ndarray, values: np.ndarray, j: int) -> tuple[fl
 
 def build_time_grid(
     t_max: float,
-    dt: float = 0.02,
-    dt_long: float = 2.0,
-    dense_prefix: float = 50.0,
+    dt: float = RunConfig.dt,
+    dt_long: float = RunConfig.dt_long,
+    dense_prefix: float = RunConfig.dense_prefix,
 ) -> np.ndarray:
     """Default grids: uniform dt up to LONG_GRID_THRESHOLD_NS, else a dense prefix plus coarse tail.
 

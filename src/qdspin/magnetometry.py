@@ -14,7 +14,6 @@ monotone calibration curve can be inverted back to a field estimate.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,7 +40,6 @@ from .evolution import (
 )
 from .states import make_state
 
-WORKERS_ENV = "QDSPIN_WORKERS"
 G_EXTREMUM_PROMINENCE = 1e-4
 ESD_MIN_RUN = 5          # samples the concurrence must stay dead to mark sudden death
 ESD_ZERO_TOL = 1e-12     # concurrence at or below this counts as dead
@@ -197,20 +195,6 @@ def _sweep_row(args: tuple[RunConfig, float]) -> dict:
     return row
 
 
-def worker_count(explicit: int | None = None) -> int:
-    """Worker processes for a sweep: the explicit value, else QDSPIN_WORKERS, else 1."""
-    name, value = "workers", explicit
-    if explicit is None:
-        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or "1"
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
-    return count
-
-
 def run_sweep(config: RunConfig) -> SweepTable:
     """Run `config` over its fields; rows are in field order, independent of workers.
 
@@ -224,7 +208,7 @@ def run_sweep(config: RunConfig) -> SweepTable:
         raise InvalidParameterError("sweep needs at least one field value")
     if any(b1 >= b2 for b1, b2 in zip(b_fields, b_fields[1:])):
         raise InvalidParameterError("b_fields must be strictly increasing")
-    n_workers = worker_count(config.workers)
+    n_workers = config.workers or 1
     jobs = [(config, b) for b in b_fields]
     if n_workers == 1 or len(jobs) == 1:
         rows = [_sweep_row(j) for j in jobs]

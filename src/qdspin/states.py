@@ -254,29 +254,19 @@ def purity(state: TwoQubitState | np.ndarray) -> float:
     return np.sum(np.abs(_rho(state)) ** 2, axis=(-2, -1))
 
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-_KET_T0 = np.array([0.0, _SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex)
-_KET_S0 = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
-
-
-def _expectation(rho: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    # <ket|rho|ket>; the closing (1x4)(4x1) product per matrix keeps the
-    # rounding of a single-matrix vector product
-    return np.real((ket.conj() @ rho)[..., None, :] @ ket[:, None])[..., 0, 0]
-
-
 def singlet_triplet_weights(state: TwoQubitState | np.ndarray) -> np.ndarray:
     """Projector weights (..., 4) = (w_Tm1, w_T0, w_Tp1, w_S0) in the total-spin basis.
 
     T+1 = |uu>, T-1 = |dd>, T0/S0 the symmetric/antisymmetric combinations
-    of |ud>, |du>.  The four weights always sum to Tr rho = 1.  Takes one
-    state, a 4x4 matrix or a (..., 4, 4) stack.
+    of |ud>, |du>, so w_T0, w_S0 = (rho_11 + rho_22)/2 +- Re(rho_12 + rho_21)/2.
+    The four weights sum to Tr rho = 1.  Takes one state, a 4x4 matrix or a
+    (..., 4, 4) stack; the arithmetic is elementwise, so a state gives the
+    same bits alone as inside a stack.
     """
-    rho = _rho(state)
-    return np.stack(
-        [rho[..., 3, 3].real, _expectation(rho, _KET_T0), rho[..., 0, 0].real, _expectation(rho, _KET_S0)],
-        axis=-1,
-    )
+    rho = _rho(state).real
+    inner = 0.5 * (rho[..., 1, 1] + rho[..., 2, 2])
+    flip = 0.5 * (rho[..., 1, 2] + rho[..., 2, 1])
+    return np.stack([rho[..., 3, 3], inner + flip, rho[..., 0, 0], inner - flip], axis=-1)
 
 
 def bell_diagonal_params(

@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from qdspin.config import (
 )
 from qdspin.constants import DotParameters, InvalidParameterError
 from qdspin.evolution import build_time_grid
-from qdspin.magnetometry import METRIC_SETS, WORKERS_ENV, worker_count
+from qdspin.magnetometry import METRIC_SETS
 
 
 def test_config_roundtrip_default():
@@ -47,6 +49,15 @@ def test_config_defaults_reproduce_material_parameters():
     assert dot.n_nuclei == 1.5e6
     assert dot.i_nuclear == 1.5
     assert dot.g_factor == 0.44
+
+
+def test_material_and_grid_defaults_are_written_once():
+    config, dot = RunConfig(), DotParameters()
+    for name in ("a_total", "n_nuclei", "i_nuclear", "g_factor"):
+        assert getattr(config, name) == getattr(dot, name)
+    defaults = {name: p.default for name, p in inspect.signature(build_time_grid).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    assert defaults == {"dt": config.dt, "dt_long": config.dt_long, "dense_prefix": config.dense_prefix}
 
 
 def test_config_rejects_unknown_keys():
@@ -146,14 +157,24 @@ def test_cli_sweep_monotone_m(tmp_path):
     assert all(m2 > m1 for m1, m2 in zip(ms, ms[1:]))
 
 
-def test_cli_sweep_workers_byte_identical(tmp_path, monkeypatch):
+def test_cli_sweep_workers_byte_identical(tmp_path):
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     args = ["sweep", "--metric", "esd", "--b", "0.011,0.0165", "--state", "bell:psi-", "--dt", "0.05"]
-    monkeypatch.setenv("QDSPIN_WORKERS", "1")
-    assert main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("QDSPIN_WORKERS", "2")
-    assert main(args + ["--out", str(out2)]) == 0
+    assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
+    assert main(args + ["--workers", "2", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "2"])
+def test_cli_sweep_ignores_the_environment(value, tmp_path, monkeypatch):
+    # the worker count comes only from --workers, the config file or RunConfig
+    unset, env = tmp_path / "unset.csv", tmp_path / "env.csv"
+    args = ["sweep", "--metric", "M", "--b", "0.01,0.02", "--tmax", "1", "--state", "werner:p=0.33"]
+    monkeypatch.delenv("QDSPIN_WORKERS", raising=False)
+    assert main(args + ["--out", str(unset)]) == 0
+    monkeypatch.setenv("QDSPIN_WORKERS", value)
+    assert main(args + ["--out", str(env)]) == 0
+    assert env.read_bytes() == unset.read_bytes()
 
 
 def test_cli_sweep_empty_b_is_usage_error(capsys):
@@ -172,38 +193,12 @@ def test_cli_sweep_repeated_b_is_usage_error(capsys):
     assert "strictly increasing" in record["message"]
 
 
-@pytest.mark.parametrize("value", ["abc", "-3"])
-def test_cli_sweep_bad_workers_env_is_usage_error(value, monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv(WORKERS_ENV, value)
-    code = main(["sweep", "--metric", "M", "--b", "0.01", "--state", "werner:p=0.33",
-                 "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "InvalidParameterError"
-    assert WORKERS_ENV in record["message"]
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_worker_count_unset_or_empty_env_is_one(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv(WORKERS_ENV, "")
-    assert worker_count() == 1
-
-
-@pytest.mark.parametrize("explicit", [0, -3])
-def test_worker_count_rejects_non_positive_explicit_count(explicit):
-    with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
-        worker_count(explicit)
-
-
 def test_cli_sweep_sizes_its_quadrature_from_its_grid(tmp_path, monkeypatch):
     # t_max / dt = 1000.75 rounds the grid up to 20.02 ns, past --tmax
     kept = []
     original = magnetometry.trajectory_for_field
     monkeypatch.setattr(magnetometry, "trajectory_for_field",
                         lambda *args: kept.append(original(*args)) or kept[-1])
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     flags = ["--b", "0.01", "--tmax", "20.015", "--state", "werner:p=0.33"]
     assert main(["sweep", "--metric", "M", *flags, "--out", str(tmp_path / "s.csv")]) == 0
     assert main(["evolve", *flags, "--out", str(tmp_path / "evolve.csv")]) == 0
@@ -327,6 +322,27 @@ def test_cli_overflowing_bath_variance_is_usage_error(command, flags, tmp_path, 
     message = _usage_error(capsys)["message"]
     assert "n_nuclei" in message and "i_nuclear" in message and "overflows" in message
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+@pytest.mark.parametrize("n_nuclei", ["1e306", "3e306", "1e307"])
+def test_cli_bath_whose_laguerre_nodes_overflow_is_usage_error(command, n_nuclei, tmp_path, capsys):
+    # the variance N*I(I+1)/3 is finite, but the largest node 2*sigma^2*y is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--state", "werner:p=0.33", "--b", "0.1", "--tmax", "1", "--n-nuclei", n_nuclei,
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    message = _usage_error(capsys)["message"]
+    assert "n_nuclei" in message and "i_nuclear" in message and "overflows" in message
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bath_just_below_the_node_overflow_runs_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quad = build_quadrature(DotParameters(n_nuclei=5e305, b_field=0.1), 1.0)
+    assert np.all(np.isfinite(quad.q_nodes))
 
 
 def test_cli_node_count_past_the_cap_prints_short(tmp_path, capsys):
@@ -477,7 +493,6 @@ def test_cli_bad_state_spec_exits_before_channel_work(command, tmp_path, capsys,
 
     monkeypatch.setattr("qdspin.cli.channel_for_field", no_channel_work)
     monkeypatch.setattr("qdspin.magnetometry.channel_for_field", no_channel_work)
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     code = main([command, "--state", "bogus:1", "--b", "1", "--tmax", "1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -671,7 +686,7 @@ def test_config_json_rejects_exactly_what_the_dataclass_rejects(data):
         for b in direct.b_fields:
             direct.dot(b)
         assert len(direct.m_window) == len(direct.longtime_window) == 2
-        assert METRIC_SETS[direct.metric] and worker_count(direct.workers) >= 1
+        assert METRIC_SETS[direct.metric] and (direct.workers is None or direct.workers >= 1)
 
 
 @pytest.mark.parametrize("only", ["x", "99", "0", "3,15", ","])
@@ -719,7 +734,6 @@ def _forbid_channel_work(monkeypatch, what: str) -> None:
         raise AssertionError(f"channel work started before {what}")
 
     monkeypatch.setattr("qdspin.magnetometry.channel_for_field", no_channel_work)
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
 
 
 @pytest.mark.parametrize("metric,quantity", [("M", "g_max_value"), ("g-extrema", "M"),

@@ -120,6 +120,16 @@ def test_singlet_triplet_weights():
     assert sum(w) == pytest.approx(1.0)
 
 
+def test_singlet_triplet_weights_match_the_projections(rng):
+    t0 = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    s0 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    stack = np.array([random_density(rng).rho * scale for scale in rng.uniform(0.5, 2.0, size=200)])
+    w = q.singlet_triplet_weights(stack)
+    assert np.abs(w[:, 1] - np.einsum("i,nij,j->n", t0, stack, t0).real).max() <= 1e-15
+    assert np.abs(w[:, 3] - np.einsum("i,nij,j->n", s0, stack, s0).real).max() <= 1e-15
+    assert np.abs(w.sum(axis=-1) - np.trace(stack, axis1=1, axis2=2).real).max() <= 1e-15
+
+
 def test_bell_diagonal_params_detects_pattern():
     assert not np.isnan(q.bell_diagonal_params(q.TwoQubitState(np.eye(4, dtype=complex) / 4.0))[0])
     phi = q.make_state(q.Bell("phi+"))
