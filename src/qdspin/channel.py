@@ -132,25 +132,39 @@ def node_count_rule(dot: DotParameters, t_max_ns: float) -> tuple[int, int]:
     covers the interference decay.  Only the candidate's nodes and fast
     frequencies are computed here, never a model.
     """
+    return _node_rule(dot, t_max_ns)[0]
+
+
+def _node_rule(dot: DotParameters, t_max_ns: float) -> tuple[tuple[int, int], tuple | None]:
+    """`node_count_rule`'s counts, with the candidate's `_bath_nodes` and fast-term
+    cutoff for `build_quadrature` to reuse (None past MAX_QUADRATURE_NODES)."""
     n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
     n_m = max(FAST_NODES, n_phase)
+    floor_counts = (max(MIN_M_NODES, n_phase), MIN_Q_NODES)
     if n_m * FAST_NODES > MAX_QUADRATURE_NODES:  # past the cap either way: no candidate is built
-        return max(MIN_M_NODES, n_phase), MIN_Q_NODES
-    if _fast_term_cutoff(dot, *_bath_nodes(dot, n_m, FAST_NODES)) >= t_max_ns:
-        return n_m, FAST_NODES
-    return max(MIN_M_NODES, n_phase), MIN_Q_NODES
+        return floor_counts, None
+    nodes = _bath_nodes(dot, n_m, FAST_NODES)
+    cutoff = _fast_term_cutoff(dot, *nodes)
+    return ((n_m, FAST_NODES) if cutoff >= t_max_ns else floor_counts), (nodes, cutoff)
 
 
-def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple[np.ndarray, ...]:
+def _bath_nodes(dot: DotParameters, n_m: int, n_q: int,
+                hermite: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
     """Normalised Gauss-Hermite polarization nodes m and Gauss-Laguerre
-    transverse-invariant nodes Q, with their weights."""
+    transverse-invariant nodes Q, with their weights.
+
+    `hermite` passes in the (m_nodes, m_weights) of an earlier call with the
+    same dot and n_m, which are then not computed again.
+    """
     from scipy.special import roots_hermite, roots_laguerre  # on first use: `import qdspin` stays scipy-free
 
     if n_m < 3 or n_q < 3:
         raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
     sigma = dot.sigma_m
-    x, wx = roots_hermite(n_m)            # weight e^{-x^2}; m = sqrt(2) sigma x
-    m_weights = wx / wx.sum()
+    if hermite is None:
+        x, wx = roots_hermite(n_m)        # weight e^{-x^2}; m = sqrt(2) sigma x
+        hermite = math.sqrt(2.0) * sigma * x, wx / wx.sum()
+    m_nodes, m_weights = hermite
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused below
         y, wy = roots_laguerre(n_q)       # weight e^{-y}; Q = 2 sigma^2 y
     q_weights = wy / wy.sum()
@@ -166,7 +180,7 @@ def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple[np.ndarray, ...
     q_nodes = 2.0 * sigma * sigma * y
     if np.any(q_nodes <= 0.0):
         raise QuadratureResolutionError("all q_nodes must be positive")
-    return math.sqrt(2.0) * sigma * x, m_weights, q_nodes, q_weights
+    return m_nodes, m_weights, q_nodes, q_weights
 
 
 def _blocks(dot: DotParameters, m: np.ndarray, q: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -221,8 +235,9 @@ def build_quadrature(
             f"Gaussian bath statistics require N >= {_MIN_BATH_NUCLEI}, got {dot.n_nuclei:g}"
         )
     n_m, n_q = m_count, q_count
+    candidate = None  # the rule's trial nodes and their cutoff, reused where they fit
     if n_m is None or n_q is None:
-        rule_m, rule_q = node_count_rule(dot, t_max_ns)
+        (rule_m, rule_q), candidate = _node_rule(dot, t_max_ns)
         n_m = rule_m if n_m is None else n_m
         n_q = rule_q if n_q is None else n_q
     if n_m * n_q > MAX_QUADRATURE_NODES:
@@ -232,7 +247,13 @@ def build_quadrature(
             f"a quadrature of {count(n_m)} x {count(n_q)} nodes holds more than "
             f"MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES} nodes"
         )
-    m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, int(n_m), int(n_q))
+    n_m, n_q = int(n_m), int(n_q)
+    if candidate is not None and (candidate[0][0].size, candidate[0][2].size) == (n_m, n_q):
+        (m_nodes, m_weights, q_nodes, q_weights), cutoff = candidate
+    else:
+        hermite = candidate[0][:2] if candidate is not None and candidate[0][0].size == n_m else None
+        m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, n_m, n_q, hermite)
+        cutoff = _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
 
     # the lightest nodes, while their weights sum to at most NEGLIGIBLE_WEIGHT,
     # leave the families (every amplitude is bounded by its weight); the rest
@@ -270,7 +291,7 @@ def build_quadrature(
         c_freq=np.concatenate([w_diff, w_ket + w_bra]),
         c_vers=np.concatenate([half * (1.0 - ss), half * (1.0 + ss)]),
         c_sin=np.concatenate([half * (s_bra - s_ket), -half * (s_ket + s_bra)]),
-        fast_term_cutoff_ns=_fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights),
+        fast_term_cutoff_ns=cutoff,
     )
 
 

@@ -10,6 +10,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -257,15 +258,15 @@ def header_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _cells(column: Sequence) -> list[str]:
-    """One column's cells: strings as given, numbers as .17g, NaN and None empty."""
+def _cells(column: Sequence) -> tuple[list[str], list]:
+    """One column's format specs and values: strings as given, numbers as .17g, NaN and None empty."""
     if not isinstance(column, np.ndarray) and all(isinstance(v, str) for v in column):
-        return list(column)
+        return ["%s"] * len(column), list(column)
     values = np.asarray(column, dtype=float)
-    cells = list(map("{:.17g}".format, values.tolist()))
-    for k in np.flatnonzero(np.isnan(values)):
-        cells[k] = ""
-    return cells
+    specs, cells = ["%.17g"] * values.size, values.tolist()
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        specs[k], cells[k] = "%s", ""
+    return specs, cells
 
 
 def write_csv(path: str | Path, header_lines: Sequence[str] | None,
@@ -277,7 +278,11 @@ def write_csv(path: str | Path, header_lines: Sequence[str] | None,
     """
     lines = [f"# {h}" for h in header_lines or ()]
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*map(_cells, columns.values()))))
+    if columns:
+        # the whole table is one format string applied once to its raveled cells
+        specs, cells = zip(*map(_cells, columns.values()))
+        if cells[0]:
+            lines.append("\n".join(map(",".join, zip(*specs))) % tuple(chain.from_iterable(zip(*cells))))
     text = "\n".join(lines) + "\n"
     target = Path(path)
     if target.exists() and not target.is_file():  # a directory, pipe or device cannot be swapped in

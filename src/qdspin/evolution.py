@@ -2,16 +2,19 @@
 
 Both dots are identical and uncorrelated, so the two-qubit map is the
 tensor product of two copies of the single-dot channel.  The engine
-applies the channel on a time grid as one stack of evolved density
-matrices, evaluates every correlation measure on the whole stack, and
-detects the decay-regime crossings (g through unity),
-extrema and entanglement-sudden-death features used downstream.
+applies the channel on a time grid as one audited stack of evolved
+density matrices; each correlation measure is evaluated on the whole
+stack when a trajectory's column is first read, so a caller pays only
+for the measures it reads.  The feature scanners detect the decay-regime
+crossings (g through unity), extrema and entanglement-sudden-death
+features used downstream.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -20,11 +23,12 @@ import numpy as np
 from .channel import BathQuadrature, ChannelTrajectory, compute_channel, verify_channel_cp
 from .config import RunConfig, write_csv
 from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError
-from .measures import concurrence, discord_bounds, g_ratio
+from .measures import KEigh, _k_eigh, _lower_bound, _upper_bound, concurrence, g_ratio, rescaled_discord
 from .states import (
     TRACE_TOL,
     TwoQubitState,
     bell_diagonal_params,
+    bloch_decompose,
     purity,
     singlet_triplet_weights,
 )
@@ -64,7 +68,7 @@ def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory) -> np.ndarray:
 
 def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Unit trace and positivity (to EVOLVED_PSD_TOL) of every state; returns the minimum eigenvalues."""
-    min_eig = np.linalg.eigvalsh(rho)[:, 0]
+    min_eig = np.linalg.eigvalsh(rho)[:, 0].copy()  # a copy: a view would keep all n x 4 eigenvalues alive
     trace = np.trace(rho, axis1=-2, axis2=-1)
     bad_trace = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     bad = bad_trace | ~(min_eig >= -EVOLVED_PSD_TOL)
@@ -78,32 +82,82 @@ def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CorrelationTrajectory:
-    """Per-time correlation report along a channel trajectory, with the channel's model."""
+    """Correlation report along a channel trajectory, with the channel's model.
+
+    `evolve` fills the fields: the channel pair actually applied, the
+    audited (n, 4, 4) stack of evolved states and its minimum eigenvalues.
+    Every measure column is computed from the stack when it is first read
+    and kept from then on.  Both discord bounds share one eigendecomposition
+    of the K matrices (`measures.KEigh`, kept without the Bloch data, which
+    the upper bound recomputes), and the upper bound's corrections run only
+    when `ds_upper` or `d_upper` is read.
+    """
 
     times: np.ndarray
     p: np.ndarray
     c: np.ndarray                      # coherence multiplier actually applied
-    ds_lower: np.ndarray
-    ds_upper: np.ndarray
-    d_lower: np.ndarray
-    d_upper: np.ndarray
-    purity: np.ndarray
-    g: np.ndarray
-    concurrence: np.ndarray
-    st_weights: np.ndarray             # (n, 4): w_Tm1, w_T0, w_Tp1, w_S0
-    bell_a: np.ndarray                 # nan where not of Bell-diagonal form
-    bell_b: np.ndarray                 # complex; nan where not of form
+    rho: np.ndarray = field(repr=False)
     min_eigenvalue: np.ndarray
     state0: TwoQubitState
     dot: DotParameters
     model: BathQuadrature | None = field(default=None, repr=False)
 
+    @cached_property
+    def _k_eigen(self) -> KEigh:
+        return _k_eigh(bloch_decompose(self.rho))
+
+    @cached_property
+    def ds_lower(self) -> np.ndarray:
+        return _lower_bound(self._k_eigen)
+
+    @cached_property
+    def ds_upper(self) -> np.ndarray:
+        return _upper_bound(bloch_decompose(self.rho), self._k_eigen, self.ds_lower)
+
+    @cached_property
+    def d_lower(self) -> np.ndarray:
+        return rescaled_discord(self.ds_lower, self.purity)
+
+    @cached_property
+    def d_upper(self) -> np.ndarray:
+        return rescaled_discord(self.ds_upper, self.purity)
+
+    @cached_property
+    def purity(self) -> np.ndarray:
+        return purity(self.rho)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return g_ratio(self.rho)
+
+    @cached_property
+    def concurrence(self) -> np.ndarray:
+        return concurrence(self.rho)
+
+    @cached_property
+    def st_weights(self) -> np.ndarray:
+        """(n, 4): w_Tm1, w_T0, w_Tp1, w_S0."""
+        return singlet_triplet_weights(self.rho)
+
+    @cached_property
+    def _bell_params(self) -> tuple[np.ndarray, np.ndarray]:
+        return bell_diagonal_params(self.rho, self.state0.ordering)
+
+    @cached_property
+    def bell_a(self) -> np.ndarray:
+        """nan where not of Bell-diagonal form."""
+        return self._bell_params[0]
+
+    @cached_property
+    def bell_b(self) -> np.ndarray:
+        """Complex; nan where not of Bell-diagonal form."""
+        return self._bell_params[1]
+
     def g_at(self, t: float) -> float:
         """g alone at time t: the start state evolved and audited as in `evolve`, on the model at t."""
         if self.model is None:
             raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
-        _, rho, _ = _evolved_states(self.state0, compute_channel(self.model, np.array([t])))
-        return float(g_ratio(rho)[0])
+        return float(evolve(self.state0, compute_channel(self.model, np.array([t]))).g[0])
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -145,38 +199,22 @@ def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     return traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
 
 
-def _evolved_states(state0: TwoQubitState, traj: ChannelTrajectory) -> tuple[np.ndarray, ...]:
-    """Co-rotating coherences, the (n, 4, 4) stack of evolved states and its audited minimum eigenvalues."""
+def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTrajectory:
+    """Apply the product channel along the trajectory.
+
+    The channel acts in the co-rotating frame (`effective_coherence`).  The
+    evolved states form one (n, 4, 4) stack, audited for unit trace and
+    positivity here; the measures are evaluated on the whole stack when
+    the returned trajectory's columns are first read.
+    """
     c_eff = effective_coherence(traj)
     rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
-    return c_eff, rho, _audit_evolved(rho, traj.times)
-
-
-def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTrajectory:
-    """Apply the product channel along the trajectory and measure everything.
-
-    The channel acts in the co-rotating frame (`effective_coherence`).
-    The evolved states form one (n, 4, 4) stack; every measure is
-    evaluated on the whole stack at once.
-    """
-    c_eff, rho, min_eig = _evolved_states(state0, traj)
-    bounds = discord_bounds(rho)
-    bell_a, bell_b = bell_diagonal_params(rho, state0.ordering)
     return CorrelationTrajectory(
         times=traj.times.copy(),
         p=traj.p.copy(),
         c=c_eff,
-        ds_lower=bounds.ds_lower,
-        ds_upper=bounds.ds_upper,
-        d_lower=bounds.rescaled_lower,
-        d_upper=bounds.rescaled_upper,
-        purity=purity(rho),
-        g=g_ratio(rho),
-        concurrence=concurrence(rho),
-        st_weights=singlet_triplet_weights(rho),
-        bell_a=bell_a,
-        bell_b=bell_b,
-        min_eigenvalue=min_eig,
+        rho=rho,
+        min_eigenvalue=_audit_evolved(rho, traj.times),
         state0=state0,
         dot=traj.dot,
         model=traj.model,

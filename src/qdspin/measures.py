@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,35 +47,52 @@ class DiscordBounds:
     rescaled_upper: np.ndarray
 
 
-def _bounds(form: BlochForm) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper geometric-discord bounds of a Bloch form (one state or a stack).
+class KEigh(NamedTuple):
+    """What the discord bounds keep of the eigendecomposition of K_x = x x^T + T T^T
+    and K_y = y y^T + T^T T, stacked on a leading axis of 2 (x side first)."""
 
-    Side A is measured through K_x = x x^T + T T^T, side B through
-    K_y = y y^T + T^T T; the lower bound is max over sides of
-    (Tr K - k_max)/4.  The upper bound adds to each side's term the
-    correction Tr L - l_max of the other side, with L_x = x x^T + T k k^T T^T
-    for k the top eigenvector of K_y (and vice versa).  When the top
-    eigenvalue is (near-)degenerate every eigenvector within
-    TOP_CLUSTER_GAP of it is a candidate and the smallest correction is
-    taken.  The upper bound is never reported below the lower one.
-    """
-    x, y, t = form.x, form.y, form.t_corr
+    a: np.ndarray       # (2, ...): Tr K - k_max
+    top: np.ndarray     # (2, ..., 3): True where an eigenvalue lies within TOP_CLUSTER_GAP of k_max
+    v: np.ndarray       # (2, ..., 3, 3): eigenvectors in columns, ascending order
+
+
+def _k_eigh(form: BlochForm) -> KEigh:
+    """The one `eigh` both discord bounds share, for one state or a stack."""
+    bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
+    t = form.t_corr
     t_tr = np.swapaxes(t, -1, -2)
-    bloch = np.stack([x, y])                                           # (2, ..., 3)
     k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
     w, v = np.linalg.eigh(k)                                           # ascending
-    a = np.trace(k, axis1=-2, axis2=-1) - w[..., 2]                    # (ax, ay)
-    lower = np.maximum(0.0, 0.25 * np.maximum(a[0], a[1]))
+    return KEigh(np.trace(k, axis1=-2, axis2=-1) - w[..., 2], w[..., 2:] - w < TOP_CLUSTER_GAP, v)
+
+
+def _lower_bound(eig: KEigh) -> np.ndarray:
+    """Lower geometric-discord bound: max over sides of (Tr K - k_max)/4."""
+    return np.maximum(0.0, 0.25 * np.maximum(eig.a[0], eig.a[1]))
+
+
+def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
+    """Upper geometric-discord bound of `form`, never reported below `lower`.
+
+    Each side's term (Tr K - k_max) gets the correction Tr L - l_max of the
+    other side, with L_x = x x^T + T k k^T T^T for k the top eigenvector of
+    K_y (and vice versa).  When the top eigenvalue is (near-)degenerate
+    every eigenvector within TOP_CLUSTER_GAP of it is a candidate and the
+    smallest correction is taken.
+    """
+    bloch = np.stack([form.x, form.y])
+    t = form.t_corr
+    t_tr = np.swapaxes(t, -1, -2)
     # each side's L correction takes its candidate vectors k from the other side's K
-    w_c, v_c = w[::-1], v[::-1]
+    v_c = eig.v[::-1]
     u = np.stack([t @ v_c[0], t_tr @ v_c[1]])                          # column j: T k_j, T^T k_j
     l_mats = (bloch[..., None, :, None] * bloch[..., None, None, :]
               + np.einsum("...ij,...kj->...jik", u, u))                # (2, ..., 3 candidates, 3, 3)
     corr = np.trace(l_mats, axis1=-2, axis2=-1) - np.linalg.eigvalsh(l_mats)[..., 2]
-    in_cluster = w_c[..., 2:] - w_c < TOP_CLUSTER_GAP
-    b = np.min(np.where(in_cluster, corr, np.inf), axis=-1)            # (bx, by)
+    b = np.min(np.where(eig.top[::-1], corr, np.inf), axis=-1)         # (bx, by)
+    a = eig.a
     upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + b[1], a[1] + b[0]))
-    return lower, np.maximum(upper, lower)
+    return np.maximum(upper, lower)
 
 
 def rescaled_discord(ds: float, purity_value: float) -> float:
@@ -101,11 +119,15 @@ def rescaled_discord(ds: float, purity_value: float) -> float:
 def discord_bounds(state: TwoQubitState | np.ndarray) -> DiscordBounds:
     """Both geometric-discord bounds plus their rescaled versions.
 
-    Takes one state, a 4x4 matrix or a (..., 4, 4) stack; see _bounds for
-    the closed forms and the degenerate-top handling.
+    Takes one state, a 4x4 matrix or a (..., 4, 4) stack.  Side A is
+    measured through K_x, side B through K_y (`KEigh`); see `_lower_bound`
+    and `_upper_bound` for the closed forms and the degenerate-top handling.
     """
     rho = _rho(state)
-    lower, upper = _bounds(bloch_decompose(rho))
+    form = bloch_decompose(rho)
+    eig = _k_eigh(form)
+    lower = _lower_bound(eig)
+    upper = _upper_bound(form, eig, lower)
     rescaled_lower, rescaled_upper = rescaled_discord(np.array([lower, upper]), purity(rho))
     return DiscordBounds(
         ds_lower=lower,

@@ -210,3 +210,23 @@ def loop_esd_time(times, conc):
             return float(times[i])
         i = j
     return None
+
+
+# ---------------------------------------------------------------------------
+# per-cell oracle of the CSV writer
+# ---------------------------------------------------------------------------
+
+
+def csv_cell_oracle(header_lines, columns) -> str:
+    """`config.write_csv`'s text built cell by cell: a column of strings as given,
+    numbers as .17g, NaN and None empty."""
+
+    def cells(column):
+        if not isinstance(column, np.ndarray) and all(isinstance(v, str) for v in column):
+            return list(column)
+        return ["" if v is None or math.isnan(v) else f"{float(v):.17g}" for v in column]
+
+    lines = [f"# {h}" for h in header_lines or ()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(row) for row in zip(*(cells(c) for c in columns.values())))
+    return "\n".join(lines) + "\n"

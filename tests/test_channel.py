@@ -173,6 +173,26 @@ def test_node_count_rule_matches_the_257_by_64_channel(b_field):
     assert np.abs(chan.c - floor.c).max() <= 1e-12
 
 
+@pytest.mark.parametrize("b_field,t_max,counts", [(0.1, 20.0, (32, 32)), (0.001, 2000.0, (294, 64)),
+                                                  (0.1, 200.0, (257, 64))])
+def test_rule_model_reuses_its_candidate_and_keeps_the_bits(monkeypatch, b_field, t_max, counts):
+    # the 32 x 32 candidate is taken whole at 20 ns; at 2000 ns only its 294-node Hermite rule fits the
+    # 294 x 64 model, and at 200 ns nothing does (257 against the candidate's 32 m nodes)
+    import scipy.special
+
+    dot = q.DotParameters(b_field=b_field)
+    explicit = q.build_quadrature(dot, t_max, m_count=counts[0], q_count=counts[1])
+    calls = []
+    real = scipy.special.roots_hermite
+    monkeypatch.setattr(scipy.special, "roots_hermite", lambda n: calls.append(n) or real(n))
+    quad = q.build_quadrature(dot, t_max)
+    assert (quad.m_nodes.size, quad.q_nodes.size) == counts
+    assert calls == ([32] if t_max == 20.0 else [294] if t_max == 2000.0 else [32, 257])
+    for name in ("m_nodes", "m_weights", "q_nodes", "q_weights", "p_freq", "p_amp", "c_freq", "c_vers", "c_sin"):
+        assert np.array_equal(getattr(quad, name), getattr(explicit, name)), name
+    assert quad.fast_term_cutoff_ns == explicit.fast_term_cutoff_ns
+
+
 def test_quadrature_weights_normalized(default_dot):
     quad = q.build_quadrature(default_dot, 20.0)
     assert quad.m_weights.sum() == pytest.approx(1.0, abs=1e-9)

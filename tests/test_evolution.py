@@ -14,6 +14,7 @@ from qdspin.evolution import (
     find_extrema,
     find_g_crossings,
 )
+from qdspin.magnetometry import trajectory_for_field
 
 from conftest import bell_diagonal_discord, channel_of, random_density
 
@@ -339,3 +340,40 @@ def test_build_time_grid_dense_prefix_bounds():
     assert np.diff(grid).max() == pytest.approx(0.1, abs=1e-9)
     with pytest.raises(InvalidParameterError):
         build_time_grid(120.0, dense_prefix=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# columns computed on first read
+# ---------------------------------------------------------------------------
+
+
+def _eager_columns(tr) -> dict:
+    """Every measure column computed at once from the trajectory's stack by the public functions."""
+    bounds = q.discord_bounds(tr.rho)
+    bell_a, bell_b = q.bell_diagonal_params(tr.rho, tr.state0.ordering)
+    return {"ds_lower": bounds.ds_lower, "ds_upper": bounds.ds_upper, "d_lower": bounds.rescaled_lower,
+            "d_upper": bounds.rescaled_upper, "purity": q.purity(tr.rho), "g": q.g_ratio(tr.rho),
+            "concurrence": q.concurrence(tr.rho), "st_weights": q.singlet_triplet_weights(tr.rho),
+            "bell_a": bell_a, "bell_b": bell_b}
+
+
+@pytest.mark.parametrize("state,b_field,t_max", [
+    ("bell:psi-", 0.1, 20.0), ("werner:p=0.33", 0.1, 20.0), ("phase:gamma=2.35619449", 0.1, 20.0),
+    ("belldiag:a=0.4,b=0.4", 0.1, 20.0), ("belldiag:a=0.3,b=0.25", 0.003, 6000.0),
+])
+def test_lazy_columns_equal_the_eager_measures(state, b_field, t_max):
+    tr = trajectory_for_field(q.RunConfig(state=state, t_max=t_max), b_field)
+    assert "ds_lower" not in vars(tr) and "concurrence" not in vars(tr)
+    eager = _eager_columns(tr)
+    # read in an order that has the upper bound before the lower one it depends on
+    for name in ("d_upper", "concurrence", "bell_b", "ds_lower", *eager):
+        assert np.array_equal(getattr(tr, name), eager[name], equal_nan=True), name
+        assert getattr(tr, name) is getattr(tr, name)  # computed once, then kept
+
+
+def test_evolve_audits_the_stack_before_any_column_is_read():
+    chan = channel_of(q.DotParameters(b_field=0.1), np.linspace(0.0, 2.0, 11))
+    tr = q.evolve(q.make_state(q.Bell("psi-")), chan)
+    assert tr.rho.shape == (11, 4, 4)
+    assert np.array_equal(tr.min_eigenvalue, np.linalg.eigvalsh(tr.rho)[:, 0])
+    assert not {"ds_lower", "ds_upper", "g", "purity", "concurrence"} & set(vars(tr))

@@ -110,8 +110,8 @@ def test_g_at_computes_only_g(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("g_at computed a measure other than g")
 
-    monkeypatch.setattr(evolution, "discord_bounds", forbidden)
-    monkeypatch.setattr(evolution, "concurrence", forbidden)
+    for name in ("_k_eigh", "concurrence", "singlet_triplet_weights", "bell_diagonal_params"):
+        monkeypatch.setattr(evolution, name, forbidden)
     for k, t in enumerate(grid_times):
         assert traj.g_at(t) == one_time[k]
         # the channel at one time and inside the grid's factored sum agree to rounding

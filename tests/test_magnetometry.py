@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 import qdspin as q
+from qdspin import evolution
 from qdspin.config import RunConfig
 from qdspin.cli import main
 from qdspin.magnetometry import (
@@ -200,3 +201,29 @@ def test_calibration_from_sweep_g_extrema():
 def test_long_time_discord_requires_coverage(werner_traj_10mt):
     with pytest.raises(InvalidParameterError):
         q.long_time_discord(werner_traj_10mt)
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep computed a measure its metric does not read")
+
+    for name in names:
+        monkeypatch.setattr(evolution, name, forbidden)
+
+
+@pytest.mark.parametrize("metric", ["M", "longtime"])
+def test_discord_metrics_skip_the_other_measures(monkeypatch, metric):
+    config = RunConfig(state="belldiag:a=0.4,b=0.4", b_fields=[0.0, 0.02], metric=metric,
+                       longtime_window=[150.0, 200.0])
+    expected = run_sweep(config).rows
+    _forbid(monkeypatch, "concurrence", "g_ratio", "singlet_triplet_weights", "bell_diagonal_params",
+            "_upper_bound")
+    assert run_sweep(config).rows == expected
+
+
+def test_esd_metric_skips_the_discord_bounds(monkeypatch):
+    config = RunConfig(state="bell:psi-", b_fields=[0.0, 0.05], metric="esd", t_max=50.0)
+    expected = run_sweep(config).rows
+    assert expected[1]["esd_t"] is not None
+    _forbid(monkeypatch, "_k_eigh", "_lower_bound", "_upper_bound", "g_ratio")
+    assert run_sweep(config).rows == expected

@@ -258,6 +258,41 @@ def test_upper_bound_cluster_rule_on_x_states(rng):
     assert degenerate >= 10
 
 
+def _one_pass_bounds(form):
+    """Both bounds in one pass, as computed before the steps were split: the bit oracle of the steps."""
+    x, y, t = form.x, form.y, form.t_corr
+    t_tr = np.swapaxes(t, -1, -2)
+    bloch = np.stack([x, y])
+    k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
+    w, v = np.linalg.eigh(k)
+    a = np.trace(k, axis1=-2, axis2=-1) - w[..., 2]
+    lower = np.maximum(0.0, 0.25 * np.maximum(a[0], a[1]))
+    w_c, v_c = w[::-1], v[::-1]
+    u = np.stack([t @ v_c[0], t_tr @ v_c[1]])
+    l_mats = (bloch[..., None, :, None] * bloch[..., None, None, :]
+              + np.einsum("...ij,...kj->...jik", u, u))
+    corr = np.trace(l_mats, axis1=-2, axis2=-1) - np.linalg.eigvalsh(l_mats)[..., 2]
+    in_cluster = w_c[..., 2:] - w_c < 1e-10
+    b = np.min(np.where(in_cluster, corr, np.inf), axis=-1)
+    upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + b[1], a[1] + b[0]))
+    return lower, np.maximum(upper, lower)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+def test_split_bound_steps_keep_the_one_pass_bits(seed, n):
+    rng = np.random.default_rng(seed)
+    states = [random_density(rng) if k % 3 else q.make_state(q.BellDiagonal(0.3, 0.1 * rng.uniform()))
+              for k in range(n)]
+    rho = np.array([s.rho for s in states])
+    for target in (rho, *states):
+        lower, upper = _one_pass_bounds(q.bloch_decompose(target))
+        bounds = q.discord_bounds(target)
+        assert np.array_equal(bounds.ds_lower, lower) and np.array_equal(bounds.ds_upper, upper)
+        assert np.array_equal(bounds.rescaled_lower, q.rescaled_discord(lower, q.purity(target)))
+        assert np.array_equal(bounds.rescaled_upper, q.rescaled_discord(upper, q.purity(target)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
 def test_stacked_measures_match_single_state_calls(seed, n):

@@ -1,16 +1,20 @@
 """The one CSV writer: byte equality with the per-cell formatters it replaced, and the atomic write."""
-import dataclasses
+import copy
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdspin as q
 from qdspin.config import write_csv
 from qdspin.constants import InvalidParameterError
 from qdspin.evolution import build_time_grid
 from qdspin.magnetometry import SWEEP_COLUMNS
+
+from conftest import csv_cell_oracle
 
 HEADERS = ["qdspin_version=0.1.0", 'config={"t_max": 5.0}', "kink_times_ns=none"]
 
@@ -90,7 +94,8 @@ def test_trajectory_csv_matches_oracle(tmp_path, chan_100mt, normalize):
     traj = q.evolve(q.make_state(q.PhaseFamily(0.75 * np.pi)), chan_100mt)
     g = traj.g.copy()
     g[::7] = np.inf
-    traj = dataclasses.replace(traj, g=g)
+    traj = copy.copy(traj)
+    traj.g = g
     assert np.isnan(traj.bell_a).any() and np.isnan(traj.bell_b.real).any()
     path = tmp_path / "traj.csv"
     traj.to_csv(path, header_lines=HEADERS, normalize=normalize)
@@ -135,6 +140,44 @@ def test_calibration_csv_matches_oracle(tmp_path):
     path = tmp_path / "cal.csv"
     curve.to_csv(path, header_lines=HEADERS)
     assert path.read_text() == calibration_oracle(curve, HEADERS)
+
+
+_SPECIAL_FLOATS = (float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 123456789012345678.0)
+_NUMBERS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+_STRINGS = st.one_of(st.sampled_from(("", "nan", "NaN", "inf", "-0", "%s", "%.17g", "%%", "1e-07;2.5")),
+                     st.text(alphabet="0123456789.;e-+naif%s", max_size=12))
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    columns = {}
+    for j in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(("array", "list", "strings")))
+        if kind == "strings":
+            column = draw(st.lists(_STRINGS, min_size=n_rows, max_size=n_rows))
+        else:
+            column = draw(st.lists(st.one_of(_NUMBERS, st.none()) if kind == "list" else _NUMBERS,
+                                   min_size=n_rows, max_size=n_rows))
+            column = np.array(column, dtype=float) if kind == "array" else column
+        columns[f"col{j}"] = column
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_writer_matches_the_per_cell_oracle(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, HEADERS, columns)
+    assert path.read_text() == csv_cell_oracle(HEADERS, columns)
+
+
+def test_writer_keeps_string_cells_verbatim_and_blanks_only_numeric_nan(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, None, {"x": [float("nan"), None, -0.0, float("inf")], "s": ["nan", "%s", "", "a%%b"],
+                           "y": np.array([5e-324, float("nan"), 1.0, -float("inf")])})
+    assert path.read_text() == "x,s,y\n,nan,4.9406564584124654e-324\n,%s,\n-0,,1\ninf,a%%b,-inf\n"
 
 
 # ---------------------------------------------------------------------------
