@@ -2,8 +2,9 @@
 
 Each check prints one PASS/FAIL line with the measured values.  One
 `RunCache` per `run_checks` call holds every channel (with its model)
-and trajectory the checks compute, so a run is computed once and the
-physicality audit (check 14) covers exactly the runs of that call.
+the checks compute and the smallest evolved eigenvalue of every
+trajectory, so a channel is computed once and the physicality audit
+(check 14) covers exactly the runs of that call.
 """
 from __future__ import annotations
 
@@ -48,11 +49,13 @@ class RunCache:
     """Runs of one acceptance call on `RunConfig()`'s dot, time grid and node rule.
 
     `channels` maps (field, t_max) to the channel, which carries its
-    model; `trajs` maps (state, field, t_max) to the evolved trajectory.
+    model.  A trajectory is evolved on its cached channel each time a check
+    asks for it and is not kept: `min_eigenvalues` maps (state, field,
+    t_max) to its smallest evolved eigenvalue, which check 14 audits.
     """
 
     channels: dict = field(default_factory=dict)
-    trajs: dict = field(default_factory=dict)
+    min_eigenvalues: dict = field(default_factory=dict)
 
     def channel(self, b_field: float, t_max: float) -> ChannelTrajectory:
         key = (float(b_field), float(t_max))
@@ -61,10 +64,9 @@ class RunCache:
         return self.channels[key]
 
     def traj(self, spec, b_field: float, t_max: float):
-        key = (repr(spec), float(b_field), float(t_max))
-        if key not in self.trajs:
-            self.trajs[key] = evolve(make_state(spec), self.channel(b_field, t_max))
-        return self.trajs[key]
+        tr = evolve(make_state(spec), self.channel(b_field, t_max))
+        self.min_eigenvalues[(repr(spec), float(b_field), float(t_max))] = float(tr.min_eigenvalue.min())
+        return tr
 
 
 def _spread(values) -> float:
@@ -394,12 +396,12 @@ def check_14_physicality_suite(cache: RunCache) -> CheckResult:
             worst_double, float(np.abs(base.p - dbl.p).max()), float(np.abs(base.c - dbl.c).max())
         )
     worst_cp = min(verify_channel_cp(ch).worst_margin for ch in cache.channels.values())
-    worst_eig = min(float(tr.min_eigenvalue.min()) for tr in cache.trajs.values())
+    worst_eig = min(cache.min_eigenvalues.values())
     ok = worst_cp >= -1e-9 and worst_eig >= -1e-8 and worst_double < 1e-6
     return CheckResult(
         14, "physicality_suite", ok,
         f"worst CP margin={worst_cp:.1e} (>=-1e-9) over {len(cache.channels)} channels; "
-        f"min evolved eigenvalue={worst_eig:.1e} (>=-1e-8) over {len(cache.trajs)} trajectories; "
+        f"min evolved eigenvalue={worst_eig:.1e} (>=-1e-8) over {len(cache.min_eigenvalues)} trajectories; "
         f"node-doubling sup change={worst_double:.1e} (<1e-6)",
     )
 

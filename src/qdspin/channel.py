@@ -26,14 +26,14 @@ integrands, so the count is set by resolution, not by accuracy.  The
 quadrature resolves the phase of the e^{+-i(w+w')t} interference terms
 only up to a Nyquist window set by the largest frequency step between
 adjacent nodes on either grid axis; the fast-term cutoff is 0.8x that
-window.  `node_count_rule` takes 32 x 32 nodes wherever their cutoff
-reaches t_max (about 29 ns at defaults: every 20 ns grid), where they
-agree with 514 x 128 to 1.7e-14 up to 1 T (1.6e-13 at 5 T).  Longer
-grids take 257 x 64 nodes, or more m nodes where the e^{-i alpha m t /
-hbar} phase needs them (294 at 2000 ns, 1759 at 12 000 ns).  There the
-interference terms, which decay on the dephasing scale, are dropped past
-the cutoff, leaving the slow difference terms whose phase is exactly
-resolved at every time.  Near-frozen low-frequency blocks keep part of
+window.  The node rule of `build_quadrature` takes 32 x 32 nodes
+wherever their cutoff reaches t_max (about 29 ns at defaults: every
+20 ns grid), where they agree with 514 x 128 to 1.7e-14 up to 1 T
+(1.6e-13 at 5 T).  Longer grids take 257 x 64 nodes, or more m nodes
+where the e^{-i alpha m t / hbar} phase needs them (294 at 2000 ns,
+1759 at 12 000 ns).  There the interference terms, which decay on the
+dephasing scale, are dropped past the cutoff, leaving the slow
+difference terms whose phase is exactly resolved at every time.  Near-frozen low-frequency blocks keep part of
 the interference alive, so at low field the handoff leaves a step: on
 the default 12 000 ns model (1759 x 64 nodes, cutoff 73.09 ns) p jumps
 across the cutoff by 1.76e-4 at 0 mT and 1.18e-4 at 3 mT, and by less
@@ -43,11 +43,19 @@ open item 2 of ROADMAP.md.
 Light nodes: most Gauss-Hermite x Gauss-Laguerre nodes of a long grid sit
 in tails that weigh nothing in double precision.  The lightest nodes,
 taken while their weights sum to at most NEGLIGIBLE_WEIGHT = 1e-20, are
-left out of the phase-sum families (the nodes, weights, node counts and
-the fast-term cutoff keep the full grid).  Every amplitude of a node is
-bounded by its weight, so this moves p by at most the dropped mass and c
-by at most 3x it.  The families keep 590 of 32 x 32 nodes on the 20 ns
+left out of the phase-sum families (the node counts and the fast-term
+cutoff keep the full grid).  Every amplitude of a node is bounded by
+its weight, so this moves p by at most the dropped mass and c by at
+most 3x it.  The families keep 590 of 32 x 32 nodes on the 20 ns
 grid, 2844 of 294 x 64 at 2000 ns and 7007 of 1759 x 64 at 12 000 ns.
+
+One flat node list: the kept nodes (m, Q, weight) go in raveled order to
+`_families`, which any node set can feed.  tests/test_finite_bath.py feeds
+it the exact finite-N sum over the total bath spin j (spins 1/2; Melikidze,
+Dobrovitski, De Raedt, Katsnelson & Harmon, PRB 70, 014435 (2004)).  Before
+the cutoff the model's gap to it falls as 1/N (at 0 mT sup|dp| is 4.6e-5 at
+N = 4000 and 1.0e-5 at 16 000); past it p stays ~2e-4 off at 0 mT, the
+long-time level of ROADMAP item 2.
 
 Evaluation: expanding the amplitude products leaves, per node, three
 frequency families with real amplitudes (p from 2w_ket, c from the slow
@@ -91,24 +99,21 @@ class QuadratureResolutionError(QdspinError, ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class BathQuadrature:
-    """Channel model of one dot: the bath quadrature and its three phase-sum families.
+    """Channel model of one dot: its three phase-sum families over a flat node list.
 
-    m_nodes/m_weights sample the Gaussian polarization, q_nodes/q_weights
-    the exponential transverse invariant.  The families hold the kept
-    (m, q) nodes only, those left after the lightest ones summing to at
-    most NEGLIGIBLE_WEIGHT (module docstring), in raveled (m, q) order:
-    p has frequencies p_freq (2 w_ket) and versine amplitudes p_amp; c
-    has frequencies c_freq ([w_diff | w_ket + w_bra]) with versine and
-    sine amplitudes c_vers and c_sin, whose first half is the slow family
-    kept alone past fast_term_cutoff_ns.  Every node's two c amplitudes
-    sum to its weight, and c(0) is 1 exactly.
+    node_counts is the (n_m, n_q) Gauss-Hermite x Gauss-Laguerre grid the
+    model was built on; the families hold the kept nodes of that grid only,
+    those left after the lightest ones summing to at most NEGLIGIBLE_WEIGHT
+    (module docstring), in raveled (m, q) order: p has frequencies p_freq
+    (2 w_ket) and versine amplitudes p_amp; c has frequencies c_freq
+    ([w_diff | w_ket + w_bra]) with versine and sine amplitudes c_vers and
+    c_sin, whose first half is the slow family kept alone past
+    fast_term_cutoff_ns.  Every node's two c amplitudes sum to its weight,
+    and c(0) is 1 exactly.
     """
 
     dot: DotParameters
-    m_nodes: np.ndarray
-    m_weights: np.ndarray
-    q_nodes: np.ndarray
-    q_weights: np.ndarray
+    node_counts: tuple[int, int]
     t_max_ns: float
     p_freq: np.ndarray
     p_amp: np.ndarray
@@ -118,69 +123,39 @@ class BathQuadrature:
     fast_term_cutoff_ns: float
 
 
-def node_count_rule(dot: DotParameters, t_max_ns: float) -> tuple[int, int]:
-    """Smallest node counts that both converge and resolve the fast terms up to t_max.
-
-    n_m must at least resolve the e^{-i alpha m t / hbar} phase at t_max
-    (8 nodes per 2 pi of the Gauss-Hermite phase range).  The rule tries
-    FAST_NODES x FAST_NODES (n_m raised to that phase term if larger) and
-    takes it if its own fast-term cutoff reaches t_max, so the slow branch
-    never runs: the Gauss sums converge spectrally on these smooth
-    integrands, and on the 20 ns grid 32 x 32 agrees with 514 x 128 to
-    1.7e-14 up to 1 T and 1.6e-13 at 5 T.  Otherwise it takes
-    MIN_M_NODES x MIN_Q_NODES (n_m raised to the phase term), whose window
-    covers the interference decay.  Only the candidate's nodes and fast
-    frequencies are computed here, never a model.
-    """
-    return _node_rule(dot, t_max_ns)[0]
-
-
-def _node_rule(dot: DotParameters, t_max_ns: float) -> tuple[tuple[int, int], tuple | None]:
-    """`node_count_rule`'s counts, with the candidate's `_bath_nodes` and fast-term
-    cutoff for `build_quadrature` to reuse (None past MAX_QUADRATURE_NODES)."""
-    n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
-    n_m = max(FAST_NODES, n_phase)
-    floor_counts = (max(MIN_M_NODES, n_phase), MIN_Q_NODES)
-    if n_m * FAST_NODES > MAX_QUADRATURE_NODES:  # past the cap either way: no candidate is built
-        return floor_counts, None
-    nodes = _bath_nodes(dot, n_m, FAST_NODES)
-    cutoff = _fast_term_cutoff(dot, *nodes)
-    return ((n_m, FAST_NODES) if cutoff >= t_max_ns else floor_counts), (nodes, cutoff)
-
-
-def _bath_nodes(dot: DotParameters, n_m: int, n_q: int,
-                hermite: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+def _bath_nodes(dot: DotParameters, n_m: int | None, n_q: int | None) -> tuple:
     """Normalised Gauss-Hermite polarization nodes m and Gauss-Laguerre
-    transverse-invariant nodes Q, with their weights.
+    transverse-invariant nodes Q, as ((m, weights), (Q, weights)).
 
-    `hermite` passes in the (m_nodes, m_weights) of an earlier call with the
-    same dot and n_m, which are then not computed again.
+    An axis whose count is None is not computed and comes back as None.
     """
     from scipy.special import roots_hermite, roots_laguerre  # on first use: `import qdspin` stays scipy-free
 
-    if n_m < 3 or n_q < 3:
-        raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
-    sigma = dot.sigma_m
-    if hermite is None:
-        x, wx = roots_hermite(n_m)        # weight e^{-x^2}; m = sqrt(2) sigma x
-        hermite = math.sqrt(2.0) * sigma * x, wx / wx.sum()
-    m_nodes, m_weights = hermite
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused below
-        y, wy = roots_laguerre(n_q)       # weight e^{-y}; Q = 2 sigma^2 y
-    q_weights = wy / wy.sum()
-    for name, w in (("m_weights", m_weights), ("q_weights", q_weights)):
+    def normalised(name: str, w: np.ndarray) -> np.ndarray:
+        w = w / w.sum()
         if not abs(float(w.sum()) - 1.0) <= 1e-9:  # NaN weights (too many nodes for scipy) fail too
             raise QuadratureResolutionError(f"{name} of {w.size} nodes must sum to 1, got {float(w.sum())!r}")
-    # the largest node's product in Python floats, where an overflow is a quiet inf
-    if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
-        raise InvalidParameterError(
-            f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
-            f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
-        )
-    q_nodes = 2.0 * sigma * sigma * y
-    if np.any(q_nodes <= 0.0):
-        raise QuadratureResolutionError("all q_nodes must be positive")
-    return m_nodes, m_weights, q_nodes, q_weights
+        return w
+
+    sigma = dot.sigma_m
+    m_axis = q_axis = None
+    if n_m is not None:
+        x, wx = roots_hermite(n_m)        # weight e^{-x^2}; m = sqrt(2) sigma x
+        m_axis = math.sqrt(2.0) * sigma * x, normalised("m_weights", wx)
+    if n_q is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused below
+            y, wy = roots_laguerre(n_q)   # weight e^{-y}; Q = 2 sigma^2 y
+        q_weights = normalised("q_weights", wy)
+        # the largest node's product in Python floats, where an overflow is a quiet inf
+        if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
+            raise InvalidParameterError(
+                f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
+                f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
+            )
+        q_axis = 2.0 * sigma * sigma * y, q_weights
+        if np.any(q_axis[0] <= 0.0):
+            raise QuadratureResolutionError("all q_nodes must be positive")
+    return m_axis, q_axis
 
 
 def _blocks(dot: DotParameters, m: np.ndarray, q: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -212,59 +187,10 @@ def _fast_term_cutoff(dot: DotParameters, m_nodes: np.ndarray, m_weights: np.nda
     return 0.8 * (math.pi / max_step if max_step > 0.0 else math.inf)
 
 
-def build_quadrature(
-    dot: DotParameters,
-    t_max_ns: float,
-    m_count: int | None = None,
-    q_count: int | None = None,
-) -> BathQuadrature:
-    """Channel model of `dot`: Gauss-Hermite x Gauss-Laguerre nodes sized for t_max
-    (`node_count_rule` unless given) and their frequency families, computed
-    once for every channel call on the model.  More than
-    MAX_QUADRATURE_NODES nodes are refused before any is computed."""
-    if t_max_ns < 0.0:
-        raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
-    window = VALIDITY_GRACE * dot.validity_window_ns
-    if t_max_ns > window:
-        raise ValidityWindowError(
-            f"t_max={t_max_ns:g} ns exceeds the box-model validity window "
-            f"~{dot.validity_window_ns:g} ns (hbar*N/A)"
-        )
-    if dot.n_nuclei < _MIN_BATH_NUCLEI:
-        raise ValidityWindowError(
-            f"Gaussian bath statistics require N >= {_MIN_BATH_NUCLEI}, got {dot.n_nuclei:g}"
-        )
-    n_m, n_q = m_count, q_count
-    candidate = None  # the rule's trial nodes and their cutoff, reused where they fit
-    if n_m is None or n_q is None:
-        (rule_m, rule_q), candidate = _node_rule(dot, t_max_ns)
-        n_m = rule_m if n_m is None else n_m
-        n_q = rule_q if n_q is None else n_q
-    if n_m * n_q > MAX_QUADRATURE_NODES:
-        def count(n: int) -> str:
-            return f"{n:.3g}" if n > MAX_QUADRATURE_NODES else str(n)
-        raise InvalidParameterError(
-            f"a quadrature of {count(n_m)} x {count(n_q)} nodes holds more than "
-            f"MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES} nodes"
-        )
-    n_m, n_q = int(n_m), int(n_q)
-    if candidate is not None and (candidate[0][0].size, candidate[0][2].size) == (n_m, n_q):
-        (m_nodes, m_weights, q_nodes, q_weights), cutoff = candidate
-    else:
-        hermite = candidate[0][:2] if candidate is not None and candidate[0][0].size == n_m else None
-        m_nodes, m_weights, q_nodes, q_weights = _bath_nodes(dot, n_m, n_q, hermite)
-        cutoff = _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
-
-    # the lightest nodes, while their weights sum to at most NEGLIGIBLE_WEIGHT,
-    # leave the families (every amplitude is bounded by its weight); the rest
-    # stay in raveled (m, q) order, so the summation order stays fixed
-    w2d = (m_weights[:, None] * q_weights[None, :]).ravel()
-    light = np.argsort(w2d, kind="stable")
-    n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
-    keep = np.sort(light[n_light:])
-    w2d = w2d[keep]
-    i_m, i_q = np.divmod(keep, q_nodes.size)
-    (delta_ket, v2, e2_ket), (delta_bra, _, e2_bra) = _blocks(dot, m_nodes[i_m], q_nodes[i_q])
+def _families(dot: DotParameters, m: np.ndarray, q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The phase-sum families (p_freq, p_amp, c_freq, c_vers, c_sin) of the flat
+    node list (polarization m, transverse invariant q, weight w), in its order."""
+    (delta_ket, v2, e2_ket), (delta_bra, _, e2_bra) = _blocks(dot, m, q)
     e_ket = np.sqrt(e2_ket)
     e_bra = np.sqrt(e2_bra)
 
@@ -282,17 +208,85 @@ def build_quadrature(
     w_diff = np.where(esum > 0.0, (-dot.zeeman_energy * dot.alpha / 2.0) / (HBAR_UEV_NS * esum), 0.0)
 
     # a*conj(d') expanded: both amplitudes carry the same dropped mean phase
-    half = 0.5 * w2d
+    half = 0.5 * w
     ss = s_ket * s_bra
-    return BathQuadrature(
-        dot=dot, m_nodes=m_nodes, m_weights=m_weights, q_nodes=q_nodes, q_weights=q_weights,
-        t_max_ns=float(t_max_ns),
-        p_freq=2.0 * w_ket, p_amp=half * v_frac,
-        c_freq=np.concatenate([w_diff, w_ket + w_bra]),
-        c_vers=np.concatenate([half * (1.0 - ss), half * (1.0 + ss)]),
-        c_sin=np.concatenate([half * (s_bra - s_ket), -half * (s_ket + s_bra)]),
-        fast_term_cutoff_ns=cutoff,
-    )
+    return (2.0 * w_ket, half * v_frac, np.concatenate([w_diff, w_ket + w_bra]),
+            np.concatenate([half * (1.0 - ss), half * (1.0 + ss)]),
+            np.concatenate([half * (s_bra - s_ket), -half * (s_ket + s_bra)]))
+
+
+def build_quadrature(
+    dot: DotParameters,
+    t_max_ns: float,
+    m_count: int | None = None,
+    q_count: int | None = None,
+) -> BathQuadrature:
+    """Channel model of `dot`: Gauss-Hermite x Gauss-Laguerre nodes sized for t_max
+    and their frequency families, computed once for every channel call on the model.
+
+    A count not given comes from the node rule.  n_m must at least resolve
+    the e^{-i alpha m t / hbar} phase at t_max (8 nodes per 2 pi of the
+    Gauss-Hermite phase range).  The rule's candidate is FAST_NODES x
+    FAST_NODES (n_m raised to that phase term if larger), taken if its own
+    fast-term cutoff reaches t_max, so the slow branch never runs; otherwise
+    the rule takes MIN_M_NODES x MIN_Q_NODES (n_m raised to the phase term),
+    whose window covers the interference decay.  Each Gauss rule is computed
+    once per model, the candidate's included.  A grid of more than
+    MAX_QUADRATURE_NODES nodes, the candidate too, is refused before its
+    nodes are computed.
+    """
+    if t_max_ns < 0.0:
+        raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
+    window = VALIDITY_GRACE * dot.validity_window_ns
+    if t_max_ns > window:
+        raise ValidityWindowError(
+            f"t_max={t_max_ns:g} ns exceeds the box-model validity window "
+            f"~{dot.validity_window_ns:g} ns (hbar*N/A)"
+        )
+    if dot.n_nuclei < _MIN_BATH_NUCLEI:
+        raise ValidityWindowError(
+            f"Gaussian bath statistics require N >= {_MIN_BATH_NUCLEI}, got {dot.n_nuclei:g}"
+        )
+    m_axis = q_axis = None        # the Gauss rules as (nodes, weights)
+    n_m, n_q = m_count, q_count
+    if n_m is None or n_q is None:
+        n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
+        rule = max(FAST_NODES, n_phase), FAST_NODES
+        if rule[0] * rule[1] <= MAX_QUADRATURE_NODES:  # past the cap either way: no candidate is built
+            m_axis, q_axis = _bath_nodes(dot, *rule)
+            cutoff = _fast_term_cutoff(dot, *m_axis, *q_axis)
+        if m_axis is None or not cutoff >= t_max_ns:
+            rule = max(MIN_M_NODES, n_phase), MIN_Q_NODES
+        n_m = rule[0] if n_m is None else n_m
+        n_q = rule[1] if n_q is None else n_q
+    if n_m * n_q > MAX_QUADRATURE_NODES:
+        def count(n: int) -> str:
+            return f"{n:.3g}" if n > MAX_QUADRATURE_NODES else str(n)
+        raise InvalidParameterError(
+            f"a quadrature of {count(n_m)} x {count(n_q)} nodes holds more than "
+            f"MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES} nodes"
+        )
+    if n_m < 3 or n_q < 3:
+        raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
+    n_m, n_q = int(n_m), int(n_q)
+    # the candidate's rules where the model keeps their counts, new ones where not
+    m_axis = m_axis if m_axis is not None and m_axis[0].size == n_m else None
+    q_axis = q_axis if q_axis is not None and q_axis[0].size == n_q else None
+    if m_axis is None or q_axis is None:
+        new_m, new_q = _bath_nodes(dot, None if m_axis else n_m, None if q_axis else n_q)
+        m_axis, q_axis = m_axis or new_m, q_axis or new_q
+        cutoff = _fast_term_cutoff(dot, *m_axis, *q_axis)
+
+    # the lightest nodes, while their weights sum to at most NEGLIGIBLE_WEIGHT,
+    # leave the families (every amplitude is bounded by its weight); the rest
+    # stay in raveled (m, q) order, so the summation order stays fixed
+    w2d = (m_axis[1][:, None] * q_axis[1][None, :]).ravel()
+    light = np.argsort(w2d, kind="stable")
+    n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
+    keep = np.sort(light[n_light:])
+    i_m, i_q = np.divmod(keep, n_q)
+    return BathQuadrature(dot, (n_m, n_q), float(t_max_ns),
+                          *_families(dot, m_axis[0][i_m], q_axis[0][i_q], w2d[keep]), cutoff)
 
 
 @dataclass
@@ -486,15 +480,6 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
         raise QuadratureResolutionError(
             f"channel must start at (p, c) = (0, 1); got ({p_out[0]}, {c_out[0]})"
         )
-    traj = ChannelTrajectory(
-        times=times,
-        p=p_out,
-        c=c_out,
-        dot=dot,
-        m_count=quad.m_nodes.size,
-        q_count=quad.q_nodes.size,
-        fast_term_cutoff_ns=cutoff,
-        model=quad,
-    )
+    traj = ChannelTrajectory(times, p_out, c_out, dot, *quad.node_counts, fast_term_cutoff_ns=cutoff, model=quad)
     verify_channel_cp(traj).require(CP_MARGIN_HARD, 1e-12, QuadratureResolutionError)
     return traj

@@ -14,7 +14,9 @@ from qdspin.channel import (
     MIN_Q_NODES,
     NEGLIGIBLE_WEIGHT,
     QuadratureResolutionError,
-    node_count_rule,
+    _bath_nodes,
+    _families,
+    _fast_term_cutoff,
 )
 from qdspin.constants import HBAR_UEV_NS, ValidityWindowError
 from qdspin.evolution import build_time_grid
@@ -138,14 +140,18 @@ def phase_term(dot, t_max):
     return math.ceil(8 * dot.sigma_m * dot.alpha * t_max / (2 * np.pi * HBAR))
 
 
+def rule_counts(dot, t_max):
+    return q.build_quadrature(dot, t_max).node_counts
+
+
 def test_node_count_rule_defaults():
     # 32 x 32 on the 20 ns grid at every field; long grids keep the old counts
     times = build_time_grid(20.0)
     for b_field in RULE_FIELDS:
-        assert node_count_rule(q.DotParameters(b_field=b_field), float(times.max())) == (32, 32)
+        assert rule_counts(q.DotParameters(b_field=b_field), float(times.max())) == (32, 32)
     dot = q.DotParameters(b_field=0.001)
-    assert node_count_rule(dot, 2000.0) == (294, 64)
-    n_long, n_q = node_count_rule(dot, 1.2e4)
+    assert rule_counts(dot, 2000.0) == (294, 64)
+    n_long, n_q = rule_counts(dot, 1.2e4)
     assert n_long == phase_term(dot, 1.2e4) > MIN_M_NODES and n_q == MIN_Q_NODES
 
 
@@ -153,7 +159,7 @@ def test_node_count_rule_defaults():
 @pytest.mark.parametrize("t_max", (0.0, 5.0, 20.0, 28.0, 30.0, 50.0, 200.0, 2000.0, 1.2e4))
 def test_node_count_rule_is_never_above_the_floor_rule_and_covers_its_window(b_field, t_max):
     dot = q.DotParameters(b_field=b_field)
-    n_m, n_q = node_count_rule(dot, t_max)
+    n_m, n_q = rule_counts(dot, t_max)
     # the rule it replaced: floors of 257 x 64, n_m raised to the phase term
     assert n_m <= max(MIN_M_NODES, phase_term(dot, t_max)) and n_q <= MIN_Q_NODES
     assert n_m >= phase_term(dot, t_max)
@@ -185,19 +191,24 @@ def test_rule_model_reuses_its_candidate_and_keeps_the_bits(monkeypatch, b_field
     calls = []
     real = scipy.special.roots_hermite
     monkeypatch.setattr(scipy.special, "roots_hermite", lambda n: calls.append(n) or real(n))
+    laguerre_calls = []
+    real_laguerre = scipy.special.roots_laguerre
+    monkeypatch.setattr(scipy.special, "roots_laguerre", lambda n: laguerre_calls.append(n) or real_laguerre(n))
     quad = q.build_quadrature(dot, t_max)
-    assert (quad.m_nodes.size, quad.q_nodes.size) == counts
+    assert quad.node_counts == explicit.node_counts == counts
     assert calls == ([32] if t_max == 20.0 else [294] if t_max == 2000.0 else [32, 257])
-    for name in ("m_nodes", "m_weights", "q_nodes", "q_weights", "p_freq", "p_amp", "c_freq", "c_vers", "c_sin"):
+    assert laguerre_calls == ([32] if t_max == 20.0 else [32, 64])
+    for name in ("p_freq", "p_amp", "c_freq", "c_vers", "c_sin"):
         assert np.array_equal(getattr(quad, name), getattr(explicit, name)), name
     assert quad.fast_term_cutoff_ns == explicit.fast_term_cutoff_ns
 
 
 def test_quadrature_weights_normalized(default_dot):
     quad = q.build_quadrature(default_dot, 20.0)
-    assert quad.m_weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert quad.q_weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(quad.q_nodes > 0)
+    (_, m_weights), (q_nodes, q_weights) = _bath_nodes(default_dot, *quad.node_counts)
+    assert m_weights.sum() == pytest.approx(1.0, abs=1e-9)
+    assert q_weights.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(q_nodes > 0)
 
 
 def test_quadrature_refuses_beyond_validity(default_dot):
@@ -445,13 +456,14 @@ def test_channel_csv_export(tmp_path, channel_b0):
 def direct_channel(dot, times, quad):
     """Reference channel: four trig calls per node and time, summed per time.
 
-    The block data are transcribed here from the model's nodes and weights,
-    as in the Monte-Carlo oracle; of the model's evaluation data only the
-    fast-term cutoff is read.
+    The block data are transcribed here from the nodes and weights of the
+    model's grid, taken from the node producer, as in the Monte-Carlo
+    oracle; of the model's evaluation data only the fast-term cutoff is read.
     """
     hbar, alpha, omega_z = HBAR_UEV_NS, dot.alpha, dot.zeeman_energy
-    m, q_perp = quad.m_nodes[:, None], quad.q_nodes[None, :]
-    w2d = quad.m_weights[:, None] * quad.q_weights[None, :]
+    (m_nodes, m_weights), (q_nodes, q_weights) = _bath_nodes(dot, *quad.node_counts)
+    m, q_perp = m_nodes[:, None], q_nodes[None, :]
+    w2d = m_weights[:, None] * q_weights[None, :]
     d_ket = 0.5 * (-omega_z + alpha * (m + 0.5))
     d_bra = 0.5 * (-omega_z + alpha * (m - 0.5))
     v2_ket = np.clip(0.25 * alpha * alpha * (q_perp - m), 0.0, None)
@@ -504,24 +516,26 @@ def test_channel_matches_direct_sum(b_field, times):
 
 
 @pytest.mark.parametrize("t_max", (20.0, 2000.0, 1.2e4))
-def test_light_nodes_leave_the_families(t_max, monkeypatch):
+def test_light_nodes_leave_the_families(t_max):
     dot = q.DotParameters(b_field=0.001)
     quad = q.build_quadrature(dot, t_max)
-    monkeypatch.setattr("qdspin.channel.NEGLIGIBLE_WEIGHT", -1.0)  # keep every node
-    full = q.build_quadrature(dot, t_max)
-    w2d = np.outer(quad.m_weights, quad.q_weights).ravel()
+    (m_nodes, m_weights), (q_nodes, q_weights) = _bath_nodes(dot, *quad.node_counts)
+    # the families of every node of the grid, as one flat list in raveled (m, q) order
+    w2d = np.outer(m_weights, q_weights).ravel()
+    full = dict(zip(("p_freq", "p_amp", "c_freq", "c_vers", "c_sin"),
+                    _families(dot, np.repeat(m_nodes, q_nodes.size), np.tile(q_nodes, m_nodes.size), w2d)))
     light = np.argsort(w2d, kind="stable")
     n_light = w2d.size - quad.p_freq.size
     assert w2d[light[:n_light]].sum() <= NEGLIGIBLE_WEIGHT
     # dropping the next-lightest node too would pass the bound
     assert w2d[light[: n_light + 1]].sum() > NEGLIGIBLE_WEIGHT
     keep = np.sort(light[n_light:])
-    assert full.p_freq.size == w2d.size
+    assert full["p_freq"].size == w2d.size
     for name in ("p_freq", "p_amp"):
-        assert np.array_equal(getattr(quad, name), getattr(full, name)[keep])
+        assert np.array_equal(getattr(quad, name), full[name][keep])
     for name in ("c_freq", "c_vers", "c_sin"):  # slow half, then fast half
-        assert np.array_equal(getattr(quad, name), getattr(full, name)[np.concatenate([keep, keep + w2d.size])])
-    assert quad.fast_term_cutoff_ns == full.fast_term_cutoff_ns
+        assert np.array_equal(getattr(quad, name), full[name][np.concatenate([keep, keep + w2d.size])])
+    assert quad.fast_term_cutoff_ns == _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
     if t_max > 1000.0:
         assert 5 * quad.p_freq.size < w2d.size
 

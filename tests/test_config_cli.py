@@ -341,8 +341,9 @@ def test_cli_bath_whose_laguerre_nodes_overflow_is_usage_error(command, n_nuclei
 def test_bath_just_below_the_node_overflow_runs_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        quad = build_quadrature(DotParameters(n_nuclei=5e305, b_field=0.1), 1.0)
-    assert np.all(np.isfinite(quad.q_nodes))
+        dot = DotParameters(n_nuclei=5e305, b_field=0.1)
+        _, (q_nodes, _) = channel._bath_nodes(dot, *build_quadrature(dot, 1.0).node_counts)
+    assert np.all(np.isfinite(q_nodes))
 
 
 def test_cli_node_count_past_the_cap_prints_short(tmp_path, capsys):
