@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from qdspin import RunConfig, channel_for_field, evolve, make_state
-from qdspin.states import Bell
+from qdspin import RunConfig
+from qdspin.config import header_lines
+from qdspin.magnetometry import trajectory_for_field
 
 SHORT_FIELDS_T = [0.0, 0.011, 0.0165, 1.0]
 LONG_FIELDS_T = [0.0, 0.003]
@@ -18,19 +19,20 @@ LONG_FIELDS_T = [0.0, 0.003]
 
 def run(outdir: Path, t_short: float, t_long: float) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    state = make_state(Bell("psi-"))
 
     for b in SHORT_FIELDS_T:
-        traj = evolve(state, channel_for_field(RunConfig(t_max=t_short), b))
+        config = RunConfig(state="bell:psi-", b_fields=[b], t_max=t_short)
+        traj = trajectory_for_field(config, b)
         path = outdir / f"bell_discord_b{1e3 * b:g}mT.csv"
-        traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])
+        traj.to_csv(path, header_lines=header_lines(config))
         print(f"wrote {path}")
 
     print("\nlong-time tail (dense prefix + coarse grid):")
     for b in LONG_FIELDS_T:
-        traj = evolve(state, channel_for_field(RunConfig(t_max=t_long), b))
+        config = RunConfig(state="bell:psi-", b_fields=[b], t_max=t_long)
+        traj = trajectory_for_field(config, b)
         path = outdir / f"bell_discord_long_b{1e3 * b:g}mT.csv"
-        traj.to_csv(path, header_lines=[f"b_tesla={b}", f"b_mt={1e3 * b:g}"])
+        traj.to_csv(path, header_lines=header_lines(config))
         early = (traj.times > 0.5) & (traj.times < 100.0)
         i_min = int(np.argmin(traj.d_lower[early])) + int(np.nonzero(early)[0][0])
         recovered = float(traj.d_lower[i_min:].max())

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from qdspin import RunConfig, calibration_curve, invert_field, run_sweep
+from qdspin.config import header_lines
 
 
 def main() -> None:
@@ -31,11 +32,12 @@ def main() -> None:
     )
     table = run_sweep(config)
     sweep_path = args.outdir / "m_of_b_sweep.csv"
-    table.to_csv(sweep_path)
+    table.to_csv(sweep_path, header_lines=header_lines(table.config, {"metric": config.metric}))
     print(f"wrote {sweep_path}")
 
     curve = calibration_curve(table, "M")
-    curve.to_csv(args.outdir / "m_calibration.csv", header_lines=[f"monotone={curve.monotone}"])
+    curve.to_csv(args.outdir / "m_calibration.csv",
+                 header_lines=header_lines(table.config, {"metric": config.metric, "monotone": curve.monotone}))
     demo = 0.5 * (curve.values[0] + curve.values[-1])
     estimate = invert_field(curve, float(demo))
     print(

@@ -7,11 +7,13 @@ the recovery maximum falls monotonically with the field and serves as a
 calibration curve.
 """
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from qdspin import RunConfig, calibration_curve, run_sweep
+from qdspin.config import header_lines
 from qdspin.magnetometry import trajectory_for_field
 
 CURVE_FIELDS_T = (0.0, 0.5e-3, 1.5e-3, 5e-3)
@@ -38,17 +40,18 @@ def main() -> None:
     for b in CURVE_FIELDS_T:
         traj = trajectory_for_field(config, b)
         path = args.outdir / f"g_curve_b{1e3 * b:g}mT.csv"
-        traj.to_csv(path, header_lines=[f"b_tesla={b}"])
+        traj.to_csv(path, header_lines=header_lines(replace(config, b_fields=[b])))
         print(f"wrote {path}")
 
     table = run_sweep(config)
     sweep_path = args.outdir / "g_extrema_sweep.csv"
-    table.to_csv(sweep_path)
+    table.to_csv(sweep_path, header_lines=header_lines(table.config, {"metric": config.metric}))
     print(f"wrote {sweep_path}")
 
     curve = calibration_curve(table, "g_max_value")
     curve_path = args.outdir / "g_max_calibration.csv"
-    curve.to_csv(curve_path, header_lines=[f"monotone={curve.monotone}"])
+    curve.to_csv(curve_path,
+                 header_lines=header_lines(table.config, {"metric": config.metric, "monotone": curve.monotone}))
     print(f"wrote {curve_path} (monotone={curve.monotone})")
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from qdspin import RunConfig, channel_for_field, evolve, make_state
+from qdspin.config import header_lines
 from qdspin.states import PhaseFamily
 
 FIELDS_T = (0.0, 0.011, 0.0165, 1.0)
@@ -32,7 +33,9 @@ def main() -> None:
         for name, gamma in GAMMAS.items():
             traj = evolve(make_state(PhaseFamily(gamma)), chan)
             path = args.outdir / f"phase_{name}_b{1e3 * b:g}mT.csv"
-            traj.to_csv(path, header_lines=[f"gamma={gamma}", f"b_tesla={b}"], normalize="half")
+            # the config echo reproduces this one trajectory: its state, field, grid and normalization
+            config = RunConfig(state=f"phase:gamma={gamma!r}", b_fields=[b], t_max=args.tmax, normalize="half")
+            traj.to_csv(path, header_lines=header_lines(config, {"gamma": gamma}), normalize=config.normalize)
             gap = traj.ds_upper - traj.ds_lower
             onset = None
             split = np.nonzero(gap > 0.005 * traj.ds_lower[0] / 0.5)[0]

@@ -46,6 +46,7 @@ from .measures import (
     concurrence,
     discord_bounds,
     g_ratio,
+    g_under_channel,
     oracle_one_sided_discord,
     rescaled_discord,
 )

@@ -19,7 +19,7 @@ from .channel import ChannelTrajectory, build_quadrature, compute_channel, verif
 from .config import RunConfig
 from .evolution import evolve, find_g_crossings
 from .magnetometry import channel_for_field, esd_time, first_min_then_max, run_sweep
-from .measures import concurrence, discord_bounds, oracle_one_sided_discord
+from .measures import _k_eigh, concurrence, discord_bounds, oracle_one_sided_discord
 from .states import (
     Bell,
     BellDiagonal,
@@ -242,9 +242,7 @@ def check_7_oracle_equivalence(cache: RunCache) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         st = _random_state(rng)
-        form = bloch_decompose(st)
-        k_x = np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T
-        closed = 0.25 * (float(np.trace(k_x)) - np.linalg.eigvalsh(k_x)[-1])
+        closed = 0.25 * float(_k_eigh(bloch_decompose(st)).a[0])  # side A of the bound `discord_bounds` runs
         worst = max(worst, abs(oracle_one_sided_discord(st, grid_resolution=18) - closed))
     ok = worst < 1e-6
     return CheckResult(

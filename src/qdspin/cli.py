@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .config import (
@@ -38,8 +39,15 @@ def _error_record(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as an InvalidParameterError, so it exits 2 with the JSON record."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdspin",
         description="Hyperfine decoherence of two quantum-dot spin qubits: "
         "discord trajectories and field-sensing sweeps.",
@@ -103,12 +111,15 @@ def _check_outputs(*paths: str | None) -> None:
         if path is None:
             continue
         target = Path(path)
-        if not target.parent.is_dir():
-            raise InvalidParameterError(f"output directory {str(target.parent)!r} does not exist")
-        if target.exists() and not target.is_file():
-            raise InvalidParameterError(f"output path {path!r} is not a regular file")
-        # the writer replaces a path's directory entry, never a link's target: compare entries
-        entry = target.parent.resolve() / target.name
+        try:
+            if not target.parent.is_dir():
+                raise InvalidParameterError(f"output directory {str(target.parent)!r} does not exist")
+            if target.exists() and not target.is_file():
+                raise InvalidParameterError(f"output path {path!r} is not a regular file")
+            # the writer replaces a path's directory entry, never a link's target: compare entries
+            entry = target.parent.resolve() / target.name
+        except OSError as exc:  # a name too long for the file system, a directory that cannot be searched
+            raise InvalidParameterError(f"output path {path!r} cannot be used: {exc.strerror or exc}") from exc
         if entry in seen:
             raise InvalidParameterError(f"output paths {seen[entry]!r} and {path!r} are the same file")
         seen[entry] = path
@@ -177,10 +188,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"evolve": _cmd_evolve, "sweep": _cmd_sweep, "verify": _cmd_verify}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except QdspinError as exc:
         print(_error_record(exc), file=sys.stderr)

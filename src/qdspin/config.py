@@ -275,6 +275,8 @@ def write_csv(path: str | Path, header_lines: Sequence[str] | None,
 
     The text goes to a temporary file beside `path` that replaces it only
     once complete, so a failed write leaves any previous file untouched.
+    An OS error on the path (a name too long, a directory that is not
+    writable) is an InvalidParameterError that names it.
     """
     lines = [f"# {h}" for h in header_lines or ()]
     lines.append(",".join(columns))
@@ -285,13 +287,17 @@ def write_csv(path: str | Path, header_lines: Sequence[str] | None,
             lines.append("\n".join(map(",".join, zip(*specs))) % tuple(chain.from_iterable(zip(*cells))))
     text = "\n".join(lines) + "\n"
     target = Path(path)
-    if target.exists() and not target.is_file():  # a directory, pipe or device cannot be swapped in
-        raise InvalidParameterError(f"output path {str(path)!r} is not a regular file")
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    # the temporary name is cut so that any name the file system takes still leaves room for it
+    tmp = target.with_name(f".{target.name[:200]}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        if target.exists() and not target.is_file():  # a directory, pipe or device cannot be swapped in
+            raise InvalidParameterError(f"output path {str(path)!r} is not a regular file")
+        try:
+            with open(tmp, "w") as f:
+                f.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise InvalidParameterError(f"output path {str(path)!r} cannot be written: {exc.strerror or exc}") from exc

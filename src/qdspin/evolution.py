@@ -23,7 +23,15 @@ import numpy as np
 from .channel import BathQuadrature, ChannelTrajectory, compute_channel, verify_channel_cp
 from .config import RunConfig, write_csv
 from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError
-from .measures import KEigh, _k_eigh, _lower_bound, _upper_bound, concurrence, g_ratio, rescaled_discord
+from .measures import (
+    KEigh,
+    _k_eigh,
+    _lower_bound,
+    _upper_bound,
+    concurrence,
+    g_under_channel,
+    rescaled_discord,
+)
 from .states import (
     TRACE_TOL,
     TwoQubitState,
@@ -46,14 +54,23 @@ class ChannelError(InvalidParameterError):
     """Channel parameters violate complete positivity."""
 
 
+def _applied_coherence(traj: ChannelTrajectory) -> np.ndarray:
+    """The coherence multipliers the product channel applies: co-rotated, and CP-audited with p.
+
+    The pairs (p, c) must be completely positive: 0 <= p <= 1 and
+    |c| <= 1 - p, up to CP_TOL.
+    """
+    c_eff = effective_coherence(traj)
+    verify_channel_cp(replace(traj, c=c_eff)).require(CP_TOL, _P_RANGE_TOL, ChannelError)
+    return c_eff
+
+
 def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory) -> np.ndarray:
     """(n, 4, 4) stack of the product channel applied to rho0 at every time of chan.
 
     Per qubit, (u, d) -> ((1-p)u + pd, pu + (1-p)d) and the off-diagonal
-    element picks up c (c* for its conjugate).  The pairs (p, c) must be
-    completely positive: 0 <= p <= 1 and |c| <= 1 - p, up to CP_TOL.
+    element picks up c (c* for its conjugate).
     """
-    verify_channel_cp(chan).require(CP_TOL, _P_RANGE_TOL, ChannelError)
     n = chan.times.size
     # transfer tensor L[n, out_row, out_col, in_row, in_col] of the dot channel
     l_map = np.zeros((n, 2, 2, 2, 2), dtype=complex)
@@ -87,10 +104,12 @@ class CorrelationTrajectory:
     `evolve` fills the fields: the channel pair actually applied, the
     audited (n, 4, 4) stack of evolved states and its minimum eigenvalues.
     Every measure column is computed from the stack when it is first read
-    and kept from then on.  Both discord bounds share one eigendecomposition
-    of the K matrices (`measures.KEigh`, kept without the Bloch data, which
-    the upper bound recomputes), and the upper bound's corrections run only
-    when `ds_upper` or `d_upper` is read.
+    and kept from then on, except g, which `measures.g_under_channel`
+    reads off the start state's correlation matrix and the applied (p, c).
+    Both discord bounds share one eigendecomposition of the K matrices
+    (`measures.KEigh`, kept without the Bloch data, which the upper bound
+    recomputes), and the upper bound's corrections run only when
+    `ds_upper` or `d_upper` is read.
     """
 
     times: np.ndarray
@@ -127,8 +146,12 @@ class CorrelationTrajectory:
         return purity(self.rho)
 
     @cached_property
+    def _t_corr0(self) -> np.ndarray:
+        return bloch_decompose(self.state0).t_corr
+
+    @cached_property
     def g(self) -> np.ndarray:
-        return g_ratio(self.rho)
+        return g_under_channel(self._t_corr0, self.p, self.c)
 
     @cached_property
     def concurrence(self) -> np.ndarray:
@@ -154,10 +177,11 @@ class CorrelationTrajectory:
         return self._bell_params[1]
 
     def g_at(self, t: float) -> float:
-        """g alone at time t: the start state evolved and audited as in `evolve`, on the model at t."""
+        """g alone at time t, from the model's channel at t, co-rotated and CP-audited as in `evolve`."""
         if self.model is None:
             raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
-        return float(evolve(self.state0, compute_channel(self.model, np.array([t]))).g[0])
+        chan = compute_channel(self.model, np.array([t]))
+        return float(g_under_channel(self._t_corr0, chan.p, _applied_coherence(chan))[0])
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -207,7 +231,7 @@ def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTraject
     positivity here; the measures are evaluated on the whole stack when
     the returned trajectory's columns are first read.
     """
-    c_eff = effective_coherence(traj)
+    c_eff = _applied_coherence(traj)
     rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
     return CorrelationTrajectory(
         times=traj.times.copy(),

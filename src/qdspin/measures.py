@@ -137,6 +137,13 @@ def discord_bounds(state: TwoQubitState | np.ndarray) -> DiscordBounds:
     )
 
 
+def _g_of(txx: np.ndarray, tzz: np.ndarray) -> np.ndarray:
+    """txx / tzz of two absolute correlations: +inf for a vanishing tzz with finite txx, nan for 0/0."""
+    zero = tzz < G_ZERO_TOL
+    ratio = txx / np.where(zero, 1.0, tzz)
+    return np.where(zero, np.where(txx >= G_ZERO_TOL, np.inf, np.nan), ratio)[()]
+
+
 def g_ratio(state: TwoQubitState | np.ndarray) -> np.ndarray:
     """|Tr(sx x sx rho)| / |Tr(sz x sz rho)| of one state or a (..., 4, 4) stack.
 
@@ -147,9 +154,23 @@ def g_ratio(state: TwoQubitState | np.ndarray) -> np.ndarray:
     rho = _rho(state)
     txx = np.abs(np.real(rho[..., 0, 3] + rho[..., 1, 2] + rho[..., 2, 1] + rho[..., 3, 0]))
     tzz = np.abs(np.real(rho[..., 0, 0] - rho[..., 1, 1] - rho[..., 2, 2] + rho[..., 3, 3]))
-    zero = tzz < G_ZERO_TOL
-    ratio = txx / np.where(zero, 1.0, tzz)
-    return np.where(zero, np.where(txx >= G_ZERO_TOL, np.inf, np.nan), ratio)[()]
+    return _g_of(txx, tzz)
+
+
+def g_under_channel(t_corr: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """g (as `g_ratio`) of a start state with correlation matrix t_corr after the product channel (p, c).
+
+    Each dot maps Bloch vectors by Lambda = [[Re c, Im c, 0], [-Im c, Re c, 0],
+    [0, 0, 1 - 2p]], so the evolved correlation matrix is Lambda T Lambda^T:
+    T'_xx = c_hat^T T_perp c_hat with c_hat = (Re c, Im c) and T_perp the xy
+    block of T, and T'_zz = (1 - 2p)^2 T_zz.  One value per (p, c) pair; no
+    density matrix is formed.
+    """
+    cr, ci = np.real(c), np.imag(c)
+    t = t_corr
+    txx = np.abs(cr * cr * t[0, 0] + cr * ci * (t[0, 1] + t[1, 0]) + ci * ci * t[1, 1])
+    q = 1.0 - 2.0 * p
+    return _g_of(txx, q * q * abs(t[2, 2]))
 
 
 def concurrence(state: TwoQubitState | np.ndarray) -> np.ndarray:

@@ -376,10 +376,10 @@ def test_cli_removed_run_option_in_config_is_usage_error(name, value, tmp_path, 
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_cli_upper_pairing_flag_is_unknown(tmp_path):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["evolve", "--upper-pairing", "printed", "--b", "0.01", "--out", str(tmp_path / "o.csv")])
-    assert exit_info.value.code == 2
+def test_cli_upper_pairing_flag_is_unknown(tmp_path, capsys):
+    code = main(["evolve", "--upper-pairing", "printed", "--b", "0.01", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "unrecognized arguments: --upper-pairing printed" in _usage_error(capsys)["message"]
 
 
 def test_cli_config_file_plus_override(tmp_path):
@@ -701,14 +701,43 @@ def test_cli_verify_only_out_of_range_is_usage_error(only, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag", [["--tmax", "5"], ["--workers", "3"], ["--out", "/nonexistent/x.csv"]])
-def test_cli_verify_rejects_every_flag_but_only(flag, monkeypatch):
+def test_cli_verify_rejects_every_flag_but_only(flag, monkeypatch, capsys):
     def no_checks(*args, **kwargs):
         raise AssertionError("acceptance checks started despite an unknown flag")
 
     monkeypatch.setattr("qdspin.acceptance.run_checks", no_checks)
+    assert main(["verify", *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in _usage_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["evolve", "--tmax", "abc"], "argument --tmax: invalid float value: 'abc'"),
+    (["sweep", "--metric", "bogus"], "argument --metric: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_cli_argument_errors_print_one_record(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1  # the record alone, no usage text
+    record = json.loads(err)
+    assert record["error"] == "InvalidParameterError" and message in record["message"]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])
+def test_cli_help_and_version_still_exit_zero(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["verify", *flag])
-    assert exit_info.value.code == 2
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_cli_output_name_too_long_is_usage_error(command, tmp_path, capsys):
+    out = tmp_path / ("x" * 296 + ".csv")
+    assert main([command, "--tmax", "1", "--b", "0.1", "--out", str(out)]) == 2
+    record = _usage_error(capsys)
+    assert str(out) in record["message"] and "too long" in record["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_calibration_failure_writes_nothing(tmp_path, capsys):

@@ -168,6 +168,7 @@ def test_evolve_matches_per_time_oracle(b_field):
     c_eff = q.evolution.effective_coherence(chan)
     for spec in EVOLVE_SHORT_STATES:
         state0 = q.make_state(spec)
+        t0 = q.bloch_decompose(state0).t_corr
         tr = q.evolve(state0, chan)
         for k in range(0, chan.times.size, 50):
             rho_k, _ = one_step(state0, float(chan.p[k]), complex(c_eff[k]))
@@ -177,7 +178,10 @@ def test_evolve_matches_per_time_oracle(b_field):
             assert tr.concurrence[k] == q.concurrence(rho_k)
             assert tr.min_eigenvalue[k] == np.linalg.eigvalsh(rho_k)[0]
             assert np.array_equal(tr.st_weights[k], q.singlet_triplet_weights(rho_k))
-            assert tr.g[k] == q.g_ratio(rho_k) or np.isnan(tr.g[k]) and np.isnan(q.g_ratio(rho_k))
+            # g is read off the start state's T and the applied pair, not off the evolved matrix
+            assert tr.g[k] == pytest.approx(q.g_ratio(rho_k), rel=0.0, abs=1e-12, nan_ok=True)
+            assert np.array_equal(tr.g[k], q.g_under_channel(t0, float(chan.p[k]), complex(c_eff[k])),
+                                  equal_nan=True)
 
 
 def test_evolve_cp_violation_names_time_index():
@@ -348,11 +352,13 @@ def test_build_time_grid_dense_prefix_bounds():
 
 
 def _eager_columns(tr) -> dict:
-    """Every measure column computed at once from the trajectory's stack by the public functions."""
+    """Every measure column computed at once by the public functions: g from the start state and the
+    applied channel, the others from the trajectory's stack."""
     bounds = q.discord_bounds(tr.rho)
     bell_a, bell_b = q.bell_diagonal_params(tr.rho, tr.state0.ordering)
     return {"ds_lower": bounds.ds_lower, "ds_upper": bounds.ds_upper, "d_lower": bounds.rescaled_lower,
-            "d_upper": bounds.rescaled_upper, "purity": q.purity(tr.rho), "g": q.g_ratio(tr.rho),
+            "d_upper": bounds.rescaled_upper, "purity": q.purity(tr.rho),
+            "g": q.g_under_channel(q.bloch_decompose(tr.state0).t_corr, tr.p, tr.c),
             "concurrence": q.concurrence(tr.rho), "st_weights": q.singlet_triplet_weights(tr.rho),
             "bell_a": bell_a, "bell_b": bell_b}
 

@@ -1,4 +1,6 @@
 """Feature scanners (g crossings, extrema with prominence, ESD) against their per-sample loop oracles."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import loop_esd_time, loop_find_extrema, loop_find_g_crossings, loop_prominence
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdspin as q
-from qdspin import evolution
+from qdspin import evolution, measures
 from qdspin.evolution import ExtremumKind, _prominence, find_extrema, find_g_crossings
 from qdspin.magnetometry import G_EXTREMUM_PROMINENCE, esd_time, first_min_then_max, trajectory_for_field
 
@@ -108,11 +110,28 @@ def test_g_at_computes_only_g(monkeypatch):
     one_time = [q.evolve(state0, q.compute_channel(traj.model, np.array([t]))).g[0] for t in grid_times]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("g_at computed a measure other than g")
+        raise AssertionError("g_at computed a measure other than g, or an evolved state")
 
-    for name in ("_k_eigh", "concurrence", "singlet_triplet_weights", "bell_diagonal_params"):
+    for name in ("_k_eigh", "concurrence", "singlet_triplet_weights", "bell_diagonal_params",
+                 "evolve", "_evolved_rho", "_audit_evolved"):
         monkeypatch.setattr(evolution, name, forbidden)
+    monkeypatch.setattr(measures, "g_ratio", forbidden)
     for k, t in enumerate(grid_times):
         assert traj.g_at(t) == one_time[k]
         # the channel at one time and inside the grid's factored sum agree to rounding
         assert traj.g_at(t) == pytest.approx(traj.g[50 * k], rel=0.0, abs=1e-12)
+
+
+def test_g_column_is_exact_to_rounding_on_the_long_grid(long_trajectory):
+    # exact rational g of the trajectory's own start-state T and applied (p, c), cell by cell
+    tr = long_trajectory
+    t = [[Fraction(float(x)) for x in row] for row in q.bloch_decompose(tr.state0).t_corr]
+    finite = np.flatnonzero(np.isfinite(tr.g))
+    assert finite.size > 5000
+    worst = 0.0
+    for k in finite:
+        cr, ci, p = (Fraction(float(x)) for x in (tr.c[k].real, tr.c[k].imag, tr.p[k]))
+        txx = cr * cr * t[0][0] + cr * ci * (t[0][1] + t[1][0]) + ci * ci * t[1][1]
+        exact = abs(txx) / ((1 - 2 * p) ** 2 * abs(t[2][2]))
+        worst = max(worst, abs(float(Fraction(float(tr.g[k])) - exact)))
+    assert worst <= 4e-15

@@ -216,7 +216,7 @@ def test_discord_metrics_skip_the_other_measures(monkeypatch, metric):
     config = RunConfig(state="belldiag:a=0.4,b=0.4", b_fields=[0.0, 0.02], metric=metric,
                        longtime_window=[150.0, 200.0])
     expected = run_sweep(config).rows
-    _forbid(monkeypatch, "concurrence", "g_ratio", "singlet_triplet_weights", "bell_diagonal_params",
+    _forbid(monkeypatch, "concurrence", "g_under_channel", "singlet_triplet_weights", "bell_diagonal_params",
             "_upper_bound")
     assert run_sweep(config).rows == expected
 
@@ -225,5 +225,5 @@ def test_esd_metric_skips_the_discord_bounds(monkeypatch):
     config = RunConfig(state="bell:psi-", b_fields=[0.0, 0.05], metric="esd", t_max=50.0)
     expected = run_sweep(config).rows
     assert expected[1]["esd_t"] is not None
-    _forbid(monkeypatch, "_k_eigh", "_lower_bound", "_upper_bound", "g_ratio")
+    _forbid(monkeypatch, "_k_eigh", "_lower_bound", "_upper_bound", "g_under_channel")
     assert run_sweep(config).rows == expected

@@ -193,7 +193,7 @@ def test_failed_replace_keeps_previous_file(tmp_path, monkeypatch, chan_100mt):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(InvalidParameterError, match="chan.csv' cannot be written: disk full"):
         chan_100mt.to_csv(path, header_lines=HEADERS)
     assert path.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.csv"]
@@ -223,3 +223,14 @@ def test_non_regular_output_is_refused(tmp_path):
     with pytest.raises(InvalidParameterError, match="not a regular file"):
         write_csv(fifo, None, {"x": [1.0]})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.csv"]
+
+
+def test_name_too_long_is_refused_and_leaves_no_file(tmp_path):
+    with pytest.raises(InvalidParameterError, match="cannot be written: File name too long"):
+        write_csv(tmp_path / ("x" * 296 + ".csv"), None, {"x": [1.0]})
+    assert list(tmp_path.iterdir()) == []
+    # a name near the file system's limit still leaves room for the temporary file beside it
+    longest = tmp_path / ("y" * 251 + ".csv")
+    write_csv(longest, None, {"x": [1.0]})
+    assert [p.name for p in tmp_path.iterdir()] == [longest.name]
+    assert longest.read_text() == "x\n1\n"
