@@ -390,7 +390,8 @@ def build_time_grid(
     """Default grids: uniform dt up to LONG_GRID_THRESHOLD_NS, else a dense prefix plus coarse tail.
 
     A dense prefix longer than t_max is cut at t_max.  A grid of more than
-    MAX_GRID_POINTS times is refused before it is allocated.
+    MAX_GRID_POINTS times is refused before it is allocated, and a grid
+    that holds only t = 0 (t_max short of the first step) is refused too.
     """
     for name, value in (("t_max", t_max), ("dt", dt), ("dt_long", dt_long)):
         if not (math.isfinite(value) and value > 0.0):
@@ -407,4 +408,10 @@ def build_time_grid(
         )
     dense = np.linspace(0.0, n_dense * dt, int(n_dense) + 1)
     coarse = prefix + dt_long * np.arange(1, int(n_coarse) + 1)
-    return np.concatenate([dense, coarse[coarse <= t_max + 1e-9]])
+    grid = np.concatenate([dense, coarse[coarse <= t_max + 1e-9]])
+    if grid.size < 2:
+        raise InvalidParameterError(
+            f"a time grid to t_max={t_max:g} ns at dt={dt:g} ns, dt_long={dt_long:g} ns holds only t = 0; "
+            "t_max must reach the first step"
+        )
+    return grid

@@ -17,6 +17,7 @@ from qdspin.channel import (
     _bath_nodes,
     _families,
     _fast_term_cutoff,
+    _uniform_runs,
 )
 from qdspin.constants import HBAR_UEV_NS, ValidityWindowError
 from qdspin.evolution import build_time_grid
@@ -248,6 +249,15 @@ def test_channel_starts_at_exactly_one(default_dot):
     # the 32 x 32 weights round to a sum of 1 - 2^-53; the exact average is 1
     times = build_time_grid(20.0)
     chan = q.compute_channel(q.build_quadrature(default_dot, 20.0, 32, 32), times)
+    assert chan.c[0] == 1.0
+
+
+@pytest.mark.parametrize("b_field", [0.1, 1.0])
+@pytest.mark.parametrize("t_max", [20.0, 2000.0])
+def test_channel_starts_exactly_at_identity_in_a_field(b_field, t_max):
+    # t = 0 is row 0 of both phase tables, e^0 = 1 exactly, so every versine and sine term vanishes
+    chan = channel_of(q.DotParameters(b_field=b_field), build_time_grid(t_max))
+    assert chan.p[0] == 0.0
     assert chan.c[0] == 1.0
 
 
@@ -501,18 +511,31 @@ def direct_channel(dot, times, quad):
         (0.001, build_time_grid(2000.0)[::25]),   # 294 x 64 nodes, most of them light; slow branch
         (0.05, np.array([0.0, 0.3, 0.31, 1.7, 2.2, 2.7, 3.2, 9.9, 4.0, 15.25])),
         (0.2, np.array([7.3])),
+        (0.0, build_time_grid(1.2e4)),     # the longest doubling chains; compared at sampled times
+        (1.0, build_time_grid(1.2e4)),
     ],
-    ids=["20ns-0T", "20ns-11mT", "20ns-1T", "200ns-1mT", "2000ns-1mT", "nonuniform", "single"],
+    ids=["20ns-0T", "20ns-11mT", "20ns-1T", "200ns-1mT", "2000ns-1mT", "nonuniform", "single",
+         "12000ns-0T", "12000ns-1T"],
 )
 def test_channel_matches_direct_sum(b_field, times):
     dot = q.DotParameters(b_field=b_field)
     quad = q.build_quadrature(dot, float(times.max()))
     chan = q.compute_channel(quad, times)
-    p_ref, c_ref = direct_channel(dot, times, quad)
     if times.max() > 100.0:
         assert times.min() < chan.fast_term_cutoff_ns < times.max()
-    assert np.abs(chan.p - p_ref).max() <= 1e-13
-    assert np.abs(chan.c - c_ref).max() <= 1e-13
+    sample = np.arange(times.size)
+    if times.size > 5000:
+        # the first and last time of every uniform run of either branch, where
+        # the phase tables' doubling chains start and end, and times in between
+        ends = []
+        for branch in (np.flatnonzero(times <= chan.fast_term_cutoff_ns),
+                       np.flatnonzero(times > chan.fast_term_cutoff_ns)):
+            ends += [branch[[start, stop - 1]] for start, stop, _ in _uniform_runs(times[branch])]
+        sample = np.unique(np.concatenate([*ends, np.linspace(0, times.size - 1, 21).astype(int)]))
+        assert len(ends) == 3 and sample.size >= 24
+    p_ref, c_ref = direct_channel(dot, times[sample], quad)
+    assert np.abs(chan.p[sample] - p_ref).max() <= 1e-13
+    assert np.abs(chan.c[sample] - c_ref).max() <= 1e-13
 
 
 @pytest.mark.parametrize("t_max", (20.0, 2000.0, 1.2e4))

@@ -418,6 +418,28 @@ def test_cli_evolve_non_finite_grid_is_usage_error(flag, value, tmp_path, capsys
     assert "finite and positive" in _usage_error(capsys)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "0.005"],
+    ["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--dt", "5"],
+    ["sweep", "--metric", "esd", "--b", "0.1", "--tmax", "0.005"],
+], ids=["evolve-tmax", "evolve-dt", "sweep-tmax"])
+def test_cli_one_time_grid_is_usage_error(argv, tmp_path, capsys):
+    # t_max/dt rounds to no step: the grid would hold t = 0 alone
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    message = _usage_error(capsys)["message"]
+    assert "t_max=" in message and "dt=" in message and "only t = 0" in message
+    assert not out.exists()
+
+
+def test_build_time_grid_refuses_one_time():
+    # t_max/dt rounding to 0, and a long grid whose one coarse step lies past t_max
+    for kwargs in ({"t_max": 0.005}, {"t_max": 1.0, "dt": 5.0},
+                   {"t_max": 150.0, "dt_long": 200.0, "dense_prefix": 0.0}):
+        with pytest.raises(InvalidParameterError, match="only t = 0"):
+            build_time_grid(**kwargs)
+
+
 def test_build_time_grid_rejects_non_finite():
     for kwargs in ({"t_max": float("nan")}, {"t_max": float("inf")}, {"t_max": 20.0, "dt": float("nan")},
                    {"t_max": 200.0, "dt_long": 0.0}):
