@@ -3,11 +3,13 @@
 Both dots are identical and uncorrelated, so the two-qubit map is the
 tensor product of two copies of the single-dot channel.  The engine
 applies the channel on a time grid as one audited stack of evolved
-density matrices; each correlation measure is evaluated on the whole
-stack when a trajectory's column is first read, so a caller pays only
-for the measures it reads.  The feature scanners detect the decay-regime
-crossings (g through unity), extrema and entanglement-sudden-death
-features used downstream.
+density matrices, built entry by entry from elementwise products of the
+channel's time arrays with fixed entries of the start state, so a time
+gets the same bits alone as inside a stack.  Each correlation measure is
+evaluated on the whole stack when a trajectory's column is first read,
+so a caller pays only for the measures it reads.  The feature scanners
+detect the decay-regime crossings (g through unity), extrema and
+entanglement-sudden-death features used downstream.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .measures import (
 )
 from .states import (
     TRACE_TOL,
+    BlochForm,
     TwoQubitState,
     bell_diagonal_params,
     bloch_decompose,
@@ -68,19 +71,30 @@ def _applied_coherence(traj: ChannelTrajectory) -> np.ndarray:
 def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory) -> np.ndarray:
     """(n, 4, 4) stack of the product channel applied to rho0 at every time of chan.
 
-    Per qubit, (u, d) -> ((1-p)u + pd, pu + (1-p)d) and the off-diagonal
-    element picks up c (c* for its conjugate).
+    Per qubit, entry (a, a') is kept times k_aa' (k = [[1-p, c], [c*, 1-p]])
+    and each diagonal entry also gains p times the other population.  So
+    each entry of rho(t) is a sum of at most four terms, keep x keep,
+    keep x flip, flip x keep and flip x flip in that order, each a product
+    of time arrays times a fixed entry of rho0.  The work is laid out with
+    time as the contiguous last axis, and every operation is elementwise
+    along it: no sum runs over time, so a state gets the same bits alone
+    as inside a stack.
     """
     n = chan.times.size
-    # transfer tensor L[n, out_row, out_col, in_row, in_col] of the dot channel
-    l_map = np.zeros((n, 2, 2, 2, 2), dtype=complex)
-    l_map[:, 0, 0, 0, 0] = l_map[:, 1, 1, 1, 1] = 1.0 - chan.p
-    l_map[:, 0, 0, 1, 1] = l_map[:, 1, 1, 0, 0] = chan.p
-    l_map[:, 0, 1, 0, 1] = chan.c
-    l_map[:, 1, 0, 1, 0] = np.conj(chan.c)
-    r = rho0.reshape(2, 2, 2, 2)  # indices (a, b | a', b'), A the left qubit
-    out = np.einsum("nacuw,nbdvx,uvwx->nabcd", l_map, l_map, r).reshape(n, 4, 4)
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    keep = np.array([[1.0 - chan.p, chan.c], [np.conj(chan.c), 1.0 - chan.p]])  # k_aa' along time
+    r = rho0.reshape(2, 2, 2, 2)[..., None]  # (a, b, a', b', 1), A the left qubit
+    out = keep[:, None, :, None] * keep[None, :, None, :] * r
+    kept_flipped = keep * chan.p  # one dot kept, the other's populations swapped
+    for s in (0, 1):  # B flipped: (a, s | a', s) gains from (a, 1-s | a', 1-s)
+        out[:, s, :, s] += kept_flipped * r[:, 1 - s, :, 1 - s]
+    for s in (0, 1):  # A flipped
+        out[s, :, s, :] += kept_flipped * r[1 - s, :, 1 - s, :]
+    out = out.reshape(4, 4, n)
+    both_flipped = chan.p * chan.p
+    for i in range(4):  # a population gains the opposite population of both dots
+        out[i, i] += both_flipped * rho0[3 - i, 3 - i]
+    out = 0.5 * (out + out.conj().swapaxes(0, 1))
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -106,10 +120,10 @@ class CorrelationTrajectory:
     Every measure column is computed from the stack when it is first read
     and kept from then on, except g, which `measures.g_under_channel`
     reads off the start state's correlation matrix and the applied (p, c).
-    Both discord bounds share one eigendecomposition of the K matrices
-    (`measures.KEigh`, kept without the Bloch data, which the upper bound
-    recomputes), and the upper bound's corrections run only when
-    `ds_upper` or `d_upper` is read.
+    Both discord bounds read one Bloch decomposition of the stack and share
+    one eigendecomposition of the K matrices (`measures.KEigh`), and the
+    upper bound's corrections run only when `ds_upper` or `d_upper` is
+    read.
     """
 
     times: np.ndarray
@@ -122,8 +136,12 @@ class CorrelationTrajectory:
     model: BathQuadrature | None = field(default=None, repr=False)
 
     @cached_property
+    def _bloch(self) -> BlochForm:
+        return bloch_decompose(self.rho)
+
+    @cached_property
     def _k_eigen(self) -> KEigh:
-        return _k_eigh(bloch_decompose(self.rho))
+        return _k_eigh(self._bloch)
 
     @cached_property
     def ds_lower(self) -> np.ndarray:
@@ -131,7 +149,7 @@ class CorrelationTrajectory:
 
     @cached_property
     def ds_upper(self) -> np.ndarray:
-        return _upper_bound(bloch_decompose(self.rho), self._k_eigen, self.ds_lower)
+        return _upper_bound(self._bloch, self._k_eigen, self.ds_lower)
 
     @cached_property
     def d_lower(self) -> np.ndarray:
