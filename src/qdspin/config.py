@@ -1,7 +1,10 @@
 """Run configuration, the small spec parsers and the CSV file format.
 
 Every CSV qdspin writes goes through `write_csv`, so `header_lines` and
-the cell rules below are the whole output format.
+the cell rules below are the whole output format. A number is written
+as `'%.17g' % v`; a table of numbers only gets those bytes from
+`_format_numbers`, which formats a block of rows in one pass of numpy
+arithmetic instead of one Python format call per cell.
 """
 from __future__ import annotations
 
@@ -10,9 +13,10 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -258,9 +262,13 @@ def header_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
+def _is_text(column: Sequence) -> bool:
+    return not isinstance(column, np.ndarray) and all(isinstance(v, str) for v in column)
+
+
 def _cells(column: Sequence) -> tuple[list[str], list]:
     """One column's format specs and values: strings as given, numbers as .17g, NaN and None empty."""
-    if not isinstance(column, np.ndarray) and all(isinstance(v, str) for v in column):
+    if _is_text(column):
         return ["%s"] * len(column), list(column)
     values = np.asarray(column, dtype=float)
     specs, cells = ["%.17g"] * values.size, values.tolist()
@@ -269,9 +277,205 @@ def _cells(column: Sequence) -> tuple[list[str], list]:
     return specs, cells
 
 
+# cells per `_format_numbers` pass: its temporary arrays then stay near 1 MB, which the allocator reuses from
+# one block to the next; at 8192 cells and more, each block was measured to page-fault its arrays in afresh
+_BLOCK_CELLS = 1 << 12
+
+
+def _words(table: np.ndarray) -> np.ndarray:
+    """Rows of 8 bytes as native uint64 words, so that `|` and `&` act on them byte by byte."""
+    return np.ascontiguousarray(table, np.uint8).view(np.uint64)[..., 0]
+
+
+@cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """The byte words `_format_numbers` builds a cell from, made with numpy arithmetic.
+
+    They are made on first use, so a process that writes no table of
+    numbers neither builds nor holds them.
+    """
+    # 0..9999 as four digits at the even bytes, the odd ones free for a point; then without trailing zeros
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)
+    quads = np.zeros((2, 10_000, 8), np.uint8)
+    quads[:, :, ::2] = digits.T + ord("0")
+    quads[1, :, ::2] *= ~np.logical_and.accumulate(digits[::-1] == 0)[::-1].T
+    # for a decimal exponent e from 0 to 16, the digits of each quad that belong to the integer part
+    integer = np.where(np.arange(8) < 2 * np.clip(np.arange(17)[:, None, None] - 4 * np.arange(4)[:, None], 0, 4),
+                       255, 0)
+    lead = np.zeros((2, 2, 10, 8), np.uint8)  # [point after it][negative][leading digit]
+    lead[:, 1, :, 0] = ord("-")
+    lead[:, :, :, 6] = np.arange(10) + ord("0")
+    lead[1, :, :, 7] = ord(".")
+    # by decimal exponent, -330 to 330: the fixed form below 1 starts "0." and up to three zeros; the
+    # exponent form ends "e", a sign and two or three digits; the fixed form from 1 to 10 and the
+    # exponent form put the point after the leading digit when more digits follow
+    e = np.arange(-330, 331)
+    ex = np.abs(e)
+    small = (e >= -4) & (e < 0)
+    sci = (e < -4) | (e >= 17)
+    prefix = np.zeros((e.size, 8), np.uint8)
+    prefix[small, 1:3] = np.frombuffer(b"0.", np.uint8)
+    prefix[:, 3:6] = np.where(small[:, None] & (np.arange(3) < -1 - e[:, None]), ord("0"), 0)
+    expo = np.zeros((e.size, 8), np.uint8)
+    expo[sci, 0] = ord("e")
+    expo[sci, 1] = np.where(e < 0, ord("-"), ord("+"))[sci]
+    expo[sci, 2] = np.where(ex >= 100, ex // 100 + ord("0"), 0)[sci]
+    expo[sci, 3] = (ex // 10 % 10 + ord("0"))[sci]
+    expo[sci, 4] = (ex % 10 + ord("0"))[sci]
+    sep = np.zeros((2, 8), np.uint8)
+    sep[:, 5] = np.frombuffer(b",\n", np.uint8)
+    return (_words(quads).ravel(), _words(integer), _words(lead).ravel(), _words(prefix), _words(expo),
+            sci | (e == 0), _words(sep))
+
+
+_POW10 = 10 ** np.arange(17)
+_INFINITY = np.frombuffer(b"\0inf-inf", np.uint8).reshape(2, 4)
+
+
+@cache  # the range test bounds j to [-264, 297], so the cache holds at most 562 entries
+def _power_of_ten(j: int) -> tuple[float, float, float, float]:
+    """10**j as hi + lo, hi correctly rounded and lo the remainder correctly rounded, and hi's Dekker split."""
+    if j >= 0:
+        n = 10**j
+        hi = float(n)
+        lo = float(n - int(hi))
+    else:
+        d = 10**-j
+        hi = 1 / d  # int true division rounds correctly
+        a, b = hi.as_integer_ratio()
+        lo = (b - a * d) / (b * d)
+    c = 134217729.0 * hi  # 2**27 + 1
+    h_hi = c - (c - hi)
+    return hi, lo, h_hi, hi - h_hi
+
+
+def _scaled(ax: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ax * 10**j as p + r, p = fl(ax * hi) and r within ~1e-14 of the exact remainder.
+
+    r is Dekker's exact error of ax * hi plus ax * lo; no partial product
+    underflows or overflows for ax in [1e-280, 1e280] and p near [1e16, 1e17).
+    """
+    base = int(j.min())
+    table = np.array([_power_of_ten(i) for i in range(base, int(j.max()) + 1)])
+    hi, lo, h_hi, h_lo = table.T.take(j - base, axis=1)
+    p = ax * hi
+    c = 134217729.0 * ax
+    a_hi = c - (c - ax)
+    a_lo = ax - a_hi
+    r = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    return p, r + ax * lo
+
+
+def _format_numbers(x: np.ndarray, sep: np.ndarray) -> bytes:
+    """Rows of cells from the raveled x: `'%.17g' % v` each, NaN empty, each followed by its `sep` word.
+
+    Each |x| in [1e-280, 1e280] is scaled by a power of ten into
+    [1e16, 1e17) closely enough to decide its 17-digit integer N, unless
+    the product lies within 1e-9 of a rounding tie; those cells and the
+    subnormals take `'%.17g' % v` itself, and infinities print as `inf`
+    or `-inf`. A cell owns 48 byte slots, six uint64 words: the sign and
+    a "0.000" prefix, the 17 digits each followed by a slot for the
+    point, "e", the exponent's sign and three digits, and the separator.
+    The slots a cell does not print stay NUL, and the NULs are dropped
+    from the joined grid.
+    """
+    blank = np.isnan(x)
+    zero = x == 0
+    ax = np.abs(x)
+    decided = (ax >= 1e-280) & (ax <= 1e280)
+    # NaN, inf, 0 and subnormals are worked as 2, which keeps the arithmetic below finite and away from
+    # the decade boundaries; their cells are overwritten at the end
+    ax = np.where(decided, ax, 2.0)
+    j = 16 - np.floor(np.log10(ax)).astype(np.int64)
+    p, r = _scaled(ax, j)
+    # log10 can miss the decade next to a power of ten; the pair (p, r), not its rounded sum, decides.
+    # A product that is a power of ten exactly may stay out by a rounding error, which N absorbs.
+    near = np.flatnonzero((p < 1e16) | (p >= 1e17) | ((p == 1e16) & (r < 0)))
+    if near.size:
+        pn, rn = p[near], r[near]
+        low = (pn < 1e16) | ((pn == 1e16) & (rn < 0))
+        j[near] += low * 1 - ((pn > 1e17) | ((pn == 1e17) & (rn >= 0)))
+        p[near], r[near] = _scaled(ax[near], j[near])
+    rounded = np.rint(r)
+    n = p.astype(np.int64) + rounded.astype(np.int64)
+    slow = (~decided ^ zero ^ blank) | (np.abs(r - rounded) >= 0.5 - 1e-9)
+    e = 16 - j  # the decimal exponent, 0 for the cells worked as 2
+    carry = np.flatnonzero(n == 10**17)
+    n[carry] = 10**16
+    e[carry] += 1
+    n[zero] = 0
+
+    high8 = n // 10**8
+    low8 = n - high8 * 10**8
+    top = high8 // 10**8
+    mid8 = high8 - top * 10**8
+    q1 = mid8 // 10**4
+    q2 = mid8 - q1 * 10**4
+    q3 = low8 // 10**4
+    q4 = low8 - q3 * 10**4
+    ie = e + 330
+    quads, integer, lead, prefix, expo, point_first, _ = _text_tables()
+    grid = np.empty((x.size, 48), np.uint8)
+    words = grid.view(np.uint64)
+    point = point_first.take(ie) & ((mid8 | low8) != 0)
+    words[:, 0] = lead.take(top + 10 * np.signbit(x) + 20 * point) | prefix.take(ie)
+    # a quad followed by zeros only drops its own trailing zeros: the second half of `quads`
+    zeros_after_q2 = low8 == 0
+    words[:, 1] = quads.take(q1 + 10_000 * (zeros_after_q2 & (q2 == 0)))
+    words[:, 2] = quads.take(q2 + 10_000 * zeros_after_q2)
+    words[:, 3] = quads.take(q3 + 10_000 * (q4 == 0))
+    words[:, 4] = quads[10_000:].take(q4)
+    words.reshape(-1, sep.size, 6)[:, :, 5] = expo.take(ie).reshape(-1, sep.size) | sep
+    # the fixed form from 10 on prints its whole integer part, and the point after it when digits follow
+    rows = np.flatnonzero((e > 0) & (e < 17))
+    if rows.size:
+        er = e[rows]
+        full = quads.take(np.stack((q1[rows], q2[rows], q3[rows], q4[rows]), axis=1))
+        words[rows, 1:5] |= full & integer.take(er, axis=0)
+        rows = rows[n[rows] % _POW10.take(16 - er) != 0]
+        grid[rows, 7 + 2 * e[rows]] = ord(".")
+    words[blank, 0] = 0  # a blank cell was scaled as 2, so only its leading digit is not NUL
+    rows = np.flatnonzero(slow)
+    if rows.size:
+        words[rows, :5] = 0
+        grid[rows, 40:45] = 0
+        inf = np.isinf(x[rows])
+        grid[rows[inf], :4] = _INFINITY.take(np.signbit(x[rows[inf]]) * 1, axis=0)
+        rows = rows[~inf]
+        text = np.array(["%.17g" % v for v in x[rows].tolist()], dtype="S24")
+        grid[rows, :24] = text.view(np.uint8).reshape(rows.size, 24)
+    return grid.tobytes().translate(None, b"\0")
+
+
+def _row_text(columns: Mapping[str, Sequence]) -> Iterable[str]:
+    """The rows of `columns` as text chunks; every cell is converted before the first chunk exists."""
+    values = list(columns.values())
+    if any(map(_is_text, values)):
+        # string cells stay verbatim, NUL bytes included, so such a table goes cell by cell
+        specs, cells = zip(*map(_cells, values))
+        if not cells[0]:
+            return []
+        return ["\n".join(map(",".join, zip(*specs))) % tuple(chain.from_iterable(zip(*cells))) + "\n"]
+    arrays = [np.asarray(column, dtype=float) for column in values]
+    n_rows = min(map(len, arrays), default=0)
+    comma, newline = _text_tables()[-1]
+    sep = np.full(len(arrays), comma)
+    sep[-1:] = newline
+    step = max(1, _BLOCK_CELLS // max(1, len(arrays)))
+    return (_format_numbers(np.stack([a[k:k + step] for a in arrays], axis=1).ravel(), sep).decode("ascii")
+            for k in range(0, n_rows, step))
+
+
 def write_csv(path: str | Path, header_lines: Sequence[str] | None,
               columns: Mapping[str, Sequence]) -> None:
     """Write `# ` header lines, the column names and the rows of `columns`.
+
+    A numeric cell is `'%.17g' % v`: the 17 significant digits of its
+    exact binary value, rounded half-even, in exponent form below 1e-4
+    and from 1e17 on, `0` or `-0` for zero and `inf` or `-inf` for
+    infinity. NaN and None are empty cells. A table of numbers only is
+    formatted in row blocks by `_format_numbers`; a table with a column
+    of strings, which stay verbatim, is formatted cell by cell.
 
     The text goes to a temporary file beside `path` that replaces it only
     once complete, so a failed write leaves any previous file untouched.
@@ -280,12 +484,7 @@ def write_csv(path: str | Path, header_lines: Sequence[str] | None,
     """
     lines = [f"# {h}" for h in header_lines or ()]
     lines.append(",".join(columns))
-    if columns:
-        # the whole table is one format string applied once to its raveled cells
-        specs, cells = zip(*map(_cells, columns.values()))
-        if cells[0]:
-            lines.append("\n".join(map(",".join, zip(*specs))) % tuple(chain.from_iterable(zip(*cells))))
-    text = "\n".join(lines) + "\n"
+    rows = _row_text(columns)
     target = Path(path)
     # the temporary name is cut so that any name the file system takes still leaves room for it
     tmp = target.with_name(f".{target.name[:200]}.{os.getpid()}.tmp")
@@ -294,7 +493,8 @@ def write_csv(path: str | Path, header_lines: Sequence[str] | None,
             raise InvalidParameterError(f"output path {str(path)!r} is not a regular file")
         try:
             with open(tmp, "w") as f:
-                f.write(text)
+                f.write("\n".join(lines) + "\n")
+                f.writelines(rows)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)

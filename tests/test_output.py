@@ -142,11 +142,19 @@ def test_calibration_csv_matches_oracle(tmp_path):
     assert path.read_text() == calibration_oracle(curve, HEADERS)
 
 
-_SPECIAL_FLOATS = (float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -2.5e-310,
-                   2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 123456789012345678.0)
+_SPECIAL_FLOATS = (
+    float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -2.5e-310,
+    2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 123456789012345678.0,
+    # exact ties at 17 digits: t / 2**k for odd t is t * 5**k / 10**k, here 18 digits ending in 5;
+    # k = 24 scales by 1e23, the first power of ten that is not a double
+    *(sign * t / 2**20 for t in (1049, 1051, 2047, 3333, 10483, 10485) for sign in (1, -1)),
+    3 / 2**24, -13 / 2**24,
+    # either side of %g's switches to the exponent form and of the powers of ten the digits are scaled by
+    *(float(np.nextafter(v, toward)) for v in (1e-5, 1e-4, 1e16, 1e17, 1e22) for toward in (0.0, np.inf)),
+)
 _NUMBERS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True))
 _STRINGS = st.one_of(st.sampled_from(("", "nan", "NaN", "inf", "-0", "%s", "%.17g", "%%", "1e-07;2.5")),
-                     st.text(alphabet="0123456789.;e-+naif%s", max_size=12))
+                     st.text(alphabet="0123456789.;e-+naif%s\x00", max_size=12))
 
 
 @st.composite
@@ -170,6 +178,33 @@ def _tables(draw):
 def test_writer_matches_the_per_cell_oracle(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     write_csv(path, HEADERS, columns)
+    assert path.read_text() == csv_cell_oracle(HEADERS, columns)
+
+
+def _large_columns(with_strings: bool) -> dict:
+    """~50k cells over many row blocks: random bit patterns, the specials, every power of ten and its
+    neighbours, NaN and None."""
+    rng = np.random.default_rng(28)
+    n_rows = 4000
+    bits = rng.integers(0, 2**64, size=(n_rows, 9), dtype=np.uint64).view(np.float64)
+    tens = np.array([10.0**k for k in range(-323, 309)])
+    pool = np.concatenate([_SPECIAL_FLOATS, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens])
+    columns = {f"bits{k}": bits[:, k] for k in range(9)}
+    columns["special"] = rng.choice(pool, n_rows)
+    columns["none"] = [None if k % 3 == 0 else float(v) for k, v in enumerate(rng.choice(pool, n_rows))]
+    columns["short"] = np.round(rng.uniform(-2e4, 2e4, n_rows), rng.integers(0, 7))
+    if with_strings:
+        columns["text"] = [f"{k};\x00{k % 7}" for k in range(n_rows)]
+    return columns
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("with_strings", [False, True], ids=["numbers", "with-strings"])
+def test_large_table_matches_the_per_cell_oracle_without_warnings(tmp_path, with_strings):
+    columns = _large_columns(with_strings)
+    path = tmp_path / "large.csv"
+    with np.errstate(all="raise"):
+        write_csv(path, HEADERS, columns)
     assert path.read_text() == csv_cell_oracle(HEADERS, columns)
 
 
