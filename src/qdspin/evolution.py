@@ -57,19 +57,21 @@ class ChannelError(InvalidParameterError):
     """Channel parameters violate complete positivity."""
 
 
-def _applied_coherence(traj: ChannelTrajectory) -> np.ndarray:
+def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     """The coherence multipliers the product channel applies: co-rotated, and CP-audited with p.
 
-    The pairs (p, c) must be completely positive: 0 <= p <= 1 and
-    |c| <= 1 - p, up to CP_TOL.
+    Removing e^{i Omega t / hbar} is a local z rotation (co-rotating
+    frame); it changes no correlation measure and keeps Phi-type
+    coherences slowly varying.  The pairs (p, c) must be completely
+    positive: 0 <= p <= 1 and |c| <= 1 - p, up to CP_TOL.
     """
-    c_eff = effective_coherence(traj)
+    c_eff = traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
     verify_channel_cp(replace(traj, c=c_eff)).require(CP_TOL, _P_RANGE_TOL, ChannelError)
     return c_eff
 
 
-def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory) -> np.ndarray:
-    """(n, 4, 4) stack of the product channel applied to rho0 at every time of chan.
+def _evolved_rho(rho0: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) stack of the product channel (p, c) applied to rho0 at each of n times.
 
     Per qubit, entry (a, a') is kept times k_aa' (k = [[1-p, c], [c*, 1-p]])
     and each diagonal entry also gains p times the other population.  So
@@ -80,17 +82,17 @@ def _evolved_rho(rho0: np.ndarray, chan: ChannelTrajectory) -> np.ndarray:
     along it: no sum runs over time, so a state gets the same bits alone
     as inside a stack.
     """
-    n = chan.times.size
-    keep = np.array([[1.0 - chan.p, chan.c], [np.conj(chan.c), 1.0 - chan.p]])  # k_aa' along time
+    n = p.size
+    keep = np.array([[1.0 - p, c], [np.conj(c), 1.0 - p]])  # k_aa' along time
     r = rho0.reshape(2, 2, 2, 2)[..., None]  # (a, b, a', b', 1), A the left qubit
     out = keep[:, None, :, None] * keep[None, :, None, :] * r
-    kept_flipped = keep * chan.p  # one dot kept, the other's populations swapped
+    kept_flipped = keep * p  # one dot kept, the other's populations swapped
     for s in (0, 1):  # B flipped: (a, s | a', s) gains from (a, 1-s | a', 1-s)
         out[:, s, :, s] += kept_flipped * r[:, 1 - s, :, 1 - s]
     for s in (0, 1):  # A flipped
         out[s, :, s, :] += kept_flipped * r[1 - s, :, 1 - s, :]
     out = out.reshape(4, 4, n)
-    both_flipped = chan.p * chan.p
+    both_flipped = p * p
     for i in range(4):  # a population gains the opposite population of both dots
         out[i, i] += both_flipped * rho0[3 - i, 3 - i]
     out = 0.5 * (out + out.conj().swapaxes(0, 1))
@@ -199,7 +201,7 @@ class CorrelationTrajectory:
         if self.model is None:
             raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
         chan = compute_channel(self.model, np.array([t]))
-        return float(g_under_channel(self._t_corr0, chan.p, _applied_coherence(chan))[0])
+        return float(g_under_channel(self._t_corr0, chan.p, effective_coherence(chan))[0])
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -231,26 +233,16 @@ class CorrelationTrajectory:
         })
 
 
-def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
-    """Coherence multipliers with the deterministic Zeeman rotation removed.
-
-    Removing e^{i Omega t / hbar} is a local z rotation (co-rotating
-    frame); it changes no correlation measure and keeps Phi-type
-    coherences slowly varying.
-    """
-    return traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
-
-
 def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTrajectory:
     """Apply the product channel along the trajectory.
 
-    The channel acts in the co-rotating frame (`effective_coherence`).  The
-    evolved states form one (n, 4, 4) stack, audited for unit trace and
-    positivity here; the measures are evaluated on the whole stack when
-    the returned trajectory's columns are first read.
+    The channel acts in the co-rotating frame and is CP-audited there
+    (`effective_coherence`).  The evolved states form one (n, 4, 4) stack,
+    audited for unit trace and positivity here; the measures are evaluated
+    on the whole stack when the returned trajectory's columns are first read.
     """
-    c_eff = _applied_coherence(traj)
-    rho = _evolved_rho(state0.rho, replace(traj, c=c_eff))
+    c_eff = effective_coherence(traj)
+    rho = _evolved_rho(state0.rho, traj.p, c_eff)
     return CorrelationTrajectory(
         times=traj.times.copy(),
         p=traj.p.copy(),

@@ -79,6 +79,11 @@ def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
     K_y (and vice versa).  When the top eigenvalue is (near-)degenerate
     every eigenvector within TOP_CLUSTER_GAP of it is a candidate and the
     smallest correction is taken.
+
+    L = a a^T + u u^T has rank 2, so Tr L - l_max is the smaller eigenvalue
+    of the 2x2 Gram matrix of a and u:
+    (a.a + u.u - hypot(a.a - u.u, 2 a.u)) / 2, with no division, so a = 0
+    or u = 0 gives 0 exactly.
     """
     bloch = np.stack([form.x, form.y])
     t = form.t_corr
@@ -86,9 +91,10 @@ def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
     # each side's L correction takes its candidate vectors k from the other side's K
     v_c = eig.v[::-1]
     u = np.stack([t @ v_c[0], t_tr @ v_c[1]])                          # column j: T k_j, T^T k_j
-    l_mats = (bloch[..., None, :, None] * bloch[..., None, None, :]
-              + np.einsum("...ij,...kj->...jik", u, u))                # (2, ..., 3 candidates, 3, 3)
-    corr = np.trace(l_mats, axis1=-2, axis2=-1) - np.linalg.eigvalsh(l_mats)[..., 2]
+    aa = (bloch * bloch).sum(axis=-1)[..., None]                       # (2, ..., 1)
+    uu = (u * u).sum(axis=-2)                                          # (2, ..., 3 candidates)
+    au = (bloch[..., :, None] * u).sum(axis=-2)
+    corr = 0.5 * (aa + uu - np.hypot(aa - uu, 2.0 * au))
     b = np.min(np.where(eig.top[::-1], corr, np.inf), axis=-1)         # (bx, by)
     a = eig.a
     upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + b[1], a[1] + b[0]))

@@ -214,8 +214,7 @@ def test_evolved_stack_matches_the_superoperator_and_the_bloch_map(rng):
     for _ in range(100):
         state = random_density(rng)
         p, c = random_cp_pairs(rng, n)
-        chan = q.ChannelTrajectory(times=np.arange(float(n)), p=p, c=c, dot=q.DotParameters())
-        stack = evolution._evolved_rho(state.rho, chan)
+        stack = evolution._evolved_rho(state.rho, p, c)
         assert np.abs(stack - kron_superoperator_oracle(state.rho, p, c)).max() <= 4e-16
         # per qubit the Bloch vector maps by lam: x' = lam x, y' = lam y, T' = lam T lam^T
         lam = np.zeros((n, 3, 3))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdspin as q
+from qdspin import config
 from qdspin.config import write_csv
 from qdspin.constants import InvalidParameterError
 from qdspin.evolution import build_time_grid
@@ -206,6 +207,40 @@ def test_large_table_matches_the_per_cell_oracle_without_warnings(tmp_path, with
     with np.errstate(all="raise"):
         write_csv(path, HEADERS, columns)
     assert path.read_text() == csv_cell_oracle(HEADERS, columns)
+
+
+def _near_half_inputs(count: int) -> np.ndarray:
+    """`count` cells x = +-m * 2**(s + 21) in [1e37, 1e38), m a 53-bit integer, cycled with both signs.
+
+    x * 1e-21 = m * 2**s / 5**21 has 17 integer digits and, with
+    m * 2**s = (5**21 +- 1)/2 mod 5**21, lies 1/(2 * 5**21) ~ 1.05e-15 from a half.
+    """
+    mod = 5**21
+    values = []
+    for s in range(45, 56):
+        inverse = pow(2**s, -1, mod)
+        for residue in ((mod - 1) // 2, (mod + 1) // 2):
+            m0 = residue * inverse % mod
+            for m in range(2**52 + (m0 - 2**52) % mod, 2**53, mod):
+                if 10**37 <= m * 2**(s + 21) < 10**38:
+                    values.append(float(m * 2**(s + 21)))
+    return np.resize(np.array(values + [-v for v in values]), count)
+
+
+def test_near_half_cells_take_the_tie_route(tmp_path, monkeypatch):
+    # the scaled remainder r may be off by ~1e-14; moved 2e-15 across the half it lies near, the
+    # rounding of r goes the wrong way, and only the tie check sends the cell to '%.17g'
+    scaled = config._scaled
+
+    def across_the_half(ax, j):
+        p, r = scaled(ax, j)
+        return p, r - np.copysign(2e-15, r - np.floor(r) - 0.5)
+
+    monkeypatch.setattr(config, "_scaled", across_the_half)
+    columns = {"x": _near_half_inputs(500)}
+    path = tmp_path / "ties.csv"
+    write_csv(path, None, columns)
+    assert path.read_text() == csv_cell_oracle(None, columns)
 
 
 def test_writer_keeps_string_cells_verbatim_and_blanks_only_numeric_nan(tmp_path):
