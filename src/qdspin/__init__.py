@@ -46,7 +46,6 @@ from .measures import (
     concurrence,
     discord_bounds,
     g_ratio,
-    g_under_channel,
     oracle_one_sided_discord,
     rescaled_discord,
 )

@@ -289,7 +289,7 @@ def _words(table: np.ndarray) -> np.ndarray:
 
 @cache
 def _text_tables() -> tuple[np.ndarray, ...]:
-    """The byte words `_format_numbers` builds a cell from, made with numpy arithmetic.
+    """The byte words `_format_numbers` builds a cell from, and the powers of ten `_scaled` scales by.
 
     They are made on first use, so a process that writes no table of
     numbers neither builds nor holds them.
@@ -324,29 +324,22 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     expo[sci, 4] = (ex % 10 + ord("0"))[sci]
     sep = np.zeros((2, 8), np.uint8)
     sep[:, 5] = np.frombuffer(b",\n", np.uint8)
+    # 10**j for every j `_scaled` is asked for (the range test bounds it to [_J_LOW, 297]) as hi + lo, hi
+    # correctly rounded and lo the remainder correctly rounded, then hi's Dekker split
+    def hi_lo(n: int, d: int) -> tuple[float, float]:  # n / d; int true division rounds correctly
+        a, b = (n / d).as_integer_ratio()
+        return a / b, (n * b - a * d) / (b * d)
+
+    hi, lo = np.array([hi_lo(10 ** max(j, 0), 10 ** max(-j, 0)) for j in range(_J_LOW, 298)]).T
+    c = 134217729.0 * hi  # 2**27 + 1
+    h_hi = c - (c - hi)
     return (_words(quads).ravel(), _words(integer), _words(lead).ravel(), _words(prefix), _words(expo),
-            sci | (e == 0), _words(sep))
+            sci | (e == 0), np.stack([hi, lo, h_hi, hi - h_hi]), _words(sep))
 
 
 _POW10 = 10 ** np.arange(17)
+_J_LOW = -264  # the smallest power of ten `_scaled` scales by
 _INFINITY = np.frombuffer(b"\0inf-inf", np.uint8).reshape(2, 4)
-
-
-@cache  # the range test bounds j to [-264, 297], so the cache holds at most 562 entries
-def _power_of_ten(j: int) -> tuple[float, float, float, float]:
-    """10**j as hi + lo, hi correctly rounded and lo the remainder correctly rounded, and hi's Dekker split."""
-    if j >= 0:
-        n = 10**j
-        hi = float(n)
-        lo = float(n - int(hi))
-    else:
-        d = 10**-j
-        hi = 1 / d  # int true division rounds correctly
-        a, b = hi.as_integer_ratio()
-        lo = (b - a * d) / (b * d)
-    c = 134217729.0 * hi  # 2**27 + 1
-    h_hi = c - (c - hi)
-    return hi, lo, h_hi, hi - h_hi
 
 
 def _scaled(ax: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +348,7 @@ def _scaled(ax: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r is Dekker's exact error of ax * hi plus ax * lo; no partial product
     underflows or overflows for ax in [1e-280, 1e280] and p near [1e16, 1e17).
     """
-    base = int(j.min())
-    table = np.array([_power_of_ten(i) for i in range(base, int(j.max()) + 1)])
-    hi, lo, h_hi, h_lo = table.T.take(j - base, axis=1)
+    hi, lo, h_hi, h_lo = _text_tables()[-2].take(j - _J_LOW, axis=1)
     p = ax * hi
     c = 134217729.0 * ax
     a_hi = c - (c - ax)
@@ -414,7 +405,7 @@ def _format_numbers(x: np.ndarray, sep: np.ndarray) -> bytes:
     q3 = low8 // 10**4
     q4 = low8 - q3 * 10**4
     ie = e + 330
-    quads, integer, lead, prefix, expo, point_first, _ = _text_tables()
+    quads, integer, lead, prefix, expo, point_first, _, _ = _text_tables()
     grid = np.empty((x.size, 48), np.uint8)
     words = grid.view(np.uint64)
     point = point_first.take(ie) & ((mid8 | low8) != 0)

@@ -4,12 +4,11 @@ Both dots are identical and uncorrelated, so the two-qubit map is the
 tensor product of two copies of the single-dot channel.  The engine
 applies the channel on a time grid as one audited stack of evolved
 density matrices, built entry by entry from elementwise products of the
-channel's time arrays with fixed entries of the start state, so a time
-gets the same bits alone as inside a stack.  Each correlation measure is
-evaluated on the whole stack when a trajectory's column is first read,
-so a caller pays only for the measures it reads.  The feature scanners
-detect the decay-regime crossings (g through unity), extrema and
-entanglement-sudden-death features used downstream.
+channel's time arrays with fixed entries of the start state, and maps
+the start state's Bloch form alike, so a time gets the same bits alone
+as inside a stack.  A measure is computed when its column is first read.
+The feature scanners detect the decay-regime crossings (g through
+unity), extrema and entanglement-sudden-death features used downstream.
 """
 from __future__ import annotations
 
@@ -27,11 +26,11 @@ from .config import RunConfig, write_csv
 from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError
 from .measures import (
     KEigh,
+    _g_of,
     _k_eigh,
     _lower_bound,
     _upper_bound,
     concurrence,
-    g_under_channel,
     rescaled_discord,
 )
 from .states import (
@@ -49,6 +48,7 @@ CP_TOL = 1e-9           # how far |c| may exceed 1 - p in a channel that is appl
 _P_RANGE_TOL = 1e-15    # round-off allowed on p outside [0, 1]
 G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
 KINK_T_TOL = 1e-6       # ns; bisection stops once the crossing is bracketed this tightly
+GRID_END_TOL = 1e-9     # ns; how far a time grid's last time may fall short of t_max
 LONG_GRID_THRESHOLD_NS = 100.0  # t_max above this gets a dense prefix plus a coarse tail
 MAX_GRID_POINTS = 1_000_000     # times a grid may hold; the default 12 000 ns grid has 8476
 
@@ -99,6 +99,27 @@ def _evolved_rho(rho0: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
+def _evolved_bloch(form0: BlochForm, p: np.ndarray, c: np.ndarray) -> BlochForm:
+    """Bloch form of the product channel (p, c) applied to the start form0 at each of n times.
+
+    Per qubit the channel maps Bloch vectors by Lambda = [[Re c, Im c, 0],
+    [-Im c, Re c, 0], [0, 0, 1 - 2p]]: x' = Lambda x, y' = Lambda y and
+    T' = Lambda T Lambda^T.  As in `_evolved_rho`, no sum runs along time,
+    so a time gets the same bits alone as inside a stack.
+    """
+    cr, q = np.real(c), 1.0 - 2.0 * p
+    ci = (np.imag(c) * np.array([[1.0], [-1.0]]))[:, None]  # (2, 1, n): Im c and -Im c
+
+    def lam(v: np.ndarray) -> np.ndarray:  # Lambda on the first axis of v; time is the last axis
+        return np.concatenate([cr * v[:2] + ci * v[1::-1], q * v[2:]])
+
+    # one pass maps x, y and the columns of T (Lambda T), a second the rows: Lambda (Lambda T)^T = T'^T
+    xyt = lam(np.column_stack([form0.x, form0.y, form0.t_corr])[..., None])  # (3, 5, n)
+    t_tr = lam(xyt[:, 2:].swapaxes(0, 1))
+    return BlochForm(np.ascontiguousarray(xyt[:, 0].T), np.ascontiguousarray(xyt[:, 1].T),
+                     np.ascontiguousarray(t_tr.transpose(2, 1, 0)))
+
+
 def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Unit trace and positivity (to EVOLVED_PSD_TOL) of every state; returns the minimum eigenvalues."""
     min_eig = np.linalg.eigvalsh(rho)[:, 0].copy()  # a copy: a view would keep all n x 4 eigenvalues alive
@@ -119,13 +140,12 @@ class CorrelationTrajectory:
 
     `evolve` fills the fields: the channel pair actually applied, the
     audited (n, 4, 4) stack of evolved states and its minimum eigenvalues.
-    Every measure column is computed from the stack when it is first read
-    and kept from then on, except g, which `measures.g_under_channel`
-    reads off the start state's correlation matrix and the applied (p, c).
-    Both discord bounds read one Bloch decomposition of the stack and share
-    one eigendecomposition of the K matrices (`measures.KEigh`), and the
-    upper bound's corrections run only when `ds_upper` or `d_upper` is
-    read.
+    Every measure column is computed when it is first read and kept from
+    then on.  g and both discord bounds read the Bloch form that
+    `_evolved_bloch` maps from the start state along (p, c); the other
+    columns read the stack.  The bounds share one eigendecomposition of
+    the K matrices (`measures.KEigh`), and the upper bound's corrections
+    run only when `ds_upper` or `d_upper` is read.
     """
 
     times: np.ndarray
@@ -138,8 +158,12 @@ class CorrelationTrajectory:
     model: BathQuadrature | None = field(default=None, repr=False)
 
     @cached_property
+    def _form0(self) -> BlochForm:
+        return bloch_decompose(self.state0)
+
+    @cached_property
     def _bloch(self) -> BlochForm:
-        return bloch_decompose(self.rho)
+        return _evolved_bloch(self._form0, self.p, self.c)
 
     @cached_property
     def _k_eigen(self) -> KEigh:
@@ -166,12 +190,9 @@ class CorrelationTrajectory:
         return purity(self.rho)
 
     @cached_property
-    def _t_corr0(self) -> np.ndarray:
-        return bloch_decompose(self.state0).t_corr
-
-    @cached_property
     def g(self) -> np.ndarray:
-        return g_under_channel(self._t_corr0, self.p, self.c)
+        t_corr = self._bloch.t_corr
+        return _g_of(np.abs(t_corr[:, 0, 0]), np.abs(t_corr[:, 2, 2]))
 
     @cached_property
     def concurrence(self) -> np.ndarray:
@@ -201,7 +222,8 @@ class CorrelationTrajectory:
         if self.model is None:
             raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
         chan = compute_channel(self.model, np.array([t]))
-        return float(g_under_channel(self._t_corr0, chan.p, effective_coherence(chan))[0])
+        t_corr = _evolved_bloch(self._form0, chan.p, effective_coherence(chan)).t_corr
+        return float(_g_of(np.abs(t_corr[0, 0, 0]), np.abs(t_corr[0, 2, 2])))
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -400,8 +422,8 @@ def build_time_grid(
     """Default grids: uniform dt up to LONG_GRID_THRESHOLD_NS, else a dense prefix plus coarse tail.
 
     A dense prefix longer than t_max is cut at t_max.  A grid of more than
-    MAX_GRID_POINTS times is refused before it is allocated, and a grid
-    that holds only t = 0 (t_max short of the first step) is refused too.
+    MAX_GRID_POINTS times is refused before it is allocated, and so is a grid
+    that holds only t = 0 or ends more than GRID_END_TOL short of t_max.
     """
     for name, value in (("t_max", t_max), ("dt", dt), ("dt_long", dt_long)):
         if not (math.isfinite(value) and value > 0.0):
@@ -410,18 +432,17 @@ def build_time_grid(
         raise InvalidParameterError(f"dense_prefix must be non-negative, got {dense_prefix}")
     prefix = t_max if t_max <= LONG_GRID_THRESHOLD_NS else min(dense_prefix, t_max)
     n_dense, n_coarse = np.rint(prefix / dt), np.ceil((t_max - prefix) / dt_long)
+    steps = f"a time grid to t_max={t_max:g} ns at dt={dt:g} ns, dt_long={dt_long:g} ns"
     # counted before anything is allocated; an overflowing or NaN count fails too
     if not n_dense + n_coarse + 1.0 <= MAX_GRID_POINTS:
-        raise InvalidParameterError(
-            f"a time grid to t_max={t_max:g} ns at dt={dt:g} ns, dt_long={dt_long:g} ns holds "
-            f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS} times"
-        )
+        raise InvalidParameterError(f"{steps} holds more than MAX_GRID_POINTS = {MAX_GRID_POINTS} times")
     dense = np.linspace(0.0, n_dense * dt, int(n_dense) + 1)
     coarse = prefix + dt_long * np.arange(1, int(n_coarse) + 1)
-    grid = np.concatenate([dense, coarse[coarse <= t_max + 1e-9]])
+    grid = np.concatenate([dense, coarse[coarse <= t_max + GRID_END_TOL]])
     if grid.size < 2:
-        raise InvalidParameterError(
-            f"a time grid to t_max={t_max:g} ns at dt={dt:g} ns, dt_long={dt_long:g} ns holds only t = 0; "
-            "t_max must reach the first step"
-        )
+        raise InvalidParameterError(f"{steps} holds only t = 0; t_max must reach the first step")
+    if grid[-1] < t_max - GRID_END_TOL:
+        on_step = "a whole number of dt steps" if prefix == t_max else f"dense_prefix={prefix:g} ns plus whole dt_long steps"
+        raise InvalidParameterError(f"{steps} ends at {grid[-1]:g} ns, {t_max - grid[-1]:g} ns short of t_max; "
+                                    f"t_max must be {on_step}")
     return grid

@@ -156,7 +156,7 @@ def channel_for_field(config: RunConfig, b_field: float) -> ChannelTrajectory:
     """Channel of `config`'s dot at `b_field` on its grid up to `config.t_max`.
 
     The channel carries its model, sized from the grid's last time, which
-    can lie a step past t_max; `evolve`, `sweep`, `verify` and the scripts
+    can lie up to half a dense step past t_max; `evolve`, `sweep`, `verify` and the scripts
     all take this one road from a run description to a channel.
     """
     times = build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
@@ -203,6 +203,11 @@ def run_sweep(config: RunConfig) -> SweepTable:
     """
     if "longtime" in METRIC_SETS[config.metric]:
         config = replace(config, t_max=float(max(config.t_max, config.longtime_window[1])))
+        try:  # the refusal names the window, whose end may be the t_max it reads
+            build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long, dense_prefix=config.dense_prefix)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"a longtime sweep runs to the later of t_max and the end of "
+                                        f"longtime_window={config.longtime_window}: {exc}") from None
     b_fields = config.b_fields
     if len(b_fields) == 0:
         raise InvalidParameterError("sweep needs at least one field value")

@@ -163,22 +163,6 @@ def g_ratio(state: TwoQubitState | np.ndarray) -> np.ndarray:
     return _g_of(txx, tzz)
 
 
-def g_under_channel(t_corr: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """g (as `g_ratio`) of a start state with correlation matrix t_corr after the product channel (p, c).
-
-    Each dot maps Bloch vectors by Lambda = [[Re c, Im c, 0], [-Im c, Re c, 0],
-    [0, 0, 1 - 2p]], so the evolved correlation matrix is Lambda T Lambda^T:
-    T'_xx = c_hat^T T_perp c_hat with c_hat = (Re c, Im c) and T_perp the xy
-    block of T, and T'_zz = (1 - 2p)^2 T_zz.  One value per (p, c) pair; no
-    density matrix is formed.
-    """
-    cr, ci = np.real(c), np.imag(c)
-    t = t_corr
-    txx = np.abs(cr * cr * t[0, 0] + cr * ci * (t[0, 1] + t[1, 0]) + ci * ci * t[1, 1])
-    q = 1.0 - 2.0 * p
-    return _g_of(txx, q * q * abs(t[2, 2]))
-
-
 def concurrence(state: TwoQubitState | np.ndarray) -> np.ndarray:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of one state or a (..., 4, 4) stack."""
     rho = _rho(state)

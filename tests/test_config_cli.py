@@ -432,6 +432,18 @@ def test_cli_one_time_grid_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_cli_grid_short_of_t_max_is_usage_error(command, tmp_path, capsys):
+    # 1 / 0.7 rounds to one step, which ends the grid at 0.7 ns
+    out = tmp_path / "t.csv"
+    assert main([command, "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--dt", "0.7", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidParameterError"
+    message = json.loads(lines[0])["message"]
+    assert "t_max=1 ns" in message and "dt=0.7 ns" in message and "ends at 0.7 ns" in message
+    assert not out.exists()
+
+
 def test_build_time_grid_refuses_one_time():
     # t_max/dt rounding to 0, and a long grid whose one coarse step lies past t_max
     for kwargs in ({"t_max": 0.005}, {"t_max": 1.0, "dt": 5.0},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qdspin as q
-from qdspin import evolution
+from qdspin import evolution, measures
 from qdspin.constants import HBAR_UEV_NS, InvalidParameterError
 from qdspin.evolution import (
     ChannelError,
@@ -168,7 +168,7 @@ def test_evolve_matches_per_time_oracle(b_field):
     c_eff = q.evolution.effective_coherence(chan)
     for spec in EVOLVE_SHORT_STATES:
         state0 = q.make_state(spec)
-        t0 = q.bloch_decompose(state0).t_corr
+        form0 = q.bloch_decompose(state0)
         tr = q.evolve(state0, chan)
         for k in range(0, chan.times.size, 50):
             rho_k, _ = one_step(state0, float(chan.p[k]), complex(c_eff[k]))
@@ -178,10 +178,10 @@ def test_evolve_matches_per_time_oracle(b_field):
             assert tr.concurrence[k] == q.concurrence(rho_k)
             assert tr.min_eigenvalue[k] == np.linalg.eigvalsh(rho_k)[0]
             assert np.array_equal(tr.st_weights[k], q.singlet_triplet_weights(rho_k))
-            # g is read off the start state's T and the applied pair, not off the evolved matrix
+            # g is read off the start state's Bloch form mapped by the applied pair, not off the evolved matrix
             assert tr.g[k] == pytest.approx(q.g_ratio(rho_k), rel=0.0, abs=1e-12, nan_ok=True)
-            assert np.array_equal(tr.g[k], q.g_under_channel(t0, float(chan.p[k]), complex(c_eff[k])),
-                                  equal_nan=True)
+            t_one = evolution._evolved_bloch(form0, chan.p[k:k + 1], c_eff[k:k + 1]).t_corr[0]
+            assert np.array_equal(tr.g[k], measures._g_of(abs(t_one[0, 0]), abs(t_one[2, 2])), equal_nan=True)
 
 
 def random_cp_pairs(rng, n):
@@ -221,10 +221,33 @@ def test_evolved_stack_matches_the_superoperator_and_the_bloch_map(rng):
         lam[:, 0, 0] = lam[:, 1, 1] = c.real
         lam[:, 0, 1], lam[:, 1, 0] = c.imag, -c.imag
         lam[:, 2, 2] = 1.0 - 2.0 * p
-        start, form = q.bloch_decompose(state), q.bloch_decompose(stack)
-        assert np.abs(form.x - lam @ start.x).max() <= 1e-15
-        assert np.abs(form.y - lam @ start.y).max() <= 1e-15
-        assert np.abs(form.t_corr - lam @ start.t_corr @ lam.swapaxes(1, 2)).max() <= 1e-15
+        start = q.bloch_decompose(state)
+        for form in (q.bloch_decompose(stack), evolution._evolved_bloch(start, p, c)):
+            assert np.abs(form.x - lam @ start.x).max() <= 1e-15
+            assert np.abs(form.y - lam @ start.y).max() <= 1e-15
+            assert np.abs(form.t_corr - lam @ start.t_corr @ lam.swapaxes(1, 2)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("state,b_field,t_max,dt", [
+    ("bell:psi-", 0.1, 20.0, 0.02), ("werner:p=0.33", 0.1, 20.0, 0.02), ("phase:gamma=2.35619449", 0.1, 20.0, 0.02),
+    ("belldiag:a=0.4,b=0.4", 0.1, 20.0, 0.02), ("belldiag:a=0.3,b=0.25", 0.001, 2000.0, 0.1),
+    ("belldiag:a=0.3,b=0.25", 0.003, 6000.0, 0.02),  # the default long grid: dense prefix plus coarse tail
+])
+def test_bloch_map_matches_the_decomposed_stack(state, b_field, t_max, dt):
+    # measured: 3.3e-16 on (x, y, T), 3.9e-16 on the bounds
+    tr = trajectory_for_field(q.RunConfig(state=state, t_max=t_max, dt=dt), b_field)
+    form, stack = tr._bloch, q.bloch_decompose(tr.rho)
+    for name in ("x", "y", "t_corr"):
+        assert np.abs(getattr(form, name) - getattr(stack, name)).max() <= 1e-15, name
+    bounds = q.discord_bounds(tr.rho)
+    assert np.abs(tr.ds_lower - bounds.ds_lower).max() <= 1e-15
+    assert np.abs(tr.ds_upper - bounds.ds_upper).max() <= 1e-15
+    # a time alone maps to the bits of its row of the stack
+    form0 = q.bloch_decompose(tr.state0)
+    for k in range(0, tr.times.size, 37):
+        one = evolution._evolved_bloch(form0, tr.p[k:k + 1], tr.c[k:k + 1])
+        for name in ("x", "y", "t_corr"):
+            assert np.array_equal(getattr(one, name)[0], getattr(form, name)[k]), (name, k)
 
 
 @pytest.mark.parametrize("n", [37, 1001])
@@ -386,6 +409,17 @@ def test_build_time_grid():
     assert np.all(steps > 0)
 
 
+def test_build_time_grid_refuses_an_end_short_of_t_max():
+    # the dense count rounds down, and the coarse tail's last step past t_max is dropped
+    for kwargs, last in (({"t_max": 1.0, "dt": 0.7}, "0.7"), ({"t_max": 150.0, "dt_long": 40.0}, "130")):
+        with pytest.raises(InvalidParameterError, match=f"t_max={kwargs['t_max']:g} ns at dt=.* ends at {last} ns"):
+            build_time_grid(**kwargs)
+    # a whole number of steps ends on t_max
+    for args in ((20.0, 0.02), (1.0, 0.02), (25.0, 0.1), (50.0, 0.1), (200.0, 0.1), (2000.0, 0.1), (6000.0,),
+                 (12000.0,)):
+        assert build_time_grid(*args)[-1] == pytest.approx(args[0], rel=0.0, abs=1e-9)
+
+
 def test_build_time_grid_bounds_its_point_count():
     assert build_time_grid(99.9999, dt=1e-4).size == MAX_GRID_POINTS
     # one time more, counts past memory on either part of a long grid, and counts that overflow a float
@@ -410,13 +444,17 @@ def test_build_time_grid_dense_prefix_bounds():
 
 
 def _eager_columns(tr) -> dict:
-    """Every measure column computed at once by the public functions: g from the start state and the
-    applied channel, the others from the trajectory's stack."""
-    bounds = q.discord_bounds(tr.rho)
+    """Every measure column computed at once: g and the bounds from the start state's Bloch form mapped
+    by the applied channel, the others by the public functions from the trajectory's stack."""
+    form = evolution._evolved_bloch(q.bloch_decompose(tr.state0), tr.p, tr.c)
+    eig = measures._k_eigh(form)
+    lower = measures._lower_bound(eig)
+    upper = measures._upper_bound(form, eig, lower)
+    pur = q.purity(tr.rho)
     bell_a, bell_b = q.bell_diagonal_params(tr.rho, tr.state0.ordering)
-    return {"ds_lower": bounds.ds_lower, "ds_upper": bounds.ds_upper, "d_lower": bounds.rescaled_lower,
-            "d_upper": bounds.rescaled_upper, "purity": q.purity(tr.rho),
-            "g": q.g_under_channel(q.bloch_decompose(tr.state0).t_corr, tr.p, tr.c),
+    return {"ds_lower": lower, "ds_upper": upper, "d_lower": q.rescaled_discord(lower, pur),
+            "d_upper": q.rescaled_discord(upper, pur), "purity": pur,
+            "g": measures._g_of(np.abs(form.t_corr[:, 0, 0]), np.abs(form.t_corr[:, 2, 2])),
             "concurrence": q.concurrence(tr.rho), "st_weights": q.singlet_triplet_weights(tr.rho),
             "bell_a": bell_a, "bell_b": bell_b}
 

@@ -203,6 +203,14 @@ def test_long_time_discord_requires_coverage(werner_traj_10mt):
         q.long_time_discord(werner_traj_10mt)
 
 
+def test_longtime_window_off_a_step_is_named():
+    # the window's end becomes t_max, so a grid that cannot end there names the window, not a t_max never set
+    config = RunConfig(state="bell:psi-", b_fields=[0.0], metric="longtime", longtime_window=[4000.0, 6001.0])
+    with pytest.raises(InvalidParameterError, match=r"longtime_window=\[4000.*6001.*\]: a time grid to "
+                                                    r"t_max=6001 ns .* ends at 6000 ns.* dense_prefix=50 ns"):
+        run_sweep(config)
+
+
 def _forbid(monkeypatch, *names):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep computed a measure its metric does not read")
@@ -216,7 +224,7 @@ def test_discord_metrics_skip_the_other_measures(monkeypatch, metric):
     config = RunConfig(state="belldiag:a=0.4,b=0.4", b_fields=[0.0, 0.02], metric=metric,
                        longtime_window=[150.0, 200.0])
     expected = run_sweep(config).rows
-    _forbid(monkeypatch, "concurrence", "g_under_channel", "singlet_triplet_weights", "bell_diagonal_params",
+    _forbid(monkeypatch, "concurrence", "_g_of", "singlet_triplet_weights", "bell_diagonal_params",
             "_upper_bound")
     assert run_sweep(config).rows == expected
 
@@ -225,5 +233,23 @@ def test_esd_metric_skips_the_discord_bounds(monkeypatch):
     config = RunConfig(state="bell:psi-", b_fields=[0.0, 0.05], metric="esd", t_max=50.0)
     expected = run_sweep(config).rows
     assert expected[1]["esd_t"] is not None
-    _forbid(monkeypatch, "_k_eigh", "_lower_bound", "_upper_bound", "g_under_channel")
+    _forbid(monkeypatch, "_k_eigh", "_lower_bound", "_upper_bound", "_evolved_bloch")
     assert run_sweep(config).rows == expected
+
+
+def test_run_paths_decompose_only_start_states(monkeypatch, tmp_path):
+    # the bounds and g read the start state's Bloch form mapped along the channel, never a decomposed stack
+    shapes = []
+
+    def start_only(state):
+        shapes.append(np.shape(getattr(state, "rho", state)))
+        return q.bloch_decompose(state)
+
+    monkeypatch.setattr(evolution, "bloch_decompose", start_only)
+    assert main(["evolve", "--state", "bell:psi-", "--b", "0.003", "--out", str(tmp_path / "t.csv")]) == 0
+    for metric in ("M", "longtime", "all"):
+        run_sweep(RunConfig(state="belldiag:a=0.3,b=0.25", b_fields=[0.0, 0.003], metric=metric, t_max=50.0,
+                            longtime_window=[150.0, 200.0]))
+    tr = trajectory_for_field(RunConfig(state="werner:p=0.33"), 0.01)
+    tr.g_at(3.0)
+    assert shapes and set(shapes) == {(4, 4)}
