@@ -115,7 +115,7 @@ def fitted_t2star(cache: RunCache) -> float:
 
 def check_2_kink_position(cache: RunCache) -> CheckResult:
     tr = cache.traj(BellDiagonal(0.4, 0.4), 0.1, 20.0)
-    kinks = find_g_crossings(tr.times, tr.g, tr.g_at)
+    kinks = find_g_crossings(tr.times, tr.g, tr.g_on)
     analytic = fitted_t2star(cache) * math.sqrt(math.log(4.0 / 3.0) / 2.0)
     ok = len(kinks) == 1 and abs(kinks[0].t_cross_ns - 4.67) <= 0.2
     detail = f"{len(kinks)} crossing(s)"
@@ -131,7 +131,7 @@ def check_3_bell_no_kinks(cache: RunCache) -> CheckResult:
     n_kinks = 0
     for b in (0.0, 0.011, 0.0165, 1.0):
         tr = cache.traj(Bell("psi-"), b, 20.0)
-        n_kinks += len(find_g_crossings(tr.times, tr.g, tr.g_at))
+        n_kinks += len(find_g_crossings(tr.times, tr.g, tr.g_on))
         finite = np.isfinite(tr.g)
         worst_g = max(worst_g, float(tr.g[finite].max()))
     ok = n_kinks == 0 and worst_g <= 1.0 + 1e-6

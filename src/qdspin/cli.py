@@ -134,7 +134,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     _check_outputs(out, getattr(args, "channel_out", None))
     chan = channel_for_field(config, config.b_fields[0])
     traj = evolve(state0, chan)
-    kinks = find_g_crossings(traj.times, traj.g, traj.g_at)
+    kinks = find_g_crossings(traj.times, traj.g, traj.g_on)
     extra = {
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,

@@ -8,7 +8,8 @@ channel's time arrays with fixed entries of the start state, and maps
 the start state's Bloch form alike, so a time gets the same bits alone
 as inside a stack.  A measure is computed when its column is first read.
 The feature scanners detect the decay-regime crossings (g through
-unity), extrema and entanglement-sudden-death features used downstream.
+unity), extrema and entanglement-sudden-death features used downstream;
+crossings are refined in batched rounds through `evolve` itself.
 """
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ EVOLVED_PSD_TOL = 1e-8  # audit tolerance for evolved states (construction is 1e
 CP_TOL = 1e-9           # how far |c| may exceed 1 - p in a channel that is applied
 _P_RANGE_TOL = 1e-15    # round-off allowed on p outside [0, 1]
 G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
-KINK_T_TOL = 1e-6       # ns; bisection stops once the crossing is bracketed this tightly
+KINK_T_TOL = 1e-6       # ns; the refinement stops once every crossing is bracketed this tightly
+KINK_SECTIONS = 32      # sub-intervals per bracket and round: 2**5, five bisection steps per round
 GRID_END_TOL = 1e-9     # ns; how far a time grid's last time may fall short of t_max
 LONG_GRID_THRESHOLD_NS = 100.0  # t_max above this gets a dense prefix plus a coarse tail
 MAX_GRID_POINTS = 1_000_000     # times a grid may hold; the default 12 000 ns grid has 8476
@@ -158,12 +160,8 @@ class CorrelationTrajectory:
     model: BathQuadrature | None = field(default=None, repr=False)
 
     @cached_property
-    def _form0(self) -> BlochForm:
-        return bloch_decompose(self.state0)
-
-    @cached_property
     def _bloch(self) -> BlochForm:
-        return _evolved_bloch(self._form0, self.p, self.c)
+        return _evolved_bloch(bloch_decompose(self.state0), self.p, self.c)
 
     @cached_property
     def _k_eigen(self) -> KEigh:
@@ -217,13 +215,11 @@ class CorrelationTrajectory:
         """Complex; nan where not of Bell-diagonal form."""
         return self._bell_params[1]
 
-    def g_at(self, t: float) -> float:
-        """g alone at time t, from the model's channel at t, co-rotated and CP-audited as in `evolve`."""
+    def g_on(self, times: np.ndarray) -> np.ndarray:
+        """g at the given times: the start state evolved on the model's channel there, as the g column is."""
         if self.model is None:
             raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
-        chan = compute_channel(self.model, np.array([t]))
-        t_corr = _evolved_bloch(self._form0, chan.p, effective_coherence(chan)).t_corr
-        return float(_g_of(np.abs(t_corr[0, 0, 0]), np.abs(t_corr[0, 2, 2])))
+        return evolve(self.state0, compute_channel(self.model, times)).g
 
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
@@ -302,43 +298,45 @@ class Extremum:
     kind: ExtremumKind
 
 
-def find_g_crossings(
-    times: np.ndarray,
-    g: np.ndarray,
-    g_at: Callable[[float], float],
-) -> list[KinkEvent]:
-    """Sign-change crossings of g(t) - 1, each bisected on the evaluator g_at.
+def find_g_crossings(times: np.ndarray, g: np.ndarray, g_on: Callable[[np.ndarray], np.ndarray]) -> list[KinkEvent]:
+    """Sign-change crossings of g(t) - 1, each refined by multisection on the batch evaluator g_on.
 
     Samples with |g - 1| <= G_BAND, and non-finite ones, count as on the
     boundary (side 0); a crossing is a pair of neighbouring off-boundary
     samples on opposite sides, so tangential touches and boundary noise
-    are excluded.  Each bracketing pair of grid times is bisected with
-    g_at (t -> g(t)) to KINK_T_TOL or an exact root; g_at is never called
-    if g does not cross.
+    are excluded.  Per round, one g_on call (times -> g) evaluates every
+    open bracket cut into KINK_SECTIONS sub-intervals; a bracket keeps its
+    first sub-interval whose right end is off its left end's side (read in
+    round 1, nan below), else its last, and closes on an exact root.
+    Rounds end once each is KINK_T_TOL wide or stops narrowing: three on a
+    0.02 ns step.  g_on is never called if g does not cross.
     """
     times = np.asarray(times, dtype=float)
     g = np.asarray(g, dtype=float)
     side = np.where(np.isfinite(g), (g > 1.0 + G_BAND).astype(int) - (g < 1.0 - G_BAND), 0)
     off = np.flatnonzero(side)
     flips = np.flatnonzero(side[off[1:]] != side[off[:-1]])
-
-    events: list[KinkEvent] = []
-    for lo, hi in zip(off[flips], off[flips + 1]):
-        t_lo, t_hi = times[lo], times[hi]
-        f_lo = g_at(t_lo) - 1.0
-        for _ in range(200):
-            if t_hi - t_lo <= KINK_T_TOL:
-                break
-            t_mid = 0.5 * (t_lo + t_hi)
-            f_mid = g_at(t_mid) - 1.0
-            if f_mid == 0.0:  # an exact root ends the bisection there
-                t_lo = t_hi = t_mid
-            elif (f_mid > 0.0) == (f_lo > 0.0):
-                t_lo, f_lo = t_mid, f_mid
-            else:
-                t_hi = t_mid
-        events.append(KinkEvent(t_cross_ns=float(0.5 * (t_lo + t_hi)), direction="down" if side[lo] > 0 else "up"))
-    return events
+    lo = off[flips]
+    t_lo, t_hi = times[lo], times[off[flips + 1]]
+    above = np.zeros(lo.size, dtype=bool)  # each bracket's reference side: its left end's
+    open_, first = np.flatnonzero(t_hi - t_lo > KINK_T_TOL), 0  # round 1 also evaluates the left ends
+    while open_.size:
+        width = t_hi[open_] - t_lo[open_]
+        edges = t_lo[open_, None] + width[:, None] * (np.arange(KINK_SECTIONS + 1) / KINK_SECTIONS)
+        edges[:, -1] = t_hi[open_]
+        f = np.reshape(g_on(edges[:, first:-1].ravel()), (open_.size, -1)) - 1.0
+        if first == 0:
+            above[open_], f, first = f[:, 0] > 0.0, f[:, 1:], 1
+        ref = above[open_, None]
+        f = np.hstack([f, np.where(ref, -np.inf, np.inf)])  # column i is edge i + 1; the right end is off ref
+        j = (((f > 0.0) != ref) | (f == 0.0)).argmax(axis=1)  # the first edge off the reference side, or a root
+        rows = np.arange(open_.size)
+        t_hi[open_] = edges[rows, j + 1]
+        t_lo[open_] = np.where(f[rows, j] == 0.0, t_hi[open_], edges[rows, j])
+        narrower = t_hi[open_] - t_lo[open_]
+        open_ = open_[(narrower > KINK_T_TOL) & (narrower < width)]
+    return [KinkEvent(t_cross_ns=float(0.5 * (a + b)), direction="down" if side[k] > 0 else "up")
+            for a, b, k in zip(t_lo, t_hi, lo)]
 
 
 def find_extrema(

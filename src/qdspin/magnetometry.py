@@ -43,6 +43,7 @@ from .states import make_state
 G_EXTREMUM_PROMINENCE = 1e-4
 ESD_MIN_RUN = 5          # samples the concurrence must stay dead to mark sudden death
 ESD_ZERO_TOL = 1e-12     # concurrence at or below this counts as dead
+WINDOW_EDGE_TOL = 1e-12  # ns; a grid time this close outside a window's edge is inside it
 
 
 class NormalizationError(InvalidParameterError, ZeroDivisionError):
@@ -89,7 +90,7 @@ def rescaled_integral(
     if d0 <= 1e-15:
         raise NormalizationError("initial rescaled discord is zero; M(B) undefined")
     lo, hi = window
-    mask = (traj.times >= lo - 1e-12) & (traj.times <= hi + 1e-12)
+    mask = (traj.times >= lo - WINDOW_EDGE_TOL) & (traj.times <= hi + WINDOW_EDGE_TOL)
     if mask.sum() < 3:
         raise InvalidParameterError(f"window {window} contains fewer than 3 samples")
     return _simpson(traj.d_lower[mask], traj.times[mask]) / d0
@@ -112,7 +113,7 @@ def long_time_discord(
 ) -> float:
     """Rescaled discord (lower bound) averaged over a late time window."""
     lo, hi = window
-    mask = (traj.times >= lo) & (traj.times <= hi)
+    mask = (traj.times >= lo - WINDOW_EDGE_TOL) & (traj.times <= hi + WINDOW_EDGE_TOL)
     if not mask.any():
         raise InvalidParameterError(f"trajectory does not cover the window {window}")
     return float(np.mean(traj.d_lower[mask]))
@@ -186,7 +187,7 @@ def _sweep_row(args: tuple[RunConfig, float]) -> dict:
         if g_max is not None:
             row.update(g_max_t=g_max.t_ns, g_max_val=g_max.value)
     if "kinks" in metrics:
-        crossings = find_g_crossings(traj.times, traj.g, traj.g_at)
+        crossings = find_g_crossings(traj.times, traj.g, traj.g_on)
         row["kink_times"] = ";".join(f"{e.t_cross_ns:.9g}" for e in crossings)
     if "esd" in metrics:
         row["esd_t"] = esd_time(traj.times, traj.concurrence)

@@ -68,7 +68,7 @@ def test_physicality_audit_covers_its_own_runs():
 
 
 def test_check_3_trajectories_never_evaluate_g_off_the_grid():
-    # no g = 1 crossing, no bisection: check 3 and kink-free sweeps pay nothing for it
+    # no g = 1 crossing, no refinement: check 3 and kink-free sweeps pay nothing for it
     def forbidden(t):
         raise AssertionError(f"g evaluated at t={t} ns on a trajectory without a crossing")
 

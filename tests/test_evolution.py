@@ -141,7 +141,7 @@ def test_evolve_normalization_keeps_feature_times(bell_traj_11mt):
     raw_lo, _ = tr.normalized("none")
     half_lo, _ = tr.normalized("half")
     assert np.argmin(raw_lo) == np.argmin(half_lo)
-    crossings_raw = find_g_crossings(tr.times, tr.g, tr.g_at)
+    crossings_raw = find_g_crossings(tr.times, tr.g, tr.g_on)
     assert len(crossings_raw) == 0  # Bell states never cross unity
 
 
@@ -326,7 +326,7 @@ def test_find_g_crossings_ignores_boundary_noise():
     assert find_g_crossings(t, g, lambda x: 1.0) == []
 
 
-def test_find_g_crossings_bisection_refine():
+def test_find_g_crossings_refines_between_coarse_samples():
     t = np.linspace(0.0, 10.0, 11)  # coarse grid
     f = lambda x: 1.5 - 0.1 * x**1.3
     events = find_g_crossings(t, f(t), f)
@@ -335,7 +335,7 @@ def test_find_g_crossings_bisection_refine():
     assert events[0].t_cross_ns == pytest.approx(root, abs=1e-6)
 
 
-def test_g_at_is_a_single_time_evolution_on_the_trajectory_model():
+def test_g_on_is_an_evolution_on_the_trajectory_model():
     dot = q.DotParameters(b_field=0.1)
     times = build_time_grid(10.0)
     quad = q.build_quadrature(dot, 10.0)
@@ -345,19 +345,19 @@ def test_g_at_is_a_single_time_evolution_on_the_trajectory_model():
     assert chan.model is quad and traj.model is quad
 
     def g_exact(t):
-        return float(q.evolve(state0, q.compute_channel(quad, np.array([t]))).g[0])
+        return q.evolve(state0, q.compute_channel(quad, t)).g
 
-    assert traj.g_at(4.67) == g_exact(4.67)
+    assert traj.g_on(np.array([4.67])) == g_exact(np.array([4.67]))
     expected = find_g_crossings(traj.times, traj.g, g_exact)
     assert len(expected) == 1
-    assert find_g_crossings(traj.times, traj.g, traj.g_at) == expected
+    assert find_g_crossings(traj.times, traj.g, traj.g_on) == expected
 
 
-def test_g_at_needs_a_model():
+def test_g_on_needs_a_model():
     chan = channel_of(q.DotParameters(b_field=0.1), np.linspace(0.0, 5.0, 6))
     traj = q.evolve(q.make_state(q.BellDiagonal(0.4, 0.4)), replace(chan, model=None))
     with pytest.raises(InvalidParameterError, match="no model"):
-        traj.g_at(1.0)
+        traj.g_on(np.array([1.0]))
 
 
 def test_find_extrema_basic():

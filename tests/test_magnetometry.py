@@ -118,7 +118,7 @@ def test_sweep_table_and_csv(tmp_path):
 
 
 def test_sweep_kink_cell_is_the_evolve_kink_header(tmp_path):
-    # one bisection on the channel model answers both commands, crossing for crossing;
+    # one refinement on the channel model answers both commands, crossing for crossing;
     # the window's end stretches the sweep to the 30 ns grid that holds all three crossings
     state, b = "belldiag:a=0.3,b=0.25", 0.003
     config = RunConfig(state=state, b_fields=[b], metric="all", longtime_window=[15.0, 30.0])
@@ -203,6 +203,18 @@ def test_long_time_discord_requires_coverage(werner_traj_10mt):
         q.long_time_discord(werner_traj_10mt)
 
 
+def test_long_time_window_keeps_a_sample_rounded_past_its_end():
+    # t_max stretches to the window's end, 3.3 ns, and the grid ends on 3.3000000000000003
+    config = RunConfig(state="bell:psi-", b_fields=[0.01], metric="longtime", t_max=1.0, longtime_window=[3.0, 3.3])
+    table = run_sweep(config)
+    (row,) = table.rows
+    tr = trajectory_for_field(table.config, 0.01)
+    assert tr.times[-1] > 3.3
+    window = tr.times >= 3.0 - 1e-12
+    assert window.sum() == 16
+    assert row["d_longtime"] == q.long_time_discord(tr, (3.0, 3.3)) == float(np.mean(tr.d_lower[window]))
+
+
 def test_longtime_window_off_a_step_is_named():
     # the window's end becomes t_max, so a grid that cannot end there names the window, not a t_max never set
     config = RunConfig(state="bell:psi-", b_fields=[0.0], metric="longtime", longtime_window=[4000.0, 6001.0])
@@ -251,5 +263,5 @@ def test_run_paths_decompose_only_start_states(monkeypatch, tmp_path):
         run_sweep(RunConfig(state="belldiag:a=0.3,b=0.25", b_fields=[0.0, 0.003], metric=metric, t_max=50.0,
                             longtime_window=[150.0, 200.0]))
     tr = trajectory_for_field(RunConfig(state="werner:p=0.33"), 0.01)
-    tr.g_at(3.0)
+    tr.g_on(np.array([3.0, 3.01]))
     assert shapes and set(shapes) == {(4, 4)}
