@@ -25,7 +25,7 @@ from .config import (
     parse_state_spec,
 )
 from .constants import InvalidParameterError, QdspinError
-from .evolution import evolve, find_g_crossings
+from .evolution import evolve, find_g_crossings, kink_text
 from .magnetometry import CURVE_QUANTITIES, calibration_curve, channel_for_field, run_sweep
 from .states import make_state
 
@@ -139,7 +139,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,
         "quadrature_nodes_summed": chan.model.p_freq.size,
-        "kink_times_ns": ";".join(f"{e.t_cross_ns:.9g}" for e in kinks) or "none",
+        "kink_times_ns": kink_text(kinks) or "none",
     }
     headers = header_lines(config, extra)
     traj.to_csv(out, header_lines=headers, normalize=config.normalize)

@@ -2,7 +2,7 @@
 
 Every CSV qdspin writes goes through `write_csv`, so `header_lines` and
 the cell rules below are the whole output format. A number is written
-as `'%.17g' % v`; a table of numbers only gets those bytes from
+as `'%.17g' % v`, and every number of every table gets those bytes from
 `_format_numbers`, which formats a block of rows in one pass of numpy
 arithmetic instead of one Python format call per cell.
 """
@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -266,17 +265,6 @@ def _is_text(column: Sequence) -> bool:
     return not isinstance(column, np.ndarray) and all(isinstance(v, str) for v in column)
 
 
-def _cells(column: Sequence) -> tuple[list[str], list]:
-    """One column's format specs and values: strings as given, numbers as .17g, NaN and None empty."""
-    if _is_text(column):
-        return ["%s"] * len(column), list(column)
-    values = np.asarray(column, dtype=float)
-    specs, cells = ["%.17g"] * values.size, values.tolist()
-    for k in np.flatnonzero(np.isnan(values)).tolist():
-        specs[k], cells[k] = "%s", ""
-    return specs, cells
-
-
 # cells per `_format_numbers` pass: its temporary arrays then stay near 1 MB, which the allocator reuses from
 # one block to the next; at 8192 cells and more, each block was measured to page-fault its arrays in afresh
 _BLOCK_CELLS = 1 << 12
@@ -291,8 +279,8 @@ def _words(table: np.ndarray) -> np.ndarray:
 def _text_tables() -> tuple[np.ndarray, ...]:
     """The byte words `_format_numbers` builds a cell from, and the powers of ten `_scaled` scales by.
 
-    They are made on first use, so a process that writes no table of
-    numbers neither builds nor holds them.
+    They are made on first use, so a process that writes no CSV neither
+    builds nor holds them.
     """
     # 0..9999 as four digits at the even bytes, the odd ones free for a point; then without trailing zeros
     digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)
@@ -439,22 +427,31 @@ def _format_numbers(x: np.ndarray, sep: np.ndarray) -> bytes:
 
 
 def _row_text(columns: Mapping[str, Sequence]) -> Iterable[str]:
-    """The rows of `columns` as text chunks; every cell is converted before the first chunk exists."""
+    """The rows of `columns` as text chunks; every cell is converted before the first chunk exists.
+
+    A column of strings is formatted as empty cells, and its strings go
+    verbatim into their slots, split out at the commas no number holds.
+    """
     values = list(columns.values())
-    if any(map(_is_text, values)):
-        # string cells stay verbatim, NUL bytes included, so such a table goes cell by cell
-        specs, cells = zip(*map(_cells, values))
-        if not cells[0]:
-            return []
-        return ["\n".join(map(",".join, zip(*specs))) % tuple(chain.from_iterable(zip(*cells))) + "\n"]
-    arrays = [np.asarray(column, dtype=float) for column in values]
-    n_rows = min(map(len, arrays), default=0)
+    n, n_rows = len(values), min(map(len, values), default=0)
+    text = {j: column for j, column in enumerate(values) if _is_text(column)}
+    arrays = [np.full(n_rows, np.nan) if j in text else np.asarray(column, dtype=float)
+              for j, column in enumerate(values)]
     comma, newline = _text_tables()[-1]
-    sep = np.full(len(arrays), comma)
+    sep = np.full(n, comma)
     sep[-1:] = newline
-    step = max(1, _BLOCK_CELLS // max(1, len(arrays)))
-    return (_format_numbers(np.stack([a[k:k + step] for a in arrays], axis=1).ravel(), sep).decode("ascii")
-            for k in range(0, n_rows, step))
+    step = max(1, _BLOCK_CELLS // max(1, n))
+
+    def block(k: int) -> str:
+        rows = _format_numbers(np.stack([a[k:k + step] for a in arrays], axis=1).ravel(), sep).decode("ascii")
+        if not text:
+            return rows
+        cells = rows[:-1].replace("\n", ",").split(",")
+        for j, strings in text.items():
+            cells[j::n] = strings[k:k + step]
+        return "".join(",".join(cells[i:i + n]) + "\n" for i in range(0, len(cells), n))
+
+    return map(block, range(0, n_rows, step))
 
 
 def write_csv(path: str | Path, header_lines: Sequence[str] | None,
@@ -464,9 +461,9 @@ def write_csv(path: str | Path, header_lines: Sequence[str] | None,
     A numeric cell is `'%.17g' % v`: the 17 significant digits of its
     exact binary value, rounded half-even, in exponent form below 1e-4
     and from 1e17 on, `0` or `-0` for zero and `inf` or `-inf` for
-    infinity. NaN and None are empty cells. A table of numbers only is
-    formatted in row blocks by `_format_numbers`; a table with a column
-    of strings, which stay verbatim, is formatted cell by cell.
+    infinity. NaN and None are empty cells. Every table's numbers are
+    formatted in row blocks by `_format_numbers`; a column of strings
+    stays verbatim.
 
     The text goes to a temporary file beside `path` that replaces it only
     once complete, so a failed write leaves any previous file untouched.

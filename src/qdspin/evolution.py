@@ -286,6 +286,11 @@ class KinkEvent:
     direction: str            # 'down' = above -> below, 'up' = below -> above
 
 
+def kink_text(events: list[KinkEvent]) -> str:
+    """The crossing times in ns, `;`-separated at 9 significant digits: `evolve`'s header and the sweep's cell."""
+    return ";".join(f"{e.t_cross_ns:.9g}" for e in events)
+
+
 class ExtremumKind(enum.Enum):
     MINIMUM = "min"
     MAXIMUM = "max"
@@ -305,9 +310,10 @@ def find_g_crossings(times: np.ndarray, g: np.ndarray, g_on: Callable[[np.ndarra
     boundary (side 0); a crossing is a pair of neighbouring off-boundary
     samples on opposite sides, so tangential touches and boundary noise
     are excluded.  Per round, one g_on call (times -> g) evaluates every
-    open bracket cut into KINK_SECTIONS sub-intervals; a bracket keeps its
-    first sub-interval whose right end is off its left end's side (read in
-    round 1, nan below), else its last, and closes on an exact root.
+    open bracket cut at t_lo + k*step into KINK_SECTIONS sub-intervals, one
+    uniform channel run; a bracket keeps its first sub-interval whose right
+    end is off its left end's side (read in round 1, nan below), else its
+    last, and closes on an exact root.
     Rounds end once each is KINK_T_TOL wide or stops narrowing: three on a
     0.02 ns step.  g_on is never called if g does not cross.
     """
@@ -322,7 +328,8 @@ def find_g_crossings(times: np.ndarray, g: np.ndarray, g_on: Callable[[np.ndarra
     open_, first = np.flatnonzero(t_hi - t_lo > KINK_T_TOL), 0  # round 1 also evaluates the left ends
     while open_.size:
         width = t_hi[open_] - t_lo[open_]
-        edges = t_lo[open_, None] + width[:, None] * (np.arange(KINK_SECTIONS + 1) / KINK_SECTIONS)
+        step = (t_lo[open_] + width / KINK_SECTIONS) - t_lo[open_]
+        edges = t_lo[open_, None] + step[:, None] * np.arange(KINK_SECTIONS + 1)
         edges[:, -1] = t_hi[open_]
         f = np.reshape(g_on(edges[:, first:-1].ravel()), (open_.size, -1)) - 1.0
         if first == 0:

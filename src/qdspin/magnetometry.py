@@ -37,6 +37,7 @@ from .evolution import (
     evolve,
     find_extrema,
     find_g_crossings,
+    kink_text,
 )
 from .states import make_state
 
@@ -77,6 +78,11 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(total)
 
 
+def _in_window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """The grid times inside `window`, each edge widened by WINDOW_EDGE_TOL."""
+    return (times >= window[0] - WINDOW_EDGE_TOL) & (times <= window[1] + WINDOW_EDGE_TOL)
+
+
 def rescaled_integral(
     traj: CorrelationTrajectory, window: tuple[float, float] = DEFAULT_M_WINDOW
 ) -> float:
@@ -89,8 +95,7 @@ def rescaled_integral(
     d0 = traj.d_lower[0]
     if d0 <= 1e-15:
         raise NormalizationError("initial rescaled discord is zero; M(B) undefined")
-    lo, hi = window
-    mask = (traj.times >= lo - WINDOW_EDGE_TOL) & (traj.times <= hi + WINDOW_EDGE_TOL)
+    mask = _in_window(traj.times, window)
     if mask.sum() < 3:
         raise InvalidParameterError(f"window {window} contains fewer than 3 samples")
     return _simpson(traj.d_lower[mask], traj.times[mask]) / d0
@@ -112,8 +117,7 @@ def long_time_discord(
     traj: CorrelationTrajectory, window: tuple[float, float] = DEFAULT_LONGTIME_WINDOW
 ) -> float:
     """Rescaled discord (lower bound) averaged over a late time window."""
-    lo, hi = window
-    mask = (traj.times >= lo - WINDOW_EDGE_TOL) & (traj.times <= hi + WINDOW_EDGE_TOL)
+    mask = _in_window(traj.times, window)
     if not mask.any():
         raise InvalidParameterError(f"trajectory does not cover the window {window}")
     return float(np.mean(traj.d_lower[mask]))
@@ -187,8 +191,7 @@ def _sweep_row(args: tuple[RunConfig, float]) -> dict:
         if g_max is not None:
             row.update(g_max_t=g_max.t_ns, g_max_val=g_max.value)
     if "kinks" in metrics:
-        crossings = find_g_crossings(traj.times, traj.g, traj.g_on)
-        row["kink_times"] = ";".join(f"{e.t_cross_ns:.9g}" for e in crossings)
+        row["kink_times"] = kink_text(find_g_crossings(traj.times, traj.g, traj.g_on))
     if "esd" in metrics:
         row["esd_t"] = esd_time(traj.times, traj.concurrence)
     if "longtime" in metrics:
@@ -199,16 +202,27 @@ def _sweep_row(args: tuple[RunConfig, float]) -> dict:
 def run_sweep(config: RunConfig) -> SweepTable:
     """Run `config` over its fields; rows are in field order, independent of workers.
 
-    A long-time metric runs the grid to the end of its window, so the
-    table's config, which the CSV header echoes, carries that t_max.
+    A long-time metric runs the grid to the end of its window, and M's
+    window ends at the grid's last time at most; the table's config, which
+    the CSV header echoes, carries the t_max and m_window applied.
     """
-    if "longtime" in METRIC_SETS[config.metric]:
+    metrics = METRIC_SETS[config.metric]
+    if "longtime" in metrics:
         config = replace(config, t_max=float(max(config.t_max, config.longtime_window[1])))
-        try:  # the refusal names the window, whose end may be the t_max it reads
-            build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long, dense_prefix=config.dense_prefix)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"a longtime sweep runs to the later of t_max and the end of "
-                                        f"longtime_window={config.longtime_window}: {exc}") from None
+    try:  # a longtime refusal names the window, whose end may be the t_max it reads
+        grid_end = float(build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
+                                         dense_prefix=config.dense_prefix)[-1])
+    except InvalidParameterError as exc:
+        if "longtime" not in metrics:
+            raise
+        raise InvalidParameterError(f"a longtime sweep runs to the later of t_max and the end of "
+                                    f"longtime_window={config.longtime_window}: {exc}") from None
+    start, stop = config.m_window
+    if "M" in metrics and start >= grid_end:
+        raise InvalidParameterError(f"m_window={config.m_window} starts at or past the time grid's end at "
+                                    f"{grid_end:g} ns")
+    if "M" in metrics and stop > grid_end:
+        config = replace(config, m_window=[start, grid_end])
     b_fields = config.b_fields
     if len(b_fields) == 0:
         raise InvalidParameterError("sweep needs at least one field value")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdspin as q
+from qdspin.channel import _uniform_runs
 from qdspin.evolution import (
     KINK_SECTIONS,
     KINK_T_TOL,
@@ -130,9 +131,15 @@ REFINED_FIELDS = [("belldiag:a=0.4,b=0.4", 20.0, 0.1), ("belldiag:a=0.3,b=0.25",
 
 
 def _refined_like_the_oracle(tr) -> list:
-    """The kinks of `tr` against the bisection oracle on its model; returns the evaluator's batches."""
+    """The kinks of `tr` against the bisection oracle on its model; returns the evaluator's batches.
+
+    Each open bracket's times in a batch, its left end and interior cut points in round 1 and the
+    interior ones later, are one uniform run of the channel.
+    """
     batches = []
     events = find_g_crossings(tr.times, tr.g, lambda t: batches.append(t) or tr.g_on(t))
+    for k, batch in enumerate(batches):
+        assert len(_uniform_runs(batch)) == batch.size // (KINK_SECTIONS if k == 0 else KINK_SECTIONS - 1)
     expected = loop_find_g_crossings(tr.times, tr.g, lambda t: float(tr.g_on(np.array([t]))[0]))
     assert [e.direction for e in events] == [e.direction for e in expected]
     for e, x in zip(events, expected):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,28 @@ def test_longtime_window_off_a_step_is_named():
     config = RunConfig(state="bell:psi-", b_fields=[0.0], metric="longtime", longtime_window=[4000.0, 6001.0])
     with pytest.raises(InvalidParameterError, match=r"longtime_window=\[4000.*6001.*\]: a time grid to "
                                                     r"t_max=6001 ns .* ends at 6000 ns.* dense_prefix=50 ns"):
+        run_sweep(config)
+
+
+def test_m_sweep_echoes_the_window_it_integrated(tmp_path):
+    # the 1 ns grid ends inside the default 20 ns window: M integrates [0, 1] ns, and the echo says so
+    out = tmp_path / "m.csv"
+    assert main(["sweep", "--metric", "M", "--tmax", "1", "--b", "0.01", "--state", "werner:p=0.33",
+                 "--out", str(out)]) == 0
+    echo = next(l for l in out.read_text().splitlines() if l.startswith("# config="))
+    assert json.loads(echo.removeprefix("# config="))["m_window"] == [0.0, 1.0]
+    tr = trajectory_for_field(RunConfig(state="werner:p=0.33", t_max=1.0), 0.01)
+    m = float(out.read_text().splitlines()[-1].split(",")[1])
+    assert m == rescaled_integral(tr, (0.0, 20.0)) == rescaled_integral(tr, (0.0, 1.0))
+    # a window the grid holds is applied and echoed as given
+    config = RunConfig(state="werner:p=0.33", b_fields=[0.01], metric="M", t_max=1.0, m_window=[0.0, 0.5])
+    assert run_sweep(config).config.m_window == [0.0, 0.5]
+
+
+def test_m_window_past_the_grid_end_is_named():
+    config = RunConfig(state="werner:p=0.33", b_fields=[0.01], metric="M", t_max=1.0, m_window=[1.0, 3.0])
+    with pytest.raises(InvalidParameterError,
+                       match=r"m_window=\[1\.0, 3\.0\] starts at or past the time grid's end at 1 ns"):
         run_sweep(config)
 
 

@@ -1,7 +1,9 @@
 """The one CSV writer: byte equality with the per-cell formatters it replaced, and the atomic write."""
 import copy
+import math
 import os
 import stat
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -241,6 +243,53 @@ def test_near_half_cells_take_the_tie_route(tmp_path, monkeypatch):
     path = tmp_path / "ties.csv"
     write_csv(path, None, columns)
     assert path.read_text() == csv_cell_oracle(None, columns)
+
+
+def template_oracle(header_lines, columns) -> str:
+    """The cell-by-cell route tables with strings once took: a `'%.17g'` or `'%s'` spec per cell, the specs
+    joined into one template and filled by one `%`."""
+    specs, cells = [], []
+    for column in columns.values():
+        if not isinstance(column, np.ndarray) and all(isinstance(v, str) for v in column):
+            specs.append(["%s"] * len(column))
+            cells.append(list(column))
+        else:
+            values = np.asarray(column, dtype=float).tolist()
+            specs.append(["%s" if math.isnan(v) else "%.17g" for v in values])
+            cells.append(["" if math.isnan(v) else v for v in values])
+    text = "\n".join([*(f"# {h}" for h in header_lines or ()), ",".join(columns)]) + "\n"
+    if cells[0]:
+        text += "\n".join(map(",".join, zip(*specs))) % tuple(chain.from_iterable(zip(*cells))) + "\n"
+    return text
+
+
+def _tables_with_strings() -> dict:
+    rng = np.random.default_rng(32)
+    n_rows = 1000  # 9 000 cells: three row blocks of the bulk formatter
+    specials = [None, float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, 3 / 2**24, -13 / 2**24]
+    sweep = {name: rng.uniform(-1e3, 1e3, n_rows).tolist() for name in SWEEP_COLUMNS}
+    sweep["M"] = [specials[k % len(specials)] for k in range(n_rows)]
+    sweep["g_min_t"] = [None] * n_rows
+    sweep["kink_times"] = ["" if k % 3 else f"{k * 0.01:.9g};{k * 0.02:.9g}" for k in range(n_rows)]
+    sweep["d_longtime"] = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    return {
+        "sweep": sweep,
+        "strings-first-and-last": {"first": ["", "a", "%s", "-0"], "x": [None, -0.0, 5e-324, float("inf")],
+                                   "y": np.array([float("nan"), 3 / 2**24, 0.1, -float("inf")]),
+                                   "last": ["1e-07;2.5", "", "", "b,c"]},
+        "all-none": {"x": [None, None, None], "s": ["", "", ""]},
+        "one-string-column": {"s": ["", "x", ""]},
+        "zero-rows": {"s": [], "x": np.array([]), "y": []},
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_tables_with_strings()))
+def test_tables_with_strings_match_the_template_oracle(tmp_path, name):
+    columns = _tables_with_strings()[name]
+    path = tmp_path / "t.csv"
+    write_csv(path, HEADERS, columns)
+    assert path.read_text() == template_oracle(HEADERS, columns)
 
 
 def test_writer_keeps_string_cells_verbatim_and_blanks_only_numeric_nan(tmp_path):
