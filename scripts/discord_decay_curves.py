@@ -7,11 +7,9 @@ structure (post-decay minimum and recovered level) for the low fields.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from qdspin import RunConfig
 from qdspin.config import header_lines
-from qdspin.magnetometry import trajectory_for_field
+from qdspin.magnetometry import low_field_revival, trajectory_for_field
 
 SHORT_FIELDS_T = [0.0, 0.011, 0.0165, 1.0]
 LONG_FIELDS_T = [0.0, 0.003]
@@ -33,13 +31,9 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
         traj = trajectory_for_field(config, b)
         path = outdir / f"bell_discord_long_b{1e3 * b:g}mT.csv"
         traj.to_csv(path, header_lines=header_lines(config))
-        early = (traj.times > 0.5) & (traj.times < 100.0)
-        i_min = int(np.argmin(traj.d_lower[early])) + int(np.nonzero(early)[0][0])
-        recovered = float(traj.d_lower[i_min:].max())
-        print(
-            f"  B={1e3 * b:g} mT: D_min={traj.d_lower[i_min]:.3e} at {traj.times[i_min]:.1f} ns, "
-            f"recovers to {recovered:.3e}; wrote {path}"
-        )
+        rev = low_field_revival(traj)
+        print(f"  B={1e3 * b:g} mT: D_min={rev.d_min:.3e} at {rev.t_min:.1f} ns, "
+              f"recovers to {rev.d_max:.3e}; wrote {path}")
 
 
 def main() -> None:

@@ -10,10 +10,9 @@ import argparse
 import math
 from pathlib import Path
 
-import numpy as np
-
 from qdspin import RunConfig, channel_for_field, evolve, make_state
 from qdspin.config import header_lines
+from qdspin.magnetometry import bound_separation_onset
 from qdspin.states import PhaseFamily
 
 FIELDS_T = (0.0, 0.011, 0.0165, 1.0)
@@ -36,11 +35,7 @@ def main() -> None:
             # the config echo reproduces this one trajectory: its state, field, grid and normalization
             config = RunConfig(state=f"phase:gamma={gamma!r}", b_fields=[b], t_max=args.tmax, normalize="half")
             traj.to_csv(path, header_lines=header_lines(config, {"gamma": gamma}), normalize=config.normalize)
-            gap = traj.ds_upper - traj.ds_lower
-            onset = None
-            split = np.nonzero(gap > 0.005 * traj.ds_lower[0] / 0.5)[0]
-            if split.size:
-                onset = float(traj.times[split[0]])
+            onset = bound_separation_onset(traj)
             print(f"B={1e3 * b:7g} mT gamma={name:11s}: bound-separation onset = {onset}")
 
 

@@ -60,6 +60,7 @@ from .states import (
     TwoQubitState,
     Werner,
     bell_diagonal_params,
+    bell_ordering,
     bloch_decompose,
     load_raw_state,
     make_state,

@@ -18,7 +18,14 @@ from scipy.optimize import curve_fit
 from .channel import ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
 from .config import RunConfig
 from .evolution import evolve, find_g_crossings
-from .magnetometry import channel_for_field, esd_time, first_min_then_max, run_sweep
+from .magnetometry import (
+    bound_separation_onset,
+    channel_for_field,
+    esd_time,
+    first_min_then_max,
+    low_field_revival,
+    run_sweep,
+)
 from .measures import _k_eigh, concurrence, discord_bounds, oracle_one_sided_discord
 from .states import (
     Bell,
@@ -306,14 +313,10 @@ def check_10_g_extrema_calibration(cache: RunCache) -> CheckResult:
 
 
 def _revival(tr) -> tuple[bool, str]:
-    times, d = tr.times, tr.d_lower
-    sel = (times > 0.5) & (times < 100.0)
-    i_min = int(np.argmin(d[sel])) + int(np.nonzero(sel)[0][0])
-    revived = float(d[i_min:].max())
-    i_max = int(np.argmax(d[i_min:])) + i_min
-    threshold = d[i_min] + 0.01 * d[0]
-    return revived >= threshold, (
-        f"min {d[i_min]:.2e}@{times[i_min]:.1f} ns, post-min max {revived:.2e}@{times[i_max]:.1f} ns, "
+    rev = low_field_revival(tr)
+    threshold = rev.d_min + 0.01 * tr.d_lower[0]
+    return rev.d_max >= threshold, (
+        f"min {rev.d_min:.2e}@{rev.t_min:.1f} ns, post-min max {rev.d_max:.2e}@{rev.t_max:.1f} ns, "
         f"revival threshold {threshold:.2e}"
     )
 
@@ -362,10 +365,8 @@ def check_13_phase_sensitivity(cache: RunCache) -> CheckResult:
         diffs[b] = float(np.abs(n_pi - n_half).max()) / 0.5
 
     def onset(b: float) -> float:
-        tr = cache.traj(PhaseFamily(GAMMA_SPLIT), b, 20.0)
-        gap = 0.5 * (tr.ds_upper - tr.ds_lower) / tr.ds_lower[0]
-        idx = np.nonzero(gap > 0.005)[0]
-        return float(tr.times[idx[0]]) if idx.size else math.inf
+        t_split = bound_separation_onset(cache.traj(PhaseFamily(GAMMA_SPLIT), b, 20.0))
+        return math.inf if t_split is None else t_split
 
     onset_0, onset_1t = onset(0.0), onset(1.0)
     ok = (

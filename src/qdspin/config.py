@@ -58,7 +58,8 @@ class RunConfig:
     """Everything a reproducible run needs; defaults reproduce the GaAs setup.
 
     The material defaults are `DotParameters`' own, and `build_time_grid`
-    takes its grid defaults from here, so each is written once.
+    takes its default step from here, so each is written once; the long
+    grid's layout is `build_time_grid`'s own constants.
     """
 
     a_total: float = DotParameters.a_total
@@ -69,8 +70,6 @@ class RunConfig:
     b_fields: list[float] = field(default_factory=lambda: [0.0])
     t_max: float = 20.0
     dt: float = 0.02
-    dt_long: float = 2.0
-    dense_prefix: float = 50.0
     m_nodes: int | None = None
     q_nodes: int | None = None
     normalize: str = "none"
@@ -87,11 +86,9 @@ class RunConfig:
 
         for name in ("a_total", "n_nuclei", "i_nuclear", "g_factor"):
             require(_is_real(getattr(self, name)), name, "a finite number")
-        for name in ("t_max", "dt", "dt_long"):
+        for name in ("t_max", "dt"):
             value = getattr(self, name)
             require(_is_real(value) and value > 0, name, "finite and positive")
-        require(_is_real(self.dense_prefix) and self.dense_prefix >= 0, "dense_prefix",
-                "finite and non-negative")
         require(isinstance(self.b_fields, (list, tuple)) and all(map(_is_real, self.b_fields)),
                 "b_fields", "a list of finite numbers")
         for name in ("m_window", "longtime_window"):
@@ -114,9 +111,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

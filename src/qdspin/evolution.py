@@ -39,6 +39,7 @@ from .states import (
     BlochForm,
     TwoQubitState,
     bell_diagonal_params,
+    bell_ordering,
     bloch_decompose,
     purity,
     singlet_triplet_weights,
@@ -52,6 +53,8 @@ KINK_T_TOL = 1e-6       # ns; the refinement stops once every crossing is bracke
 KINK_SECTIONS = 32      # sub-intervals per bracket and round: 2**5, five bisection steps per round
 GRID_END_TOL = 1e-9     # ns; how far a time grid's last time may fall short of t_max
 LONG_GRID_THRESHOLD_NS = 100.0  # t_max above this gets a dense prefix plus a coarse tail
+DENSE_PREFIX_NS = 50.0          # the dense prefix of a long grid, at the run's dt
+DT_LONG_NS = 2.0                # the coarse tail's step
 MAX_GRID_POINTS = 1_000_000     # times a grid may hold; the default 12 000 ns grid has 8476
 
 
@@ -203,7 +206,7 @@ class CorrelationTrajectory:
 
     @cached_property
     def _bell_params(self) -> tuple[np.ndarray, np.ndarray]:
-        return bell_diagonal_params(self.rho, self.state0.ordering)
+        return bell_diagonal_params(self.rho, bell_ordering(self.state0))
 
     @cached_property
     def bell_a(self) -> np.ndarray:
@@ -404,50 +407,47 @@ def _prominence(values: np.ndarray, j: int, kind: ExtremumKind) -> float:
 
 
 def _parabolic_refine(times: np.ndarray, values: np.ndarray, j: int) -> tuple[float, float]:
-    t0, t1, t2 = times[j - 1 : j + 2]
-    v0, v1, v2 = values[j - 1 : j + 2]
-    denom = v0 - 2.0 * v1 + v2
-    if abs(denom) < 1e-300:
-        return float(t1), float(v1)
-    # uniform-step parabola through the three points
-    h = 0.5 * (t2 - t0)
-    shift = 0.5 * (v0 - v2) / denom
-    shift = max(-1.0, min(1.0, shift))
-    t_ref = t1 + shift * h
-    v_ref = v1 - 0.25 * (v0 - v2) * shift
-    return float(t_ref), float(v_ref)
+    """Vertex of the parabola through samples j - 1, j and j + 1, at any spacing; its time is kept in [t0, t2]."""
+    t0, t1, t2 = map(float, times[j - 1 : j + 2])
+    v0, v1, v2 = map(float, values[j - 1 : j + 2])
+    h0, h1 = t1 - t0, t2 - t1
+    s0, s1 = (v1 - v0) / h0, (v2 - v1) / h1  # the secant slopes
+    curv = (s1 - s0) / (h0 + h1)  # the parabola is v1 + slope (t - t1) + curv (t - t1)^2
+    if curv == 0.0 or not math.isfinite(curv):
+        return t1, v1
+    slope = (s0 * h1 + s1 * h0) / (h0 + h1)
+    shift = min(max(-0.5 * slope / curv, -h0), h1)
+    return t1 + shift, v1 + shift * (slope + curv * shift)
 
 
-def build_time_grid(
-    t_max: float,
-    dt: float = RunConfig.dt,
-    dt_long: float = RunConfig.dt_long,
-    dense_prefix: float = RunConfig.dense_prefix,
-) -> np.ndarray:
-    """Default grids: uniform dt up to LONG_GRID_THRESHOLD_NS, else a dense prefix plus coarse tail.
+def build_time_grid(t_max: float, dt: float = RunConfig.dt) -> np.ndarray:
+    """Uniform dt up to LONG_GRID_THRESHOLD_NS; past it, DENSE_PREFIX_NS at dt, then DT_LONG_NS steps.
 
-    A dense prefix longer than t_max is cut at t_max.  A grid of more than
-    MAX_GRID_POINTS times is refused before it is allocated, and so is a grid
-    that holds only t = 0 or ends more than GRID_END_TOL short of t_max.
+    A grid of more than MAX_GRID_POINTS times is refused before it is
+    allocated, and so is a grid whose times would not increase (a dense
+    part rounded to whole dt steps past the tail's first time), that holds
+    only t = 0 or that ends more than GRID_END_TOL short of t_max.
     """
-    for name, value in (("t_max", t_max), ("dt", dt), ("dt_long", dt_long)):
+    for name, value in (("t_max", t_max), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
-    if not dense_prefix >= 0.0:
-        raise InvalidParameterError(f"dense_prefix must be non-negative, got {dense_prefix}")
-    prefix = t_max if t_max <= LONG_GRID_THRESHOLD_NS else min(dense_prefix, t_max)
-    n_dense, n_coarse = np.rint(prefix / dt), np.ceil((t_max - prefix) / dt_long)
-    steps = f"a time grid to t_max={t_max:g} ns at dt={dt:g} ns, dt_long={dt_long:g} ns"
+    prefix = t_max if t_max <= LONG_GRID_THRESHOLD_NS else DENSE_PREFIX_NS
+    n_dense, n_coarse = np.rint(prefix / dt), np.ceil((t_max - prefix) / DT_LONG_NS)
+    steps = f"a time grid to t_max={t_max:g} ns at dt={dt:g} ns"
     # counted before anything is allocated; an overflowing or NaN count fails too
     if not n_dense + n_coarse + 1.0 <= MAX_GRID_POINTS:
         raise InvalidParameterError(f"{steps} holds more than MAX_GRID_POINTS = {MAX_GRID_POINTS} times")
+    if prefix < t_max and not n_dense * dt < prefix + DT_LONG_NS:  # the times would not increase
+        raise InvalidParameterError(f"{steps} has its dense part end at {n_dense * dt:g} ns, not before the "
+                                    f"coarse tail's first time at {prefix + DT_LONG_NS:g} ns; dt must be smaller")
     dense = np.linspace(0.0, n_dense * dt, int(n_dense) + 1)
-    coarse = prefix + dt_long * np.arange(1, int(n_coarse) + 1)
+    coarse = prefix + DT_LONG_NS * np.arange(1, int(n_coarse) + 1)
     grid = np.concatenate([dense, coarse[coarse <= t_max + GRID_END_TOL]])
     if grid.size < 2:
         raise InvalidParameterError(f"{steps} holds only t = 0; t_max must reach the first step")
     if grid[-1] < t_max - GRID_END_TOL:
-        on_step = "a whole number of dt steps" if prefix == t_max else f"dense_prefix={prefix:g} ns plus whole dt_long steps"
+        on_step = ("a whole number of dt steps" if prefix == t_max
+                   else f"{DENSE_PREFIX_NS:g} ns plus a whole number of {DT_LONG_NS:g} ns steps")
         raise InvalidParameterError(f"{steps} ends at {grid[-1]:g} ns, {t_max - grid[-1]:g} ns short of t_max; "
                                     f"t_max must be {on_step}")
     return grid

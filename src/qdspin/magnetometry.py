@@ -45,6 +45,8 @@ G_EXTREMUM_PROMINENCE = 1e-4
 ESD_MIN_RUN = 5          # samples the concurrence must stay dead to mark sudden death
 ESD_ZERO_TOL = 1e-12     # concurrence at or below this counts as dead
 WINDOW_EDGE_TOL = 1e-12  # ns; a grid time this close outside a window's edge is inside it
+REVIVAL_WINDOW = (0.5, 100.0)  # ns; open interval holding the post-decay minimum of d_lower
+BOUND_SPLIT_FRACTION = 0.01    # of ds_lower(0): the bound gap that marks the separation onset
 
 
 class NormalizationError(InvalidParameterError, ZeroDivisionError):
@@ -123,6 +125,34 @@ def long_time_discord(
     return float(np.mean(traj.d_lower[mask]))
 
 
+@dataclass(frozen=True)
+class Revival:
+    """The post-decay minimum of d_lower and the largest d_lower after it."""
+
+    t_min: float
+    d_min: float
+    t_max: float
+    d_max: float
+
+
+def low_field_revival(traj: CorrelationTrajectory) -> Revival:
+    """The minimum of d_lower on the times inside REVIVAL_WINDOW, and the maximum from there to the end.
+
+    At low field the discord decays, then partly revives on the slow branch.
+    """
+    times, d = traj.times, traj.d_lower
+    inside = np.flatnonzero((times > REVIVAL_WINDOW[0]) & (times < REVIVAL_WINDOW[1]))
+    i_min = int(inside[np.argmin(d[inside])])
+    i_max = i_min + int(np.argmax(d[i_min:]))
+    return Revival(float(times[i_min]), float(d[i_min]), float(times[i_max]), float(d[i_max]))
+
+
+def bound_separation_onset(traj: CorrelationTrajectory) -> float | None:
+    """First time at which ds_upper - ds_lower exceeds BOUND_SPLIT_FRACTION of ds_lower(0), or None."""
+    split = np.flatnonzero(traj.ds_upper - traj.ds_lower > BOUND_SPLIT_FRACTION * traj.ds_lower[0])
+    return float(traj.times[split[0]]) if split.size else None
+
+
 def first_min_then_max(times: np.ndarray, g: np.ndarray) -> tuple[Extremum | None, Extremum | None]:
     """First local minimum of g(t) and the first local maximum after it."""
     finite = np.isfinite(g)
@@ -164,8 +194,7 @@ def channel_for_field(config: RunConfig, b_field: float) -> ChannelTrajectory:
     can lie up to half a dense step past t_max; `evolve`, `sweep`, `verify` and the scripts
     all take this one road from a run description to a channel.
     """
-    times = build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
-                            dense_prefix=config.dense_prefix)
+    times = build_time_grid(config.t_max, config.dt)
     quad = build_quadrature(config.dot(b_field), float(times.max()),
                             m_count=config.m_nodes, q_count=config.q_nodes)
     return compute_channel(quad, times)
@@ -210,8 +239,7 @@ def run_sweep(config: RunConfig) -> SweepTable:
     if "longtime" in metrics:
         config = replace(config, t_max=float(max(config.t_max, config.longtime_window[1])))
     try:  # a longtime refusal names the window, whose end may be the t_max it reads
-        grid_end = float(build_time_grid(config.t_max, dt=config.dt, dt_long=config.dt_long,
-                                         dense_prefix=config.dense_prefix)[-1])
+        grid_end = float(build_time_grid(config.t_max, config.dt)[-1])
     except InvalidParameterError as exc:
         if "longtime" not in metrics:
             raise

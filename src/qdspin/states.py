@@ -1,13 +1,13 @@
 """Two-qubit states: construction, validation, Bloch decomposition, diagnostics.
 
 Density matrices are always stored in the computational product basis
-|uu>, |ud>, |du>, |dd> with |0> = spin-up (parallel to the field).  The
-`ordering` tag records in which basis arrangement the state exhibits the
-Bell-diagonal X pattern
-    diag(1/2 - a, a, a, 1/2 - a)  with inner anti-diagonal coherence b,
-which differs between Psi-type and Phi-type initial states.  Every
-correlation measure is ordering-independent; only the (a, b) pattern
-extraction is not.
+|uu>, |ud>, |du>, |dd> with |0> = spin-up (parallel to the field).  A
+state is its validated matrix alone.  The Bell-diagonal X pattern
+    diag(1/2 - a, a, a, 1/2 - a)  with inner anti-diagonal coherence b
+shows in one basis arrangement for Psi-type states and in another for
+Phi-type ones; `bell_ordering` reads the arrangement off the matrix.
+Every correlation measure is ordering-independent; only the (a, b)
+pattern extraction is not.
 """
 from __future__ import annotations
 
@@ -80,10 +80,9 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """Validated 4x4 density matrix plus its Bell-diagonal ordering tag."""
+    """Validated 4x4 density matrix."""
 
     rho: np.ndarray
-    ordering: Ordering = Ordering.PSI
 
     def __post_init__(self) -> None:
         rho = validate_density_matrix(self.rho)
@@ -123,21 +122,20 @@ class Werner:
 class EntFamily:
     """Maximally entangled family sqrt(a)|00> + sqrt(b)e^{ia}|10> + sqrt(b)e^{ib}|01> - sqrt(a)e^{i(a+b)}|11>.
 
-    Unit norm forces a + b = 1/2; `b` may be omitted and is then derived.
+    Unit norm forces b = 1/2 - a.
     """
 
     a: float
     alpha: float = 0.0
     beta: float = 0.0
-    b: float | None = None
 
     def __post_init__(self) -> None:
-        b = 0.5 - self.a if self.b is None else self.b
-        if self.a < -1e-15 or b < -1e-15:
-            raise InvalidParameterError(f"amplitudes must be nonnegative: a={self.a}, b={b}")
-        if abs(self.a + b - 0.5) > 1e-12:
-            raise InvalidParameterError(f"normalization requires a + b = 1/2, got {self.a + b}")
-        object.__setattr__(self, "b", b)
+        if self.a < -1e-15 or self.b < -1e-15:
+            raise InvalidParameterError(f"amplitudes must be nonnegative: a={self.a}, b={self.b}")
+
+    @property
+    def b(self) -> float:
+        return 0.5 - self.a
 
 
 @dataclass(frozen=True)
@@ -171,9 +169,9 @@ class Raw:
 StateSpec = Union[Bell, Werner, EntFamily, PhaseFamily, BellDiagonal, Raw]
 
 
-def _ket_state(amplitudes: np.ndarray, ordering: Ordering) -> TwoQubitState:
+def _ket_state(amplitudes: np.ndarray) -> TwoQubitState:
     psi = np.asarray(amplitudes, dtype=complex)
-    return TwoQubitState(np.outer(psi, psi.conj()), ordering)
+    return TwoQubitState(np.outer(psi, psi.conj()))
 
 
 def make_state(spec: StateSpec) -> TwoQubitState:
@@ -186,14 +184,13 @@ def make_state(spec: StateSpec) -> TwoQubitState:
             "psi+": np.array([0, s, s, 0]),
             "psi-": np.array([0, s, -s, 0]),
         }
-        ordering = Ordering.PHI if spec.kind.startswith("phi") else Ordering.PSI
-        return _ket_state(kets[spec.kind], ordering)
+        return _ket_state(kets[spec.kind])
     if isinstance(spec, Werner):
         singlet = make_state(Bell("psi-")).rho
         rho = (1.0 - spec.p) * np.eye(4, dtype=complex) / 4.0 + spec.p * singlet
-        return TwoQubitState(rho, Ordering.PSI)
+        return TwoQubitState(rho)
     if isinstance(spec, EntFamily):
-        ra, rb = math.sqrt(spec.a), math.sqrt(spec.b)
+        ra, rb = math.sqrt(max(spec.a, 0.0)), math.sqrt(max(spec.b, 0.0))  # either may be -1e-15
         psi = np.array(
             [
                 ra,
@@ -202,19 +199,19 @@ def make_state(spec: StateSpec) -> TwoQubitState:
                 -ra * cmath.exp(1j * (spec.alpha + spec.beta)),
             ]
         )
-        return _ket_state(psi, Ordering.PSI)
+        return _ket_state(psi)
     if isinstance(spec, PhaseFamily):
         psi = 0.5 * np.array([1.0, 1.0, 1.0, cmath.exp(1j * spec.gamma)])
-        return _ket_state(psi, Ordering.PSI)
+        return _ket_state(psi)
     if isinstance(spec, BellDiagonal):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = rho[3, 3] = 0.5 - spec.a
         rho[1, 1] = rho[2, 2] = spec.a
         rho[1, 2] = spec.b
         rho[2, 1] = np.conj(spec.b)
-        return TwoQubitState(rho, Ordering.PSI)
+        return TwoQubitState(rho)
     if isinstance(spec, Raw):
-        return TwoQubitState(np.asarray(spec.matrix, dtype=complex), Ordering.PSI)
+        return TwoQubitState(np.asarray(spec.matrix, dtype=complex))
     raise InvalidParameterError(f"unknown state specification {spec!r}")
 
 
@@ -269,20 +266,10 @@ def singlet_triplet_weights(state: TwoQubitState | np.ndarray) -> np.ndarray:
     return np.stack([rho[..., 3, 3], inner + flip, rho[..., 0, 0], inner - flip], axis=-1)
 
 
-def bell_diagonal_params(
-    state: TwoQubitState | np.ndarray, ordering: Ordering | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of the Bell-diagonal X pattern, nan where a state is not of that form.
-
-    The pattern is checked in the basis arrangement `ordering`, by default
-    the state's tag (PSI for a bare matrix or stack).  Not-of-form is a
-    value, not an error.  One state gives numpy scalars, a (..., 4, 4)
-    stack arrays over its leading axes.
-    """
-    if ordering is None:
-        ordering = state.ordering if isinstance(state, TwoQubitState) else Ordering.PSI
+def _bell_pattern(rho: np.ndarray, ordering: Ordering) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b) read in the arrangement `ordering`, and whether each matrix fits the X pattern there."""
     perm = list(_ORDERING_PERM[ordering])
-    rho = _rho(state)[..., perm, :][..., perm]
+    rho = rho[..., perm, :][..., perm]
     diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
     a = 0.5 * (diag[..., 1] + diag[..., 2])
     outer = 0.5 * (diag[..., 0] + diag[..., 3])
@@ -293,7 +280,28 @@ def bell_diagonal_params(
     pattern[..., 1, 2] = b
     pattern[..., 2, 1] = np.conj(b)
     fits = (np.abs(rho - pattern).max(axis=(-2, -1)) <= PATTERN_TOL) & (np.abs(outer - (0.5 - a)) <= PATTERN_TOL)
-    return np.where(fits, a, np.nan)[()], np.where(fits, b, complex(np.nan))[()]
+    return a, b, fits
+
+
+def bell_ordering(state: TwoQubitState | np.ndarray) -> Ordering:
+    """The arrangement in which a state, or a stack's first matrix, fits the X pattern: PSI, then PHI, else PSI."""
+    first = _rho(state).reshape(-1, 4, 4)[:1]
+    return next((o for o in (Ordering.PSI, Ordering.PHI) if _bell_pattern(first, o)[2].all()), Ordering.PSI)
+
+
+def bell_diagonal_params(
+    state: TwoQubitState | np.ndarray, ordering: Ordering | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the Bell-diagonal X pattern, nan (both parts of b) where a state is not of that form.
+
+    The pattern is checked in the basis arrangement `ordering`, by default
+    `bell_ordering` of the state, or of the first matrix of a stack.
+    Not-of-form is a value, not an error.  One state gives numpy scalars,
+    a (..., 4, 4) stack arrays over its leading axes.
+    """
+    rho = _rho(state)
+    a, b, fits = _bell_pattern(rho, bell_ordering(rho) if ordering is None else ordering)
+    return np.where(fits, a, np.nan)[()], np.where(fits, b, complex(np.nan, np.nan))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from qdspin.magnetometry import METRIC_SETS
 
 def test_config_roundtrip_default():
     config = RunConfig()
-    again = RunConfig.from_json(config.to_json())
+    again = RunConfig.from_json(json.dumps(config.to_dict()))
     assert again == config
 
 
@@ -39,7 +39,7 @@ def test_config_roundtrip_default():
 )
 def test_config_roundtrip_random(a_total, n_nuclei, normalize, b_fields):
     config = RunConfig(a_total=a_total, n_nuclei=n_nuclei, normalize=normalize, b_fields=b_fields)
-    assert RunConfig.from_json(config.to_json()) == config
+    assert RunConfig.from_json(json.dumps(config.to_dict())) == config
 
 
 def test_config_defaults_reproduce_material_parameters():
@@ -57,7 +57,7 @@ def test_material_and_grid_defaults_are_written_once():
         assert getattr(config, name) == getattr(dot, name)
     defaults = {name: p.default for name, p in inspect.signature(build_time_grid).parameters.items()
                 if p.default is not inspect.Parameter.empty}
-    assert defaults == {"dt": config.dt, "dt_long": config.dt_long, "dense_prefix": config.dense_prefix}
+    assert defaults == {"dt": config.dt}
 
 
 def test_config_rejects_unknown_keys():
@@ -212,37 +212,21 @@ def test_cli_sweep_sizes_its_quadrature_from_its_grid(tmp_path, monkeypatch):
     assert rows("sweep-traj.csv") == rows("evolve.csv")
 
 
-def test_cli_sweep_applies_dense_prefix(tmp_path):
-    # past 100 ns the grid is a dense prefix plus a 2 ns tail; the long-time
-    # window straddles a 110 ns prefix but lies in the tail of the default one
-    def d_longtime(extra: dict) -> tuple[float, str]:
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "longtime_window": [100.0, 120.0],
-                                   **extra}))
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--config", str(cfg), "--metric", "longtime", "--b", "0.001",
-                     "--state", "bell:psi-", "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        config_line = next(l for l in lines if l.startswith("# config="))
-        return float(lines[-1].split(",")[-1]), config_line
-
-    default, default_header = d_longtime({})
-    prefixed, prefixed_header = d_longtime({"dense_prefix": 110.0})
-    assert '"dense_prefix": 50.0' in default_header
-    assert '"dense_prefix": 110.0' in prefixed_header
-    assert prefixed != default
-
-
-def test_cli_sweep_negative_dense_prefix_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("source", ["config", "echo"])
+def test_cli_removed_grid_keys_are_unknown_config_keys(source, tmp_path, capsys):
+    # the long grid's dense prefix and coarse step are constants of build_time_grid, not settings
+    data = {"t_max": 120.0, "dt_long": 2.0, "dense_prefix": 50.0}
+    if source == "echo":  # a header echo of an earlier version, copied verbatim
+        data = {**RunConfig().to_dict(), **data}
+        del data["out"], data["workers"]
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"t_max": 120.0, "dense_prefix": -5.0}))
+    cfg.write_text(json.dumps(data))
     code = main(["sweep", "--config", str(cfg), "--metric", "M", "--b", "0.001",
                  "--state", "bell:psi-", "--out", str(tmp_path / "s.csv")])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "InvalidParameterError"
-    assert "dense_prefix" in record["message"]
+    assert record == {"error": "InvalidParameterError",
+                      "message": "unknown config keys ['dense_prefix', 'dt_long']"}
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -255,14 +239,6 @@ def test_cli_sweep_m_of_a_state_without_discord_is_usage_error(tmp_path, capsys)
     assert record == {"error": "NormalizationError",
                       "message": "initial rescaled discord is zero; M(B) undefined"}
     assert not (tmp_path / "s.csv").exists()
-
-
-def test_cli_sweep_dense_prefix_past_t_max_runs(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "dense_prefix": 200.0}))
-    code = main(["sweep", "--config", str(cfg), "--metric", "M", "--b", "0.001",
-                 "--state", "bell:psi-", "--out", str(tmp_path / "s.csv")])
-    assert code == 0
 
 
 def test_cli_validity_error_exit_code(tmp_path, capsys):
@@ -445,16 +421,15 @@ def test_cli_grid_short_of_t_max_is_usage_error(command, tmp_path, capsys):
 
 
 def test_build_time_grid_refuses_one_time():
-    # t_max/dt rounding to 0, and a long grid whose one coarse step lies past t_max
-    for kwargs in ({"t_max": 0.005}, {"t_max": 1.0, "dt": 5.0},
-                   {"t_max": 150.0, "dt_long": 200.0, "dense_prefix": 0.0}):
+    # t_max/dt rounding to 0
+    for kwargs in ({"t_max": 0.005}, {"t_max": 1.0, "dt": 5.0}):
         with pytest.raises(InvalidParameterError, match="only t = 0"):
             build_time_grid(**kwargs)
 
 
 def test_build_time_grid_rejects_non_finite():
     for kwargs in ({"t_max": float("nan")}, {"t_max": float("inf")}, {"t_max": 20.0, "dt": float("nan")},
-                   {"t_max": 200.0, "dt_long": 0.0}):
+                   {"t_max": 200.0, "dt": 0.0}):
         with pytest.raises(InvalidParameterError):
             build_time_grid(**kwargs)
 
@@ -621,7 +596,7 @@ def test_cli_non_finite_state_is_usage_error(spec, tmp_path, capsys):
 
 def test_cli_sweep_config_echo_reproduces_the_run(tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "dense_prefix": 110.0, "m_window": [0.0, 10.0],
+    cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "m_window": [0.0, 10.0],
                                "longtime_window": [100.0, 120.0]}))
     first, again = tmp_path / "first.csv", tmp_path / "again.csv"
     code = main(["sweep", "--config", str(cfg), "--metric", "all", "--b", "0.001,0.01",
@@ -630,7 +605,7 @@ def test_cli_sweep_config_echo_reproduces_the_run(tmp_path):
     echo = next(l for l in first.read_text().splitlines() if l.startswith("# config="))
     applied = json.loads(echo.removeprefix("# config="))
     defaults = RunConfig()
-    for name in ("dt", "dense_prefix", "m_window", "longtime_window", "metric"):
+    for name in ("t_max", "dt", "m_window", "longtime_window", "metric"):
         assert applied[name] != getattr(defaults, name)
     (tmp_path / "echo.json").write_text(json.dumps(applied))
     assert main(["sweep", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
@@ -680,8 +655,6 @@ _VALID = {
     "b_fields": st.lists(st.floats(0.0, 1.0), max_size=3),
     "t_max": st.floats(0.1, 100.0),
     "dt": st.floats(0.01, 1.0),
-    "dt_long": st.floats(0.5, 5.0),
-    "dense_prefix": st.floats(0.0, 100.0),
     "m_nodes": st.none() | st.integers(3, 300),
     "q_nodes": st.none() | st.integers(3, 100),
     "normalize": st.sampled_from(NORMALIZE_MODES),
@@ -716,7 +689,7 @@ def test_config_json_rejects_exactly_what_the_dataclass_rejects(data):
     assert (direct is None) == (loaded is None)
     if direct is not None:
         assert loaded == direct
-        assert RunConfig.from_json(direct.to_json()) == direct
+        assert RunConfig.from_json(json.dumps(direct.to_dict())) == direct
         # what the commands derive from an accepted config builds without error
         for b in direct.b_fields:
             direct.dot(b)
@@ -838,3 +811,23 @@ def test_cli_longtime_sweep_echoes_the_t_max_it_ran_to(tmp_path):
     (tmp_path / "echo.json").write_text(echo.removeprefix("# config="))
     assert main(["sweep", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_cli_phi_type_starts_print_their_bell_diagonal_cells(tmp_path):
+    # the a/b columns are read in the arrangement the start matrix fits, whatever spec made it
+    def run(state: str) -> list[list[str]]:
+        out = tmp_path / "t.csv"
+        assert main(["evolve", "--state", state, "--b", "0.011", "--tmax", "2", "--out", str(out)]) == 0
+        return [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+
+    rho = q.make_state(q.Bell("phi+")).rho
+    raw = tmp_path / "phi.json"
+    raw.write_text(json.dumps([[[v.real, v.imag] for v in row] for row in rho.tolist()]))
+    bell = run("bell:phi+")
+    assert run(f"raw:{raw}") == bell
+    assert all(r[4:7] != ["", "", ""] for r in bell)
+    # entfam:a=0.5 is (|00> - |11>)/sqrt(2), phi- up to round-off
+    entfam, phi_minus = run("entfam:a=0.5"), run("bell:phi-")
+    for r, s in zip(entfam, phi_minus):
+        assert "" not in r[4:7] and np.allclose([float(x) for x in r[4:7]], [float(x) for x in s[4:7]],
+                                                rtol=0.0, atol=1e-15)

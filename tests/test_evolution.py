@@ -400,6 +400,24 @@ def test_find_extrema_parabolic_refinement():
     assert events[0].t_ns == pytest.approx(0.512, abs=1e-12)
 
 
+def test_parabolic_refine_is_the_vertex_at_any_spacing(rng):
+    # samples 0, 1, 0 at t = 0, 1, 3: the parabola's vertex, not the equal-step one at (1, 1)
+    assert evolution._parabolic_refine(np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 0.0]), 1) == (1.5, 1.125)
+    worst = 0.0
+    for _ in range(500):
+        t = np.cumsum(rng.uniform(0.1, 1.0, 3))
+        v = rng.normal(size=3)
+        v[1] = max(v[0], v[2]) + rng.uniform(0.1, 1.0)
+        v *= rng.choice([-1.0, 1.0])  # a maximum or a minimum
+        coef = np.polyfit(t, v, 2)
+        t_vertex = -0.5 * coef[1] / coef[0]
+        t_ref, v_ref = evolution._parabolic_refine(t, v, 1)
+        worst = max(worst, abs(t_ref - t_vertex), abs(v_ref - np.polyval(coef, t_vertex)))
+    assert worst < 1e-12
+    # a vertex outside the three samples is held at the nearer end, on the parabola
+    assert evolution._parabolic_refine(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]), 1) == (0.0, 0.0)
+
+
 def test_build_time_grid():
     short = build_time_grid(20.0)
     assert short.size == 1001 and short[0] == 0.0 and short[-1] == pytest.approx(20.0)
@@ -413,8 +431,10 @@ def test_build_time_grid():
 
 def test_build_time_grid_refuses_an_end_short_of_t_max():
     # the dense count rounds down, and the coarse tail's last step past t_max is dropped
-    for kwargs, last in (({"t_max": 1.0, "dt": 0.7}, "0.7"), ({"t_max": 150.0, "dt_long": 40.0}, "130")):
-        with pytest.raises(InvalidParameterError, match=f"t_max={kwargs['t_max']:g} ns at dt=.* ends at {last} ns"):
+    for kwargs, last, allowed in (({"t_max": 1.0, "dt": 0.7}, "0.7", "a whole number of dt steps"),
+                                  ({"t_max": 151.0}, "150", "50 ns plus a whole number of 2 ns steps")):
+        with pytest.raises(InvalidParameterError, match=f"t_max={kwargs['t_max']:g} ns at dt=.* ends at {last} ns"
+                                                        f".* t_max must be {allowed}$"):
             build_time_grid(**kwargs)
     # a whole number of steps ends on t_max
     for args in ((20.0, 0.02), (1.0, 0.02), (25.0, 0.1), (50.0, 0.1), (200.0, 0.1), (2000.0, 0.1), (6000.0,),
@@ -422,22 +442,36 @@ def test_build_time_grid_refuses_an_end_short_of_t_max():
         assert build_time_grid(*args)[-1] == pytest.approx(args[0], rel=0.0, abs=1e-9)
 
 
+def test_build_time_grid_refuses_times_that_do_not_increase():
+    # 50 ns rounds to 6 steps of 9 ns: the dense part would end at 54 ns, past the tail's 52 ns
+    with pytest.raises(InvalidParameterError, match="dense part end at 54 ns, not before the coarse tail's "
+                                                    "first time at 52 ns"):
+        build_time_grid(150.0, dt=9.0)
+    for dt in (0.7, 4.0, 30.0, 200.0):
+        try:
+            grid = build_time_grid(150.0, dt=dt)
+        except InvalidParameterError:
+            continue
+        assert np.all(np.diff(grid) > 0.0), dt
+
+
 def test_build_time_grid_bounds_its_point_count():
     assert build_time_grid(99.9999, dt=1e-4).size == MAX_GRID_POINTS
     # one time more, counts past memory on either part of a long grid, and counts that overflow a float
-    for kwargs in ({"t_max": 100.0, "dt": 1e-4}, {"t_max": 200.0, "dt": 1e-4, "dense_prefix": 150.0},
-                   {"t_max": 2000.0, "dt_long": 1e-3}, {"t_max": 20.0, "dt": 1e-300}, {"t_max": 1e300}):
+    for kwargs in ({"t_max": 100.0, "dt": 1e-4}, {"t_max": 200.0, "dt": 5e-5},
+                   {"t_max": 2.1e6}, {"t_max": 20.0, "dt": 1e-300}, {"t_max": 1e300}):
         with pytest.raises(InvalidParameterError, match="MAX_GRID_POINTS"):
             build_time_grid(**kwargs)
 
 
-def test_build_time_grid_dense_prefix_bounds():
-    # a prefix past t_max is cut at t_max, so the grid never outruns its quadrature
-    grid = build_time_grid(120.0, dt=0.1, dense_prefix=200.0)
-    assert grid[-1] == pytest.approx(120.0)
-    assert np.diff(grid).max() == pytest.approx(0.1, abs=1e-9)
-    with pytest.raises(InvalidParameterError):
-        build_time_grid(120.0, dense_prefix=-1.0)
+def test_build_time_grid_long_layout():
+    # past LONG_GRID_THRESHOLD_NS: DENSE_PREFIX_NS at dt, then DT_LONG_NS steps to t_max
+    grid = build_time_grid(120.0, dt=0.1)
+    assert grid.size == 501 + 35
+    assert np.array_equal(grid[:501], np.linspace(0.0, 50.0, 501))
+    assert np.array_equal(grid[501:], 50.0 + 2.0 * np.arange(1, 36))
+    assert (evolution.DENSE_PREFIX_NS, evolution.DT_LONG_NS) == (50.0, 2.0)
+    assert build_time_grid(evolution.LONG_GRID_THRESHOLD_NS, dt=0.1).size == 1001
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +487,7 @@ def _eager_columns(tr) -> dict:
     lower = measures._lower_bound(eig)
     upper = measures._upper_bound(form, eig, lower)
     pur = q.purity(tr.rho)
-    bell_a, bell_b = q.bell_diagonal_params(tr.rho, tr.state0.ordering)
+    bell_a, bell_b = q.bell_diagonal_params(tr.rho, q.bell_ordering(tr.state0))
     return {"ds_lower": lower, "ds_upper": upper, "d_lower": q.rescaled_discord(lower, pur),
             "d_upper": q.rescaled_discord(upper, pur), "purity": pur,
             "g": measures._g_of(np.abs(form.t_corr[:, 0, 0]), np.abs(form.t_corr[:, 2, 2])),

@@ -10,11 +10,15 @@ from qdspin import evolution
 from qdspin.config import RunConfig
 from qdspin.cli import main
 from qdspin.magnetometry import (
+    BOUND_SPLIT_FRACTION,
+    REVIVAL_WINDOW,
     MonotonicityError,
     NormalizationError,
     _simpson,
+    bound_separation_onset,
     channel_for_field,
     first_min_then_max,
+    low_field_revival,
     rescaled_integral,
     run_sweep,
     trajectory_for_field,
@@ -220,7 +224,8 @@ def test_longtime_window_off_a_step_is_named():
     # the window's end becomes t_max, so a grid that cannot end there names the window, not a t_max never set
     config = RunConfig(state="bell:psi-", b_fields=[0.0], metric="longtime", longtime_window=[4000.0, 6001.0])
     with pytest.raises(InvalidParameterError, match=r"longtime_window=\[4000.*6001.*\]: a time grid to "
-                                                    r"t_max=6001 ns .* ends at 6000 ns.* dense_prefix=50 ns"):
+                                                    r"t_max=6001 ns .* ends at 6000 ns.* 50 ns plus a whole "
+                                                    r"number of 2 ns steps"):
         run_sweep(config)
 
 
@@ -288,3 +293,25 @@ def test_run_paths_decompose_only_start_states(monkeypatch, tmp_path):
     tr = trajectory_for_field(RunConfig(state="werner:p=0.33"), 0.01)
     tr.g_on(np.array([3.0, 3.01]))
     assert shapes and set(shapes) == {(4, 4)}
+
+
+def test_bound_separation_onset_is_the_first_gap_past_its_fraction():
+    assert BOUND_SPLIT_FRACTION == 0.01
+    chan = channel_for_field(RunConfig(t_max=20.0), 1.0)
+    traj = q.evolve(q.make_state(q.PhaseFamily(0.75 * np.pi)), chan)
+    onset = bound_separation_onset(traj)
+    split = traj.ds_upper - traj.ds_lower > 0.01 * traj.ds_lower[0]
+    k = int(np.argmax(split))
+    assert split[k] and not split[:k].any() and onset == traj.times[k]
+    # the real-phase member's bounds never part
+    assert bound_separation_onset(q.evolve(q.make_state(q.PhaseFamily(np.pi)), chan)) is None
+
+
+def test_low_field_revival_reads_the_minimum_in_its_window_and_the_maximum_after_it():
+    traj = trajectory_for_field(RunConfig(t_max=200.0), 0.0)
+    rev = low_field_revival(traj)
+    inside = (traj.times > REVIVAL_WINDOW[0]) & (traj.times < REVIVAL_WINDOW[1])
+    assert rev.d_min == traj.d_lower[inside].min() and REVIVAL_WINDOW[0] < rev.t_min < REVIVAL_WINDOW[1]
+    after = traj.times >= rev.t_min
+    assert rev.d_max == traj.d_lower[after].max() and rev.t_max >= rev.t_min
+    assert traj.d_lower[traj.times == rev.t_max] == rev.d_max

@@ -118,6 +118,18 @@ def test_trajectory_nan_g_prints_empty(tmp_path, chan_100mt):
     assert "nan" not in path.read_text()
 
 
+def test_trajectory_not_of_x_form_prints_a_and_b_empty(tmp_path, chan_100mt):
+    # the phase family carries local Bloch vectors at every time: no row is of Bell-diagonal X form
+    traj = q.evolve(q.make_state(q.PhaseFamily(1.0)), chan_100mt)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == traj.times.size
+    assert lines[0].split(",")[4:7] == ["a", "b_re", "b_im"]
+    assert all(r[4:7] == ["", "", ""] for r in rows)
+
+
 def test_sweep_csv_matches_oracle(tmp_path):
     def row(**cells):
         return {**dict.fromkeys(SWEEP_COLUMNS), "kink_times": "", **cells}

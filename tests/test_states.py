@@ -33,10 +33,16 @@ def test_werner_requires_valid_mixing():
 
 
 def test_ent_family_normalization_enforced():
-    with pytest.raises(InvalidParameterError):
+    # unit norm fixes b = 1/2 - a, which is not an input; both amplitudes must be nonnegative
+    with pytest.raises(TypeError):
         q.EntFamily(a=0.3, b=0.3)
-    spec = q.EntFamily(a=0.3)
-    assert spec.b == pytest.approx(0.2)
+    assert q.EntFamily(a=0.3).b == 0.5 - 0.3
+    for a in (-0.1, 0.6):
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            q.EntFamily(a=a)
+    # round-off below zero, which the check lets through, builds the state with that amplitude zero
+    for a, zero in ((-1e-16, 0), (np.nextafter(0.5, 1.0), 1)):
+        assert q.make_state(q.EntFamily(a=a)).rho[zero, zero] == 0.0
 
 
 def test_phase_family_extremes():
@@ -137,6 +143,28 @@ def test_bell_diagonal_params_detects_pattern():
     assert a == pytest.approx(0.5) and b == pytest.approx(0.5)
     # states with local Bloch vectors are not of the form
     assert np.isnan(q.bell_diagonal_params(q.make_state(q.PhaseFamily(np.pi / 2)))[0])
+
+
+def test_bell_diagonal_params_reads_the_arrangement_the_matrix_fits():
+    phi, psi = q.make_state(q.Bell("phi+")), q.make_state(q.Bell("psi-"))
+    mixed = q.TwoQubitState(np.eye(4, dtype=complex) / 4.0)  # fits both: PSI is tried first
+    phase = q.make_state(q.PhaseFamily(1.0))  # fits neither
+    expected = [(phi, q.Ordering.PHI), (q.make_state(q.EntFamily(a=0.5)), q.Ordering.PHI),
+                (psi, q.Ordering.PSI), (mixed, q.Ordering.PSI), (phase, q.Ordering.PSI)]
+    for state, ordering in expected:
+        assert q.bell_ordering(state) is q.bell_ordering(state.rho) is ordering
+        for target in (state, state.rho):
+            assert np.array_equal(q.bell_diagonal_params(target), q.bell_diagonal_params(state, ordering),
+                                  equal_nan=True)
+    # a stack is read in the arrangement of its first matrix
+    a, b = q.bell_diagonal_params(np.array([phi.rho, psi.rho]))
+    assert (a[0], b[0]) == pytest.approx((0.5, 0.5), abs=1e-15) and np.isnan(a[1])
+    a, b = q.bell_diagonal_params(np.array([psi.rho, phi.rho]))
+    assert (a[0], b[0]) == pytest.approx((0.5, -0.5), abs=1e-15) and np.isnan(a[1])
+    assert q.bell_diagonal_params(np.empty((0, 4, 4)))[0].shape == (0,)
+    # not of the form: a and both parts of b are nan
+    a, b = q.bell_diagonal_params(phase)
+    assert np.isnan(a) and np.isnan(b.real) and np.isnan(b.imag)
 
 
 def test_g_from_bloch_matches_x_pattern_formula(rng):
