@@ -2,9 +2,10 @@
 
 Each check prints one PASS/FAIL line with the measured values.  One
 `RunCache` per `run_checks` call holds every channel (with its model)
-the checks compute and the smallest evolved eigenvalue of every
-trajectory, so a channel is computed once and the physicality audit
-(check 14) covers exactly the runs of that call.
+the checks ask for and the smallest evolved eigenvalue of every
+trajectory, so the physicality audit (check 14) covers exactly the runs
+of that call; the channels come from `channel_for_field`, whose memo
+computes each once per process.
 """
 from __future__ import annotations
 

@@ -49,6 +49,14 @@ its weight, so this moves p by at most the dropped mass and c by at
 most 3x it.  The families keep 590 of 32 x 32 nodes on the 20 ns
 grid, 2844 of 294 x 64 at 2000 ns and 7007 of 1759 x 64 at 12 000 ns.
 
+Sharing: a model (`BathQuadrature`) is computed once and read by every
+channel and kink-refinement round on it, so its arrays are read-only.
+The raw scipy Gauss rules depend only on their kind and order, and
+`_gauss_rule` keeps the last GAUSS_RULE_MEMO_SIZE of them for the
+process; the normalisation and the node checks of `_bath_nodes` run on
+every model.  Whole channels are kept one level up, by
+`magnetometry.channel_for_field`, keyed on the dot, grid and node counts.
+
 One flat node list: the kept nodes (m, Q, weight) go in raveled order to
 `_families`, which any node set can feed.  tests/test_finite_bath.py feeds
 it the exact finite-N sum over the total bath spin j (spins 1/2; Melikidze,
@@ -84,6 +92,7 @@ table at a few MB on the longest grids and the summation order fixed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,6 +111,7 @@ MIN_Q_NODES = 64
 NEGLIGIBLE_WEIGHT = 1e-20         # the lightest nodes summing to at most this leave the phase sums
 MAX_QUADRATURE_NODES = 1_000_000  # n_m x n_q; ~0.2 KB of peak memory each, the 12 000 ns rule takes 112 576
 _MIN_BATH_NUCLEI = 100           # Gaussian bath statistics need a large bath
+GAUSS_RULE_MEMO_SIZE = 16        # raw Gauss rules a process keeps, per (kind, order); 28 KB for 1759 nodes
 
 
 class QuadratureResolutionError(QdspinError, ArithmeticError):
@@ -133,15 +143,39 @@ class BathQuadrature:
     c_sin: np.ndarray
     fast_term_cutoff_ns: float
 
+    def __post_init__(self) -> None:
+        # every channel computed on the model, and every g_on call, reads these: they are never written
+        for a in (self.p_freq, self.p_amp, self.c_freq, self.c_vers, self.c_sin):
+            a.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
+def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's raw (nodes, weights) Gauss rule of `kind` ("hermite" or "laguerre") and `order`.
+
+    The rule depends on nothing else, so a process computes each once; the
+    arrays are shared and read-only.
+    """
+    from scipy.special import roots_hermite, roots_laguerre  # on first use: `import qdspin` stays scipy-free
+
+    if kind == "hermite":
+        rule = roots_hermite(order)      # weight e^{-x^2}
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused by the caller
+            rule = roots_laguerre(order)  # weight e^{-y}
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
 
 def _bath_nodes(dot: DotParameters, n_m: int | None, n_q: int | None) -> tuple:
     """Normalised Gauss-Hermite polarization nodes m and Gauss-Laguerre
     transverse-invariant nodes Q, as ((m, weights), (Q, weights)).
 
     An axis whose count is None is not computed and comes back as None.
+    The raw rules come from `_gauss_rule`; the normalisation and the checks
+    run on every call.
     """
-    from scipy.special import roots_hermite, roots_laguerre  # on first use: `import qdspin` stays scipy-free
-
     def normalised(name: str, w: np.ndarray) -> np.ndarray:
         w = w / w.sum()
         if not abs(float(w.sum()) - 1.0) <= 1e-9:  # NaN weights (too many nodes for scipy) fail too
@@ -151,11 +185,10 @@ def _bath_nodes(dot: DotParameters, n_m: int | None, n_q: int | None) -> tuple:
     sigma = dot.sigma_m
     m_axis = q_axis = None
     if n_m is not None:
-        x, wx = roots_hermite(n_m)        # weight e^{-x^2}; m = sqrt(2) sigma x
+        x, wx = _gauss_rule("hermite", n_m)   # m = sqrt(2) sigma x
         m_axis = math.sqrt(2.0) * sigma * x, normalised("m_weights", wx)
     if n_q is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused below
-            y, wy = roots_laguerre(n_q)   # weight e^{-y}; Q = 2 sigma^2 y
+        y, wy = _gauss_rule("laguerre", n_q)  # Q = 2 sigma^2 y
         q_weights = normalised("q_weights", wy)
         # the largest node's product in Python floats, where an overflow is a quiet inf
         if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
@@ -242,7 +275,8 @@ def build_quadrature(
     fast-term cutoff reaches t_max, so the slow branch never runs; otherwise
     the rule takes MIN_M_NODES x MIN_Q_NODES (n_m raised to the phase term),
     whose window covers the interference decay.  Each Gauss rule is computed
-    once per model, the candidate's included.  A grid of more than
+    once per process (`_gauss_rule`), the candidate's included, and a model
+    takes the candidate's rules where its counts match them.  A grid of more than
     MAX_QUADRATURE_NODES nodes, the candidate too, is refused before its
     nodes are computed.
     """
@@ -300,9 +334,13 @@ def build_quadrature(
                           *_families(dot, m_axis[0][i_m], q_axis[0][i_q], w2d[keep]), cutoff)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ChannelTrajectory:
-    """Time series of the single-dot channel pair {p(t), c(t)}, with the model it was computed on."""
+    """Time series of the single-dot channel pair {p(t), c(t)}, with the model it was computed on.
+
+    Frozen: a channel from `magnetometry.channel_for_field` is shared
+    within the process, and its arrays are read-only too.
+    """
 
     times: np.ndarray
     p: np.ndarray

@@ -125,28 +125,41 @@ def _evolved_bloch(form0: BlochForm, p: np.ndarray, c: np.ndarray) -> BlochForm:
                      np.ascontiguousarray(t_tr.transpose(2, 1, 0)))
 
 
-def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Unit trace and positivity (to EVOLVED_PSD_TOL) of every state; returns the minimum eigenvalues."""
-    min_eig = np.linalg.eigvalsh(rho)[:, 0].copy()  # a copy: a view would keep all n x 4 eigenvalues alive
+def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> None:
+    """Unit trace and positivity (to EVOLVED_PSD_TOL) of every state.
+
+    rho + EVOLVED_PSD_TOL * I has a Cholesky factor exactly when every
+    eigenvalue of rho exceeds -EVOLVED_PSD_TOL, so one batched factorization
+    certifies the whole stack; only where it fails does `eigvalsh` run, to
+    name the first state that breaks the audit.
+    """
     trace = np.trace(rho, axis1=-2, axis2=-1)
     bad_trace = ~(np.abs(trace - 1.0) <= TRACE_TOL)
+    if not bad_trace.any():
+        try:
+            if np.isfinite(np.linalg.cholesky(rho + EVOLVED_PSD_TOL * np.eye(4))).all():  # NaN need not stop it
+                return
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = np.linalg.eigvalsh(rho)[:, 0]
     bad = bad_trace | ~(min_eig >= -EVOLVED_PSD_TOL)
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         what = (f"trace must be 1, got {trace[k]:.15g}" if bad_trace[k]
                 else f"matrix not positive semidefinite: min eigenvalue {min_eig[k]:.3e}")
         raise InvalidParameterError(f"evolved state at time index {k} (t={times[k]:g} ns): {what}")
-    return min_eig
 
 
 @dataclass
 class CorrelationTrajectory:
     """Correlation report along a channel trajectory, with the channel's model.
 
-    `evolve` fills the fields: the channel pair actually applied, the
-    audited (n, 4, 4) stack of evolved states and its minimum eigenvalues.
-    Every measure column is computed when it is first read and kept from
-    then on.  g and both discord bounds read the Bloch form that
+    `evolve` fills the fields: copies of the channel pair actually applied
+    and the audited (n, 4, 4) stack of evolved states.  The model is the
+    channel's own, shared with every trajectory on that channel (a channel
+    from `channel_for_field` is shared within the process) and read-only.
+    Every column, `min_eigenvalue` included, is computed when it is first
+    read and kept from then on.  g and both discord bounds read the Bloch form that
     `_evolved_bloch` maps from the start state along (p, c); the other
     columns read the stack.  The bounds share one eigendecomposition of
     the K matrices (`measures.KEigh`), and the upper bound's corrections
@@ -157,10 +170,13 @@ class CorrelationTrajectory:
     p: np.ndarray
     c: np.ndarray                      # coherence multiplier actually applied
     rho: np.ndarray = field(repr=False)
-    min_eigenvalue: np.ndarray
     state0: TwoQubitState
     dot: DotParameters
     model: BathQuadrature | None = field(default=None, repr=False)
+
+    @cached_property
+    def min_eigenvalue(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.rho)[:, 0].copy()  # a copy: a view would keep all n x 4 eigenvalues alive
 
     @cached_property
     def _bloch(self) -> BlochForm:
@@ -264,12 +280,12 @@ def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTraject
     """
     c_eff = effective_coherence(traj)
     rho = _evolved_rho(state0.rho, traj.p, c_eff)
+    _audit_evolved(rho, traj.times)
     return CorrelationTrajectory(
         times=traj.times.copy(),
         p=traj.p.copy(),
         c=c_eff,
         rho=rho,
-        min_eigenvalue=_audit_evolved(rho, traj.times),
         state0=state0,
         dot=traj.dot,
         model=traj.model,
@@ -380,30 +396,73 @@ def find_extrema(
     ok = finite[:-2] & finite[1:-1] & finite[2:]
     is_max = ok & (mid > prev_v) & (mid > next_v)
     is_min = ok & (mid < prev_v) & (mid < next_v)
+    peaks = np.flatnonzero(is_max | is_min) + 1
+    if min_prominence > 0.0:
+        peaks = peaks[~(_prominences(rv, peaks, is_max[peaks - 1]) < min_prominence)]
     events: list[Extremum] = []
-    for j in np.flatnonzero(is_max | is_min) + 1:
-        kind = ExtremumKind.MAXIMUM if is_max[j - 1] else ExtremumKind.MINIMUM
-        if min_prominence > 0.0 and _prominence(rv, j, kind) < min_prominence:
-            continue
+    for j in peaks:
         t_ref, v_ref = _parabolic_refine(rt, rv, j)
-        events.append(Extremum(t_ns=t_ref, value=v_ref, kind=kind))
+        events.append(Extremum(t_ns=t_ref, value=v_ref,
+                               kind=ExtremumKind.MAXIMUM if is_max[j - 1] else ExtremumKind.MINIMUM))
     return events
 
 
-def _prominence(values: np.ndarray, j: int, kind: ExtremumKind) -> float:
-    """Topographic prominence of the extremum at index j in the sample series.
+def _doubling_table(v: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """Row k, column i: `reduce` (np.fmax or np.fmin, nan ignored) over v[i : i + 2**k], cut at the series' end.
 
-    Each side's base is the lowest sample (nan ignored) between the peak
-    and the first strictly higher sample on that side, or the series' end.
+    The windows of rows 0 .. k sum past any distance in the series; the
+    last column is nan, the neutral element of both, a window past the end.
     """
-    v = values if kind is ExtremumKind.MAXIMUM else -values
-    peak = v[j]
+    n = v.size
+    table = np.empty((max(n.bit_length(), 1), n + 1))
+    table[:, n] = np.nan
+    table[0, :n] = v
+    for k in range(1, table.shape[0]):
+        half = 1 << (k - 1)  # below n on every row
+        prev, row = table[k - 1], table[k]
+        reduce(prev[:n - half], prev[half:n], out=row[:n - half])
+        row[n - half:n] = prev[n - half:n]
+    return table
 
-    def side_base(side: np.ndarray) -> float:
-        higher = np.flatnonzero(side > peak)
-        return np.fmin.reduce(side[:higher[0] if higher.size else side.size], initial=peak)
 
-    return peak - max(side_base(v[j - 1::-1]), side_base(v[j + 1:]))
+def _prominences(values: np.ndarray, peaks: np.ndarray, maxima: np.ndarray) -> np.ndarray:
+    """Topographic prominence of the extremum at each index of `peaks` in the sample series.
+
+    `maxima` marks the maxima; the rest are minima, the maxima of the
+    terrain -values.  Each side's base is the lowest sample (nan ignored)
+    between the peak and the first strictly higher sample on that side, or
+    the series' end.  All peaks search outward at once, each side in
+    windows of halving length, 2**k samples at step k, passing every window
+    whose highest sample is no higher than the peak; the windows' highest
+    and lowest samples come from two tables built once per series.  That
+    is O(log n) steps per peak where a whole-series scan per peak took
+    O(n), which thousands of noise extrema on a long flat series made slow.
+    """
+    n = values.size
+    highs, lows = _doubling_table(values, np.fmax), _doubling_table(values, np.fmin)
+
+    def terrain(k, start, highest: bool) -> np.ndarray:
+        """Each peak's highest or lowest terrain sample in [start, start + 2**k) (cut at the end)."""
+        up, down = (highs, lows) if highest else (lows, highs)
+        return np.where(maxima, up[k, start], -down[k, start])
+
+    def floor(lo, hi) -> np.ndarray:
+        """fmin of each peak's height and its lowest terrain sample in [lo, hi), from two windows covering it."""
+        length = hi - lo
+        k = np.maximum(np.frexp(np.maximum(length, 1))[1] - 1, 0)  # the largest 2**k <= length
+        low = np.fmin(terrain(k, lo, False), terrain(k, np.maximum(hi - (1 << k), 0), False))
+        return np.fmin(height, np.where(length > 0, low, np.nan))
+
+    height = np.where(maxima, values[peaks], -values[peaks])
+    left, right = peaks.copy(), peaks + 1  # each side's samples passed so far: [left, peak) and (peak, right)
+    for k in range(highs.shape[0] - 1, -1, -1):
+        step = 1 << k
+        passed = ~(terrain(k, right, True) > height)  # column n is nan: nothing lies past the end
+        right = np.where(passed, np.minimum(right + step, n), right)
+        fits = left >= step
+        passed = fits & ~(terrain(k, np.where(fits, left - step, 0), True) > height)
+        left = np.where(passed, left - step, left)
+    return height - np.maximum(floor(left, peaks), floor(peaks + 1, right))
 
 
 def _parabolic_refine(times: np.ndarray, values: np.ndarray, j: int) -> tuple[float, float]:
@@ -424,9 +483,10 @@ def build_time_grid(t_max: float, dt: float = RunConfig.dt) -> np.ndarray:
     """Uniform dt up to LONG_GRID_THRESHOLD_NS; past it, DENSE_PREFIX_NS at dt, then DT_LONG_NS steps.
 
     A grid of more than MAX_GRID_POINTS times is refused before it is
-    allocated, and so is a grid whose times would not increase (a dense
-    part rounded to whole dt steps past the tail's first time), that holds
-    only t = 0 or that ends more than GRID_END_TOL short of t_max.
+    allocated, and so is a grid whose dense prefix rounds to no dt step,
+    whose times would not increase (a dense part rounded to whole dt steps
+    past the tail's first time), that holds only t = 0 or that ends more
+    than GRID_END_TOL short of t_max.
     """
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
@@ -437,6 +497,9 @@ def build_time_grid(t_max: float, dt: float = RunConfig.dt) -> np.ndarray:
     # counted before anything is allocated; an overflowing or NaN count fails too
     if not n_dense + n_coarse + 1.0 <= MAX_GRID_POINTS:
         raise InvalidParameterError(f"{steps} holds more than MAX_GRID_POINTS = {MAX_GRID_POINTS} times")
+    if prefix < t_max and n_dense == 0:  # the dense prefix would hold t = 0 alone
+        raise InvalidParameterError(f"{steps} puts no dt step in its {DENSE_PREFIX_NS:g} ns dense prefix; "
+                                    f"dt must be below {2.0 * DENSE_PREFIX_NS:g} ns")
     if prefix < t_max and not n_dense * dt < prefix + DT_LONG_NS:  # the times would not increase
         raise InvalidParameterError(f"{steps} has its dense part end at {n_dense * dt:g} ns, not before the "
                                     f"coarse tail's first time at {prefix + DT_LONG_NS:g} ns; dt must be smaller")

@@ -14,6 +14,7 @@ monotone calibration curve can be inverted back to a field estimate.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .config import (
     parse_state_spec,
     write_csv,
 )
-from .constants import InvalidParameterError, QdspinError
+from .constants import DotParameters, InvalidParameterError, QdspinError
 from .evolution import (
     CorrelationTrajectory,
     Extremum,
@@ -47,6 +48,7 @@ ESD_ZERO_TOL = 1e-12     # concurrence at or below this counts as dead
 WINDOW_EDGE_TOL = 1e-12  # ns; a grid time this close outside a window's edge is inside it
 REVIVAL_WINDOW = (0.5, 100.0)  # ns; open interval holding the post-decay minimum of d_lower
 BOUND_SPLIT_FRACTION = 0.01    # of ds_lower(0): the bound gap that marks the separation onset
+CHANNEL_MEMO_SIZE = 16         # channels a process keeps: ~70 KB each on the 20 ns grid, ~0.72 MB on 12 000 ns
 
 
 class NormalizationError(InvalidParameterError, ZeroDivisionError):
@@ -192,12 +194,26 @@ def channel_for_field(config: RunConfig, b_field: float) -> ChannelTrajectory:
 
     The channel carries its model, sized from the grid's last time, which
     can lie up to half a dense step past t_max; `evolve`, `sweep`, `verify` and the scripts
-    all take this one road from a run description to a channel.
+    all take this one road from a run description to a channel.  It depends
+    on the dot, t_max, dt and the node counts only, never on the start
+    state, so a process computes it once per key and keeps the last
+    CHANNEL_MEMO_SIZE (`_channel_memo`); the shared channel's arrays are
+    read-only.
     """
-    times = build_time_grid(config.t_max, config.dt)
-    quad = build_quadrature(config.dot(b_field), float(times.max()),
-                            m_count=config.m_nodes, q_count=config.q_nodes)
-    return compute_channel(quad, times)
+    return _channel_memo(config.dot(b_field), config.t_max, config.dt, config.m_nodes, config.q_nodes,
+                         float(b_field).hex())
+
+
+@functools.lru_cache(maxsize=CHANNEL_MEMO_SIZE)
+def _channel_memo(dot: DotParameters, t_max: float, dt: float, m_nodes: int | None, q_nodes: int | None,
+                  b_bits: str) -> ChannelTrajectory:
+    """The channel of `channel_for_field`; the field's exact bits keep -0.0 apart from 0.0, which the dot equates."""
+    times = build_time_grid(t_max, dt)
+    quad = build_quadrature(dot, float(times.max()), m_count=m_nodes, q_count=q_nodes)
+    chan = compute_channel(quad, times)
+    for a in (chan.times, chan.p, chan.c):
+        a.setflags(write=False)
+    return chan
 
 
 def trajectory_for_field(config: RunConfig, b_field: float) -> CorrelationTrajectory:

@@ -135,8 +135,11 @@ def loop_find_g_crossings(times, g, g_at) -> list:
     return events
 
 
-def loop_find_extrema(times, values, min_prominence: float = 0.0) -> list:
-    """`evolution.find_extrema` with plateaus, candidates and prominence found sample by sample."""
+def loop_find_extrema(times, values, min_prominence: float = 0.0, prominence=None) -> list:
+    """`evolution.find_extrema` with plateaus, candidates and prominence found sample by sample.
+
+    `prominence(values, j, kind)` defaults to `loop_prominence`.
+    """
     from qdspin.evolution import Extremum, ExtremumKind, _parabolic_refine
 
     times = np.asarray(times, dtype=float)
@@ -167,7 +170,7 @@ def loop_find_extrema(times, values, min_prominence: float = 0.0) -> list:
             kind = ExtremumKind.MINIMUM
         else:
             continue
-        if min_prominence > 0.0 and loop_prominence(rv, j, kind) < min_prominence:
+        if min_prominence > 0.0 and (prominence or loop_prominence)(rv, j, kind) < min_prominence:
             continue
         t_ref, v_ref = _parabolic_refine(rt, rv, j)
         events.append(Extremum(t_ns=t_ref, value=v_ref, kind=kind))
@@ -175,7 +178,7 @@ def loop_find_extrema(times, values, min_prominence: float = 0.0) -> list:
 
 
 def loop_prominence(values, j: int, kind) -> float:
-    """`evolution._prominence` walking out from j to the first strictly higher sample on each side."""
+    """`evolution._prominences` of one peak, walking out from j to the first strictly higher sample on each side."""
     from qdspin.evolution import ExtremumKind
 
     v = values if kind is ExtremumKind.MAXIMUM else -values
@@ -190,6 +193,20 @@ def loop_prominence(values, j: int, kind) -> float:
         return lowest
 
     return peak - max(side_base(range(j - 1, -1, -1)), side_base(range(j + 1, len(v))))
+
+
+def whole_series_prominence(values, j: int, kind) -> float:
+    """`evolution._prominences` of one peak, searching each side's whole remaining series at once."""
+    from qdspin.evolution import ExtremumKind
+
+    v = values if kind is ExtremumKind.MAXIMUM else -values
+    peak = v[j]
+
+    def side_base(side: np.ndarray) -> float:
+        higher = np.flatnonzero(side > peak)
+        return np.fmin.reduce(side[:higher[0] if higher.size else side.size], initial=peak)
+
+    return peak - max(side_base(v[j - 1::-1]), side_base(v[j + 1:]))
 
 
 def loop_esd_time(times, conc):

@@ -17,6 +17,7 @@ from qdspin.channel import (
     _bath_nodes,
     _families,
     _fast_term_cutoff,
+    _gauss_rule,
     _uniform_runs,
 )
 from qdspin.constants import HBAR_UEV_NS, ValidityWindowError
@@ -195,6 +196,7 @@ def test_rule_model_reuses_its_candidate_and_keeps_the_bits(monkeypatch, b_field
     laguerre_calls = []
     real_laguerre = scipy.special.roots_laguerre
     monkeypatch.setattr(scipy.special, "roots_laguerre", lambda n: laguerre_calls.append(n) or real_laguerre(n))
+    _gauss_rule.cache_clear()  # every rule the model needs is computed below, each once
     quad = q.build_quadrature(dot, t_max)
     assert quad.node_counts == explicit.node_counts == counts
     assert calls == ([32] if t_max == 20.0 else [294] if t_max == 2000.0 else [32, 257])
@@ -202,6 +204,21 @@ def test_rule_model_reuses_its_candidate_and_keeps_the_bits(monkeypatch, b_field
     for name in ("p_freq", "p_amp", "c_freq", "c_vers", "c_sin"):
         assert np.array_equal(getattr(quad, name), getattr(explicit, name)), name
     assert quad.fast_term_cutoff_ns == explicit.fast_term_cutoff_ns
+    # a second model on the same rules computes none of them again
+    again = q.build_quadrature(q.DotParameters(b_field=2.0 * b_field), t_max)
+    assert again.node_counts == counts
+    assert len(calls) + len(laguerre_calls) == _gauss_rule.cache_info().misses
+
+
+def test_gauss_rules_are_shared_read_only_and_checked_on_every_call():
+    x, w = _gauss_rule("hermite", 32)
+    assert _gauss_rule("hermite", 32)[0] is x
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+    # the overflow check runs on a rule the memo already holds
+    assert _bath_nodes(q.DotParameters(), None, 64)[1][0].max() > 0.0
+    with pytest.raises(q.InvalidParameterError, match="overflows"):
+        _bath_nodes(q.DotParameters(n_nuclei=1e307), None, 64)
 
 
 def test_quadrature_weights_normalized(default_dot):

@@ -408,6 +408,18 @@ def test_cli_one_time_grid_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", ["100", "200"])
+def test_cli_long_grid_without_a_dense_step_is_usage_error(dt, tmp_path, capsys):
+    # 50 ns / dt rounds to no step: the grid would go from t = 0 straight onto the 2 ns tail
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--state", "bell:psi-", "--b", "0.01", "--tmax", "150", "--dt", dt,
+                 "--out", str(out)]) == 2
+    message = _usage_error(capsys)["message"]
+    assert f"dt={dt} ns" in message and "no dt step in its 50 ns dense prefix" in message
+    assert "dt must be below 100 ns" in message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "sweep"])
 def test_cli_grid_short_of_t_max_is_usage_error(command, tmp_path, capsys):
     # 1 / 0.7 rounds to one step, which ends the grid at 0.7 ns

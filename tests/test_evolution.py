@@ -285,6 +285,29 @@ def test_evolve_psd_violation_names_time_index():
         evolution._audit_evolved(stack, np.array([0.0, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("low,passes", [(-2e-8, False), (-5e-9, True), (-1e-15, True)])
+def test_evolve_psd_audit_keeps_its_tolerance(low, passes):
+    # unit trace, one eigenvalue `low` against EVOLVED_PSD_TOL = 1e-8; the other states are fine
+    bad = np.diag([0.5 - low, 0.3, 0.2, low]).astype(complex)
+    stack = np.array([np.eye(4) / 4.0, bad, bad, np.eye(4) / 4.0], dtype=complex)
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    if passes:
+        assert evolution._audit_evolved(stack, times) is None
+    else:
+        with pytest.raises(InvalidParameterError) as err:
+            evolution._audit_evolved(stack, times)
+        assert str(err.value) == ("evolved state at time index 1 (t=0.5 ns): matrix not positive semidefinite: "
+                                  "min eigenvalue -2.000e-08")
+
+
+def test_evolve_psd_audit_refuses_a_nan_entry():
+    # a NaN off the diagonal keeps the trace and need not stop the Cholesky factorization
+    stack = np.array([np.eye(4) / 4.0] * 2, dtype=complex)
+    stack[1, 0, 1] = stack[1, 1, 0] = np.nan
+    with pytest.raises(InvalidParameterError, match=r"time index 1 .* min eigenvalue nan"):
+        evolution._audit_evolved(stack, np.array([0.0, 1.0]))
+
+
 def test_evolve_trajectory_csv(tmp_path, bell_traj_11mt):
     path = tmp_path / "traj.csv"
     bell_traj_11mt.to_csv(path, header_lines=["x=1"])

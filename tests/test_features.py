@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import loop_esd_time, loop_find_extrema, loop_find_g_crossings, loop_prominence
+from conftest import (
+    loop_esd_time,
+    loop_find_extrema,
+    loop_find_g_crossings,
+    loop_prominence,
+    whole_series_prominence,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +20,7 @@ from qdspin.evolution import (
     KINK_T_TOL,
     ExtremumKind,
     KinkEvent,
-    _prominence,
+    _prominences,
     find_extrema,
     find_g_crossings,
 )
@@ -71,13 +77,25 @@ def test_extrema_match_the_loop_oracle(values):
 @settings(max_examples=300, deadline=None)
 @given(series())
 def test_prominence_matches_the_loop_oracle(values):
+    peaks = np.array([j for j in range(1, values.size - 1) if np.isfinite(values[j])], dtype=int)
     with np.errstate(all="ignore"):
-        for j in range(1, values.size - 1):
-            if not np.isfinite(values[j]):
-                continue
-            for kind in ExtremumKind:
+        for kind in ExtremumKind:
+            got = _prominences(values, peaks, np.full(peaks.size, kind is ExtremumKind.MAXIMUM))
+            for j, prominence in zip(peaks, got):
                 # a zero prominence may differ in sign only; it enters find_extrema as `< min_prominence`
-                assert _prominence(values, j, kind) == loop_prominence(values, j, kind)
+                assert prominence == loop_prominence(values, j, kind) == whole_series_prominence(values, j, kind)
+
+
+def test_prominence_search_reads_the_whole_series_where_it_must():
+    # ascending maxima: no left side holds a higher sample, so each search passes every window to the
+    # series' start; each right side ends at the next maximum, and the last one's at the end
+    n = 1001
+    values = np.where(np.arange(n) % 2 == 1, 1.0 + 1e-3 * np.arange(n), -1e-3 * np.arange(n))
+    peaks = np.arange(1, n - 1)
+    maxima = values[peaks] > 0.0
+    got = _prominences(values, peaks, maxima)
+    kinds = np.where(maxima, ExtremumKind.MAXIMUM, ExtremumKind.MINIMUM)
+    assert got.tolist() == [whole_series_prominence(values, j, kind) for j, kind in zip(peaks, kinds)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,6 +126,9 @@ def test_real_6000ns_series_match_the_loop_oracles(long_trajectory):
     for values in (tr.g, tr.d_lower, tr.concurrence, tr.purity):
         finite = np.isfinite(values)
         _same_features(tr.times[finite], values[finite])
+        # and against the search of each side's whole series, the events `first_min_then_max` reads
+        expected = loop_find_extrema(tr.times[finite], values[finite], G_EXTREMUM_PROMINENCE, whole_series_prominence)
+        assert _events(find_extrema(tr.times[finite], values[finite], G_EXTREMUM_PROMINENCE)) == _events(expected)
     assert esd_time(tr.times, tr.concurrence) == loop_esd_time(tr.times, tr.concurrence)
     for t0 in (23.3913, 1234.5678):  # on the dense prefix and in the coarse tail
         _same_crossings(tr.times, tr.g, t0)

@@ -6,11 +6,12 @@ import pytest
 from scipy.integrate import simpson
 
 import qdspin as q
-from qdspin import evolution
+from qdspin import evolution, magnetometry
 from qdspin.config import RunConfig
 from qdspin.cli import main
 from qdspin.magnetometry import (
     BOUND_SPLIT_FRACTION,
+    CHANNEL_MEMO_SIZE,
     REVIVAL_WINDOW,
     MonotonicityError,
     NormalizationError,
@@ -38,6 +39,96 @@ def test_channel_for_field_applies_the_run_description():
     assert chan.times[-1] == pytest.approx(20.02) and chan.model.t_max_ns == chan.times[-1]
     assert chan.model.dot == chan.dot == config.dot(0.01)
     assert (chan.m_count, chan.q_count) == (40, 36)
+
+
+@pytest.fixture
+def empty_memo():
+    magnetometry._channel_memo.cache_clear()
+    yield magnetometry._channel_memo
+    magnetometry._channel_memo.cache_clear()
+
+
+def test_channel_memo_hit_keeps_the_bits_and_is_read_only(empty_memo):
+    config = RunConfig(t_max=5.0, m_nodes=24, q_nodes=20)
+    chan = channel_for_field(config, 0.02)
+    assert channel_for_field(replace(config, state="werner:p=0.33"), 0.02) is chan  # the start state is no key
+    assert empty_memo.cache_info()[:2] == (1, 1)  # one hit, one miss
+    times = evolution.build_time_grid(5.0, 0.02)
+    direct = q.compute_channel(q.build_quadrature(config.dot(0.02), float(times[-1]), 24, 20), times)
+    for name in ("times", "p", "c"):
+        assert getattr(chan, name).tobytes() == getattr(direct, name).tobytes(), name
+    for array in (chan.times, chan.p, chan.c, chan.model.p_freq, chan.model.c_sin):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # a trajectory on the shared channel holds writable copies of its columns
+    tr = q.evolve(q.make_state(q.Bell("psi-")), chan)
+    tr.p[0] = 0.5
+    assert chan.p[0] == 0.0
+
+
+def test_channel_memo_keys_on_what_the_channel_depends_on(empty_memo):
+    config = RunConfig(t_max=2.0, m_nodes=16, q_nodes=16)
+    base = channel_for_field(config, 0.0)
+    for other, b in ((config, -0.0), (replace(config, t_max=3.0), 0.0), (replace(config, dt=0.05), 0.0),
+                     (replace(config, m_nodes=18), 0.0), (replace(config, q_nodes=18), 0.0),
+                     (replace(config, g_factor=0.5), 0.0), (config, 1e-3)):
+        assert channel_for_field(other, b) is not base
+    assert empty_memo.cache_info().misses == 8
+    # -0.0 keeps its own entry, and its channel carries the sign the dot was given
+    assert str(channel_for_field(config, -0.0).dot.b_field) == "-0.0"
+    assert str(channel_for_field(config, 0.0).dot.b_field) == "0.0"
+
+
+def test_channel_memo_evicts_at_its_bound(empty_memo):
+    config = RunConfig(t_max=1.0, m_nodes=8, q_nodes=8)
+    fields = [1e-3 * k for k in range(CHANNEL_MEMO_SIZE + 1)]
+    first = channel_for_field(config, fields[0])
+    for b in fields[1:]:
+        channel_for_field(config, b)
+    info = empty_memo.cache_info()
+    assert (info.currsize, info.maxsize, info.misses) == (CHANNEL_MEMO_SIZE, CHANNEL_MEMO_SIZE, len(fields))
+    again = channel_for_field(config, fields[0])  # the least recently used entry went
+    assert again is not first and empty_memo.cache_info().misses == len(fields) + 1
+    assert channel_for_field(config, fields[-1]) is channel_for_field(config, fields[-1])
+
+
+@pytest.mark.parametrize("b", ["0", "-0.0"])
+def test_memo_keeps_each_signed_zero_field_s_output(b, tmp_path, empty_memo):
+    # each zero prints its own sign; the other one in the memo first changes no byte
+    args = ["evolve", "--state", "werner:p=0.33", "--tmax", "2"]
+    assert main([*args, f"--b={b}", "--out", str(tmp_path / "alone.csv"),
+                 "--channel-out", str(tmp_path / "alone-chan.csv")]) == 0
+    empty_memo.cache_clear()
+    other = "-0.0" if b == "0" else "0"
+    assert main([*args, f"--b={other}", "--out", str(tmp_path / "other.csv")]) == 0
+    assert main([*args, f"--b={b}", "--out", str(tmp_path / "after.csv"),
+                 "--channel-out", str(tmp_path / "after-chan.csv")]) == 0
+    assert empty_memo.cache_info().currsize == 2
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    assert (tmp_path / "after-chan.csv").read_bytes() == (tmp_path / "alone-chan.csv").read_bytes()
+    sign = "-" if b.startswith("-") else ""
+    assert f"# b_tesla={sign}0\n" in (tmp_path / "after.csv").read_text()
+
+
+def test_repeated_evolve_writes_the_same_bytes(tmp_path, empty_memo):
+    args = ["evolve", "--state", "belldiag:a=0.4,b=0.4", "--b", "0.1", "--tmax", "10"]
+    for name in ("first", "second"):
+        assert main([*args, "--out", str(tmp_path / f"{name}.csv"),
+                     "--channel-out", str(tmp_path / f"{name}-chan.csv")]) == 0
+    assert empty_memo.cache_info()[:2] == (1, 1)
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    assert (tmp_path / "first-chan.csv").read_bytes() == (tmp_path / "second-chan.csv").read_bytes()
+
+
+def test_sweep_workers_and_the_memo_write_the_same_bytes(tmp_path, empty_memo):
+    # workers fill their own memos first; then the parent computes afresh, and then workers start from its memo
+    args = ["sweep", "--metric", "all", "--b", "0.011,0.0165", "--state", "belldiag:a=0.4,b=0.4", "--tmax", "10"]
+    outputs = []
+    for k, workers in enumerate(("2", "1", "2")):
+        assert main([*args, "--workers", workers, "--out", str(tmp_path / f"{k}.csv")]) == 0
+        outputs.append((tmp_path / f"{k}.csv").read_bytes())
+    assert empty_memo.cache_info().misses == 2
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_m_normalization_sanity():
