@@ -9,6 +9,7 @@ never results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -46,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged, and help
+    text reads the terminal width when it is formatted, not here."""
     parser = _Parser(
         prog="qdspin",
         description="Hyperfine decoherence of two quantum-dot spin qubits: "

@@ -162,8 +162,11 @@ class CorrelationTrajectory:
     read and kept from then on.  g and both discord bounds read the Bloch form that
     `_evolved_bloch` maps from the start state along (p, c); the other
     columns read the stack.  The bounds share one eigendecomposition of
-    the K matrices (`measures.KEigh`), and the upper bound's corrections
-    run only when `ds_upper` or `d_upper` is read.
+    the K matrices (`measures.KEigh`); a start whose only coherence is
+    rho_12 (Bell psi, Werner, Bell-diagonal) keeps every K diagonal, and a
+    diagonal K is read off its diagonal with no `eigh`.
+    The upper bound's corrections run only when `ds_upper` or `d_upper`
+    is read.
     """
 
     times: np.ndarray

@@ -31,6 +31,8 @@ G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denomin
 ORACLE_POLISH_RESTARTS = 4  # times an unconverged simplex polish of the oracle is continued
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
+_LOWER_ROWS, _LOWER_COLS = np.tril_indices(3, -1)
+_AXES = np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,12 @@ class DiscordBounds:
 
 class KEigh(NamedTuple):
     """What the discord bounds keep of the eigendecomposition of K_x = x x^T + T T^T
-    and K_y = y y^T + T^T T, stacked on a leading axis of 2 (x side first)."""
+    and K_y = y y^T + T^T T, stacked on a leading axis of 2 (x side first).
+
+    A K with exact zeros off its diagonal (an X state with real coherences)
+    is read off its diagonal: eigenvalues the diagonal sorted ascending,
+    eigenvectors the matching unit vectors.
+    """
 
     a: np.ndarray       # (2, ...): Tr K - k_max
     top: np.ndarray     # (2, ..., 3): True where an eigenvalue lies within TOP_CLUSTER_GAP of k_max
@@ -57,13 +64,31 @@ class KEigh(NamedTuple):
 
 
 def _k_eigh(form: BlochForm) -> KEigh:
-    """The one `eigh` both discord bounds share, for one state or a stack."""
+    """The eigenpairs both discord bounds share, for one state or a stack.
+
+    `np.linalg.eigh` runs only on the K with a nonzero entry below the
+    diagonal, the triangle it reads; a diagonal K is read off its diagonal.
+    LAPACK returns a diagonal K's exact diagonal too, and the upper bound
+    takes a minimum over the top cluster that depends neither on the
+    eigenvectors' signs nor on the order of tied eigenvalues, so both routes
+    give the same bounds bit for bit.
+    """
     bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
     t = form.t_corr
     t_tr = np.swapaxes(t, -1, -2)
     k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
-    w, v = np.linalg.eigh(k)                                           # ascending
-    return KEigh(np.trace(k, axis1=-2, axis2=-1) - w[..., 2], w[..., 2:] - w < TOP_CLUSTER_GAP, v)
+    diag = np.diagonal(k, axis1=-2, axis2=-1)
+    full = (k[..., _LOWER_ROWS, _LOWER_COLS] != 0.0).any(axis=-1)     # (2, ...): not diagonal
+    n_full = np.count_nonzero(full)
+    if n_full == full.size:
+        w, v = np.linalg.eigh(k)                                       # ascending
+    else:
+        w = np.sort(diag, axis=-1)
+        v = (np.argsort(diag, axis=-1)[..., None, :] == _AXES[:, None]).astype(float)
+        if n_full:
+            w[full], v[full] = np.linalg.eigh(k[full])
+    trace = diag[..., 0] + diag[..., 1] + diag[..., 2]                 # np.trace's order and bits
+    return KEigh(trace - w[..., 2], w[..., 2:] - w < TOP_CLUSTER_GAP, v)
 
 
 def _lower_bound(eig: KEigh) -> np.ndarray:
@@ -109,16 +134,20 @@ def rescaled_discord(ds: float, purity_value: float) -> float:
     round-off are clamped; larger ones are a domain error.  Arrays are
     rescaled element-wise; an error names the first offending pair.
     """
-    ds, pur = np.broadcast_arrays(np.asarray(ds, dtype=float), np.asarray(purity_value, dtype=float))
+    ds, pur = np.asarray(ds, dtype=float), np.asarray(purity_value, dtype=float)
     radicand = 1.0 - ds / (2.0 * pur)
-    for bad, error, what in (
-        (~((pur >= 0.25 - 1e-9) & (pur <= 1.0 + 1e-9)), InvalidParameterError, "purity must lie in [1/4, 1]"),
-        (~(ds >= -1e-12), InvalidParameterError, "geometric discord must be nonnegative"),
-        (radicand < -1e-9, NumericalDomainError, "rescaling radicand below tolerance"),
-    ):
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise error(f"{what}: ds={ds.flat[i]}, purity={pur.flat[i]}")
+    # one combined test accepts the common case; the loop names the first error of the first kind found
+    valid = (pur >= 0.25 - 1e-9) & (pur <= 1.0 + 1e-9) & (ds >= -1e-12) & ~(radicand < -1e-9)
+    if not valid.all():
+        ds, pur = np.broadcast_arrays(ds, pur)
+        for bad, error, what in (
+            (~((pur >= 0.25 - 1e-9) & (pur <= 1.0 + 1e-9)), InvalidParameterError, "purity must lie in [1/4, 1]"),
+            (~(ds >= -1e-12), InvalidParameterError, "geometric discord must be nonnegative"),
+            (radicand < -1e-9, NumericalDomainError, "rescaling radicand below tolerance"),
+        ):
+            if bad.any():
+                i = np.flatnonzero(bad)[0]
+                raise error(f"{what}: ds={ds.flat[i]}, purity={pur.flat[i]}")
     return RESCALE_PREFACTOR * (1.0 - np.sqrt(np.maximum(radicand, 0.0)))
 
 

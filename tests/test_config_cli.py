@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdspin as q
-from qdspin import channel, magnetometry
+from qdspin import channel, cli, magnetometry
 from qdspin.channel import MAX_QUADRATURE_NODES, build_quadrature
 from qdspin.cli import main
 from qdspin.config import (
@@ -843,3 +844,43 @@ def test_cli_phi_type_starts_print_their_bell_diagonal_cells(tmp_path):
     for r, s in zip(entfam, phi_minus):
         assert "" not in r[4:7] and np.allclose([float(x) for x in r[4:7]], [float(x) for x in s[4:7]],
                                                 rtol=0.0, atol=1e-15)
+
+
+def test_cli_parser_is_built_once_and_behaves_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    argvs = (
+        ["evolve", "--tmax", "1", "--b", "0.1", "--out", str(tmp_path / "e.csv")],
+        ["sweep", "--metric", "M", "--tmax", "1", "--b", "0.01,0.02", "--out", str(tmp_path / "s.csv")],
+        ["sweep", "--bogus", "1"],
+        ["--version"],
+    )
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version exits through argparse
+            code = exc.code
+        out, err = capsys.readouterr()
+        written = argv[argv.index("--out") + 1] if "--out" in argv else None
+        return code, out, err, written and Path(written).read_bytes()
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 0, 2, 0] and fresh[3][1].startswith("qdspin ")
+    assert "unrecognized arguments: --bogus 1" in json.loads(fresh[2][2])["message"]
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for argv, expected in zip(argvs, fresh):
+            assert run(argv) == expected
+    assert cli._build_parser.cache_info().misses == 1
+    # help text takes the terminal width when it is printed, not when the parser was built
+    helps = {}
+    for columns in ("50", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = run(["evolve", "--help"])
+        assert helps[columns][0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+    assert max(map(len, helps["50"][1].splitlines())) < max(map(len, helps["200"][1].splitlines()))
+    cli._build_parser.cache_clear()
+    assert run(["evolve", "--help"]) == helps["200"]

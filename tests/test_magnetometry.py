@@ -368,6 +368,17 @@ def test_esd_metric_skips_the_discord_bounds(monkeypatch):
     assert run_sweep(config).rows == expected
 
 
+def test_m_sweep_of_x_form_starts_runs_no_eigh(monkeypatch):
+    # the M sweep of a Bell psi, Werner or Bell-diagonal start reads every K off its diagonal;
+    # the phase state is not of X form and takes one batched eigh per field
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for spec in ("werner:p=0.33", "bell:psi-", "belldiag:a=0.4,b=0.4", "phase:gamma=2.35619449"):
+        calls.clear()
+        run_sweep(RunConfig(state=spec, b_fields=[0.0, 0.0123], metric="M"))
+        assert calls == ([(2, 1001, 3, 3)] * 2 if spec.startswith("phase") else []), spec
+
+
 def test_run_paths_decompose_only_start_states(monkeypatch, tmp_path):
     # the bounds and g read the start state's Bloch form mapped along the channel, never a decomposed stack
     shapes = []

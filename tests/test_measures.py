@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import qdspin as q
 from qdspin import measures
 from qdspin.constants import InvalidParameterError, NumericalDomainError
+from qdspin.magnetometry import trajectory_for_field
 from qdspin.measures import RESCALE_PREFACTOR
 
 from conftest import Regime, bell_diagonal_discord, random_density, random_unitary
@@ -309,10 +310,12 @@ def test_split_bound_steps_keep_the_one_pass_bits(seed, n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
 def test_stacked_measures_match_single_state_calls(seed, n):
-    # one function per measure: a stack gives, state by state, the bits of a one-state call
+    # one function per measure: a stack gives, state by state, the bits of a one-state call; the
+    # Bell-diagonal, Werner and Bell states have diagonal K, so a stack mixes both routes of `_k_eigh`
     rng = np.random.default_rng(seed)
-    states = [random_density(rng) if k % 3 else q.make_state(q.BellDiagonal(0.3, 0.1 * rng.uniform()))
-              for k in range(n)]
+    x_starts = (lambda: q.BellDiagonal(0.3, 0.1 * rng.uniform()), lambda: q.Werner(rng.uniform()),
+                lambda: q.Bell(rng.choice(["phi+", "phi-", "psi+", "psi-"])))
+    states = [random_density(rng) if k % 3 else q.make_state(x_starts[k // 3 % 3]()) for k in range(n)]
     rho = np.array([s.rho for s in states])
     stacked = q.discord_bounds(rho)
     conc, g, pur = q.concurrence(rho), q.g_ratio(rho), q.purity(rho)
@@ -328,6 +331,37 @@ def test_stacked_measures_match_single_state_calls(seed, n):
         for ordering, (bell_a, bell_b) in params.items():
             a, b = q.bell_diagonal_params(state, ordering)
             assert np.array_equal([bell_a[k], bell_b[k]], [a, b], equal_nan=True)
+
+
+def _count_eigh(monkeypatch) -> list:
+    """Shapes of the stacks handed to `np.linalg.eigh` from now on."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+X_FORM_STARTS = ("bell:psi-", "werner:p=0.33", "belldiag:a=0.3,b=0.25")
+
+
+@pytest.mark.parametrize("t_max, dt", [(20.0, 0.02), (2000.0, 0.1)])
+@pytest.mark.parametrize("spec", [*X_FORM_STARTS, "bell:phi+", "phase:gamma=2.35619449"])
+def test_x_form_trajectories_read_k_off_its_diagonal(spec, t_max, dt, monkeypatch):
+    # the channel multiplies the inner coherence rho_12 by |c|^2, so these starts keep a real X form,
+    # every K is exactly diagonal and no eigh runs; bell:phi+'s outer coherence is multiplied by c^2,
+    # whose imaginary part fills T_xy, and the phase state is not of X form
+    calls = _count_eigh(monkeypatch)
+    for b_field in (0.0, 0.003, 0.1):
+        traj = trajectory_for_field(q.RunConfig(state=spec, t_max=t_max, dt=dt), b_field)
+        calls.clear()
+        traj.ds_lower, traj.ds_upper
+        assert (calls == []) == (spec in X_FORM_STARTS), (b_field, calls)
+        lower, upper = _one_pass_bounds(traj._bloch)
+        assert np.array_equal(traj.ds_lower, lower) and np.array_equal(traj.ds_upper, upper)
 
 
 def test_gram_corrections_match_the_eigensolver(rng):
