@@ -3,9 +3,9 @@
 Each check prints one PASS/FAIL line with the measured values.  One
 `RunCache` per `run_checks` call holds every channel (with its model)
 the checks ask for and the smallest evolved eigenvalue of every
-trajectory, so the physicality audit (check 14) covers exactly the runs
-of that call; the channels come from `channel_for_field`, whose memo
-computes each once per process.
+trajectory, check 9's M(B) fields included, so the physicality audit
+(check 14) covers exactly the runs of that call; the channels come from
+`channel_for_field`, whose memo computes each once per process.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .magnetometry import (
     esd_time,
     first_min_then_max,
     low_field_revival,
-    run_sweep,
+    rescaled_integral,
 )
 from .measures import _k_eigh, concurrence, discord_bounds, oracle_one_sided_discord
 from .states import (
@@ -276,9 +276,10 @@ def check_8_werner_scheme_invariance(cache: RunCache) -> CheckResult:
 
 
 def check_9_m_of_b_monotonic(cache: RunCache) -> CheckResult:
+    # the M column of `run_sweep` at the default window, on the cache's runs so that check 14 audits them
     start = time.monotonic()
-    table = run_sweep(RunConfig(state="werner:p=0.33", b_fields=np.linspace(0.0, 0.1, 21).tolist()))
-    ms = np.array([r["M"] for r in table.rows])
+    b_fields = np.linspace(0.0, 0.1, 21).tolist()
+    ms = np.array([rescaled_integral(cache.traj(Werner(0.33), b, 20.0)) for b in b_fields])
     wall = time.monotonic() - start
     increasing = bool(np.all(np.diff(ms) > 0.0))
     ok = increasing and wall < 600.0

@@ -103,7 +103,8 @@ from .config import write_csv
 from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError, QdspinError, ValidityWindowError
 
 DEGENERATE_BLOCK_E2 = 1e-30      # ueV^2; below this a block acts as identity
-CP_MARGIN_HARD = 1e-4            # beyond this the quadrature is under-resolved
+CP_MARGIN_TOL = 1e-9             # how far |c| may exceed 1 - p in a computed or applied channel
+P_RANGE_TOL = 1e-15              # round-off allowed on p outside [0, 1]
 VALIDITY_GRACE = 1.05            # hbar*N/A is an estimate; allow 5% on top
 FAST_NODES = 32                  # per axis, where their fast-term window covers t_max
 MIN_M_NODES = 257                # otherwise, with the phase term for n_m
@@ -168,11 +169,10 @@ def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _bath_nodes(dot: DotParameters, n_m: int | None, n_q: int | None) -> tuple:
+def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple:
     """Normalised Gauss-Hermite polarization nodes m and Gauss-Laguerre
     transverse-invariant nodes Q, as ((m, weights), (Q, weights)).
 
-    An axis whose count is None is not computed and comes back as None.
     The raw rules come from `_gauss_rule`; the normalisation and the checks
     run on every call.
     """
@@ -183,23 +183,20 @@ def _bath_nodes(dot: DotParameters, n_m: int | None, n_q: int | None) -> tuple:
         return w
 
     sigma = dot.sigma_m
-    m_axis = q_axis = None
-    if n_m is not None:
-        x, wx = _gauss_rule("hermite", n_m)   # m = sqrt(2) sigma x
-        m_axis = math.sqrt(2.0) * sigma * x, normalised("m_weights", wx)
-    if n_q is not None:
-        y, wy = _gauss_rule("laguerre", n_q)  # Q = 2 sigma^2 y
-        q_weights = normalised("q_weights", wy)
-        # the largest node's product in Python floats, where an overflow is a quiet inf
-        if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
-            raise InvalidParameterError(
-                f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
-                f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
-            )
-        q_axis = 2.0 * sigma * sigma * y, q_weights
-        if np.any(q_axis[0] <= 0.0):
-            raise QuadratureResolutionError("all q_nodes must be positive")
-    return m_axis, q_axis
+    x, wx = _gauss_rule("hermite", n_m)   # m = sqrt(2) sigma x
+    m_weights = normalised("m_weights", wx)
+    y, wy = _gauss_rule("laguerre", n_q)  # Q = 2 sigma^2 y
+    q_weights = normalised("q_weights", wy)
+    # the largest node's product in Python floats, where an overflow is a quiet inf
+    if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
+        raise InvalidParameterError(
+            f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
+            f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
+        )
+    q_nodes = 2.0 * sigma * sigma * y
+    if np.any(q_nodes <= 0.0):
+        raise QuadratureResolutionError("all q_nodes must be positive")
+    return (math.sqrt(2.0) * sigma * x, m_weights), (q_nodes, q_weights)
 
 
 def _blocks(dot: DotParameters, m: np.ndarray, q: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -274,11 +271,12 @@ def build_quadrature(
     FAST_NODES (n_m raised to that phase term if larger), taken if its own
     fast-term cutoff reaches t_max, so the slow branch never runs; otherwise
     the rule takes MIN_M_NODES x MIN_Q_NODES (n_m raised to the phase term),
-    whose window covers the interference decay.  Each Gauss rule is computed
-    once per process (`_gauss_rule`), the candidate's included, and a model
-    takes the candidate's rules where its counts match them.  A grid of more than
-    MAX_QUADRATURE_NODES nodes, the candidate too, is refused before its
-    nodes are computed.
+    whose window covers the interference decay.  A model whose counts are
+    both the candidate's takes the candidate's nodes and cutoff whole;
+    any other builds its nodes with `_bath_nodes`, whose raw Gauss rules
+    are computed once per process (`_gauss_rule`), the candidate's
+    included.  A grid of more than MAX_QUADRATURE_NODES nodes, the
+    candidate too, is refused before its nodes are computed.
     """
     if t_max_ns < 0.0:
         raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
@@ -292,15 +290,15 @@ def build_quadrature(
         raise ValidityWindowError(
             f"Gaussian bath statistics require N >= {_MIN_BATH_NUCLEI}, got {dot.n_nuclei:g}"
         )
-    m_axis = q_axis = None        # the Gauss rules as (nodes, weights)
+    nodes = None                  # the rule's candidate as ((m, weights), (Q, weights)), once built
     n_m, n_q = m_count, q_count
     if n_m is None or n_q is None:
         n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
         rule = max(FAST_NODES, n_phase), FAST_NODES
         if rule[0] * rule[1] <= MAX_QUADRATURE_NODES:  # past the cap either way: no candidate is built
-            m_axis, q_axis = _bath_nodes(dot, *rule)
-            cutoff = _fast_term_cutoff(dot, *m_axis, *q_axis)
-        if m_axis is None or not cutoff >= t_max_ns:
+            nodes = _bath_nodes(dot, *rule)
+            cutoff = _fast_term_cutoff(dot, *nodes[0], *nodes[1])
+        if nodes is None or not cutoff >= t_max_ns:
             rule = max(MIN_M_NODES, n_phase), MIN_Q_NODES
         n_m = rule[0] if n_m is None else n_m
         n_q = rule[1] if n_q is None else n_q
@@ -314,24 +312,22 @@ def build_quadrature(
     if n_m < 3 or n_q < 3:
         raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
     n_m, n_q = int(n_m), int(n_q)
-    # the candidate's rules where the model keeps their counts, new ones where not
-    m_axis = m_axis if m_axis is not None and m_axis[0].size == n_m else None
-    q_axis = q_axis if q_axis is not None and q_axis[0].size == n_q else None
-    if m_axis is None or q_axis is None:
-        new_m, new_q = _bath_nodes(dot, None if m_axis else n_m, None if q_axis else n_q)
-        m_axis, q_axis = m_axis or new_m, q_axis or new_q
-        cutoff = _fast_term_cutoff(dot, *m_axis, *q_axis)
+    # the candidate is taken whole where the model keeps both its counts, and both axes are new where not
+    if nodes is None or (nodes[0][0].size, nodes[1][0].size) != (n_m, n_q):
+        nodes = _bath_nodes(dot, n_m, n_q)
+        cutoff = _fast_term_cutoff(dot, *nodes[0], *nodes[1])
+    (m_nodes, m_weights), (q_nodes, q_weights) = nodes
 
     # the lightest nodes, while their weights sum to at most NEGLIGIBLE_WEIGHT,
     # leave the families (every amplitude is bounded by its weight); the rest
     # stay in raveled (m, q) order, so the summation order stays fixed
-    w2d = (m_axis[1][:, None] * q_axis[1][None, :]).ravel()
+    w2d = (m_weights[:, None] * q_weights[None, :]).ravel()
     light = np.argsort(w2d, kind="stable")
     n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
     keep = np.sort(light[n_light:])
     i_m, i_q = np.divmod(keep, n_q)
     return BathQuadrature(dot, (n_m, n_q), float(t_max_ns),
-                          *_families(dot, m_axis[0][i_m], q_axis[0][i_q], w2d[keep]), cutoff)
+                          *_families(dot, m_nodes[i_m], q_nodes[i_q], w2d[keep]), cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +354,8 @@ class ChannelTrajectory:
 
 @dataclass(frozen=True)
 class CpReport:
-    """Physicality audit of a channel trajectory: 0 <= p <= 1 and |c| <= 1 - p."""
+    """Physicality audit of a channel trajectory: 0 <= p <= 1 and |c| <= 1 - p, to one bound wherever
+    it is applied (`compute_channel`, and `evolve` on the co-rotated c, whose |c| moves by 1 ulp at most)."""
 
     worst_margin: float
     worst_time_ns: float
@@ -366,11 +363,11 @@ class CpReport:
     p_max: float
     worst_index: int = 0
 
-    def require(self, margin_tol: float, p_tol: float, error: type[Exception]) -> None:
-        """Raise `error` if p leaves [0, 1] by more than p_tol or the margin drops below -margin_tol."""
-        if not (self.p_min >= -p_tol and self.p_max <= 1.0 + p_tol):
+    def require(self, error: type[Exception]) -> None:
+        """Raise `error` if p leaves [0, 1] by more than P_RANGE_TOL or the margin drops below -CP_MARGIN_TOL."""
+        if not (self.p_min >= -P_RANGE_TOL and self.p_max <= 1.0 + P_RANGE_TOL):
             raise error(f"flip probability left [0, 1]: min {self.p_min!r}, max {self.p_max!r}")
-        if not self.worst_margin >= -margin_tol:
+        if not self.worst_margin >= -CP_MARGIN_TOL:
             raise error(
                 f"complete positivity |c| <= 1-p violated by {-self.worst_margin:.3e} "
                 f"at time index {self.worst_index} (t={self.worst_time_ns:g} ns)"
@@ -380,7 +377,7 @@ class CpReport:
 def verify_channel_cp(traj: ChannelTrajectory) -> CpReport:
     """Per-time check 0 <= p <= 1 and |c| <= 1 - p; returns the worst margin.
 
-    Callers apply their own tolerances with `CpReport.require`.
+    Callers apply the bound with `CpReport.require`.
     """
     margin = 1.0 - traj.p - np.abs(traj.c)
     idx = int(np.argmin(margin)) if margin.size else 0
@@ -551,5 +548,5 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
             f"channel must start at (p, c) = (0, 1); got ({p_out[0]}, {c_out[0]})"
         )
     traj = ChannelTrajectory(times, p_out, c_out, dot, *quad.node_counts, fast_term_cutoff_ns=cutoff, model=quad)
-    verify_channel_cp(traj).require(CP_MARGIN_HARD, 1e-12, QuadratureResolutionError)
+    verify_channel_cp(traj).require(QuadratureResolutionError)
     return traj

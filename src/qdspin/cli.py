@@ -3,7 +3,7 @@
 Exit codes: 0 ok, 2 usage, 3 numerical or validity error, 4 acceptance
 failure.  Errors print a machine-readable JSON record to stderr.  All
 outputs are deterministic for a fixed configuration; the worker count
-(`--workers` or the config file's "workers") changes wall time only,
+(`sweep --workers` or the config file's "workers") changes wall time only,
 never results.
 """
 from __future__ import annotations
@@ -70,13 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--q-nodes", type=int, dest="q_nodes", help="transverse-invariant quadrature nodes")
     common.add_argument("--tmax", type=float, dest="t_max", help="evolution time, ns")
     common.add_argument("--dt", type=float, help="grid step, ns")
-    common.add_argument("--normalize", choices=NORMALIZE_MODES)
-    common.add_argument("--workers", type=int, help="parallel workers (wall time only)")
     common.add_argument("--out", help="output CSV path")
 
     p_evolve = sub.add_parser("evolve", parents=[common], help="one trajectory at one field")
     p_evolve.add_argument("--b", help="field in Tesla (single value)")
     p_evolve.add_argument("--channel-out", dest="channel_out", help="also write the channel CSV here")
+    p_evolve.add_argument("--normalize", choices=NORMALIZE_MODES)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="field sweep with sensing metrics")
     p_sweep.add_argument("--b", help="fields in Tesla: start:stop:step, comma list, or value")
@@ -85,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(METRIC_SETS),
         help="which sensing metrics to extract",
     )
+    p_sweep.add_argument("--workers", type=int, help="parallel workers (wall time only)")
     p_sweep.add_argument("--calibration-out", dest="calibration_out", help="two-column calibration CSV")
     p_sweep.add_argument(
         "--calibration-quantity",

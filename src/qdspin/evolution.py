@@ -46,8 +46,6 @@ from .states import (
 )
 
 EVOLVED_PSD_TOL = 1e-8  # audit tolerance for evolved states (construction is 1e-10)
-CP_TOL = 1e-9           # how far |c| may exceed 1 - p in a channel that is applied
-_P_RANGE_TOL = 1e-15    # round-off allowed on p outside [0, 1]
 G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
 KINK_T_TOL = 1e-6       # ns; the refinement stops once every crossing is bracketed this tightly
 KINK_SECTIONS = 32      # sub-intervals per bracket and round: 2**5, five bisection steps per round
@@ -68,10 +66,10 @@ def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     Removing e^{i Omega t / hbar} is a local z rotation (co-rotating
     frame); it changes no correlation measure and keeps Phi-type
     coherences slowly varying.  The pairs (p, c) must be completely
-    positive: 0 <= p <= 1 and |c| <= 1 - p, up to CP_TOL.
+    positive within the one bound of `CpReport.require`.
     """
     c_eff = traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
-    verify_channel_cp(replace(traj, c=c_eff)).require(CP_TOL, _P_RANGE_TOL, ChannelError)
+    verify_channel_cp(replace(traj, c=c_eff)).require(ChannelError)
     return c_eff
 
 

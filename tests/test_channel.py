@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 import qdspin as q
 from qdspin.channel import (
-    CP_MARGIN_HARD,
     DEGENERATE_BLOCK_E2,
     MIN_M_NODES,
     MIN_Q_NODES,
@@ -184,8 +183,9 @@ def test_node_count_rule_matches_the_257_by_64_channel(b_field):
 @pytest.mark.parametrize("b_field,t_max,counts", [(0.1, 20.0, (32, 32)), (0.001, 2000.0, (294, 64)),
                                                   (0.1, 200.0, (257, 64))])
 def test_rule_model_reuses_its_candidate_and_keeps_the_bits(monkeypatch, b_field, t_max, counts):
-    # the 32 x 32 candidate is taken whole at 20 ns; at 2000 ns only its 294-node Hermite rule fits the
-    # 294 x 64 model, and at 200 ns nothing does (257 against the candidate's 32 m nodes)
+    # a model takes the candidate whole where both counts match (32 x 32 at 20 ns) and builds both axes
+    # anew where not, from the memo's raw rules: past the candidate's rules, the 294 x 64 model at 2000 ns
+    # computes a 64-node Laguerre rule only, and the 257 x 64 model at 200 ns a 257-node Hermite one too
     import scipy.special
 
     dot = q.DotParameters(b_field=b_field)
@@ -216,9 +216,9 @@ def test_gauss_rules_are_shared_read_only_and_checked_on_every_call():
     with pytest.raises(ValueError, match="read-only"):
         w[0] = 0.0
     # the overflow check runs on a rule the memo already holds
-    assert _bath_nodes(q.DotParameters(), None, 64)[1][0].max() > 0.0
+    assert _bath_nodes(q.DotParameters(), 32, 64)[1][0].max() > 0.0
     with pytest.raises(q.InvalidParameterError, match="overflows"):
-        _bath_nodes(q.DotParameters(n_nuclei=1e307), None, 64)
+        _bath_nodes(q.DotParameters(n_nuclei=1e307), 32, 64)
 
 
 def test_quadrature_weights_normalized(default_dot):
@@ -303,7 +303,16 @@ def test_channel_validate_rejects_cp_violation(channel_b0):
     report = q.verify_channel_cp(broken)
     assert report.worst_index == 1 and report.worst_time_ns == 1.0
     with pytest.raises(QuadratureResolutionError, match=r"time index 1 \(t=1 ns\)"):
-        report.require(CP_MARGIN_HARD, 1e-12, QuadratureResolutionError)
+        report.require(QuadratureResolutionError)
+    # one bound for every caller: a margin down to -1e-9 and p down to -1e-15 pass, just past either fails
+    edge = q.verify_channel_cp(replace(broken, p=np.array([-1e-15, 0.3]), c=np.array([1.0 + 1e-15, 0.7 + 1e-9])))
+    assert edge.worst_margin == pytest.approx(-1e-9, rel=1e-7) and edge.p_min == -1e-15
+    edge.require(ValueError)
+    for p, c, match in (([-1.1e-15, 0.3], [1.0, 0.7], "flip probability"),
+                        ([0.0, 0.3], [1.0, 0.7 + 1.1e-9], "complete positivity")):
+        past = q.verify_channel_cp(replace(broken, p=np.array(p), c=np.array(c, dtype=complex)))
+        with pytest.raises(ValueError, match=match):
+            past.require(ValueError)
 
 
 def test_channel_b_sign_invariance():

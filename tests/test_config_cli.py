@@ -1,6 +1,9 @@
+import contextlib
 import inspect
+import io
 import json
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -734,6 +737,9 @@ def test_cli_verify_rejects_every_flag_but_only(flag, monkeypatch, capsys):
     (["evolve", "--tmax", "abc"], "argument --tmax: invalid float value: 'abc'"),
     (["sweep", "--metric", "bogus"], "argument --metric: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
+    # each flag belongs to the one command that applies it
+    (["sweep", "--normalize", "half"], "unrecognized arguments: --normalize half"),
+    (["evolve", "--workers", "2"], "unrecognized arguments: --workers 2"),
 ])
 def test_cli_argument_errors_print_one_record(argv, message, capsys):
     assert main(argv) == 2
@@ -741,6 +747,55 @@ def test_cli_argument_errors_print_one_record(argv, message, capsys):
     assert len(err.strip().splitlines()) == 1  # the record alone, no usage text
     record = json.loads(err)
     assert record["error"] == "InvalidParameterError" and message in record["message"]
+
+
+# (valid, invalid) values per flag; every grid ends by 2 ns, so an example costs milliseconds
+_CLI_VALUES = {
+    "--tmax": (["0.5", "1", "2"], ["0", "-1", "nan", "abc"]),
+    "--state": (["bell:psi-", "werner:p=0.33", "belldiag:a=0.4,b=0.4", "phase:gamma=2.35"],
+                ["werner:p=0", "bell:chi", "phase:gamma=nan", "werner:p=2", ""]),
+    "--b": (["0", "-0.0", "0.1", "0,0.011", "0:0.02:0.01"], ["0.1,0.05", "abc", "nan", "1e200", ""]),
+    "--dt": (["0.02", "0.1", "0.5"], ["0", "-0.1", "inf", "1e-300", "abc"]),
+    "--m-nodes": (["32", "40", "3"], ["2", "1000000", "abc"]),
+    "--q-nodes": (["32", "64"], ["2", "400"]),
+    "--metric": (["M", "g-extrema", "esd"], ["kinks", "bogus"]),
+    "--normalize": (["none", "initial", "half"], ["bogus"]),
+    "--workers": (["1", "2"], ["0", "-1", "abc"]),
+    "--bogus-flag": ([], ["1"]),
+}
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """An evolve or sweep command line on a grid of at most 2 ns: --tmax and up to four more flags,
+    each value invalid one time in four."""
+    argv = [draw(st.sampled_from(["evolve", "sweep"]))]
+    flags = draw(st.lists(st.sampled_from(sorted(set(_CLI_VALUES) - {"--tmax"})), max_size=4, unique=True))
+    for flag in ["--tmax", *flags]:
+        valid, invalid = _CLI_VALUES[flag]
+        argv += [flag, draw(st.sampled_from(invalid if not valid or draw(st.integers(0, 3)) == 0 else valid))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_cli_contract_on_drawn_argument_lists(argv):
+    # exit 0, 2 or 3; a failure prints one JSON record and leaves no partial file behind
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        extra = ["--channel-out", str(Path(tmp) / "chan.csv")] if argv[0] == "evolve" else []
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out), *extra])
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            assert out.is_file() and err.getvalue() == ""
+        else:
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1, (argv, lines)
+            record = json.loads(lines[0])
+            assert set(record) == {"error", "message"} and record["message"], argv
+        assert not [f.name for f in Path(tmp).iterdir() if f.name.endswith(".tmp")], argv
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])

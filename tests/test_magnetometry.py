@@ -195,6 +195,22 @@ def test_first_min_then_max_b0_returns_none():
     assert g_min is None and g_max is None
 
 
+def test_long_grid_sweep_of_every_metric_finds_the_features(tmp_path):
+    # `sweep --metric all` at defaults runs the 6000 ns grid; g is noisy at 0 mT and crosses 1 three
+    # times at 3 mT, and a RuntimeWarning on the way fails the test (pyproject's filter)
+    out = tmp_path / "features.csv"
+    assert main(["sweep", "--metric", "all", "--b", "0,0.003", "--state", "belldiag:a=0.3,b=0.25",
+                 "--out", str(out)]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [float(r["B_T"]) for r in rows] == [0.0, 0.003]
+    zero, three = rows
+    assert zero["g_min_t"] == zero["g_max_t"] == zero["kink_times"] == ""
+    assert float(zero["esd_t"]) == pytest.approx(2.62) and float(zero["d_longtime"]) > 0.0
+    assert len(three["kink_times"].split(";")) == 3
+    assert all(three[name] != "" for name in ("g_min_t", "g_min_val", "g_max_t", "g_max_val"))
+
+
 def test_sweep_table_and_csv(tmp_path):
     config = RunConfig(
         state="werner:p=0.33",
