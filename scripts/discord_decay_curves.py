@@ -22,7 +22,7 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
         config = RunConfig(state="bell:psi-", b_fields=[b], t_max=t_short)
         traj = trajectory_for_field(config, b)
         path = outdir / f"bell_discord_b{1e3 * b:g}mT.csv"
-        traj.to_csv(path, header_lines=header_lines(config))
+        traj.to_csv(path, header_lines=header_lines(config, "evolve"))
         print(f"wrote {path}")
 
     print("\nlong-time tail (dense prefix + coarse grid):")
@@ -30,7 +30,7 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
         config = RunConfig(state="bell:psi-", b_fields=[b], t_max=t_long)
         traj = trajectory_for_field(config, b)
         path = outdir / f"bell_discord_long_b{1e3 * b:g}mT.csv"
-        traj.to_csv(path, header_lines=header_lines(config))
+        traj.to_csv(path, header_lines=header_lines(config, "evolve"))
         rev = low_field_revival(traj)
         print(f"  B={1e3 * b:g} mT: D_min={rev.d_min:.3e} at {rev.t_min:.1f} ns, "
               f"recovers to {rev.d_max:.3e}; wrote {path}")

@@ -32,12 +32,12 @@ def main() -> None:
     )
     table = run_sweep(config)
     sweep_path = args.outdir / "m_of_b_sweep.csv"
-    table.to_csv(sweep_path, header_lines=header_lines(table.config, {"metric": config.metric}))
+    table.to_csv(sweep_path, header_lines=header_lines(table.config, "sweep"))
     print(f"wrote {sweep_path}")
 
     curve = calibration_curve(table, "M")
     curve.to_csv(args.outdir / "m_calibration.csv",
-                 header_lines=header_lines(table.config, {"metric": config.metric, "monotone": curve.monotone}))
+                 header_lines=header_lines(table.config, "sweep", {"monotone": curve.monotone}))
     demo = 0.5 * (curve.values[0] + curve.values[-1])
     estimate = invert_field(curve, float(demo))
     print(

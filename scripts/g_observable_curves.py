@@ -40,18 +40,18 @@ def main() -> None:
     for b in CURVE_FIELDS_T:
         traj = trajectory_for_field(config, b)
         path = args.outdir / f"g_curve_b{1e3 * b:g}mT.csv"
-        traj.to_csv(path, header_lines=header_lines(replace(config, b_fields=[b])))
+        traj.to_csv(path, header_lines=header_lines(replace(config, b_fields=[b]), "evolve"))
         print(f"wrote {path}")
 
     table = run_sweep(config)
     sweep_path = args.outdir / "g_extrema_sweep.csv"
-    table.to_csv(sweep_path, header_lines=header_lines(table.config, {"metric": config.metric}))
+    table.to_csv(sweep_path, header_lines=header_lines(table.config, "sweep"))
     print(f"wrote {sweep_path}")
 
     curve = calibration_curve(table, "g_max_value")
     curve_path = args.outdir / "g_max_calibration.csv"
     curve.to_csv(curve_path,
-                 header_lines=header_lines(table.config, {"metric": config.metric, "monotone": curve.monotone}))
+                 header_lines=header_lines(table.config, "sweep", {"monotone": curve.monotone}))
     print(f"wrote {curve_path} (monotone={curve.monotone})")
 
 

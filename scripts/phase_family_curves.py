@@ -34,7 +34,8 @@ def main() -> None:
             path = args.outdir / f"phase_{name}_b{1e3 * b:g}mT.csv"
             # the config echo reproduces this one trajectory: its state, field, grid and normalization
             config = RunConfig(state=f"phase:gamma={gamma!r}", b_fields=[b], t_max=args.tmax, normalize="half")
-            traj.to_csv(path, header_lines=header_lines(config, {"gamma": gamma}), normalize=config.normalize)
+            traj.to_csv(path, header_lines=header_lines(config, "evolve", {"gamma": gamma}),
+                        normalize=config.normalize)
             onset = bound_separation_onset(traj)
             print(f"B={1e3 * b:7g} mT gamma={name:11s}: bound-separation onset = {onset}")
 

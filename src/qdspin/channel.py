@@ -542,6 +542,8 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
         vers, sin = _phase_sums(times[slow], quad.c_freq[:n], quad.c_vers[:n], quad.c_sin[:n])
         p_out[slow] = np.sum(quad.p_amp)
         c_out[slow] = (np.sum(quad.c_vers[:n]) - vers) + 1j * sin
+    if dot.zeeman_energy == 0.0:  # m -> -m pairs nodes whose sine terms cancel, and w_diff is 0: c is real
+        c_out.imag = 0.0
 
     if times.size and times[0] == 0.0 and (abs(p_out[0]) > 1e-12 or abs(c_out[0] - 1.0) > 1e-12):
         raise QuadratureResolutionError(

@@ -4,7 +4,9 @@ Exit codes: 0 ok, 2 usage, 3 numerical or validity error, 4 acceptance
 failure.  Errors print a machine-readable JSON record to stderr.  All
 outputs are deterministic for a fixed configuration; the worker count
 (`sweep --workers` or the config file's "workers") changes wall time only,
-never results.
+never results.  A command's config file may set the `RunConfig` fields
+that `COMMAND_FIELDS` names for it and those its flags set, and its CSV
+headers echo exactly the former.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from typing import NoReturn
 
 from . import __version__
 from .config import (
+    COMMAND_FIELDS,
     METRIC_SETS,
     NORMALIZE_MODES,
     RunConfig,
@@ -100,12 +103,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    # every flag whose dest names a config field overrides that field
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    if getattr(args, "b", None) is not None:
-        overrides["b_fields"] = parse_b_values(args.b)
-    return config.with_overrides(**overrides)
+    """The config file with every set flag laid over it; a file key its command neither applies nor flags exits 2."""
+    try:
+        data = json.loads(Path(args.config).read_text()) if args.config else {}
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InvalidParameterError(f"malformed config JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"config JSON must be an object, got {type(data).__name__}")
+    known = {f.name for f in fields(RunConfig)}
+    if data.keys() - known:
+        raise InvalidParameterError(f"unknown config keys {sorted(data.keys() - known)}")
+    # every flag whose dest names a config field sets that field
+    flags = vars(args).keys() & known
+    ignored = data.keys() - flags - set(COMMAND_FIELDS[args.command])
+    if ignored:
+        raise InvalidParameterError(f"{args.command} does not apply the config keys {sorted(ignored)}")
+    data.update((name, getattr(args, name)) for name in flags if getattr(args, name) is not None)
+    if args.b is not None:
+        data["b_fields"] = parse_b_values(args.b)
+    return RunConfig(**data)
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -135,7 +153,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if len(config.b_fields) != 1:
         raise InvalidParameterError("evolve expects exactly one field value (--b)")
     out = config.out or "trajectory.csv"
-    _check_outputs(out, getattr(args, "channel_out", None))
+    _check_outputs(out, args.channel_out)
     chan = channel_for_field(config, config.b_fields[0])
     traj = evolve(state0, chan)
     kinks = find_g_crossings(traj.times, traj.g, traj.g_on)
@@ -145,9 +163,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "quadrature_nodes_summed": chan.model.p_freq.size,
         "kink_times_ns": kink_text(kinks) or "none",
     }
-    headers = header_lines(config, extra)
+    headers = header_lines(config, "evolve", extra)
     traj.to_csv(out, header_lines=headers, normalize=config.normalize)
-    if getattr(args, "channel_out", None):
+    if args.channel_out:
         chan.to_csv(args.channel_out, header_lines=headers)
     print(f"wrote {out} ({traj.times.size} rows); kinks: {extra['kink_times_ns']}")
     return EXIT_OK
@@ -166,7 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     table = run_sweep(config)
     curve = calibration_curve(table, quantity) if args.calibration_out else None
-    headers = header_lines(table.config, {"metric": config.metric})
+    headers = header_lines(table.config, "sweep")
     table.to_csv(out, header_lines=headers)
     if curve is not None:
         curve.to_csv(args.calibration_out, header_lines=headers)

@@ -1,7 +1,8 @@
 """Run configuration, the small spec parsers and the CSV file format.
 
-Every CSV qdspin writes goes through `write_csv`, so `header_lines` and
-the cell rules below are the whole output format. A number is written
+Every CSV qdspin writes goes through `write_csv`, so `header_lines`, which
+echoes the fields `COMMAND_FIELDS` says its command applies, and the cell
+rules below are the whole output format. A number is written
 as `'%.17g' % v`, and every number of every table gets those bytes from
 `_format_numbers`, which formats a block of rows in one pass of numpy
 arithmetic instead of one Python format call per cell.
@@ -12,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -51,6 +52,15 @@ def _is_int(value) -> bool:
 def _is_real(value) -> bool:
     """An int or float inside the finite float range."""
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+# the RunConfig fields each command applies and echoes; its file may also set `out` (and a sweep's `workers`),
+# which changes no output byte
+_RUN_FIELDS = ("a_total", "n_nuclei", "i_nuclear", "g_factor", "state", "b_fields", "t_max", "dt", "m_nodes", "q_nodes")
+COMMAND_FIELDS = {
+    "evolve": (*_RUN_FIELDS, "normalize"),
+    "sweep": (*_RUN_FIELDS, "metric", "m_window", "longtime_window"),
+}
 
 
 @dataclass
@@ -108,40 +118,6 @@ class RunConfig:
             require(isinstance(value, str) and value in choices, name, f"one of {choices}")
         # the material parameters' own range checks, at the strongest field
         self.dot(max(self.b_fields, key=abs, default=0.0))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidParameterError(f"unknown config keys {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise InvalidParameterError(f"malformed config JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InvalidParameterError(f"config JSON must be an object, got {type(data).__name__}")
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise InvalidParameterError(f"cannot read config file {str(path)!r}: {exc.strerror}") from exc
-        return cls.from_json(text)
-
-    def with_overrides(self, **overrides) -> "RunConfig":
-        """Apply non-None flag values over this config (flags win)."""
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **clean)
 
     def dot(self, b_field: float) -> DotParameters:
         return DotParameters(
@@ -235,16 +211,15 @@ def parse_b_values(text: str) -> list[float]:
     return [number(p) for p in text.split(",") if p.strip() != ""]
 
 
-def header_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
-    """Comment header: config echo plus version; fields in both T and mT.
+def header_lines(config: RunConfig, command: str, extra: dict | None = None) -> list[str]:
+    """Comment header: version, the echo of `COMMAND_FIELDS[command]`, the fields in both T and mT, `extra`.
 
-    The output path and worker count are excluded: they cannot affect
-    results, and the byte-identity contract covers runs that differ only
-    in them.
+    A trajectory or channel CSV echoes `evolve`'s fields and a sweep or
+    calibration CSV `sweep`'s, so the echo is a config file that reruns it.
     """
     from . import __version__
 
-    echo = {k: v for k, v in config.to_dict().items() if k not in ("out", "workers")}
+    echo = {name: getattr(config, name) for name in COMMAND_FIELDS[command]}
     lines = [f"qdspin_version={__version__}", f"config={json.dumps(echo, sort_keys=True)}"]
     b_t = ",".join(f"{b:.9g}" for b in config.b_fields)
     b_mt = ",".join(f"{1e3 * b:.9g}" for b in config.b_fields)

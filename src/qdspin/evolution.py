@@ -60,6 +60,10 @@ class ChannelError(InvalidParameterError):
     """Channel parameters violate complete positivity."""
 
 
+class NormalizationError(InvalidParameterError, ZeroDivisionError):
+    """The normalizing initial discord vanishes: the state has none to normalize by (exit 2)."""
+
+
 def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     """The coherence multipliers the product channel applies: co-rotated, and CP-audited with p.
 
@@ -241,6 +245,13 @@ class CorrelationTrajectory:
             raise InvalidParameterError("a trajectory on a hand-built channel has no model to evaluate g on")
         return evolve(self.state0, compute_channel(self.model, times)).g
 
+    def initial_discord(self) -> float:
+        """d_lower(0), which M(B) and every output normalization divide by; NormalizationError where it vanishes."""
+        d0 = self.d_lower[0]
+        if d0 <= 1e-15:
+            raise NormalizationError("initial rescaled discord is zero: M(B) and normalized discord are undefined")
+        return d0
+
     def normalized(self, mode: str = "none") -> tuple[np.ndarray, np.ndarray]:
         """Rescaled-discord bounds under an output normalization.
 
@@ -250,9 +261,7 @@ class CorrelationTrajectory:
         """
         if mode == "none":
             return self.d_lower.copy(), self.d_upper.copy()
-        d0 = self.d_lower[0]
-        if d0 <= 1e-15:
-            raise InvalidParameterError("cannot normalize: initial rescaled discord is zero")
+        d0 = self.initial_discord()
         scale = {"initial": 1.0 / d0, "half": 0.5 / d0}.get(mode)
         if scale is None:
             raise InvalidParameterError(f"unknown normalization mode {mode!r}")

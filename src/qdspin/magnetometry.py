@@ -34,6 +34,7 @@ from .evolution import (
     CorrelationTrajectory,
     Extremum,
     ExtremumKind,
+    NormalizationError,  # M(B) raises it, so it stays importable from here
     build_time_grid,
     evolve,
     find_extrema,
@@ -49,10 +50,6 @@ WINDOW_EDGE_TOL = 1e-12  # ns; a grid time this close outside a window's edge is
 REVIVAL_WINDOW = (0.5, 100.0)  # ns; open interval holding the post-decay minimum of d_lower
 BOUND_SPLIT_FRACTION = 0.01    # of ds_lower(0): the bound gap that marks the separation onset
 CHANNEL_MEMO_SIZE = 16         # channels a process keeps: ~70 KB each on the 20 ns grid, ~0.72 MB on 12 000 ns
-
-
-class NormalizationError(InvalidParameterError, ZeroDivisionError):
-    """The normalizing initial discord vanishes: the state has none to integrate (exit 2)."""
 
 
 class MonotonicityError(QdspinError, ValueError):
@@ -96,9 +93,7 @@ def rescaled_integral(
     rule for non-uniform spacing over pairs of intervals and, for an even
     sample count, Cartwright's correction on the last interval (`_simpson`).
     """
-    d0 = traj.d_lower[0]
-    if d0 <= 1e-15:
-        raise NormalizationError("initial rescaled discord is zero; M(B) undefined")
+    d0 = traj.initial_discord()
     mask = _in_window(traj.times, window)
     if mask.sum() < 3:
         raise InvalidParameterError(f"window {window} contains fewer than 3 samples")

@@ -283,6 +283,15 @@ def test_channel_zero_field_identities(channel_b0):
     assert np.abs(channel_b0.c.real - (1.0 - 2.0 * channel_b0.p)).max() < 1e-3
 
 
+@pytest.mark.parametrize("b_field", [0.0, -0.0])
+@pytest.mark.parametrize("t_max,dt", [(20.0, 0.02), (2000.0, 0.1), (1.2e4, 0.02)])
+def test_channel_is_exactly_real_at_zero_field(b_field, t_max, dt):
+    # m -> -m pairs the nodes so that their sine terms cancel, and the slow frequency is 0: round-off
+    # would leave ~1e-16, and c is set real
+    chan = channel_of(q.DotParameters(b_field=b_field), build_time_grid(t_max, dt))
+    assert np.all(chan.c.imag == 0.0)
+
+
 def test_channel_cp_report(channel_b0):
     report = q.verify_channel_cp(channel_b0)
     assert report.worst_margin >= -1e-12

@@ -5,6 +5,7 @@ import json
 import os
 import tempfile
 import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,11 @@ from qdspin import channel, cli, magnetometry
 from qdspin.channel import MAX_QUADRATURE_NODES, build_quadrature
 from qdspin.cli import main
 from qdspin.config import (
+    COMMAND_FIELDS,
     MAX_FIELD_POINTS,
     NORMALIZE_MODES,
     RunConfig,
+    header_lines,
     parse_b_values,
     parse_state_spec,
 )
@@ -28,10 +31,23 @@ from qdspin.evolution import build_time_grid
 from qdspin.magnetometry import METRIC_SETS
 
 
+def _loaded(command: str, data, *flags: str) -> RunConfig:
+    """The configuration `command` applies from a config file holding `data`, with `flags` set over it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(data))
+        return cli._load_config(cli._build_parser().parse_args([command, "--config", str(path), *flags]))
+
+
+def _echo(config: RunConfig, command: str) -> dict:
+    """The config echo of a CSV that `command` writes for `config`."""
+    return json.loads(header_lines(config, command)[1].removeprefix("config="))
+
+
 def test_config_roundtrip_default():
-    config = RunConfig()
-    again = RunConfig.from_json(json.dumps(config.to_dict()))
-    assert again == config
+    # a header echo is a config file that loads back to the configuration it echoes
+    for command in COMMAND_FIELDS:
+        assert _loaded(command, _echo(RunConfig(), command)) == RunConfig()
 
 
 @settings(max_examples=100, deadline=None)
@@ -43,7 +59,7 @@ def test_config_roundtrip_default():
 )
 def test_config_roundtrip_random(a_total, n_nuclei, normalize, b_fields):
     config = RunConfig(a_total=a_total, n_nuclei=n_nuclei, normalize=normalize, b_fields=b_fields)
-    assert RunConfig.from_json(json.dumps(config.to_dict())) == config
+    assert _loaded("evolve", _echo(config, "evolve")) == config
 
 
 def test_config_defaults_reproduce_material_parameters():
@@ -65,12 +81,13 @@ def test_material_and_grid_defaults_are_written_once():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(InvalidParameterError):
-        RunConfig.from_dict({"bogus": 1})
+    for command in COMMAND_FIELDS:
+        with pytest.raises(InvalidParameterError, match=r"^unknown config keys \['bogus'\]$"):
+            _loaded(command, {"bogus": 1})
 
 
 def test_config_overrides_win():
-    config = RunConfig(t_max=20.0).with_overrides(t_max=50.0, dt=None)
+    config = _loaded("evolve", {"t_max": 20.0}, "--tmax", "50")
     assert config.t_max == 50.0 and config.dt == 0.02
 
 
@@ -221,7 +238,7 @@ def test_cli_removed_grid_keys_are_unknown_config_keys(source, tmp_path, capsys)
     # the long grid's dense prefix and coarse step are constants of build_time_grid, not settings
     data = {"t_max": 120.0, "dt_long": 2.0, "dense_prefix": 50.0}
     if source == "echo":  # a header echo of an earlier version, copied verbatim
-        data = {**RunConfig().to_dict(), **data}
+        data = {**asdict(RunConfig()), **data}
         del data["out"], data["workers"]
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(data))
@@ -234,14 +251,15 @@ def test_cli_removed_grid_keys_are_unknown_config_keys(source, tmp_path, capsys)
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_cli_sweep_m_of_a_state_without_discord_is_usage_error(tmp_path, capsys):
-    # werner:p=0 is the maximally mixed state: M(B) has no initial discord to normalize by
-    code = main(["sweep", "--metric", "M", "--state", "werner:p=0", "--b", "0.01", "--tmax", "2",
-                 "--out", str(tmp_path / "s.csv")])
+@pytest.mark.parametrize("argv", [["sweep", "--metric", "M"], ["evolve", "--normalize", "initial"]])
+def test_cli_sweep_m_of_a_state_without_discord_is_usage_error(argv, tmp_path, capsys):
+    # werner:p=0 is the maximally mixed state: M(B) and the normalized trajectory have no initial discord
+    # to divide by, and one check says so for both
+    code = main([*argv, "--state", "werner:p=0", "--b", "0.01", "--tmax", "2", "--out", str(tmp_path / "s.csv")])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "NormalizationError",
-                      "message": "initial rescaled discord is zero; M(B) undefined"}
+                      "message": "initial rescaled discord is zero: M(B) and normalized discord are undefined"}
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -364,7 +382,7 @@ def test_cli_upper_pairing_flag_is_unknown(tmp_path, capsys):
 
 def test_cli_config_file_plus_override(tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(RunConfig(state="werner:p=0.33", t_max=5.0, b_fields=[0.0]).to_dict()))
+    cfg.write_text(json.dumps(_echo(RunConfig(state="werner:p=0.33", t_max=5.0, b_fields=[0.0]), "evolve")))
     out = tmp_path / "traj.csv"
     code = main(["evolve", "--config", str(cfg), "--b", "0.003", "--out", str(out)])
     assert code == 0
@@ -468,10 +486,10 @@ def test_cli_malformed_raw_state_is_usage_error(name, text, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("text", ["{not json", "5"])
+@pytest.mark.parametrize("text", [b"{not json", b"5", b"\xff\xfe{}"])  # the last is not UTF-8
 def test_cli_malformed_config_is_usage_error(text, tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     code = main(["sweep", "--config", str(cfg), "--metric", "M", "--b", "0.01",
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
@@ -610,22 +628,29 @@ def test_cli_non_finite_state_is_usage_error(spec, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_cli_sweep_config_echo_reproduces_the_run(tmp_path):
+@pytest.mark.parametrize("command,config,flags,side", [
+    ("sweep", {"t_max": 120.0, "dt": 0.1, "m_window": [0.0, 10.0], "longtime_window": [100.0, 120.0]},
+     ["--metric", "all", "--b", "0.001,0.01"], "--calibration-out"),
+    ("evolve", {"t_max": 120.0, "dt": 0.1}, ["--normalize", "half", "--b", "0.001"], "--channel-out"),
+])
+def test_cli_sweep_config_echo_reproduces_the_run(command, config, flags, side, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"t_max": 120.0, "dt": 0.1, "m_window": [0.0, 10.0],
-                               "longtime_window": [100.0, 120.0]}))
-    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
-    code = main(["sweep", "--config", str(cfg), "--metric", "all", "--b", "0.001,0.01",
-                 "--state", "werner:p=0.33", "--out", str(first)])
-    assert code == 0
-    echo = next(l for l in first.read_text().splitlines() if l.startswith("# config="))
+    cfg.write_text(json.dumps(config))
+
+    def run(name: str, *args: str) -> list[bytes]:
+        outs = [tmp_path / f"{name}.csv", tmp_path / f"{name}-{side[2:]}.csv"]
+        assert main([command, *args, "--out", str(outs[0]), side, str(outs[1])]) == 0
+        return [out.read_bytes() for out in outs]
+
+    first = run("first", "--config", str(cfg), *flags, "--state", "werner:p=0.33")
+    echo = next(l for l in first[0].decode().splitlines() if l.startswith("# config="))
     applied = json.loads(echo.removeprefix("# config="))
+    assert sorted(applied) == sorted(COMMAND_FIELDS[command])
     defaults = RunConfig()
-    for name in ("t_max", "dt", "m_window", "longtime_window", "metric"):
+    for name in (*config, flags[0][2:]):  # the file's keys and the first flag's field
         assert applied[name] != getattr(defaults, name)
     (tmp_path / "echo.json").write_text(json.dumps(applied))
-    assert main(["sweep", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
-    assert again.read_bytes() == first.read_bytes()
+    assert run("again", "--config", str(tmp_path / "echo.json")) == first
 
 
 @pytest.mark.parametrize("kind", ["directory", "fifo"])
@@ -645,15 +670,30 @@ def test_cli_output_not_a_regular_file_is_usage_error(kind, tmp_path, capsys, mo
     "command,config,field",
     [("evolve", {"a_total": "x"}, "a_total"), ("sweep", {"m_window": [5]}, "m_window"),
      ("sweep", {"workers": "two"}, "workers"), ("sweep", {"metric": "bogus"}, "metric"),
-     ("evolve", {"i_nuclear": float("nan")}, "i_nuclear"), ("evolve", {"i_nuclear": 9e307}, "i_nuclear")],
+     ("evolve", {"i_nuclear": float("nan")}, "i_nuclear"), ("evolve", {"i_nuclear": 9e307}, "i_nuclear"),
+     # a valid value of a field its command does not apply
+     ("evolve", {"metric": "M"}, "evolve does not apply the config keys ['metric']"),
+     ("evolve", {"m_window": [0.0, 10.0]}, "evolve does not apply the config keys ['m_window']"),
+     ("evolve", {"longtime_window": [100.0, 120.0]}, "evolve does not apply the config keys ['longtime_window']"),
+     ("evolve", {"workers": 3}, "evolve does not apply the config keys ['workers']"),
+     ("sweep", {"normalize": "half"}, "sweep does not apply the config keys ['normalize']")],
 )
-def test_cli_bad_config_value_is_usage_error(command, config, field, tmp_path, capsys):
+def test_cli_bad_config_value_is_usage_error(command, config, field, tmp_path, capsys, monkeypatch):
+    _forbid_channel_work(monkeypatch, "the config was checked")
+
+    def no_output_check(*paths):
+        raise AssertionError("outputs checked before the config")
+
+    monkeypatch.setattr(cli, "_check_outputs", no_output_check)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     code = main([command, "--config", str(cfg), "--b", "0.01", "--tmax", "1",
                  "--out", str(tmp_path / "o.csv")])
     assert code == 2
-    assert field in _usage_error(capsys)["message"]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1  # one record
+    record = json.loads(err)
+    assert record["error"] == "InvalidParameterError" and field in record["message"]
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -691,9 +731,14 @@ def config_dicts(draw) -> dict:
     return data
 
 
+# the keys a command's config file may hold: the fields it applies, and those its flags set that it does not echo
+_SETTABLE = {"evolve": {*COMMAND_FIELDS["evolve"], "out"}, "sweep": {*COMMAND_FIELDS["sweep"], "out", "workers"}}
+
+
 @settings(max_examples=500, deadline=None)
-@given(config_dicts())
-def test_config_json_rejects_exactly_what_the_dataclass_rejects(data):
+@given(config_dicts(), st.sampled_from(sorted(COMMAND_FIELDS)))
+def test_config_json_rejects_exactly_what_the_dataclass_rejects(data, command):
+    # a file is refused exactly when RunConfig(**data) refuses it or when it holds a key its command does not take
     def build(make):
         try:
             return make()
@@ -701,11 +746,12 @@ def test_config_json_rejects_exactly_what_the_dataclass_rejects(data):
             return None
 
     direct = build(lambda: RunConfig(**data))
-    loaded = build(lambda: RunConfig.from_json(json.dumps(data)))
-    assert (direct is None) == (loaded is None)
-    if direct is not None:
+    loaded = build(lambda: _loaded(command, data))
+    assert (loaded is None) == (direct is None or not data.keys() <= _SETTABLE[command])
+    if loaded is not None:
         assert loaded == direct
-        assert RunConfig.from_json(json.dumps(direct.to_dict())) == direct
+        # the echo reloads to the same configuration, but for the two settings it leaves out
+        assert _loaded(command, _echo(direct, command)) == replace(direct, out=None, workers=None)
         # what the commands derive from an accepted config builds without error
         for b in direct.b_fields:
             direct.dot(b)
@@ -839,6 +885,7 @@ def _forbid_channel_work(monkeypatch, what: str) -> None:
         raise AssertionError(f"channel work started before {what}")
 
     monkeypatch.setattr("qdspin.magnetometry.channel_for_field", no_channel_work)
+    monkeypatch.setattr("qdspin.cli.channel_for_field", no_channel_work)
 
 
 @pytest.mark.parametrize("metric,quantity", [("M", "g_max_value"), ("g-extrema", "M"),

@@ -9,6 +9,7 @@ import pytest
 
 import qdspin
 from qdspin import RunConfig
+from qdspin.config import COMMAND_FIELDS
 
 SRC = str(Path(qdspin.__file__).resolve().parents[1])
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -32,8 +33,13 @@ def test_every_script_csv_has_the_version_and_config_lines(script, args, n_csv, 
     csvs = sorted(tmp_path.glob("*.csv"))
     assert len(csvs) == n_csv
     for csv in csvs:
-        headers = [line[2:] for line in csv.read_text().splitlines() if line.startswith("# ")]
+        lines = csv.read_text().splitlines()
+        headers = [line[2:] for line in lines if line.startswith("# ")]
         assert headers[0] == f"qdspin_version={qdspin.__version__}", csv.name
         assert headers[1].startswith("config="), csv.name
-        # the echo is a configuration that runs
-        RunConfig(**json.loads(headers[1].removeprefix("config=")))
+        # the echo holds the fields of the command whose CSV this is, a sweep's (B_T first) or a trajectory's
+        echo = json.loads(headers[1].removeprefix("config="))
+        command = "sweep" if lines[len(headers)].startswith("B_T,") else "evolve"
+        assert sorted(echo) == sorted(COMMAND_FIELDS[command]), csv.name
+        # and it is a configuration that runs
+        RunConfig(**echo)
