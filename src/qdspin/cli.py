@@ -151,7 +151,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state0 = make_state(parse_state_spec(config.state))
     if len(config.b_fields) != 1:
-        raise InvalidParameterError("evolve expects exactly one field value (--b)")
+        raise InvalidParameterError(f"evolve takes exactly one field value, got {len(config.b_fields)} "
+                                    "(from --b or the config file's b_fields)")
     out = config.out or "trajectory.csv"
     _check_outputs(out, args.channel_out)
     chan = channel_for_field(config, config.b_fields[0])

@@ -1,12 +1,15 @@
 """Two-qubit evolution under the product channel and trajectory analysis.
 
 Both dots are identical and uncorrelated, so the two-qubit map is the
-tensor product of two copies of the single-dot channel.  The engine
-applies the channel on a time grid as one audited stack of evolved
-density matrices, built entry by entry from elementwise products of the
-channel's time arrays with fixed entries of the start state, and maps
-the start state's Bloch form alike, so a time gets the same bits alone
-as inside a stack.  A measure is computed when its column is first read.
+tensor product of two copies of the single-dot channel.  The engine maps
+the start state's Bloch form along the channel's time arrays, which is
+all that g, purity and both discord bounds read, and builds the stack of
+evolved density matrices, entry by entry from elementwise products of
+the channel's time arrays with fixed entries of the start state, only
+for the columns that read it; a time gets the same bits alone as inside
+a stack.  Every evolved state is audited for unit trace and positivity:
+an X start stays X, and is audited on its two 2x2 blocks with no stack.
+A measure is computed when its column is first read.
 The feature scanners detect the decay-regime crossings (g through
 unity), extrema and entanglement-sudden-death features used downstream;
 crossings are refined in batched rounds through `evolve` itself.
@@ -27,6 +30,7 @@ from .config import RunConfig, write_csv
 from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError
 from .measures import (
     KEigh,
+    _diagonal_side_terms,
     _g_of,
     _k_eigh,
     _lower_bound,
@@ -41,11 +45,11 @@ from .states import (
     bell_diagonal_params,
     bell_ordering,
     bloch_decompose,
-    purity,
     singlet_triplet_weights,
 )
 
 EVOLVED_PSD_TOL = 1e-8  # audit tolerance for evolved states (construction is 1e-10)
+_X_OFF = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # the entries outside the X pattern
 G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
 KINK_T_TOL = 1e-6       # ns; the refinement stops once every crossing is bracketed this tightly
 KINK_SECTIONS = 32      # sub-intervals per bracket and round: 2**5, five bisection steps per round
@@ -127,6 +131,34 @@ def _evolved_bloch(form0: BlochForm, p: np.ndarray, c: np.ndarray) -> BlochForm:
                      np.ascontiguousarray(t_tr.transpose(2, 1, 0)))
 
 
+def _evolved_x(rho0: np.ndarray, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The populations (4, n), rho_03 and rho_12 of `_evolved_rho` on a start rho0 of X form.
+
+    The channel keeps the X pattern: rho_03 gains c^2, rho_12 gains |c|^2
+    and population i mixes with those of its one- and two-dot flips
+    (i ^ 1, i ^ 2, 3 - i), term by term in `_evolved_rho`'s order.
+    """
+    d = rho0.diagonal().real
+    kk, kf, ff = (1.0 - p) * (1.0 - p), (1.0 - p) * p, p * p
+    pops = np.array([kk * d[i] + kf * d[i ^ 1] + kf * d[i ^ 2] + ff * d[3 - i] for i in range(4)])
+    return pops, c * c * rho0[0, 3], c * np.conj(c) * rho0[1, 2]
+
+
+def _x_blocks_pass(pops: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> bool:
+    """Whether every X state with these populations and coherences rho_03, rho_12 passes `_audit_evolved`.
+
+    An X state is the direct sum of the 2x2 blocks [[rho_00, rho_03],
+    [rho_30, rho_33]] and [[rho_11, rho_12], [rho_21, rho_22]], so rho +
+    EVOLVED_PSD_TOL * I is positive definite, and has a Cholesky factor,
+    exactly when both blocks plus EVOLVED_PSD_TOL * I are (Yu & Eberly,
+    Quantum Inf. Comput. 7, 459 (2007)).  A NaN fails every comparison.
+    """
+    pad = pops + EVOLVED_PSD_TOL
+    trace = pops[0] + pops[1] + pops[2] + pops[3]
+    return bool(np.all((np.abs(trace - 1.0) <= TRACE_TOL) & (pad[0] > 0.0) & (pad[1] > 0.0)
+                       & (pad[0] * pad[3] > np.abs(outer) ** 2) & (pad[1] * pad[2] > np.abs(inner) ** 2)))
+
+
 def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> None:
     """Unit trace and positivity (to EVOLVED_PSD_TOL) of every state.
 
@@ -156,28 +188,36 @@ def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> None:
 class CorrelationTrajectory:
     """Correlation report along a channel trajectory, with the channel's model.
 
-    `evolve` fills the fields: copies of the channel pair actually applied
-    and the audited (n, 4, 4) stack of evolved states.  The model is the
-    channel's own, shared with every trajectory on that channel (a channel
-    from `channel_for_field` is shared within the process) and read-only.
-    Every column, `min_eigenvalue` included, is computed when it is first
-    read and kept from then on.  g and both discord bounds read the Bloch form that
-    `_evolved_bloch` maps from the start state along (p, c); the other
-    columns read the stack.  The bounds share one eigendecomposition of
-    the K matrices (`measures.KEigh`); a start whose only coherence is
-    rho_12 (Bell psi, Werner, Bell-diagonal) keeps every K diagonal, and a
-    diagonal K is read off its diagonal with no `eigh`.
-    The upper bound's corrections run only when `ds_upper` or `d_upper`
-    is read.
+    `evolve` fills the fields: copies of the channel pair actually applied.
+    The model is the channel's own, shared with every trajectory on that
+    channel (a channel from `channel_for_field` is shared within the
+    process) and read-only.  Every column, `rho` and `min_eigenvalue`
+    included, is computed when it is first read and kept from then on.
+    g, purity, (1 + |x|^2 + |y|^2 + ||T||^2)/4, and both discord bounds read
+    the Bloch form that `_evolved_bloch` maps from the start state along
+    (p, c); the concurrence, the weights, the Bell fit and `min_eigenvalue`
+    read the (n, 4, 4) stack `rho` that `_evolved_rho` builds.  So a row
+    that reads only M, `d_longtime`, g-extrema or kinks of an X start
+    builds no stack.  The bounds share one eigendecomposition of the K
+    matrices (`measures.KEigh`); a start whose only coherence is rho_12
+    (Bell psi, Werner, Bell-diagonal) keeps every K diagonal, and a
+    diagonal K is read off its diagonal with no `eigh`.  The lower bound
+    reads Tr K - k_max off those diagonals alone
+    (`measures._diagonal_side_terms`); the eigendecomposition and the upper
+    bound's corrections run only when `ds_upper` or `d_upper` is read.
     """
 
     times: np.ndarray
     p: np.ndarray
     c: np.ndarray                      # coherence multiplier actually applied
-    rho: np.ndarray = field(repr=False)
     state0: TwoQubitState
     dot: DotParameters
     model: BathQuadrature | None = field(default=None, repr=False)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """(n, 4, 4) stack of the evolved states."""
+        return _evolved_rho(self.state0.rho, self.p, self.c)
 
     @cached_property
     def min_eigenvalue(self) -> np.ndarray:
@@ -193,7 +233,8 @@ class CorrelationTrajectory:
 
     @cached_property
     def ds_lower(self) -> np.ndarray:
-        return _lower_bound(self._k_eigen)
+        side_terms = _diagonal_side_terms(self._bloch)
+        return _lower_bound(self._k_eigen.a if side_terms is None else side_terms)
 
     @cached_property
     def ds_upper(self) -> np.ndarray:
@@ -209,7 +250,9 @@ class CorrelationTrajectory:
 
     @cached_property
     def purity(self) -> np.ndarray:
-        return purity(self.rho)
+        x, y, t = self._bloch.x, self._bloch.y, self._bloch.t_corr
+        return 0.25 * (1.0 + np.einsum("ni,ni->n", x, x) + np.einsum("ni,ni->n", y, y)
+                       + np.einsum("nij,nij->n", t, t))
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -284,22 +327,21 @@ def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTraject
     """Apply the product channel along the trajectory.
 
     The channel acts in the co-rotating frame and is CP-audited there
-    (`effective_coherence`).  The evolved states form one (n, 4, 4) stack,
-    audited for unit trace and positivity here; the measures are evaluated
-    on the whole stack when the returned trajectory's columns are first read.
+    (`effective_coherence`).  Every evolved state is audited here for unit
+    trace and positivity: a start with exact zeros outside the X pattern
+    stays X, and its six evolved entries are audited block by block
+    (`_x_blocks_pass`) with no stack; any other start, or an X start that
+    fails, has its stack built and audited by `_audit_evolved`, which names
+    the first state that breaks the audit.  The measures are evaluated on
+    the whole trajectory when its columns are first read.
     """
     c_eff = effective_coherence(traj)
-    rho = _evolved_rho(state0.rho, traj.p, c_eff)
-    _audit_evolved(rho, traj.times)
-    return CorrelationTrajectory(
-        times=traj.times.copy(),
-        p=traj.p.copy(),
-        c=c_eff,
-        rho=rho,
-        state0=state0,
-        dot=traj.dot,
-        model=traj.model,
-    )
+    out = CorrelationTrajectory(times=traj.times.copy(), p=traj.p.copy(), c=c_eff, state0=state0, dot=traj.dot,
+                                model=traj.model)
+    x_form = not state0.rho[_X_OFF].any()
+    if not (x_form and _x_blocks_pass(*_evolved_x(state0.rho, out.p, c_eff))):
+        _audit_evolved(out.rho, out.times)  # the first read builds the stack, and the column keeps it
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ ORACLE_POLISH_RESTARTS = 4  # times an unconverged simplex polish of the oracle 
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
 _LOWER_ROWS, _LOWER_COLS = np.tril_indices(3, -1)
+_OFF_ROWS, _OFF_COLS = np.nonzero(~np.eye(3, dtype=bool))
 _AXES = np.arange(3)
 
 
@@ -91,9 +92,38 @@ def _k_eigh(form: BlochForm) -> KEigh:
     return KEigh(trace - w[..., 2], w[..., 2:] - w < TOP_CLUSTER_GAP, v)
 
 
-def _lower_bound(eig: KEigh) -> np.ndarray:
-    """Lower geometric-discord bound: max over sides of (Tr K - k_max)/4."""
-    return np.maximum(0.0, 0.25 * np.maximum(eig.a[0], eig.a[1]))
+def _diagonal_side_terms(form: BlochForm) -> np.ndarray | None:
+    """`_k_eigh(form).a` (Tr K - k_max) of a finite stack whose every K is diagonal, bit for bit; else None.
+
+    With x and y along z, a T with no entry off its diagonal gives K_x =
+    K_y = diag(b_i^2 + T_ii^2): each entry of `_k_eigh`'s matmul is then a
+    sum with one nonzero term, so the elementwise squares carry its bits.
+    A T off its diagonal by round-off makes sums of two terms, which the
+    matmul may fuse; those T T^T and T^T T are formed by `_k_eigh`'s
+    matmul, and any with an entry off its diagonal gives None, as does an
+    x or y off z.
+    """
+    bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
+    if bloch[..., :2].any():
+        return None
+    t = form.t_corr
+    t_ii = np.diagonal(t, axis1=-2, axis2=-1)
+    diag = bloch * bloch + t_ii * t_ii
+    bent = np.flatnonzero(t[..., _OFF_ROWS, _OFF_COLS].any(axis=-1))
+    if bent.size:
+        sub = t[bent]
+        sub_tr = np.swapaxes(sub, -1, -2)
+        tt = np.stack([sub @ sub_tr, sub_tr @ sub])   # with x, y along z, K's off-diagonal entries are tt's
+        if tt[..., _LOWER_ROWS, _LOWER_COLS].any():
+            return None
+        diag[:, bent] = bloch[:, bent] * bloch[:, bent] + np.diagonal(tt, axis1=-2, axis2=-1)
+    d0, d1, d2 = diag[..., 0], diag[..., 1], diag[..., 2]
+    return d0 + d1 + d2 - np.maximum(np.maximum(d0, d1), d2)  # `_k_eigh`'s order and bits
+
+
+def _lower_bound(side_terms: np.ndarray) -> np.ndarray:
+    """Lower geometric-discord bound: max over sides of (Tr K - k_max)/4, from `KEigh.a`."""
+    return np.maximum(0.0, 0.25 * np.maximum(side_terms[0], side_terms[1]))
 
 
 def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
@@ -161,7 +191,7 @@ def discord_bounds(state: TwoQubitState | np.ndarray) -> DiscordBounds:
     rho = _rho(state)
     form = bloch_decompose(rho)
     eig = _k_eigh(form)
-    lower = _lower_bound(eig)
+    lower = _lower_bound(eig.a)
     upper = _upper_bound(form, eig, lower)
     rescaled_lower, rescaled_upper = rescaled_discord(np.array([lower, upper]), purity(rho))
     return DiscordBounds(

@@ -362,15 +362,20 @@ def test_node_rule_past_the_cap_builds_no_candidate(monkeypatch):
         build_quadrature(DotParameters(n_nuclei=1e12), 1e9)
 
 
-@pytest.mark.parametrize("name,value", [("upper_pairing", "printed"), ("drop_zeeman_phase", True)])
-def test_cli_removed_run_option_in_config_is_usage_error(name, value, tmp_path, capsys):
+@pytest.mark.parametrize("data,message", [
     # config echoes of older versions carry these keys; every run now uses the
     # printed cross pairing and the co-rotating frame
+    ({"upper_pairing": "printed"}, "unknown config keys ['upper_pairing']"),
+    ({"drop_zeeman_phase": True}, "unknown config keys ['drop_zeeman_phase']"),
+    # the fields may come from the file as well as from --b
+    ({"b_fields": [0.1, 0.2]}, "evolve takes exactly one field value, got 2 (from --b or the config file's b_fields)"),
+], ids=["upper_pairing", "drop_zeeman_phase", "b_fields"])
+def test_cli_removed_run_option_in_config_is_usage_error(data, message, tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({name: value}))
-    code = main(["evolve", "--config", str(cfg), "--b", "0.01", "--tmax", "1", "--out", str(tmp_path / "o.csv")])
+    cfg.write_text(json.dumps(data))
+    code = main(["evolve", "--config", str(cfg), "--tmax", "1", "--out", str(tmp_path / "o.csv")])
     assert code == 2
-    assert _usage_error(capsys)["message"] == f"unknown config keys ['{name}']"
+    assert _usage_error(capsys)["message"] == message
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -45,16 +45,12 @@ def superop_oracle(rho, p, c):
 def one_step(state0, p, c):
     """`evolve` on a one-time channel at t = 0, where the Zeeman factor is exactly 1.
 
-    Returns the evolved matrix that `evolve` measures and its trajectory.
+    Returns the evolved matrix of the trajectory's stack and the trajectory.
     """
     chan = q.ChannelTrajectory(times=np.zeros(1), p=np.array([p], dtype=float),
                                c=np.array([c], dtype=complex), dot=q.DotParameters(b_field=0.1))
-    seen = []
-    audit = evolution._audit_evolved
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "_audit_evolved", lambda rho, times: seen.append(rho) or audit(rho, times))
-        traj = q.evolve(state0, chan)
-    return seen[0][0], traj
+    traj = q.evolve(state0, chan)
+    return traj.rho[0], traj
 
 
 def random_cp_pair(rng):
@@ -300,6 +296,54 @@ def test_evolve_psd_audit_keeps_its_tolerance(low, passes):
                                   "min eigenvalue -2.000e-08")
 
 
+def _random_x_stack(rng, n, low):
+    """n random X states of unit trace; the odd ones have `low` as an eigenvalue of their inner block."""
+    stack = np.zeros((n, 4, 4), dtype=complex)
+    for k in range(n):
+        lam = rng.uniform(0.1, 1.0, 4)
+        if k % 2:
+            lam[3] = 0.0
+            lam *= (1.0 - low) / lam.sum()
+            lam[3] = low
+        else:
+            lam /= lam.sum()
+        for block, pair in (((0, 3), lam[:2]), ((1, 2), lam[2:])):
+            u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            stack[k][np.ix_(block, block)] = u @ np.diag(pair) @ u.conj().T
+    return stack
+
+
+@pytest.mark.parametrize("case", ["low=-2e-8", "low=-5e-9", "low=-1e-15", "nan", "trace"])
+def test_x_block_audit_passes_exactly_what_the_stack_audit_passes(case, rng, monkeypatch):
+    # the X audit reads the six entries of each X state; where it refuses, evolve builds the stack and
+    # `_audit_evolved` raises its own error
+    n, times = 6, np.arange(6.0)
+    for _ in range(20):
+        stack = _random_x_stack(rng, n, float(case[4:]) if case.startswith("low") else 0.0)
+        if case == "nan":
+            stack[3, 0, 3] = stack[3, 3, 0] = np.nan
+        elif case == "trace":
+            stack[3, 1, 1] += 2e-12
+        try:
+            expected = evolution._audit_evolved(stack, times)
+        except (InvalidParameterError, np.linalg.LinAlgError) as exc:  # eigvalsh may not converge on a NaN
+            expected = exc
+        assert (expected is None) == (case in ("low=-5e-9", "low=-1e-15"))
+        pops, outer, inner = stack.diagonal(axis1=1, axis2=2).real.T, stack[:, 0, 3], stack[:, 1, 2]
+        assert evolution._x_blocks_pass(pops, outer, inner) == (expected is None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "_evolved_x", lambda rho0, p, c: (pops, outer, inner))
+            mp.setattr(evolution, "_evolved_rho", lambda rho0, p, c: stack)
+            chan = q.ChannelTrajectory(times=times, p=np.zeros(n), c=np.ones(n, dtype=complex),
+                                       dot=q.DotParameters(b_field=0.0))
+            if expected is None:
+                assert "rho" not in vars(q.evolve(q.make_state(q.Bell("psi-")), chan))
+            else:
+                with pytest.raises(type(expected)) as err:
+                    q.evolve(q.make_state(q.Bell("psi-")), chan)
+                assert str(err.value) == str(expected)
+
+
 def test_evolve_psd_audit_refuses_a_nan_entry():
     # a NaN off the diagonal keeps the trace and need not stop the Cholesky factorization
     stack = np.array([np.eye(4) / 4.0] * 2, dtype=complex)
@@ -503,13 +547,16 @@ def test_build_time_grid_long_layout():
 
 
 def _eager_columns(tr) -> dict:
-    """Every measure column computed at once: g and the bounds from the start state's Bloch form mapped
-    by the applied channel, the others by the public functions from the trajectory's stack."""
+    """Every measure column computed at once: g, purity and the bounds from the start state's Bloch form
+    mapped by the applied channel, the others by the public functions from the trajectory's stack."""
     form = evolution._evolved_bloch(q.bloch_decompose(tr.state0), tr.p, tr.c)
     eig = measures._k_eigh(form)
-    lower = measures._lower_bound(eig)
+    lower = measures._lower_bound(eig.a)
     upper = measures._upper_bound(form, eig, lower)
-    pur = q.purity(tr.rho)
+    pur = 0.25 * (1.0 + np.einsum("ni,ni->n", form.x, form.x) + np.einsum("ni,ni->n", form.y, form.y)
+                  + np.einsum("nij,nij->n", form.t_corr, form.t_corr))
+    # measured: at most 6.7e-16 from Tr rho^2 of the stack
+    assert np.abs(pur - q.purity(tr.rho)).max() <= 1e-15
     bell_a, bell_b = q.bell_diagonal_params(tr.rho, q.bell_ordering(tr.state0))
     return {"ds_lower": lower, "ds_upper": upper, "d_lower": q.rescaled_discord(lower, pur),
             "d_upper": q.rescaled_discord(upper, pur), "purity": pur,
@@ -532,9 +579,18 @@ def test_lazy_columns_equal_the_eager_measures(state, b_field, t_max):
         assert getattr(tr, name) is getattr(tr, name)  # computed once, then kept
 
 
-def test_evolve_audits_the_stack_before_any_column_is_read():
+@pytest.mark.parametrize("spec", [q.Bell("psi-"), q.PhaseFamily(2.35619449)], ids=["bell:psi-", "phase"])
+def test_evolve_audits_the_stack_before_any_column_is_read(spec, monkeypatch):
+    # an X start is audited on its 2x2 blocks and builds its stack on the first read of `rho`; the
+    # phase state is not of X form, and evolve builds its stack and factors it
     chan = channel_of(q.DotParameters(b_field=0.1), np.linspace(0.0, 2.0, 11))
-    tr = q.evolve(q.make_state(q.Bell("psi-")), chan)
-    assert tr.rho.shape == (11, 4, 4)
-    assert np.array_equal(tr.min_eigenvalue, np.linalg.eigvalsh(tr.rho)[:, 0])
+    state0 = q.make_state(spec)
+    factored, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
+    tr = q.evolve(state0, chan)
+    x_form = isinstance(spec, q.Bell)
+    assert ("rho" in vars(tr)) != x_form and (factored == []) == x_form
     assert not {"ds_lower", "ds_upper", "g", "purity", "concurrence"} & set(vars(tr))
+    assert np.array_equal(tr.rho, evolution._evolved_rho(state0.rho, tr.p, tr.c))
+    assert tr.rho.shape == (11, 4, 4) and tr.rho is tr.rho
+    assert np.array_equal(tr.min_eigenvalue, np.linalg.eigvalsh(tr.rho)[:, 0])

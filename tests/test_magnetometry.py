@@ -25,6 +25,7 @@ from qdspin.magnetometry import (
     trajectory_for_field,
 )
 from qdspin.constants import InvalidParameterError
+from qdspin.evolution import find_g_crossings
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +381,7 @@ def test_esd_metric_skips_the_discord_bounds(monkeypatch):
     config = RunConfig(state="bell:psi-", b_fields=[0.0, 0.05], metric="esd", t_max=50.0)
     expected = run_sweep(config).rows
     assert expected[1]["esd_t"] is not None
-    _forbid(monkeypatch, "_k_eigh", "_lower_bound", "_upper_bound", "_evolved_bloch")
+    _forbid(monkeypatch, "_k_eigh", "_diagonal_side_terms", "_lower_bound", "_upper_bound", "_evolved_bloch")
     assert run_sweep(config).rows == expected
 
 
@@ -393,6 +394,28 @@ def test_m_sweep_of_x_form_starts_runs_no_eigh(monkeypatch):
         calls.clear()
         run_sweep(RunConfig(state=spec, b_fields=[0.0, 0.0123], metric="M"))
         assert calls == ([(2, 1001, 3, 3)] * 2 if spec.startswith("phase") else []), spec
+
+
+@pytest.mark.parametrize("spec", ["bell:psi-", "werner:p=0.33", "belldiag:a=0.4,b=0.4", "bell:phi+",
+                                  "phase:gamma=2.35619449"])
+def test_x_form_rows_build_no_stack(spec, monkeypatch):
+    # M, longtime, g-extrema and kink rows read the Bloch map alone: an X start is audited on its 2x2
+    # blocks, builds no (n, 4, 4) stack and factors nothing; the phase state builds its stack in evolve
+    built, factored = [], []
+    evolved_rho, cholesky = evolution._evolved_rho, np.linalg.cholesky
+    monkeypatch.setattr(evolution, "_evolved_rho", lambda rho0, p, c: built.append(p.size) or evolved_rho(rho0, p, c))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
+    config = RunConfig(state=spec, b_fields=[0.0, 0.003, 0.1], t_max=50.0, longtime_window=[40.0, 50.0])
+    for metric in ("M", "longtime", "g-extrema"):
+        run_sweep(replace(config, metric=metric))
+    traj = trajectory_for_field(config, 0.1)
+    kinks = find_g_crossings(traj.times, traj.g, traj.g_on)
+    assert bool(kinks) == (spec == "belldiag:a=0.4,b=0.4")
+    if spec.startswith("phase"):
+        assert built and len(factored) == len(built)  # one stack per evolve, each factored once
+    else:
+        assert built == [] and factored == []
+        assert "rho" not in vars(traj)
 
 
 def test_run_paths_decompose_only_start_states(monkeypatch, tmp_path):

@@ -363,6 +363,8 @@ def test_x_form_trajectories_read_k_off_its_diagonal(spec, t_max, dt, monkeypatc
         assert (calls == []) == diagonal, (b_field, calls)
         lower, upper = _one_pass_bounds(traj._bloch)
         assert np.array_equal(traj.ds_lower, lower) and np.array_equal(traj.ds_upper, upper)
+        # the bounds read the Bloch map: only the phase state, not of X form, has a stack from evolve
+        assert ("rho" in vars(traj)) == spec.startswith("phase"), b_field
 
 
 def test_gram_corrections_match_the_eigensolver(rng):
