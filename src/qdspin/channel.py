@@ -54,7 +54,9 @@ channel and kink-refinement round on it, so its arrays are read-only.
 The raw scipy Gauss rules depend only on their kind and order, and
 `_gauss_rule` keeps the last GAUSS_RULE_MEMO_SIZE of them for the
 process; the normalisation and the node checks of `_bath_nodes` run on
-every model.  Whole channels are kept one level up, by
+every model.  The kept nodes depend only on the counts (the normalised
+weights carry no dot parameter), and `_kept_nodes` selects them once
+per (n_m, n_q) pair.  Whole channels are kept one level up, by
 `magnetometry.channel_for_field`, keyed on the dot, grid and node counts.
 
 One flat node list: the kept nodes (m, Q, weight) go in raveled order to
@@ -66,10 +68,32 @@ N = 4000 and 1.0e-5 at 16 000); past it p stays ~2e-4 off at 0 mT, the
 long-time level of ROADMAP item 2.
 
 Evaluation: expanding the amplitude products leaves, per node, three
-frequency families with real amplitudes (p from 2w_ket, c from the slow
-w_ket - w_bra and the fast w_ket + w_bra), so each channel component is
-a non-uniform Fourier sum over the nodes (type 3 in Greengard & Lee,
-SIAM Rev. 46, 2004).  The time grid splits into maximal uniform runs
+frequency families with real amplitudes (`FrequencyFamily`: p from 2w_ket,
+c from the slow w_diff = w_ket - w_bra and the fast w_ket + w_bra), so
+each channel component is a non-uniform Fourier sum over the nodes
+(type 3 in Greengard & Lee, SIAM Rev. 46, 2004).
+
+The slow family's phases stay small: max|w_diff| t is 0.0012 rad on the
+20 ns grid at 0.1 T, 0.4 rad at 2000 ns and 3 mT and 16 rad at 12 000 ns
+and 20 mT (22 rad at 28 mT, the widest spread found), against 25-135 rad
+for the fast families on those grids' fast sides.  So it is summed by
+Taylor moments at every time, on both sides of the cutoff
+(`_moment_sums`): anchors t_a lie 2*TAYLOR_RADIUS / max|w_diff| apart,
+so |w_diff (t - t_a)| <= TAYLOR_RADIUS = 0.5 at each time's nearest one;
+one product of an (anchors x nodes) phase table, doubled out over the
+anchors as below, and a (nodes x 2N) amplitude-power matrix gives each
+anchor's moments sum a w^n e^{i w t_a} / n!, and each time is a Horner
+polynomial in t - t_a.  N is the
+fewest terms whose dropped rest is at most TAYLOR_TAIL = 1e-17 at the
+phase radius reached (6 on the 20 ns grid, 16 at most), so the family
+costs nodes x anchors x terms, not nodes x times: one anchor covers every
+grid up to 2000 ns at 3 mT or less, 17 the 12 000 ns grid at 20 mT and
+23 at 28 mT.
+Against a direct trig sum of the family these sums are within 4e-18 on
+the 2000, 6000 and 12 000 ns grids.
+
+The fast families, p and w_ket + w_bra, go through factored phase tables
+(`_phase_sums`).  The time grid splits into maximal uniform runs
 (the dense prefix and the coarse tail of `build_time_grid`).  On a run
 from t0, t = T_j + tau_k with T_j = t0 + j*K*step, tau_k = k*step and
 K ~ sqrt(run length), so e^{i w t} factors into a (J x nodes) table at
@@ -82,10 +106,10 @@ block's, so a node costs three complex exponentials per run and no other
 trig.  Row j is a product of at most log2(j) + 1 multipliers, the one
 for 2^k rows carrying 2^k times the rounding of e^{i w step}, so the row
 is off by about j ulps beyond the eps*|w t| that rounding w*t costs any
-evaluation.  j stays below 78 on the 12 000 ns grid (its slow run
-holds 5964 times), and against the direct four-trig sum at
-25 times of that grid, every run's first and last included, p is within
-3e-16 and c within 3.7e-14 at 1 T (3e-16 at 0 T).  A run's own times
+evaluation.  j stays below 51 on the 12 000 ns grid (its longest fast
+run, the dense prefix, holds 2501 times), and against the direct
+four-trig sum at 91 times of that grid, p is within 3e-16 and c within
+4.7e-14 at 1 T (5.6e-16 at 0 T).  A run's own times
 lie within a few ulps of its line (`_uniform_runs`).  Nodes are taken
 in fixed-size blocks, accumulated in node order, which keeps every
 table at a few MB on the longest grids and the summation order fixed.
@@ -93,9 +117,11 @@ table at a few MB on the longest grids and the summation order fixed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,11 +138,22 @@ MIN_Q_NODES = 64
 NEGLIGIBLE_WEIGHT = 1e-20         # the lightest nodes summing to at most this leave the phase sums
 MAX_QUADRATURE_NODES = 1_000_000  # n_m x n_q; ~0.2 KB of peak memory each, the 12 000 ns rule takes 112 576
 _MIN_BATH_NUCLEI = 100           # Gaussian bath statistics need a large bath
-GAUSS_RULE_MEMO_SIZE = 16        # raw Gauss rules a process keeps, per (kind, order); 28 KB for 1759 nodes
+GAUSS_RULE_MEMO_SIZE = 16        # Gauss rules (28 KB at 1759 nodes) and kept-node sets (0.17 MB at 1759 x 64) kept
+TAYLOR_RADIUS = 0.5              # |w_diff (t - t_a)| at most this about each anchor t_a of the slow family
+TAYLOR_TAIL = 1e-17              # bound r^N / N! on the dropped Taylor terms at phase radius r (amplitudes sum <= 1)
 
 
 class QuadratureResolutionError(QdspinError, ArithmeticError):
     """The bath quadrature cannot resolve the requested evolution."""
+
+
+class FrequencyFamily(NamedTuple):
+    """One phase-sum family, one entry per node: the channel reads the node
+    sums of vers * (1 - cos(freq t)) and sin * sin(freq t)."""
+
+    freq: np.ndarray
+    vers: np.ndarray
+    sin: np.ndarray | None = None   # p's family has no sine terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,28 +163,27 @@ class BathQuadrature:
     node_counts is the (n_m, n_q) Gauss-Hermite x Gauss-Laguerre grid the
     model was built on; the families hold the kept nodes of that grid only,
     those left after the lightest ones summing to at most NEGLIGIBLE_WEIGHT
-    (module docstring), in raveled (m, q) order: p has frequencies p_freq
-    (2 w_ket) and versine amplitudes p_amp; c has frequencies c_freq
-    ([w_diff | w_ket + w_bra]) with versine and sine amplitudes c_vers and
-    c_sin, whose first half is the slow family kept alone past
-    fast_term_cutoff_ns.  Every node's two c amplitudes sum to its weight,
-    and c(0) is 1 exactly.
+    (module docstring), in raveled (m, q) order.  p is the flip family at
+    2 w_ket, versine amplitudes only; c is the sum of the slow family at
+    w_diff = w_ket - w_bra, kept alone past fast_term_cutoff_ns, and the
+    fast family at w_ket + w_bra.  A node's slow and fast versine
+    amplitudes sum to its weight, and c(0) is 1 exactly.
     """
 
     dot: DotParameters
     node_counts: tuple[int, int]
     t_max_ns: float
-    p_freq: np.ndarray
-    p_amp: np.ndarray
-    c_freq: np.ndarray
-    c_vers: np.ndarray
-    c_sin: np.ndarray
+    p: FrequencyFamily
+    slow: FrequencyFamily
+    fast: FrequencyFamily
     fast_term_cutoff_ns: float
 
     def __post_init__(self) -> None:
         # every channel computed on the model, and every g_on call, reads these: they are never written
-        for a in (self.p_freq, self.p_amp, self.c_freq, self.c_vers, self.c_sin):
-            a.setflags(write=False)
+        for family in (self.p, self.slow, self.fast):
+            for a in family:
+                if a is not None:
+                    a.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
@@ -169,6 +205,14 @@ def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def _normalised(name: str, w: np.ndarray) -> np.ndarray:
+    """Raw Gauss weights `w` scaled to sum to 1; NaN weights (too many nodes for scipy) are refused."""
+    w = w / w.sum()
+    if not abs(float(w.sum()) - 1.0) <= 1e-9:
+        raise QuadratureResolutionError(f"{name} of {w.size} nodes must sum to 1, got {float(w.sum())!r}")
+    return w
+
+
 def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple:
     """Normalised Gauss-Hermite polarization nodes m and Gauss-Laguerre
     transverse-invariant nodes Q, as ((m, weights), (Q, weights)).
@@ -176,17 +220,11 @@ def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple:
     The raw rules come from `_gauss_rule`; the normalisation and the checks
     run on every call.
     """
-    def normalised(name: str, w: np.ndarray) -> np.ndarray:
-        w = w / w.sum()
-        if not abs(float(w.sum()) - 1.0) <= 1e-9:  # NaN weights (too many nodes for scipy) fail too
-            raise QuadratureResolutionError(f"{name} of {w.size} nodes must sum to 1, got {float(w.sum())!r}")
-        return w
-
     sigma = dot.sigma_m
     x, wx = _gauss_rule("hermite", n_m)   # m = sqrt(2) sigma x
-    m_weights = normalised("m_weights", wx)
+    m_weights = _normalised("m_weights", wx)
     y, wy = _gauss_rule("laguerre", n_q)  # Q = 2 sigma^2 y
-    q_weights = normalised("q_weights", wy)
+    q_weights = _normalised("q_weights", wy)
     # the largest node's product in Python floats, where an overflow is a quiet inf
     if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
         raise InvalidParameterError(
@@ -197,6 +235,29 @@ def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple:
     if np.any(q_nodes <= 0.0):
         raise QuadratureResolutionError("all q_nodes must be positive")
     return (math.sqrt(2.0) * sigma * x, m_weights), (q_nodes, q_weights)
+
+
+@functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
+def _kept_nodes(n_m: int, n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m index, q index, weight) of the nodes of the n_m x n_q grid that the
+    families keep, in raveled (m, q) order.
+
+    The lightest nodes, while their weights sum to at most
+    NEGLIGIBLE_WEIGHT, leave the families (every amplitude is bounded by its
+    weight); the rest stay in raveled order, so the summation order stays
+    fixed.  The normalised Gauss weights carry no dot parameter, so a
+    process selects once per count pair; the arrays are shared and read-only.
+    """
+    m_weights = _normalised("m_weights", _gauss_rule("hermite", n_m)[1])
+    q_weights = _normalised("q_weights", _gauss_rule("laguerre", n_q)[1])
+    w2d = (m_weights[:, None] * q_weights[None, :]).ravel()
+    light = np.argsort(w2d, kind="stable")
+    n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
+    keep = np.sort(light[n_light:])
+    kept = (*np.divmod(keep, n_q), w2d[keep])
+    for a in kept:
+        a.setflags(write=False)
+    return kept
 
 
 def _blocks(dot: DotParameters, m: np.ndarray, q: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -228,9 +289,9 @@ def _fast_term_cutoff(dot: DotParameters, m_nodes: np.ndarray, m_weights: np.nda
     return 0.8 * (math.pi / max_step if max_step > 0.0 else math.inf)
 
 
-def _families(dot: DotParameters, m: np.ndarray, q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The phase-sum families (p_freq, p_amp, c_freq, c_vers, c_sin) of the flat
-    node list (polarization m, transverse invariant q, weight w), in its order."""
+def _families(dot: DotParameters, m: np.ndarray, q: np.ndarray, w: np.ndarray) -> tuple[FrequencyFamily, ...]:
+    """The phase-sum families (p, slow, fast) of the flat node list
+    (polarization m, transverse invariant q, weight w), in its order."""
     (delta_ket, v2, e2_ket), (delta_bra, _, e2_bra) = _blocks(dot, m, q)
     e_ket = np.sqrt(e2_ket)
     e_bra = np.sqrt(e2_bra)
@@ -251,9 +312,9 @@ def _families(dot: DotParameters, m: np.ndarray, q: np.ndarray, w: np.ndarray) -
     # a*conj(d') expanded: both amplitudes carry the same dropped mean phase
     half = 0.5 * w
     ss = s_ket * s_bra
-    return (2.0 * w_ket, half * v_frac, np.concatenate([w_diff, w_ket + w_bra]),
-            np.concatenate([half * (1.0 - ss), half * (1.0 + ss)]),
-            np.concatenate([half * (s_bra - s_ket), -half * (s_ket + s_bra)]))
+    return (FrequencyFamily(2.0 * w_ket, half * v_frac),
+            FrequencyFamily(w_diff, half * (1.0 - ss), half * (s_bra - s_ket)),
+            FrequencyFamily(w_ket + w_bra, half * (1.0 + ss), -half * (s_ket + s_bra)))
 
 
 def build_quadrature(
@@ -316,18 +377,10 @@ def build_quadrature(
     if nodes is None or (nodes[0][0].size, nodes[1][0].size) != (n_m, n_q):
         nodes = _bath_nodes(dot, n_m, n_q)
         cutoff = _fast_term_cutoff(dot, *nodes[0], *nodes[1])
-    (m_nodes, m_weights), (q_nodes, q_weights) = nodes
-
-    # the lightest nodes, while their weights sum to at most NEGLIGIBLE_WEIGHT,
-    # leave the families (every amplitude is bounded by its weight); the rest
-    # stay in raveled (m, q) order, so the summation order stays fixed
-    w2d = (m_weights[:, None] * q_weights[None, :]).ravel()
-    light = np.argsort(w2d, kind="stable")
-    n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
-    keep = np.sort(light[n_light:])
-    i_m, i_q = np.divmod(keep, n_q)
+    (m_nodes, _), (q_nodes, _) = nodes
+    i_m, i_q, weights = _kept_nodes(n_m, n_q)
     return BathQuadrature(dot, (n_m, n_q), float(t_max_ns),
-                          *_families(dot, m_nodes[i_m], q_nodes[i_q], w2d[keep]), cutoff)
+                          *_families(dot, m_nodes[i_m], q_nodes[i_q], weights), cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +446,7 @@ def verify_channel_cp(traj: ChannelTrajectory) -> CpReport:
     )
 
 
-_NODE_BLOCK = 2048       # nodes per phase table: 32 KB a complex row, 5 MB for c's 156 rows at 12 000 ns
+_NODE_BLOCK = 2048       # nodes per phase table: 32 KB a complex row, 3.3 MB for the 102 rows of a 2501-time run
 _SPACING_ULPS = 4.0      # rounding a generated grid time may carry off its line
 
 
@@ -491,6 +544,70 @@ def _phase_sums(
     return vers_out, sin_out
 
 
+def _moment_sums(
+    times: np.ndarray,
+    omega: np.ndarray,
+    vers_amp: np.ndarray,
+    sin_amp: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node sums of vers_amp*(1 - cos(omega*t)) and sin_amp*sin(omega*t) by
+    Taylor moments, for a family whose phases stay small (the slow family).
+
+    Anchors t_s = min(times) + s*spacing, spacing = 2 TAYLOR_RADIUS /
+    max|omega|, s up to the last one a time is nearest to; each time takes
+    its nearest anchor, so the phase offsets |omega u|, u = t - t_s, stay
+    within r <= TAYLOR_RADIUS, and the times may come in any order.  Per
+    fixed node block, `_phase_table` doubles out e^{i omega t_s} over the
+    anchors, and one product of its [re; im] rows with the (nodes x 2N)
+    matrix [a, b] omega^n / n! gives the moments sum a omega^n e^{i omega
+    t_s} / n! and their b counterparts for n < N, the fewest terms whose
+    dropped rest weighs at most r^N / N! <= TAYLOR_TAIL (the amplitudes'
+    magnitudes sum to at most 1).  A time is then a polynomial in u,
+    evaluated by Horner's rule.  The n = 0 versine moment is summed as
+    a (1 - cos(omega t_s)) directly, so at t = min(times) = 0, anchor 0
+    with u = 0, both sums are 0 exactly.
+    """
+    w_max = float(np.abs(omega).max()) if omega.size else 0.0
+    if not times.size or w_max == 0.0:   # every phase is 0 (zero field): both sums vanish exactly
+        return np.zeros(times.size), np.zeros(times.size)
+    spacing = 2.0 * TAYLOR_RADIUS / w_max
+    t_lo = float(times.min())
+    slot = np.rint((times - t_lo) / spacing).astype(np.intp)
+    u = times - (t_lo + slot * spacing)
+    radius = w_max * float(np.abs(u).max())
+    n_anchors = int(slot.max()) + 1
+    n_terms = next(n for n in itertools.count(1) if radius**n / math.factorial(n) <= TAYLOR_TAIL)
+    moments = np.zeros((2 * n_anchors, 2 * n_terms))
+    vers_zero = np.zeros(n_anchors)
+    for lo in range(0, omega.size, _NODE_BLOCK):
+        w = omega[lo : lo + _NODE_BLOCK]
+        a = vers_amp[lo : lo + _NODE_BLOCK]
+        phase = _phase_table(np.empty((n_anchors, w.size), dtype=complex),
+                             np.exp(1j * (w * t_lo)), np.exp(1j * (w * spacing)))
+        powers = np.empty((n_terms, w.size))
+        powers[0] = 1.0
+        for k in range(1, n_terms):
+            np.multiply(powers[k - 1], w / k, out=powers[k])
+        amp = np.concatenate([a * powers, sin_amp[lo : lo + _NODE_BLOCK] * powers])
+        moments += np.concatenate([phase.real, phase.imag]) @ amp.T
+        vers_zero += (1.0 - phase.real) @ a
+    # u^n carries i^n (re + i im) of moment n: the versine polynomial takes minus its real part and
+    # the sine one its imaginary part, so the coefficients alternate re and im with the signs of i^n
+    re, im = moments[:n_anchors], moments[n_anchors:]
+    n = np.arange(n_terms)
+    sign = np.where(n % 4 < 2, 1.0, -1.0)
+    odd = n % 2 == 1
+    vers_coef = sign * np.where(odd, im[:, :n_terms], -re[:, :n_terms])
+    vers_coef[:, 0] = vers_zero
+    sin_coef = sign * np.where(odd, re[:, n_terms:], im[:, n_terms:])
+    coef = np.take(np.stack([vers_coef.T, sin_coef.T], axis=1), slot, axis=2)   # (terms, 2, times)
+    acc = coef[-1]
+    for k in range(n_terms - 2, -1, -1):
+        acc *= u
+        acc += coef[k]
+    return acc[0], acc[1]
+
+
 def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajectory:
     """Bath-averaged channel {p(t), c(t)} of the model's dot on the given time grid.
 
@@ -499,16 +616,17 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
     Expanding the products leaves three real-amplitude frequency families
     per node: p from 2*w_ket, c from the slow difference w_ket - w_bra and
     from the fast sum w_ket + w_bra, all stored on the model `quad`.  Past
-    the fast-term cutoff only the difference family remains and p is its
-    long-time mean.  Each family is a phase sum evaluated by `_phase_sums`
-    (factored tables and GEMMs on the uniform runs of the grid, over fixed
-    node blocks).  Summation order over nodes is fixed, so results are
+    the fast-term cutoff only the slow family remains and p is its
+    long-time mean.  The slow family is summed by Taylor moments at every
+    time (`_moment_sums`), the fast ones by factored tables and GEMMs on
+    the uniform runs of the grid (`_phase_sums`), both over fixed node
+    blocks.  Summation order over nodes is fixed, so results are
     independent of the worker count; only the BLAS thread count can move
     the last bits (<1e-15).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0.0):
-        raise ValidityWindowError("times must be nonnegative")
+    if not np.all(times >= 0.0):   # NaN too: the slow family's anchor of a NaN time is no index
+        raise ValidityWindowError("times must be nonnegative numbers")
     t_max = float(times.max()) if times.size else 0.0
     if t_max > quad.t_max_ns * (1.0 + 1e-12):
         raise QuadratureResolutionError(
@@ -529,19 +647,18 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
     fast = times <= cutoff
     slow = ~fast
 
-    if fast.any():
-        t = times[fast]
-        p_out[fast] = _phase_sums(t, quad.p_freq, quad.p_amp)[0]
-        vers, sin = _phase_sums(t, quad.c_freq, quad.c_vers, quad.c_sin)
-        # the two real amplitudes of a node add up to its weight, and the
-        # kept weights to 1 within NEGLIGIBLE_WEIGHT: the exact bath average,
-        # not their rounded sum
-        c_out[fast] = (1.0 - vers) + 1j * sin
-    if slow.any():
-        n = quad.p_amp.size       # the slow family is the first half of c's
-        vers, sin = _phase_sums(times[slow], quad.c_freq[:n], quad.c_vers[:n], quad.c_sin[:n])
-        p_out[slow] = np.sum(quad.p_amp)
-        c_out[slow] = (np.sum(quad.c_vers[:n]) - vers) + 1j * sin
+    t = times[fast]
+    p_out[fast] = _phase_sums(t, *quad.p)[0]
+    vers, sin = _phase_sums(t, *quad.fast)
+    # the slow family last: in this order glibc's malloc keeps a repeated
+    # 20 ns channel's heap (0 page faults a call against 284 the other way)
+    slow_vers, slow_sin = _moment_sums(times, *quad.slow)
+    # a node's slow and fast versine amplitudes add up to its weight, and
+    # the kept weights to 1 within NEGLIGIBLE_WEIGHT: the exact bath
+    # average, not their rounded sum
+    c_out[fast] = (1.0 - (vers + slow_vers[fast])) + 1j * (sin + slow_sin[fast])
+    p_out[slow] = np.sum(quad.p.vers)
+    c_out[slow] = (np.sum(quad.slow.vers) - slow_vers[slow]) + 1j * slow_sin[slow]
     if dot.zeeman_energy == 0.0:  # m -> -m pairs nodes whose sine terms cancel, and w_diff is 0: c is real
         c_out.imag = 0.0
 

@@ -161,7 +161,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     extra = {
         "quadrature_m_nodes": chan.m_count,
         "quadrature_q_nodes": chan.q_count,
-        "quadrature_nodes_summed": chan.model.p_freq.size,
+        "quadrature_nodes_summed": chan.model.p.freq.size,
         "kink_times_ns": kink_text(kinks) or "none",
     }
     headers = header_lines(config, "evolve", extra)

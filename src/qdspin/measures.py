@@ -29,6 +29,7 @@ RESCALE_PREFACTOR = 0.5 * (1.0 - math.sqrt(3.0) / 2.0)
 TOP_CLUSTER_GAP = 1e-10  # eigenvalues this close to the top of K count as degenerate with it
 G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denominator of g
 ORACLE_POLISH_RESTARTS = 4  # times an unconverged simplex polish of the oracle is continued
+T_ROUNDOFF = 1e-12       # an entry off T's diagonal up to this is round-off (correlations lie in [-1, 1])
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
 _LOWER_ROWS, _LOWER_COLS = np.tril_indices(3, -1)
@@ -101,15 +102,22 @@ def _diagonal_side_terms(form: BlochForm) -> np.ndarray | None:
     A T off its diagonal by round-off makes sums of two terms, which the
     matmul may fuse; those T T^T and T^T T are formed by `_k_eigh`'s
     matmul, and any with an entry off its diagonal gives None, as does an
-    x or y off z.
+    x or y off z.  An entry off T's diagonal beyond T_ROUNDOFF (bell:phi+
+    in a field, whose T_xy = T_yx carry Im c^2) gives None before any
+    product is formed: the products' own round-off then sits off K's
+    diagonal, and `_k_eigh` forms them once.  None always leaves the bound
+    to `_k_eigh`, with the same bits.
     """
     bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
     if bloch[..., :2].any():
         return None
     t = form.t_corr
+    off = t[..., _OFF_ROWS, _OFF_COLS]
+    if np.abs(off).max(initial=0.0) > T_ROUNDOFF:
+        return None
     t_ii = np.diagonal(t, axis1=-2, axis2=-1)
     diag = bloch * bloch + t_ii * t_ii
-    bent = np.flatnonzero(t[..., _OFF_ROWS, _OFF_COLS].any(axis=-1))
+    bent = np.flatnonzero(off.any(axis=-1))
     if bent.size:
         sub = t[bent]
         sub_tr = np.swapaxes(sub, -1, -2)

@@ -12,11 +12,13 @@ from qdspin.channel import (
     MIN_M_NODES,
     MIN_Q_NODES,
     NEGLIGIBLE_WEIGHT,
+    FrequencyFamily,
     QuadratureResolutionError,
     _bath_nodes,
     _families,
     _fast_term_cutoff,
     _gauss_rule,
+    _kept_nodes,
     _uniform_runs,
 )
 from qdspin.constants import HBAR_UEV_NS, ValidityWindowError
@@ -201,8 +203,9 @@ def test_rule_model_reuses_its_candidate_and_keeps_the_bits(monkeypatch, b_field
     assert quad.node_counts == explicit.node_counts == counts
     assert calls == ([32] if t_max == 20.0 else [294] if t_max == 2000.0 else [32, 257])
     assert laguerre_calls == ([32] if t_max == 20.0 else [32, 64])
-    for name in ("p_freq", "p_amp", "c_freq", "c_vers", "c_sin"):
-        assert np.array_equal(getattr(quad, name), getattr(explicit, name)), name
+    for name in ("p", "slow", "fast"):
+        for got, want in zip(getattr(quad, name), getattr(explicit, name)):
+            assert (got is want is None) or np.array_equal(got, want), name
     assert quad.fast_term_cutoff_ns == explicit.fast_term_cutoff_ns
     # a second model on the same rules computes none of them again
     again = q.build_quadrature(q.DotParameters(b_field=2.0 * b_field), t_max)
@@ -244,6 +247,9 @@ def test_channel_refuses_times_past_its_model(default_dot):
     quad = q.build_quadrature(default_dot, 10.0)
     with pytest.raises(QuadratureResolutionError, match="sized for t_max=10 ns, requested 20 ns"):
         q.compute_channel(quad, np.linspace(0.0, 20.0, 21))
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValidityWindowError, match="times must be nonnegative numbers"):
+            q.compute_channel(quad, np.array([0.0, bad, 5.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +278,8 @@ def test_channel_starts_at_exactly_one(default_dot):
 @pytest.mark.parametrize("b_field", [0.1, 1.0])
 @pytest.mark.parametrize("t_max", [20.0, 2000.0])
 def test_channel_starts_exactly_at_identity_in_a_field(b_field, t_max):
-    # t = 0 is row 0 of both phase tables, e^0 = 1 exactly, so every versine and sine term vanishes
+    # t = 0 is row 0 of both phase tables and anchor 0 of the slow family's moments, where e^0 = 1
+    # exactly and u = 0, so every versine and sine term vanishes
     chan = channel_of(q.DotParameters(b_field=b_field), build_time_grid(t_max))
     assert chan.p[0] == 0.0
     assert chan.c[0] == 1.0
@@ -548,14 +555,20 @@ def direct_channel(dot, times, quad):
         (0.2, np.array([7.3])),
         (0.0, build_time_grid(1.2e4)),     # the longest doubling chains; compared at sampled times
         (1.0, build_time_grid(1.2e4)),
+        (0.02, build_time_grid(1.2e4)),    # the widest slow-phase spread, 16 rad: the most Taylor anchors
+        (0.003, build_time_grid(6000.0)),
+        # a kink-refinement batch: brackets of 32 sections out of time order, t = 0 last
+        (0.003, np.concatenate([t0 + 0.0125 * np.arange(32) for t0 in (3100.0, 41.5, 5990.0, 870.25, 12.0, 0.0)])),
     ],
     ids=["20ns-0T", "20ns-11mT", "20ns-1T", "200ns-1mT", "2000ns-1mT", "nonuniform", "single",
-         "12000ns-0T", "12000ns-1T"],
+         "12000ns-0T", "12000ns-1T", "12000ns-20mT", "6000ns-3mT", "kink-batch"],
 )
 def test_channel_matches_direct_sum(b_field, times):
     dot = q.DotParameters(b_field=b_field)
     quad = q.build_quadrature(dot, float(times.max()))
     chan = q.compute_channel(quad, times)
+    zero = times == 0.0
+    assert np.all(chan.p[zero] == 0.0) and np.all(chan.c[zero] == 1.0)
     if times.max() > 100.0:
         assert times.min() < chan.fast_term_cutoff_ns < times.max()
     sample = np.arange(times.size)
@@ -580,22 +593,27 @@ def test_light_nodes_leave_the_families(t_max):
     (m_nodes, m_weights), (q_nodes, q_weights) = _bath_nodes(dot, *quad.node_counts)
     # the families of every node of the grid, as one flat list in raveled (m, q) order
     w2d = np.outer(m_weights, q_weights).ravel()
-    full = dict(zip(("p_freq", "p_amp", "c_freq", "c_vers", "c_sin"),
+    full = dict(zip(("p", "slow", "fast"),
                     _families(dot, np.repeat(m_nodes, q_nodes.size), np.tile(q_nodes, m_nodes.size), w2d)))
     light = np.argsort(w2d, kind="stable")
-    n_light = w2d.size - quad.p_freq.size
+    n_light = w2d.size - quad.p.freq.size
     assert w2d[light[:n_light]].sum() <= NEGLIGIBLE_WEIGHT
     # dropping the next-lightest node too would pass the bound
     assert w2d[light[: n_light + 1]].sum() > NEGLIGIBLE_WEIGHT
     keep = np.sort(light[n_light:])
-    assert full["p_freq"].size == w2d.size
-    for name in ("p_freq", "p_amp"):
-        assert np.array_equal(getattr(quad, name), full[name][keep])
-    for name in ("c_freq", "c_vers", "c_sin"):  # slow half, then fast half
-        assert np.array_equal(getattr(quad, name), full[name][np.concatenate([keep, keep + w2d.size])])
+    assert full["p"].freq.size == w2d.size and full["p"].sin is quad.p.sin is None
+    for name in ("p", "slow", "fast"):
+        for field, got, every in zip(FrequencyFamily._fields, getattr(quad, name), full[name]):
+            assert every is None or (every.size == w2d.size and np.array_equal(got, every[keep])), (name, field)
+    # the kept set is selected once per count pair, and shared read-only
+    i_m, i_q, weights = _kept_nodes(*quad.node_counts)
+    assert _kept_nodes(*quad.node_counts)[0] is i_m
+    assert np.array_equal(i_m * q_nodes.size + i_q, keep) and np.array_equal(weights, w2d[keep])
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 0.0
     assert quad.fast_term_cutoff_ns == _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
     if t_max > 1000.0:
-        assert 5 * quad.p_freq.size < w2d.size
+        assert 5 * quad.p.freq.size < w2d.size
 
 
 def test_channel_single_time_matches_grid():

@@ -567,7 +567,7 @@ def _eager_columns(tr) -> dict:
 
 @pytest.mark.parametrize("state,b_field,t_max", [
     ("bell:psi-", 0.1, 20.0), ("werner:p=0.33", 0.1, 20.0), ("phase:gamma=2.35619449", 0.1, 20.0),
-    ("belldiag:a=0.4,b=0.4", 0.1, 20.0), ("belldiag:a=0.3,b=0.25", 0.003, 6000.0),
+    ("belldiag:a=0.4,b=0.4", 0.1, 20.0), ("belldiag:a=0.3,b=0.25", 0.003, 6000.0), ("bell:phi+", 0.003, 20.0),
 ])
 def test_lazy_columns_equal_the_eager_measures(state, b_field, t_max):
     tr = trajectory_for_field(q.RunConfig(state=state, t_max=t_max), b_field)
@@ -577,6 +577,23 @@ def test_lazy_columns_equal_the_eager_measures(state, b_field, t_max):
     for name in ("d_upper", "concurrence", "bell_b", "ds_lower", *eager):
         assert np.array_equal(getattr(tr, name), eager[name], equal_nan=True), name
         assert getattr(tr, name) is getattr(tr, name)  # computed once, then kept
+
+
+@pytest.mark.parametrize("state,b_field,diagonal", [
+    ("bell:psi-", 0.003, True), ("bell:phi+", 0.0, True), ("bell:phi+", 0.003, False),
+    ("phase:gamma=2.35619449", 0.003, False),
+])
+def test_diagonal_side_terms_take_the_k_eigh_bits_or_leave_the_bound_to_it(state, b_field, diagonal):
+    # bell:psi- keeps T off its diagonal by round-off at most; bell:phi+ in a field carries Im c^2 in
+    # T_xy = T_yx, past T_ROUNDOFF, and the phase state has x, y off z: those two go to _k_eigh
+    form = trajectory_for_field(q.RunConfig(state=state), b_field)._bloch
+    side = measures._diagonal_side_terms(form)
+    assert (side is not None) == diagonal
+    if diagonal:
+        assert np.array_equal(side, measures._k_eigh(form).a)
+    else:
+        off = form.t_corr[..., [0, 1], [1, 0]]
+        assert state.startswith("phase") or np.abs(off).max() > measures.T_ROUNDOFF
 
 
 @pytest.mark.parametrize("spec", [q.Bell("psi-"), q.PhaseFamily(2.35619449)], ids=["bell:psi-", "phase"])

@@ -6,8 +6,9 @@ exact phase sum over the states (j, m): each weighs
 C(N, N/2 - j)(2j+1)/(N/2 + j + 1)/2^N, and its transverse invariant is
 Q = j(j+1) - m^2 (Melikidze, Dobrovitski, De Raedt, Katsnelson & Harmon,
 PRB 70, 014435 (2004)).  These nodes share none with the Gauss quadrature
-of the large-N model, but go through the same `channel._families` and
-`compute_channel`, so the sum has no cutoff and no Gaussian statistics.
+of the large-N model, but go through the same `channel._families` (the p,
+slow and fast families) and `compute_channel`, so the sum has no cutoff
+and no Gaussian statistics.
 The model's gap to it before the fast-term cutoff is its 1/N error.
 A = sqrt(8N) hbar / T2* keeps the dephasing time at T2* = 12.3 ns.
 """
@@ -83,6 +84,10 @@ def test_exact_weights_sum_to_one_and_the_list_is_exact_at_zero_time():
     m, q_inv, w = exact_nodes(4000)
     assert m.size == 310 * 310 and w.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(q_inv >= np.abs(m))   # the end states m = -j, j have 1x1 blocks: v2 = 0
+    p, slow, fast = _families(dot_of(4000, 0.003), m, q_inv, w)
+    assert p.freq.size == slow.freq.size == fast.freq.size == w.size and p.sin is None
+    # a state's slow and fast versine amplitudes split its weight
+    assert np.all(np.abs(slow.vers + fast.vers - w) <= 4.0 * np.finfo(float).eps * w)
     exact, _ = channels(4000, 0.0)
     assert exact.p[0] == 0.0 and exact.c[0] == 1.0
 

@@ -58,7 +58,7 @@ def test_channel_memo_hit_keeps_the_bits_and_is_read_only(empty_memo):
     direct = q.compute_channel(q.build_quadrature(config.dot(0.02), float(times[-1]), 24, 20), times)
     for name in ("times", "p", "c"):
         assert getattr(chan, name).tobytes() == getattr(direct, name).tobytes(), name
-    for array in (chan.times, chan.p, chan.c, chan.model.p_freq, chan.model.c_sin):
+    for array in (chan.times, chan.p, chan.c, chan.model.p.freq, chan.model.slow.sin, chan.model.fast.vers):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # a trajectory on the shared channel holds writable copies of its columns
