@@ -51,12 +51,12 @@ grid, 2844 of 294 x 64 at 2000 ns and 7007 of 1759 x 64 at 12 000 ns.
 
 Sharing: a model (`BathQuadrature`) is computed once and read by every
 channel and kink-refinement round on it, so its arrays are read-only.
-The raw scipy Gauss rules depend only on their kind and order, and
-`_gauss_rule` keeps the last GAUSS_RULE_MEMO_SIZE of them for the
-process; the normalisation and the node checks of `_bath_nodes` run on
-every model.  The kept nodes depend only on the counts (the normalised
-weights carry no dot parameter), and `_kept_nodes` selects them once
-per (n_m, n_q) pair.  Whole channels are kept one level up, by
+A node grid's unit nodes, normalised weights and kept nodes carry no dot
+parameter, so `_node_grid(n_m, n_q)` computes scipy's two rules and
+selects the kept nodes once per count pair, and keeps the last
+GAUSS_RULE_MEMO_SIZE grids for the process; `build_quadrature` scales
+them by the dot, and runs the node overflow and positivity checks, on
+every model.  Whole channels are kept one level up, by
 `magnetometry.channel_for_field`, keyed on the dot, grid and node counts.
 
 One flat node list: the kept nodes (m, Q, weight) go in raveled order to
@@ -119,6 +119,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -138,7 +139,7 @@ MIN_Q_NODES = 64
 NEGLIGIBLE_WEIGHT = 1e-20         # the lightest nodes summing to at most this leave the phase sums
 MAX_QUADRATURE_NODES = 1_000_000  # n_m x n_q; ~0.2 KB of peak memory each, the 12 000 ns rule takes 112 576
 _MIN_BATH_NUCLEI = 100           # Gaussian bath statistics need a large bath
-GAUSS_RULE_MEMO_SIZE = 16        # Gauss rules (28 KB at 1759 nodes) and kept-node sets (0.17 MB at 1759 x 64) kept
+GAUSS_RULE_MEMO_SIZE = 16        # node grids kept: 15 KB at 32 x 32, 74 KB at 294 x 64, 0.2 MB at 1759 x 64
 TAYLOR_RADIUS = 0.5              # |w_diff (t - t_a)| at most this about each anchor t_a of the slow family
 TAYLOR_TAIL = 1e-17              # bound r^N / N! on the dropped Taylor terms at phase radius r (amplitudes sum <= 1)
 
@@ -186,78 +187,55 @@ class BathQuadrature:
                     a.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
-def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's raw (nodes, weights) Gauss rule of `kind` ("hermite" or "laguerre") and `order`.
+class NodeGrid(NamedTuple):
+    """The count-only parts of an n_m x n_q Gauss-Hermite x Gauss-Laguerre grid.
 
-    The rule depends on nothing else, so a process computes each once; the
-    arrays are shared and read-only.
+    x and y are the unit nodes (m = sqrt(2) sigma x, Q = 2 sigma^2 y), with
+    their normalised weights; kept_m, kept_q and kept_weight are the
+    (m index, q index, weight) of the nodes the families keep, in raveled
+    (m, q) order.
+    """
+
+    x: np.ndarray
+    m_weights: np.ndarray
+    y: np.ndarray
+    q_weights: np.ndarray
+    kept_m: np.ndarray
+    kept_q: np.ndarray
+    kept_weight: np.ndarray
+
+
+@functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
+def _node_grid(n_m: int, n_q: int) -> NodeGrid:
+    """The unit nodes, normalised weights and kept nodes of the n_m x n_q grid.
+
+    None of them carries a dot parameter, so a process computes scipy's two
+    rules and selects the kept nodes once per count pair; the arrays are
+    shared and read-only.  Weights that do not sum to 1 after normalising
+    (NaN: too many nodes for scipy) are refused.  The lightest nodes, while
+    their weights sum to at most NEGLIGIBLE_WEIGHT, leave the kept set
+    (every amplitude is bounded by its weight); the rest stay in raveled
+    order, so the summation order stays fixed.
     """
     from scipy.special import roots_hermite, roots_laguerre  # on first use: `import qdspin` stays scipy-free
 
-    if kind == "hermite":
-        rule = roots_hermite(order)      # weight e^{-x^2}
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused by the caller
-            rule = roots_laguerre(order)  # weight e^{-y}
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-def _normalised(name: str, w: np.ndarray) -> np.ndarray:
-    """Raw Gauss weights `w` scaled to sum to 1; NaN weights (too many nodes for scipy) are refused."""
-    w = w / w.sum()
-    if not abs(float(w.sum()) - 1.0) <= 1e-9:
-        raise QuadratureResolutionError(f"{name} of {w.size} nodes must sum to 1, got {float(w.sum())!r}")
-    return w
-
-
-def _bath_nodes(dot: DotParameters, n_m: int, n_q: int) -> tuple:
-    """Normalised Gauss-Hermite polarization nodes m and Gauss-Laguerre
-    transverse-invariant nodes Q, as ((m, weights), (Q, weights)).
-
-    The raw rules come from `_gauss_rule`; the normalisation and the checks
-    run on every call.
-    """
-    sigma = dot.sigma_m
-    x, wx = _gauss_rule("hermite", n_m)   # m = sqrt(2) sigma x
-    m_weights = _normalised("m_weights", wx)
-    y, wy = _gauss_rule("laguerre", n_q)  # Q = 2 sigma^2 y
-    q_weights = _normalised("q_weights", wy)
-    # the largest node's product in Python floats, where an overflow is a quiet inf
-    if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
-        raise InvalidParameterError(
-            f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
-            f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
-        )
-    q_nodes = 2.0 * sigma * sigma * y
-    if np.any(q_nodes <= 0.0):
-        raise QuadratureResolutionError("all q_nodes must be positive")
-    return (math.sqrt(2.0) * sigma * x, m_weights), (q_nodes, q_weights)
-
-
-@functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
-def _kept_nodes(n_m: int, n_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m index, q index, weight) of the nodes of the n_m x n_q grid that the
-    families keep, in raveled (m, q) order.
-
-    The lightest nodes, while their weights sum to at most
-    NEGLIGIBLE_WEIGHT, leave the families (every amplitude is bounded by its
-    weight); the rest stay in raveled order, so the summation order stays
-    fixed.  The normalised Gauss weights carry no dot parameter, so a
-    process selects once per count pair; the arrays are shared and read-only.
-    """
-    m_weights = _normalised("m_weights", _gauss_rule("hermite", n_m)[1])
-    q_weights = _normalised("q_weights", _gauss_rule("laguerre", n_q)[1])
-    w2d = (m_weights[:, None] * q_weights[None, :]).ravel()
+    x, wx = roots_hermite(n_m)           # weight e^{-x^2}
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as NaN weights, refused below
+        y, wy = roots_laguerre(n_q)      # weight e^{-y}
+    weights = []
+    for name, w in (("m_weights", wx), ("q_weights", wy)):
+        w = w / w.sum()
+        if not abs(float(w.sum()) - 1.0) <= 1e-9:
+            raise QuadratureResolutionError(f"{name} of {w.size} nodes must sum to 1, got {float(w.sum())!r}")
+        weights.append(w)
+    w2d = (weights[0][:, None] * weights[1][None, :]).ravel()
     light = np.argsort(w2d, kind="stable")
     n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
     keep = np.sort(light[n_light:])
-    kept = (*np.divmod(keep, n_q), w2d[keep])
-    for a in kept:
+    grid = NodeGrid(x, weights[0], y, weights[1], *np.divmod(keep, n_q), w2d[keep])
+    for a in grid:
         a.setflags(write=False)
-    return kept
+    return grid
 
 
 def _blocks(dot: DotParameters, m: np.ndarray, q: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -332,15 +310,19 @@ def build_quadrature(
     FAST_NODES (n_m raised to that phase term if larger), taken if its own
     fast-term cutoff reaches t_max, so the slow branch never runs; otherwise
     the rule takes MIN_M_NODES x MIN_Q_NODES (n_m raised to the phase term),
-    whose window covers the interference decay.  A model whose counts are
-    both the candidate's takes the candidate's nodes and cutoff whole;
-    any other builds its nodes with `_bath_nodes`, whose raw Gauss rules
-    are computed once per process (`_gauss_rule`), the candidate's
-    included.  A grid of more than MAX_QUADRATURE_NODES nodes, the
-    candidate too, is refused before its nodes are computed.
+    whose window covers the interference decay.  Every grid, the candidate
+    included, comes from `_node_grid`, computed once per count pair and
+    process, and is scaled by the dot here, where the Laguerre-overflow
+    check runs on every model.  Counts must be integers; a grid of more
+    than MAX_QUADRATURE_NODES nodes, the candidate too, is refused before
+    its nodes are computed.
     """
-    if t_max_ns < 0.0:
+    if not t_max_ns >= 0.0:   # NaN too
         raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
+    for name, count in (("m_count", m_count), ("q_count", q_count)):
+        if count is not None and (isinstance(count, bool) or not isinstance(count, numbers.Integral)):
+            raise InvalidParameterError(f"{name} must be an integer, got {count!r}")
+    n_m, n_q = (count if count is None else int(count) for count in (m_count, q_count))
     window = VALIDITY_GRACE * dot.validity_window_ns
     if t_max_ns > window:
         raise ValidityWindowError(
@@ -351,15 +333,28 @@ def build_quadrature(
         raise ValidityWindowError(
             f"Gaussian bath statistics require N >= {_MIN_BATH_NUCLEI}, got {dot.n_nuclei:g}"
         )
-    nodes = None                  # the rule's candidate as ((m, weights), (Q, weights)), once built
-    n_m, n_q = m_count, q_count
+    sigma = dot.sigma_m
+
+    def scaled(n_m: int, n_q: int) -> tuple[NodeGrid, np.ndarray, np.ndarray, float]:
+        """The n_m x n_q grid, its m and Q nodes for this dot, and their fast-term cutoff."""
+        grid = _node_grid(n_m, n_q)
+        # the largest node's product in Python floats, where an overflow is a quiet inf
+        if not math.isfinite(2.0 * sigma * sigma * float(grid.y.max())):
+            raise InvalidParameterError(
+                f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
+                f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
+            )
+        m_nodes = math.sqrt(2.0) * sigma * grid.x
+        q_nodes = 2.0 * sigma * sigma * grid.y
+        if np.any(q_nodes <= 0.0):
+            raise QuadratureResolutionError("all q_nodes must be positive")
+        return grid, m_nodes, q_nodes, _fast_term_cutoff(dot, m_nodes, grid.m_weights, q_nodes, grid.q_weights)
+
     if n_m is None or n_q is None:
-        n_phase = math.ceil(8.0 * dot.sigma_m * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
+        n_phase = math.ceil(8.0 * sigma * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
         rule = max(FAST_NODES, n_phase), FAST_NODES
-        if rule[0] * rule[1] <= MAX_QUADRATURE_NODES:  # past the cap either way: no candidate is built
-            nodes = _bath_nodes(dot, *rule)
-            cutoff = _fast_term_cutoff(dot, *nodes[0], *nodes[1])
-        if nodes is None or not cutoff >= t_max_ns:
+        # past the cap either way: no candidate is built
+        if rule[0] * rule[1] > MAX_QUADRATURE_NODES or not scaled(*rule)[-1] >= t_max_ns:
             rule = max(MIN_M_NODES, n_phase), MIN_Q_NODES
         n_m = rule[0] if n_m is None else n_m
         n_q = rule[1] if n_q is None else n_q
@@ -372,15 +367,9 @@ def build_quadrature(
         )
     if n_m < 3 or n_q < 3:
         raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
-    n_m, n_q = int(n_m), int(n_q)
-    # the candidate is taken whole where the model keeps both its counts, and both axes are new where not
-    if nodes is None or (nodes[0][0].size, nodes[1][0].size) != (n_m, n_q):
-        nodes = _bath_nodes(dot, n_m, n_q)
-        cutoff = _fast_term_cutoff(dot, *nodes[0], *nodes[1])
-    (m_nodes, _), (q_nodes, _) = nodes
-    i_m, i_q, weights = _kept_nodes(n_m, n_q)
+    grid, m_nodes, q_nodes, cutoff = scaled(n_m, n_q)
     return BathQuadrature(dot, (n_m, n_q), float(t_max_ns),
-                          *_families(dot, m_nodes[i_m], q_nodes[i_q], weights), cutoff)
+                          *_families(dot, m_nodes[grid.kept_m], q_nodes[grid.kept_q], grid.kept_weight), cutoff)
 
 
 @dataclass(frozen=True, eq=False)

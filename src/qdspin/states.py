@@ -310,17 +310,21 @@ def bell_diagonal_params(
 
 
 def raw_state_from_json(text: str) -> TwoQubitState:
-    """Parse a JSON 4x4 array of [re, im] pairs."""
-    rho = np.empty((4, 4), dtype=complex)
+    """Parse a JSON array of exactly 4 rows of 4 [re, im] number pairs."""
     try:
         data = json.loads(text)
-        for i in range(4):
-            for j in range(4):
-                re, im = data[i][j]
-                rho[i, j] = complex(re, im)
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+    except ValueError as exc:
         raise InvalidParameterError(f"malformed raw-state JSON: {exc}") from exc
-    return make_state(Raw(rho))
+
+    def is_number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)   # JSON true/false load as bool, an int
+
+    def is_list_of(value, size: int, item_ok) -> bool:
+        return isinstance(value, list) and len(value) == size and all(map(item_ok, value))
+
+    if not is_list_of(data, 4, lambda row: is_list_of(row, 4, lambda pair: is_list_of(pair, 2, is_number))):
+        raise InvalidParameterError("malformed raw-state JSON: expected 4 rows of 4 [re, im] number pairs")
+    return make_state(Raw(np.array([[complex(re, im) for re, im in row] for row in data])))
 
 
 def raw_state_from_csv(text: str) -> TwoQubitState:

@@ -14,14 +14,12 @@ from qdspin.channel import (
     NEGLIGIBLE_WEIGHT,
     FrequencyFamily,
     QuadratureResolutionError,
-    _bath_nodes,
     _families,
     _fast_term_cutoff,
-    _gauss_rule,
-    _kept_nodes,
+    _node_grid,
     _uniform_runs,
 )
-from qdspin.constants import HBAR_UEV_NS, ValidityWindowError
+from qdspin.constants import HBAR_UEV_NS, InvalidParameterError, ValidityWindowError
 from qdspin.evolution import build_time_grid
 
 from conftest import channel_of
@@ -182,54 +180,75 @@ def test_node_count_rule_matches_the_257_by_64_channel(b_field):
     assert np.abs(chan.c - floor.c).max() <= 1e-12
 
 
+def bath_nodes(dot, counts):
+    """((m, weights), (Q, weights)) of the dot on the memo's unit grid of `counts`, scaled as the model scales them."""
+    grid = _node_grid(*counts)
+    sigma = dot.sigma_m
+    return (math.sqrt(2.0) * sigma * grid.x, grid.m_weights), (2.0 * sigma * sigma * grid.y, grid.q_weights)
+
+
 @pytest.mark.parametrize("b_field,t_max,counts", [(0.1, 20.0, (32, 32)), (0.001, 2000.0, (294, 64)),
                                                   (0.1, 200.0, (257, 64))])
-def test_rule_model_reuses_its_candidate_and_keeps_the_bits(monkeypatch, b_field, t_max, counts):
-    # a model takes the candidate whole where both counts match (32 x 32 at 20 ns) and builds both axes
-    # anew where not, from the memo's raw rules: past the candidate's rules, the 294 x 64 model at 2000 ns
-    # computes a 64-node Laguerre rule only, and the 257 x 64 model at 200 ns a 257-node Hermite one too
-    import scipy.special
-
+def test_rule_model_reuses_its_candidate_and_keeps_the_bits(b_field, t_max, counts):
+    # the rule's candidate is a node grid of the memo: a model on its counts (32 x 32 at 20 ns) reads it
+    # again, and one on other counts builds its own, the 294 x 64 model at 2000 ns past the 294 x 32
+    # candidate and the 257 x 64 model at 200 ns past the 32 x 32 one
     dot = q.DotParameters(b_field=b_field)
     explicit = q.build_quadrature(dot, t_max, m_count=counts[0], q_count=counts[1])
-    calls = []
-    real = scipy.special.roots_hermite
-    monkeypatch.setattr(scipy.special, "roots_hermite", lambda n: calls.append(n) or real(n))
-    laguerre_calls = []
-    real_laguerre = scipy.special.roots_laguerre
-    monkeypatch.setattr(scipy.special, "roots_laguerre", lambda n: laguerre_calls.append(n) or real_laguerre(n))
-    _gauss_rule.cache_clear()  # every rule the model needs is computed below, each once
+    _node_grid.cache_clear()  # every grid the model needs is built below, each once
     quad = q.build_quadrature(dot, t_max)
     assert quad.node_counts == explicit.node_counts == counts
-    assert calls == ([32] if t_max == 20.0 else [294] if t_max == 2000.0 else [32, 257])
-    assert laguerre_calls == ([32] if t_max == 20.0 else [32, 64])
+    info = _node_grid.cache_info()
+    assert (info.misses, info.hits) == ((1, 1) if t_max == 20.0 else (2, 0))
     for name in ("p", "slow", "fast"):
         for got, want in zip(getattr(quad, name), getattr(explicit, name)):
             assert (got is want is None) or np.array_equal(got, want), name
     assert quad.fast_term_cutoff_ns == explicit.fast_term_cutoff_ns
-    # a second model on the same rules computes none of them again
+    # a second model on the same grids builds none of them again
     again = q.build_quadrature(q.DotParameters(b_field=2.0 * b_field), t_max)
     assert again.node_counts == counts
-    assert len(calls) + len(laguerre_calls) == _gauss_rule.cache_info().misses
+    assert _node_grid.cache_info().misses == info.misses
 
 
 def test_gauss_rules_are_shared_read_only_and_checked_on_every_call():
-    x, w = _gauss_rule("hermite", 32)
-    assert _gauss_rule("hermite", 32)[0] is x
-    with pytest.raises(ValueError, match="read-only"):
-        w[0] = 0.0
-    # the overflow check runs on a rule the memo already holds
-    assert _bath_nodes(q.DotParameters(), 32, 64)[1][0].max() > 0.0
+    grid = _node_grid(32, 64)
+    assert _node_grid(32, 64) is grid
+    for a in grid:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # the overflow check runs on every model, on a grid the memo already holds
+    misses = _node_grid.cache_info().misses
+    assert q.build_quadrature(q.DotParameters(), 1.0, 32, 64).node_counts == (32, 64)
     with pytest.raises(q.InvalidParameterError, match="overflows"):
-        _bath_nodes(q.DotParameters(n_nuclei=1e307), 32, 64)
+        q.build_quadrature(q.DotParameters(n_nuclei=1e307), 1.0, 32, 64)
+    assert _node_grid.cache_info().misses == misses
 
 
 def test_quadrature_weights_normalized(default_dot):
     quad = q.build_quadrature(default_dot, 20.0)
-    (_, m_weights), (q_nodes, q_weights) = _bath_nodes(default_dot, *quad.node_counts)
+    (_, m_weights), (q_nodes, q_weights) = bath_nodes(default_dot, quad.node_counts)
     assert m_weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert q_weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(q_nodes > 0)
+
+
+@pytest.mark.parametrize("counts", [(40.7, None), (None, 36.0), (math.nan, 36), (True, 36)],
+                         ids=["fraction", "integral-float", "nan", "bool"])
+def test_quadrature_refuses_a_count_that_is_not_an_integer(counts, monkeypatch):
+    monkeypatch.setattr(q.channel, "_node_grid", lambda *args: pytest.fail("node work before the counts were checked"))
+    with pytest.raises(InvalidParameterError, match="_count must be an integer"):
+        q.build_quadrature(q.DotParameters(), 20.0, *counts)
+
+
+def test_quadrature_takes_numpy_integer_counts():
+    quad = q.build_quadrature(q.DotParameters(), 20.0, np.int64(40), np.int32(36))
+    assert quad.node_counts == (40, 36) and all(type(n) is int for n in quad.node_counts)
+
+
+def test_quadrature_refuses_nan_t_max(monkeypatch):
+    monkeypatch.setattr(q.channel, "_node_grid", lambda *args: pytest.fail("node work before t_max was checked"))
+    with pytest.raises(ValidityWindowError, match="t_max must be nonnegative, got nan"):
+        q.build_quadrature(q.DotParameters(), math.nan)
 
 
 def test_quadrature_refuses_beyond_validity(default_dot):
@@ -513,7 +532,7 @@ def direct_channel(dot, times, quad):
     oracle; of the model's evaluation data only the fast-term cutoff is read.
     """
     hbar, alpha, omega_z = HBAR_UEV_NS, dot.alpha, dot.zeeman_energy
-    (m_nodes, m_weights), (q_nodes, q_weights) = _bath_nodes(dot, *quad.node_counts)
+    (m_nodes, m_weights), (q_nodes, q_weights) = bath_nodes(dot, quad.node_counts)
     m, q_perp = m_nodes[:, None], q_nodes[None, :]
     w2d = m_weights[:, None] * q_weights[None, :]
     d_ket = 0.5 * (-omega_z + alpha * (m + 0.5))
@@ -590,7 +609,7 @@ def test_channel_matches_direct_sum(b_field, times):
 def test_light_nodes_leave_the_families(t_max):
     dot = q.DotParameters(b_field=0.001)
     quad = q.build_quadrature(dot, t_max)
-    (m_nodes, m_weights), (q_nodes, q_weights) = _bath_nodes(dot, *quad.node_counts)
+    (m_nodes, m_weights), (q_nodes, q_weights) = bath_nodes(dot, quad.node_counts)
     # the families of every node of the grid, as one flat list in raveled (m, q) order
     w2d = np.outer(m_weights, q_weights).ravel()
     full = dict(zip(("p", "slow", "fast"),
@@ -606,11 +625,12 @@ def test_light_nodes_leave_the_families(t_max):
         for field, got, every in zip(FrequencyFamily._fields, getattr(quad, name), full[name]):
             assert every is None or (every.size == w2d.size and np.array_equal(got, every[keep])), (name, field)
     # the kept set is selected once per count pair, and shared read-only
-    i_m, i_q, weights = _kept_nodes(*quad.node_counts)
-    assert _kept_nodes(*quad.node_counts)[0] is i_m
-    assert np.array_equal(i_m * q_nodes.size + i_q, keep) and np.array_equal(weights, w2d[keep])
+    grid = _node_grid(*quad.node_counts)
+    assert _node_grid(*quad.node_counts) is grid
+    assert np.array_equal(grid.kept_m * q_nodes.size + grid.kept_q, keep)
+    assert np.array_equal(grid.kept_weight, w2d[keep])
     with pytest.raises(ValueError, match="read-only"):
-        weights[0] = 0.0
+        grid.kept_weight[0] = 0.0
     assert quad.fast_term_cutoff_ns == _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
     if t_max > 1000.0:
         assert 5 * quad.p.freq.size < w2d.size

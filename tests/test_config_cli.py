@@ -292,12 +292,12 @@ def test_cli_node_count_below_three_is_usage_error(flag, value, tmp_path, capsys
 
 @pytest.mark.parametrize("flags", [["--m-nodes", "1000000"], ["--m-nodes", "20000", "--q-nodes", "64"]])
 def test_cli_quadrature_past_node_cap_is_usage_error(flags, tmp_path, capsys, monkeypatch):
-    def bounded_nodes(dot, n_m, n_q):
+    def bounded_grid(n_m, n_q):
         assert n_m * n_q <= MAX_QUADRATURE_NODES, "nodes computed before the node count was bounded"
-        return real_nodes(dot, n_m, n_q)
+        return real_grid(n_m, n_q)
 
-    real_nodes = channel._bath_nodes
-    monkeypatch.setattr(channel, "_bath_nodes", bounded_nodes)
+    real_grid = channel._node_grid
+    monkeypatch.setattr(channel, "_node_grid", bounded_grid)
     code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", *flags,
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -340,8 +340,10 @@ def test_bath_just_below_the_node_overflow_runs_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dot = DotParameters(n_nuclei=5e305, b_field=0.1)
-        _, (q_nodes, _) = channel._bath_nodes(dot, *build_quadrature(dot, 1.0).node_counts)
+        quad = build_quadrature(dot, 1.0)
+        q_nodes = 2.0 * dot.sigma_m * dot.sigma_m * channel._node_grid(*quad.node_counts).y
     assert np.all(np.isfinite(q_nodes))
+    assert all(np.all(np.isfinite(a)) for family in (quad.p, quad.slow, quad.fast) for a in family if a is not None)
 
 
 def test_cli_node_count_past_the_cap_prints_short(tmp_path, capsys):
@@ -357,7 +359,7 @@ def test_node_rule_past_the_cap_builds_no_candidate(monkeypatch):
     def no_nodes(*args):
         raise AssertionError("candidate nodes computed past MAX_QUADRATURE_NODES")
 
-    monkeypatch.setattr(channel, "_bath_nodes", no_nodes)
+    monkeypatch.setattr(channel, "_node_grid", no_nodes)
     with pytest.raises(InvalidParameterError, match="MAX_QUADRATURE_NODES"):
         build_quadrature(DotParameters(n_nuclei=1e12), 1e9)
 

@@ -197,8 +197,16 @@ def test_raw_state_io(tmp_path):
     assert np.abs(q.load_raw_state(path).rho - rho).max() < 1e-15
 
 
-@pytest.mark.parametrize("reader,text", [(raw_state_from_csv, "abc,0\n"), (raw_state_from_json, "not json"),
-                                         (raw_state_from_json, "[[1, 2]]")])
+def _json_rows(rows: int, cols: int, entry: str = "[0.25, 0]") -> str:
+    return "[" + ",".join("[" + ",".join([entry] * cols) + "]" for _ in range(rows)) + "]"
+
+
+@pytest.mark.parametrize("reader,text", [
+    (raw_state_from_csv, "abc,0\n"), (raw_state_from_json, "not json"), (raw_state_from_json, "[[1, 2]]"),
+    # the 4x4 block of a larger array is not the state, and true/false are not numbers
+    (raw_state_from_json, _json_rows(5, 5)), (raw_state_from_json, _json_rows(4, 5)),
+    (raw_state_from_json, _json_rows(4, 4, "[true, false]")),
+])
 def test_raw_state_malformed_text_is_invalid_parameter(reader, text):
     with pytest.raises(InvalidParameterError, match="malformed raw-state"):
         reader(text)
