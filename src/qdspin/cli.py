@@ -6,7 +6,8 @@ outputs are deterministic for a fixed configuration; the worker count
 (`sweep --workers` or the config file's "workers") changes wall time only,
 never results.  A command's config file may set the `RunConfig` fields
 that `COMMAND_FIELDS` names for it and those its flags set, and its CSV
-headers echo exactly the former.
+headers echo the former, less a sweep's windows that its metric does not
+read.
 """
 from __future__ import annotations
 

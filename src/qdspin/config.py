@@ -61,6 +61,8 @@ COMMAND_FIELDS = {
     "evolve": (*_RUN_FIELDS, "normalize"),
     "sweep": (*_RUN_FIELDS, "metric", "m_window", "longtime_window"),
 }
+# the metric that reads each window: a sweep whose metric set lacks it applies, and echoes, no such window
+WINDOW_METRICS = {"m_window": "M", "longtime_window": "longtime"}
 
 
 @dataclass
@@ -215,11 +217,14 @@ def header_lines(config: RunConfig, command: str, extra: dict | None = None) -> 
     """Comment header: version, the echo of `COMMAND_FIELDS[command]`, the fields in both T and mT, `extra`.
 
     A trajectory or channel CSV echoes `evolve`'s fields and a sweep or
-    calibration CSV `sweep`'s, so the echo is a config file that reruns it.
+    calibration CSV `sweep`'s, less the windows its metric does not read
+    (`WINDOW_METRICS`), so the echo is a config file that reruns it.
     """
     from . import __version__
 
-    echo = {name: getattr(config, name) for name in COMMAND_FIELDS[command]}
+    metrics = METRIC_SETS[config.metric]
+    echo = {name: getattr(config, name) for name in COMMAND_FIELDS[command]
+            if name not in WINDOW_METRICS or WINDOW_METRICS[name] in metrics}
     lines = [f"qdspin_version={__version__}", f"config={json.dumps(echo, sort_keys=True)}"]
     b_t = ",".join(f"{b:.9g}" for b in config.b_fields)
     b_mt = ",".join(f"{1e3 * b:.9g}" for b in config.b_fields)

@@ -114,21 +114,26 @@ def _evolved_bloch(form0: BlochForm, p: np.ndarray, c: np.ndarray) -> BlochForm:
     """Bloch form of the product channel (p, c) applied to the start form0 at each of n times.
 
     Per qubit the channel maps Bloch vectors by Lambda = [[Re c, Im c, 0],
-    [-Im c, Re c, 0], [0, 0, 1 - 2p]]: x' = Lambda x, y' = Lambda y and
-    T' = Lambda T Lambda^T.  As in `_evolved_rho`, no sum runs along time,
-    so a time gets the same bits alone as inside a stack.
+    [-Im c, Re c, 0], [0, 0, q]], q = 1 - 2p: v_x + i v_y is multiplied by
+    conj(c) and v_z by q.  So T' = Lambda T Lambda^T multiplies T's
+    transverse column T_xz + i T_yz and row T_zx + i T_zy by q conj(c), T_zz
+    by q^2, the part of its transverse block no rotation moves,
+    s = ((T_xx + T_yy) + i (T_yx - T_xy)) / 2, by |c|^2, and the part that
+    turns twice, r = ((T_xx - T_yy) + i (T_yx + T_xy)) / 2, by conj(c)^2.
+    Each entry is one such product, so a zero of form0 stays exact, and no
+    sum runs along time: a time gets the same bits alone as inside a stack.
     """
-    cr, q = np.real(c), 1.0 - 2.0 * p
-    ci = (np.imag(c) * np.array([[1.0], [-1.0]]))[:, None]  # (2, 1, n): Im c and -Im c
-
-    def lam(v: np.ndarray) -> np.ndarray:  # Lambda on the first axis of v; time is the last axis
-        return np.concatenate([cr * v[:2] + ci * v[1::-1], q * v[2:]])
-
-    # one pass maps x, y and the columns of T (Lambda T), a second the rows: Lambda (Lambda T)^T = T'^T
-    xyt = lam(np.column_stack([form0.x, form0.y, form0.t_corr])[..., None])  # (3, 5, n)
-    t_tr = lam(xyt[:, 2:].swapaxes(0, 1))
-    return BlochForm(np.ascontiguousarray(xyt[:, 0].T), np.ascontiguousarray(xyt[:, 1].T),
-                     np.ascontiguousarray(t_tr.transpose(2, 1, 0)))
+    q, turn = 1.0 - 2.0 * p, np.conj(c)
+    x, y, t = form0.x, form0.y, form0.t_corr
+    s = 0.5 * complex(t[0, 0] + t[1, 1], t[1, 0] - t[0, 1]) * (c.real * c.real + c.imag * c.imag)
+    r = 0.5 * complex(t[0, 0] - t[1, 1], t[1, 0] + t[0, 1]) * (turn * turn)
+    x_tr, y_tr = turn * complex(x[0], x[1]), turn * complex(y[0], y[1])
+    col, row = q * turn * complex(t[0, 2], t[1, 2]), q * turn * complex(t[2, 0], t[2, 1])
+    t_out = np.stack([s.real + r.real, r.imag - s.imag, col.real,
+                      s.imag + r.imag, s.real - r.real, col.imag,
+                      row.real, row.imag, q * q * t[2, 2]], axis=-1)
+    return BlochForm(np.stack([x_tr.real, x_tr.imag, q * x[2]], axis=-1),
+                     np.stack([y_tr.real, y_tr.imag, q * y[2]], axis=-1), t_out.reshape(-1, 3, 3))
 
 
 def _evolved_x(rho0: np.ndarray, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,12 +204,12 @@ class CorrelationTrajectory:
     read the (n, 4, 4) stack `rho` that `_evolved_rho` builds.  So a row
     that reads only M, `d_longtime`, g-extrema or kinks of an X start
     builds no stack.  The bounds share one eigendecomposition of the K
-    matrices (`measures.KEigh`); a start whose only coherence is rho_12
-    (Bell psi, Werner, Bell-diagonal) keeps every K diagonal, and a
-    diagonal K is read off its diagonal with no `eigh`.  The lower bound
-    reads Tr K - k_max off those diagonals alone
-    (`measures._diagonal_side_terms`); the eigendecomposition and the upper
-    bound's corrections run only when `ds_upper` or `d_upper` is read.
+    matrices (`measures.KEigh`).  A start whose only coherence is the real
+    rho_12 (Bell psi, Werner, Bell-diagonal) keeps T diagonal and x, y
+    along z exactly, so every K is diagonal: the lower bound reads
+    Tr K - k_max off (x_z, y_z, T_ii) (`measures._diagonal_side_terms`),
+    and no `eigh` runs.  The eigendecomposition and the upper bound's
+    corrections run only when `ds_upper` or `d_upper` is read.
     """
 
     times: np.ndarray

@@ -136,9 +136,12 @@ def low_field_revival(traj: CorrelationTrajectory) -> Revival:
     """The minimum of d_lower on the times inside REVIVAL_WINDOW, and the maximum from there to the end.
 
     At low field the discord decays, then partly revives on the slow branch.
+    A trajectory with no time inside the window is an InvalidParameterError.
     """
     times, d = traj.times, traj.d_lower
     inside = np.flatnonzero((times > REVIVAL_WINDOW[0]) & (times < REVIVAL_WINDOW[1]))
+    if not inside.size:
+        raise InvalidParameterError(f"trajectory has no time inside the revival window {REVIVAL_WINDOW} ns")
     i_min = int(inside[np.argmin(d[inside])])
     i_max = i_min + int(np.argmax(d[i_min:]))
     return Revival(float(times[i_min]), float(d[i_min]), float(times[i_max]), float(d[i_max]))

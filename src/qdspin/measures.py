@@ -29,7 +29,6 @@ RESCALE_PREFACTOR = 0.5 * (1.0 - math.sqrt(3.0) / 2.0)
 TOP_CLUSTER_GAP = 1e-10  # eigenvalues this close to the top of K count as degenerate with it
 G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denominator of g
 ORACLE_POLISH_RESTARTS = 4  # times an unconverged simplex polish of the oracle is continued
-T_ROUNDOFF = 1e-12       # an entry off T's diagonal up to this is round-off (correlations lie in [-1, 1])
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
 _LOWER_ROWS, _LOWER_COLS = np.tril_indices(3, -1)
@@ -55,9 +54,9 @@ class KEigh(NamedTuple):
     """What the discord bounds keep of the eigendecomposition of K_x = x x^T + T T^T
     and K_y = y y^T + T^T T, stacked on a leading axis of 2 (x side first).
 
-    A K with exact zeros off its diagonal (an X state with real coherences)
-    is read off its diagonal: eigenvalues the diagonal sorted ascending,
-    eigenvectors the matching unit vectors.
+    A stack whose every K has exact zeros off its diagonal (X states with
+    real coherences) is read off its diagonals: eigenvalues the diagonal
+    sorted ascending, eigenvectors the matching unit vectors.
     """
 
     a: np.ndarray       # (2, ...): Tr K - k_max
@@ -68,27 +67,24 @@ class KEigh(NamedTuple):
 def _k_eigh(form: BlochForm) -> KEigh:
     """The eigenpairs both discord bounds share, for one state or a stack.
 
-    `np.linalg.eigh` runs only on the K with a nonzero entry below the
-    diagonal, the triangle it reads; a diagonal K is read off its diagonal.
-    LAPACK returns a diagonal K's exact diagonal too, and the upper bound
-    takes a minimum over the top cluster that depends neither on the
-    eigenvectors' signs nor on the order of tied eigenvalues, so both routes
-    give the same bounds bit for bit.
+    One route per stack: if no K has a nonzero entry below its diagonal
+    (the triangle `np.linalg.eigh` reads), each is read off its diagonal;
+    otherwise one `eigh` call takes the whole stack.  LAPACK returns a
+    diagonal K's exact diagonal too, and the upper bound takes a minimum
+    over the top cluster that depends neither on the eigenvectors' signs
+    nor on the order of tied eigenvalues, so a state gets the same bounds,
+    bit for bit, on either route: alone or inside any stack.
     """
     bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
     t = form.t_corr
     t_tr = np.swapaxes(t, -1, -2)
     k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
     diag = np.diagonal(k, axis1=-2, axis2=-1)
-    full = (k[..., _LOWER_ROWS, _LOWER_COLS] != 0.0).any(axis=-1)     # (2, ...): not diagonal
-    n_full = np.count_nonzero(full)
-    if n_full == full.size:
+    if k[..., _LOWER_ROWS, _LOWER_COLS].any():
         w, v = np.linalg.eigh(k)                                       # ascending
     else:
         w = np.sort(diag, axis=-1)
         v = (np.argsort(diag, axis=-1)[..., None, :] == _AXES[:, None]).astype(float)
-        if n_full:
-            w[full], v[full] = np.linalg.eigh(k[full])
     trace = diag[..., 0] + diag[..., 1] + diag[..., 2]                 # np.trace's order and bits
     return KEigh(trace - w[..., 2], w[..., 2:] - w < TOP_CLUSTER_GAP, v)
 
@@ -96,35 +92,21 @@ def _k_eigh(form: BlochForm) -> KEigh:
 def _diagonal_side_terms(form: BlochForm) -> np.ndarray | None:
     """`_k_eigh(form).a` (Tr K - k_max) of a finite stack whose every K is diagonal, bit for bit; else None.
 
-    With x and y along z, a T with no entry off its diagonal gives K_x =
-    K_y = diag(b_i^2 + T_ii^2): each entry of `_k_eigh`'s matmul is then a
-    sum with one nonzero term, so the elementwise squares carry its bits.
-    A T off its diagonal by round-off makes sums of two terms, which the
-    matmul may fuse; those T T^T and T^T T are formed by `_k_eigh`'s
-    matmul, and any with an entry off its diagonal gives None, as does an
-    x or y off z.  An entry off T's diagonal beyond T_ROUNDOFF (bell:phi+
-    in a field, whose T_xy = T_yx carry Im c^2) gives None before any
-    product is formed: the products' own round-off then sits off K's
-    diagonal, and `_k_eigh` forms them once.  None always leaves the bound
-    to `_k_eigh`, with the same bits.
+    With x and y along z and T with no nonzero entry off its diagonal, K_x
+    = K_y = diag(b_i^2 + T_ii^2): each entry of `_k_eigh`'s matmul is then
+    a sum with one nonzero term, so the elementwise squares carry its bits.
+    `_evolved_bloch` keeps those zeros exact on the X starts with real
+    coherences (Bell psi, Werner, Bell-diagonal).  Any other form gives
+    None before any product is formed, and leaves the bound to `_k_eigh`:
+    bell:phi+ in a field, whose T_xy = T_yx carry Im c^2, and the phase
+    state, whose x and y lie off z.
     """
     bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
-    if bloch[..., :2].any():
-        return None
     t = form.t_corr
-    off = t[..., _OFF_ROWS, _OFF_COLS]
-    if np.abs(off).max(initial=0.0) > T_ROUNDOFF:
+    if bloch[..., :2].any() or t[..., _OFF_ROWS, _OFF_COLS].any():
         return None
     t_ii = np.diagonal(t, axis1=-2, axis2=-1)
     diag = bloch * bloch + t_ii * t_ii
-    bent = np.flatnonzero(off.any(axis=-1))
-    if bent.size:
-        sub = t[bent]
-        sub_tr = np.swapaxes(sub, -1, -2)
-        tt = np.stack([sub @ sub_tr, sub_tr @ sub])   # with x, y along z, K's off-diagonal entries are tt's
-        if tt[..., _LOWER_ROWS, _LOWER_COLS].any():
-            return None
-        diag[:, bent] = bloch[:, bent] * bloch[:, bent] + np.diagonal(tt, axis1=-2, axis2=-1)
     d0, d1, d2 = diag[..., 0], diag[..., 1], diag[..., 2]
     return d0 + d1 + d2 - np.maximum(np.maximum(d0, d1), d2)  # `_k_eigh`'s order and bits
 

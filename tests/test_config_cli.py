@@ -21,6 +21,7 @@ from qdspin.config import (
     COMMAND_FIELDS,
     MAX_FIELD_POINTS,
     NORMALIZE_MODES,
+    WINDOW_METRICS,
     RunConfig,
     header_lines,
     parse_b_values,
@@ -757,8 +758,11 @@ def test_config_json_rejects_exactly_what_the_dataclass_rejects(data, command):
     assert (loaded is None) == (direct is None or not data.keys() <= _SETTABLE[command])
     if loaded is not None:
         assert loaded == direct
-        # the echo reloads to the same configuration, but for the two settings it leaves out
-        assert _loaded(command, _echo(direct, command)) == replace(direct, out=None, workers=None)
+        # the echo reloads to the same configuration, but for the settings it leaves out: out, workers and
+        # a sweep's windows that its metric does not read
+        unread = {window: getattr(RunConfig(), window) for window, metric in WINDOW_METRICS.items()
+                  if command == "sweep" and metric not in METRIC_SETS[direct.metric]}
+        assert _loaded(command, _echo(direct, command)) == replace(direct, out=None, workers=None, **unread)
         # what the commands derive from an accepted config builds without error
         for b in direct.b_fields:
             direct.dot(b)
@@ -931,6 +935,25 @@ def test_cli_longtime_sweep_echoes_the_t_max_it_ran_to(tmp_path):
     echo = next(l for l in first.read_text().splitlines() if l.startswith("# config="))
     assert '"t_max": 120.0' in echo
     (tmp_path / "echo.json").write_text(echo.removeprefix("# config="))
+    assert main(["sweep", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("metric,windows", [("M", ["m_window"]), ("longtime", ["longtime_window"]), ("esd", []),
+                                            ("all", ["longtime_window", "m_window"])])
+def test_cli_sweep_echoes_only_the_windows_its_metric_reads(metric, windows, tmp_path):
+    # the file sets both windows; the echo carries those the metric reads, and reruns to the same bytes
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"m_window": [0.0, 1.0], "longtime_window": [4.0, 5.0]}))
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    code = main(["sweep", "--config", str(cfg), "--metric", metric, "--tmax", "2", "--dt", "0.05",
+                 "--b", "0.001,0.01", "--state", "werner:p=0.33", "--out", str(first)])
+    assert code == 0
+    echo = next(l for l in first.read_text().splitlines() if l.startswith("# config="))
+    echo = json.loads(echo.removeprefix("# config="))
+    assert sorted(set(echo) & {"m_window", "longtime_window"}) == windows
+    assert sorted(echo) == sorted(set(COMMAND_FIELDS["sweep"]) - {"m_window", "longtime_window"} | set(windows))
+    (tmp_path / "echo.json").write_text(json.dumps(echo))
     assert main(["sweep", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
 

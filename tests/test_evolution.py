@@ -247,6 +247,49 @@ def test_bloch_map_matches_the_decomposed_stack(state, b_field, t_max, dt):
             assert np.array_equal(getattr(one, name)[0], getattr(form, name)[k]), (name, k)
 
 
+def two_pass_bloch_map(form0, p, c):
+    """x' = lam x, y' = lam y and T' = lam T lam^T in two passes of lam = [[Re c, Im c, 0], [-Im c, Re c, 0],
+    [0, 0, 1 - 2p]] along time: x, y and T's columns, then T's rows.  The reference for the s, r map."""
+    cr, qz = np.real(c), 1.0 - 2.0 * p
+    ci = (np.imag(c) * np.array([[1.0], [-1.0]]))[:, None]
+
+    def lam(v):  # lam on the first axis of v; time is the last axis
+        return np.concatenate([cr * v[:2] + ci * v[1::-1], qz * v[2:]])
+
+    xyt = lam(np.column_stack([form0.x, form0.y, form0.t_corr])[..., None])  # (3, 5, n)
+    return q.BlochForm(xyt[:, 0].T, xyt[:, 1].T, lam(xyt[:, 2:].swapaxes(0, 1)).transpose(2, 1, 0))
+
+
+@pytest.mark.parametrize("b_field", [0.0, 0.003, 0.1, 1.0])
+def test_bloch_map_matches_the_two_pass_map(rng, b_field):
+    # measured: at most 3.3e-16 over these starts and channels
+    starts = [random_density(rng) for _ in range(20)] + [q.make_state(spec) for spec in (
+        q.PhaseFamily(2.35619449), q.EntFamily(0.3, 0.4, 1.1), q.Bell("phi+"), q.Bell("psi-"))]
+    for t_max, dt in ((20.0, 0.02), (2000.0, 0.1)):
+        chan = q.channel_for_field(q.RunConfig(t_max=t_max, dt=dt), b_field)
+        c_eff = evolution.effective_coherence(chan)
+        for state in starts:
+            start = q.bloch_decompose(state)
+            new, old = evolution._evolved_bloch(start, chan.p, c_eff), two_pass_bloch_map(start, chan.p, c_eff)
+            for name in ("x", "y", "t_corr"):
+                assert np.abs(getattr(new, name) - getattr(old, name)).max() <= 1e-15, (name, t_max)
+                assert getattr(new, name).flags.c_contiguous
+
+
+@pytest.mark.parametrize("state", ["bell:psi-", "bell:psi+", "werner:p=0.33", "belldiag:a=0.4,b=0.4"])
+def test_x_starts_keep_their_zeros_exactly(state):
+    # the only coherence is the real rho_12: T's transverse block is a multiple of the identity, all s,
+    # which |c|^2 keeps one, so no entry off T or transverse in x, y is ever nonzero, and the lower
+    # bound's diagonal read takes every time with `_k_eigh`'s bits
+    off = ~np.eye(3, dtype=bool)
+    for b_field, t_max, dt in ((0.0, 20.0, 0.02), (0.003, 20.0, 0.02), (0.1, 20.0, 0.02), (1.0, 20.0, 0.02),
+                               (0.001, 2000.0, 0.1)):
+        form = trajectory_for_field(q.RunConfig(state=state, t_max=t_max, dt=dt), b_field)._bloch
+        assert not form.x[:, :2].any() and not form.y[:, :2].any(), b_field
+        assert not form.t_corr[:, off].any(), b_field
+        assert np.array_equal(measures._diagonal_side_terms(form), measures._k_eigh(form).a), b_field
+
+
 @pytest.mark.parametrize("n", [37, 1001])
 def test_stack_times_equal_one_time_evolve(rng, n):
     # every time of the stack gives the bits a one-time channel at that pair gives
@@ -584,16 +627,20 @@ def test_lazy_columns_equal_the_eager_measures(state, b_field, t_max):
     ("phase:gamma=2.35619449", 0.003, False),
 ])
 def test_diagonal_side_terms_take_the_k_eigh_bits_or_leave_the_bound_to_it(state, b_field, diagonal):
-    # bell:psi- keeps T off its diagonal by round-off at most; bell:phi+ in a field carries Im c^2 in
-    # T_xy = T_yx, past T_ROUNDOFF, and the phase state has x, y off z: those two go to _k_eigh
-    form = trajectory_for_field(q.RunConfig(state=state), b_field)._bloch
+    # bell:psi- keeps T exactly diagonal; bell:phi+ in a field carries Im conj(c)^2 in T_xy = T_yx, and
+    # the phase state has x, y off z: those two go to _k_eigh
+    tr = trajectory_for_field(q.RunConfig(state=state), b_field)
+    form = tr._bloch
     side = measures._diagonal_side_terms(form)
     assert (side is not None) == diagonal
     if diagonal:
         assert np.array_equal(side, measures._k_eigh(form).a)
-    else:
-        off = form.t_corr[..., [0, 1], [1, 0]]
-        assert state.startswith("phase") or np.abs(off).max() > measures.T_ROUNDOFF
+    elif state.startswith("bell"):
+        # T = diag(1, -1, 1): the transverse block is all r = 1, which the channel multiplies by conj(c)^2
+        off = form.t_corr[:, [0, 1], [1, 0]]
+        turn = np.conj(tr.c)
+        assert np.abs(off - (turn * turn).imag[:, None]).max() <= 1e-15
+        assert np.abs(off).max() > 0.05  # measured 0.0535 at 3 mT: a correlation, not round-off
 
 
 @pytest.mark.parametrize("spec", [q.Bell("psi-"), q.PhaseFamily(2.35619449)], ids=["bell:psi-", "phase"])

@@ -456,3 +456,10 @@ def test_low_field_revival_reads_the_minimum_in_its_window_and_the_maximum_after
     after = traj.times >= rev.t_min
     assert rev.d_max == traj.d_lower[after].max() and rev.t_max >= rev.t_min
     assert traj.d_lower[traj.times == rev.t_max] == rev.d_max
+
+
+def test_low_field_revival_refuses_a_trajectory_with_no_time_in_its_window():
+    # a 0.4 ns grid ends before the window opens at 0.5 ns
+    traj = trajectory_for_field(RunConfig(t_max=0.4), 0.0)
+    with pytest.raises(InvalidParameterError, match=r"revival window \(0\.5, 100\.0\)"):
+        low_field_revival(traj)

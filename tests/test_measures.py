@@ -345,6 +345,25 @@ def _count_eigh(monkeypatch) -> list:
     return calls
 
 
+def test_a_stack_of_diagonal_and_full_k_keeps_each_state_s_bits(rng, monkeypatch):
+    # one `_k_eigh` route per stack: a Bell-diagonal start alone is read off its diagonal K, and inside a
+    # stack with a full K it goes to the stack's one eigh call, which returns its diagonal exactly
+    calls = _count_eigh(monkeypatch)
+    for _ in range(100):
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        states = [q.make_state(q.BellDiagonal(0.4, 0.4 * rng.uniform())), random_density(rng),
+                  q.TwoQubitState(u @ _bell_mixture(rng.dirichlet(np.ones(4))) @ u.conj().T)]
+        calls.clear()
+        stacked = q.discord_bounds(np.array([s.rho for s in states]))
+        assert calls == [(2, 3, 3, 3)]
+        for k, state in enumerate(states):
+            calls.clear()
+            bounds = q.discord_bounds(state)
+            assert (calls == []) == (k == 0)
+            for name in ("ds_lower", "ds_upper", "rescaled_lower", "rescaled_upper"):
+                assert getattr(stacked, name)[k] == getattr(bounds, name), (k, name)
+
+
 X_FORM_STARTS = ("bell:psi-", "werner:p=0.33", "belldiag:a=0.3,b=0.25")
 
 
