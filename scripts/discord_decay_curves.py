@@ -5,9 +5,11 @@ Writes one trajectory CSV per field and a compact summary of the revival
 structure (post-decay minimum and recovered level) for the low fields.
 """
 import argparse
+import sys
 from pathlib import Path
 
 from qdspin import RunConfig
+from qdspin.cli import run_reporting_errors
 from qdspin.config import header_lines
 from qdspin.magnetometry import low_field_revival, trajectory_for_field
 
@@ -46,4 +48,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_reporting_errors(main))

@@ -6,11 +6,13 @@ its initial value; it grows monotonically with the field, so it inverts
 cleanly into a field estimate without any entanglement in the input.
 """
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from qdspin import RunConfig, calibration_curve, invert_field, run_sweep
+from qdspin.cli import run_reporting_errors
 from qdspin.config import header_lines
 
 
@@ -48,4 +50,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_reporting_errors(main))

@@ -7,12 +7,14 @@ the recovery maximum falls monotonically with the field and serves as a
 calibration curve.
 """
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from qdspin import RunConfig, calibration_curve, run_sweep
+from qdspin.cli import run_reporting_errors
 from qdspin.config import header_lines
 from qdspin.magnetometry import trajectory_for_field
 
@@ -56,4 +58,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_reporting_errors(main))

@@ -8,9 +8,11 @@ the closed-form upper bound leave the lower one).
 """
 import argparse
 import math
+import sys
 from pathlib import Path
 
 from qdspin import RunConfig, channel_for_field, evolve, make_state
+from qdspin.cli import run_reporting_errors
 from qdspin.config import header_lines
 from qdspin.magnetometry import bound_separation_onset
 from qdspin.states import PhaseFamily
@@ -41,4 +43,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_reporting_errors(main))

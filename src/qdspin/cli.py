@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from . import __version__
 from .config import (
@@ -42,6 +42,16 @@ EXIT_ACCEPTANCE = 4
 
 def _error_record(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
+
+
+def run_reporting_errors(run: Callable[[], int | None]) -> int:
+    """The exit status of `run()`, 0 for None.  A QdspinError prints its JSON record
+    to stderr and gives 2 (InvalidParameterError) or 3 (any other); `main` and the scripts exit with it."""
+    try:
+        return run() or EXIT_OK
+    except QdspinError as exc:
+        print(_error_record(exc), file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, InvalidParameterError) else EXIT_NUMERICAL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,13 +222,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    handlers = {"evolve": _cmd_evolve, "sweep": _cmd_sweep, "verify": _cmd_verify}
-    try:
+    def run() -> int:
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
-    except QdspinError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, InvalidParameterError) else EXIT_NUMERICAL
+        return {"evolve": _cmd_evolve, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command](args)
+
+    return run_reporting_errors(run)
 
 
 if __name__ == "__main__":

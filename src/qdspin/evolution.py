@@ -30,7 +30,6 @@ from .config import RunConfig, write_csv
 from .constants import HBAR_UEV_NS, DotParameters, InvalidParameterError
 from .measures import (
     KEigh,
-    _diagonal_side_terms,
     _g_of,
     _k_eigh,
     _lower_bound,
@@ -204,12 +203,12 @@ class CorrelationTrajectory:
     read the (n, 4, 4) stack `rho` that `_evolved_rho` builds.  So a row
     that reads only M, `d_longtime`, g-extrema or kinks of an X start
     builds no stack.  The bounds share one eigendecomposition of the K
-    matrices (`measures.KEigh`).  A start whose only coherence is the real
-    rho_12 (Bell psi, Werner, Bell-diagonal) keeps T diagonal and x, y
-    along z exactly, so every K is diagonal: the lower bound reads
-    Tr K - k_max off (x_z, y_z, T_ii) (`measures._diagonal_side_terms`),
-    and no `eigh` runs.  The eigendecomposition and the upper bound's
-    corrections run only when `ds_upper` or `d_upper` is read.
+    matrices (`measures.KEigh`), made when either is first read.  A start
+    whose only coherence is the real rho_12 (Bell psi, Werner,
+    Bell-diagonal) keeps T diagonal and x, y along z exactly, so every K is
+    read off its diagonal (x_z, y_z, T_ii) with the unit vectors as its
+    eigenvectors, and no `eigh` runs.  The upper bound's corrections run
+    only when `ds_upper` or `d_upper` is read.
     """
 
     times: np.ndarray
@@ -238,8 +237,7 @@ class CorrelationTrajectory:
 
     @cached_property
     def ds_lower(self) -> np.ndarray:
-        side_terms = _diagonal_side_terms(self._bloch)
-        return _lower_bound(self._k_eigen.a if side_terms is None else side_terms)
+        return _lower_bound(self._k_eigen.a)
 
     @cached_property
     def ds_upper(self) -> np.ndarray:

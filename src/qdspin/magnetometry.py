@@ -326,9 +326,12 @@ def calibration_curve(table: SweepTable, quantity: str) -> CalibrationCurve:
 def invert_field(curve: CalibrationCurve, measured: float) -> FieldEstimate:
     """Monotone piecewise-linear inversion with the bracketing knots as uncertainty."""
     if not curve.monotone:
+        dv = np.diff(curve.values)
+        turn = int(np.argmax(dv * dv[0] <= 0.0))  # the first knot whose step does not go the first step's way
+        change = "is flat" if dv[0] == 0.0 else f"stops {'rising' if dv[0] > 0.0 else 'falling'}"
         raise MonotonicityError(
-            f"curve for {curve.quantity!r} is not monotone; single-value inversion is "
-            "ambiguous - use two quantities jointly (e.g. g-min value plus g-max value)"
+            f"curve for {curve.quantity!r} {change} at B = {curve.b_knots[turn]:g} T, so one value "
+            "may map to two fields; only a monotone stretch of the sweep can be inverted"
         )
     v = curve.values
     b = curve.b_knots

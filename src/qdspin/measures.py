@@ -31,9 +31,7 @@ G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denomin
 ORACLE_POLISH_RESTARTS = 4  # times an unconverged simplex polish of the oracle is continued
 
 _SY_SY = np.kron(PAULI_Y, PAULI_Y)
-_LOWER_ROWS, _LOWER_COLS = np.tril_indices(3, -1)
 _OFF_ROWS, _OFF_COLS = np.nonzero(~np.eye(3, dtype=bool))
-_AXES = np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -54,61 +52,46 @@ class KEigh(NamedTuple):
     """What the discord bounds keep of the eigendecomposition of K_x = x x^T + T T^T
     and K_y = y y^T + T^T T, stacked on a leading axis of 2 (x side first).
 
-    A stack whose every K has exact zeros off its diagonal (X states with
-    real coherences) is read off its diagonals: eigenvalues the diagonal
-    sorted ascending, eigenvectors the matching unit vectors.
+    A stack whose x and y lie along z and whose T has no nonzero entry off
+    its diagonal (X states with real coherences) has diagonal K: `w` is that
+    diagonal in axis order and `v` is None, for the unit vectors.  Every
+    other stack keeps `eigh`'s ascending eigenvalues and their eigenvectors.
     """
 
-    a: np.ndarray       # (2, ...): Tr K - k_max
-    top: np.ndarray     # (2, ..., 3): True where an eigenvalue lies within TOP_CLUSTER_GAP of k_max
-    v: np.ndarray       # (2, ..., 3, 3): eigenvectors in columns, ascending order
+    a: np.ndarray         # (2, ...): Tr K - k_max
+    w: np.ndarray         # (2, ..., 3): eigenvalues, ascending or (diagonal K) in axis order
+    v: np.ndarray | None  # (2, ..., 3, 3): eigenvectors in columns, as w; None for the unit vectors
 
 
 def _k_eigh(form: BlochForm) -> KEigh:
     """The eigenpairs both discord bounds share, for one state or a stack.
 
-    One route per stack: if no K has a nonzero entry below its diagonal
-    (the triangle `np.linalg.eigh` reads), each is read off its diagonal;
-    otherwise one `eigh` call takes the whole stack.  LAPACK returns a
-    diagonal K's exact diagonal too, and the upper bound takes a minimum
-    over the top cluster that depends neither on the eigenvectors' signs
-    nor on the order of tied eigenvalues, so a state gets the same bounds,
-    bit for bit, on either route: alone or inside any stack.
-    """
-    bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
-    t = form.t_corr
-    t_tr = np.swapaxes(t, -1, -2)
-    k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
-    diag = np.diagonal(k, axis1=-2, axis2=-1)
-    if k[..., _LOWER_ROWS, _LOWER_COLS].any():
-        w, v = np.linalg.eigh(k)                                       # ascending
-    else:
-        w = np.sort(diag, axis=-1)
-        v = (np.argsort(diag, axis=-1)[..., None, :] == _AXES[:, None]).astype(float)
-    trace = diag[..., 0] + diag[..., 1] + diag[..., 2]                 # np.trace's order and bits
-    return KEigh(trace - w[..., 2], w[..., 2:] - w < TOP_CLUSTER_GAP, v)
-
-
-def _diagonal_side_terms(form: BlochForm) -> np.ndarray | None:
-    """`_k_eigh(form).a` (Tr K - k_max) of a finite stack whose every K is diagonal, bit for bit; else None.
-
-    With x and y along z and T with no nonzero entry off its diagonal, K_x
-    = K_y = diag(b_i^2 + T_ii^2): each entry of `_k_eigh`'s matmul is then
-    a sum with one nonzero term, so the elementwise squares carry its bits.
-    `_evolved_bloch` keeps those zeros exact on the X starts with real
-    coherences (Bell psi, Werner, Bell-diagonal).  Any other form gives
-    None before any product is formed, and leaves the bound to `_k_eigh`:
-    bell:phi+ in a field, whose T_xy = T_yx carry Im c^2, and the phase
-    state, whose x and y lie off z.
+    One route per stack, chosen from the Bloch form's zeros before any
+    product is formed: with x and y along z and T diagonal, K_x = K_y =
+    diag(b_i^2 + T_ii^2) is read elementwise, with the matmul's bits (each
+    entry a sum with one nonzero term); every other stack takes one `eigh`.
+    LAPACK returns a diagonal K's exact diagonal too, and the upper bound's
+    minimum over the top cluster depends neither on the eigenvectors' signs
+    nor on the eigenvalues' order, so a state gets the same bounds, bit for
+    bit, on either route: alone or inside any stack.
     """
     bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
     t = form.t_corr
     if bloch[..., :2].any() or t[..., _OFF_ROWS, _OFF_COLS].any():
-        return None
-    t_ii = np.diagonal(t, axis1=-2, axis2=-1)
-    diag = bloch * bloch + t_ii * t_ii
-    d0, d1, d2 = diag[..., 0], diag[..., 1], diag[..., 2]
-    return d0 + d1 + d2 - np.maximum(np.maximum(d0, d1), d2)  # `_k_eigh`'s order and bits
+        t_tr = np.swapaxes(t, -1, -2)
+        k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
+        w, v = np.linalg.eigh(k)                                       # ascending
+        diag = np.diagonal(k, axis1=-2, axis2=-1)
+    else:
+        t_ii = np.diagonal(t, axis1=-2, axis2=-1)
+        w = diag = bloch * bloch + t_ii * t_ii
+        v = None
+    trace = diag[..., 0] + diag[..., 1] + diag[..., 2]                 # np.trace's order and bits
+    return KEigh(trace - _largest(w), w, v)
+
+
+def _largest(w: np.ndarray) -> np.ndarray:  # k_max of each triple, in any order: ~1/6 the cost of a length-3 `max`
+    return np.maximum(np.maximum(w[..., 0], w[..., 1]), w[..., 2])
 
 
 def _lower_bound(side_terms: np.ndarray) -> np.ndarray:
@@ -123,7 +106,8 @@ def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
     other side, with L_x = x x^T + T k k^T T^T for k the top eigenvector of
     K_y (and vice versa).  When the top eigenvalue is (near-)degenerate
     every eigenvector within TOP_CLUSTER_GAP of it is a candidate and the
-    smallest correction is taken.
+    smallest correction is taken.  On a diagonal K (`KEigh.v` None) the
+    candidates are unit vectors, so T k_j is T's own column j.
 
     L = a a^T + u u^T has rank 2, so Tr L - l_max is the smaller eigenvalue
     of the 2x2 Gram matrix of a and u:
@@ -134,13 +118,17 @@ def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
     t = form.t_corr
     t_tr = np.swapaxes(t, -1, -2)
     # each side's L correction takes its candidate vectors k from the other side's K
-    v_c = eig.v[::-1]
-    u = np.stack([t @ v_c[0], t_tr @ v_c[1]])                          # column j: T k_j, T^T k_j
+    if eig.v is None:
+        u = np.stack([t, t_tr])                                        # column j: T e_j, T^T e_j
+    else:
+        v_c = eig.v[::-1]
+        u = np.stack([t @ v_c[0], t_tr @ v_c[1]])                      # column j: T k_j, T^T k_j
     aa = (bloch * bloch).sum(axis=-1)[..., None]                       # (2, ..., 1)
     uu = (u * u).sum(axis=-2)                                          # (2, ..., 3 candidates)
     au = (bloch[..., :, None] * u).sum(axis=-2)
     corr = 0.5 * (aa + uu - np.hypot(aa - uu, 2.0 * au))
-    b = np.min(np.where(eig.top[::-1], corr, np.inf), axis=-1)         # (bx, by)
+    top = _largest(eig.w)[..., None] - eig.w < TOP_CLUSTER_GAP          # the cluster at k_max
+    b = np.min(np.where(top[::-1], corr, np.inf), axis=-1)             # (bx, by)
     a = eig.a
     upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + b[1], a[1] + b[0]))
     return np.maximum(upper, lower)

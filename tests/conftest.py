@@ -7,6 +7,7 @@ import pytest
 
 from qdspin import BlochForm, DotParameters, TwoQubitState, build_quadrature, compute_channel
 from qdspin.constants import InvalidParameterError
+from qdspin.measures import KEigh
 from qdspin.states import PAULIS
 
 
@@ -48,6 +49,16 @@ def bloch_reconstruct(form: BlochForm) -> np.ndarray:
         for j, sj in enumerate(PAULIS):
             rho = rho + form.t_corr[i, j] * np.kron(si, sj)
     return rho / 4.0
+
+
+def k_eigh_oracle(form: BlochForm) -> KEigh:
+    """`measures.KEigh` of `form` with K_x and K_y built as matrices and handed to `np.linalg.eigh`, whatever their form."""
+    t = form.t_corr
+    t_tr = np.swapaxes(t, -1, -2)
+    bloch = np.stack([form.x, form.y])
+    k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
+    w, v = np.linalg.eigh(k)
+    return KEigh(np.trace(k, axis1=-2, axis2=-1) - w[..., 2], w, v)
 
 
 class Regime(enum.Enum):

@@ -17,7 +17,7 @@ from qdspin.evolution import (
 )
 from qdspin.magnetometry import trajectory_for_field
 
-from conftest import bell_diagonal_discord, channel_of, random_density
+from conftest import bell_diagonal_discord, channel_of, k_eigh_oracle, random_density
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +279,17 @@ def test_bloch_map_matches_the_two_pass_map(rng, b_field):
 @pytest.mark.parametrize("state", ["bell:psi-", "bell:psi+", "werner:p=0.33", "belldiag:a=0.4,b=0.4"])
 def test_x_starts_keep_their_zeros_exactly(state):
     # the only coherence is the real rho_12: T's transverse block is a multiple of the identity, all s,
-    # which |c|^2 keeps one, so no entry off T or transverse in x, y is ever nonzero, and the lower
-    # bound's diagonal read takes every time with `_k_eigh`'s bits
+    # which |c|^2 keeps one, so no entry off T or transverse in x, y is ever nonzero, and `_k_eigh` reads
+    # every time's K off its diagonal with the bits `eigh` of the built K gives
     off = ~np.eye(3, dtype=bool)
     for b_field, t_max, dt in ((0.0, 20.0, 0.02), (0.003, 20.0, 0.02), (0.1, 20.0, 0.02), (1.0, 20.0, 0.02),
                                (0.001, 2000.0, 0.1)):
         form = trajectory_for_field(q.RunConfig(state=state, t_max=t_max, dt=dt), b_field)._bloch
         assert not form.x[:, :2].any() and not form.y[:, :2].any(), b_field
         assert not form.t_corr[:, off].any(), b_field
-        assert np.array_equal(measures._diagonal_side_terms(form), measures._k_eigh(form).a), b_field
+        eig = measures._k_eigh(form)
+        assert eig.v is None, b_field
+        assert np.array_equal(eig.a, k_eigh_oracle(form).a), b_field
 
 
 @pytest.mark.parametrize("n", [37, 1001])
@@ -626,15 +628,15 @@ def test_lazy_columns_equal_the_eager_measures(state, b_field, t_max):
     ("bell:psi-", 0.003, True), ("bell:phi+", 0.0, True), ("bell:phi+", 0.003, False),
     ("phase:gamma=2.35619449", 0.003, False),
 ])
-def test_diagonal_side_terms_take_the_k_eigh_bits_or_leave_the_bound_to_it(state, b_field, diagonal):
+def test_k_eigh_reads_a_diagonal_k_or_takes_eigh(state, b_field, diagonal):
     # bell:psi- keeps T exactly diagonal; bell:phi+ in a field carries Im conj(c)^2 in T_xy = T_yx, and
-    # the phase state has x, y off z: those two go to _k_eigh
+    # the phase state has x, y off z: those two take eigh
     tr = trajectory_for_field(q.RunConfig(state=state), b_field)
     form = tr._bloch
-    side = measures._diagonal_side_terms(form)
-    assert (side is not None) == diagonal
+    eig = measures._k_eigh(form)
+    assert (eig.v is None) == diagonal
     if diagonal:
-        assert np.array_equal(side, measures._k_eigh(form).a)
+        assert np.array_equal(eig.a, k_eigh_oracle(form).a)
     elif state.startswith("bell"):
         # T = diag(1, -1, 1): the transverse block is all r = 1, which the channel multiplies by conj(c)^2
         off = form.t_corr[:, [0, 1], [1, 0]]

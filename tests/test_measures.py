@@ -9,7 +9,7 @@ from qdspin.constants import InvalidParameterError, NumericalDomainError
 from qdspin.magnetometry import trajectory_for_field
 from qdspin.measures import RESCALE_PREFACTOR
 
-from conftest import Regime, bell_diagonal_discord, random_density, random_unitary
+from conftest import Regime, bell_diagonal_discord, k_eigh_oracle, random_density, random_unitary
 
 MIXED = q.TwoQubitState(np.eye(4, dtype=complex) / 4.0)
 
@@ -368,22 +368,65 @@ X_FORM_STARTS = ("bell:psi-", "werner:p=0.33", "belldiag:a=0.3,b=0.25")
 
 
 @pytest.mark.parametrize("t_max, dt", [(20.0, 0.02), (2000.0, 0.1)])
-@pytest.mark.parametrize("spec", [*X_FORM_STARTS, "bell:phi+", "phase:gamma=2.35619449"])
+@pytest.mark.parametrize("spec", [*X_FORM_STARTS, "bell:phi+", "belldiag:a=0.3,b=0.2,b_im=0.1",
+                                  "phase:gamma=2.35619449"])
 def test_x_form_trajectories_read_k_off_its_diagonal(spec, t_max, dt, monkeypatch):
     # the channel multiplies the inner coherence rho_12 by |c|^2, so these starts keep a real X form,
     # every K is exactly diagonal and no eigh runs; bell:phi+'s outer coherence is multiplied by c^2,
-    # whose imaginary part fills T_xy except at 0 T, where c is real, and the phase state is not of X form
+    # whose imaginary part fills T_xy except at 0 T, where c is real; a complex rho_12 makes T's transverse
+    # block a multiple of a rotation, whose K is diagonal only up to round-off (measured: at most 6.9e-18
+    # off it); and the phase state is not of X form: the last three take one eigh of the whole stack
     calls = _count_eigh(monkeypatch)
     for b_field in (0.0, 0.003, 0.1):
         traj = trajectory_for_field(q.RunConfig(state=spec, t_max=t_max, dt=dt), b_field)
         calls.clear()
         traj.ds_lower, traj.ds_upper
         diagonal = spec in X_FORM_STARTS or (spec == "bell:phi+" and b_field == 0.0)
-        assert (calls == []) == diagonal, (b_field, calls)
+        assert calls == ([] if diagonal else [(2, traj.times.size, 3, 3)]), b_field
         lower, upper = _one_pass_bounds(traj._bloch)
         assert np.array_equal(traj.ds_lower, lower) and np.array_equal(traj.ds_upper, upper)
         # the bounds read the Bloch map: only the phase state, not of X form, has a stack from evolve
         assert ("rho" in vars(traj)) == spec.startswith("phase"), b_field
+
+
+def _diagonal_forms(specs, rng):
+    """Bloch forms with diagonal K: trajectories of `specs` at 0, 3 mT and 0.1 T on the 20 ns grid, their
+    starts, and single Bell-diagonal states with a real inner coherence, some with |b| = a."""
+    forms = []
+    for spec in specs:
+        for b_field in (0.0, 0.003, 0.1):
+            traj = trajectory_for_field(q.RunConfig(state=spec), b_field)
+            forms.append(traj._bloch)
+        forms.append(q.bloch_decompose(traj.state0))
+    for a in rng.uniform(0.0, 0.5, 40):
+        for b in (a * rng.uniform(-1.0, 1.0), a, -a):
+            forms.append(q.bloch_decompose(q.make_state(q.BellDiagonal(a, b))))
+    return forms
+
+
+def test_diagonal_k_read_equals_eigh_of_the_built_k(rng):
+    # the diagonal read gives Tr K - k_max and both bounds with the bits that eigh of the built K gives
+    for form in _diagonal_forms([*X_FORM_STARTS, "belldiag:a=0.4,b=0.4"], rng):
+        eig, oracle = measures._k_eigh(form), k_eigh_oracle(form)
+        assert eig.v is None
+        assert np.array_equal(eig.a, oracle.a)
+        lower = measures._lower_bound(eig.a)
+        assert np.array_equal(lower, measures._lower_bound(oracle.a))
+        assert np.array_equal(measures._upper_bound(form, eig, lower), measures._upper_bound(form, oracle, lower))
+
+
+def test_unit_vector_candidates_equal_an_identity_eigenbasis(rng):
+    # Bell psi- and Werner starts have K proportional to the identity: every unit vector is a top candidate,
+    # and T's own columns give the corrections' bits that T times the identity gives
+    tied = 0
+    for form in _diagonal_forms(["bell:psi-", "werner:p=0.33"], rng):
+        eig = measures._k_eigh(form)
+        assert eig.v is None
+        tied += np.count_nonzero(((eig.w.max(axis=-1, keepdims=True) - eig.w) < measures.TOP_CLUSTER_GAP).sum(-1) > 1)
+        eye = eig._replace(v=np.broadcast_to(np.eye(3), eig.w.shape + (3,)))
+        lower = measures._lower_bound(eig.a)
+        assert np.array_equal(measures._upper_bound(form, eig, lower), measures._upper_bound(form, eye, lower))
+    assert tied >= 10
 
 
 def test_gram_corrections_match_the_eigensolver(rng):

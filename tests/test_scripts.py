@@ -1,4 +1,5 @@
-"""The example scripts at the small arguments CI runs them with: every CSV they write carries the header rule."""
+"""The example scripts at the small arguments CI runs them with: every CSV they write carries the header rule,
+and an error exits as the CLI's does."""
 import json
 import os
 import subprocess
@@ -23,12 +24,16 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("script,args,n_csv", RUNS, ids=[r[0] for r in RUNS])
-def test_every_script_csv_has_the_version_and_config_lines(script, args, n_csv, tmp_path):
+def _run_script(script, args, outdir) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(SCRIPTS / script), *args,
-                           "--outdir", str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(SCRIPTS / script), *args,
+                           "--outdir", str(outdir)], env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script,args,n_csv", RUNS, ids=[r[0] for r in RUNS])
+def test_every_script_csv_has_the_version_and_config_lines(script, args, n_csv, tmp_path):
+    proc = _run_script(script, args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     csvs = sorted(tmp_path.glob("*.csv"))
     assert len(csvs) == n_csv
@@ -46,3 +51,19 @@ def test_every_script_csv_has_the_version_and_config_lines(script, args, n_csv, 
         assert sorted(echo) == sorted(set(COMMAND_FIELDS[command]) - unread), csv.name
         # and it is a configuration that runs
         RunConfig(**echo)
+
+
+# script, arguments that a qdspin check refuses, the message's start, and the CSVs written before the refusal
+REFUSED = [
+    ("discord_decay_curves.py", ["--t-short", "5", "--t-long", "0.4"], "trajectory has no time inside", 5),
+    ("phase_family_curves.py", ["--tmax", "-1"], "t_max must be finite and positive", 0),
+]
+
+
+@pytest.mark.parametrize("script,args,message,n_csv", REFUSED, ids=[r[0] for r in REFUSED])
+def test_a_refused_script_run_exits_2_with_one_json_record(script, args, message, n_csv, tmp_path):
+    proc = _run_script(script, args, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    record = json.loads(proc.stderr)  # one JSON record and nothing else: no traceback
+    assert record["error"] == "InvalidParameterError" and record["message"].startswith(message)
+    assert len(list(tmp_path.glob("*.csv"))) == n_csv  # what was written before the error stays
