@@ -4,12 +4,11 @@
 Writes one trajectory CSV per field and a compact summary of the revival
 structure (post-decay minimum and recovered level) for the low fields.
 """
-import argparse
 import sys
 from pathlib import Path
 
 from qdspin import RunConfig
-from qdspin.cli import run_reporting_errors
+from qdspin.cli import _Parser, run_reporting_errors
 from qdspin.config import header_lines
 from qdspin.magnetometry import low_field_revival, trajectory_for_field
 
@@ -39,7 +38,7 @@ def run(outdir: Path, t_short: float, t_long: float) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     parser.add_argument("--t-short", type=float, default=20.0)
     parser.add_argument("--t-long", type=float, default=12000.0)

@@ -5,19 +5,18 @@ M(B) integrates the rescaled discord over the first 20 ns, normalized by
 its initial value; it grows monotonically with the field, so it inverts
 cleanly into a field estimate without any entanglement in the input.
 """
-import argparse
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from qdspin import RunConfig, calibration_curve, invert_field, run_sweep
-from qdspin.cli import run_reporting_errors
+from qdspin.cli import _Parser, run_reporting_errors
 from qdspin.config import header_lines
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     parser.add_argument("--p", type=float, default=0.33, help="Werner mixing (separable for p<=1/3)")
     parser.add_argument("--b-stop-mt", type=float, default=100.0)

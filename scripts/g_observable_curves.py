@@ -6,7 +6,6 @@ deep minimum followed by a partial recovery at small fields; the value of
 the recovery maximum falls monotonically with the field and serves as a
 calibration curve.
 """
-import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from qdspin import RunConfig, calibration_curve, run_sweep
-from qdspin.cli import run_reporting_errors
+from qdspin.cli import _Parser, run_reporting_errors
 from qdspin.config import header_lines
 from qdspin.magnetometry import trajectory_for_field
 
@@ -22,7 +21,7 @@ CURVE_FIELDS_T = (0.0, 0.5e-3, 1.5e-3, 5e-3)
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     parser.add_argument("--b-start-mt", type=float, default=0.25)
     parser.add_argument("--b-stop-mt", type=float, default=5.0)

@@ -6,13 +6,12 @@ its absence at zero field, and the abrupt lower/upper bound separation for
 imaginary-phase members (a level crossing in the correlation matrix makes
 the closed-form upper bound leave the lower one).
 """
-import argparse
 import math
 import sys
 from pathlib import Path
 
 from qdspin import RunConfig, channel_for_field, evolve, make_state
-from qdspin.cli import run_reporting_errors
+from qdspin.cli import _Parser, run_reporting_errors
 from qdspin.config import header_lines
 from qdspin.magnetometry import bound_separation_onset
 from qdspin.states import PhaseFamily
@@ -23,7 +22,7 @@ GAMMAS = {"pi": math.pi, "pi_over_2": math.pi / 2, "3pi_over_4": 0.75 * math.pi,
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     parser.add_argument("--tmax", type=float, default=20.0)
     args = parser.parse_args()

@@ -18,7 +18,7 @@ from scipy.optimize import curve_fit
 
 from .channel import ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
 from .config import RunConfig
-from .evolution import evolve, find_g_crossings
+from .evolution import EVOLVED_PSD_TOL, evolve, find_g_crossings
 from .magnetometry import (
     bound_separation_onset,
     channel_for_field,
@@ -398,7 +398,7 @@ def check_14_physicality_suite(cache: RunCache) -> CheckResult:
         )
     worst_cp = min(verify_channel_cp(ch).worst_margin for ch in cache.channels.values())
     worst_eig = min(cache.min_eigenvalues.values())
-    ok = worst_cp >= -1e-9 and worst_eig >= -1e-8 and worst_double < 1e-6
+    ok = worst_cp >= -1e-9 and worst_eig >= -EVOLVED_PSD_TOL and worst_double < 1e-6
     return CheckResult(
         14, "physicality_suite", ok,
         f"worst CP margin={worst_cp:.1e} (>=-1e-9) over {len(cache.channels)} channels; "

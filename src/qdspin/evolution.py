@@ -7,9 +7,10 @@ all that g, purity and both discord bounds read, and builds the stack of
 evolved density matrices, entry by entry from elementwise products of
 the channel's time arrays with fixed entries of the start state, only
 for the columns that read it; a time gets the same bits alone as inside
-a stack.  Every evolved state is audited for unit trace and positivity:
-an X start stays X, and is audited on its two 2x2 blocks with no stack.
-A measure is computed when its column is first read.
+a stack.  The inputs are certified, not the outputs: a validated start
+and a CP-audited channel make every evolved state a density matrix to
+EVOLVED_PSD_TOL (Choi's theorem, see there), so no evolved state is
+audited.  A measure is computed when its column is first read.
 The feature scanners detect the decay-regime crossings (g through
 unity), extrema and entanglement-sudden-death features used downstream;
 crossings are refined in batched rounds through `evolve` itself.
@@ -38,7 +39,6 @@ from .measures import (
     rescaled_discord,
 )
 from .states import (
-    TRACE_TOL,
     BlochForm,
     TwoQubitState,
     bell_diagonal_params,
@@ -47,8 +47,20 @@ from .states import (
     singlet_triplet_weights,
 )
 
-EVOLVED_PSD_TOL = 1e-8  # audit tolerance for evolved states (construction is 1e-10)
-_X_OFF = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # the entries outside the X pattern
+# Every evolved eigenvalue is at least -EVOLVED_PSD_TOL, a proof obligation on the inputs that
+# `qdspin verify` (check 14) and the tests read back through `min_eigenvalue`.  A start passes
+# `validate_density_matrix`: its Hermitian part H, the only part `_evolved_rho` maps (it
+# symmetrizes), has trace 1 within TRACE_TOL and H + e I >= 0 for e = PSD_TOL_CONSTRUCTION.  Each
+# dot's pair passes `CpReport.require`, so its Choi eigenvalues p, p and 1 - p +- |c| are at least
+# -d, d = CP_MARGIN_TOL, with p in [0, 1] to P_RANGE_TOL (Choi, Linear Algebra Appl. 10, 285
+# (1975)).  Split each dot's map as F = F' + D: F' keeps p and cuts |c| to 1 - p, so it is CP and
+# unital, and D moves the coherence alone, by d at most.  With S = H + e I >= 0,
+# (F x F)(H) = (F' x F')(S) + (D x F' + F' x D + D x D)(S) - e I; the first term is >= 0, and
+# D x F' acts on (1 x F')(S) >= 0, so its term has norm <= d Tr S / 2 (likewise F' x D), and
+# D x D's is O(d^2).  So the bound is -(CP_MARGIN_TOL + PSD_TOL_CONSTRUCTION) ~ -1.1e-9 plus
+# round-off; measured at every tolerance edge: -1.000e-9.  The channel preserves the trace, so
+# Tr rho(t) stays within TRACE_TOL of 1 up to round-off.
+EVOLVED_PSD_TOL = 1e-8
 G_BAND = 1e-6           # |g - 1| at or below this counts as on the g = 1 boundary
 KINK_T_TOL = 1e-6       # ns; the refinement stops once every crossing is bracketed this tightly
 KINK_SECTIONS = 32      # sub-intervals per bracket and round: 2**5, five bisection steps per round
@@ -75,7 +87,8 @@ def effective_coherence(traj: ChannelTrajectory) -> np.ndarray:
     coherences slowly varying.  The pairs (p, c) must be completely
     positive within the one bound of `CpReport.require`.
     """
-    c_eff = traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
+    with np.errstate(invalid="ignore"):  # an infinite c times 1 + 0j has a nan part, which the audit refuses
+        c_eff = traj.c * np.exp(-1j * traj.dot.zeeman_energy * traj.times / HBAR_UEV_NS)
     verify_channel_cp(replace(traj, c=c_eff)).require(ChannelError)
     return c_eff
 
@@ -135,59 +148,6 @@ def _evolved_bloch(form0: BlochForm, p: np.ndarray, c: np.ndarray) -> BlochForm:
                      np.stack([y_tr.real, y_tr.imag, q * y[2]], axis=-1), t_out.reshape(-1, 3, 3))
 
 
-def _evolved_x(rho0: np.ndarray, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The populations (4, n), rho_03 and rho_12 of `_evolved_rho` on a start rho0 of X form.
-
-    The channel keeps the X pattern: rho_03 gains c^2, rho_12 gains |c|^2
-    and population i mixes with those of its one- and two-dot flips
-    (i ^ 1, i ^ 2, 3 - i), term by term in `_evolved_rho`'s order.
-    """
-    d = rho0.diagonal().real
-    kk, kf, ff = (1.0 - p) * (1.0 - p), (1.0 - p) * p, p * p
-    pops = np.array([kk * d[i] + kf * d[i ^ 1] + kf * d[i ^ 2] + ff * d[3 - i] for i in range(4)])
-    return pops, c * c * rho0[0, 3], c * np.conj(c) * rho0[1, 2]
-
-
-def _x_blocks_pass(pops: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> bool:
-    """Whether every X state with these populations and coherences rho_03, rho_12 passes `_audit_evolved`.
-
-    An X state is the direct sum of the 2x2 blocks [[rho_00, rho_03],
-    [rho_30, rho_33]] and [[rho_11, rho_12], [rho_21, rho_22]], so rho +
-    EVOLVED_PSD_TOL * I is positive definite, and has a Cholesky factor,
-    exactly when both blocks plus EVOLVED_PSD_TOL * I are (Yu & Eberly,
-    Quantum Inf. Comput. 7, 459 (2007)).  A NaN fails every comparison.
-    """
-    pad = pops + EVOLVED_PSD_TOL
-    trace = pops[0] + pops[1] + pops[2] + pops[3]
-    return bool(np.all((np.abs(trace - 1.0) <= TRACE_TOL) & (pad[0] > 0.0) & (pad[1] > 0.0)
-                       & (pad[0] * pad[3] > np.abs(outer) ** 2) & (pad[1] * pad[2] > np.abs(inner) ** 2)))
-
-
-def _audit_evolved(rho: np.ndarray, times: np.ndarray) -> None:
-    """Unit trace and positivity (to EVOLVED_PSD_TOL) of every state.
-
-    rho + EVOLVED_PSD_TOL * I has a Cholesky factor exactly when every
-    eigenvalue of rho exceeds -EVOLVED_PSD_TOL, so one batched factorization
-    certifies the whole stack; only where it fails does `eigvalsh` run, to
-    name the first state that breaks the audit.
-    """
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    bad_trace = ~(np.abs(trace - 1.0) <= TRACE_TOL)
-    if not bad_trace.any():
-        try:
-            if np.isfinite(np.linalg.cholesky(rho + EVOLVED_PSD_TOL * np.eye(4))).all():  # NaN need not stop it
-                return
-        except np.linalg.LinAlgError:
-            pass
-    min_eig = np.linalg.eigvalsh(rho)[:, 0]
-    bad = bad_trace | ~(min_eig >= -EVOLVED_PSD_TOL)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        what = (f"trace must be 1, got {trace[k]:.15g}" if bad_trace[k]
-                else f"matrix not positive semidefinite: min eigenvalue {min_eig[k]:.3e}")
-        raise InvalidParameterError(f"evolved state at time index {k} (t={times[k]:g} ns): {what}")
-
-
 @dataclass
 class CorrelationTrajectory:
     """Correlation report along a channel trajectory, with the channel's model.
@@ -200,15 +160,15 @@ class CorrelationTrajectory:
     g, purity, (1 + |x|^2 + |y|^2 + ||T||^2)/4, and both discord bounds read
     the Bloch form that `_evolved_bloch` maps from the start state along
     (p, c); the concurrence, the weights, the Bell fit and `min_eigenvalue`
-    read the (n, 4, 4) stack `rho` that `_evolved_rho` builds.  So a row
-    that reads only M, `d_longtime`, g-extrema or kinks of an X start
-    builds no stack.  The bounds share one eigendecomposition of the K
-    matrices (`measures.KEigh`), made when either is first read.  A start
-    whose only coherence is the real rho_12 (Bell psi, Werner,
-    Bell-diagonal) keeps T diagonal and x, y along z exactly, so every K is
-    read off its diagonal (x_z, y_z, T_ii) with the unit vectors as its
-    eigenvectors, and no `eigh` runs.  The upper bound's corrections run
-    only when `ds_upper` or `d_upper` is read.
+    read the (n, 4, 4) stack `rho` that `_evolved_rho` builds on their
+    first read.  So a row that reads only M, `d_longtime`, g-extrema or
+    kinks builds no stack, whatever its start.  The bounds share one
+    eigendecomposition of the K matrices (`measures.KEigh`), made when
+    either is first read.  A start whose only coherence is the real rho_12
+    (Bell psi, Werner, Bell-diagonal) keeps T diagonal and x, y along z
+    exactly, so every K is read off its diagonal (x_z, y_z, T_ii) with the
+    unit vectors as its eigenvectors, and no `eigh` runs.  The upper
+    bound's corrections run only when `ds_upper` or `d_upper` is read.
     """
 
     times: np.ndarray
@@ -330,21 +290,15 @@ def evolve(state0: TwoQubitState, traj: ChannelTrajectory) -> CorrelationTraject
     """Apply the product channel along the trajectory.
 
     The channel acts in the co-rotating frame and is CP-audited there
-    (`effective_coherence`).  Every evolved state is audited here for unit
-    trace and positivity: a start with exact zeros outside the X pattern
-    stays X, and its six evolved entries are audited block by block
-    (`_x_blocks_pass`) with no stack; any other start, or an X start that
-    fails, has its stack built and audited by `_audit_evolved`, which names
-    the first state that breaks the audit.  The measures are evaluated on
-    the whole trajectory when its columns are first read.
+    (`effective_coherence`).  That audit and the start's validation
+    (`TwoQubitState`) are the only checks: together they keep every
+    evolved eigenvalue above -EVOLVED_PSD_TOL and the trace within
+    TRACE_TOL (the argument is written at EVOLVED_PSD_TOL), so no evolved
+    state is audited again and no stack is built here.  The measures are
+    evaluated on the whole trajectory when their columns are first read.
     """
-    c_eff = effective_coherence(traj)
-    out = CorrelationTrajectory(times=traj.times.copy(), p=traj.p.copy(), c=c_eff, state0=state0, dot=traj.dot,
-                                model=traj.model)
-    x_form = not state0.rho[_X_OFF].any()
-    if not (x_form and _x_blocks_pass(*_evolved_x(state0.rho, out.p, c_eff))):
-        _audit_evolved(out.rho, out.times)  # the first read builds the stack, and the column keeps it
-    return out
+    return CorrelationTrajectory(times=traj.times.copy(), p=traj.p.copy(), c=effective_coherence(traj),
+                                 state0=state0, dot=traj.dot, model=traj.model)
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,9 @@ def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
         v_c = eig.v[::-1]
         u = np.stack([t @ v_c[0], t_tr @ v_c[1]])                      # column j: T k_j, T^T k_j
     aa = (bloch * bloch).sum(axis=-1)[..., None]                       # (2, ..., 1)
-    uu = (u * u).sum(axis=-2)                                          # (2, ..., 3 candidates)
-    au = (bloch[..., :, None] * u).sum(axis=-2)
+    u0, u1, u2 = u[..., 0, :], u[..., 1, :], u[..., 2, :]              # row sums: .sum(axis=-2)'s bits, half its time
+    uu = u0 * u0 + u1 * u1 + u2 * u2                                   # (2, ..., 3 candidates)
+    au = bloch[..., 0, None] * u0 + bloch[..., 1, None] * u1 + bloch[..., 2, None] * u2
     corr = 0.5 * (aa + uu - np.hypot(aa - uu, 2.0 * au))
     top = _largest(eig.w)[..., None] - eig.w < TOP_CLUSTER_GAP          # the cluster at k_max
     b = np.min(np.where(top[::-1], corr, np.inf), axis=-1)             # (bx, by)

@@ -494,6 +494,18 @@ def test_cli_malformed_raw_state_is_usage_error(name, text, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("scale", [1.0 + 9.999e-13, 1.0 - 9.999e-13])
+def test_cli_runs_a_raw_start_at_the_trace_tolerance(scale, tmp_path, capsys):
+    # validation accepts a trace off by just under TRACE_TOL, and evolve applies the channel to it: the
+    # accepted start and the audited channel certify the evolved states, which are not audited again
+    rho = q.make_state(q.Werner(0.33)).rho * scale
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in rho.tolist()]))
+    code = main(["evolve", "--state", f"raw:{path}", "--b", "0.01", "--out", str(tmp_path / "t.csv")])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("text", [b"{not json", b"5", b"\xff\xfe{}"])  # the last is not UTF-8
 def test_cli_malformed_config_is_usage_error(text, tmp_path, capsys):
     cfg = tmp_path / "run.json"

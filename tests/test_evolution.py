@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdspin as q
 from qdspin import evolution, measures
+from qdspin.channel import CP_MARGIN_TOL, P_RANGE_TOL
 from qdspin.constants import HBAR_UEV_NS, InvalidParameterError
 from qdspin.evolution import (
     ChannelError,
@@ -16,6 +19,7 @@ from qdspin.evolution import (
     find_g_crossings,
 )
 from qdspin.magnetometry import trajectory_for_field
+from qdspin.states import HERMITICITY_TOL, PSD_TOL_CONSTRUCTION, TRACE_TOL
 
 from conftest import bell_diagonal_discord, channel_of, k_eigh_oracle, random_density
 
@@ -319,82 +323,61 @@ def test_evolve_cp_violation_names_time_index():
         q.evolve(q.make_state(q.Bell("psi-")), chan)
 
 
-def test_evolve_psd_violation_names_time_index():
-    # two maximally mixed states, then one with a negative eigenvalue
-    stack = np.array([np.eye(4) / 4.0, np.eye(4) / 4.0, np.diag([0.6, 0.3, 0.2, -0.1])], dtype=complex)
-    with pytest.raises(InvalidParameterError, match=r"time index 2 \(t=2 ns\).*positive semidefinite"):
-        evolution._audit_evolved(stack, np.array([0.0, 1.0, 2.0]))
+@pytest.mark.parametrize("name,value", [("p", np.nan), ("p", np.inf), ("p", -np.inf),
+                                        ("c", np.nan), ("c", np.inf), ("c", -np.inf), ("c", complex(0.0, np.nan))])
+@pytest.mark.parametrize("b_field", [0.0, 0.1])
+def test_evolve_refuses_a_non_finite_channel_entry(name, value, b_field):
+    # the CP audit is what certifies every evolved state, so a NaN or an infinity in p or c fails it
+    chan = q.ChannelTrajectory(times=np.array([0.0, 1.0, 2.0]), p=np.array([0.0, 0.1, 0.2]),
+                               c=np.array([1.0, 0.5, 0.5], dtype=complex), dot=q.DotParameters(b_field=b_field))
+    getattr(chan, name)[1] = value
+    with pytest.raises(ChannelError):
+        q.evolve(q.make_state(q.Bell("psi-")), chan)
 
 
-@pytest.mark.parametrize("low,passes", [(-2e-8, False), (-5e-9, True), (-1e-15, True)])
-def test_evolve_psd_audit_keeps_its_tolerance(low, passes):
-    # unit trace, one eigenvalue `low` against EVOLVED_PSD_TOL = 1e-8; the other states are fine
-    bad = np.diag([0.5 - low, 0.3, 0.2, low]).astype(complex)
-    stack = np.array([np.eye(4) / 4.0, bad, bad, np.eye(4) / 4.0], dtype=complex)
-    times = np.array([0.0, 0.5, 1.0, 1.5])
-    if passes:
-        assert evolution._audit_evolved(stack, times) is None
+def _start_at_the_edges(kind, seed, trace_sign):
+    """A start that validation accepts at its edges: a Bell state, or a Ginibre or pure state whose least
+    eigenvalue is -PSD_TOL_CONSTRUCTION (1 - 1e-4), whose trace is off by (1 - 1e-3) TRACE_TOL and whose
+    anti-Hermitian part makes an asymmetry of 0.8 HERMITICITY_TOL."""
+    if kind.startswith("bell:"):
+        return q.make_state(q.Bell(kind[5:]))
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
     else:
-        with pytest.raises(InvalidParameterError) as err:
-            evolution._audit_evolved(stack, times)
-        assert str(err.value) == ("evolved state at time index 1 (t=0.5 ns): matrix not positive semidefinite: "
-                                  "min eigenvalue -2.000e-08")
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = np.outer(v, v.conj())
+    w, u = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    w[0] = -PSD_TOL_CONSTRUCTION * (1.0 - 1e-4)
+    w[1:] *= (1.0 + trace_sign * (1.0 - 1e-3) * TRACE_TOL - w[0]) / w[1:].sum()
+    skew = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    skew -= skew.conj().T
+    np.fill_diagonal(skew, 0.0)  # an imaginary diagonal would move the trace off the real axis
+    return q.TwoQubitState((u * w) @ u.conj().T + 0.4 * HERMITICITY_TOL / np.abs(skew).max() * skew)
 
 
-def _random_x_stack(rng, n, low):
-    """n random X states of unit trace; the odd ones have `low` as an eigenvalue of their inner block."""
-    stack = np.zeros((n, 4, 4), dtype=complex)
-    for k in range(n):
-        lam = rng.uniform(0.1, 1.0, 4)
-        if k % 2:
-            lam[3] = 0.0
-            lam *= (1.0 - low) / lam.sum()
-            lam[3] = low
-        else:
-            lam /= lam.sum()
-        for block, pair in (((0, 3), lam[:2]), ((1, 2), lam[2:])):
-            u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            stack[k][np.ix_(block, block)] = u @ np.diag(pair) @ u.conj().T
-    return stack
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["ginibre", "pure", "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-"]),
+       st.integers(0, 2**32 - 1), st.sampled_from([1.0, -1.0]), st.sampled_from([0.0, 0.1]))
+def test_inputs_at_their_tolerance_edges_keep_every_evolved_state_physical(kind, seed, trace_sign, b_field):
+    """The validated start and the CP-audited channel certify every evolved state (see EVOLVED_PSD_TOL).
 
-
-@pytest.mark.parametrize("case", ["low=-2e-8", "low=-5e-9", "low=-1e-15", "nan", "trace"])
-def test_x_block_audit_passes_exactly_what_the_stack_audit_passes(case, rng, monkeypatch):
-    # the X audit reads the six entries of each X state; where it refuses, evolve builds the stack and
-    # `_audit_evolved` raises its own error
-    n, times = 6, np.arange(6.0)
-    for _ in range(20):
-        stack = _random_x_stack(rng, n, float(case[4:]) if case.startswith("low") else 0.0)
-        if case == "nan":
-            stack[3, 0, 3] = stack[3, 3, 0] = np.nan
-        elif case == "trace":
-            stack[3, 1, 1] += 2e-12
-        try:
-            expected = evolution._audit_evolved(stack, times)
-        except (InvalidParameterError, np.linalg.LinAlgError) as exc:  # eigvalsh may not converge on a NaN
-            expected = exc
-        assert (expected is None) == (case in ("low=-5e-9", "low=-1e-15"))
-        pops, outer, inner = stack.diagonal(axis1=1, axis2=2).real.T, stack[:, 0, 3], stack[:, 1, 2]
-        assert evolution._x_blocks_pass(pops, outer, inner) == (expected is None)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evolution, "_evolved_x", lambda rho0, p, c: (pops, outer, inner))
-            mp.setattr(evolution, "_evolved_rho", lambda rho0, p, c: stack)
-            chan = q.ChannelTrajectory(times=times, p=np.zeros(n), c=np.ones(n, dtype=complex),
-                                       dot=q.DotParameters(b_field=0.0))
-            if expected is None:
-                assert "rho" not in vars(q.evolve(q.make_state(q.Bell("psi-")), chan))
-            else:
-                with pytest.raises(type(expected)) as err:
-                    q.evolve(q.make_state(q.Bell("psi-")), chan)
-                assert str(err.value) == str(expected)
-
-
-def test_evolve_psd_audit_refuses_a_nan_entry():
-    # a NaN off the diagonal keeps the trace and need not stop the Cholesky factorization
-    stack = np.array([np.eye(4) / 4.0] * 2, dtype=complex)
-    stack[1, 0, 1] = stack[1, 1, 0] = np.nan
-    with pytest.raises(InvalidParameterError, match=r"time index 1 .* min eigenvalue nan"):
-        evolution._audit_evolved(stack, np.array([0.0, 1.0]))
+    Both sit on the accepted side of every input tolerance: the start at PSD_TOL_CONSTRUCTION, TRACE_TOL
+    and HERMITICITY_TOL, each channel pair at |c| = 1 - p + CP_MARGIN_TOL (1 - 1e-6) with a random phase,
+    and p uniform plus -P_RANGE_TOL, 0, 0.5 and 1 + P_RANGE_TOL.  The derived bound is
+    -(CP_MARGIN_TOL + PSD_TOL_CONSTRUCTION) ~ -1.1e-9; over 300 such starts, 1000 pairs each, the worst
+    evolved eigenvalue measured -1.000e-9 and the worst |Tr rho - 1| 1.0001e-12.
+    """
+    state0 = _start_at_the_edges(kind, seed, trace_sign)
+    rng = np.random.default_rng(seed)
+    p = np.concatenate([rng.uniform(size=60), [-P_RANGE_TOL, 0.0, 0.5, 1.0 + P_RANGE_TOL]])
+    c = (1.0 - p + CP_MARGIN_TOL * (1.0 - 1e-6)) * np.exp(2j * np.pi * rng.uniform(size=p.size))
+    chan = q.ChannelTrajectory(times=0.02 * np.arange(p.size), p=p, c=c, dot=q.DotParameters(b_field=b_field))
+    tr = q.evolve(state0, chan)
+    assert tr.min_eigenvalue.min() >= -(CP_MARGIN_TOL + PSD_TOL_CONSTRUCTION)
+    assert tr.min_eigenvalue.min() >= -evolution.EVOLVED_PSD_TOL
+    assert np.abs(np.trace(tr.rho, axis1=-2, axis2=-1) - 1.0).max() <= TRACE_TOL + 1e-14
 
 
 def test_evolve_trajectory_csv(tmp_path, bell_traj_11mt):
@@ -646,17 +629,17 @@ def test_k_eigh_reads_a_diagonal_k_or_takes_eigh(state, b_field, diagonal):
 
 
 @pytest.mark.parametrize("spec", [q.Bell("psi-"), q.PhaseFamily(2.35619449)], ids=["bell:psi-", "phase"])
-def test_evolve_audits_the_stack_before_any_column_is_read(spec, monkeypatch):
-    # an X start is audited on its 2x2 blocks and builds its stack on the first read of `rho`; the
-    # phase state is not of X form, and evolve builds its stack and factors it
+def test_evolve_builds_no_stack_before_any_column_is_read(spec, monkeypatch):
+    # the validated start and the CP-audited channel certify every evolved state, so evolve builds no
+    # stack and factors nothing, X start or not; the first read of `rho` builds it
     chan = channel_of(q.DotParameters(b_field=0.1), np.linspace(0.0, 2.0, 11))
     state0 = q.make_state(spec)
-    factored, cholesky = [], np.linalg.cholesky
+    factored, cholesky, eigvalsh = [], np.linalg.cholesky, np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: factored.append(a.shape) or eigvalsh(a))
     tr = q.evolve(state0, chan)
-    x_form = isinstance(spec, q.Bell)
-    assert ("rho" in vars(tr)) != x_form and (factored == []) == x_form
-    assert not {"ds_lower", "ds_upper", "g", "purity", "concurrence"} & set(vars(tr))
+    assert factored == []
+    assert not {"rho", "min_eigenvalue", "ds_lower", "ds_upper", "g", "purity", "concurrence"} & set(vars(tr))
     assert np.array_equal(tr.rho, evolution._evolved_rho(state0.rho, tr.p, tr.c))
     assert tr.rho.shape == (11, 4, 4) and tr.rho is tr.rho
     assert np.array_equal(tr.min_eigenvalue, np.linalg.eigvalsh(tr.rho)[:, 0])

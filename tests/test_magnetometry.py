@@ -399,8 +399,8 @@ def test_m_sweep_of_x_form_starts_runs_no_eigh(monkeypatch):
 @pytest.mark.parametrize("spec", ["bell:psi-", "werner:p=0.33", "belldiag:a=0.4,b=0.4", "bell:phi+",
                                   "phase:gamma=2.35619449"])
 def test_x_form_rows_build_no_stack(spec, monkeypatch):
-    # M, longtime, g-extrema and kink rows read the Bloch map alone: an X start is audited on its 2x2
-    # blocks, builds no (n, 4, 4) stack and factors nothing; the phase state builds its stack in evolve
+    # M, longtime, g-extrema and kink rows read the Bloch map alone: no start, of X form or not (the
+    # phase state), builds an (n, 4, 4) stack or factors anything
     built, factored = [], []
     evolved_rho, cholesky = evolution._evolved_rho, np.linalg.cholesky
     monkeypatch.setattr(evolution, "_evolved_rho", lambda rho0, p, c: built.append(p.size) or evolved_rho(rho0, p, c))
@@ -411,11 +411,8 @@ def test_x_form_rows_build_no_stack(spec, monkeypatch):
     traj = trajectory_for_field(config, 0.1)
     kinks = find_g_crossings(traj.times, traj.g, traj.g_on)
     assert bool(kinks) == (spec == "belldiag:a=0.4,b=0.4")
-    if spec.startswith("phase"):
-        assert built and len(factored) == len(built)  # one stack per evolve, each factored once
-    else:
-        assert built == [] and factored == []
-        assert "rho" not in vars(traj)
+    assert built == [] and factored == []
+    assert "rho" not in vars(traj)
 
 
 def test_run_paths_decompose_only_start_states(monkeypatch, tmp_path):

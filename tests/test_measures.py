@@ -385,8 +385,8 @@ def test_x_form_trajectories_read_k_off_its_diagonal(spec, t_max, dt, monkeypatc
         assert calls == ([] if diagonal else [(2, traj.times.size, 3, 3)]), b_field
         lower, upper = _one_pass_bounds(traj._bloch)
         assert np.array_equal(traj.ds_lower, lower) and np.array_equal(traj.ds_upper, upper)
-        # the bounds read the Bloch map: only the phase state, not of X form, has a stack from evolve
-        assert ("rho" in vars(traj)) == spec.startswith("phase"), b_field
+        # the bounds read the Bloch map, and evolve builds no stack for any start
+        assert "rho" not in vars(traj), b_field
 
 
 def _diagonal_forms(specs, rng):

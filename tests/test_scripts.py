@@ -53,10 +53,13 @@ def test_every_script_csv_has_the_version_and_config_lines(script, args, n_csv, 
         RunConfig(**echo)
 
 
-# script, arguments that a qdspin check refuses, the message's start, and the CSVs written before the refusal
+# script, arguments that a qdspin check or the scripts' argument parser refuses, the message's start, and the
+# CSVs written before the refusal
 REFUSED = [
     ("discord_decay_curves.py", ["--t-short", "5", "--t-long", "0.4"], "trajectory has no time inside", 5),
     ("phase_family_curves.py", ["--tmax", "-1"], "t_max must be finite and positive", 0),
+    ("g_observable_curves.py", ["--points", "x"], "g_observable_curves.py: argument --points: invalid int value", 0),
+    ("field_integral_sweep.py", ["--p", "nope"], "field_integral_sweep.py: argument --p: invalid float value", 0),
 ]
 
 
