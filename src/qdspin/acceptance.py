@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .channel import ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
+from .channel import CP_MARGIN_TOL, ChannelTrajectory, build_quadrature, compute_channel, verify_channel_cp
 from .config import RunConfig
 from .evolution import EVOLVED_PSD_TOL, evolve, find_g_crossings
 from .magnetometry import (
@@ -398,11 +398,16 @@ def check_14_physicality_suite(cache: RunCache) -> CheckResult:
         )
     worst_cp = min(verify_channel_cp(ch).worst_margin for ch in cache.channels.values())
     worst_eig = min(cache.min_eigenvalues.values())
-    ok = worst_cp >= -1e-9 and worst_eig >= -EVOLVED_PSD_TOL and worst_double < 1e-6
+    ok = worst_cp >= -CP_MARGIN_TOL and worst_eig >= -EVOLVED_PSD_TOL and worst_double < 1e-6
+
+    def bound(tol: float) -> str:
+        """-tol as the line prints it: -1e-9, not :g's -1e-09."""
+        return f"{-tol:.0e}".replace("e-0", "e-")
+
     return CheckResult(
         14, "physicality_suite", ok,
-        f"worst CP margin={worst_cp:.1e} (>=-1e-9) over {len(cache.channels)} channels; "
-        f"min evolved eigenvalue={worst_eig:.1e} (>=-1e-8) over {len(cache.min_eigenvalues)} trajectories; "
+        f"worst CP margin={worst_cp:.1e} (>={bound(CP_MARGIN_TOL)}) over {len(cache.channels)} channels; "
+        f"min evolved eigenvalue={worst_eig:.1e} (>={bound(EVOLVED_PSD_TOL)}) over {len(cache.min_eigenvalues)} trajectories; "
         f"node-doubling sup change={worst_double:.1e} (<1e-6)",
     )
 

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
+from scipy.special import roots_hermite, roots_laguerre
 
 import qdspin as q
 from qdspin.channel import (
     DEGENERATE_BLOCK_E2,
+    MAX_HERMITE_NODES,
+    MAX_LAGUERRE_NODES,
     MIN_M_NODES,
     MIN_Q_NODES,
     NEGLIGIBLE_WEIGHT,
@@ -16,6 +19,8 @@ from qdspin.channel import (
     QuadratureResolutionError,
     _families,
     _fast_term_cutoff,
+    _hermite_rule,
+    _laguerre_rule,
     _node_grid,
     _uniform_runs,
 )
@@ -222,6 +227,41 @@ def test_gauss_rules_are_shared_read_only_and_checked_on_every_call():
     with pytest.raises(q.InvalidParameterError, match="overflows"):
         q.build_quadrature(q.DotParameters(n_nuclei=1e307), 1.0, 32, 64)
     assert _node_grid.cache_info().misses == misses
+
+
+# scipy's rules are the oracle; the bounds are the worst differences measured (nodes 4.7e-14 Hermite and
+# 1.1e-13 Laguerre, normalised weights 7.6e-16 and 1.1e-14 absolute, 1.6e-12 and 1.3e-12 relative), doubled
+@pytest.mark.parametrize("rule,oracle,n,node_tol,weight_tol", [
+    *[(_hermite_rule, roots_hermite, n, 1e-13, 2e-15) for n in [*range(3, 41), 257, 294, 880, 1759, 1831]],
+    *[(_laguerre_rule, roots_laguerre, n, 2.5e-13, 2.5e-14) for n in [*range(3, 41), 64, 128, MAX_LAGUERRE_NODES]],
+])
+def test_gauss_rules_match_scipy(rule, oracle, n, node_tol, weight_tol):
+    x, w = rule(n)
+    x_ref, w_ref = oracle(n)
+    w_ref = w_ref / w_ref.sum()
+    assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0.0) and np.all(w >= 0.0)
+    assert np.abs(x - x_ref).max() <= node_tol
+    assert np.abs(w - w_ref).max() <= weight_tol
+    normal = w_ref > 1e-300   # subnormal tails carry no relative precision
+    assert (np.abs(w - w_ref)[normal] / w_ref[normal]).max() <= 4e-12
+
+
+def test_hermite_rule_computes_at_its_axis_limit():
+    # the most m nodes the node rule can pick; scipy takes its O(n) asymptotic route here
+    # (measured: nodes 1.5e-13 off, about 4 ulps of the largest node, weights 9.6e-16)
+    x, w = _hermite_rule(MAX_HERMITE_NODES)
+    x_ref, w_ref = roots_hermite(MAX_HERMITE_NODES)
+    assert np.abs(x - x_ref).max() <= 3e-13
+    assert np.abs(w - w_ref / w_ref.sum()).max() <= 2e-15
+
+
+@pytest.mark.parametrize("counts,refused", [((MAX_HERMITE_NODES + 1, 32), "m_weights of 15626 nodes"),
+                                            ((32, MAX_LAGUERRE_NODES + 1), "q_weights of 364 nodes")])
+def test_node_grid_refuses_an_axis_past_its_limit_before_any_node_work(counts, refused, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("a Jacobi matrix was solved"))
+    monkeypatch.setattr(q.channel, "_recurrence", lambda *args: pytest.fail("the recurrence ran"))
+    with pytest.raises(QuadratureResolutionError, match=refused):
+        _node_grid(*counts)
 
 
 def test_quadrature_weights_normalized(default_dot):

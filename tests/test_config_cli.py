@@ -273,13 +273,31 @@ def test_cli_validity_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_quadrature_past_scipy_node_limit_is_numerical_error(tmp_path, capsys):
-    # roots_laguerre returns NaN weights at this count; the weight-sum check catches them
+    # past MAX_LAGUERRE_NODES = 363, the most q nodes the rule takes: refused before any node work
     code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--q-nodes", "400",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "QuadratureResolutionError"
     assert "q_weights of 400 nodes" in record["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_m_nodes_past_the_hermite_limit_is_numerical_error(tmp_path, capsys, monkeypatch):
+    # 20 000 x 32 nodes are under MAX_QUADRATURE_NODES, but past MAX_HERMITE_NODES = 15 625 on the m axis
+    def no_jacobi(a, *args, **kwargs):
+        assert a.shape[-1] <= 4, "a Jacobi matrix was solved"  # the start state's 4x4 check still runs
+        return real_eigvalsh(a, *args, **kwargs)
+
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_jacobi)
+    monkeypatch.setattr(channel, "_recurrence", lambda *args: pytest.fail("the recurrence ran"))
+    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--m-nodes", "20000",
+                 "--q-nodes", "32", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "QuadratureResolutionError"
+    assert "m_weights of 20000 nodes" in record["message"]
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -49,7 +49,7 @@ with contextlib.redirect_stderr(io.StringIO()):
     assert snapshots == [[], [], []]
 
 
-def test_sweep_of_every_metric_loads_scipy_special_only(tmp_path):
+def test_sweep_of_every_metric_loads_no_scipy(tmp_path):
     out, cfg = tmp_path / "s.csv", tmp_path / "run.json"
     cfg.write_text(json.dumps({"m_window": [0.0, 1.0], "longtime_window": [0.5, 1.0]}))
     (loaded,) = _fresh(f"""
@@ -60,12 +60,11 @@ with contextlib.redirect_stdout(io.StringIO()):
                  "--b", "0.01", "--tmax", "1", "--out", {str(out)!r}]) == 0
 {LOADED}
 """)
-    assert "scipy.special" in loaded
-    assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse"} & set(loaded)
+    assert loaded == []
     assert out.exists()
 
 
-def test_evolve_loads_scipy_special_only(tmp_path):
+def test_evolve_loads_no_scipy_and_no_pool(tmp_path):
     out = tmp_path / "t.csv"
     (loaded,) = _fresh(f"""
 import contextlib, io
@@ -74,9 +73,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--out", {str(out)!r}]) == 0
 {LOADED}
 """)
-    assert "scipy.special" in loaded
-    assert "scipy.optimize" not in loaded
-    assert "concurrent.futures.process" not in loaded
+    assert loaded == []
     assert out.exists()
 
 
