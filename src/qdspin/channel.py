@@ -73,12 +73,16 @@ nodes, the most scipy's rule computes and so the most the oracle checks.
 Sharing: a model (`BathQuadrature`) is computed once and read by every
 channel and kink-refinement round on it, so its arrays are read-only.
 A node grid's unit nodes, normalised weights and kept nodes carry no dot
-parameter, so `_node_grid(n_m, n_q)` computes the two Gauss rules and
-selects the kept nodes once per count pair, and keeps the last
-GAUSS_RULE_MEMO_SIZE grids for the process; `build_quadrature` scales
-them by the dot, and runs the node overflow and positivity checks, on
-every model.  Whole channels are kept one level up, by
-`magnetometry.channel_for_field`, keyed on the dot, grid and node counts.
+parameter, so each Gauss rule is computed once per count
+(`_hermite_rule`, `_laguerre_rule`) and `_node_grid(n_m, n_q)` selects
+the kept nodes once per count pair; each of the three memos keeps its
+last GAUSS_RULE_MEMO_SIZE entries for the process.  The node rule's
+candidate reads only its two rules, so a long grid's model, whose
+candidate shares its m count, computes its Gauss-Hermite rule once.
+`build_quadrature` scales the nodes by the dot, and runs the node
+overflow and positivity checks, on every model.  Whole channels are
+kept one level up, by `magnetometry.channel_for_field`, keyed on the
+dot, grid and node counts.
 
 One flat node list: the kept nodes (m, Q, weight) go in raveled order to
 `_families`, which any node set can feed.  tests/test_finite_bath.py feeds
@@ -163,7 +167,7 @@ MAX_HERMITE_NODES = MAX_QUADRATURE_NODES // MIN_Q_NODES  # 15 625: the most m no
 MAX_LAGUERRE_NODES = 363         # the most q nodes scipy's Gauss-Laguerre rule, the tests' oracle, computes
 _MIN_BATH_NUCLEI = 100           # Gaussian bath statistics need a large bath
 RECURRENCE_BLOCK = 32            # steps between rescales: p grows by < 1e100 in 32 steps up to either axis's limit, so its square stays finite
-GAUSS_RULE_MEMO_SIZE = 16        # node grids kept: 15 KB at 32 x 32, 74 KB at 294 x 64, 0.2 MB at 1759 x 64
+GAUSS_RULE_MEMO_SIZE = 16        # rules per axis and node grids kept: a grid takes 15 KB at 32 x 32, 74 KB at 294 x 64, 0.2 MB at 1759 x 64
 TAYLOR_RADIUS = 0.5              # |w_diff (t - t_a)| at most this about each anchor t_a of the slow family
 TAYLOR_TAIL = 1e-17              # bound r^N / N! on the dropped Taylor terms at phase radius r (amplitudes sum <= 1)
 
@@ -296,6 +300,7 @@ def _hermite_start(n: int) -> np.ndarray:
     return np.concatenate([[0.0], roots]) if n % 2 else roots
 
 
+@functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes (weight e^{-x^2}) and normalised weights: Halley steps on the nonnegative
     half from `_hermite_start`, mirrored; O(n) memory.  With u = p_n / p_n' = p_n / (sqrt(2n) p_{n-1})
@@ -306,26 +311,34 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     x, w = _gauss_rule(_hermite_start(n), n, np.zeros(n), np.sqrt(np.arange(n + 1) / 2.0), halley)
     w = np.concatenate([w[::-1][:n // 2], w])
-    return np.concatenate([-x[::-1][:n // 2], x]), w / w.sum()
+    return _read_only(np.concatenate([-x[::-1][:n // 2], x]), w / w.sum())
 
 
+@functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
 def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes (weight e^{-y}) and normalised weights: the eigenvalues of the Jacobi
     matrix (Golub & Welsch, Math. Comp. 23, 221 (1969)), polished by Newton (y p_n' = n (p_n + p_{n-1}))."""
     k = np.arange(n + 1.0)
     start = np.linalg.eigvalsh(np.diag(2.0 * k[:n] + 1.0) + np.diag(k[1:n], -1))
-    return _gauss_rule(start, n, 2.0 * k + 1.0, k, lambda y, prev, cur: y * cur / (n * (cur + prev)))
+    return _read_only(*_gauss_rule(start, n, 2.0 * k + 1.0, k, lambda y, prev, cur: y * cur / (n * (cur + prev))))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: what a memo returns is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @functools.lru_cache(maxsize=GAUSS_RULE_MEMO_SIZE)
 def _node_grid(n_m: int, n_q: int) -> NodeGrid:
     """The unit nodes, normalised weights and kept nodes of the n_m x n_q grid.
 
-    None of them carries a dot parameter, so a process computes the two
-    rules (`_hermite_rule`, `_laguerre_rule`) and selects the kept nodes
-    once per count pair; the arrays are shared and read-only.  A count past
-    its axis's limit (MAX_HERMITE_NODES, MAX_LAGUERRE_NODES) is refused
-    before anything is computed.  The lightest nodes, while their weights
+    None of them carries a dot parameter, so a process selects the kept
+    nodes once per count pair, on rules (`_hermite_rule`, `_laguerre_rule`)
+    computed once per count by their own memos; the arrays are shared and
+    read-only.  A count past its axis's limit (MAX_HERMITE_NODES,
+    MAX_LAGUERRE_NODES) is refused before anything is computed.  The lightest nodes, while their weights
     sum to at most NEGLIGIBLE_WEIGHT, leave the kept set (every amplitude
     is bounded by its weight); the rest stay in raveled order, so the
     summation order stays fixed.
@@ -340,10 +353,7 @@ def _node_grid(n_m: int, n_q: int) -> NodeGrid:
     light = np.argsort(w2d, kind="stable")
     n_light = int(np.count_nonzero(np.cumsum(w2d[light]) <= NEGLIGIBLE_WEIGHT))
     keep = np.sort(light[n_light:])
-    grid = NodeGrid(x, m_weights, y, q_weights, *np.divmod(keep, n_q), w2d[keep])
-    for a in grid:
-        a.setflags(write=False)
-    return grid
+    return NodeGrid(x, m_weights, y, q_weights, *_read_only(*np.divmod(keep, n_q), w2d[keep]))
 
 
 def _blocks(dot: DotParameters, m: np.ndarray, q: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -418,12 +428,14 @@ def build_quadrature(
     FAST_NODES (n_m raised to that phase term if larger), taken if its own
     fast-term cutoff reaches t_max, so the slow branch never runs; otherwise
     the rule takes MIN_M_NODES x MIN_Q_NODES (n_m raised to the phase term),
-    whose window covers the interference decay.  Every grid, the candidate
-    included, comes from `_node_grid`, computed once per count pair and
-    process, and is scaled by the dot here, where the Laguerre-overflow
-    check runs on every model.  Counts must be integers; a grid of more
-    than MAX_QUADRATURE_NODES nodes, the candidate too, is refused before
-    its nodes are computed, and so is a candidate past MAX_HERMITE_NODES.
+    whose window covers the interference decay.  The candidate reads only
+    its two Gauss rules, each computed once per count and process; the
+    model's grid comes from `_node_grid`, whose kept nodes are selected
+    once per count pair.  Both are scaled by the dot here, where the
+    Laguerre-overflow check runs on every model.  Counts must be integers;
+    a grid of more than MAX_QUADRATURE_NODES nodes, the candidate too, is
+    refused before its nodes are computed, and so is a candidate past
+    MAX_HERMITE_NODES.
     """
     if not t_max_ns >= 0.0:   # NaN too
         raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
@@ -443,26 +455,28 @@ def build_quadrature(
         )
     sigma = dot.sigma_m
 
-    def scaled(n_m: int, n_q: int) -> tuple[NodeGrid, np.ndarray, np.ndarray, float]:
-        """The n_m x n_q grid, its m and Q nodes for this dot, and their fast-term cutoff."""
-        grid = _node_grid(n_m, n_q)
+    def scaled(x: np.ndarray, m_weights: np.ndarray, y: np.ndarray,
+               q_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The m and Q nodes of the unit rules for this dot, and their fast-term cutoff."""
         # the largest node's product in Python floats, where an overflow is a quiet inf
-        if not math.isfinite(2.0 * sigma * sigma * float(grid.y.max())):
+        if not math.isfinite(2.0 * sigma * sigma * float(y.max())):
             raise InvalidParameterError(
                 f"n_nuclei={dot.n_nuclei:g} and i_nuclear={dot.i_nuclear:g} give a bath variance N*I(I+1)/3 = "
-                f"{sigma * sigma:.3g} whose largest of {n_q} Laguerre nodes 2*sigma^2*y overflows"
+                f"{sigma * sigma:.3g} whose largest of {y.size} Laguerre nodes 2*sigma^2*y overflows"
             )
-        m_nodes = math.sqrt(2.0) * sigma * grid.x
-        q_nodes = 2.0 * sigma * sigma * grid.y
+        m_nodes = math.sqrt(2.0) * sigma * x
+        q_nodes = 2.0 * sigma * sigma * y
         if np.any(q_nodes <= 0.0):
             raise QuadratureResolutionError("all q_nodes must be positive")
-        return grid, m_nodes, q_nodes, _fast_term_cutoff(dot, m_nodes, grid.m_weights, q_nodes, grid.q_weights)
+        return m_nodes, q_nodes, _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
 
     if n_m is None or n_q is None:
         n_phase = math.ceil(8.0 * sigma * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
         rule = max(FAST_NODES, n_phase), FAST_NODES
-        # a candidate past the m axis's limit is not built: the fallback, with as many m nodes, is refused too
-        if rule[0] > MAX_HERMITE_NODES or not scaled(*rule)[-1] >= t_max_ns:
+        # the candidate reads its two rules, not a node grid; one past the m axis's limit is not built:
+        # the fallback, with as many m nodes, is refused too
+        if rule[0] > MAX_HERMITE_NODES or not scaled(*_hermite_rule(rule[0]),
+                                                     *_laguerre_rule(rule[1]))[-1] >= t_max_ns:
             rule = max(MIN_M_NODES, n_phase), MIN_Q_NODES
         n_m = rule[0] if n_m is None else n_m
         n_q = rule[1] if n_q is None else n_q
@@ -475,7 +489,8 @@ def build_quadrature(
         )
     if n_m < 3 or n_q < 3:
         raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
-    grid, m_nodes, q_nodes, cutoff = scaled(n_m, n_q)
+    grid = _node_grid(n_m, n_q)
+    m_nodes, q_nodes, cutoff = scaled(*grid[:4])
     return BathQuadrature(dot, (n_m, n_q), float(t_max_ns),
                           *_families(dot, m_nodes[grid.kept_m], q_nodes[grid.kept_q], grid.kept_weight), cutoff)
 

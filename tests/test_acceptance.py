@@ -8,9 +8,13 @@ measured numbers in the reason (see notes in the repository root README).
 import math
 import re
 
+import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
-from qdspin.acceptance import RunCache, run_checks
+from qdspin import acceptance
+from qdspin.acceptance import RunCache, fitted_t2star, run_checks
+from qdspin.constants import NumericalDomainError
 from qdspin.evolution import find_g_crossings
 from qdspin.states import Bell
 
@@ -76,3 +80,26 @@ def test_check_3_trajectories_never_evaluate_g_off_the_grid():
     for b in (0.0, 0.011, 0.0165, 1.0):
         tr = cache.traj(Bell("psi-"), b, 20.0)
         assert find_g_crossings(tr.times, tr.g, forbidden) == []
+
+
+def test_t2star_fit_agrees_with_curve_fit():
+    cache = RunCache()
+    chan = cache.channel(5.0, 25.0)
+    (ref,), _ = curve_fit(lambda t, t2: np.exp(-((t / t2) ** 2)), chan.times, np.abs(chan.c), p0=[12.0])
+    assert fitted_t2star(cache) == pytest.approx(ref, rel=1.5e-8)   # curve_fit's own xtol
+
+
+def test_t2star_fit_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(acceptance, "T2STAR_FIT_PASSES", 2)
+    with pytest.raises(NumericalDomainError, match="2 Gauss-Newton passes"):
+        fitted_t2star(RunCache())
+
+
+@pytest.mark.parametrize("shift,passed", [(4.4e-6, False), (-4.4e-6, False), (3.6e-6, True)])
+def test_check_7_fails_once_the_closed_form_moves_past_its_gate(shift, passed, monkeypatch):
+    # check 7 holds the oracle to a quarter of side A's Tr K - k_max within 1e-6: shifting that trace term
+    # by 4.4e-6 moves the compared value by 1.1e-6, past the gate, and a shift of 3.6e-6 by 0.9e-6, inside it
+    real = acceptance._k_eigh
+    monkeypatch.setattr(acceptance, "_k_eigh", lambda form: real(form)._replace(a=real(form).a + shift))
+    (result,) = run_checks(only=[7], echo=False)
+    assert result.passed is passed, result.detail

@@ -195,16 +195,19 @@ def bath_nodes(dot, counts):
 @pytest.mark.parametrize("b_field,t_max,counts", [(0.1, 20.0, (32, 32)), (0.001, 2000.0, (294, 64)),
                                                   (0.1, 200.0, (257, 64))])
 def test_rule_model_reuses_its_candidate_and_keeps_the_bits(b_field, t_max, counts):
-    # the rule's candidate is a node grid of the memo: a model on its counts (32 x 32 at 20 ns) reads it
-    # again, and one on other counts builds its own, the 294 x 64 model at 2000 ns past the 294 x 32
-    # candidate and the 257 x 64 model at 200 ns past the 32 x 32 one
+    # the rule's candidate reads its two Gauss rules and selects no kept nodes: a model on its counts
+    # (32 x 32 at 20 ns) reads both rules again, the 294 x 64 model at 2000 ns its 294-node Hermite rule,
+    # and the 257 x 64 model at 200 ns neither rule of the 32 x 32 candidate
     dot = q.DotParameters(b_field=b_field)
     explicit = q.build_quadrature(dot, t_max, m_count=counts[0], q_count=counts[1])
-    _node_grid.cache_clear()  # every grid the model needs is built below, each once
+    for memo in (_node_grid, _hermite_rule, _laguerre_rule):
+        memo.cache_clear()  # every rule and grid the model needs is built below, each once
     quad = q.build_quadrature(dot, t_max)
     assert quad.node_counts == explicit.node_counts == counts
     info = _node_grid.cache_info()
-    assert (info.misses, info.hits) == ((1, 1) if t_max == 20.0 else (2, 0))
+    assert (info.misses, info.hits) == (1, 0)
+    rule_calls = [(memo.cache_info().misses, memo.cache_info().hits) for memo in (_hermite_rule, _laguerre_rule)]
+    assert rule_calls == {20.0: [(1, 1), (1, 1)], 2000.0: [(1, 1), (2, 0)], 200.0: [(2, 0), (2, 0)]}[t_max]
     for name in ("p", "slow", "fast"):
         for got, want in zip(getattr(quad, name), getattr(explicit, name)):
             assert (got is want is None) or np.array_equal(got, want), name
@@ -213,12 +216,14 @@ def test_rule_model_reuses_its_candidate_and_keeps_the_bits(b_field, t_max, coun
     again = q.build_quadrature(q.DotParameters(b_field=2.0 * b_field), t_max)
     assert again.node_counts == counts
     assert _node_grid.cache_info().misses == info.misses
+    assert [memo.cache_info().misses for memo in (_hermite_rule, _laguerre_rule)] == [m for m, _ in rule_calls]
 
 
 def test_gauss_rules_are_shared_read_only_and_checked_on_every_call():
     grid = _node_grid(32, 64)
     assert _node_grid(32, 64) is grid
-    for a in grid:
+    assert all(a is b for a, b in zip((*_hermite_rule(32), *_laguerre_rule(64)), grid))   # the rules' own arrays
+    for a in (*grid, *_laguerre_rule(32)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     # the overflow check runs on every model, on a grid the memo already holds

@@ -378,7 +378,8 @@ def test_node_rule_past_the_cap_builds_no_candidate(monkeypatch):
     def no_nodes(*args):
         raise AssertionError("candidate nodes computed past MAX_QUADRATURE_NODES")
 
-    monkeypatch.setattr(channel, "_node_grid", no_nodes)
+    for name in ("_node_grid", "_hermite_rule", "_laguerre_rule"):
+        monkeypatch.setattr(channel, name, no_nodes)
     with pytest.raises(InvalidParameterError, match="MAX_QUADRATURE_NODES"):
         build_quadrature(DotParameters(n_nuclei=1e12), 1e9)
 

@@ -168,7 +168,8 @@ def test_local_unitary_invariance(rng):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-@example(29396)  # a simplex polish that stops at its iteration limit unconverged, 1.1e-5 off
+@example(29396)  # stopped a simplex polish at its iteration limit unconverged, 1.1e-5 off
+@example(1092)   # a compass search in (theta, phi) crept near the pole here: >5000 rounds, 9.8e-5 off
 def test_oracle_matches_closed_form(seed):
     rng = np.random.default_rng(seed)
     state = random_density(rng)
@@ -176,6 +177,24 @@ def test_oracle_matches_closed_form(seed):
     k_x = np.outer(form.x, form.x) + form.t_corr @ form.t_corr.T
     closed = 0.25 * (np.trace(k_x) - np.linalg.eigvalsh(k_x)[-1])
     assert q.oracle_one_sided_discord(state, grid_resolution=14) == pytest.approx(closed, abs=1e-6)
+
+
+def test_oracle_takes_a_stack_of_states():
+    # one compass search runs every state of the stack, each until its own step is at the floor
+    rng = np.random.default_rng(7)
+    stack = np.array([random_density(rng).rho for _ in range(6)]).reshape(2, 3, 4, 4)
+    closed = 0.25 * measures._k_eigh(q.bloch_decompose(stack)).a[0]
+    got = q.oracle_one_sided_discord(stack, grid_resolution=12)
+    assert got.shape == (2, 3)
+    assert np.abs(got - closed).max() <= 1e-15
+    alone = [q.oracle_one_sided_discord(q.TwoQubitState(rho), grid_resolution=12) for rho in stack.reshape(6, 4, 4)]
+    assert np.abs(got.ravel() - alone).max() <= 1e-15
+
+
+def test_oracle_search_that_does_not_close_raises(monkeypatch):
+    monkeypatch.setattr(measures, "ORACLE_MAX_ROUNDS", 3)
+    with pytest.raises(NumericalDomainError, match="did not close in 3 rounds"):
+        q.oracle_one_sided_discord(random_density(np.random.default_rng(0)), grid_resolution=12)
 
 
 def test_ent_family_anchor(rng):

@@ -1,8 +1,8 @@
-"""Import graph of a fresh interpreter: scipy and the process pool load only
-with the calls that use them.
+"""Import graph of a fresh interpreter: no qdspin command loads scipy, and the
+process pool loads only with the calls that use it.
 
 Each test runs its code in a new interpreter, because this one already
-holds scipy.
+holds scipy (the tests' independent oracle).
 """
 import json
 import os
@@ -36,6 +36,8 @@ def test_cli_import_version_and_usage_error_load_no_scipy_and_no_pool():
 import contextlib, io
 import qdspin.cli
 {LOADED}
+import qdspin.acceptance
+{LOADED}
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         qdspin.cli.main(["--version"])
@@ -46,7 +48,7 @@ with contextlib.redirect_stderr(io.StringIO()):
     assert qdspin.cli.main(["evolve", "--state", "nope", "--b", "0.1"]) == 2
 {LOADED}
 """)
-    assert snapshots == [[], [], []]
+    assert snapshots == [[], [], [], []]
 
 
 def test_sweep_of_every_metric_loads_no_scipy(tmp_path):
@@ -77,7 +79,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert out.exists()
 
 
-def test_deferred_oracle_and_worker_pool_run_in_a_fresh_interpreter():
+def test_verify_evolve_and_m_sweep_run_with_scipy_unimportable(tmp_path):
+    # None in sys.modules makes every `import scipy...` raise ImportError
+    _fresh(f"""
+sys.modules["scipy"] = None
+import contextlib, io
+from qdspin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--only", "1,2,7"]) == 0
+    assert main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--out", {str(tmp_path / "t.csv")!r}]) == 0
+    assert main(["sweep", "--metric", "M", "--b", "0.01,0.02", "--out", {str(tmp_path / "m.csv")!r}]) == 0
+""")
+    assert (tmp_path / "t.csv").exists() and (tmp_path / "m.csv").exists()
+
+
+def test_oracle_and_worker_pool_run_in_a_fresh_interpreter():
     _fresh("""
 from qdspin import Bell, RunConfig, make_state, oracle_one_sided_discord, run_sweep
 assert abs(oracle_one_sided_discord(make_state(Bell("psi-")), grid_resolution=8) - 0.5) < 1e-12
