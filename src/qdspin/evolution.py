@@ -201,7 +201,7 @@ class CorrelationTrajectory:
 
     @cached_property
     def ds_upper(self) -> np.ndarray:
-        return _upper_bound(self._bloch, self._k_eigen, self.ds_lower)
+        return _upper_bound(self._k_eigen, self.ds_lower)
 
     @cached_property
     def d_lower(self) -> np.ndarray:

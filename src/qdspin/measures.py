@@ -19,7 +19,6 @@ import numpy as np
 from .constants import InvalidParameterError, NumericalDomainError
 from .states import (
     BlochForm,
-    PAULI_Y,
     PAULIS,
     TwoQubitState,
     _rho,
@@ -32,8 +31,14 @@ TOP_CLUSTER_GAP = 1e-10  # eigenvalues this close to the top of K count as degen
 G_ZERO_TOL = 1e-14       # a |Tr(sz x sz rho)| below this is a vanishing denominator of g
 ORACLE_STEP_FLOOR = 1e-10   # the oracle's compass search ends once its step on the sphere is at most this
 ORACLE_MAX_ROUNDS = 1000    # a compass search still open after this many rounds raises (110 the most seen)
+ORACLE_BLOCK = 16           # states whose coarse-grid distances the oracle forms at once
 
-_SY_SY = np.kron(PAULI_Y, PAULI_Y)
+# (sy x sy) conj(rho) (sy x sy) has entries s_i s_j conj(rho)[3 - i, 3 - j], s = (-1, 1, 1, -1)
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+# Tr(sx x sx rho) and Tr(sz x sz rho) as signed sums of the entries (i, _G_COLS[k, i]), added in order of i
+_G_ROWS = np.arange(4)
+_G_COLS = np.array([[3, 2, 1, 0], [0, 1, 2, 3]])
+_G_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, 1.0]])
 _OFF_ROWS, _OFF_COLS = np.nonzero(~np.eye(3, dtype=bool))
 _COMPASS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)  # the 8 moves
 
@@ -60,11 +65,15 @@ class KEigh(NamedTuple):
     its diagonal (X states with real coherences) has diagonal K: `w` is that
     diagonal in axis order and `v` is None, for the unit vectors.  Every
     other stack keeps `eigh`'s ascending eigenvalues and their eigenvectors.
+    The stacked sides the upper bound reads, (x, y) and (T, T^T), are built
+    here once.
     """
 
     a: np.ndarray         # (2, ...): Tr K - k_max
     w: np.ndarray         # (2, ..., 3): eigenvalues, ascending or (diagonal K) in axis order
     v: np.ndarray | None  # (2, ..., 3, 3): eigenvectors in columns, as w; None for the unit vectors
+    bloch: np.ndarray     # (2, ..., 3): x, y
+    tt: np.ndarray        # (2, ..., 3, 3): T, T^T; on a diagonal K, a read-only view of T twice
 
 
 def _k_eigh(form: BlochForm) -> KEigh:
@@ -73,25 +82,32 @@ def _k_eigh(form: BlochForm) -> KEigh:
     One route per stack, chosen from the Bloch form's zeros before any
     product is formed: with x and y along z and T diagonal, K_x = K_y =
     diag(b_i^2 + T_ii^2) is read elementwise, with the matmul's bits (each
-    entry a sum with one nonzero term); every other stack takes one `eigh`.
+    entry a sum with one nonzero term); every other stack takes one `eigh`
+    of K = b b^T + [T, T^T] @ [T^T, T], one stacked matmul for both sides.
     LAPACK returns a diagonal K's exact diagonal too, and the upper bound's
     minimum over the top cluster depends neither on the eigenvectors' signs
     nor on the eigenvalues' order, so a state gets the same bounds, bit for
     bit, on either route: alone or inside any stack.
     """
-    bloch = np.stack([form.x, form.y])                                 # (2, ..., 3)
+    # np.array of the pair: np.stack's bits at a fifth of its call overhead
+    bloch = np.array([form.x, form.y])                                 # (2, ..., 3)
     t = form.t_corr
     if bloch[..., :2].any() or t[..., _OFF_ROWS, _OFF_COLS].any():
-        t_tr = np.swapaxes(t, -1, -2)
-        k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
+        tt = np.array([t, np.swapaxes(t, -1, -2)])                     # (2, ..., 3, 3)
+        k = bloch[..., :, None] * bloch[..., None, :] + tt @ tt[::-1]
         w, v = np.linalg.eigh(k)                                       # ascending
-        diag = np.diagonal(k, axis1=-2, axis2=-1)
+        diag = k.diagonal(axis1=-2, axis2=-1)
     else:
-        t_ii = np.diagonal(t, axis1=-2, axis2=-1)
+        t_ii = t.diagonal(axis1=-2, axis2=-1)
         w = diag = bloch * bloch + t_ii * t_ii
         v = None
+        # T^T is T but for the sign of a zero off the diagonal, which the corrections drop (they read the
+        # candidates through squares and hypot): a view of T twice, so a row that reads only the lower bound
+        # allocates nothing more (a 212 KB copy at 1476 times left the allocator in a state that cost each
+        # 2000 ns long-time sweep ~1 ms more, measured in fresh processes)
+        tt = np.broadcast_to(t, (2, *t.shape))
     trace = diag[..., 0] + diag[..., 1] + diag[..., 2]                 # np.trace's order and bits
-    return KEigh(trace - _largest(w), w, v)
+    return KEigh(trace - _largest(w), w, v, bloch, tt)
 
 
 def _largest(w: np.ndarray) -> np.ndarray:  # k_max of each triple, in any order: ~1/6 the cost of a length-3 `max`
@@ -103,8 +119,8 @@ def _lower_bound(side_terms: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 0.25 * np.maximum(side_terms[0], side_terms[1]))
 
 
-def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
-    """Upper geometric-discord bound of `form`, never reported below `lower`.
+def _upper_bound(eig: KEigh, lower: np.ndarray) -> np.ndarray:
+    """Upper geometric-discord bound of the sides in `eig`, never reported below `lower`.
 
     Each side's term (Tr K - k_max) gets the correction Tr L - l_max of the
     other side, with L_x = x x^T + T k k^T T^T for k the top eigenvector of
@@ -118,25 +134,19 @@ def _upper_bound(form: BlochForm, eig: KEigh, lower: np.ndarray) -> np.ndarray:
     (a.a + u.u - hypot(a.a - u.u, 2 a.u)) / 2, with no division, so a = 0
     or u = 0 gives 0 exactly.
     """
-    bloch = np.stack([form.x, form.y])
-    t = form.t_corr
-    t_tr = np.swapaxes(t, -1, -2)
     # each side's L correction takes its candidate vectors k from the other side's K
-    if eig.v is None:
-        u = np.stack([t, t_tr])                                        # column j: T e_j, T^T e_j
-    else:
-        v_c = eig.v[::-1]
-        u = np.stack([t @ v_c[0], t_tr @ v_c[1]])                      # column j: T k_j, T^T k_j
-    aa = (bloch * bloch).sum(axis=-1)[..., None]                       # (2, ..., 1)
-    u0, u1, u2 = u[..., 0, :], u[..., 1, :], u[..., 2, :]              # row sums: .sum(axis=-2)'s bits, half its time
-    uu = u0 * u0 + u1 * u1 + u2 * u2                                   # (2, ..., 3 candidates)
-    au = bloch[..., 0, None] * u0 + bloch[..., 1, None] * u1 + bloch[..., 2, None] * u2
-    corr = 0.5 * (aa + uu - np.hypot(aa - uu, 2.0 * au))
+    u = eig.tt if eig.v is None else eig.tt @ eig.v[::-1]              # column j: T k_j, T^T k_j
+    a = eig.bloch[..., :, None]                                        # (2, ..., 3, 1)
+    p, q = a * np.concatenate([a, u], axis=-1), u * u                  # columns a_i a_i, a_i u_ij; u_ij u_ij
+    # row sums, added in row order: .sum(axis=-2)'s bits, under half its time on a stack
+    gram, uu = p[..., 0, :] + p[..., 1, :] + p[..., 2, :], q[..., 0, :] + q[..., 1, :] + q[..., 2, :]
+    aa, ua = gram[..., :1], gram[..., 1:]                              # a.a; a.u_j of the 3 candidates
+    corr = 0.5 * (aa + uu - np.hypot(aa - uu, 2.0 * ua))
     top = _largest(eig.w)[..., None] - eig.w < TOP_CLUSTER_GAP          # the cluster at k_max
-    b = np.min(np.where(top[::-1], corr, np.inf), axis=-1)             # (bx, by)
-    a = eig.a
-    upper = np.maximum(0.0, 0.25 * np.minimum(a[0] + b[1], a[1] + b[0]))
-    return np.maximum(upper, lower)
+    b = np.where(top[::-1], corr, np.inf)
+    # (bx, by): a length-3 `min` written out, with its bits, as fast on one state and ~1/20 its time on a stack
+    b = np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2])
+    return np.maximum(lower, 0.25 * (eig.a + b[::-1]).min(axis=0))    # lower >= 0 holds the max with 0
 
 
 def rescaled_discord(ds: float, purity_value: float) -> float:
@@ -150,7 +160,8 @@ def rescaled_discord(ds: float, purity_value: float) -> float:
     ds, pur = np.asarray(ds, dtype=float), np.asarray(purity_value, dtype=float)
     radicand = 1.0 - ds / (2.0 * pur)
     # one combined test accepts the common case; the loop names the first error of the first kind found
-    valid = (pur >= 0.25 - 1e-9) & (pur <= 1.0 + 1e-9) & (ds >= -1e-12) & ~(radicand < -1e-9)
+    # a NaN radicand comes from a NaN ds or purity, which fails its own test
+    valid = (pur >= 0.25 - 1e-9) & (pur <= 1.0 + 1e-9) & (ds >= -1e-12) & (radicand >= -1e-9)
     if not valid.all():
         ds, pur = np.broadcast_arrays(ds, pur)
         for bad, error, what in (
@@ -172,10 +183,9 @@ def discord_bounds(state: TwoQubitState | np.ndarray) -> DiscordBounds:
     and `_upper_bound` for the closed forms and the degenerate-top handling.
     """
     rho = _rho(state)
-    form = bloch_decompose(rho)
-    eig = _k_eigh(form)
+    eig = _k_eigh(bloch_decompose(rho))
     lower = _lower_bound(eig.a)
-    upper = _upper_bound(form, eig, lower)
+    upper = _upper_bound(eig, lower)
     rescaled_lower, rescaled_upper = rescaled_discord(np.array([lower, upper]), purity(rho))
     return DiscordBounds(
         ds_lower=lower,
@@ -188,6 +198,8 @@ def discord_bounds(state: TwoQubitState | np.ndarray) -> DiscordBounds:
 def _g_of(txx: np.ndarray, tzz: np.ndarray) -> np.ndarray:
     """txx / tzz of two absolute correlations: +inf for a vanishing tzz with finite txx, nan for 0/0."""
     zero = tzz < G_ZERO_TOL
+    if not zero.any():
+        return (txx / tzz)[()]
     ratio = txx / np.where(zero, 1.0, tzz)
     return np.where(zero, np.where(txx >= G_ZERO_TOL, np.inf, np.nan), ratio)[()]
 
@@ -199,17 +211,22 @@ def g_ratio(state: TwoQubitState | np.ndarray) -> np.ndarray:
     states.  Returns +inf for a vanishing denominator with finite
     numerator and nan (undefined) for 0/0.
     """
-    rho = _rho(state)
-    txx = np.abs(np.real(rho[..., 0, 3] + rho[..., 1, 2] + rho[..., 2, 1] + rho[..., 3, 0]))
-    tzz = np.abs(np.real(rho[..., 0, 0] - rho[..., 1, 1] - rho[..., 2, 2] + rho[..., 3, 3]))
-    return _g_of(txx, tzz)
+    terms = _rho(state).real[..., _G_ROWS, _G_COLS] * _G_SIGNS          # (..., 2, 4)
+    corr = np.abs(terms.sum(axis=-1))                                   # |Tr(sx x sx rho)|, |Tr(sz x sz rho)|
+    return _g_of(corr[..., 0], corr[..., 1])
 
 
 def concurrence(state: TwoQubitState | np.ndarray) -> np.ndarray:
-    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of one state or a (..., 4, 4) stack."""
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of one state or a (..., 4, 4) stack.
+
+    The l_i are the square roots of the eigenvalues of rho rho~, with the
+    spin flip rho~ = (sy x sy) conj(rho) (sy x sy) formed as a signed
+    reversal of conj(rho)'s rows and columns.
+    """
     rho = _rho(state)
-    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    lam = np.sort(np.sqrt(np.clip(np.real(np.linalg.eigvals(rho @ rho_tilde)), 0.0, None)), axis=-1)
+    rho_tilde = _FLIP_SIGNS * rho.conj()[..., ::-1, ::-1]
+    lam = np.sqrt(np.maximum(np.linalg.eigvals(rho @ rho_tilde).real, 0.0))
+    lam.sort(axis=-1)
     return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
 
 
@@ -248,7 +265,8 @@ def oracle_one_sided_discord(state: TwoQubitState | np.ndarray, grid_resolution:
     at most ORACLE_STEP_FLOOR; a search still open after ORACLE_MAX_ROUNDS
     rounds raises.  The distances are formed from the pinched states alone,
     so this is the independent check of the closed-form lower bound on the
-    A side.
+    A side.  The coarse grid takes a stack ORACLE_BLOCK states at a time,
+    so its arrays stay that size whatever the stack's.
     """
     rho = _rho(state)
     lead = rho.shape[:-2]
@@ -258,10 +276,12 @@ def oracle_one_sided_discord(state: TwoQubitState | np.ndarray, grid_resolution:
                                indexing="ij")
     thetas, phis = thetas.ravel(), phis.ravel()
     grid = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=-1)
-    coarse = _pinching_distances(rho, grid)                                      # (states, grid)
-    k = np.argmin(coarse, axis=-1)
-    best, n = coarse[np.arange(k.size), k], grid[k]
-    h = np.full(k.size, math.pi / (grid_resolution - 1))
+    best, n = np.empty(rho.shape[0]), np.empty((rho.shape[0], 3))
+    for start in range(0, rho.shape[0], ORACLE_BLOCK):
+        coarse = _pinching_distances(rho[start:start + ORACLE_BLOCK], grid)       # (states, grid)
+        k = np.argmin(coarse, axis=-1)
+        best[start:start + k.size], n[start:start + k.size] = coarse[np.arange(k.size), k], grid[k]
+    h = np.full(best.size, math.pi / (grid_resolution - 1))
     for _ in range(ORACLE_MAX_ROUNDS):
         live = np.flatnonzero(h > ORACLE_STEP_FLOOR)
         if not live.size:

@@ -66,13 +66,14 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(rho))[0]
         raise InvalidParameterError(f"density matrix entry ({i}, {j}) is not finite: {rho[i, j]}")
     # each test is written so that a NaN fails it
-    herm = float(np.abs(rho - rho.conj().T).max())
+    rho_h = rho.conj().T
+    herm = float(np.abs(rho - rho_h).max())
     if not herm <= HERMITICITY_TOL:
         raise InvalidParameterError(f"matrix not Hermitian: max asymmetry {herm:.3e}")
-    tr = complex(np.trace(rho))
+    tr = complex(rho.trace())
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidParameterError(f"trace must be 1, got {tr:.15g}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho_h)).min())
     if not min_eig >= -PSD_TOL_CONSTRUCTION:
         raise InvalidParameterError(f"matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
     return rho
@@ -248,7 +249,7 @@ def purity(state: TwoQubitState | np.ndarray) -> float:
 
     A (..., 4, 4) stack gives an array of purities.
     """
-    return np.sum(np.abs(_rho(state)) ** 2, axis=(-2, -1))
+    return (np.abs(_rho(state)) ** 2).sum(axis=(-2, -1))
 
 
 def singlet_triplet_weights(state: TwoQubitState | np.ndarray) -> np.ndarray:

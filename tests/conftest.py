@@ -58,7 +58,7 @@ def k_eigh_oracle(form: BlochForm) -> KEigh:
     bloch = np.stack([form.x, form.y])
     k = bloch[..., :, None] * bloch[..., None, :] + np.stack([t @ t_tr, t_tr @ t])
     w, v = np.linalg.eigh(k)
-    return KEigh(np.trace(k, axis1=-2, axis2=-1) - w[..., 2], w, v)
+    return KEigh(np.trace(k, axis1=-2, axis2=-1) - w[..., 2], w, v, bloch, np.stack([t, t_tr]))
 
 
 class Regime(enum.Enum):

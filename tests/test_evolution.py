@@ -580,7 +580,7 @@ def _eager_columns(tr) -> dict:
     form = evolution._evolved_bloch(q.bloch_decompose(tr.state0), tr.p, tr.c)
     eig = measures._k_eigh(form)
     lower = measures._lower_bound(eig.a)
-    upper = measures._upper_bound(form, eig, lower)
+    upper = measures._upper_bound(eig, lower)
     pur = 0.25 * (1.0 + np.einsum("ni,ni->n", form.x, form.x) + np.einsum("ni,ni->n", form.y, form.y)
                   + np.einsum("nij,nij->n", form.t_corr, form.t_corr))
     # measured: at most 6.7e-16 from Tr rho^2 of the stack

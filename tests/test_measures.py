@@ -329,12 +329,16 @@ def test_split_bound_steps_keep_the_one_pass_bits(seed, n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
 def test_stacked_measures_match_single_state_calls(seed, n):
-    # one function per measure: a stack gives, state by state, the bits of a one-state call; the
-    # Bell-diagonal, Werner and Bell states have diagonal K, so a stack mixes both routes of `_k_eigh`
+    # one function per measure: a stack gives, state by state, the bits of a one-state call, on every route:
+    # Bell-diagonal, Werner and Bell states have diagonal K, so a stack mixes both routes of `_k_eigh`; a
+    # Bell-diagonal a = 1/4 has Tr(sz x sz rho) = 0 exactly, so g's stack mixes its infinite and plain ratios;
+    # general X states carry complex coherences, whose K takes eigh
     rng = np.random.default_rng(seed)
-    x_starts = (lambda: q.BellDiagonal(0.3, 0.1 * rng.uniform()), lambda: q.Werner(rng.uniform()),
-                lambda: q.Bell(rng.choice(["phi+", "phi-", "psi+", "psi-"])))
-    states = [random_density(rng) if k % 3 else q.make_state(x_starts[k // 3 % 3]()) for k in range(n)]
+    x_starts = (lambda: q.make_state(q.BellDiagonal(rng.choice([0.25, 0.3]), 0.1 * rng.uniform())),
+                lambda: q.make_state(q.Werner(rng.uniform())),
+                lambda: q.make_state(q.Bell(rng.choice(["phi+", "phi-", "psi+", "psi-"]))),
+                lambda: _random_x_state(rng, zero_y_bloch=False))
+    states = [random_density(rng) if k % 3 else x_starts[k // 3 % 4]() for k in range(n)]
     rho = np.array([s.rho for s in states])
     stacked = q.discord_bounds(rho)
     conc, g, pur = q.concurrence(rho), q.g_ratio(rho), q.purity(rho)
@@ -350,6 +354,53 @@ def test_stacked_measures_match_single_state_calls(seed, n):
         for ordering, (bell_a, bell_b) in params.items():
             a, b = q.bell_diagonal_params(state, ordering)
             assert np.array_equal([bell_a[k], bell_b[k]], [a, b], equal_nan=True)
+
+
+def _sandwich_concurrence(rho):
+    """Wootters concurrence with rho~ formed as the sy x sy sandwich of two matmuls: the bit oracle of the
+    signed reversal."""
+    sy_sy = np.kron(q.states.PAULI_Y, q.states.PAULI_Y)
+    rho_tilde = sy_sy @ rho.conj() @ sy_sy
+    lam = np.sort(np.sqrt(np.clip(np.real(np.linalg.eigvals(rho @ rho_tilde)), 0.0, None)), axis=-1)
+    return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]), rho_tilde
+
+
+def _drawn_stack(kind, rng, n):
+    """n matrices of one kind: Ginibre, X form (exact zeros off the X), pure, or Bell-diagonal."""
+    if kind == "random":
+        return np.array([random_density(rng).rho for _ in range(n)])
+    if kind == "x":
+        return np.array([_random_x_state(rng, zero_y_bloch=bool(k % 2)).rho for k in range(n)])
+    if kind == "pure":
+        psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)) * rng.integers(0, 2, size=(n, 1))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        return psi[:, :, None] * psi.conj()[:, None, :]
+    a = rng.uniform(0.0, 0.5, n)
+    return np.array([q.make_state(q.BellDiagonal(a_k, a_k * rng.uniform(-1.0, 1.0))).rho for a_k in a])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "x", "pure", "belldiag"]), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=8))
+def test_spin_flip_by_signed_reversal_keeps_the_sandwich_bits(kind, seed, n):
+    # (sy x sy) conj(rho) (sy x sy) has entries s_i s_j conj(rho)[3 - i, 3 - j], s = (-1, 1, 1, -1); the two
+    # forms differ only in the sign of an exact zero (measured: real Bell-diagonal and real pure matrices
+    # show such zeros), which X states and real pure states are full of, and the concurrence keeps its bits
+    rho = _drawn_stack(kind, np.random.default_rng(seed), n)
+    oracle, sandwich = _sandwich_concurrence(rho)
+    s = np.array([-1.0, 1.0, 1.0, -1.0])
+    reversal = np.empty_like(rho)
+    for i in range(4):
+        for j in range(4):
+            reversal[:, i, j] = s[i] * s[j] * rho[:, 3 - i, 3 - j].conj()
+    parts, sandwich_parts = reversal.view(float), sandwich.view(float)
+    moved = parts.view(np.int64) != sandwich_parts.view(np.int64)
+    assert np.array_equal(parts, sandwich_parts) and not parts[moved].any()
+    for target in (rho, *rho):
+        got = q.concurrence(target)
+        want = _sandwich_concurrence(target)[0]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(q.concurrence(rho)).tobytes() == oracle.tobytes()
 
 
 def _count_eigh(monkeypatch) -> list:
@@ -410,7 +461,8 @@ def test_x_form_trajectories_read_k_off_its_diagonal(spec, t_max, dt, monkeypatc
 
 def _diagonal_forms(specs, rng):
     """Bloch forms with diagonal K: trajectories of `specs` at 0, 3 mT and 0.1 T on the 20 ns grid, their
-    starts, and single Bell-diagonal states with a real inner coherence, some with |b| = a."""
+    starts, and single Bell-diagonal states with a real inner coherence, some with |b| = a, each of those
+    also with -0.0 below T's diagonal, so that T and T^T differ in the sign of their zeros."""
     forms = []
     for spec in specs:
         for b_field in (0.0, 0.003, 0.1):
@@ -419,7 +471,10 @@ def _diagonal_forms(specs, rng):
         forms.append(q.bloch_decompose(traj.state0))
     for a in rng.uniform(0.0, 0.5, 40):
         for b in (a * rng.uniform(-1.0, 1.0), a, -a):
-            forms.append(q.bloch_decompose(q.make_state(q.BellDiagonal(a, b))))
+            form = q.bloch_decompose(q.make_state(q.BellDiagonal(a, b)))
+            signed = form.t_corr.copy()
+            signed[[1, 2, 2], [0, 0, 1]] = -0.0
+            forms += [form, q.BlochForm(form.x, form.y, signed)]
     return forms
 
 
@@ -431,7 +486,7 @@ def test_diagonal_k_read_equals_eigh_of_the_built_k(rng):
         assert np.array_equal(eig.a, oracle.a)
         lower = measures._lower_bound(eig.a)
         assert np.array_equal(lower, measures._lower_bound(oracle.a))
-        assert np.array_equal(measures._upper_bound(form, eig, lower), measures._upper_bound(form, oracle, lower))
+        assert np.array_equal(measures._upper_bound(eig, lower), measures._upper_bound(oracle, lower))
 
 
 def test_unit_vector_candidates_equal_an_identity_eigenbasis(rng):
@@ -444,7 +499,7 @@ def test_unit_vector_candidates_equal_an_identity_eigenbasis(rng):
         tied += np.count_nonzero(((eig.w.max(axis=-1, keepdims=True) - eig.w) < measures.TOP_CLUSTER_GAP).sum(-1) > 1)
         eye = eig._replace(v=np.broadcast_to(np.eye(3), eig.w.shape + (3,)))
         lower = measures._lower_bound(eig.a)
-        assert np.array_equal(measures._upper_bound(form, eig, lower), measures._upper_bound(form, eye, lower))
+        assert np.array_equal(measures._upper_bound(eig, lower), measures._upper_bound(eye, lower))
     assert tied >= 10
 
 
@@ -485,5 +540,5 @@ def test_gram_correction_is_zero_for_a_zero_vector(rng):
         for side_terms in ([tiny, 1.0], [1.0, tiny]):
             side_a = np.repeat(np.array(side_terms)[:, None], n, axis=1)
             with np.errstate(all="raise"):
-                upper = measures._upper_bound(form, eig._replace(a=side_a), np.zeros(n))
+                upper = measures._upper_bound(eig._replace(a=side_a), np.zeros(n))
             assert np.all(upper == 0.25 * tiny)
