@@ -439,7 +439,7 @@ CHECKS = [
 ]
 
 
-def run_checks(only: list[int] | None = None, echo: bool = True) -> list[CheckResult]:
+def run_checks(only: list[int] | None = None) -> list[CheckResult]:
     cache = RunCache()
     results = []
     for idx, fn in enumerate(CHECKS, start=1):
@@ -447,6 +447,5 @@ def run_checks(only: list[int] | None = None, echo: bool = True) -> list[CheckRe
             continue
         result = fn(cache)
         results.append(result)
-        if echo:
-            print(f"{'PASS' if result.passed else 'FAIL'} {idx:2d} {result.name}: {result.detail}")
+        print(f"{'PASS' if result.passed else 'FAIL'} {idx:2d} {result.name}: {result.detail}")
     return results

@@ -431,8 +431,8 @@ def build_quadrature(
     whose window covers the interference decay.  The candidate reads only
     its two Gauss rules, each computed once per count and process; the
     model's grid comes from `_node_grid`, whose kept nodes are selected
-    once per count pair.  Both are scaled by the dot here, once for a model
-    on the candidate's counts, and the Laguerre-overflow check runs on
+    once per count pair.  Each is scaled by the dot here, the model's grid
+    even on the candidate's counts, and the Laguerre-overflow check runs on
     every model.  Counts must be integers; a grid of more than
     MAX_QUADRATURE_NODES nodes, the candidate too, is refused before its
     nodes are computed, and so is a candidate past MAX_HERMITE_NODES.
@@ -470,16 +470,14 @@ def build_quadrature(
             raise QuadratureResolutionError("all q_nodes must be positive")
         return m_nodes, q_nodes, _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
 
-    rule = candidate = None
     if n_m is None or n_q is None:
         n_phase = math.ceil(8.0 * sigma * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
         rule = max(FAST_NODES, n_phase), FAST_NODES
         # the candidate reads its two rules, not a node grid; one past the m axis's limit is not built:
         # the fallback, with as many m nodes, is refused too
-        if rule[0] <= MAX_HERMITE_NODES:
-            candidate = scaled(*_hermite_rule(rule[0]), *_laguerre_rule(rule[1]))
-        if candidate is None or not candidate[-1] >= t_max_ns:
-            rule, candidate = (max(MIN_M_NODES, n_phase), MIN_Q_NODES), None
+        if not (rule[0] <= MAX_HERMITE_NODES
+                and scaled(*_hermite_rule(rule[0]), *_laguerre_rule(rule[1]))[-1] >= t_max_ns):
+            rule = max(MIN_M_NODES, n_phase), MIN_Q_NODES
         n_m = rule[0] if n_m is None else n_m
         n_q = rule[1] if n_q is None else n_q
     if n_m * n_q > MAX_QUADRATURE_NODES:
@@ -492,8 +490,7 @@ def build_quadrature(
     if n_m < 3 or n_q < 3:
         raise QuadratureResolutionError(f"node counts too small: m={n_m}, q={n_q}")
     grid = _node_grid(n_m, n_q)
-    # a model on the candidate's counts reads the same rule arrays: its scaled nodes and cutoff are the candidate's
-    m_nodes, q_nodes, cutoff = candidate if candidate is not None and (n_m, n_q) == rule else scaled(*grid[:4])
+    m_nodes, q_nodes, cutoff = scaled(*grid[:4])
     return BathQuadrature(dot, (n_m, n_q), float(t_max_ns),
                           *_families(dot, m_nodes[grid.kept_m], q_nodes[grid.kept_q], grid.kept_weight), cutoff)
 

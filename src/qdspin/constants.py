@@ -7,6 +7,7 @@ as (energy / hbar) * time with hbar in ueV*ns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 HBAR_UEV_NS = 0.6582119569       # reduced Planck constant, ueV * ns
@@ -28,6 +29,11 @@ class ValidityWindowError(QdspinError, ValueError):
 
 class NumericalDomainError(QdspinError, ArithmeticError):
     """A numerical input left the mathematically allowed domain."""
+
+
+def _is_real(value) -> bool:
+    """An int or float, not a bool, inside the finite float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,15 @@ class DotParameters:
     g_factor: float = G_FACTOR_GAAS
 
     def __post_init__(self) -> None:
+        for name in ("a_total", "n_nuclei", "i_nuclear", "b_field", "g_factor"):
+            if not _is_real(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.a_total > 0.0:
             raise InvalidParameterError(f"a_total must be positive, got {self.a_total}")
         if not self.n_nuclei >= 1.0:
             raise InvalidParameterError(f"n_nuclei must be >= 1, got {self.n_nuclei}")
         two_i = 2.0 * self.i_nuclear
-        # NaN, inf and an I whose 2I overflows fail before `round`, which cannot take them
+        # an I whose 2I overflows fails before `round`, which cannot take it
         if not (self.i_nuclear > 0.0 and math.isfinite(two_i)) or abs(two_i - round(two_i)) > 1e-9:
             raise InvalidParameterError(
                 f"i_nuclear must be a positive half-integer, got {self.i_nuclear}"
@@ -65,8 +74,6 @@ class DotParameters:
         if not math.isfinite(self.n_nuclei * self.i_nuclear * (self.i_nuclear + 1.0) / 3.0):
             raise InvalidParameterError(f"n_nuclei={self.n_nuclei:g} and i_nuclear={self.i_nuclear:g} give "
                                         "a bath polarization variance N*I(I+1)/3 that overflows")
-        if not math.isfinite(self.b_field):
-            raise InvalidParameterError(f"b_field must be finite, got {self.b_field}")
         if not self.g_factor > 0.0:
             raise InvalidParameterError(f"g_factor must be positive, got {self.g_factor}")
         half_splitting = 0.5 * self.zeeman_energy

@@ -21,7 +21,7 @@ from qdspin.states import Bell
 
 @pytest.fixture(scope="session")
 def acceptance_results():
-    results = run_checks(echo=True)
+    results = run_checks()
     return {r.index: r for r in results}
 
 
@@ -62,9 +62,9 @@ def test_criterion_12(acceptance_results):
 
 def test_physicality_audit_covers_its_own_runs():
     # check 14 evolves its own trajectories and audits only its own call's runs
-    alone = run_checks(only=[14], echo=False)[0]
-    run_checks(only=[2], echo=False)
-    again = run_checks(only=[14], echo=False)[0]
+    alone = run_checks(only=[14])[0]
+    run_checks(only=[2])
+    again = run_checks(only=[14])[0]
     found = re.search(r"min evolved eigenvalue=(\S+) \(>=-1e-8\) over (\d+) trajectories", alone.detail)
     assert found, alone.detail
     assert math.isfinite(float(found[1])) and int(found[2]) >= 8
@@ -101,5 +101,5 @@ def test_check_7_fails_once_the_closed_form_moves_past_its_gate(shift, passed, m
     # by 4.4e-6 moves the compared value by 1.1e-6, past the gate, and a shift of 3.6e-6 by 0.9e-6, inside it
     real = acceptance._k_eigh
     monkeypatch.setattr(acceptance, "_k_eigh", lambda form: real(form)._replace(a=real(form).a + shift))
-    (result,) = run_checks(only=[7], echo=False)
+    (result,) = run_checks(only=[7])
     assert result.passed is passed, result.detail

@@ -194,11 +194,11 @@ def bath_nodes(dot, counts):
 
 @pytest.mark.parametrize("b_field,t_max,counts", [(0.1, 20.0, (32, 32)), (0.001, 2000.0, (294, 64)),
                                                   (0.1, 200.0, (257, 64))])
-def test_rule_model_reuses_its_candidate_and_keeps_the_bits(b_field, t_max, counts, monkeypatch):
-    # the rule's candidate reads its two Gauss rules and selects no kept nodes: a model on its counts
-    # (32 x 32 at 20 ns) reads both rules again and takes the candidate's scaled nodes and cutoff, the
-    # 294 x 64 model at 2000 ns its 294-node Hermite rule, and the 257 x 64 model at 200 ns neither rule
-    # of the 32 x 32 candidate; those two scale their own grid after the candidate's
+def test_rule_model_scales_its_own_grid_and_keeps_the_bits(b_field, t_max, counts, monkeypatch):
+    # the rule's candidate reads its two Gauss rules and selects no kept nodes; the model scales its own
+    # grid after the candidate's, which on the candidate's counts (32 x 32 at 20 ns) reads both rules
+    # again, the 294 x 64 model at 2000 ns its 294-node Hermite rule, and the 257 x 64 model at 200 ns
+    # neither rule of the 32 x 32 candidate
     dot = q.DotParameters(b_field=b_field)
     explicit = q.build_quadrature(dot, t_max, m_count=counts[0], q_count=counts[1])
     for memo in (_node_grid, _hermite_rule, _laguerre_rule):
@@ -207,7 +207,7 @@ def test_rule_model_reuses_its_candidate_and_keeps_the_bits(b_field, t_max, coun
     monkeypatch.setattr(q.channel, "_fast_term_cutoff",
                         lambda *args: cutoffs.append(args[1].size) or _fast_term_cutoff(*args))
     quad = q.build_quadrature(dot, t_max)
-    assert cutoffs == {20.0: [32], 2000.0: [294, 294], 200.0: [32, 257]}[t_max]
+    assert cutoffs == {20.0: [32, 32], 2000.0: [294, 294], 200.0: [32, 257]}[t_max]
     assert quad.node_counts == explicit.node_counts == counts
     info = _node_grid.cache_info()
     assert (info.misses, info.hits) == (1, 0)

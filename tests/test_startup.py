@@ -103,3 +103,21 @@ assert "concurrent.futures.process" in sys.modules
 config.workers = 1
 assert pooled == [r["M"] for r in run_sweep(config).rows], pooled
 """)
+
+
+def test_m_sweep_evolve_and_verify_load_no_scipy(tmp_path):
+    # scipy importable, as in a normal run: a command that imports it, even behind a guard, shows here
+    snapshots = _fresh(f"""
+import contextlib, io
+from qdspin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["sweep", "--metric", "M", "--b", "0.01,0.02", "--out", {str(tmp_path / "m.csv")!r}]) == 0
+{LOADED}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--out", {str(tmp_path / "t.csv")!r}]) == 0
+{LOADED}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--only", "1,7"]) == 0
+{LOADED}
+""")
+    assert snapshots == [[], [], []]
