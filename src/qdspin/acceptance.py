@@ -47,10 +47,13 @@ T2STAR_FIT_PASSES = 50  # Gauss-Newton passes before check 1's fit is refused (i
 
 @dataclass
 class CheckResult:
-    index: int
+    index: int   # the check's position in CHECKS, from 1
     name: str
     passed: bool
     detail: str
+
+
+Verdict = tuple[str, bool, str]  # what a check returns: its name, whether it passed, its measured values
 
 
 @dataclass
@@ -100,14 +103,14 @@ def _random_unitary(rng, n=2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_1_t2star(cache: RunCache) -> CheckResult:
+def check_1_t2star(cache: RunCache) -> Verdict:
     start = time.monotonic()
     t2 = fitted_t2star(cache)
     p_max = float(cache.channel(5.0, 25.0).p.max())
     wall = time.monotonic() - start
     ok = 12.0 <= t2 <= 12.7 and p_max < 1e-4 and wall < 60.0
-    return CheckResult(
-        1, "t2star_dephasing", ok,
+    return (
+        "t2star_dephasing", ok,
         f"fitted T2*={t2:.4f} ns (band [12.0, 12.7]); max p={p_max:.2e} (<1e-4); {wall:.1f}s",
     )
 
@@ -132,7 +135,7 @@ def fitted_t2star(cache: RunCache) -> float:
     raise NumericalDomainError(f"the T2* fit did not converge in {T2STAR_FIT_PASSES} Gauss-Newton passes")
 
 
-def check_2_kink_position(cache: RunCache) -> CheckResult:
+def check_2_kink_position(cache: RunCache) -> Verdict:
     tr = cache.traj(BellDiagonal(0.4, 0.4), 0.1, 20.0)
     kinks = find_g_crossings(tr.times, tr.g, tr.g_on)
     analytic = fitted_t2star(cache) * math.sqrt(math.log(4.0 / 3.0) / 2.0)
@@ -142,10 +145,10 @@ def check_2_kink_position(cache: RunCache) -> CheckResult:
         t_k = kinks[0].t_cross_ns
         ok = ok and abs(t_k - analytic) < 0.1
         detail += f" at t={t_k:.4f} ns (target 4.67 +- 0.2); analytic estimate {analytic:.4f} (|diff|<0.1)"
-    return CheckResult(2, "kink_position", ok, detail)
+    return "kink_position", ok, detail
 
 
-def check_3_bell_no_kinks(cache: RunCache) -> CheckResult:
+def check_3_bell_no_kinks(cache: RunCache) -> Verdict:
     worst_g = -math.inf
     n_kinks = 0
     for b in (0.0, 0.011, 0.0165, 1.0):
@@ -154,13 +157,13 @@ def check_3_bell_no_kinks(cache: RunCache) -> CheckResult:
         finite = np.isfinite(tr.g)
         worst_g = max(worst_g, float(tr.g[finite].max()))
     ok = n_kinks == 0 and worst_g <= 1.0 + 1e-6
-    return CheckResult(
-        3, "bell_no_kinks", ok,
+    return (
+        "bell_no_kinks", ok,
         f"crossings={n_kinks} (need 0); max g={worst_g:.12f} (<=1+1e-6) over B in {{0, 11 mT, 16.5 mT, 1 T}}",
     )
 
 
-def check_4_zero_field_werner_law(cache: RunCache) -> CheckResult:
+def check_4_zero_field_werner_law(cache: RunCache) -> Verdict:
     tr = cache.traj(Bell("psi-"), 0.0, 50.0)
     dev_g = float(np.abs(tr.g - 1.0).max())
     w = tr.st_weights
@@ -170,13 +173,13 @@ def check_4_zero_field_werner_law(cache: RunCache) -> CheckResult:
         float(np.abs(w[:, 0] - w[:, 2]).max()),
     )
     ok = dev_g < 1e-3 and dev_w < 1e-3
-    return CheckResult(
-        4, "zero_field_werner_law", ok,
+    return (
+        "zero_field_werner_law", ok,
         f"max|g-1|={dev_g:.2e} (<1e-3); max triplet-weight spread={dev_w:.2e} (<1e-3) for t<=50 ns",
     )
 
 
-def check_5_positive_field_regime(cache: RunCache) -> CheckResult:
+def check_5_positive_field_regime(cache: RunCache) -> Verdict:
     margins = []
     for bmt in (0.5, 1.5, 5.0):
         tr = cache.traj(Bell("psi-"), bmt * 1e-3, 20.0)
@@ -184,10 +187,10 @@ def check_5_positive_field_regime(cache: RunCache) -> CheckResult:
         margins.append((bmt, float((1.0 - tr.g[mask]).min())))
     ok = all(m > 0.0 for _, m in margins)
     txt = ", ".join(f"{b} mT: {m:.2e}" for b, m in margins)
-    return CheckResult(5, "positive_field_regime", ok, f"min (1-g) margins for t>0.1 ns: {txt}")
+    return "positive_field_regime", ok, f"min (1-g) margins for t>0.1 ns: {txt}"
 
 
-def check_6_discord_anchors(cache: RunCache) -> CheckResult:
+def check_6_discord_anchors(cache: RunCache) -> Verdict:
     rng = np.random.default_rng(20140609)
     ent = [make_state(EntFamily(a=0.5 * rng.uniform(), alpha=rng.uniform(0, 2 * np.pi),
                                 beta=rng.uniform(0, 2 * np.pi))).rho for _ in range(100)]
@@ -247,8 +250,8 @@ def check_6_discord_anchors(cache: RunCache) -> CheckResult:
     worst_order = max(0.0, float(np.max(bnds.ds_lower - bnds.ds_upper)))
 
     ok = worst_ent <= 1e-10 and worst_gap < 1e-9 and worst_x_excess < 1e-9 and worst_order <= 1e-10
-    return CheckResult(
-        6, "discord_value_anchors", ok,
+    return (
+        "discord_value_anchors", ok,
         f"max|ds-1/2| on 100 entangled-family states={worst_ent:.1e} (<=1e-10); "
         f"max bound gap on coincidence classes={worst_gap:.1e} (<1e-9); "
         f"max general-X gap above the intrinsic min(x3,y3)^2/4 ceiling={worst_x_excess:.1e} (<1e-9); "
@@ -256,19 +259,19 @@ def check_6_discord_anchors(cache: RunCache) -> CheckResult:
     )
 
 
-def check_7_oracle_equivalence(cache: RunCache) -> CheckResult:
+def check_7_oracle_equivalence(cache: RunCache) -> Verdict:
     rng = np.random.default_rng(1369)
     rho = np.array([_random_rho(rng) for _ in range(100)])
     closed = 0.25 * _k_eigh(bloch_decompose(rho)).a[0]  # side A of the bound `discord_bounds` runs
     worst = float(np.abs(oracle_one_sided_discord(rho, grid_resolution=18) - closed).max())
     ok = worst < 1e-6
-    return CheckResult(
-        7, "oracle_equivalence", ok,
+    return (
+        "oracle_equivalence", ok,
         f"max |pinching-minimization - closed form| over 100 random states = {worst:.2e} (<1e-6)",
     )
 
 
-def check_8_werner_scheme_invariance(cache: RunCache) -> CheckResult:
+def check_8_werner_scheme_invariance(cache: RunCache) -> Verdict:
     series = [cache.traj(Werner(p), 1.5e-3, 20.0).g for p in (0.1, 1.0 / 3.0, 1.0)]
     dev = max(
         float(np.abs(series[0] - series[1]).max()),
@@ -277,14 +280,14 @@ def check_8_werner_scheme_invariance(cache: RunCache) -> CheckResult:
     )
     conc = concurrence(make_state(Werner(1.0 / 3.0)))
     ok = dev <= 1e-10 and conc <= 1e-8
-    return CheckResult(
-        8, "werner_scheme_invariance", ok,
+    return (
+        "werner_scheme_invariance", ok,
         f"max g-series deviation over p in {{0.1, 1/3, 1}} at 1.5 mT = {dev:.1e} (<=1e-10); "
         f"concurrence(p=1/3) = {conc:.1e} (<=1e-8)",
     )
 
 
-def check_9_m_of_b_monotonic(cache: RunCache) -> CheckResult:
+def check_9_m_of_b_monotonic(cache: RunCache) -> Verdict:
     # the M column of `run_sweep` at the default window, on the cache's runs so that check 14 audits them
     start = time.monotonic()
     b_fields = np.linspace(0.0, 0.1, 21).tolist()
@@ -292,13 +295,13 @@ def check_9_m_of_b_monotonic(cache: RunCache) -> CheckResult:
     wall = time.monotonic() - start
     increasing = bool(np.all(np.diff(ms) > 0.0))
     ok = increasing and wall < 600.0
-    return CheckResult(
-        9, "m_of_b_monotonic", ok,
+    return (
+        "m_of_b_monotonic", ok,
         f"M from {ms[0]:.4f} to {ms[-1]:.4f} ns over 0-100 mT, strictly increasing={increasing}; {wall:.0f}s (<600)",
     )
 
 
-def check_10_g_extrema_calibration(cache: RunCache) -> CheckResult:
+def check_10_g_extrema_calibration(cache: RunCache) -> Verdict:
     b_fields = np.linspace(0.25e-3, 5e-3, 20)
     rows = []
     for b in b_fields:
@@ -307,7 +310,7 @@ def check_10_g_extrema_calibration(cache: RunCache) -> CheckResult:
         rows.append((b, g_min, g_max))
     have_all = all(r[1] is not None and r[2] is not None for r in rows)
     if not have_all:
-        return CheckResult(10, "g_extrema_calibration", False, "missing extrema at some fields")
+        return "g_extrema_calibration", False, "missing extrema at some fields"
     max_vals = [r[2].value for r in rows]
     min_times = [r[1].t_ns for r in rows]
     max_times = [r[2].t_ns for r in rows]
@@ -315,8 +318,8 @@ def check_10_g_extrema_calibration(cache: RunCache) -> CheckResult:
     s_min = _spread(min_times)
     s_max = _spread(max_times)
     ok = decreasing and s_min < 0.10 and s_max < 0.10
-    return CheckResult(
-        10, "g_extrema_calibration", ok,
+    return (
+        "g_extrema_calibration", ok,
         f"g-max value {max_vals[0]:.4f}->{max_vals[-1]:.4f} strictly decreasing={decreasing}; "
         f"min-time spread={s_min:.1%} (<10%); max-time spread={s_max:.1%} (<10%, "
         f"times {min(max_times):.1f}->{max(max_times):.1f} ns)",
@@ -332,7 +335,7 @@ def _revival(tr) -> tuple[bool, str]:
     )
 
 
-def check_11_low_field_revival(cache: RunCache) -> CheckResult:
+def check_11_low_field_revival(cache: RunCache) -> Verdict:
     parts = []
     ok = True
     for b in (0.0, 0.003):
@@ -342,10 +345,10 @@ def check_11_low_field_revival(cache: RunCache) -> CheckResult:
     has_1t, txt = _revival(cache.traj(Bell("psi-"), 1.0, 12000.0))
     ok = ok and not has_1t
     parts.append(f"B=1 T: revival={has_1t} (must be False; {txt})")
-    return CheckResult(11, "low_field_revival", ok, "; ".join(parts))
+    return "low_field_revival", ok, "; ".join(parts)
 
 
-def check_12_esd_contrast(cache: RunCache) -> CheckResult:
+def check_12_esd_contrast(cache: RunCache) -> Verdict:
     t_esd = {}
     for b in (0.011, 0.0165):
         tr = cache.traj(Bell("psi-"), b, 20.0)
@@ -361,14 +364,14 @@ def check_12_esd_contrast(cache: RunCache) -> CheckResult:
     else:
         ok = False
         detail = f"ESD times not both finite within 20 ns: {t_esd}"
-    return CheckResult(12, "esd_contrast", ok, detail)
+    return "esd_contrast", ok, detail
 
 
 def _normalized_ds(tr) -> np.ndarray:
     return 0.5 * tr.ds_lower / tr.ds_lower[0]
 
 
-def check_13_phase_sensitivity(cache: RunCache) -> CheckResult:
+def check_13_phase_sensitivity(cache: RunCache) -> Verdict:
     diffs = {}
     for b in (0.0165, 0.0):
         n_pi = _normalized_ds(cache.traj(PhaseFamily(math.pi), b, 20.0))
@@ -386,21 +389,21 @@ def check_13_phase_sensitivity(cache: RunCache) -> CheckResult:
         and math.isfinite(onset_1t)
         and onset_1t < onset_0
     )
-    return CheckResult(
-        13, "phase_sensitivity", ok,
+    return (
+        "phase_sensitivity", ok,
         f"normalized-trajectory sup diff: {diffs[0.0165]:.1%} at 16.5 mT (>5%), {diffs[0.0]:.2%} at B=0 (<1%); "
         f"bound-separation onset for e^(i*gamma)=(-1+i)/sqrt(2): {onset_1t:.2f} ns at 1 T < {onset_0} at B=0",
     )
 
 
-def check_14_physicality_suite(cache: RunCache) -> CheckResult:
+def check_14_physicality_suite(cache: RunCache) -> Verdict:
     # cover the field/grid set of the other checks, then audit every run of this call
     for b in (0.0, 0.0005, 0.0015, 0.005, 0.011, 0.0165, 0.1, 1.0):
         cache.traj(Bell("psi-"), b, 20.0)
     worst_double = 0.0
     for b in (0.0, 0.0015, 0.1, 5.0):
         base = cache.channel(b, 20.0)
-        doubled = build_quadrature(base.dot, 20.0, m_count=2 * base.m_count, q_count=2 * base.q_count)
+        doubled = build_quadrature(base.dot, 20.0, (2 * base.m_count, 2 * base.q_count))
         dbl = compute_channel(doubled, base.times)
         worst_double = max(
             worst_double, float(np.abs(base.p - dbl.p).max()), float(np.abs(base.c - dbl.c).max())
@@ -413,8 +416,8 @@ def check_14_physicality_suite(cache: RunCache) -> CheckResult:
         """-tol as the line prints it: -1e-9, not :g's -1e-09."""
         return f"{-tol:.0e}".replace("e-0", "e-")
 
-    return CheckResult(
-        14, "physicality_suite", ok,
+    return (
+        "physicality_suite", ok,
         f"worst CP margin={worst_cp:.1e} (>={bound(CP_MARGIN_TOL)}) over {len(cache.channels)} channels; "
         f"min evolved eigenvalue={worst_eig:.1e} (>={bound(EVOLVED_PSD_TOL)}) over {len(cache.min_eigenvalues)} trajectories; "
         f"node-doubling sup change={worst_double:.1e} (<1e-6)",
@@ -445,7 +448,7 @@ def run_checks(only: list[int] | None = None) -> list[CheckResult]:
     for idx, fn in enumerate(CHECKS, start=1):
         if only is not None and idx not in only:
             continue
-        result = fn(cache)
+        result = CheckResult(idx, *fn(cache))
         results.append(result)
         print(f"{'PASS' if result.passed else 'FAIL'} {idx:2d} {result.name}: {result.detail}")
     return results

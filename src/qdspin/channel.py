@@ -82,7 +82,7 @@ candidate shares its m count, computes its Gauss-Hermite rule once.
 `build_quadrature` scales the nodes by the dot, and runs the node
 overflow and positivity checks, on every model.  Whole channels are
 kept one level up, by `magnetometry.channel_for_field`, keyed on the
-dot, grid and node counts.
+dot and grid.
 
 One flat node list: the kept nodes (m, Q, weight) go in raveled order to
 `_families`, which any node set can feed.  tests/test_finite_bath.py feeds
@@ -209,10 +209,7 @@ class BathQuadrature:
 
     def __post_init__(self) -> None:
         # every channel computed on the model, and every g_on call, reads these: they are never written
-        for family in (self.p, self.slow, self.fast):
-            for a in family:
-                if a is not None:
-                    a.setflags(write=False)
+        _read_only(*(a for family in (self.p, self.slow, self.fast) for a in family if a is not None))
 
 
 class NodeGrid(NamedTuple):
@@ -416,14 +413,14 @@ def _families(dot: DotParameters, m: np.ndarray, q: np.ndarray, w: np.ndarray) -
 def build_quadrature(
     dot: DotParameters,
     t_max_ns: float,
-    m_count: int | None = None,
-    q_count: int | None = None,
+    node_counts: tuple[int, int] | None = None,
 ) -> BathQuadrature:
     """Channel model of `dot`: Gauss-Hermite x Gauss-Laguerre nodes sized for t_max
     and their frequency families, computed once for every channel call on the model.
 
-    A count not given comes from the node rule.  n_m must at least resolve
-    the e^{-i alpha m t / hbar} phase at t_max (8 nodes per 2 pi of the
+    The (n_m, n_q) counts come from the node rule unless a caller gives
+    both as `node_counts`.  n_m must at least resolve the
+    e^{-i alpha m t / hbar} phase at t_max (8 nodes per 2 pi of the
     Gauss-Hermite phase range).  The rule's candidate is FAST_NODES x
     FAST_NODES (n_m raised to that phase term if larger), taken if its own
     fast-term cutoff reaches t_max, so the slow branch never runs; otherwise
@@ -433,16 +430,18 @@ def build_quadrature(
     model's grid comes from `_node_grid`, whose kept nodes are selected
     once per count pair.  Each is scaled by the dot here, the model's grid
     even on the candidate's counts, and the Laguerre-overflow check runs on
-    every model.  Counts must be integers; a grid of more than
-    MAX_QUADRATURE_NODES nodes, the candidate too, is refused before its
-    nodes are computed, and so is a candidate past MAX_HERMITE_NODES.
+    every model.  Given counts must be two integers of at least 3; a grid
+    of more than MAX_QUADRATURE_NODES nodes, the candidate too, is refused
+    before its nodes are computed, and so is a candidate past
+    MAX_HERMITE_NODES.
     """
     if not t_max_ns >= 0.0:   # NaN too
         raise ValidityWindowError(f"t_max must be nonnegative, got {t_max_ns}")
-    for name, count in (("m_count", m_count), ("q_count", q_count)):
-        if count is not None and (isinstance(count, bool) or not isinstance(count, numbers.Integral)):
-            raise InvalidParameterError(f"{name} must be an integer, got {count!r}")
-    n_m, n_q = (count if count is None else int(count) for count in (m_count, q_count))
+    if node_counts is not None:
+        if not (isinstance(node_counts, (tuple, list)) and len(node_counts) == 2 and all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in node_counts)):
+            raise InvalidParameterError(f"node_counts must be a pair of integers, got {node_counts!r}")
+        n_m, n_q = map(int, node_counts)
     window = VALIDITY_GRACE * dot.validity_window_ns
     if t_max_ns > window:
         raise ValidityWindowError(
@@ -470,16 +469,13 @@ def build_quadrature(
             raise QuadratureResolutionError("all q_nodes must be positive")
         return m_nodes, q_nodes, _fast_term_cutoff(dot, m_nodes, m_weights, q_nodes, q_weights)
 
-    if n_m is None or n_q is None:
+    if node_counts is None:
         n_phase = math.ceil(8.0 * sigma * dot.alpha * t_max_ns / (2.0 * math.pi * HBAR_UEV_NS))
-        rule = max(FAST_NODES, n_phase), FAST_NODES
+        n_m, n_q = max(FAST_NODES, n_phase), FAST_NODES
         # the candidate reads its two rules, not a node grid; one past the m axis's limit is not built:
         # the fallback, with as many m nodes, is refused too
-        if not (rule[0] <= MAX_HERMITE_NODES
-                and scaled(*_hermite_rule(rule[0]), *_laguerre_rule(rule[1]))[-1] >= t_max_ns):
-            rule = max(MIN_M_NODES, n_phase), MIN_Q_NODES
-        n_m = rule[0] if n_m is None else n_m
-        n_q = rule[1] if n_q is None else n_q
+        if not (n_m <= MAX_HERMITE_NODES and scaled(*_hermite_rule(n_m), *_laguerre_rule(n_q))[-1] >= t_max_ns):
+            n_m, n_q = max(MIN_M_NODES, n_phase), MIN_Q_NODES
     if n_m * n_q > MAX_QUADRATURE_NODES:
         def count(n: int) -> str:
             return f"{n:.3g}" if n > MAX_QUADRATURE_NODES else str(n)
@@ -751,7 +747,8 @@ def compute_channel(quad: BathQuadrature, times: np.ndarray) -> ChannelTrajector
     if needs_slow and cutoff < 5.0 * dot.dephasing_time_ns:
         raise QuadratureResolutionError(
             f"fast-term window {cutoff:.1f} ns does not cover the interference decay "
-            f"(~5 dephasing times = {5.0 * dot.dephasing_time_ns:.1f} ns); raise the node counts"
+            f"(~5 dephasing times = {5.0 * dot.dephasing_time_ns:.1f} ns); "
+            "raise build_quadrature's node_counts"
         )
 
     p_out = np.empty(times.size)

@@ -80,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n-nuclei", type=float, dest="n_nuclei", help="nuclei per dot")
     common.add_argument("--i-nuclear", type=float, dest="i_nuclear", help="nuclear spin quantum number")
     common.add_argument("--g-factor", type=float, dest="g_factor", help="|g| of the electron")
-    common.add_argument("--m-nodes", type=int, dest="m_nodes", help="polarization quadrature nodes")
-    common.add_argument("--q-nodes", type=int, dest="q_nodes", help="transverse-invariant quadrature nodes")
     common.add_argument("--tmax", type=float, dest="t_max", help="evolution time, ns")
     common.add_argument("--dt", type=float, help="grid step, ns")
     common.add_argument("--out", help="output CSV path")

@@ -50,7 +50,7 @@ def _is_int(value) -> bool:
 
 # the RunConfig fields each command applies and echoes; its file may also set `out` (and a sweep's `workers`),
 # which changes no output byte
-_RUN_FIELDS = ("a_total", "n_nuclei", "i_nuclear", "g_factor", "state", "b_fields", "t_max", "dt", "m_nodes", "q_nodes")
+_RUN_FIELDS = ("a_total", "n_nuclei", "i_nuclear", "g_factor", "state", "b_fields", "t_max", "dt")
 COMMAND_FIELDS = {
     "evolve": (*_RUN_FIELDS, "normalize"),
     "sweep": (*_RUN_FIELDS, "metric", "m_window", "longtime_window"),
@@ -65,7 +65,8 @@ class RunConfig:
 
     The material defaults are `DotParameters`' own, and `build_time_grid`
     takes its default step from here, so each is written once; the long
-    grid's layout is `build_time_grid`'s own constants.
+    grid's layout is `build_time_grid`'s own constants, and the node
+    counts are `build_quadrature`'s node rule.
     """
 
     a_total: float = DotParameters.a_total
@@ -76,8 +77,6 @@ class RunConfig:
     b_fields: list[float] = field(default_factory=lambda: [0.0])
     t_max: float = 20.0
     dt: float = 0.02
-    m_nodes: int | None = None
-    q_nodes: int | None = None
     normalize: str = "none"
     m_window: list[float] = field(default_factory=lambda: list(DEFAULT_M_WINDOW))
     longtime_window: list[float] = field(default_factory=lambda: list(DEFAULT_LONGTIME_WINDOW))
@@ -100,9 +99,6 @@ class RunConfig:
             require(isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
                     and 0 <= value[0] < value[1],
                     name, "a [start, stop] pair of finite numbers with 0 <= start < stop")
-        for name in ("m_nodes", "q_nodes"):
-            value = getattr(self, name)
-            require(value is None or (_is_int(value) and value >= 3), name, "an integer of at least 3, or null")
         require(self.workers is None or (_is_int(self.workers) and self.workers >= 1),
                 "workers", "a positive integer or null")
         require(isinstance(self.state, str), "state", "a state spec string")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelTrajectory, build_quadrature, compute_channel
+from .channel import ChannelTrajectory, _read_only, build_quadrature, compute_channel
 from .config import (
     DEFAULT_LONGTIME_WINDOW,
     DEFAULT_M_WINDOW,
@@ -193,24 +193,19 @@ def channel_for_field(config: RunConfig, b_field: float) -> ChannelTrajectory:
     The channel carries its model, sized from the grid's last time, which
     can lie up to half a dense step past t_max; `evolve`, `sweep`, `verify` and the scripts
     all take this one road from a run description to a channel.  It depends
-    on the dot, t_max, dt and the node counts only, never on the start
-    state, so a process computes it once per key and keeps the last
-    CHANNEL_MEMO_SIZE (`_channel_memo`); the shared channel's arrays are
-    read-only.
+    on the dot, t_max and dt only, never on the start state, so a process
+    computes it once per key and keeps the last CHANNEL_MEMO_SIZE
+    (`_channel_memo`); the shared channel's arrays are read-only.
     """
-    return _channel_memo(config.dot(b_field), config.t_max, config.dt, config.m_nodes, config.q_nodes,
-                         float(b_field).hex())
+    return _channel_memo(config.dot(b_field), config.t_max, config.dt, float(b_field).hex())
 
 
 @functools.lru_cache(maxsize=CHANNEL_MEMO_SIZE)
-def _channel_memo(dot: DotParameters, t_max: float, dt: float, m_nodes: int | None, q_nodes: int | None,
-                  b_bits: str) -> ChannelTrajectory:
+def _channel_memo(dot: DotParameters, t_max: float, dt: float, b_bits: str) -> ChannelTrajectory:
     """The channel of `channel_for_field`; the field's exact bits keep -0.0 apart from 0.0, which the dot equates."""
     times = build_time_grid(t_max, dt)
-    quad = build_quadrature(dot, float(times.max()), m_count=m_nodes, q_count=q_nodes)
-    chan = compute_channel(quad, times)
-    for a in (chan.times, chan.p, chan.c):
-        a.setflags(write=False)
+    chan = compute_channel(build_quadrature(dot, float(times.max())), times)
+    _read_only(chan.times, chan.p, chan.c)
     return chan
 
 

@@ -71,6 +71,14 @@ def test_physicality_audit_covers_its_own_runs():
     assert alone.passed and again == alone
 
 
+def test_check_number_is_its_position_in_checks(monkeypatch, capsys):
+    # the number a check prints and the one its result stores are both its position in CHECKS
+    monkeypatch.setattr(acceptance, "CHECKS", [acceptance.check_5_positive_field_regime])
+    (result,) = run_checks()
+    assert (result.index, result.name) == (1, "positive_field_regime")
+    assert capsys.readouterr().out.startswith("PASS  1 positive_field_regime: ")
+
+
 def test_check_3_trajectories_never_evaluate_g_off_the_grid():
     # no g = 1 crossing, no refinement: check 3 and kink-free sweeps pay nothing for it
     def forbidden(t):

@@ -180,7 +180,7 @@ def test_node_count_rule_matches_the_257_by_64_channel(b_field):
     dot = q.DotParameters(b_field=b_field)
     times = build_time_grid(20.0)
     chan = channel_of(dot, times)
-    floor = q.compute_channel(q.build_quadrature(dot, 20.0, m_count=257, q_count=64), times)
+    floor = q.compute_channel(q.build_quadrature(dot, 20.0, (257, 64)), times)
     assert np.abs(chan.p - floor.p).max() <= 1e-12
     assert np.abs(chan.c - floor.c).max() <= 1e-12
 
@@ -200,7 +200,7 @@ def test_rule_model_scales_its_own_grid_and_keeps_the_bits(b_field, t_max, count
     # again, the 294 x 64 model at 2000 ns its 294-node Hermite rule, and the 257 x 64 model at 200 ns
     # neither rule of the 32 x 32 candidate
     dot = q.DotParameters(b_field=b_field)
-    explicit = q.build_quadrature(dot, t_max, m_count=counts[0], q_count=counts[1])
+    explicit = q.build_quadrature(dot, t_max, counts)
     for memo in (_node_grid, _hermite_rule, _laguerre_rule):
         memo.cache_clear()  # every rule and grid the model needs is built below, each once
     cutoffs = []  # the m-node count of each scaled grid
@@ -233,9 +233,9 @@ def test_gauss_rules_are_shared_read_only_and_checked_on_every_call():
             a[0] = 0
     # the overflow check runs on every model, on a grid the memo already holds
     misses = _node_grid.cache_info().misses
-    assert q.build_quadrature(q.DotParameters(), 1.0, 32, 64).node_counts == (32, 64)
+    assert q.build_quadrature(q.DotParameters(), 1.0, (32, 64)).node_counts == (32, 64)
     with pytest.raises(q.InvalidParameterError, match="overflows"):
-        q.build_quadrature(q.DotParameters(n_nuclei=1e307), 1.0, 32, 64)
+        q.build_quadrature(q.DotParameters(n_nuclei=1e307), 1.0, (32, 64))
     assert _node_grid.cache_info().misses == misses
 
 
@@ -282,17 +282,37 @@ def test_quadrature_weights_normalized(default_dot):
     assert np.all(q_nodes > 0)
 
 
-@pytest.mark.parametrize("counts", [(40.7, None), (None, 36.0), (math.nan, 36), (True, 36)],
-                         ids=["fraction", "integral-float", "nan", "bool"])
+@pytest.mark.parametrize("counts", [(40.7, 36), (40, 36.0), (math.nan, 36), (True, 36), (40, None), (40,),
+                                    (40, 36, 36), 40],
+                         ids=["fraction", "integral-float", "nan", "bool", "one-missing", "one", "three", "bare"])
 def test_quadrature_refuses_a_count_that_is_not_an_integer(counts, monkeypatch):
     monkeypatch.setattr(q.channel, "_node_grid", lambda *args: pytest.fail("node work before the counts were checked"))
-    with pytest.raises(InvalidParameterError, match="_count must be an integer"):
-        q.build_quadrature(q.DotParameters(), 20.0, *counts)
+    monkeypatch.setattr(q.channel, "_hermite_rule", lambda *args: pytest.fail("the node rule ran"))
+    with pytest.raises(InvalidParameterError, match="node_counts must be a pair of integers"):
+        q.build_quadrature(q.DotParameters(), 20.0, counts)
 
 
 def test_quadrature_takes_numpy_integer_counts():
-    quad = q.build_quadrature(q.DotParameters(), 20.0, np.int64(40), np.int32(36))
+    quad = q.build_quadrature(q.DotParameters(), 20.0, (np.int64(40), np.int32(36)))
     assert quad.node_counts == (40, 36) and all(type(n) is int for n in quad.node_counts)
+
+
+@pytest.mark.parametrize("counts,error,refused", [
+    ((2, 32), QuadratureResolutionError, "node counts too small: m=2, q=32"),
+    ((32, 0), QuadratureResolutionError, "node counts too small: m=32, q=0"),
+    ((-5, 32), QuadratureResolutionError, "node counts too small: m=-5, q=32"),
+    ((1_000_000, 32), InvalidParameterError, "a quadrature of 1000000 x 32 nodes holds more than MAX_QUADRATURE_NODES"),
+    ((20_000, 64), InvalidParameterError, "a quadrature of 20000 x 64 nodes holds more than MAX_QUADRATURE_NODES"),
+    ((20_000, 32), QuadratureResolutionError, "m_weights of 20000 nodes: the Gauss-Hermite axis takes at most 15625"),
+    ((32, 400), QuadratureResolutionError, "q_weights of 400 nodes: the Gauss-Laguerre axis takes at most 363"),
+], ids=["m-below-3", "q-zero", "m-negative", "past-cap", "past-cap-both-given", "m-axis", "q-axis"])
+def test_quadrature_refuses_given_counts_before_any_node_work(counts, error, refused, monkeypatch):
+    # counts below 3, a grid past MAX_QUADRATURE_NODES, and either axis past its limit (20 000 x 32 is under
+    # the cap); neither Gauss rule is read, from its memo or afresh
+    for rule in ("_hermite_rule", "_laguerre_rule"):
+        monkeypatch.setattr(q.channel, rule, lambda *args: pytest.fail("a Gauss rule was read"))
+    with pytest.raises(error, match=refused):
+        q.build_quadrature(q.DotParameters(b_field=0.1), 1.0, counts)
 
 
 def test_quadrature_refuses_nan_t_max(monkeypatch):
@@ -340,7 +360,7 @@ def test_channel_identity_at_t0(channel_b0):
 def test_channel_starts_at_exactly_one(default_dot):
     # the 32 x 32 weights round to a sum of 1 - 2^-53; the exact average is 1
     times = build_time_grid(20.0)
-    chan = q.compute_channel(q.build_quadrature(default_dot, 20.0, 32, 32), times)
+    chan = q.compute_channel(q.build_quadrature(default_dot, 20.0, (32, 32)), times)
     assert chan.c[0] == 1.0
 
 
@@ -420,7 +440,7 @@ def test_channel_doubling_convergence(default_dot):
     times = np.linspace(0.0, 20.0, 401)
     base = channel_of(default_dot, times)
     doubled = q.compute_channel(
-        q.build_quadrature(default_dot, 20.0, m_count=2 * base.m_count, q_count=2 * base.q_count), times
+        q.build_quadrature(default_dot, 20.0, (2 * base.m_count, 2 * base.q_count)), times
     )
     assert np.abs(base.p - doubled.p).max() < 1e-6
     assert np.abs(base.c - doubled.c).max() < 1e-6

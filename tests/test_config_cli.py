@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import qdspin as q
 from qdspin import channel, cli, magnetometry
-from qdspin.channel import MAX_QUADRATURE_NODES, build_quadrature
+from qdspin.channel import build_quadrature
 from qdspin.cli import main
 from qdspin.config import (
     COMMAND_FIELDS,
@@ -272,58 +272,6 @@ def test_cli_validity_error_exit_code(tmp_path, capsys):
     assert record["error"] == "ValidityWindowError"
 
 
-def test_cli_quadrature_past_scipy_node_limit_is_numerical_error(tmp_path, capsys):
-    # past MAX_LAGUERRE_NODES = 363, the most q nodes the rule takes: refused before any node work
-    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--q-nodes", "400",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "QuadratureResolutionError"
-    assert "q_weights of 400 nodes" in record["message"]
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_cli_m_nodes_past_the_hermite_limit_is_numerical_error(tmp_path, capsys, monkeypatch):
-    # 20 000 x 32 nodes are under MAX_QUADRATURE_NODES, but past MAX_HERMITE_NODES = 15 625 on the m axis
-    def no_jacobi(a, *args, **kwargs):
-        assert a.shape[-1] <= 4, "a Jacobi matrix was solved"  # the start state's 4x4 check still runs
-        return real_eigvalsh(a, *args, **kwargs)
-
-    real_eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_jacobi)
-    monkeypatch.setattr(channel, "_recurrence", lambda *args: pytest.fail("the recurrence ran"))
-    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--m-nodes", "20000",
-                 "--q-nodes", "32", "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "QuadratureResolutionError"
-    assert "m_weights of 20000 nodes" in record["message"]
-    assert not (tmp_path / "x.csv").exists()
-
-
-@pytest.mark.parametrize("flag,value", [("--m-nodes", "0"), ("--m-nodes", "2"), ("--q-nodes", "-5")])
-def test_cli_node_count_below_three_is_usage_error(flag, value, tmp_path, capsys):
-    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", flag, value,
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert f"{flag[2]}_nodes must be an integer of at least 3" in _usage_error(capsys)["message"]
-
-
-@pytest.mark.parametrize("flags", [["--m-nodes", "1000000"], ["--m-nodes", "20000", "--q-nodes", "64"]])
-def test_cli_quadrature_past_node_cap_is_usage_error(flags, tmp_path, capsys, monkeypatch):
-    def bounded_grid(n_m, n_q):
-        assert n_m * n_q <= MAX_QUADRATURE_NODES, "nodes computed before the node count was bounded"
-        return real_grid(n_m, n_q)
-
-    real_grid = channel._node_grid
-    monkeypatch.setattr(channel, "_node_grid", bounded_grid)
-    code = main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", *flags,
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert f"MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES}" in _usage_error(capsys)["message"]
-    assert not (tmp_path / "x.csv").exists()
-
-
 @pytest.mark.parametrize("command,flags", [
     ("evolve", ["--i-nuclear", "1e160"]), ("evolve", ["--i-nuclear", "1e200"]),
     ("evolve", ["--n-nuclei", "1e308"]), ("sweep", ["--i-nuclear", "1e200", "--metric", "all"]),
@@ -389,9 +337,11 @@ def test_node_rule_past_the_cap_builds_no_candidate(monkeypatch):
     # printed cross pairing and the co-rotating frame
     ({"upper_pairing": "printed"}, "unknown config keys ['upper_pairing']"),
     ({"drop_zeeman_phase": True}, "unknown config keys ['drop_zeeman_phase']"),
+    # and these, as null: the node counts are build_quadrature's node rule
+    ({"m_nodes": None, "q_nodes": None}, "unknown config keys ['m_nodes', 'q_nodes']"),
     # the fields may come from the file as well as from --b
     ({"b_fields": [0.1, 0.2]}, "evolve takes exactly one field value, got 2 (from --b or the config file's b_fields)"),
-], ids=["upper_pairing", "drop_zeeman_phase", "b_fields"])
+], ids=["upper_pairing", "drop_zeeman_phase", "node_counts", "b_fields"])
 def test_cli_removed_run_option_in_config_is_usage_error(data, message, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(data))
@@ -761,8 +711,6 @@ _VALID = {
     "b_fields": st.lists(st.floats(0.0, 1.0), max_size=3),
     "t_max": st.floats(0.1, 100.0),
     "dt": st.floats(0.01, 1.0),
-    "m_nodes": st.none() | st.integers(3, 300),
-    "q_nodes": st.none() | st.integers(3, 100),
     "normalize": st.sampled_from(NORMALIZE_MODES),
     "m_window": st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2, unique=True).map(sorted),
     "longtime_window": st.lists(st.floats(0.0, 6000.0), min_size=2, max_size=2, unique=True).map(sorted),
@@ -845,6 +793,9 @@ def test_cli_verify_rejects_every_flag_but_only(flag, monkeypatch, capsys):
     # each flag belongs to the one command that applies it
     (["sweep", "--normalize", "half"], "unrecognized arguments: --normalize half"),
     (["evolve", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    # the node rule sets the node counts
+    (["evolve", "--m-nodes", "40"], "unrecognized arguments: --m-nodes 40"),
+    (["sweep", "--q-nodes", "32"], "unrecognized arguments: --q-nodes 32"),
 ])
 def test_cli_argument_errors_print_one_record(argv, message, capsys):
     assert main(argv) == 2
@@ -861,8 +812,8 @@ _CLI_VALUES = {
                 ["werner:p=0", "bell:chi", "phase:gamma=nan", "werner:p=2", ""]),
     "--b": (["0", "-0.0", "0.1", "0,0.011", "0:0.02:0.01"], ["0.1,0.05", "abc", "nan", "1e200", ""]),
     "--dt": (["0.02", "0.1", "0.5"], ["0", "-0.1", "inf", "1e-300", "abc"]),
-    "--m-nodes": (["32", "40", "3"], ["2", "1000000", "abc"]),
-    "--q-nodes": (["32", "64"], ["2", "400"]),
+    "--m-nodes": ([], ["40"]),  # unknown: the node rule sets the counts
+    "--q-nodes": ([], ["32"]),
     "--metric": (["M", "g-extrema", "esd"], ["kinks", "bogus"]),
     "--normalize": (["none", "initial", "half"], ["bogus"]),
     "--workers": (["1", "2"], ["0", "-1", "abc"]),

@@ -35,11 +35,13 @@ def werner_traj_10mt():
 
 def test_channel_for_field_applies_the_run_description():
     # t_max / dt = 1000.75 rounds the grid up to 20.02 ns; the model is sized from that last time
-    config = RunConfig(g_factor=0.5, t_max=20.015, m_nodes=40, q_nodes=36)
+    config = RunConfig(g_factor=0.5, t_max=20.015)
     chan = channel_for_field(config, 0.01)
     assert chan.times[-1] == pytest.approx(20.02) and chan.model.t_max_ns == chan.times[-1]
     assert chan.model.dot == chan.dot == config.dot(0.01)
-    assert (chan.m_count, chan.q_count) == (40, 36)
+    # the node rule's counts for that dot and last time
+    rule = q.build_quadrature(config.dot(0.01), float(chan.times[-1])).node_counts
+    assert (chan.m_count, chan.q_count) == chan.model.node_counts == rule == (32, 32)
 
 
 @pytest.fixture
@@ -50,12 +52,12 @@ def empty_memo():
 
 
 def test_channel_memo_hit_keeps_the_bits_and_is_read_only(empty_memo):
-    config = RunConfig(t_max=5.0, m_nodes=24, q_nodes=20)
+    config = RunConfig(t_max=5.0)
     chan = channel_for_field(config, 0.02)
     assert channel_for_field(replace(config, state="werner:p=0.33"), 0.02) is chan  # the start state is no key
     assert empty_memo.cache_info()[:2] == (1, 1)  # one hit, one miss
     times = evolution.build_time_grid(5.0, 0.02)
-    direct = q.compute_channel(q.build_quadrature(config.dot(0.02), float(times[-1]), 24, 20), times)
+    direct = q.compute_channel(q.build_quadrature(config.dot(0.02), float(times[-1])), times)
     for name in ("times", "p", "c"):
         assert getattr(chan, name).tobytes() == getattr(direct, name).tobytes(), name
     for array in (chan.times, chan.p, chan.c, chan.model.p.freq, chan.model.slow.sin, chan.model.fast.vers):
@@ -68,20 +70,19 @@ def test_channel_memo_hit_keeps_the_bits_and_is_read_only(empty_memo):
 
 
 def test_channel_memo_keys_on_what_the_channel_depends_on(empty_memo):
-    config = RunConfig(t_max=2.0, m_nodes=16, q_nodes=16)
+    config = RunConfig(t_max=2.0)
     base = channel_for_field(config, 0.0)
     for other, b in ((config, -0.0), (replace(config, t_max=3.0), 0.0), (replace(config, dt=0.05), 0.0),
-                     (replace(config, m_nodes=18), 0.0), (replace(config, q_nodes=18), 0.0),
                      (replace(config, g_factor=0.5), 0.0), (config, 1e-3)):
         assert channel_for_field(other, b) is not base
-    assert empty_memo.cache_info().misses == 8
+    assert empty_memo.cache_info().misses == 6
     # -0.0 keeps its own entry, and its channel carries the sign the dot was given
     assert str(channel_for_field(config, -0.0).dot.b_field) == "-0.0"
     assert str(channel_for_field(config, 0.0).dot.b_field) == "0.0"
 
 
 def test_channel_memo_evicts_at_its_bound(empty_memo):
-    config = RunConfig(t_max=1.0, m_nodes=8, q_nodes=8)
+    config = RunConfig(t_max=1.0)
     fields = [1e-3 * k for k in range(CHANNEL_MEMO_SIZE + 1)]
     first = channel_for_field(config, fields[0])
     for b in fields[1:]:

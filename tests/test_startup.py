@@ -66,19 +66,6 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert out.exists()
 
 
-def test_evolve_loads_no_scipy_and_no_pool(tmp_path):
-    out = tmp_path / "t.csv"
-    (loaded,) = _fresh(f"""
-import contextlib, io
-from qdspin.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["evolve", "--state", "bell:psi-", "--b", "0.1", "--tmax", "1", "--out", {str(out)!r}]) == 0
-{LOADED}
-""")
-    assert loaded == []
-    assert out.exists()
-
-
 def test_verify_evolve_and_m_sweep_run_with_scipy_unimportable(tmp_path):
     # None in sys.modules makes every `import scipy...` raise ImportError
     _fresh(f"""
@@ -121,3 +108,4 @@ with contextlib.redirect_stdout(io.StringIO()):
 {LOADED}
 """)
     assert snapshots == [[], [], []]
+    assert (tmp_path / "m.csv").exists() and (tmp_path / "t.csv").exists()
